@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build test vet lint lint-github race bench-groupcommit bench-scan bench-conflict bench-shard bench-latency bench-mvro bench-tsdb
+.PHONY: verify build test vet lint lint-github race bench bench-layers bench-groupcommit bench-scan bench-conflict bench-shard bench-latency bench-mvro bench-tsdb
 
 ## verify: the full pre-merge gate — vet, the invariant linter, build, tests,
 ## and the race detector over the packages with real concurrency.
@@ -27,8 +27,21 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
+## race: the race detector over the packages with real concurrency, then the
+## helper-path and cross-shard tests ten times over — a client writing a
+## stream's scratch outside its lock only shows on some schedules.
 race:
 	$(GO) test -race -count=1 ./internal/core/ ./stm/ ./internal/obs/ ./internal/bloom/ ./internal/padded/ ./internal/analysis/
+	$(GO) test -race -count=10 -run 'Help|CrossShard' ./internal/core/
+
+## bench: the repository benchmark (BENCHMARK.json): four workloads x four
+## engines, 13 end-to-end metrics each, ~2 min. bench-layers prints the
+## per-layer micro-metrics alone (~6 s). See benchmark/README.md.
+bench:
+	$(GO) run ./benchmark -seed 1
+
+bench-layers:
+	$(GO) run ./benchmark -seed 1 -layers
 
 ## bench-groupcommit: regenerate results/BENCH_group_commit.json (live mode).
 bench-groupcommit:

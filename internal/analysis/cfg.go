@@ -61,6 +61,13 @@ type Block struct {
 	Index int
 	Nodes []ast.Node
 	Succs []*Block
+	// Cond and Then are set on a block that ends in an if condition: Cond is
+	// that condition (also the block's last node) and Then the successor
+	// taken when it holds; every other successor is a false edge. Checks
+	// whose facts depend on a branch outcome (a try-lock) read them through
+	// Flow.Edge.
+	Cond ast.Expr
+	Then *Block
 }
 
 // addSucc links b -> s, ignoring duplicates.
@@ -310,6 +317,7 @@ func (b *cfgBuilder) ifStmt(s *ast.IfStmt) {
 	thenB := b.newBlock()
 	if head != nil {
 		head.addSucc(thenB)
+		head.Cond, head.Then = s.Cond, thenB
 	}
 	b.startBlock(thenB)
 	b.stmtList(s.Body.List)

@@ -105,6 +105,47 @@ func TestCFGBranchWithoutElse(t *testing.T) {
 	}
 }
 
+// TestCFGIfCondEdges: the block ending in an if condition names that
+// condition and its then-successor, so an edge-sensitive flow can tell the
+// true edge from the false one; Forward hands both to Flow.Edge.
+func TestCFGIfCondEdges(t *testing.T) {
+	g, _ := parseFunc(t, `func f(c bool) {
+	if c {
+		println(1)
+	}
+	println(2)
+}`)
+	head := g.Entry
+	if head.Cond == nil || head.Cond != head.Nodes[len(head.Nodes)-1] {
+		t.Fatalf("if head must record its condition as Cond: %s", g)
+	}
+	if head.Then != head.Succs[0] || len(head.Then.Nodes) != 1 {
+		t.Fatalf("Then must be the then-arm block: %s", g)
+	}
+	for _, b := range g.Blocks[1:] {
+		if b.Cond != nil || b.Then != nil {
+			t.Fatalf("block %d is not an if head but has Cond/Then", b.Index)
+		}
+	}
+	// A flow whose fact is "took a true edge": only the then-arm sees it
+	// before the join merges it away (merge = AND).
+	in := Forward(g, Flow{
+		Entry:    false,
+		Transfer: func(f Fact, _ ast.Node) Fact { return f },
+		Merge:    func(a, b Fact) Fact { return a.(bool) && b.(bool) },
+		Equal:    func(a, b Fact) bool { return a == b },
+		Edge: func(f Fact, from, to *Block) Fact {
+			return f.(bool) || (from.Cond != nil && to == from.Then)
+		},
+	})
+	if in[head.Then] != true {
+		t.Fatal("then-arm did not receive the true-edge fact")
+	}
+	if join := head.Succs[1]; in[join] != false {
+		t.Fatal("join reached over the false edge must not carry the true-edge fact")
+	}
+}
+
 func TestCFGEarlyReturn(t *testing.T) {
 	g, fd := parseFunc(t, `func f(c bool) int {
 	if c {

@@ -41,6 +41,17 @@ import (
 //     text; opaque tokens are exempt from order comparison (soundness
 //     boundary: the checker never guesses an order it cannot prove).
 //
+// tryLockStream is the non-waiting acquisition (a waiting client taking a
+// free stream to run the epoch itself, DESIGN.md §16). Whether it acquired is
+// its result, so the lock is held on exactly one side of the branch that
+// tests it: the then-edge of `if [c && ] tryLockStream(i) { ... }`, or every
+// other edge of the guard `if !tryLockStream(i) { return }`. From there it is
+// an ordinary held token — it must be released on every path out and nothing
+// may block under it. A try-lock never waits, so it cannot close a deadlock
+// cycle and is exempt from the ascending-order and loop rules. Any other use
+// of the result (stored, passed on, tested inside any other expression) is
+// reported: the checker could not tell which paths hold the lock.
+//
 // A module function whose body releases locks in a loop and acquires none
 // (the unlockStreamsDesc shape) is summarized as a bulk-release helper:
 // calling it clears the held set, and the helper itself is not analyzed as a
@@ -64,6 +75,7 @@ func init() {
 
 const (
 	lockFnName    = "lockStream"
+	tryLockFnName = "tryLockStream"
 	unlockFnName  = "unlockStream"
 	releaseAllKey = "*"
 )
@@ -138,7 +150,7 @@ func (lo *lockOrderChecker) summarize() {
 				locks, unlocksInLoop := false, false
 				inspectLoops(fd.Body, func(call *ast.CallExpr, loop ast.Stmt) {
 					switch calleeName(p.Info, call) {
-					case lockFnName:
+					case lockFnName, tryLockFnName:
 						locks = true
 					case unlockFnName:
 						if loop != nil {
@@ -167,7 +179,7 @@ func (lo *lockOrderChecker) checkFunc(p *Package, fd *ast.FuncDecl) {
 	loopOf := make(map[*ast.CallExpr]ast.Stmt)
 	inspectLoops(fd.Body, func(call *ast.CallExpr, loop ast.Stmt) {
 		switch calleeName(p.Info, call) {
-		case lockFnName, unlockFnName:
+		case lockFnName, tryLockFnName, unlockFnName:
 			usesPrimitive = true
 			loopOf[call] = loop
 		}
@@ -178,17 +190,23 @@ func (lo *lockOrderChecker) checkFunc(p *Package, fd *ast.FuncDecl) {
 
 	g := BuildCFG(fd)
 	commStmts := make(map[ast.Stmt]bool)
+	branchTries := make(map[*ast.CallExpr]bool)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectStmt); ok {
-			for _, cs := range sel.Body.List {
+		switch n := n.(type) {
+		case *ast.SelectStmt:
+			for _, cs := range n.Body.List {
 				if cc, ok := cs.(*ast.CommClause); ok && cc.Comm != nil {
 					commStmts[cc.Comm] = true
 				}
 			}
+		case *ast.IfStmt:
+			if call, _ := tryLockCond(p.Info, n.Cond); call != nil {
+				branchTries[call] = true
+			}
 		}
 		return true
 	})
-	fc := &funcLockChecker{lo: lo, p: p, fd: fd, loopOf: loopOf, commStmts: commStmts}
+	fc := &funcLockChecker{lo: lo, p: p, fd: fd, loopOf: loopOf, commStmts: commStmts, branchTries: branchTries}
 	flow := Flow{
 		Entry:    lockFact{},
 		Transfer: func(f Fact, n ast.Node) Fact { return fc.transfer(f.(lockFact), n, nil) },
@@ -196,6 +214,7 @@ func (lo *lockOrderChecker) checkFunc(p *Package, fd *ast.FuncDecl) {
 			return mergeLockFacts(a.(lockFact), b.(lockFact))
 		},
 		Equal: func(a, b Fact) bool { return a == b },
+		Edge:  func(f Fact, from, to *Block) Fact { return fc.edge(f.(lockFact), from, to, nil) },
 	}
 	in := Forward(g, flow)
 
@@ -231,6 +250,9 @@ func (lo *lockOrderChecker) checkFunc(p *Package, fd *ast.FuncDecl) {
 			// Falling off the end of the function.
 			fc.checkExit(f, fd.Body.Rbrace, "function end")
 		}
+		for _, s := range b.Succs {
+			fc.edge(f, b, s, lo.report) // a try-lock acquiring what is already held
+		}
 	}
 }
 
@@ -241,6 +263,9 @@ type funcLockChecker struct {
 	fd        *ast.FuncDecl
 	loopOf    map[*ast.CallExpr]ast.Stmt
 	commStmts map[ast.Stmt]bool // select comm statements (skip blocking check)
+	// branchTries holds the tryLockStream calls an if condition tests
+	// directly; edge applies their acquisition on the side that holds it.
+	branchTries map[*ast.CallExpr]bool
 }
 
 // reportOnce funnels every diagnostic through the dedupe map (the fixpoint
@@ -288,7 +313,12 @@ func (fc *funcLockChecker) transfer(f lockFact, n ast.Node, report ReportFunc) F
 		}
 		switch calleeName(fc.p.Info, call) {
 		case lockFnName:
-			held = fc.acquire(held, call, report)
+			held = fc.acquire(held, call, false, report)
+		case tryLockFnName:
+			if !fc.branchTries[call] {
+				fc.reportOnce(report, call.Pos(),
+					"tryLockStream result must be tested directly by an if condition (if tryLockStream(i) { ... } or if !tryLockStream(i) { return }); otherwise the checker cannot tell which paths hold the lock")
+			}
 		case unlockFnName:
 			held = fc.release(held, call, report)
 		default:
@@ -321,10 +351,52 @@ func inspectLeaf(n ast.Node, f func(ast.Node) bool) {
 	})
 }
 
-// acquire applies one lockStream call.
-func (fc *funcLockChecker) acquire(held []string, call *ast.CallExpr, report ReportFunc) []string {
+// edge applies a branch-tested try-lock on the CFG edge where it succeeded:
+// the then-edge for the positive form, every other edge for the negated
+// guard.
+func (fc *funcLockChecker) edge(f lockFact, from, to *Block, report ReportFunc) lockFact {
+	if from.Cond == nil {
+		return f
+	}
+	call, negated := tryLockCond(fc.p.Info, from.Cond)
+	if call == nil || (to == from.Then) == negated {
+		return f
+	}
+	f.held = joinKeys(fc.acquire(splitKeys(f.held), call, true, report))
+	return f
+}
+
+// tryLockCond recognizes an if condition that tests a tryLockStream call
+// directly: the call itself or a conjunct of an && chain (held when the
+// condition is true), or its plain negation (held when it is false).
+func tryLockCond(info *types.Info, cond ast.Expr) (call *ast.CallExpr, negated bool) {
+	switch e := unwrap(cond).(type) {
+	case *ast.CallExpr:
+		if calleeName(info, e) == tryLockFnName {
+			return e, false
+		}
+	case *ast.UnaryExpr:
+		if c, ok := unwrap(e.X).(*ast.CallExpr); ok && e.Op == token.NOT && calleeName(info, c) == tryLockFnName {
+			return c, true
+		}
+	case *ast.BinaryExpr:
+		if e.Op == token.LAND {
+			for _, side := range []ast.Expr{e.X, e.Y} {
+				if c, neg := tryLockCond(info, side); c != nil && !neg {
+					return c, false
+				}
+			}
+		}
+	}
+	return nil, false
+}
+
+// acquire applies one lockStream call, or (try) a tryLockStream call on the
+// edge where it succeeded. A try-lock never waits, so the loop and order
+// rules — which exist to rule out a wait cycle — do not apply to it.
+func (fc *funcLockChecker) acquire(held []string, call *ast.CallExpr, try bool, report ReportFunc) []string {
 	key, sanctioned := fc.tokenOf(call)
-	if loop := fc.loopOf[call]; loop != nil && !sanctioned {
+	if loop := fc.loopOf[call]; loop != nil && !sanctioned && !try {
 		fc.reportOnce(report, call.Pos(),
 			"stream lock acquired in a loop the checker cannot order; use the ascending-mask idiom (for m := mask; m != 0; m &= m - 1 { lockStream(bits.TrailingZeros64(m)) })")
 		// Fall through: still track it so releases balance.
@@ -338,7 +410,7 @@ func (fc *funcLockChecker) acquire(held []string, call *ast.CallExpr, report Rep
 			return held
 		}
 	}
-	if r, ok := rankOf(key); ok {
+	if r, ok := rankOf(key); ok && !try {
 		for _, h := range held {
 			if hr, hok := rankOf(h); hok && hr >= r {
 				fc.reportOnce(report, call.Pos(),
@@ -542,7 +614,7 @@ func blockingCall(info *types.Info, call *ast.CallExpr) string {
 // isLockPrimitive reports whether fd declares one of the lock primitives
 // themselves.
 func isLockPrimitive(fd *ast.FuncDecl) bool {
-	return fd.Name.Name == lockFnName || fd.Name.Name == unlockFnName
+	return fd.Name.Name == lockFnName || fd.Name.Name == tryLockFnName || fd.Name.Name == unlockFnName
 }
 
 // calleeName resolves a call's function name, or "".

@@ -30,6 +30,9 @@ type Flow struct {
 	Merge func(a, b Fact) Fact
 	// Equal reports whether two facts are the same state (convergence test).
 	Equal func(a, b Fact) bool
+	// Edge, when set, refines a block's exit state for one successor — how a
+	// check learns which way an if condition went (Block.Cond/Then).
+	Edge func(f Fact, from, to *Block) Fact
 }
 
 // Forward computes the entry state of every reachable block. Blocks
@@ -54,6 +57,10 @@ func Forward(g *CFG, fl Flow) map[*Block]Fact {
 		}
 		out := transferBlock(st, b, fl.Transfer)
 		for _, s := range b.Succs {
+			out := out
+			if fl.Edge != nil {
+				out = fl.Edge(out, b, s)
+			}
 			old, seen := in[s]
 			var merged Fact
 			if !seen {

@@ -70,7 +70,7 @@ func sortedWriteIDs(ws *writeSet) []uint64 {
 // current epoch: the batch leader as the representative committer and — on
 // every AttrSampleEvery-th epoch — the exact merged write ids of the whole
 // batch (the invalidation scan tests the merged signature, so the exact
-// check must test the merged set). Commit-server-owned; called once per
+// check must test the merged set). Stream-lock-holder-owned; called once per
 // epoch after doomed members have been filtered out of batchIdx (a
 // cross-shard epoch sets batchIdx to its single requester first).
 func (sv *shardServer) epochKillDesc() *killDesc {

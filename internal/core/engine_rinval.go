@@ -14,10 +14,10 @@ import (
 // paper's Algorithms 2-4) behind one parameterization:
 //
 //   - numInval == 0: RInval-V1. The commit-server executes both the
-//     invalidation scan and the write-back itself. Clients never touch the
-//     global timestamp: they publish a request in their padded slot and spin
-//     on their own cache line, so commit has zero CAS operations and no
-//     shared-lock spinning.
+//     invalidation scan and the write-back itself. A client answered within
+//     its busy phase never touches the global timestamp: it publishes a
+//     request in its padded slot and spins on its own cache line, so commit
+//     has zero CAS operations and no shared-lock spinning.
 //   - numInval > 0, stepsAhead == 0: RInval-V2. Invalidation is partitioned
 //     across numInval invalidation-server goroutines that run in parallel
 //     with the commit-server's write-back. The commit-server waits for every
@@ -35,13 +35,19 @@ import (
 // other stream; a cross-shard request is led solo by the server of its
 // lowest touched shard through the two-phase stream handshake
 // (serveCrossShard, DESIGN.md §11). Shards == 1 is the paper-exact baseline:
-// one server set, no stream locks, identical instruction path.
+// one server set running the same epoch code.
+//
+// An epoch is driven by whoever holds its stream's lock. Normally that is the
+// shard's commit-server; a client whose busy-wait budget ran out without a
+// reply may take a free lock and run the epoch for its own request itself
+// (help, DESIGN.md §16), which is what keeps commit latency at the cost of the
+// work rather than of the hand-off when the server has no core of its own.
 type remoteEngine struct {
 	sys        *System
 	numInval   int // invalidation-servers per commit stream (0 for V1)
 	stepsAhead int
 	maxBatch   int
-	sharded    bool // Shards > 1: stream locks + touched-mask routing
+	sharded    bool // Shards > 1: touched-mask routing + cross-shard handshake
 
 	// srv[j] is shard j's server set. Exactly one entry when Shards == 1.
 	srv []*shardServer
@@ -49,11 +55,12 @@ type remoteEngine struct {
 
 // shardServer is one commit stream's server set: the commit-server loop, its
 // group-commit scratch, the stream's invalidation-server loops, and their
-// stats. Every field below the stream pointer is owned by this shard's
-// commit-server goroutine (the scratch) or by one invalidation-server (its
-// Stats entry); nothing here is shared across shards except via the stream
-// handshake, which hands a cross-shard leader ownership of another shard's
-// ring buffers only while it holds that stream's lock.
+// stats. The epoch scratch and records (sigBufs/memberBufs, the batch*
+// fields, epochBuf, attrEpochs, commitRing, latC and commitSrv's histograms)
+// belong to whoever holds this stream's lock — the shard's commit-server, a
+// cross-shard leader, or a helping client — and must only be written with it
+// held. scanBuf stays private to the commit-server goroutine's outer scan,
+// and each invalidation-server owns its Stats entry, ring and cell.
 type shardServer struct {
 	eng   *remoteEngine
 	sys   *System
@@ -72,7 +79,7 @@ type shardServer struct {
 	// under the same overwrite bound as sigBufs.
 	memberBufs []slotMask
 
-	// Group-commit scratch, owned by the commit-server goroutine: the batch
+	// Group-commit scratch, owned by the stream-lock holder: the batch
 	// member slots, the union of their write signatures, the union of their
 	// read signatures (for the R/W compatibility test), and the member mask
 	// RInvalV1 passes to its inline invalidation scan.
@@ -82,8 +89,9 @@ type shardServer struct {
 	batchMask slotMask
 
 	// scanBuf/epochBuf hold the candidate slots of the outer request scan
-	// and of one epoch's collection pass — the active bitmap's word-decoded
-	// indices (or every slot under FlatScan). Reused, commit-server-owned.
+	// (commit-server goroutine only) and of one epoch's collection pass
+	// (lock holder) — the active bitmap's word-decoded indices, or every slot
+	// under FlatScan. Reused.
 	scanBuf  []int
 	epochBuf []int
 
@@ -91,7 +99,7 @@ type shardServer struct {
 	invalSrv  []Stats // per-invalidation-server activity
 
 	// attrEpochs counts served epochs for attribution's 1-in-N exact-sample
-	// selection (commit-server-owned; see epochKillDesc).
+	// selection (lock-holder-owned; see epochKillDesc).
 	attrEpochs uint64
 
 	// commitRing/invalRings are the servers' trace tracks (nil entries when
@@ -100,8 +108,8 @@ type shardServer struct {
 	invalRings []*obs.Ring
 
 	// latC/invalLat are the servers' latency-phase cells (nil when
-	// Config.Latency is off; recording on a nil cell is a no-op). Servers
-	// record every epoch — only client cells sample.
+	// Config.Latency is off; recording on a nil cell is a no-op). Every epoch
+	// is recorded, whoever drives it — only client cells sample.
 	latC     *obs.LatCell
 	invalLat []*obs.LatCell
 }
@@ -173,17 +181,21 @@ func (e *remoteEngine) begin(tx *Tx) {}
 // the reader's own server for that stream to have processed every prior
 // commit (Algorithm 3 line 28): only then is "my status flag is still ALIVE"
 // proof that no prior commit conflicted.
+//
 //stm:hotpath
 func (e *remoteEngine) read(tx *Tx, v *Var) (*box, bool) {
 	return invalRead(tx, v, e.numInval > 0)
 }
 
 // commit is the client side of Algorithm 2's CLIENT COMMIT: publish the
-// request, then spin on the private reply field until a commit-server
+// request, then spin on the private reply field until an epoch driver
 // answers. Identical for all three variants. Under sharding the request also
 // carries the transaction's shard masks, computed here from the write set
 // and the shards its reads visited; the server of the lowest touched shard
-// owns the request.
+// owns the request. Once the waiter's busy phase has run out — a server with
+// a core of its own would have replied by now — each further iteration first
+// offers to drive the epoch itself (help) and only yields if it could not.
+//
 //stm:hotpath
 func (e *remoteEngine) commit(tx *Tx) bool {
 	if tx.ws.len() == 0 {
@@ -222,8 +234,41 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 			tx.reason = AbortInvalidated
 			return false
 		}
+		if !w.Busy() && e.help(tx, req) {
+			continue // replied to: re-read our own line
+		}
 		w.Wait()
 	}
+}
+
+// help lets a waiting client drive the epoch for its own request: if the
+// request is single-stream and the home stream's lock is free at this moment,
+// take it, run the same serveEpochLocked the commit-server runs — starting at
+// the client's own slot, so compatible requests above it ride along — and
+// release. It reports whether the call sent any reply. The lock holder is
+// the single answerer: the collection pass re-reads every candidate's state
+// under the lock, so a request the server answered just before the CAS is
+// skipped. A busy lock means someone is already driving an epoch here (in
+// the paper's regime the commit-server, for the whole epoch), and V3 declines
+// inside serveEpochLocked while the client's invalidation-server lags; both
+// fall back to waiting. Cross-shard requests stay with their leader server:
+// serveCrossShard does not re-check the request after locking.
+//
+//stm:hotpath
+func (e *remoteEngine) help(tx *Tx, req *commitReq) bool {
+	if req.touched&(req.touched-1) != 0 {
+		return false
+	}
+	sv := e.srv[bits.TrailingZeros64(req.touched)]
+	if !e.sys.tryLockStream(sv.shard) {
+		return false
+	}
+	committed, replied := sv.serveEpochLocked(tx.th.idx)
+	e.sys.unlockStream(sv.shard)
+	if committed > 0 {
+		atomic.AddUint64(&tx.stats.HelpedEpochs, 1)
+	}
+	return replied
 }
 
 func (e *remoteEngine) abort(tx *Tx) {}
@@ -268,7 +313,9 @@ func (e *remoteEngine) serverStats() Stats {
 // scan reaches it). Under sharding each server claims only the requests it
 // homes — single-shard requests of its own stream, plus cross-shard requests
 // whose lowest touched shard is its stream — so a request still has exactly
-// one server and the single-answerer protocol is unchanged.
+// one server; a single-stream request may instead be answered by a helping
+// client, and the stream lock decides which of the two does.
+//
 //stm:hotpath
 func (sv *shardServer) commitServerMain(stop func() bool) {
 	sys := sv.sys
@@ -319,31 +366,41 @@ func (sv *shardServer) commitServerMain(stop func() bool) {
 	}
 }
 
-// serveEpochFrom executes one group-commit epoch on this shard's stream:
-// starting at slot first, it collects up to maxBatch pending requests homed
-// to this stream whose signatures are mutually compatible — no W/W overlap
-// (two members writing the same location) and no R/W overlap in either
-// direction (a member reading what another writes), tested on the bloom
-// signatures — then retires the whole batch under a single odd/even
-// timestamp transition and replies to every member. Incompatible or deferred
-// requests stay PENDING for a later epoch. It returns false when no reply
-// was sent (V3: every pending requester's invalidation-server lags) so the
-// caller's scan can back off. Under sharding the epoch runs with the stream
-// lock held, serializing against cross-shard leaders that acquired this
-// stream; with one shard the lone commit-server is the only epoch driver and
-// never locks.
+// serveEpochFrom is the commit-server's epoch: take this shard's stream lock
+// (waiting out a cross-shard leader or a helping client), run one epoch
+// starting at slot first, release. It reports whether any reply was sent.
+//
 //stm:hotpath
 func (sv *shardServer) serveEpochFrom(first int) bool {
+	sv.sys.lockStream(sv.shard)
+	_, replied := sv.serveEpochLocked(first)
+	sv.sys.unlockStream(sv.shard)
+	return replied
+}
+
+// serveEpochLocked executes one group-commit epoch on this shard's stream.
+// The caller holds the stream's lock — the shard's commit-server, or a client
+// helping its own request — which serializes the epoch against every other
+// driver of this stream (cross-shard leaders included) and hands the caller
+// this shardServer's scratch. Starting at slot first, it collects up to
+// maxBatch pending requests homed to this stream whose signatures are
+// mutually compatible — no W/W overlap (two members writing the same
+// location) and no R/W overlap in either direction (a member reading what
+// another writes), tested on the bloom signatures — then retires the whole
+// batch under a single odd/even timestamp transition and replies to every
+// member. Incompatible or deferred requests stay PENDING for a later epoch.
+// committed is the number of members the epoch committed (0: no timestamp
+// transition); replied is false when no reply at all was sent (nothing
+// pending from first upward, or V3: every pending requester's
+// invalidation-server lags) so the caller can back off.
+//
+//stm:hotpath
+func (sv *shardServer) serveEpochLocked(first int) (committed int, replied bool) {
 	sys := sv.sys
 	st := sv.st
-	sharded := sv.eng.sharded
 	home := uint64(1) << uint(sv.shard)
 	ring := sv.commitRing
 	phases := &sv.commitSrv.Server
-	if sharded {
-		sys.lockStream(sv.shard)
-		defer sys.unlockStream(sv.shard)
-	}
 	// Phase timestamps cost a clock read each, so they are taken only when
 	// someone consumes them: the phase histograms (cfg.Stats), the trace
 	// ring, or the live latency recorder. The queue-depth and step-ahead
@@ -392,7 +449,7 @@ func (sv *shardServer) serveEpochFrom(first int) bool {
 		if req == nil {
 			continue
 		}
-		if sharded && req.touched != home {
+		if req.touched != home {
 			// Another stream's request, or a cross-shard one (those lead
 			// their own handshake epoch); not this epoch's to serve.
 			continue
@@ -417,7 +474,7 @@ func (sv *shardServer) serveEpochFrom(first int) bool {
 		sv.batchRS.UnionAtomic(s.readBF)
 	}
 	if len(sv.batchIdx) == 0 {
-		return false
+		return 0, false
 	}
 	phases.QueueDepth.Record(pending)
 	ring.Counter(obs.KQueueDepth, pending)
@@ -476,7 +533,7 @@ func (sv *shardServer) serveEpochFrom(first int) bool {
 	dropped := n < len(sv.batchIdx)
 	sv.batchIdx = sv.batchIdx[:n]
 	if n == 0 {
-		return true // progress: abort replies were sent
+		return 0, true // progress: abort replies were sent
 	}
 	if dropped {
 		// Rebuild the epoch signature from the survivors so a doomed
@@ -561,7 +618,7 @@ func (sv *shardServer) serveEpochFrom(first int) bool {
 	atomic.AddUint64(&sv.commitSrv.Commits, uint64(n))
 	atomic.AddUint64(&sv.commitSrv.Epochs, 1)
 	sv.commitSrv.BatchSizes.Record(uint64(n))
-	return true
+	return n, true
 }
 
 // serveCrossShard retires one cross-shard commit request through the
@@ -574,9 +631,12 @@ func (sv *shardServer) serveEpochFrom(first int) bool {
 // invalidation pass — the full write signature into every written stream's
 // ring (V2/V3) or one inline scan while the written streams are odd (V1) —
 // writes back, raises/releases the written timestamps (odd ascending, even
-// descending), replies, and unlocks in reverse order. Only the lowest
-// touched shard's commit-server runs this, so each request still has a
-// single answerer. Called only when Shards > 1.
+// descending), replies, records, and unlocks in reverse order. Only the
+// lowest touched shard's commit-server runs this, so each request still has
+// a single answerer. Every record lands while the leader still holds its own
+// stream: a helping client may own this shardServer's histograms, ring and
+// cell the moment the lock is free. Called only when Shards > 1.
+//
 //stm:hotpath
 func (sv *shardServer) serveCrossShard(i int, req *commitReq) {
 	sys := sv.sys
@@ -677,7 +737,6 @@ func (sv *shardServer) serveCrossShard(i int, req *commitReq) {
 		}
 	}
 	s.state.Store(reqCommitted)
-	unlockStreamsDesc(sys, touched)
 	if timing {
 		now := obs.Now()
 		if sys.cfg.Stats {
@@ -690,10 +749,12 @@ func (sv *shardServer) serveCrossShard(i int, req *commitReq) {
 	atomic.AddUint64(&sv.commitSrv.Epochs, 1)
 	atomic.AddUint64(&sv.commitSrv.CrossShardCommits, 1)
 	sv.commitSrv.BatchSizes.Record(1)
+	unlockStreamsDesc(sys, touched)
 }
 
 // unlockStreamsDesc releases the stream locks in mask in descending shard
 // order — the reverse of the handshake's acquisition order.
+//
 //stm:hotpath
 func unlockStreamsDesc(sys *System, mask uint64) {
 	for m := mask; m != 0; {
@@ -710,6 +771,7 @@ func unlockStreamsDesc(sys *System, mask uint64) {
 // by 2. Every stream's server k covers the same global slot partition k;
 // concurrent scans from different streams are safe because the doom CAS is
 // epoch-guarded and idempotent.
+//
 //stm:hotpath
 func (sv *shardServer) invalServerMain(k int, stop func() bool) {
 	sys := sv.sys

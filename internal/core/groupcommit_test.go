@@ -22,7 +22,7 @@ func postPending(s *System, th *Thread, v *Var, val any) *slot {
 	s.active.set(th.idx) // as Tx.begin would: bit before the ALIVE store
 	epoch := (sl.status.Load() >> epochShift) + 1
 	sl.status.Store(statusWord(epoch, txAlive))
-	sl.req.Store(&commitReq{ws: ws})
+	sl.req.Store(&commitReq{ws: ws, writes: 1, touched: 1}) // single stream: shard 0
 	sl.state.Store(reqPending)
 	return sl
 }

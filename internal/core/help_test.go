@@ -1,0 +1,258 @@
+package core
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"github.com/ssrg-vt/rinval/internal/bloom"
+)
+
+// Tests for client-helped epochs (DESIGN.md §16): a waiting client whose busy
+// phase ran out takes a free stream lock and runs serveEpochLocked itself.
+
+// TestHelpLivenessWithoutServer: with no commit-server goroutine at all, every
+// write transaction still commits — each one by the client driving its own
+// epoch — and the counters line up one to one.
+func TestHelpLivenessWithoutServer(t *testing.T) {
+	s, err := newSystem(Config{Algo: RInvalV1, MaxThreads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1000
+	th := s.MustRegister()
+	v := NewVar(0)
+	for i := 0; i < n; i++ {
+		if err := th.Atomically(func(tx *Tx) error {
+			tx.Store(v, tx.Load(v).(int)+1)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := v.Peek().(int); got != n {
+		t.Fatalf("counter = %d, want %d", got, n)
+	}
+	st := th.Stats()
+	th.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	epochs := s.eng.serverStats().Epochs
+	if st.Commits != n || st.HelpedEpochs != n || epochs != n {
+		t.Fatalf("Commits=%d HelpedEpochs=%d Epochs=%d, want all %d", st.Commits, st.HelpedEpochs, epochs, n)
+	}
+	if got := s.Stats().HelpedEpochs; got != n {
+		t.Fatalf("System.Stats folded HelpedEpochs = %d, want %d", got, n)
+	}
+}
+
+// TestHelpBatchesFollowers: two requests pending, the lower slot's client
+// helps, and one epoch answers both — the helper runs the server's own
+// collection pass, so group commit is unchanged.
+func TestHelpBatchesFollowers(t *testing.T) {
+	// A wide signature keeps the two write sets disjoint whatever Var ids
+	// earlier tests consumed (see TestGroupCommitDisjointBatchOneEpoch).
+	s, err := newSystem(Config{Algo: RInvalV1, MaxThreads: 4, MaxBatch: 8,
+		Bloom: bloom.Params{Bits: 1 << 16, Hashes: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	helper, follower := s.MustRegister(), s.MustRegister()
+	if helper.idx > follower.idx {
+		t.Fatalf("helper slot %d above follower slot %d: collection runs upward", helper.idx, follower.idx)
+	}
+	a, b := NewVar(0), NewVar(0)
+	fsl := postPending(s, follower, b, 7)
+	if err := helper.Atomically(func(tx *Tx) error {
+		tx.Store(a, 5)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fsl.state.Load(); got != reqCommitted {
+		t.Fatalf("follower reply = %d, want reqCommitted", got)
+	}
+	if a.Peek() != 5 || b.Peek() != 7 {
+		t.Fatalf("a=%v b=%v, want 5 and 7", a.Peek(), b.Peek())
+	}
+	srv := &s.eng.(*remoteEngine).srv[0].commitSrv
+	if srv.Epochs != 1 || srv.Commits != 2 || srv.BatchSizes.Max() != 2 {
+		t.Fatalf("Epochs=%d Commits=%d max batch=%d, want 1/2/2", srv.Epochs, srv.Commits, srv.BatchSizes.Max())
+	}
+	if got := helper.Stats().HelpedEpochs; got != 1 {
+		t.Fatalf("helper HelpedEpochs = %d, want 1", got)
+	}
+	if got := s.streams[0].owner.Load(); got != 0 {
+		t.Fatalf("stream lock left at %d after helping", got)
+	}
+	settle(s, follower.idx, fsl)
+	helper.Close()
+	follower.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHelpDeclines pins the three cases where a client must not drive the
+// epoch: someone else holds the stream, the request spans streams, and (V3)
+// the client's invalidation-server lags. Each leaves the request PENDING and
+// the lock as it found it.
+func TestHelpDeclines(t *testing.T) {
+	t.Run("lock-held", func(t *testing.T) {
+		s, err := newSystem(Config{Algo: RInvalV1, MaxThreads: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := s.eng.(*remoteEngine)
+		th := s.MustRegister()
+		sl := postPending(s, th, NewVar(0), 1)
+		s.lockStream(0)
+		if eng.help(&th.tx, sl.req.Load()) {
+			t.Fatal("helped while another driver held the stream")
+		}
+		if sl.state.Load() != reqPending || s.streams[0].owner.Load() != 1 {
+			t.Fatal("declined help changed the request or the lock")
+		}
+		s.unlockStream(0)
+		if !eng.help(&th.tx, sl.req.Load()) || sl.state.Load() != reqCommitted {
+			t.Fatal("free stream: help should have committed the request")
+		}
+		settle(s, th.idx, sl)
+		th.Close()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("cross-shard", func(t *testing.T) {
+		s, err := newSystem(Config{Algo: RInvalV1, MaxThreads: 4, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := s.eng.(*remoteEngine)
+		th := s.MustRegister()
+		sl := postPending(s, th, NewVar(0), 1)
+		req := &commitReq{ws: sl.req.Load().ws, writes: 3, touched: 3}
+		sl.req.Store(req)
+		if eng.help(&th.tx, req) {
+			t.Fatal("helped a cross-shard request; those are leader-only")
+		}
+		if sl.state.Load() != reqPending || s.streams[0].owner.Load() != 0 || s.streams[1].owner.Load() != 0 {
+			t.Fatal("declined help changed the request or a lock")
+		}
+		settle(s, th.idx, sl)
+		th.Close()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("v3-lag", func(t *testing.T) {
+		s, err := newSystem(Config{Algo: RInvalV3, MaxThreads: 4, InvalServers: 1, StepsAhead: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := s.eng.(*remoteEngine)
+		th0, th1 := s.MustRegister(), s.MustRegister()
+		sl0 := postPending(s, th0, NewVar(0), 1)
+		if !eng.help(&th0.tx, sl0.req.Load()) {
+			t.Fatal("first epoch: nothing lags yet, help should commit")
+		}
+		// No invalidation-server runs here, so invalTS now trails the
+		// timestamp and the next requester's ALIVE check is inconclusive.
+		sl1 := postPending(s, th1, NewVar(0), 2)
+		if eng.help(&th1.tx, sl1.req.Load()) {
+			t.Fatal("V3 helper served a request whose invalidation-server lags")
+		}
+		if sl1.state.Load() != reqPending || s.streams[0].owner.Load() != 0 {
+			t.Fatal("declined help changed the request or kept the lock")
+		}
+		if got := th1.Stats().HelpedEpochs; got != 0 {
+			t.Fatalf("declined help counted %d helped epochs", got)
+		}
+		settle(s, th0.idx, sl0)
+		settle(s, th1.idx, sl1)
+		th0.Close()
+		th1.Close()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestHelpStress runs clients against live servers with every recorder the
+// lock holder writes switched on (Stats histograms, trace ring, latency
+// cells), so under -race a helper write outside the stream lock shows up.
+// Transfers between accounts placed on known shards give single-stream and
+// cross-shard commits, conflicts and batches.
+func TestHelpStress(t *testing.T) {
+	const workers, per, accounts, initial = 4, 150, 8, 100
+	for _, algo := range rinvalAlgos {
+		for _, shards := range []int{1, 4} {
+			for _, maxBatch := range []int{1, 8} {
+				t.Run(fmt.Sprintf("%s/shards=%d/batch=%d", algo, shards, maxBatch), func(t *testing.T) {
+					s, err := New(Config{Algo: algo, MaxThreads: 8, InvalServers: 4, StepsAhead: 2,
+						Shards: shards, MaxBatch: maxBatch, Stats: true, Trace: true, Latency: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Accounts 2k and 2k+1 share a stream; a transfer goes to the
+					// sibling, every fourth one to the next pair (cross-shard
+					// when Shards > 1).
+					vars := make([]*Var, accounts)
+					for i := range vars {
+						vars[i] = varInShard(t, s, (i/2)%shards, initial)
+					}
+					var wg sync.WaitGroup
+					for w := 0; w < workers; w++ {
+						w := w
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							th := s.MustRegister()
+							defer th.Close()
+							for i := 0; i < per; i++ {
+								f := (w + i) % accounts
+								from, to := vars[f], vars[f^1]
+								if i%4 == 3 {
+									to = vars[(f+2)%accounts]
+								}
+								if err := th.Atomically(func(tx *Tx) error {
+									tx.Store(from, tx.Load(from).(int)-1)
+									tx.Store(to, tx.Load(to).(int)+1)
+									return nil
+								}); err != nil {
+									t.Errorf("worker %d: %v", w, err)
+									return
+								}
+							}
+						}()
+					}
+					wg.Wait()
+					if err := s.Close(); err != nil {
+						t.Fatal(err)
+					}
+					total := 0
+					for _, v := range vars {
+						total += v.Peek().(int)
+					}
+					if total != accounts*initial {
+						t.Fatalf("sum = %d, want %d", total, accounts*initial)
+					}
+					st := s.Stats()
+					if got := st.ConflictAborts(); got != st.Aborts {
+						t.Fatalf("conflict reasons sum to %d, Aborts = %d (reasons %v)", got, st.Aborts, st.AbortReasons)
+					}
+					if st.HelpedEpochs > st.Epochs {
+						t.Fatalf("HelpedEpochs = %d exceeds Epochs = %d", st.HelpedEpochs, st.Epochs)
+					}
+					// Client commits + the servers' count of the same commits.
+					if st.Commits != 2*workers*per {
+						t.Fatalf("Commits = %d, want %d", st.Commits, 2*workers*per)
+					}
+					t.Logf("epochs %d, helped %d, cross-shard %d, aborts %d",
+						st.Epochs, st.HelpedEpochs, st.CrossShardCommits, st.Aborts)
+				})
+			}
+		}
+	}
+}

@@ -336,8 +336,16 @@ func TestROCrossShardSnapshot(t *testing.T) {
 					return
 				}
 			}
-			if st := th.Stats(); st.Aborts != 0 {
-				t.Errorf("cross-shard reader aborted %d times", st.Aborts)
+			// A snapshot transaction never aborts. A reader whose epoch-vector
+			// capture gave up (the writers kept some stream odd through the
+			// retry budget) re-ran that transaction on the regular path, where
+			// aborts are legal — so the zero holds only without fallbacks.
+			st := th.Stats()
+			if st.ROFallbacks == 0 && st.Aborts != 0 {
+				t.Errorf("cross-shard snapshot reader aborted %d times", st.Aborts)
+			}
+			if st.ROFallbacks != 0 {
+				t.Logf("reader fell back %d times (%d aborts on the regular path)", st.ROFallbacks, st.Aborts)
 			}
 		}()
 	}

@@ -67,22 +67,31 @@ type Stats struct {
 	// returned an error), which Aborts excludes.
 	AbortReasons [NumAbortReasons]uint64
 
-	// Epochs counts odd/even timestamp transitions the RInval commit-server
-	// executed. With group commit one epoch can retire a whole batch, so
-	// Epochs <= the server's Commits; the ratio is the batching win.
+	// Epochs counts odd/even timestamp transitions executed on the RInval
+	// commit streams, whoever drove them (commit-server, cross-shard leader
+	// or helping client). With group commit one epoch can retire a whole
+	// batch, so Epochs <= the server's Commits; the ratio is the batching win.
 	Epochs uint64
 	// CrossShardCommits counts commits retired through the two-phase stream
 	// handshake (Config.Shards > 1 only): requests whose touched-shard mask
 	// spanned more than one commit stream.
 	CrossShardCommits uint64
+	// HelpedEpochs counts the epochs a client drove itself: its busy-wait
+	// budget ran out with no reply, the home stream's lock was free, and the
+	// epoch it then ran committed at least one request (DESIGN.md §16).
+	// Recorded on the helping client's own Stats; those epochs are also in
+	// the stream's Epochs, so HelpedEpochs <= Epochs and the ratio is the
+	// share of epochs the commit-server did not get to first.
+	HelpedEpochs uint64
 	// BatchSizes is the distribution of group-commit batch sizes (one sample
-	// per epoch). Only the commit-server records into it.
+	// per epoch). Only a stream's epoch driver records into it, under the
+	// stream lock.
 	BatchSizes histo.Histogram
 
-	// Server holds the commit-server's per-epoch phase histograms. Only the
-	// RInval commit-server records into it (read after Close); queue-depth
-	// and step-ahead samples are always collected, the *Ns phases require
-	// Config.Stats (they cost clock reads).
+	// Server holds the commit stream's per-epoch phase histograms. Only an
+	// RInval epoch driver records into it, under the stream lock (read after
+	// Close); queue-depth and step-ahead samples are always collected, the
+	// *Ns phases require Config.Stats (they cost clock reads).
 	Server ServerPhases
 }
 
@@ -152,6 +161,7 @@ func (s *Stats) Add(o Stats) {
 	}
 	atomic.AddUint64(&s.Epochs, o.Epochs)
 	atomic.AddUint64(&s.CrossShardCommits, o.CrossShardCommits)
+	atomic.AddUint64(&s.HelpedEpochs, o.HelpedEpochs)
 	s.BatchSizes.Merge(&o.BatchSizes)
 	s.Server.merge(&o.Server)
 }
@@ -162,22 +172,23 @@ func (s *Stats) Add(o Stats) {
 // populate it, never a live thread's.
 func (s *Stats) snapshotAtomic() Stats {
 	out := Stats{
-		Commits:       atomic.LoadUint64(&s.Commits),
-		Aborts:        atomic.LoadUint64(&s.Aborts),
-		ReadOnly:      atomic.LoadUint64(&s.ReadOnly),
-		ROCommits:     atomic.LoadUint64(&s.ROCommits),
-		ROFallbacks:   atomic.LoadUint64(&s.ROFallbacks),
-		Reads:         atomic.LoadUint64(&s.Reads),
-		Writes:        atomic.LoadUint64(&s.Writes),
-		ReadNs:        atomic.LoadUint64(&s.ReadNs),
-		CommitNs:      atomic.LoadUint64(&s.CommitNs),
-		AbortNs:       atomic.LoadUint64(&s.AbortNs),
-		Validations:   atomic.LoadUint64(&s.Validations),
-		ValidationOps: atomic.LoadUint64(&s.ValidationOps),
-		Invalidations: atomic.LoadUint64(&s.Invalidations),
-		SelfAborts:    atomic.LoadUint64(&s.SelfAborts),
+		Commits:           atomic.LoadUint64(&s.Commits),
+		Aborts:            atomic.LoadUint64(&s.Aborts),
+		ReadOnly:          atomic.LoadUint64(&s.ReadOnly),
+		ROCommits:         atomic.LoadUint64(&s.ROCommits),
+		ROFallbacks:       atomic.LoadUint64(&s.ROFallbacks),
+		Reads:             atomic.LoadUint64(&s.Reads),
+		Writes:            atomic.LoadUint64(&s.Writes),
+		ReadNs:            atomic.LoadUint64(&s.ReadNs),
+		CommitNs:          atomic.LoadUint64(&s.CommitNs),
+		AbortNs:           atomic.LoadUint64(&s.AbortNs),
+		Validations:       atomic.LoadUint64(&s.Validations),
+		ValidationOps:     atomic.LoadUint64(&s.ValidationOps),
+		Invalidations:     atomic.LoadUint64(&s.Invalidations),
+		SelfAborts:        atomic.LoadUint64(&s.SelfAborts),
 		Epochs:            atomic.LoadUint64(&s.Epochs),
 		CrossShardCommits: atomic.LoadUint64(&s.CrossShardCommits),
+		HelpedEpochs:      atomic.LoadUint64(&s.HelpedEpochs),
 	}
 	for i := range s.AbortReasons {
 		out.AbortReasons[i] = atomic.LoadUint64(&s.AbortReasons[i])

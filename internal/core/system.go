@@ -93,10 +93,11 @@ type commitStream struct {
 	// write-back in progress. Odd: a committer is publishing its write set.
 	ts padded.Uint64
 
-	// owner is the stream lock, only used when Shards > 1: held (1) while a
-	// commit-server — the shard's own, or a cross-shard leader that acquired
-	// this stream during the two-phase handshake — drives an epoch here.
-	// Every ts transition happens under it, so a holder that observes ts
+	// owner is the stream lock: held (1) by whoever drives an epoch here —
+	// the shard's own commit-server, a cross-shard leader that acquired this
+	// stream during the two-phase handshake, or a waiting client that took it
+	// to run the epoch itself (DESIGN.md §16). Every RInval ts transition
+	// happens under it, for every Shards value, so a holder that observes ts
 	// even knows no epoch is in flight. Streams are always locked in
 	// ascending shard order, which makes the handshake deadlock-free.
 	owner padded.Uint32
@@ -334,6 +335,10 @@ func newSystem(cfg Config) (*System, error) {
 // from client time.
 func (s *System) startServers() {
 	if s.tseries != nil {
+		// Baseline on the caller's goroutine: taken by the sampler, a commit
+		// that finished before the sampler was first scheduled would be
+		// folded into the delta base and lost from the first window.
+		s.tsTick(time.Now().UnixNano())
 		s.tsStop = make(chan struct{})
 		s.wg.Add(1)
 		go func() {
@@ -534,8 +539,8 @@ func (s *System) VarShard(v *Var) int { return s.shardOf(v) }
 // lockStream acquires shard j's stream lock, spinning until the current
 // holder releases it. Callers acquiring several streams must do so in
 // ascending shard order (the handshake's deadlock-freedom argument,
-// DESIGN.md §11). Only meaningful when Shards > 1 — with a single stream
-// the lone commit-server is the only epoch driver and never locks.
+// DESIGN.md §11). The holder is the stream's epoch driver and owns its
+// shardServer's scratch until unlockStream.
 //
 //stm:hotpath
 func (s *System) lockStream(j int) {
@@ -544,6 +549,17 @@ func (s *System) lockStream(j int) {
 	for !st.owner.CompareAndSwap(0, 1) {
 		w.Wait()
 	}
+}
+
+// tryLockStream acquires shard j's stream lock only if it is free right now
+// and reports whether it did. The plain load comes first so a caller that
+// finds the stream busy — the common case when a commit-server owns a core —
+// leaves the owner line in shared state instead of issuing a failing CAS.
+//
+//stm:hotpath
+func (s *System) tryLockStream(j int) bool {
+	o := &s.streams[j].owner
+	return o.Load() == 0 && o.CompareAndSwap(0, 1)
 }
 
 // unlockStream releases shard j's stream lock.
@@ -684,6 +700,7 @@ func (s *System) captureSnapshot(dst []uint64) bool {
 // check would reject, never skip a true conflict — so the doom decision is
 // still made exactly where it was at seed. Config.FlatScan restores the
 // seed's walk over all MaxThreads slots for measurement.
+//
 //stm:hotpath
 func (s *System) invalidateOthers(skip slotMask, bf *bloom.Filter, ring *obs.Ring, kd *killDesc) uint64 {
 	var doomed uint64
@@ -710,6 +727,7 @@ func (s *System) invalidateOthers(skip slotMask, bf *bloom.Filter, ring *obs.Rin
 // partition k (the bitmap words masked by partMask[k]). Every stream's
 // server k covers the same slot partition; concurrent scans from different
 // streams are safe because the doom CAS is epoch-guarded and idempotent.
+//
 //stm:hotpath
 func (s *System) invalidatePartition(k int, skip slotMask, bf *bloom.Filter, ring *obs.Ring, kd *killDesc) uint64 {
 	var doomed uint64
@@ -739,6 +757,7 @@ func (s *System) invalidatePartition(k int, skip slotMask, bf *bloom.Filter, rin
 // header); the status word is captured before the full filter intersection
 // so the CAS can only doom the exact transaction incarnation whose bits
 // were observed.
+//
 //stm:hotpath
 func (s *System) invalidateSlot(i int, sum uint64, bf *bloom.Filter, ring *obs.Ring, kd *killDesc) uint64 {
 	sl := &s.slots[i]
@@ -770,6 +789,7 @@ func (s *System) invalidateSlot(i int, sum uint64, bf *bloom.Filter, ring *obs.R
 // slot may be idle — gate on inUse and the status word first) and no summary
 // rejection. Kept behind Config.FlatScan as the measured baseline and the
 // differential-test oracle for the two-level path.
+//
 //stm:hotpath
 func (s *System) invalidateSlotFlat(i int, bf *bloom.Filter, ring *obs.Ring, kd *killDesc) uint64 {
 	sl := &s.slots[i]
@@ -796,6 +816,7 @@ func (s *System) invalidateSlotFlat(i int, bf *bloom.Filter, ring *obs.Ring, kd 
 // countConflictingReaders counts in-flight transactions whose read signature
 // intersects bf — the CMReaderBiased policy's doom estimate. Same two-level
 // structure as the invalidation scan, without the doom.
+//
 //stm:hotpath
 func (s *System) countConflictingReaders(committer int, bf *bloom.Filter) int {
 	n := 0
@@ -846,6 +867,7 @@ func (s *System) countConflictingReaders(committer int, bf *bloom.Filter) int {
 // commit), so the bitmap is a conservative superset of the pending set; the
 // caller re-checks state on each candidate. With FlatScan every slot index
 // is a candidate, as at seed.
+//
 //stm:hotpath
 func (s *System) appendPendingCandidates(buf []int, from int) []int {
 	if s.cfg.FlatScan {

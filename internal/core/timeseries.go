@@ -70,13 +70,12 @@ func (s *System) tsTick(nowNanos int64) {
 	s.tseries.Push(s.collectTSSample(nowNanos))
 }
 
-// tsLoop is the sampler goroutine: an immediate baseline sample (the first
-// push only establishes the delta base), one sample per interval, and a
-// final sample on stop so short-lived systems still retain their last
-// window. Started by startServers when Config.TimeSeries > 0; stopped by
-// Close via tsStop.
+// tsLoop is the sampler goroutine: one sample per interval, and a final
+// sample on stop so short-lived systems still retain their last window.
+// startServers takes the baseline sample (the first push only establishes
+// the delta base) before it starts this goroutine, so the first window
+// counts everything after New returned. Stopped by Close via tsStop.
 func (s *System) tsLoop() {
-	s.tsTick(time.Now().UnixNano())
 	ticker := time.NewTicker(s.cfg.TimeSeriesInterval)
 	defer ticker.Stop()
 	for {

@@ -107,9 +107,10 @@ var (
 	serverPhases = []LatPhase{LatCollect, LatScan, LatInvalWait, LatWriteBack, LatReply, LatLockWait, LatDrain}
 )
 
-// LatCell is one actor's phase histograms. Exactly one goroutine records
-// into a cell (the client thread or server goroutine it belongs to); any
-// goroutine may snapshot. The leading/trailing pads keep neighbouring cells'
+// LatCell is one actor's phase histograms. One goroutine at a time records
+// into a cell — the client thread or invalidation-server it belongs to, or,
+// for a commit-server cell, whoever holds that stream's lock; any goroutine
+// may snapshot. The leading/trailing pads keep neighbouring cells'
 // hot words off shared cache lines. All methods are nil-receiver-safe no-ops
 // so disabled latency costs a nil check at each record site.
 type LatCell struct {

@@ -58,6 +58,12 @@ func (w *Waiter) Wait() {
 	}
 }
 
+// Busy reports whether the busy phase still has iterations left: the next
+// Wait returns without yielding the processor. A caller that has something
+// better to do than yield (run the awaited work itself) asks this instead of
+// counting its own iterations.
+func (w *Waiter) Busy() bool { return w.spins < BusyIters }
+
 // Reset restores the waiter to its initial (busy) phase. Call it after the
 // awaited condition was observed, so the next wait starts cheap again.
 func (w *Waiter) Reset() {

@@ -84,6 +84,30 @@ func TestWaiterEscalates(t *testing.T) {
 	}
 }
 
+// TestWaiterBusy pins Busy to the phase boundary: true for exactly the first
+// BusyIters waits (the ones that do not yield), false from then on, true again
+// after Reset.
+func TestWaiterBusy(t *testing.T) {
+	var w Waiter
+	for i := 0; i < BusyIters; i++ {
+		if !w.Busy() {
+			t.Fatalf("Busy() = false after %d of %d busy waits", i, BusyIters)
+		}
+		w.Wait()
+	}
+	if w.Busy() {
+		t.Fatalf("Busy() = true after all %d busy waits", BusyIters)
+	}
+	w.Wait() // first yield
+	if w.Busy() {
+		t.Fatal("Busy() = true in the yield phase")
+	}
+	w.Reset()
+	if !w.Busy() {
+		t.Fatal("Busy() = false after Reset")
+	}
+}
+
 func TestWaiterSleepCapped(t *testing.T) {
 	w := &Waiter{spins: BusyIters + YieldIters}
 	for i := 0; i < 40; i++ {
