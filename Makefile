@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build test vet lint lint-github race bench bench-layers bench-groupcommit bench-scan bench-conflict bench-shard bench-latency bench-mvro bench-tsdb
+.PHONY: verify build test vet lint lint-github race bench bench-layers bench-groupcommit bench-conflict bench-shard bench-latency bench-mvro bench-tsdb
 
 ## verify: the full pre-merge gate — vet, the invariant linter, build, tests,
 ## and the race detector over the packages with real concurrency.
@@ -27,7 +27,8 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
-## race: the race detector over the packages with real concurrency, then the
+## race: the race detector over the packages with real concurrency (including
+## core's live /metrics scrape, TestServerHistogramsLiveScrape), then the
 ## helper-path and cross-shard tests ten times over — a client writing a
 ## stream's scratch outside its lock only shows on some schedules.
 race:
@@ -46,12 +47,6 @@ bench-layers:
 ## bench-groupcommit: regenerate results/BENCH_group_commit.json (live mode).
 bench-groupcommit:
 	$(GO) run ./cmd/rinval-bench -exp groupcommit -mode live
-
-## bench-scan: short-mode invalidation-scan sweep (flat vs two-level) into
-## results/BENCH_inval_scan.json. The checked-in report uses -iters 3000;
-## this target trades stability for speed so CI can smoke-run it.
-bench-scan:
-	$(GO) run ./cmd/rinval-bench -exp invalscan -mode live -iters 300
 
 ## bench-conflict: short-mode conflict-attribution sweep (FP rate, hot-var
 ## skew, wasted work) into results/BENCH_conflict_attr.json. The checked-in

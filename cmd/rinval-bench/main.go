@@ -17,7 +17,6 @@
 //	rinval-bench -exp latency -mode live  # per-transaction latency percentiles
 //	rinval-bench -exp latencyslo -mode live -out results/BENCH_latency_slo.json
 //	rinval-bench -exp groupcommit -mode live -out results/BENCH_group_commit.json
-//	rinval-bench -exp invalscan -mode live -out results/BENCH_inval_scan.json
 //	rinval-bench -exp conflict -mode live -out results/BENCH_conflict_attr.json
 //	rinval-bench -exp shardsweep -out results/BENCH_shard_sweep.json
 //	rinval-bench -exp mvreadonly -mode live -out results/BENCH_mv_readonly.json
@@ -61,7 +60,6 @@ var validExps = []expDesc{
 	{"latencyslo", "critical-path latency decomposition: phase p50/p99 per engine x threads x shards (live only)"},
 	{"sloburn", "SLO burn-rate monitor: planted phase change must alert, steady control must stay silent (live only)"},
 	{"groupcommit", "group-commit batching sweep (live only)"},
-	{"invalscan", "invalidation-scan sweep: flat vs two-level (live only)"},
 	{"conflict", "conflict attribution: FP rate, hot-var skew, wasted work (live only)"},
 	{"shardsweep", "sharded commit streams: throughput vs Config.Shards (sim scaling + live parity)"},
 	{"mvreadonly", "multi-version read-only sweep: read-ratio x clients x Config.Versions (live only)"},
@@ -100,8 +98,8 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "workload seed")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		svgDir   = flag.String("svg", "", "also render each table as an SVG chart into this directory")
-		out      = flag.String("out", "", "groupcommit/invalscan/conflict/shardsweep: JSON output path (default results/BENCH_<exp>.json)")
-		iters    = flag.Int("iters", 400, "groupcommit/invalscan/conflict/shardsweep: committed transactions per client")
+		out      = flag.String("out", "", "groupcommit/conflict/shardsweep: JSON output path (default results/BENCH_<exp>.json)")
+		iters    = flag.Int("iters", 400, "groupcommit/conflict/shardsweep: committed transactions per client")
 		trace    = flag.String("trace", "", "live mode: write a Chrome trace-event JSON of the last benchmark point to this path (open in Perfetto)")
 		metrics  = flag.String("metrics", "", "serve expvar and pprof on this address (e.g. :8080) for the duration of the run")
 	)
@@ -127,12 +125,6 @@ func main() {
 
 	if *exp == "groupcommit" {
 		if err := runGroupCommit(*mode, *out, *iters); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *exp == "invalscan" {
-		if err := runInvalScan(*mode, *out, *iters); err != nil {
 			fatal(err)
 		}
 		return
@@ -328,38 +320,6 @@ func runGroupCommit(mode, out string, iters int) error {
 			Batches: []int{1, 4, 16},
 			Iters:   iters,
 		})
-	if err != nil {
-		return err
-	}
-	rep.Format(os.Stdout)
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := rep.WriteJSON(f); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return nil
-}
-
-// runInvalScan sweeps MaxThreads at a fixed in-flight client count, once
-// under the seed flat scan and once under the two-level scan, and writes the
-// JSON report consumed by the acceptance checks: two-level scan-phase time
-// must stay flat as the slot array grows while the flat scan grows linearly.
-func runInvalScan(mode, out string, iters int) error {
-	if mode != "live" {
-		return fmt.Errorf("invalscan is live-only (it measures the real commit-server scan)")
-	}
-	if out == "" {
-		out = "results/BENCH_inval_scan.json"
-	}
-	rep, err := bench.RunInvalScan(bench.InvalScanOpts{
-		MaxThreads: []int{8, 16, 32, 64},
-		Clients:    4,
-		Iters:      iters,
-	})
 	if err != nil {
 		return err
 	}

@@ -52,12 +52,18 @@ import (
 // of the result (stored, passed on, tested inside any other expression) is
 // reported: the checker could not tell which paths hold the lock.
 //
-// A module function whose body releases locks in a loop and acquires none
-// (the unlockStreamsDesc shape) is summarized as a bulk-release helper:
-// calling it clears the held set, and the helper itself is not analyzed as a
-// client. All other calls are assumed lock-neutral — the check verifies each
-// direct lockStream caller is self-balanced rather than tracking lock
-// ownership across call boundaries (DESIGN.md §13 spells out the boundary).
+// The mask helpers are how the engine takes several streams (lockStreams /
+// unlockStreams in core). A module function whose only lock effect is the
+// ascending-mask idiom is summarized as a bulk-acquire helper: calling it
+// holds one batch token for its mask, and because nothing orders a batch
+// against another lock, any waiting acquisition before or after it on the
+// same path is reported. A module function whose body releases locks in a
+// loop and acquires none (the descending bits.Len64 walk) is summarized as a
+// bulk-release helper: calling it clears the held set. Neither helper is
+// analyzed as a client. All other calls are assumed lock-neutral — the check
+// verifies each caller of a primitive or helper is self-balanced rather than
+// tracking lock ownership across call boundaries (DESIGN.md §13 spells out
+// the boundary).
 //
 // Blocking operations while a stream lock is held: channel send/receive,
 // a select without a default clause, time.Sleep, sync.Mutex/RWMutex Lock
@@ -125,16 +131,20 @@ func runLockOrder(m *Module, report ReportFunc) {
 type lockOrderChecker struct {
 	m      *Module
 	report ReportFunc
-	// bulkRelease marks module functions summarized as "releases every held
-	// lock" (unlockStream inside a loop, no acquisitions).
+	// bulkAcquire marks module functions summarized as "acquires its mask
+	// argument's streams ascending" (lockStream only inside the sanctioned
+	// mask loop, no releases); bulkRelease those summarized as "releases every
+	// held lock" (unlockStream inside a loop, no acquisitions).
+	bulkAcquire map[*types.Func]bool
 	bulkRelease map[*types.Func]bool
 	// reported dedupes diagnostics across block replays.
 	reported map[string]bool
 }
 
-// summarize classifies every declared function once: does it directly call
-// the primitives, and is it a bulk-release helper?
+// summarize classifies every declared function once: is it a bulk-acquire or
+// a bulk-release helper?
 func (lo *lockOrderChecker) summarize() {
+	lo.bulkAcquire = make(map[*types.Func]bool)
 	lo.bulkRelease = make(map[*types.Func]bool)
 	for _, p := range lo.m.Pkgs {
 		for _, f := range p.Files {
@@ -147,17 +157,26 @@ func (lo *lockOrderChecker) summarize() {
 				if fn == nil {
 					continue
 				}
-				locks, unlocksInLoop := false, false
+				locks, unordered, unlocks, unlocksInLoop := false, false, false, false
 				inspectLoops(fd.Body, func(call *ast.CallExpr, loop ast.Stmt) {
 					switch calleeName(p.Info, call) {
-					case lockFnName, tryLockFnName:
+					case lockFnName:
 						locks = true
+						if l, ok := loop.(*ast.ForStmt); !ok || !isAscendingMaskLoop(p.Info, l, call) {
+							unordered = true
+						}
+					case tryLockFnName:
+						locks, unordered = true, true
 					case unlockFnName:
+						unlocks = true
 						if loop != nil {
 							unlocksInLoop = true
 						}
 					}
 				})
+				if locks && !unordered && !unlocks {
+					lo.bulkAcquire[fn] = true
+				}
 				if unlocksInLoop && !locks {
 					lo.bulkRelease[fn] = true
 				}
@@ -167,13 +186,13 @@ func (lo *lockOrderChecker) summarize() {
 }
 
 // checkFunc analyzes one client function (one that directly calls a lock
-// primitive).
+// primitive or a bulk helper).
 func (lo *lockOrderChecker) checkFunc(p *Package, fd *ast.FuncDecl) {
 	if isLockPrimitive(fd) {
 		return // the spin-CAS implementation of the primitive itself
 	}
-	if fn, _ := p.Info.Defs[fd.Name].(*types.Func); fn != nil && lo.bulkRelease[fn] {
-		return // releases on behalf of its caller by design
+	if fn, _ := p.Info.Defs[fd.Name].(*types.Func); fn != nil && (lo.bulkAcquire[fn] || lo.bulkRelease[fn]) {
+		return // acquires or releases on behalf of its caller by design
 	}
 	usesPrimitive := false
 	loopOf := make(map[*ast.CallExpr]ast.Stmt)
@@ -182,6 +201,10 @@ func (lo *lockOrderChecker) checkFunc(p *Package, fd *ast.FuncDecl) {
 		case lockFnName, tryLockFnName, unlockFnName:
 			usesPrimitive = true
 			loopOf[call] = loop
+		default:
+			if fn := calleeFunc(p.Info, call); fn != nil && (lo.bulkAcquire[fn] || lo.bulkRelease[fn]) {
+				usesPrimitive = true
+			}
 		}
 	})
 	if !usesPrimitive {
@@ -322,7 +345,11 @@ func (fc *funcLockChecker) transfer(f lockFact, n ast.Node, report ReportFunc) F
 		case unlockFnName:
 			held = fc.release(held, call, report)
 		default:
-			if fn := calleeFunc(fc.p.Info, call); fn != nil && fc.lo.bulkRelease[fn] {
+			switch fn := calleeFunc(fc.p.Info, call); {
+			case fn == nil:
+			case fc.lo.bulkAcquire[fn]:
+				held = fc.acquire(held, call, false, report)
+			case fc.lo.bulkRelease[fn]:
 				held = nil // descending-release helper clears everything
 			}
 		}
@@ -418,6 +445,18 @@ func (fc *funcLockChecker) acquire(held []string, call *ast.CallExpr, try bool, 
 			}
 		}
 	}
+	if !try {
+		// A batch holds whatever streams its mask names, so it cannot be
+		// ordered against any other waiting acquisition.
+		for _, h := range held {
+			if isBatchToken(key) || isBatchToken(h) {
+				fc.reportOnce(report, call.Pos(),
+					"stream lock %s acquired while already holding %s: a mask batch cannot be ordered against another acquisition; take every stream in one ascending batch (DESIGN.md §11)",
+					describeToken(key), describeToken(h))
+				break
+			}
+		}
+	}
 	return append(append([]string(nil), held...), key)
 }
 
@@ -499,6 +538,9 @@ func (fc *funcLockChecker) tokenOf(call *ast.CallExpr) (key string, sanctioned b
 		return "opaque@" + strconv.Itoa(int(call.Pos())), false
 	}
 	arg := unwrap(call.Args[len(call.Args)-1])
+	if fn := calleeFunc(fc.p.Info, call); fn != nil && fc.lo.bulkAcquire[fn] {
+		return "batch@" + exprKey(arg), true
+	}
 	if tv, ok := fc.p.Info.Types[arg]; ok && tv.Value != nil && tv.Value.Kind() == constant.Int {
 		if v, exact := constant.Int64Val(tv.Value); exact {
 			return "#" + strconv.FormatInt(v, 10), false
@@ -513,12 +555,18 @@ func (fc *funcLockChecker) tokenOf(call *ast.CallExpr) (key string, sanctioned b
 	return exprKey(arg), false
 }
 
+// isBatchToken reports whether key stands for a whole mask of streams: the
+// inline ascending-mask loop or a call to a bulk-acquire helper.
+func isBatchToken(key string) bool {
+	return strings.HasPrefix(key, "loop@") || strings.HasPrefix(key, "batch@")
+}
+
 // describeToken renders a token for diagnostics.
 func describeToken(key string) string {
 	if r, ok := rankOf(key); ok {
 		return fmt.Sprintf("for shard %d", r)
 	}
-	if strings.HasPrefix(key, "loop@") {
+	if isBatchToken(key) {
 		return "batch (mask loop)"
 	}
 	return fmt.Sprintf("(index %s)", key)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"time"
 
@@ -39,9 +40,9 @@ type GroupCommitPoint struct {
 	MeanBatch       float64        `json:"mean_batch"`
 	MaxBatchSeen    uint64         `json:"max_batch_seen"`
 	BatchHistogram  []histo.Bucket `json:"batch_histogram,omitempty"`
-	// Server holds the commit-server's per-epoch phase distributions
-	// (queue depth at batch collection, then the scan, invalidation-wait,
-	// write-back, and reply phases in nanoseconds).
+	// Server holds the commit-server's per-epoch distributions: queue depth
+	// at batch collection (and V3's step-ahead occupancy), then the latency
+	// report's server phases in nanoseconds.
 	Server []PhaseHistogram `json:"server_phases,omitempty"`
 }
 
@@ -54,21 +55,20 @@ type PhaseHistogram struct {
 	Buckets []histo.Bucket `json:"buckets,omitempty"`
 }
 
-// phaseHistograms flattens the Stats.Server histograms, skipping empty ones.
-func phaseHistograms(st *stm.Stats) []PhaseHistogram {
-	named := []struct {
+// phaseHistograms flattens a closed System's server-side distributions: the
+// non-empty Stats.Server occupancy histograms, then every server phase of the
+// latency report (which elides the phases the configuration never records) as
+// "<phase>_ns".
+func phaseHistograms(sys *stm.System) []PhaseHistogram {
+	st := sys.Stats()
+	var out []PhaseHistogram
+	for _, n := range []struct {
 		name string
 		h    *histo.Histogram
 	}{
 		{"queue_depth", &st.Server.QueueDepth},
-		{"scan_ns", &st.Server.ScanNs},
-		{"inval_wait_ns", &st.Server.InvalWaitNs},
-		{"write_back_ns", &st.Server.WriteBackNs},
-		{"reply_ns", &st.Server.ReplyNs},
 		{"step_ahead", &st.Server.StepAhead},
-	}
-	var out []PhaseHistogram
-	for _, n := range named {
+	} {
 		if n.h.Count() == 0 {
 			continue
 		}
@@ -78,6 +78,15 @@ func phaseHistograms(st *stm.Stats) []PhaseHistogram {
 			Mean:    n.h.Mean(),
 			Max:     n.h.Max(),
 			Buckets: n.h.NonEmptyBuckets(),
+		})
+	}
+	for _, p := range sys.LatencyReport().Server {
+		out = append(out, PhaseHistogram{
+			Phase:   strings.ReplaceAll(p.Phase, "-", "_") + "_ns",
+			Count:   p.Count,
+			Mean:    p.MeanNs,
+			Max:     p.MaxNs,
+			Buckets: p.Bucket,
 		})
 	}
 	return out
@@ -125,9 +134,9 @@ func runGroupCommitPoint(algo stm.Algo, clients, maxBatch int, o GroupCommitOpts
 		MaxThreads:   clients,
 		InvalServers: min(4, clients),
 		MaxBatch:     maxBatch,
-		// Phase timing on: the sweep's JSON reports the commit-server's
-		// per-epoch scan/inval-wait/write-back/reply distributions.
-		Stats: true,
+		// The sweep's JSON reports the commit-server's per-epoch
+		// collect/inval-wait/write-back/reply distributions.
+		Latency: true,
 	})
 	if err != nil {
 		return GroupCommitPoint{}, err
@@ -197,7 +206,7 @@ func runGroupCommitPoint(algo stm.Algo, clients, maxBatch int, o GroupCommitOpts
 		MeanBatch:      st.BatchSizes.Mean(),
 		MaxBatchSeen:   st.BatchSizes.Max(),
 		BatchHistogram: st.BatchSizes.NonEmptyBuckets(),
-		Server:         phaseHistograms(&st),
+		Server:         phaseHistograms(sys),
 	}
 	if commits > 0 {
 		p.EpochsPerCommit = float64(st.Epochs) / float64(commits)

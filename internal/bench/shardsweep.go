@@ -101,8 +101,7 @@ type ShardLivePoint struct {
 	KTxPerSec         float64            `json:"ktx_per_sec"`
 	EpochsPerSec      float64            `json:"epochs_per_sec"`
 	PerShard          []ShardStreamStats `json:"per_shard,omitempty"`
-	// Server holds shard 0's per-epoch phase distributions (representative;
-	// the sweep keeps the report compact by not repeating all S shards').
+	// Server holds the per-epoch phase distributions, merged over the shards.
 	Server []PhaseHistogram `json:"server_phases,omitempty"`
 }
 
@@ -220,8 +219,8 @@ func runShardLivePoint(algo stm.Algo, shards, clients int, crossFrac float64, o 
 		MaxThreads:   maxThreads,
 		Shards:       shards,
 		InvalServers: invalServers,
-		MaxBatch:     1, // one epoch per commit: epochs/sec is commit throughput
-		Stats:        true,
+		MaxBatch:     1,    // one epoch per commit: epochs/sec is commit throughput
+		Latency:      true, // server phase distributions for the report
 	})
 	if err != nil {
 		return ShardLivePoint{}, err
@@ -305,10 +304,8 @@ func runShardLivePoint(algo stm.Algo, shards, clients int, crossFrac float64, o 
 			Epochs:            sst.Epochs,
 			CrossShardCommits: sst.CrossShardCommits,
 		})
-		if j == 0 {
-			p.Server = phaseHistograms(&sst)
-		}
 	}
+	p.Server = phaseHistograms(sys)
 	return p, nil
 }
 

@@ -144,51 +144,6 @@ func TestActiveBitmapChurn(t *testing.T) {
 	}
 }
 
-// TestFlatScanMatchesTwoLevel runs the same contended workload under the
-// seed scan (FlatScan) and the two-level scan and requires both to preserve
-// every update — the two paths must be semantically interchangeable.
-func TestFlatScanMatchesTwoLevel(t *testing.T) {
-	for _, flat := range []bool{false, true} {
-		name := "twolevel"
-		if flat {
-			name = "flat"
-		}
-		t.Run(name, func(t *testing.T) {
-			for _, algo := range []Algo{InvalSTM, RInvalV1, RInvalV2} {
-				s := MustNew(Config{Algo: algo, MaxThreads: 32, InvalServers: 4, FlatScan: flat})
-				counter := NewVar(0)
-				const workers, iters = 6, 150
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						th := s.MustRegister()
-						defer th.Close()
-						for i := 0; i < iters; i++ {
-							if err := th.Atomically(func(tx *Tx) error {
-								tx.Store(counter, tx.Load(counter).(int)+1)
-								return nil
-							}); err != nil {
-								t.Error(err)
-								return
-							}
-						}
-					}()
-				}
-				wg.Wait()
-				got := counter.Peek().(int)
-				if err := s.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if got != workers*iters {
-					t.Errorf("%s/%s: counter = %d, want %d", algo, name, got, workers*iters)
-				}
-			}
-		})
-	}
-}
-
 // TestStoreOverwriteZeroAllocs: the steady-state overwrite path of Tx.Store
 // must not allocate — put mutates the unpublished box in place instead of
 // boxing a fresh one per Store.

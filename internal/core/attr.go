@@ -66,13 +66,16 @@ func sortedWriteIDs(ws *writeSet) []uint64 {
 	return ids
 }
 
+// attrReservoirSize is the per-slot hot-var reservoir capacity (uniform
+// sample of conflicting Var ids).
+const attrReservoirSize = 128
+
 // epochKillDesc returns the killer descriptor for this shard commit-server's
 // current epoch: the batch leader as the representative committer and — on
 // every AttrSampleEvery-th epoch — the exact merged write ids of the whole
 // batch (the invalidation scan tests the merged signature, so the exact
 // check must test the merged set). Stream-lock-holder-owned; called once per
-// epoch after doomed members have been filtered out of batchIdx (a
-// cross-shard epoch sets batchIdx to its single requester first).
+// epoch after doomed members have been filtered out of batchIdx.
 func (sv *shardServer) epochKillDesc() *killDesc {
 	sv.attrEpochs++
 	kd := &killDesc{committer: sv.batchIdx[0]}

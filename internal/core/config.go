@@ -127,10 +127,10 @@ type Config struct {
 	// own commit-server, timestamp, and invalidation partition (DESIGN.md
 	// §11). Every Var hashes to one shard at creation; a transaction that
 	// touches a single shard commits through that shard's stream alone, while
-	// a cross-shard transaction orders via a two-phase handshake that
-	// acquires the participating streams in shard-index order. 1 (the
+	// a cross-shard transaction commits in one epoch over every stream it
+	// touched, acquired in shard-index order. 1 (the
 	// default) is the paper-exact single-stream baseline and the differential
-	// oracle, the same pattern FlatScan and MaxBatch=1 establish. Values that
+	// oracle, the same pattern MaxBatch=1 establishes. Values that
 	// are not powers of two are rounded up to the next power of two (the
 	// shard hash is a mask); the rounded value must not exceed 64 (shard sets
 	// travel as uint64 bitmasks). Shards > 1 requires a remote-invalidation
@@ -147,22 +147,14 @@ type Config struct {
 	// ReaderBiasRetries caps how many times a CMReaderBiased writer yields
 	// to readers before it falls back to committer-wins. Default 3.
 	ReaderBiasRetries int
-	// FlatScan disables the two-level invalidation scan (active-transaction
-	// bitmap + per-slot summary signatures) and restores the seed behaviour
-	// of walking every request slot with a full filter intersection. The two
-	// paths are semantically identical — the two-level gates are conservative
-	// and may only skip slots the full check would also pass over — so this
-	// exists for the invalscan benchmark's before/after comparison and for
-	// differential testing, not as a tuning knob. Off by default.
-	FlatScan bool
 	// PinServers dedicates an OS thread to each server goroutine
 	// (runtime.LockOSThread), approximating the paper's core-pinned
 	// deployment on machines with spare cores. Counterproductive when
 	// GOMAXPROCS is small, so it is off by default.
 	PinServers bool
-	// Stats enables per-thread phase timing (read/validation, commit, abort)
-	// and the commit-server's phase histograms (Stats.Server). Timing costs
-	// ~two clock reads per operation, so it is off by default.
+	// Stats enables per-thread phase timing (read/validation, commit, abort).
+	// Timing costs ~two clock reads per operation, so it is off by default.
+	// (The commit-server's phase timings are Latency's server side.)
 	Stats bool
 	// Attribution enables conflict attribution: the who-aborted-whom matrix,
 	// wasted-work accounting per abort reason, bloom false-positive sampling,
@@ -177,9 +169,6 @@ type Config struct {
 	// attaches its exact write ids to the killer descriptor. 1 checks every
 	// doom. Default 8.
 	AttrSampleEvery int
-	// AttrReservoirSize is the per-slot hot-var reservoir capacity (uniform
-	// sample of conflicting Var ids). Default 128.
-	AttrReservoirSize int
 	// Latency enables the sampled critical-path latency decomposition
 	// (DESIGN.md §12): 1 in LatencySampleEvery transactions per thread is
 	// timed end-to-end and split into app-work, retry, and commit-wait on
@@ -392,14 +381,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.FlightCooldown < 0 {
 		return c, fmt.Errorf("core: negative FlightCooldown %v", c.FlightCooldown)
 	}
-	if c.AttrReservoirSize == 0 {
-		c.AttrReservoirSize = 128
-	}
 	if c.AttrSampleEvery < 1 || c.AttrSampleEvery > 1<<20 {
 		return c, fmt.Errorf("core: AttrSampleEvery %d out of range [1,1Mi]", c.AttrSampleEvery)
-	}
-	if c.AttrReservoirSize < 1 || c.AttrReservoirSize > 1<<20 {
-		return c, fmt.Errorf("core: AttrReservoirSize %d out of range [1,1Mi]", c.AttrReservoirSize)
 	}
 	if c.TraceEvents < 16 || c.TraceEvents > 1<<22 {
 		return c, fmt.Errorf("core: TraceEvents %d out of range [16,4Mi]", c.TraceEvents)

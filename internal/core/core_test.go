@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -49,6 +50,15 @@ func TestAlgoStringRoundTrip(t *testing.T) {
 	}
 	if s := Algo(99).String(); s != "Algo(99)" {
 		t.Errorf("unknown algo string %q", s)
+	}
+}
+
+// TestConfigFieldCount pins the knob count: every field doubles the
+// configurations tests and benchmarks must cover, so a new one is a deliberate
+// diff here too.
+func TestConfigFieldCount(t *testing.T) {
+	if n := reflect.TypeOf(Config{}).NumField(); n != 29 {
+		t.Fatalf("Config has %d fields, want 29", n)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"github.com/ssrg-vt/rinval/internal/bloom"
+	"github.com/ssrg-vt/rinval/internal/histo"
 	"github.com/ssrg-vt/rinval/internal/obs"
 	"github.com/ssrg-vt/rinval/internal/spin"
 )
@@ -28,26 +29,26 @@ import (
 //     makes the pre-commit status check conclusive). In-flight commit
 //     descriptors live in a ring of stepsAhead+1 padded pointers.
 //
-// With Config.Shards > 1 the engine runs one shardServer — a commit-server
-// plus its share of invalidation-servers — per commit stream. A request
-// whose touched-shard mask (read shards ∪ write shards) is a single bit is
-// served by that shard's server exactly as above, independently of every
-// other stream; a cross-shard request is led solo by the server of its
-// lowest touched shard through the two-phase stream handshake
-// (serveCrossShard, DESIGN.md §11). Shards == 1 is the paper-exact baseline:
-// one server set running the same epoch code.
+// The engine runs one shardServer — a commit-server plus its share of
+// invalidation-servers — per commit stream, and every request carries its
+// touched-stream mask (read shards ∪ write shards; bit 0 alone when Shards ==
+// 1, the paper-exact baseline). All of them are retired by the same epoch
+// routine (shardServer.epoch, DESIGN.md §11) over that mask: a single-bit mask
+// is served on its stream independently of every other, batched with
+// compatible requests of the same stream; a wider one is led solo by the
+// server of its lowest touched stream, holding every touched stream.
 //
-// An epoch is driven by whoever holds its stream's lock. Normally that is the
-// shard's commit-server; a client whose busy-wait budget ran out without a
-// reply may take a free lock and run the epoch for its own request itself
-// (help, DESIGN.md §16), which is what keeps commit latency at the cost of the
-// work rather than of the hand-off when the server has no core of its own.
+// An epoch is driven by whoever holds its streams' locks. Normally that is the
+// leading commit-server; a client whose busy-wait budget ran out without a
+// reply may take its single stream's free lock and run the epoch for its own
+// request itself (help, DESIGN.md §16), which is what keeps commit latency at
+// the cost of the work rather than of the hand-off when the server has no core
+// of its own.
 type remoteEngine struct {
 	sys        *System
 	numInval   int // invalidation-servers per commit stream (0 for V1)
 	stepsAhead int
 	maxBatch   int
-	sharded    bool // Shards > 1: touched-mask routing + cross-shard handshake
 
 	// srv[j] is shard j's server set. Exactly one entry when Shards == 1.
 	srv []*shardServer
@@ -56,9 +57,9 @@ type remoteEngine struct {
 // shardServer is one commit stream's server set: the commit-server loop, its
 // group-commit scratch, the stream's invalidation-server loops, and their
 // stats. The epoch scratch and records (sigBufs/memberBufs, the batch*
-// fields, epochBuf, attrEpochs, commitRing, latC and commitSrv's histograms)
+// fields, epochBuf, attrEpochs, commitRing, latC and the three histograms)
 // belong to whoever holds this stream's lock — the shard's commit-server, a
-// cross-shard leader, or a helping client — and must only be written with it
+// multi-stream leader, or a helping client — and must only be written with it
 // held. scanBuf stays private to the commit-server goroutine's outer scan,
 // and each invalidation-server owns its Stats entry, ring and cell.
 type shardServer struct {
@@ -90,13 +91,17 @@ type shardServer struct {
 
 	// scanBuf/epochBuf hold the candidate slots of the outer request scan
 	// (commit-server goroutine only) and of one epoch's collection pass
-	// (lock holder) — the active bitmap's word-decoded indices, or every slot
-	// under FlatScan. Reused.
+	// (lock holder) — the active bitmap's word-decoded indices. Reused.
 	scanBuf  []int
 	epochBuf []int
 
-	commitSrv Stats   // commit-server activity (valid after servers stop)
-	invalSrv  []Stats // per-invalidation-server activity
+	commitSrv Stats   // epoch drivers' counters (atomic adds)
+	invalSrv  []Stats // per-invalidation-server counters (atomic adds)
+
+	// One sample per epoch, recorded by the lock holder and snapshotted by
+	// anyone (stats): pending requests the collection saw, V3's step-ahead
+	// occupancy, and the batch size.
+	queueDepth, stepAhead, batchSizes histo.Atomic
 
 	// attrEpochs counts served epochs for attribution's 1-in-N exact-sample
 	// selection (lock-holder-owned; see epochKillDesc).
@@ -124,7 +129,6 @@ func newRemoteEngine(sys *System, numInval, stepsAhead int) *remoteEngine {
 		numInval:   perShard,
 		stepsAhead: stepsAhead,
 		maxBatch:   sys.cfg.MaxBatch,
-		sharded:    len(sys.streams) > 1,
 	}
 	for j := range sys.streams {
 		sv := &shardServer{
@@ -153,9 +157,9 @@ func newRemoteEngine(sys *System, numInval, stepsAhead int) *remoteEngine {
 		}
 		sv.invalRings = make([]*obs.Ring, perShard)
 		if sys.tracer != nil {
-			sv.commitRing = sys.tracer.AddActor(serverName("commit-server", j, e.sharded))
+			sv.commitRing = sys.tracer.AddActor(sys.serverName("commit-server", j))
 			for k := range sv.invalRings {
-				sv.invalRings[k] = sys.tracer.AddActor(serverName(fmt.Sprintf("inval-server-%d", k), j, e.sharded))
+				sv.invalRings[k] = sys.tracer.AddActor(sys.serverName(fmt.Sprintf("inval-server-%d", k), j))
 			}
 		}
 		e.srv = append(e.srv, sv)
@@ -165,8 +169,8 @@ func newRemoteEngine(sys *System, numInval, stepsAhead int) *remoteEngine {
 
 // serverName qualifies a server-task label with its shard when sharding is
 // on; the single-stream names match the paper (and the seed) exactly.
-func serverName(base string, shard int, sharded bool) string {
-	if !sharded {
+func (s *System) serverName(base string, shard int) string {
+	if len(s.streams) == 1 {
 		return base
 	}
 	return fmt.Sprintf("shard%d-%s", shard, base)
@@ -189,12 +193,13 @@ func (e *remoteEngine) read(tx *Tx, v *Var) (*box, bool) {
 
 // commit is the client side of Algorithm 2's CLIENT COMMIT: publish the
 // request, then spin on the private reply field until an epoch driver
-// answers. Identical for all three variants. Under sharding the request also
-// carries the transaction's shard masks, computed here from the write set
-// and the shards its reads visited; the server of the lowest touched shard
-// owns the request. Once the waiter's busy phase has run out — a server with
-// a core of its own would have replied by now — each further iteration first
-// offers to drive the epoch itself (help) and only yields if it could not.
+// answers. Identical for all three variants. The request carries the
+// transaction's stream masks, computed here from the write set and the shards
+// its reads visited (both are bit 0 when Shards == 1); the server of the
+// lowest touched stream owns the request. Once the waiter's busy phase has
+// run out — a server with a core of its own would have replied by now — each
+// further iteration first offers to drive the epoch itself (help) and only
+// yields if it could not.
 //
 //stm:hotpath
 func (e *remoteEngine) commit(tx *Tx) bool {
@@ -208,15 +213,11 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 	if readerBiasedSelfAbort(tx) {
 		return false
 	}
-	req := &commitReq{ws: tx.ws, writes: 1, touched: 1}
-	if e.sharded {
-		var writes uint64
-		for i := range tx.ws.entries {
-			writes |= 1 << (tx.ws.entries[i].v.shardH & e.sys.shardMask)
-		}
-		req.writes = writes
-		req.touched = writes | tx.readShards
+	var writes uint64
+	for i := range tx.ws.entries {
+		writes |= 1 << (tx.ws.entries[i].v.shardH & e.sys.shardMask)
 	}
+	req := &commitReq{ws: tx.ws, writes: writes, touched: writes | tx.readShards}
 	sl := tx.slot
 	sl.req.Store(req)
 	sl.state.Store(reqPending)
@@ -243,16 +244,16 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 
 // help lets a waiting client drive the epoch for its own request: if the
 // request is single-stream and the home stream's lock is free at this moment,
-// take it, run the same serveEpochLocked the commit-server runs — starting at
-// the client's own slot, so compatible requests above it ride along — and
+// take it, run the same epoch the commit-server runs — starting at the
+// client's own slot, so compatible requests above it ride along — and
 // release. It reports whether the call sent any reply. The lock holder is
 // the single answerer: the collection pass re-reads every candidate's state
 // under the lock, so a request the server answered just before the CAS is
 // skipped. A busy lock means someone is already driving an epoch here (in
 // the paper's regime the commit-server, for the whole epoch), and V3 declines
-// inside serveEpochLocked while the client's invalidation-server lags; both
-// fall back to waiting. Cross-shard requests stay with their leader server:
-// serveCrossShard does not re-check the request after locking.
+// inside the epoch while the client's invalidation-server lags; both fall
+// back to waiting. Cross-shard requests stay with their leader server: a
+// helper would have to try-lock several streams and back out of a partial set.
 //
 //stm:hotpath
 func (e *remoteEngine) help(tx *Tx, req *commitReq) bool {
@@ -263,7 +264,8 @@ func (e *remoteEngine) help(tx *Tx, req *commitReq) bool {
 	if !e.sys.tryLockStream(sv.shard) {
 		return false
 	}
-	committed, replied := sv.serveEpochLocked(tx.th.idx)
+	clk := startClock(sv.latC, sv.commitRing)
+	committed, replied := sv.epoch(req.touched, tx.th.idx, &clk)
 	e.sys.unlockStream(sv.shard)
 	if committed > 0 {
 		atomic.AddUint64(&tx.stats.HelpedEpochs, 1)
@@ -278,13 +280,13 @@ func (e *remoteEngine) serverTasks() []serverTask {
 	for j := range e.srv {
 		sv := e.srv[j]
 		tasks = append(tasks, serverTask{
-			name: serverName("commit-server", j, e.sharded),
+			name: e.sys.serverName("commit-server", j),
 			run:  sv.commitServerMain,
 		})
 		for k := 0; k < e.numInval; k++ {
 			k := k
 			tasks = append(tasks, serverTask{
-				name: serverName(fmt.Sprintf("inval-server-%d", k), j, e.sharded),
+				name: e.sys.serverName(fmt.Sprintf("inval-server-%d", k), j),
 				run:  func(stop func() bool) { sv.invalServerMain(k, stop) },
 			})
 		}
@@ -295,12 +297,24 @@ func (e *remoteEngine) serverTasks() []serverTask {
 func (e *remoteEngine) serverStats() Stats {
 	var agg Stats
 	for _, sv := range e.srv {
-		agg.Add(sv.commitSrv)
-		for i := range sv.invalSrv {
-			agg.Add(sv.invalSrv[i])
-		}
+		agg.Add(sv.stats())
 	}
 	return agg
+}
+
+// stats folds this stream's server activity — its epoch drivers' counters and
+// per-epoch histograms, and its invalidation-servers' counters — into one
+// Stats. Safe while the servers run: counters are loaded atomically and the
+// histograms snapshotted.
+func (sv *shardServer) stats() Stats {
+	st := sv.commitSrv.snapshotAtomic()
+	for k := range sv.invalSrv {
+		st.Add(sv.invalSrv[k].snapshotAtomic())
+	}
+	st.BatchSizes = sv.batchSizes.Snapshot()
+	st.Server.QueueDepth = sv.queueDepth.Snapshot()
+	st.Server.StepAhead = sv.stepAhead.Snapshot()
+	return st
 }
 
 // commitServerMain is Algorithm 2/3/4's COMMIT-SERVER LOOP: scan the
@@ -310,17 +324,15 @@ func (e *remoteEngine) serverStats() Stats {
 // array (V3 may defer a request whose invalidation-server lags, but that
 // server's catch-up is itself bounded by the ring; a request left out of a
 // batch for incompatibility stays PENDING and leads its own epoch when the
-// scan reaches it). Under sharding each server claims only the requests it
-// homes — single-shard requests of its own stream, plus cross-shard requests
-// whose lowest touched shard is its stream — so a request still has exactly
-// one server; a single-stream request may instead be answered by a helping
-// client, and the stream lock decides which of the two does.
+// scan reaches it). Each server claims the requests whose lowest touched
+// stream is its own — single-stream requests of its stream, and the
+// cross-shard requests it leads — so a request still has exactly one server;
+// a single-stream request may instead be answered by a helping client, and
+// the stream lock decides which of the two does.
 //
 //stm:hotpath
 func (sv *shardServer) commitServerMain(stop func() bool) {
 	sys := sv.sys
-	sharded := sv.eng.sharded
-	home := uint64(1) << uint(sv.shard)
 	var w spin.Waiter
 	for !stop() {
 		progress := false
@@ -333,28 +345,13 @@ func (sv *shardServer) commitServerMain(stop func() bool) {
 			if sys.slots[i].state.Load() != reqPending {
 				continue
 			}
-			if sharded {
-				// The request pointer may already be retracted if another
-				// server answered its owner between the state check and this
-				// load; only requests homed here are served by this loop.
-				req := sys.slots[i].req.Load()
-				if req == nil {
-					continue
-				}
-				if req.touched&(req.touched-1) != 0 {
-					// Cross-shard: led solo by the lowest touched shard.
-					if bits.TrailingZeros64(req.touched) != sv.shard {
-						continue
-					}
-					sv.serveCrossShard(i, req)
-					progress = true
-					continue
-				}
-				if req.touched != home {
-					continue
-				}
+			// The request pointer may already be retracted if a helping
+			// client answered its owner between the state check and this load.
+			req := sys.slots[i].req.Load()
+			if req == nil || bits.TrailingZeros64(req.touched) != sv.shard {
+				continue
 			}
-			if sv.serveEpochFrom(i) {
+			if sv.serveEpoch(req.touched, i) {
 				progress = true
 			}
 		}
@@ -366,160 +363,93 @@ func (sv *shardServer) commitServerMain(stop func() bool) {
 	}
 }
 
-// serveEpochFrom is the commit-server's epoch: take this shard's stream lock
-// (waiting out a cross-shard leader or a helping client), run one epoch
-// starting at slot first, release. It reports whether any reply was sent.
+// serveEpoch is the commit-server's way into an epoch: take every stream in
+// mask in ascending order (the total order makes concurrent multi-stream
+// drivers deadlock-free; the wait is for other leaders and helping clients),
+// run the epoch from slot first, release in descending order. sv must be the
+// server of mask's lowest stream. It reports whether any reply was sent.
 //
 //stm:hotpath
-func (sv *shardServer) serveEpochFrom(first int) bool {
-	sv.sys.lockStream(sv.shard)
-	_, replied := sv.serveEpochLocked(first)
-	sv.sys.unlockStream(sv.shard)
+func (sv *shardServer) serveEpoch(mask uint64, first int) bool {
+	clk := startClock(sv.latC, sv.commitRing)
+	sv.sys.lockStreams(mask)
+	if mask&(mask-1) != 0 {
+		clk.lap(obs.LatLockWait, obs.KLockWait, 0)
+	} else {
+		// On one stream the wait was another driver's whole epoch, timed there.
+		clk = startClock(sv.latC, sv.commitRing)
+	}
+	_, replied := sv.epoch(mask, first, &clk)
+	sv.sys.unlockStreams(mask)
 	return replied
 }
 
-// serveEpochLocked executes one group-commit epoch on this shard's stream.
-// The caller holds the stream's lock — the shard's commit-server, or a client
-// helping its own request — which serializes the epoch against every other
-// driver of this stream (cross-shard leaders included) and hands the caller
-// this shardServer's scratch. Starting at slot first, it collects up to
-// maxBatch pending requests homed to this stream whose signatures are
-// mutually compatible — no W/W overlap (two members writing the same
-// location) and no R/W overlap in either direction (a member reading what
-// another writes), tested on the bloom signatures — then retires the whole
-// batch under a single odd/even timestamp transition and replies to every
-// member. Incompatible or deferred requests stay PENDING for a later epoch.
-// committed is the number of members the epoch committed (0: no timestamp
-// transition); replied is false when no reply at all was sent (nothing
-// pending from first upward, or V3: every pending requester's
-// invalidation-server lags) so the caller can back off.
+// epoch executes one group-commit epoch over the streams in mask, all of
+// which the caller holds — the commit-server of mask's lowest stream (sv), or
+// a client helping its own single-stream request. The locks serialize it
+// against every other driver of those streams and hand the caller sv's
+// scratch and each written stream's ring buffers. The epoch is the paper's
+// commit-server critical path as six stages; what the variants change is a
+// parameter of a stage, not a different path (DESIGN.md §11):
+//
+//	collect    admit pending requests with touched == mask from slot first
+//	           upward, re-reading each under the locks (collect)
+//	catch up   wait until no touched stream's invalidation-server trails by
+//	           more than the lag budget: 2·stepsAhead on one stream, 0 across
+//	           streams (V2's lag wait and the cross-shard drain); V1 skips it
+//	check      answer doomed members ABORTED without a timestamp transition
+//	publish    raise the written streams odd, invalidate (V1 inline, V2/V3 by
+//	           descriptor), write back, lower them even (publish)
+//	reply      COMMITTED to every member
+//	record     counters and the batch-size sample
+//
+// A multi-stream epoch admits one request: cross-shard requests are led solo. committed is the number of members the epoch
+// committed (0: no timestamp transition); replied is false when no reply at
+// all was sent (nothing admissible from first upward) so the caller can back
+// off. Incompatible or deferred requests stay PENDING for a later epoch.
 //
 //stm:hotpath
-func (sv *shardServer) serveEpochLocked(first int) (committed int, replied bool) {
-	sys := sv.sys
-	st := sv.st
-	home := uint64(1) << uint(sv.shard)
-	ring := sv.commitRing
-	phases := &sv.commitSrv.Server
-	// Phase timestamps cost a clock read each, so they are taken only when
-	// someone consumes them: the phase histograms (cfg.Stats), the trace
-	// ring, or the live latency recorder. The queue-depth and step-ahead
-	// samples are clock-free and always collected.
-	timing := sys.cfg.Stats || ring != nil || sv.latC != nil
-	var tStart int64
-	if timing {
-		tStart = obs.Now()
-	}
-	t := st.ts.Load() // even: only the stream-lock holder makes it odd
-
-	if sv.eng.numInval > 0 && sv.eng.stepsAhead > 0 {
-		// V3 step-ahead occupancy: how many commits this server is running
-		// ahead of the stream's slowest invalidation-server right now.
-		minTS := st.invalTS[0].Load()
-		for k := 1; k < len(st.invalTS); k++ {
-			if v := st.invalTS[k].Load(); v < minTS {
-				minTS = v
-			}
-		}
-		occ := (t - minTS) / 2
-		phases.StepAhead.Record(occ)
-		ring.Counter(obs.KStepAhead, occ)
+func (sv *shardServer) epoch(mask uint64, first int, clk *phaseClock) (committed int, replied bool) {
+	sys, e := sv.sys, sv.eng
+	maxBatch, lagBudget, catchUp := e.maxBatch, 2*uint64(e.stepsAhead), obs.LatInvalWait
+	multi := mask&(mask-1) != 0
+	if multi {
+		maxBatch, lagBudget, catchUp = 1, 0, obs.LatDrain
 	}
 
-	// Collect the batch in array order from the leader onward. A member's
-	// write signature must not intersect the members' write union (W/W) or
-	// read union (it would overwrite something a member read), and its read
-	// signature must not intersect the write union (it read something a
-	// member overwrites). With MaxBatch=1 this degenerates to the paper's
-	// one-request protocol: the leader alone, no compatibility tests.
-	sv.batchIdx = sv.batchIdx[:0]
-	sv.batchWS.Clear()
-	sv.batchRS.Clear()
-	pending := uint64(0) // queue depth: every PENDING request the scan saw
-	sv.epochBuf = sys.appendPendingCandidates(sv.epochBuf[:0], first)
-	for _, j := range sv.epochBuf {
-		if len(sv.batchIdx) >= sv.eng.maxBatch {
-			break
-		}
-		s := &sys.slots[j]
-		if s.state.Load() != reqPending {
-			continue
-		}
-		req := s.req.Load()
-		if req == nil {
-			continue
-		}
-		if req.touched != home {
-			// Another stream's request, or a cross-shard one (those lead
-			// their own handshake epoch); not this epoch's to serve.
-			continue
-		}
-		pending++
-		if sv.eng.numInval > 0 && sv.eng.stepsAhead > 0 && st.invalTS[s.invalServer].Load() < t {
-			// V3: the requester's own server must have applied every prior
-			// commit's invalidation for the ALIVE check below to be
-			// conclusive (Alg. 4 l. 2). Defer; serve requests that are ready.
-			// (V2 admits the request: the lag wait below catches every
-			// server up to t before the ALIVE checks.)
-			continue
-		}
-		if len(sv.batchIdx) > 0 {
-			if req.ws.intersects(sv.batchWS) || req.ws.intersects(sv.batchRS) ||
-				s.readBF.IntersectsFilter(sv.batchWS) {
-				continue
-			}
-		}
-		sv.batchIdx = append(sv.batchIdx, j)
-		sv.batchWS.UnionWith(req.ws.bf)
-		sv.batchRS.UnionAtomic(s.readBF)
-	}
+	pending := sv.collect(mask, first, maxBatch, lagBudget)
 	if len(sv.batchIdx) == 0 {
 		return 0, false
 	}
-	phases.QueueDepth.Record(pending)
-	ring.Counter(obs.KQueueDepth, pending)
-	tPrev := tStart // end of the last timed phase
-	if timing {
-		now := obs.Now()
-		if sys.cfg.Stats {
-			phases.ScanNs.Record(uint64(now - tPrev))
-		}
-		sv.latC.Record(obs.LatCollect, now-tPrev)
-		ring.SpanAt(obs.KScan, tPrev, now, pending)
-		tPrev = now
-	}
+	sv.queueDepth.Record(pending)
+	sv.commitRing.Counter(obs.KQueueDepth, pending)
+	clk.lap(obs.LatCollect, obs.KScan, pending)
 
-	if sv.eng.numInval > 0 {
-		// No invalidation-server may trail by more than stepsAhead commits;
-		// this also guarantees the ring entry we are about to overwrite has
-		// been consumed by every server (Alg. 3 l. 7 / Alg. 4 l. 5). For V2
-		// (stepsAhead == 0) it additionally catches every server up to t,
-		// which makes the per-member ALIVE checks below conclusive.
-		lagBudget := 2 * uint64(sv.eng.stepsAhead)
-		for k := range st.invalTS {
-			var w spin.Waiter
-			for st.invalTS[k].Load()+lagBudget < t {
-				w.Wait()
+	if e.numInval > 0 {
+		// Every stream's timestamp is frozen even under its lock. Bounding
+		// each server's lag also proves the ring entry publish overwrites has
+		// been consumed (Alg. 3 l. 7 / Alg. 4 l. 5); a zero budget catches
+		// every server up, which makes the ALIVE checks below conclusive for
+		// any member (V3 on one stream admitted only members whose own server
+		// already had).
+		for m := mask; m != 0; m &= m - 1 {
+			st := &sys.streams[bits.TrailingZeros64(m)]
+			t := st.ts.Load()
+			for k := range st.invalTS {
+				var w spin.Waiter
+				for st.invalTS[k].Load()+lagBudget < t {
+					w.Wait()
+				}
 			}
 		}
-		if timing {
-			now := obs.Now()
-			if sys.cfg.Stats {
-				phases.InvalWaitNs.Record(uint64(now - tPrev))
-			}
-			sv.latC.Record(obs.LatInvalWait, now-tPrev)
-			ring.SpanAt(obs.KInvalWait, tPrev, now, 0)
-			tPrev = now
-		}
+		clk.lap(catchUp, obs.KInvalWait, 0)
 	}
 
-	// Per-member status check before touching the timestamp: doomed members
+	// Per-member status check before touching a timestamp: doomed members
 	// are answered without burning a timestamp increment (Algorithm 2, line
-	// 15). The check is conclusive for every member: its own invalidation
-	// server has applied all prior commits (V1: the commit-server itself is
-	// the only invalidator), and no in-flight scan can doom it afterwards —
-	// the only unprocessed descriptor will be this epoch's, which skips
-	// members by mask.
+	// 15). No in-flight scan can doom a survivor afterwards — the only
+	// unprocessed descriptor will be this epoch's, which skips members by
+	// mask.
 	n := 0
 	for _, j := range sv.batchIdx {
 		s := &sys.slots[j]
@@ -530,238 +460,190 @@ func (sv *shardServer) serveEpochLocked(first int) (committed int, replied bool)
 		sv.batchIdx[n] = j
 		n++
 	}
-	dropped := n < len(sv.batchIdx)
-	sv.batchIdx = sv.batchIdx[:n]
 	if n == 0 {
 		return 0, true // progress: abort replies were sent
 	}
-	if dropped {
+	if n < len(sv.batchIdx) {
 		// Rebuild the epoch signature from the survivors so a doomed
-		// member's writes do not cause spurious invalidations. The doomed
-		// slots have been answered; only survivors' requests are re-read.
+		// member's writes do not cause spurious invalidations.
+		sv.batchIdx = sv.batchIdx[:n]
 		sv.batchWS.Clear()
 		for _, j := range sv.batchIdx {
 			sv.batchWS.UnionWith(sys.slots[j].req.Load().ws.bf)
 		}
 	}
 
-	var kd *killDesc
-	if sys.attr != nil {
-		kd = sv.epochKillDesc()
-	}
-	if sv.eng.numInval == 0 {
-		// V1: one serial invalidation scan + write-back epoch for the batch.
-		sv.batchMask.clearAll()
-		for _, j := range sv.batchIdx {
-			sv.batchMask.set(j)
-		}
-		st.ts.Add(1)
-		doomed := sys.invalidateOthers(sv.batchMask, sv.batchWS, sv.commitRing, kd)
-		atomic.AddUint64(&sv.commitSrv.Invalidations, doomed)
-		if timing {
-			// V1 has no lag wait; the inline scan itself is the
-			// invalidation phase (latency phase "scan", since the server
-			// actively scans rather than waits).
-			now := obs.Now()
-			if sys.cfg.Stats {
-				phases.InvalWaitNs.Record(uint64(now - tPrev))
-			}
-			sv.latC.Record(obs.LatScan, now-tPrev)
-			ring.SpanAt(obs.KInvalWait, tPrev, now, doomed)
-			tPrev = now
-		}
-		for _, j := range sv.batchIdx {
-			sys.writeBack(sys.slots[j].req.Load().ws)
-		}
-		st.ts.Add(1)
-	} else {
-		// V2/V3: hand the merged signature and member mask to the
-		// invalidation-servers, then write back in parallel with their
-		// scans. Signature and mask are copied into ring-owned buffers
-		// because a client reclaims its write set the moment it sees the
-		// reply, while the scans may still run.
-		slot := (t / 2) % uint64(len(st.ring))
-		sv.sigBufs[slot].CopyFrom(sv.batchWS)
-		m := sv.memberBufs[slot]
-		m.clearAll()
-		for _, j := range sv.batchIdx {
-			m.set(j)
-		}
-		st.ring[slot].Store(&commitDesc{bf: sv.sigBufs[slot], members: m, kd: kd})
-		st.ts.Add(1)
-		for _, j := range sv.batchIdx {
-			sys.writeBack(sys.slots[j].req.Load().ws)
-		}
-		st.ts.Add(1)
-	}
-	if timing {
-		now := obs.Now()
-		if sys.cfg.Stats {
-			phases.WriteBackNs.Record(uint64(now - tPrev))
-		}
-		sv.latC.Record(obs.LatWriteBack, now-tPrev)
-		ring.SpanAt(obs.KWriteBack, tPrev, now, uint64(n))
-		tPrev = now
-	}
+	sv.publish(clk)
+
 	for _, j := range sv.batchIdx {
 		sys.slots[j].state.Store(reqCommitted)
 	}
-	if timing {
-		now := obs.Now()
-		if sys.cfg.Stats {
-			phases.ReplyNs.Record(uint64(now - tPrev))
-		}
-		sv.latC.Record(obs.LatReply, now-tPrev)
-		ring.SpanAt(obs.KReply, tPrev, now, uint64(n))
-		ring.SpanAt(obs.KEpoch, tStart, now, uint64(n))
-	}
+	clk.lap(obs.LatReply, obs.KReply, uint64(n))
+	clk.ring.SpanAt(obs.KEpoch, clk.t0, clk.prev, uint64(n))
+
+	// Every record lands while the caller still holds sv's stream: the next
+	// driver owns sv's histograms, ring and cell the moment the lock is free.
 	atomic.AddUint64(&sv.commitSrv.Commits, uint64(n))
 	atomic.AddUint64(&sv.commitSrv.Epochs, 1)
-	sv.commitSrv.BatchSizes.Record(uint64(n))
+	if multi {
+		atomic.AddUint64(&sv.commitSrv.CrossShardCommits, uint64(n))
+	}
+	sv.batchSizes.Record(uint64(n))
 	return n, true
 }
 
-// serveCrossShard retires one cross-shard commit request through the
-// two-phase stream handshake (DESIGN.md §11). Phase one acquires every
-// touched stream's lock in ascending shard index order (the total order
-// makes concurrent handshakes deadlock-free) and — with invalidation-servers
-// present — drains each touched stream's servers fully to its frozen even
-// timestamp, which makes the requester's ALIVE check conclusive exactly as
-// V2's lag wait does on a single stream. Phase two publishes one combined
-// invalidation pass — the full write signature into every written stream's
-// ring (V2/V3) or one inline scan while the written streams are odd (V1) —
-// writes back, raises/releases the written timestamps (odd ascending, even
-// descending), replies, records, and unlocks in reverse order. Only the
-// lowest touched shard's commit-server runs this, so each request still has
-// a single answerer. Every record lands while the leader still holds its own
-// stream: a helping client may own this shardServer's histograms, ring and
-// cell the moment the lock is free. Called only when Shards > 1.
+// collect is the epoch's admit stage: it fills batchIdx (and the batch's
+// write/read signature unions) with up to maxBatch pending requests from slot
+// first upward whose touched mask is exactly mask, and returns how many such
+// requests it saw — the queue depth. Every candidate is re-read here, under
+// the locks, so a request answered or retracted since its discovery is
+// skipped: the lock holder is the single answerer. Members must be mutually
+// compatible — a member's write signature must not intersect the members'
+// write union (W/W) or read union (it would overwrite something a member
+// read), and its read signature must not intersect the write union (it read
+// something a member overwrites). With maxBatch 1 this degenerates to the
+// paper's one-request protocol: the leader alone, no compatibility tests.
 //
 //stm:hotpath
-func (sv *shardServer) serveCrossShard(i int, req *commitReq) {
-	sys := sv.sys
-	s := &sys.slots[i]
-	touched := req.touched
-	ring := sv.commitRing
-	timing := sys.cfg.Stats || ring != nil || sv.latC != nil
-	var tStart int64
-	if timing {
-		tStart = obs.Now()
-	}
-	for m := touched; m != 0; m &= m - 1 {
-		sys.lockStream(bits.TrailingZeros64(m))
-	}
-	tPrev := tStart // end of the last timed handshake phase
-	if timing {
-		now := obs.Now()
-		if sys.cfg.Stats {
-			sv.commitSrv.Server.LockWaitNs.Record(uint64(now - tPrev))
-		}
-		sv.latC.Record(obs.LatLockWait, now-tPrev)
-		tPrev = now
-	}
-	if sv.eng.numInval > 0 {
-		// Drain every touched stream: with its lock held the timestamp is
-		// frozen even, so catching each local server up to it applies every
-		// prior commit of that stream — the requester's status flag then
-		// conclusively reflects all of them, and every ring slot we may
-		// overwrite below has been consumed.
-		for m := touched; m != 0; m &= m - 1 {
-			st := &sys.streams[bits.TrailingZeros64(m)]
-			t := st.ts.Load()
-			for k := range st.invalTS {
-				var w spin.Waiter
-				for st.invalTS[k].Load() < t {
-					w.Wait()
-				}
+func (sv *shardServer) collect(mask uint64, first, maxBatch int, lagBudget uint64) (pending uint64) {
+	sys, st := sv.sys, sv.st
+	t := st.ts.Load() // even: only a stream-lock holder makes it odd
+	if lagBudget > 0 {
+		// V3 step-ahead occupancy: how many commits this stream is running
+		// ahead of its slowest invalidation-server right now.
+		minTS := st.invalTS[0].Load()
+		for k := 1; k < len(st.invalTS); k++ {
+			if v := st.invalTS[k].Load(); v < minTS {
+				minTS = v
 			}
 		}
-		if timing {
-			now := obs.Now()
-			if sys.cfg.Stats {
-				sv.commitSrv.Server.DrainNs.Record(uint64(now - tPrev))
-			}
-			sv.latC.Record(obs.LatDrain, now-tPrev)
-			tPrev = now
-		}
+		sv.stepAhead.Record((t - minTS) / 2)
+		sv.commitRing.Counter(obs.KStepAhead, (t-minTS)/2)
 	}
-	if _, alive := s.aliveWord(); !alive {
-		s.state.Store(reqAborted)
-		unlockStreamsDesc(sys, touched)
-		return
+	sv.batchIdx = sv.batchIdx[:0]
+	sv.batchWS.Clear()
+	sv.batchRS.Clear()
+	sv.epochBuf = sys.appendPendingCandidates(sv.epochBuf[:0], first)
+	for _, j := range sv.epochBuf {
+		if len(sv.batchIdx) >= maxBatch {
+			break
+		}
+		s := &sys.slots[j]
+		if s.state.Load() != reqPending {
+			continue
+		}
+		req := s.req.Load()
+		if req == nil || req.touched != mask {
+			continue // answered meanwhile, or another mask's epoch to serve
+		}
+		pending++
+		if lagBudget > 0 && st.invalTS[s.invalServer].Load() < t {
+			// V3: the requester's own server must have applied every prior
+			// commit's invalidation for the ALIVE check to be conclusive
+			// (Alg. 4 l. 2). Defer; serve requests that are ready. (With a
+			// zero budget the catch-up stage covers every server instead.)
+			continue
+		}
+		if len(sv.batchIdx) > 0 && (req.ws.intersects(sv.batchWS) || req.ws.intersects(sv.batchRS) ||
+			s.readBF.IntersectsFilter(sv.batchWS)) {
+			continue
+		}
+		sv.batchIdx = append(sv.batchIdx, j)
+		sv.batchWS.UnionWith(req.ws.bf)
+		sv.batchRS.UnionAtomic(s.readBF)
 	}
-	var kd *killDesc
-	if sys.attr != nil {
-		sv.batchIdx = append(sv.batchIdx[:0], i)
-		kd = sv.epochKillDesc()
-	}
-	writes := req.writes
-	if sv.eng.numInval == 0 {
-		// V1: raise every written stream odd, run one combined inline scan
-		// (dooms precede write-back, as on a single stream), write back, then
-		// release the timestamps even.
-		for m := writes; m != 0; m &= m - 1 {
-			sys.streams[bits.TrailingZeros64(m)].ts.Add(1)
-		}
-		doomed := sys.invalidateOthers(s.selfMask, req.ws.bf, ring, kd)
-		atomic.AddUint64(&sv.commitSrv.Invalidations, doomed)
-		sys.writeBack(req.ws)
-		for m := writes; m != 0; {
-			j := bits.Len64(m) - 1
-			m &^= 1 << uint(j)
-			sys.streams[j].ts.Add(1)
-		}
-	} else {
-		// V2/V3: publish the combined descriptor into every written stream's
-		// ring, so each stream's servers doom its readers asynchronously. The
-		// signature is copied into that stream's ring-slot buffer (safe: the
-		// drain above proved the slot consumed, and the stream lock keeps its
-		// owner out); the member mask is the requester's immutable selfMask.
-		// The same victim may be scanned once per written stream — the doom
-		// CAS is epoch-guarded, so duplicates are no-ops.
-		for m := writes; m != 0; m &= m - 1 {
-			j := bits.TrailingZeros64(m)
-			st := &sys.streams[j]
-			t := st.ts.Load()
-			slot := (t / 2) % uint64(len(st.ring))
-			buf := sv.eng.srv[j].sigBufs[slot]
-			buf.CopyFrom(req.ws.bf)
-			st.ring[slot].Store(&commitDesc{bf: buf, members: s.selfMask, kd: kd})
-			st.ts.Add(1)
-		}
-		sys.writeBack(req.ws)
-		for m := writes; m != 0; {
-			j := bits.Len64(m) - 1
-			m &^= 1 << uint(j)
-			sys.streams[j].ts.Add(1)
-		}
-	}
-	s.state.Store(reqCommitted)
-	if timing {
-		now := obs.Now()
-		if sys.cfg.Stats {
-			sv.commitSrv.Server.WriteBackNs.Record(uint64(now - tPrev))
-		}
-		sv.latC.Record(obs.LatWriteBack, now-tPrev)
-		ring.SpanAt(obs.KEpoch, tStart, now, 1)
-	}
-	atomic.AddUint64(&sv.commitSrv.Commits, 1)
-	atomic.AddUint64(&sv.commitSrv.Epochs, 1)
-	atomic.AddUint64(&sv.commitSrv.CrossShardCommits, 1)
-	sv.commitSrv.BatchSizes.Record(1)
-	unlockStreamsDesc(sys, touched)
+	return pending
 }
 
-// unlockStreamsDesc releases the stream locks in mask in descending shard
-// order — the reverse of the handshake's acquisition order.
+// publish is the epoch's write stage, under one odd window per written
+// stream: raise every stream the batch writes odd in ascending order, doom
+// the conflicting readers, write back, lower the streams even in descending
+// order — so the lowest written stream's odd window encloses the others,
+// which is what captureSnapshot's double collect relies on. Streams the batch
+// only read stay even. V1 dooms inline, between the raise and the write-back
+// (latency phase "scan": the driver actively scans rather than waits). V2/V3
+// hand the merged signature and member mask to each written stream's
+// invalidation-servers and write back in parallel with their scans; both are
+// copied into that stream's ring-slot buffers (owned through its lock, proved
+// consumed by the catch-up stage) because a client reclaims its write set the
+// moment it sees the reply, while the scans may still run. A victim may be
+// scanned once per written stream — the doom CAS is epoch-guarded, so
+// duplicates are no-ops.
 //
 //stm:hotpath
-func unlockStreamsDesc(sys *System, mask uint64) {
-	for m := mask; m != 0; {
+func (sv *shardServer) publish(clk *phaseClock) {
+	sys, e := sv.sys, sv.eng
+	var kd *killDesc
+	if sys.attr != nil {
+		kd = sv.epochKillDesc()
+	}
+	var writes uint64
+	sv.batchMask.clearAll()
+	for _, j := range sv.batchIdx {
+		sv.batchMask.set(j)
+		writes |= sys.slots[j].req.Load().writes
+	}
+	for m := writes; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		st := &sys.streams[j]
+		if e.numInval > 0 {
+			slot := (st.ts.Load() / 2) % uint64(len(st.ring))
+			sig, members := e.srv[j].sigBufs[slot], e.srv[j].memberBufs[slot]
+			sig.CopyFrom(sv.batchWS)
+			members.copyFrom(sv.batchMask)
+			st.ring[slot].Store(&commitDesc{bf: sig, members: members, kd: kd})
+		}
+		st.ts.Add(1)
+	}
+	if e.numInval == 0 {
+		doomed := sys.invalidateOthers(sv.batchMask, sv.batchWS, sv.commitRing, kd)
+		atomic.AddUint64(&sv.commitSrv.Invalidations, doomed)
+		clk.lap(obs.LatScan, obs.KInvalWait, doomed)
+	}
+	for _, j := range sv.batchIdx {
+		sys.writeBack(sys.slots[j].req.Load().ws)
+	}
+	for m := writes; m != 0; {
 		j := bits.Len64(m) - 1
 		m &^= 1 << uint(j)
-		sys.unlockStream(j)
+		sys.streams[j].ts.Add(1)
 	}
+	clk.lap(obs.LatWriteBack, obs.KWriteBack, uint64(len(sv.batchIdx)))
+}
+
+// phaseClock times a server's phases for their two consumers, its latency
+// cell and its trace track, and reads the clock only when one of them is on.
+// The zero clock of a disabled pair makes every lap a branch and nothing else.
+type phaseClock struct {
+	lat      *obs.LatCell
+	ring     *obs.Ring
+	t0, prev int64 // start, and the end of the last lap
+}
+
+// startClock starts a clock feeding lat and ring (either may be nil).
+//
+//stm:hotpath
+func startClock(lat *obs.LatCell, ring *obs.Ring) phaseClock {
+	c := phaseClock{lat: lat, ring: ring}
+	if lat != nil || ring != nil {
+		c.t0 = obs.Now()
+		c.prev = c.t0
+	}
+	return c
+}
+
+// lap ends the phase that began at the previous lap (or at the start):
+// one sample of latency phase p, one trace span of kind k carrying arg.
+//
+//stm:hotpath
+func (c *phaseClock) lap(p obs.LatPhase, k obs.Kind, arg uint64) {
+	if c.lat == nil && c.ring == nil {
+		return
+	}
+	now := obs.Now()
+	c.lat.Record(p, now-c.prev)
+	c.ring.SpanAt(k, c.prev, now, arg)
+	c.prev = now
 }
 
 // invalServerMain is Algorithm 3's INVALIDATION-SERVER LOOP for this shard's
@@ -779,7 +661,6 @@ func (sv *shardServer) invalServerMain(k int, stop func() bool) {
 	stats := &sv.invalSrv[k]
 	ring := sv.invalRings[k]
 	lc := sv.invalLat[k]
-	timing := ring != nil || lc != nil
 	var w spin.Waiter
 	for !stop() {
 		my := st.invalTS[k].Load()
@@ -787,19 +668,12 @@ func (sv *shardServer) invalServerMain(k int, stop func() bool) {
 			// The descriptor for base timestamp `my` was published before
 			// the timestamp moved past it, and no epoch driver can
 			// overwrite it until this server advances (ring bound).
-			var t0 int64
-			if timing {
-				t0 = obs.Now()
-			}
+			clk := startClock(lc, ring)
 			d := st.ring[(my/2)%uint64(len(st.ring))].Load()
 			doomed := sys.invalidatePartition(k, d.members, d.bf, ring, d.kd)
 			atomic.AddUint64(&stats.Invalidations, doomed)
 			st.invalTS[k].Store(my + 2)
-			if timing {
-				now := obs.Now()
-				lc.Record(obs.LatScan, now-t0)
-				ring.SpanAt(obs.KInvalScan, t0, now, doomed)
-			}
+			clk.lap(obs.LatScan, obs.KInvalScan, doomed)
 			w.Reset()
 		} else {
 			w.Wait()

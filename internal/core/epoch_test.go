@@ -1,0 +1,278 @@
+package core
+
+import (
+	"fmt"
+	"math/bits"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// Tests for the one epoch routine (shardServer.epoch, DESIGN.md §11), driven
+// without servers: requests are hand-posted and the lead stream's serveEpoch
+// is called directly, over every variant and mask width. Four streams, one
+// invalidation-server each; with no server goroutines the tests play the
+// invalidation-servers' part by catching invalTS up between epochs.
+
+// epochMasks are the touched/written stream masks per mask width. The lead
+// stream is never stream 0 alone, and the wider masks keep one touched stream
+// read-only in the middle.
+var epochMasks = []struct{ touched, writes uint64 }{
+	{0b0010, 0b0010},
+	{0b0110, 0b0100},
+	{0b1011, 0b1001},
+}
+
+func newEpochSystem(t *testing.T, algo Algo) *System {
+	t.Helper()
+	s, err := newSystem(Config{Algo: algo, MaxThreads: 4, Shards: 4, InvalServers: 4,
+		StepsAhead: 2, Versions: 4, Latency: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// postMasked publishes a request in th's slot that writes one fresh Var in
+// every stream of writes and claims the given touched mask.
+func postMasked(t *testing.T, s *System, th *Thread, touched, writes uint64, val int) (*slot, []*Var) {
+	t.Helper()
+	var vars []*Var
+	for m := writes; m != 0; m &= m - 1 {
+		vars = append(vars, varInShard(t, s, bits.TrailingZeros64(m), 0))
+	}
+	sl := postPending(s, th, vars[0], val)
+	req := sl.req.Load()
+	for _, v := range vars[1:] {
+		req.ws.put(v, val)
+	}
+	req.touched, req.writes = touched, writes
+	return sl, vars
+}
+
+// catchUpInval stands in for the invalidation-servers: every stream's servers
+// have processed every commit so far.
+func catchUpInval(s *System) {
+	for j := range s.streams {
+		st := &s.streams[j]
+		for k := range st.invalTS {
+			st.invalTS[k].Store(st.ts.Load())
+		}
+	}
+}
+
+func streamTimestamps(s *System) string {
+	var b strings.Builder
+	for j := range s.streams {
+		fmt.Fprintf(&b, "%d ", s.streams[j].ts.Load())
+	}
+	return b.String()
+}
+
+func serverPhaseCounts(s *System) map[string]uint64 {
+	out := map[string]uint64{}
+	for _, p := range s.LatencyReport().Server {
+		out[p.Phase] = p.Count
+	}
+	return out
+}
+
+func forEachEpochShape(t *testing.T, f func(t *testing.T, algo Algo, touched, writes uint64)) {
+	for _, algo := range rinvalAlgos {
+		for _, m := range epochMasks {
+			algo, m := algo, m
+			t.Run(fmt.Sprintf("%s/bits=%d", algo, bits.OnesCount64(m.touched)), func(t *testing.T) {
+				f(t, algo, m.touched, m.writes)
+			})
+		}
+	}
+}
+
+// TestEpochSkipsStaleCandidate: whatever the mask width, the collection pass
+// re-reads a candidate under the locks, so one that was answered, retracted or
+// replaced between its discovery and the lock acquisition is left alone — no
+// second reply, no timestamp transition, no lock left behind.
+func TestEpochSkipsStaleCandidate(t *testing.T) {
+	forEachEpochShape(t, func(t *testing.T, algo Algo, touched, writes uint64) {
+		s := newEpochSystem(t, algo)
+		th := s.MustRegister()
+		sl, _ := postMasked(t, s, th, touched, writes, 7)
+		lead := s.eng.(*remoteEngine).srv[bits.TrailingZeros64(touched)]
+		req := sl.req.Load()
+		stale := []struct {
+			name  string
+			apply func()
+		}{
+			{"answered", func() { sl.state.Store(reqAborted) }},
+			{"retracted", func() { sl.state.Store(reqIdle); sl.req.Store(nil) }},
+			{"replaced", func() {
+				sl.state.Store(reqPending)
+				sl.req.Store(&commitReq{ws: req.ws, writes: 1, touched: 1 << 3})
+			}},
+		}
+		for _, c := range stale {
+			c.apply()
+			state := sl.state.Load()
+			if lead.serveEpoch(touched, th.idx) {
+				t.Fatalf("%s: epoch replied to a stale candidate", c.name)
+			}
+			if got := sl.state.Load(); got != state {
+				t.Fatalf("%s: slot state %d -> %d", c.name, state, got)
+			}
+			if got := streamTimestamps(s); got != "0 0 0 0 " {
+				t.Fatalf("%s: timestamps moved: %s", c.name, got)
+			}
+		}
+		// The same request, still pending under its own mask, is served.
+		sl.req.Store(req)
+		sl.state.Store(reqPending)
+		if !lead.serveEpoch(touched, th.idx) || sl.state.Load() != reqCommitted {
+			t.Fatalf("live candidate not committed (state %d)", sl.state.Load())
+		}
+		if got := lead.stats(); got.Epochs != 1 || got.Commits != 1 {
+			t.Fatalf("Epochs=%d Commits=%d after one served request, want 1/1", got.Epochs, got.Commits)
+		}
+		for j := range s.streams {
+			if s.streams[j].owner.Load() != 0 {
+				t.Fatalf("stream %d left locked", j)
+			}
+		}
+		settle(s, th.idx, sl)
+		th.Close()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestEpochStreamsAndPhases runs one epoch per shape and checks what it did to
+// each stream and which phases it recorded: written streams made exactly one
+// odd/even transition and their write-back ran inside the odd window (the
+// version stamp is the stream's odd timestamp); touched read-only streams were
+// locked and caught up but never went odd and received no descriptor;
+// multi-stream epochs record lock-wait (and drain with invalidation-servers),
+// single-stream ones inval-wait, never both.
+func TestEpochStreamsAndPhases(t *testing.T) {
+	forEachEpochShape(t, func(t *testing.T, algo Algo, touched, writes uint64) {
+		s := newEpochSystem(t, algo)
+		eng := s.eng.(*remoteEngine)
+		th := s.MustRegister()
+		sl, vars := postMasked(t, s, th, touched, writes, 7)
+		lead := eng.srv[bits.TrailingZeros64(touched)]
+		if !lead.serveEpoch(touched, th.idx) || sl.state.Load() != reqCommitted {
+			t.Fatalf("request not committed (state %d)", sl.state.Load())
+		}
+		for j := range s.streams {
+			st := &s.streams[j]
+			want := uint64(0)
+			if writes&(1<<uint(j)) != 0 {
+				want = 2
+			}
+			if got := st.ts.Load(); got != want {
+				t.Errorf("stream %d timestamp = %d, want %d (written mask %04b)", j, got, want, writes)
+			}
+			if st.owner.Load() != 0 {
+				t.Errorf("stream %d left locked", j)
+			}
+			d := st.ring[0].Load()
+			if wantDesc := eng.numInval > 0 && want == 2; (d != nil) != wantDesc {
+				t.Errorf("stream %d descriptor present = %v, want %v", j, d != nil, wantDesc)
+			} else if d != nil && !(d.members[0] == 1<<uint(th.idx) && d.bf.MayContain(vars[0].id)) {
+				t.Errorf("stream %d descriptor does not carry the batch (members %b)", j, d.members)
+			}
+		}
+		for _, v := range vars {
+			if b := v.loadBox(); b.v != 7 || b.epoch != 1 {
+				t.Errorf("var in stream %d = %v stamped %d, want 7 stamped 1 (odd window)", s.shardOf(v), b.v, b.epoch)
+			}
+		}
+
+		var want []string
+		switch multi, remote := touched&(touched-1) != 0, eng.numInval > 0; {
+		case !multi && !remote:
+			want = []string{"collect", "reply", "scan", "write-back"}
+		case !multi && remote:
+			want = []string{"collect", "inval-wait", "reply", "write-back"}
+		case multi && !remote:
+			want = []string{"collect", "lock-wait", "reply", "scan", "write-back"}
+		default:
+			want = []string{"collect", "drain", "lock-wait", "reply", "write-back"}
+		}
+		var got []string
+		for name, n := range serverPhaseCounts(s) {
+			if n != 1 {
+				t.Errorf("phase %q has %d samples after one epoch", name, n)
+			}
+			got = append(got, name)
+		}
+		sort.Strings(got)
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Errorf("recorded phases %v, want %v", got, want)
+		}
+		settle(s, th.idx, sl)
+		th.Close()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestEpochOddWindowsNest: a multi-stream epoch raises its written streams odd
+// in ascending order and lowers them in descending order, so the lowest
+// written stream's odd window encloses the highest's. An observer racing a
+// train of epochs that write streams 0 and 3 must therefore never see stream
+// 3 odd between two equal even reads of stream 0, and captureSnapshot — whose
+// double collect rests on exactly that nesting — must never return a cut with
+// the two timestamps apart (every epoch moves both).
+func TestEpochOddWindowsNest(t *testing.T) {
+	const epochs = 400
+	const touched, writes, lo, hi = 0b1011, 0b1001, 0, 3
+	for _, algo := range rinvalAlgos {
+		t.Run(algo.String(), func(t *testing.T) {
+			s := newEpochSystem(t, algo)
+			th := s.MustRegister()
+			lead := s.eng.(*remoteEngine).srv[lo]
+			stop, torn := make(chan struct{}), make(chan string, 1)
+			go func() {
+				defer close(torn)
+				snap := make([]uint64, len(s.streams))
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					before := s.streams[lo].ts.Load()
+					mid := s.streams[hi].ts.Load()
+					if after := s.streams[lo].ts.Load(); mid&1 != 0 && before&1 == 0 && before == after {
+						torn <- fmt.Sprintf("stream %d odd (%d) while stream %d stayed even (%d)", hi, mid, lo, before)
+						return
+					}
+					if s.captureSnapshot(snap) && snap[lo] != snap[hi] {
+						torn <- fmt.Sprintf("snapshot cut straddles an epoch: %v", snap)
+						return
+					}
+				}
+			}()
+			for i := 0; i < epochs; i++ {
+				sl, _ := postMasked(t, s, th, touched, writes, i)
+				if !lead.serveEpoch(touched, th.idx) || sl.state.Load() != reqCommitted {
+					t.Fatalf("epoch %d: request not committed (state %d)", i, sl.state.Load())
+				}
+				settle(s, th.idx, sl)
+				catchUpInval(s)
+			}
+			close(stop)
+			if msg, ok := <-torn; ok {
+				t.Fatal(msg)
+			}
+			if got := streamTimestamps(s); got != fmt.Sprintf("%d 0 0 %d ", 2*epochs, 2*epochs) {
+				t.Fatalf("timestamps after %d epochs: %s", epochs, got)
+			}
+			th.Close()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

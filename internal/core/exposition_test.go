@@ -19,8 +19,7 @@ var goldenFamilies = []string{
 	"stm_wasted_ops", "stm_bloom_fp_checks", "stm_bloom_fp", "stm_conflicts",
 	"stm_hot_var_samples",
 	"stm_latency_enabled", "stm_latency_sampled_commits", "stm_latency_ns",
-	"stm_server_phase_ns", "stm_server_queue_depth", "stm_server_step_ahead",
-	"stm_batch_size",
+	"stm_server_queue_depth", "stm_server_step_ahead", "stm_batch_size",
 	"stm_timeseries_enabled", "stm_timeseries_windows", "stm_rate",
 	"stm_window_quantile_ns", "stm_slo_burn", "stm_slo_firing",
 	"stm_slo_alerts",
@@ -61,9 +60,7 @@ func expositionFor(t *testing.T, algo Algo, mutate func(*Config)) string {
 			t.Fatal(err)
 		}
 	}
-	// Quiesce before reading: ServerPhaseHistograms (via ShardServerStats)
-	// reads the server goroutines' histograms unsynchronized and is only
-	// valid once they have joined. Close is idempotent, so the newSys
+	// Quiesce so the page is exact. Close is idempotent, so the newSys
 	// cleanup's second Close is a no-op.
 	th.Close()
 	if err := s.Close(); err != nil {
@@ -125,7 +122,7 @@ func TestOpenMetricsExpositionGolden(t *testing.T) {
 			mutate: func(c *Config) { c.Shards = 2; c.Versions = 4 },
 			want: []string{
 				`shard="0"`, `shard="1"`, // one server-histogram child set per shard
-				`stm_server_phase_ns`, `phase="scan"`,
+				`stm_server_queue_depth_count{shard="1"}`, `phase="scan",side="server"`,
 				"stm_ro_commits",
 				`stm_window_quantile_ns{phase="total",q="0.99",window=`,
 			},

@@ -61,8 +61,8 @@ func TestGroupCommitDisjointBatchOneEpoch(t *testing.T) {
 			}
 
 			eng := s.eng.(*remoteEngine)
-			if !eng.srv[0].serveEpochFrom(0) {
-				t.Fatal("serveEpochFrom made no progress")
+			if !eng.srv[0].serveEpoch(1, 0) {
+				t.Fatal("serveEpoch made no progress")
 			}
 			if got := s.streams[0].ts.Load(); got != 2 {
 				t.Errorf("timestamp after one batch epoch = %d, want 2", got)
@@ -73,8 +73,8 @@ func TestGroupCommitDisjointBatchOneEpoch(t *testing.T) {
 			if eng.srv[0].commitSrv.Commits != n {
 				t.Errorf("server Commits = %d, want %d", eng.srv[0].commitSrv.Commits, n)
 			}
-			if got := eng.srv[0].commitSrv.BatchSizes.Max(); got != n {
-				t.Errorf("recorded batch size = %d, want %d", got, n)
+			if got := eng.srv[0].batchSizes.Snapshot(); got.Max() != n {
+				t.Errorf("recorded batch size = %d, want %d", got.Max(), n)
 			}
 			for i := 0; i < n; i++ {
 				if st := slots[i].state.Load(); st != reqCommitted {
@@ -124,7 +124,7 @@ func TestGroupCommitConflictSplitsEpochs(t *testing.T) {
 				}
 
 				eng := s.eng.(*remoteEngine)
-				if !eng.srv[0].serveEpochFrom(0) {
+				if !eng.srv[0].serveEpoch(1, 0) {
 					t.Fatal("first epoch made no progress")
 				}
 				if sl0.state.Load() != reqCommitted {
@@ -148,7 +148,7 @@ func TestGroupCommitConflictSplitsEpochs(t *testing.T) {
 				}
 				if algo == RInvalV1 {
 					// The follower leads its own epoch once the scan returns.
-					if !eng.srv[0].serveEpochFrom(0) {
+					if !eng.srv[0].serveEpoch(1, 0) {
 						t.Fatal("second epoch made no progress")
 					}
 					if got := sl1.state.Load(); got != wantFollower {
@@ -165,7 +165,7 @@ func TestGroupCommitConflictSplitsEpochs(t *testing.T) {
 					// V3 with no live invalidation-servers: invalTS lags the
 					// new timestamp, so the follower is deferred — the
 					// documented step-ahead behavior.
-					if eng.srv[0].serveEpochFrom(0) {
+					if eng.srv[0].serveEpoch(1, 0) {
 						t.Fatal("V3 should defer the follower while its server lags")
 					}
 					if sl1.state.Load() != reqPending {
@@ -178,7 +178,7 @@ func TestGroupCommitConflictSplitsEpochs(t *testing.T) {
 					d := s.streams[0].ring[(my/2)%uint64(len(s.streams[0].ring))].Load()
 					s.invalidatePartition(0, d.members, d.bf, nil, nil)
 					s.streams[0].invalTS[0].Store(my + 2)
-					if !eng.srv[0].serveEpochFrom(0) {
+					if !eng.srv[0].serveEpoch(1, 0) {
 						t.Fatal("follower epoch made no progress after catch-up")
 					}
 					if got := sl1.state.Load(); got != wantFollower {

@@ -9,7 +9,7 @@ import (
 )
 
 // Tests for client-helped epochs (DESIGN.md §16): a waiting client whose busy
-// phase ran out takes a free stream lock and runs serveEpochLocked itself.
+// phase ran out takes a free stream lock and runs the epoch itself.
 
 // TestHelpLivenessWithoutServer: with no commit-server goroutine at all, every
 // write transaction still commits — each one by the client driving its own
@@ -76,7 +76,7 @@ func TestHelpBatchesFollowers(t *testing.T) {
 	if a.Peek() != 5 || b.Peek() != 7 {
 		t.Fatalf("a=%v b=%v, want 5 and 7", a.Peek(), b.Peek())
 	}
-	srv := &s.eng.(*remoteEngine).srv[0].commitSrv
+	srv := s.eng.(*remoteEngine).srv[0].stats()
 	if srv.Epochs != 1 || srv.Commits != 2 || srv.BatchSizes.Max() != 2 {
 		t.Fatalf("Epochs=%d Commits=%d max batch=%d, want 1/2/2", srv.Epochs, srv.Commits, srv.BatchSizes.Max())
 	}

@@ -20,62 +20,30 @@ func (s *System) latTotalHistogram() histo.Histogram {
 	return s.lat.ClientPhaseHistogram(obs.LatTotal)
 }
 
-// ServerPhaseHistograms exposes the commit-server phase histograms
-// (Stats.Server) as named OpenMetrics histogram families, one child per
-// (shard, phase). The underlying histograms are owned by the server
-// goroutines and folded into Stats at Close, so before Close this returns
-// empty children — the live phase view is the latency report's server side
-// (stm_latency_ns{side="server"}), which is recorded through atomic cells.
+// ServerPhaseHistograms exposes the commit streams' per-epoch histograms
+// (queue depth, step-ahead occupancy, batch size) as named OpenMetrics
+// histogram families, one child per shard. Safe to call while transactions
+// run. The epochs' phase durations are the latency report's server side
+// (stm_latency_ns{side="server"}).
 func (s *System) ServerPhaseHistograms() []obs.NamedHistogram {
 	shardStats := s.ShardServerStats()
 	if shardStats == nil {
-		// Non-RInval engines have no commit-server; fall back to the global
-		// aggregate (all zero for them, but keeps the families present).
-		return serverPhaseChildren(-1, s.Stats())
+		// Non-RInval engines have no commit-server; one unlabeled, empty
+		// child set keeps the families present.
+		return serverChildren("", Stats{})
 	}
 	var out []obs.NamedHistogram
 	for j, st := range shardStats {
-		out = append(out, serverPhaseChildren(j, st)...)
+		out = append(out, serverChildren(fmt.Sprintf("shard=\"%d\"", j), st)...)
 	}
 	return out
 }
 
-// serverPhaseChildren renders one Stats' server histograms as histogram
-// children labeled with shard (omitted when shard < 0).
-func serverPhaseChildren(shard int, st Stats) []obs.NamedHistogram {
-	shardLabel := ""
-	if shard >= 0 {
-		shardLabel = fmt.Sprintf("shard=\"%d\",", shard)
+// serverChildren renders one Stats' server histograms as histogram children.
+func serverChildren(labels string, st Stats) []obs.NamedHistogram {
+	return []obs.NamedHistogram{
+		{Name: "stm_server_queue_depth", Labels: labels, Hist: st.Server.QueueDepth},
+		{Name: "stm_server_step_ahead", Labels: labels, Hist: st.Server.StepAhead},
+		{Name: "stm_batch_size", Labels: labels, Hist: st.BatchSizes},
 	}
-	phases := []struct {
-		name string
-		h    histo.Histogram
-	}{
-		{"scan", st.Server.ScanNs},
-		{"inval-wait", st.Server.InvalWaitNs},
-		{"write-back", st.Server.WriteBackNs},
-		{"reply", st.Server.ReplyNs},
-		{"lock-wait", st.Server.LockWaitNs},
-		{"drain", st.Server.DrainNs},
-	}
-	out := make([]obs.NamedHistogram, 0, len(phases)+3)
-	for _, p := range phases {
-		out = append(out, obs.NamedHistogram{
-			Name:   "stm_server_phase_ns",
-			Labels: fmt.Sprintf("%sphase=%q", shardLabel, p.name),
-			Hist:   p.h,
-		})
-	}
-	trim := func(label string) string {
-		if shardLabel == "" {
-			return ""
-		}
-		return label[:len(label)-1] // drop the trailing comma for lone labels
-	}
-	out = append(out,
-		obs.NamedHistogram{Name: "stm_server_queue_depth", Labels: trim(shardLabel), Hist: st.Server.QueueDepth},
-		obs.NamedHistogram{Name: "stm_server_step_ahead", Labels: trim(shardLabel), Hist: st.Server.StepAhead},
-		obs.NamedHistogram{Name: "stm_batch_size", Labels: trim(shardLabel), Hist: st.BatchSizes},
-	)
-	return out
 }

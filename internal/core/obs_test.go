@@ -237,13 +237,13 @@ func TestTraceEventsValidation(t *testing.T) {
 	}
 }
 
-// TestServerPhaseHistograms checks the commit-server records phase timings
-// when Stats is on and queue-depth samples regardless.
+// TestServerPhaseHistograms checks every epoch lands in the latency report's
+// server phases when Latency is on, and in the queue-depth samples regardless.
 func TestServerPhaseHistograms(t *testing.T) {
 	for _, algo := range []Algo{RInvalV1, RInvalV2, RInvalV3} {
 		algo := algo
 		t.Run(algo.String(), func(t *testing.T) {
-			cfg := Config{Algo: algo, MaxThreads: 4, InvalServers: 2, StepsAhead: 2, Stats: true}
+			cfg := Config{Algo: algo, MaxThreads: 4, InvalServers: 2, StepsAhead: 2, Latency: true}
 			s, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -266,16 +266,17 @@ func TestServerPhaseHistograms(t *testing.T) {
 			if st.Server.QueueDepth.Count() == 0 {
 				t.Fatal("no queue-depth samples")
 			}
-			if st.Server.ScanNs.Count() == 0 || st.Server.WriteBackNs.Count() == 0 ||
-				st.Server.ReplyNs.Count() == 0 {
-				t.Fatalf("phase histograms empty: scan=%d wb=%d reply=%d",
-					st.Server.ScanNs.Count(), st.Server.WriteBackNs.Count(), st.Server.ReplyNs.Count())
+			phases := serverPhaseCounts(s)
+			for _, name := range []string{"collect", "write-back", "reply"} {
+				if phases[name] != st.Epochs {
+					t.Fatalf("phase %q has %d samples, want one per epoch (%d): %v", name, phases[name], st.Epochs, phases)
+				}
 			}
 			if algo == RInvalV3 && st.Server.StepAhead.Count() == 0 {
 				t.Fatal("V3 recorded no step-ahead samples")
 			}
-			if algo == RInvalV1 && st.Server.InvalWaitNs.Count() == 0 {
-				t.Fatal("V1 recorded no inline invalidation phase")
+			if algo == RInvalV1 && phases["scan"] != st.Epochs {
+				t.Fatalf("V1 recorded %d inline invalidation scans over %d epochs", phases["scan"], st.Epochs)
 			}
 		})
 	}
@@ -301,5 +302,54 @@ func TestAbortReasonConstantsAlias(t *testing.T) {
 	}
 	if fmt.Sprint(NumAbortReasons) != fmt.Sprint(obs.NumAbortReasons) {
 		t.Error("NumAbortReasons mismatch")
+	}
+}
+
+// TestServerHistogramsLiveScrape: the /metrics source reads the per-epoch
+// histograms while epoch drivers record into them (rinval-bench -metrics
+// scrapes a live System). Under -race a plain copy of a histogram the stream
+// lock holder is recording into fails here.
+func TestServerHistogramsLiveScrape(t *testing.T) {
+	s, err := New(Config{Algo: RInvalV2, MaxThreads: 2, InvalServers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	scraped := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-done:
+				scraped <- n
+				return
+			default:
+				n += len(s.ServerPhaseHistograms())
+			}
+		}
+	}()
+	x := NewVar(0)
+	th := s.MustRegister()
+	for i := 0; i < 2000; i++ {
+		if err := th.Atomically(func(tx *Tx) error {
+			tx.Store(x, i)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	if n := <-scraped; n == 0 {
+		t.Fatal("scraper never ran")
+	}
+	th.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	epochs := s.Stats().Epochs
+	for _, nh := range s.ServerPhaseHistograms() {
+		if nh.Name != "stm_server_step_ahead" && nh.Hist.Count() != epochs {
+			t.Errorf("%s has %d samples over %d epochs", nh.Name, nh.Hist.Count(), epochs)
+		}
 	}
 }

@@ -40,10 +40,10 @@ type commitReq struct {
 	ws *writeSet
 	// writes/touched are shard bitmasks (bit j = stream j): the shards the
 	// write set lands in, and those plus every shard the transaction read
-	// from. A single-bit touched mask routes the request to that shard's
-	// commit-server; more bits make it a cross-shard request led by the
-	// lowest touched shard through the stream handshake. Both are 1<<0 when
-	// Shards == 1. They live here, not on the slot: commitReq is a per-commit
+	// from. The epoch that retires the request runs over exactly the touched
+	// streams, led by the lowest one's commit-server: one stream batches with
+	// its neighbours, more make it a cross-shard request led solo. Both are
+	// 1<<0 when Shards == 1. They live here, not on the slot: commitReq is a per-commit
 	// heap value, so extending it cannot disturb the slot's cache-line
 	// layout.
 	writes  uint64
@@ -65,8 +65,6 @@ type slot struct {
 	status padded.Uint64
 	// req carries the published commit request while state is PENDING.
 	req padded.Pointer[commitReq]
-	// inUse marks the slot as owned by a registered Thread.
-	inUse padded.Bool
 	// killer is the attribution mailbox: a doomer stores its killDesc here
 	// immediately before the doom CAS, and the victim reads it back on its
 	// abort path (nil outside Config.Attribution; cleared by the owner at

@@ -23,7 +23,6 @@ func TestSlotLayout(t *testing.T) {
 		"state":  unsafe.Offsetof(s.state),
 		"status": unsafe.Offsetof(s.status),
 		"req":    unsafe.Offsetof(s.req),
-		"inUse":  unsafe.Offsetof(s.inUse),
 		"killer": unsafe.Offsetof(s.killer),
 	}
 	for name, off := range offsets {

@@ -72,9 +72,9 @@ type Stats struct {
 	// or helping client). With group commit one epoch can retire a whole
 	// batch, so Epochs <= the server's Commits; the ratio is the batching win.
 	Epochs uint64
-	// CrossShardCommits counts commits retired through the two-phase stream
-	// handshake (Config.Shards > 1 only): requests whose touched-shard mask
-	// spanned more than one commit stream.
+	// CrossShardCommits counts commits retired by multi-stream epochs
+	// (Config.Shards > 1 only): requests whose touched-shard mask spanned
+	// more than one commit stream.
 	CrossShardCommits uint64
 	// HelpedEpochs counts the epochs a client drove itself: its busy-wait
 	// budget ran out with no reply, the home stream's lock was free, and the
@@ -83,64 +83,34 @@ type Stats struct {
 	// the stream's Epochs, so HelpedEpochs <= Epochs and the ratio is the
 	// share of epochs the commit-server did not get to first.
 	HelpedEpochs uint64
-	// BatchSizes is the distribution of group-commit batch sizes (one sample
-	// per epoch). Only a stream's epoch driver records into it, under the
-	// stream lock.
+	// BatchSizes is the distribution of group-commit batch sizes, one sample
+	// per epoch. Like Server it is populated only in server-side Stats (the
+	// epoch drivers record into atomic histograms; this is their snapshot).
 	BatchSizes histo.Histogram
 
-	// Server holds the commit stream's per-epoch phase histograms. Only an
-	// RInval epoch driver records into it, under the stream lock (read after
-	// Close); queue-depth and step-ahead samples are always collected, the
-	// *Ns phases require Config.Stats (they cost clock reads).
+	// Server holds the commit streams' clock-free per-epoch samples. The
+	// epochs' phase durations are the latency report's server side
+	// (Config.Latency, System.LatencyReport).
 	Server ServerPhases
 }
 
-// ServerPhases is the commit-server's critical-path breakdown, one histogram
-// sample per group-commit epoch. The phases correspond to the paper's
-// Algorithm 2-4 steps: collect the batch (scan), wait out invalidation-server
-// lag, publish the write sets, reply to the members.
+// ServerPhases is the commit streams' per-epoch occupancy, one histogram
+// sample per group-commit epoch.
 type ServerPhases struct {
 	// QueueDepth is the number of pending commit requests the epoch's
 	// collection scan observed (including ones it deferred).
 	QueueDepth histo.Histogram
-	// ScanNs is the batch-collection scan duration.
-	ScanNs histo.Histogram
-	// InvalWaitNs is the lag-budget wait for the invalidation-servers
-	// (V2/V3), or the inline invalidation scan (V1).
-	InvalWaitNs histo.Histogram
-	// WriteBackNs is the write-back duration for the whole batch.
-	WriteBackNs histo.Histogram
-	// ReplyNs is the reply fan-out duration.
-	ReplyNs histo.Histogram
-	// LockWaitNs is the cross-shard handshake's stream-lock acquisition
-	// duration, one sample per cross-shard commit (Config.Shards > 1 only).
-	LockWaitNs histo.Histogram
-	// DrainNs is the cross-shard handshake's invalidation-backlog drain
-	// duration (Config.Shards > 1, V2/V3 only).
-	DrainNs histo.Histogram
 	// StepAhead is the V3 step-ahead occupancy: how many commits the
 	// commit-server was running ahead of the slowest invalidation-server
 	// when each epoch started.
 	StepAhead histo.Histogram
 }
 
-// merge folds o into p.
-func (p *ServerPhases) merge(o *ServerPhases) {
-	p.QueueDepth.Merge(&o.QueueDepth)
-	p.ScanNs.Merge(&o.ScanNs)
-	p.InvalWaitNs.Merge(&o.InvalWaitNs)
-	p.WriteBackNs.Merge(&o.WriteBackNs)
-	p.ReplyNs.Merge(&o.ReplyNs)
-	p.LockWaitNs.Merge(&o.LockWaitNs)
-	p.DrainNs.Merge(&o.DrainNs)
-	p.StepAhead.Merge(&o.StepAhead)
-}
-
 // Add accumulates o into s. The counter adds are atomic for the same reason
 // the live-thread updates are: s may be a shared aggregate that several
 // goroutines fold into, and the atomic discipline on these fields is
 // all-or-nothing (stmlint's mixed-access check enforces it). The histogram
-// merges stay plain — only quiescent server stats carry them.
+// merges stay plain — only snapshots of server stats carry them.
 func (s *Stats) Add(o Stats) {
 	atomic.AddUint64(&s.Commits, o.Commits)
 	atomic.AddUint64(&s.Aborts, o.Aborts)
@@ -163,13 +133,14 @@ func (s *Stats) Add(o Stats) {
 	atomic.AddUint64(&s.CrossShardCommits, o.CrossShardCommits)
 	atomic.AddUint64(&s.HelpedEpochs, o.HelpedEpochs)
 	s.BatchSizes.Merge(&o.BatchSizes)
-	s.Server.merge(&o.Server)
+	s.Server.QueueDepth.Merge(&o.Server.QueueDepth)
+	s.Server.StepAhead.Merge(&o.Server.StepAhead)
 }
 
 // snapshotAtomic returns a copy of s safe to take while the owning thread is
-// concurrently updating counters with atomic adds. BatchSizes is copied
-// plainly: only server-side Stats (read after the servers have joined) ever
-// populate it, never a live thread's.
+// concurrently updating counters with atomic adds. The histograms are not
+// copied: no live Stats records into them (shardServer.stats fills them from
+// the epoch drivers' atomic histograms).
 func (s *Stats) snapshotAtomic() Stats {
 	out := Stats{
 		Commits:           atomic.LoadUint64(&s.Commits),
@@ -193,8 +164,6 @@ func (s *Stats) snapshotAtomic() Stats {
 	for i := range s.AbortReasons {
 		out.AbortReasons[i] = atomic.LoadUint64(&s.AbortReasons[i])
 	}
-	out.BatchSizes = s.BatchSizes
-	out.Server = s.Server
 	return out
 }
 

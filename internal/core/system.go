@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"runtime/pprof"
 	"sync"
@@ -59,8 +60,7 @@ type slotMask []uint64
 
 func newSlotMask(n int) slotMask { return make(slotMask, (n+63)/64) }
 
-func (m slotMask) set(i int)      { m[i>>6] |= 1 << (uint(i) & 63) }
-func (m slotMask) has(i int) bool { return m[i>>6]&(1<<(uint(i)&63)) != 0 }
+func (m slotMask) set(i int) { m[i>>6] |= 1 << (uint(i) & 63) }
 
 func (m slotMask) clearAll() {
 	for i := range m {
@@ -94,12 +94,12 @@ type commitStream struct {
 	ts padded.Uint64
 
 	// owner is the stream lock: held (1) by whoever drives an epoch here —
-	// the shard's own commit-server, a cross-shard leader that acquired this
-	// stream during the two-phase handshake, or a waiting client that took it
-	// to run the epoch itself (DESIGN.md §16). Every RInval ts transition
-	// happens under it, for every Shards value, so a holder that observes ts
-	// even knows no epoch is in flight. Streams are always locked in
-	// ascending shard order, which makes the handshake deadlock-free.
+	// the shard's own commit-server, the leader of a multi-stream epoch that
+	// touches this stream, or a waiting client that took it to run the epoch
+	// itself (DESIGN.md §16). Every RInval ts transition happens under it,
+	// for every Shards value, so a holder that observes ts even knows no
+	// epoch is in flight. Waiting acquisitions go through lockStreams, in
+	// ascending shard order, which makes multi-stream epochs deadlock-free.
 	owner padded.Uint32
 
 	// invalTS[k] is local invalidation-server k's timestamp for this stream
@@ -144,7 +144,7 @@ type System struct {
 
 	// active is the level-0 scan gate: one bit per slot, set while a
 	// transaction is in flight there (see activeSet for the ordering
-	// contract). Unused when cfg.FlatScan walks every slot instead.
+	// contract).
 	active activeSet
 
 	// nVers is Config.Versions: the per-Var history ring capacity, 0 when
@@ -289,7 +289,7 @@ func newSystem(cfg Config) (*System, error) {
 		}
 	}
 	if cfg.Attribution {
-		s.attr = obs.NewAttribution(cfg.MaxThreads, cfg.AttrReservoirSize, cfg.Seed)
+		s.attr = obs.NewAttribution(cfg.MaxThreads, attrReservoirSize, cfg.Seed)
 	}
 	if cfg.Latency {
 		// Before engine construction: the shard servers capture their cells.
@@ -430,7 +430,6 @@ func (s *System) Register() (*Thread, error) {
 	idx := s.freeSlots[len(s.freeSlots)-1]
 	s.freeSlots = s.freeSlots[:len(s.freeSlots)-1]
 	sl := &s.slots[idx]
-	sl.inUse.Store(true)
 	th := &Thread{
 		sys:  s,
 		idx:  idx,
@@ -478,7 +477,6 @@ func (s *System) release(th *Thread) {
 		return
 	}
 	delete(s.live, th)
-	th.slot.inUse.Store(false)
 	s.freeSlots = append(s.freeSlots, th.idx)
 	s.retired.Add(th.stats)
 }
@@ -504,11 +502,11 @@ func (s *System) Timestamp() uint64 { return s.streams[0].ts.Load() }
 // Shards returns the effective shard count.
 func (s *System) Shards() int { return len(s.streams) }
 
-// ShardServerStats returns one Stats per commit stream — shard j's
-// commit-server activity folded with its invalidation-servers', including
-// the per-shard phase histograms and cross-shard-commit count. Only the
-// RInval engines have shard servers; other engines return nil. Valid after
-// Close (server stats are read unsynchronized once the goroutines joined).
+// ShardServerStats returns one Stats per commit stream — shard j's epoch
+// drivers' activity folded with its invalidation-servers', including the
+// per-epoch histograms and cross-shard-commit count. Only the RInval engines
+// have shard servers; other engines return nil. Safe to call while
+// transactions run (atomic loads and histogram snapshots).
 func (s *System) ShardServerStats() []Stats {
 	re, ok := s.eng.(*remoteEngine)
 	if !ok {
@@ -516,11 +514,7 @@ func (s *System) ShardServerStats() []Stats {
 	}
 	out := make([]Stats, len(re.srv))
 	for j, sv := range re.srv {
-		st := sv.commitSrv
-		for k := range sv.invalSrv {
-			st.Add(sv.invalSrv[k])
-		}
-		out[j] = st
+		out[j] = sv.stats()
 	}
 	return out
 }
@@ -537,10 +531,9 @@ func (s *System) shardOf(v *Var) int { return int(v.shardH & s.shardMask) }
 func (s *System) VarShard(v *Var) int { return s.shardOf(v) }
 
 // lockStream acquires shard j's stream lock, spinning until the current
-// holder releases it. Callers acquiring several streams must do so in
-// ascending shard order (the handshake's deadlock-freedom argument,
-// DESIGN.md §11). The holder is the stream's epoch driver and owns its
-// shardServer's scratch until unlockStream.
+// holder releases it. The holder is the stream's epoch driver and owns its
+// shardServer's scratch until unlockStream. Waiting acquisition goes through
+// lockStreams, which fixes the order.
 //
 //stm:hotpath
 func (s *System) lockStream(j int) {
@@ -566,6 +559,30 @@ func (s *System) tryLockStream(j int) bool {
 //
 //stm:hotpath
 func (s *System) unlockStream(j int) { s.streams[j].owner.Store(0) }
+
+// lockStreams acquires the stream lock of every shard in mask in ascending
+// shard order. Every waiting acquisition takes this one route, so concurrent
+// multi-stream drivers share a total order and cannot deadlock (DESIGN.md
+// §11).
+//
+//stm:hotpath
+func (s *System) lockStreams(mask uint64) {
+	for m := mask; m != 0; m &= m - 1 {
+		s.lockStream(bits.TrailingZeros64(m))
+	}
+}
+
+// unlockStreams releases the stream locks in mask in descending shard order,
+// the reverse of lockStreams.
+//
+//stm:hotpath
+func (s *System) unlockStreams(mask uint64) {
+	for m := mask; m != 0; {
+		j := bits.Len64(m) - 1
+		m &^= 1 << uint(j)
+		s.unlockStream(j)
+	}
+}
 
 // Tracer returns the lifecycle event tracer, or nil when Config.Trace is
 // off. Export methods (WriteChromeTrace, Summary) must only be called after
@@ -698,21 +715,11 @@ func (s *System) captureSnapshot(dst []uint64) bool {
 // 64-bit read-summary signature before committing to the full filter
 // intersection. Both levels are conservative — they may pass a slot the full
 // check would reject, never skip a true conflict — so the doom decision is
-// still made exactly where it was at seed. Config.FlatScan restores the
-// seed's walk over all MaxThreads slots for measurement.
+// still made exactly where it was at seed.
 //
 //stm:hotpath
 func (s *System) invalidateOthers(skip slotMask, bf *bloom.Filter, ring *obs.Ring, kd *killDesc) uint64 {
 	var doomed uint64
-	if s.cfg.FlatScan {
-		for i := range s.slots {
-			if skip.has(i) {
-				continue
-			}
-			doomed += s.invalidateSlotFlat(i, bf, ring, kd)
-		}
-		return doomed
-	}
 	sum := bf.Summary()
 	for w := range s.active.words {
 		b := s.active.words[w].Load() &^ skip[w]
@@ -731,15 +738,6 @@ func (s *System) invalidateOthers(skip slotMask, bf *bloom.Filter, ring *obs.Rin
 //stm:hotpath
 func (s *System) invalidatePartition(k int, skip slotMask, bf *bloom.Filter, ring *obs.Ring, kd *killDesc) uint64 {
 	var doomed uint64
-	if s.cfg.FlatScan {
-		for i := k; i < len(s.slots); i += s.nInvalPerShard {
-			if skip.has(i) {
-				continue
-			}
-			doomed += s.invalidateSlotFlat(i, bf, ring, kd)
-		}
-		return doomed
-	}
 	sum := bf.Summary()
 	part := s.partMask[k]
 	for w := range s.active.words {
@@ -785,34 +783,6 @@ func (s *System) invalidateSlot(i int, sum uint64, bf *bloom.Filter, ring *obs.R
 	return 0
 }
 
-// invalidateSlotFlat is the seed-era doom check: no active bitmap (so the
-// slot may be idle — gate on inUse and the status word first) and no summary
-// rejection. Kept behind Config.FlatScan as the measured baseline and the
-// differential-test oracle for the two-level path.
-//
-//stm:hotpath
-func (s *System) invalidateSlotFlat(i int, bf *bloom.Filter, ring *obs.Ring, kd *killDesc) uint64 {
-	sl := &s.slots[i]
-	if !sl.inUse.Load() {
-		return 0
-	}
-	w, alive := sl.aliveWord()
-	if !alive {
-		return 0
-	}
-	if !sl.readBF.IntersectsFilter(bf) {
-		return 0
-	}
-	if kd != nil {
-		sl.killer.Store(kd) // before the CAS, as in invalidateSlot
-	}
-	if sl.tryInvalidate(w) {
-		ring.Instant(obs.KInval, uint64(i))
-		return 1
-	}
-	return 0
-}
-
 // countConflictingReaders counts in-flight transactions whose read signature
 // intersects bf — the CMReaderBiased policy's doom estimate. Same two-level
 // structure as the invalidation scan, without the doom.
@@ -820,24 +790,6 @@ func (s *System) invalidateSlotFlat(i int, bf *bloom.Filter, ring *obs.Ring, kd 
 //stm:hotpath
 func (s *System) countConflictingReaders(committer int, bf *bloom.Filter) int {
 	n := 0
-	if s.cfg.FlatScan {
-		for i := range s.slots {
-			if i == committer {
-				continue
-			}
-			sl := &s.slots[i]
-			if !sl.inUse.Load() {
-				continue
-			}
-			if _, alive := sl.aliveWord(); !alive {
-				continue
-			}
-			if sl.readBF.IntersectsFilter(bf) {
-				n++
-			}
-		}
-		return n
-	}
 	sum := bf.Summary()
 	for w := range s.active.words {
 		b := s.active.words[w].Load()
@@ -865,17 +817,10 @@ func (s *System) countConflictingReaders(committer int, bf *bloom.Filter) int {
 // collection scan. A requester is ALIVE for the whole PENDING window and its
 // active bit is set before the request can be published (begin precedes
 // commit), so the bitmap is a conservative superset of the pending set; the
-// caller re-checks state on each candidate. With FlatScan every slot index
-// is a candidate, as at seed.
+// caller re-checks state on each candidate.
 //
 //stm:hotpath
 func (s *System) appendPendingCandidates(buf []int, from int) []int {
-	if s.cfg.FlatScan {
-		for i := from; i < len(s.slots); i++ {
-			buf = append(buf, i)
-		}
-		return buf
-	}
 	for w := from >> 6; w < len(s.active.words); w++ {
 		b := s.active.words[w].Load()
 		if w == from>>6 {

@@ -300,36 +300,38 @@ func (l *LatencyRecorder) ClientPhaseHistogram(p LatPhase) histo.Histogram {
 }
 
 // NamedHistogram pairs a histogram with the metric name and label set it is
-// exported under — the unit /metrics uses for every histogram-typed series
-// (latency phases and the commit-server phase histograms alike).
+// exported under — the unit /metrics uses for the histogram-typed series
+// beyond the latency report (the commit streams' per-epoch histograms).
 type NamedHistogram struct {
 	Name   string // metric family, e.g. "stm_latency_ns"
 	Labels string // rendered label pairs without braces, e.g. `phase="app",side="client"`
 	Hist   histo.Histogram
 }
 
-// WriteOpenMetricsHistogram renders h as one OpenMetrics histogram child
-// with cumulative le buckets (the power-of-two bucket upper bounds, then
-// +Inf), plus the _count and _sum series. The caller writes the # TYPE line
-// once per family.
-func WriteOpenMetricsHistogram(w io.Writer, name, labels string, h *histo.Histogram) {
+// WriteOpenMetricsHistogram renders one OpenMetrics histogram child from a
+// histogram's non-empty buckets, count and sum — the form both a live
+// histo.Histogram and a LatencyReport row (which may have come back from
+// JSON) can supply: cumulative le buckets (the power-of-two bucket upper
+// bounds, then +Inf), plus the _count and _sum series. The caller writes the
+// # TYPE line once per family.
+func WriteOpenMetricsHistogram(w io.Writer, name, labels string, buckets []histo.Bucket, count, sum uint64) {
 	sep := ""
 	if labels != "" {
 		sep = ","
 	}
 	var cum uint64
-	for _, b := range h.NonEmptyBuckets() {
+	for _, b := range buckets {
 		cum += b.Count
 		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%d\"} %d\n", name, labels, sep, b.Hi, cum)
 	}
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, h.Count())
+	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, count)
 	if labels == "" {
-		fmt.Fprintf(w, "%s_count %d\n", name, h.Count())
-		fmt.Fprintf(w, "%s_sum %d\n", name, h.Sum())
+		fmt.Fprintf(w, "%s_count %d\n", name, count)
+		fmt.Fprintf(w, "%s_sum %d\n", name, sum)
 		return
 	}
-	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, h.Count())
-	fmt.Fprintf(w, "%s_sum{%s} %d\n", name, labels, h.Sum())
+	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, count)
+	fmt.Fprintf(w, "%s_sum{%s} %d\n", name, labels, sum)
 }
 
 // WriteOpenMetrics renders the report's phase histograms as the
@@ -343,23 +345,12 @@ func (r *LatencyReport) WriteOpenMetrics(w io.Writer) {
 	family(w, "stm_latency_sampled_commits", "counter", "Committed transactions sampled by the latency decomposition.")
 	fmt.Fprintf(w, "stm_latency_sampled_commits_total %d\n", r.SampledCommits)
 	family(w, "stm_latency_ns", "histogram", "Critical-path phase durations by phase and side, in nanoseconds.")
-	writeSide := func(side string, phases []LatencyPhase) {
-		for _, p := range phases {
-			labels := fmt.Sprintf("phase=%q,side=%q", p.Phase, side)
-			// Cumulative buckets come straight from the report row; the raw
-			// histogram is not retained in the JSON form.
-			var cum uint64
-			for _, b := range p.Bucket {
-				cum += b.Count
-				fmt.Fprintf(w, "stm_latency_ns_bucket{%s,le=\"%d\"} %d\n", labels, b.Hi, cum)
-			}
-			fmt.Fprintf(w, "stm_latency_ns_bucket{%s,le=\"+Inf\"} %d\n", labels, p.Count)
-			fmt.Fprintf(w, "stm_latency_ns_count{%s} %d\n", labels, p.Count)
-			fmt.Fprintf(w, "stm_latency_ns_sum{%s} %d\n", labels, p.SumNs)
-		}
+	for _, p := range r.Client {
+		WriteOpenMetricsHistogram(w, "stm_latency_ns", fmt.Sprintf("phase=%q,side=\"client\"", p.Phase), p.Bucket, p.Count, p.SumNs)
 	}
-	writeSide("client", r.Client)
-	writeSide("server", r.Server)
+	for _, p := range r.Server {
+		WriteOpenMetricsHistogram(w, "stm_latency_ns", fmt.Sprintf("phase=%q,side=\"server\"", p.Phase), p.Bucket, p.Count, p.SumNs)
+	}
 }
 
 // SortPhases orders report rows by descending p99 — what the stmtop panel

@@ -134,7 +134,7 @@ func TestWriteOpenMetricsHistogramCumulative(t *testing.T) {
 	}
 	h := l.ClientPhaseHistogram(LatApp)
 	var sb strings.Builder
-	WriteOpenMetricsHistogram(&sb, "x_ns", `k="v"`, &h)
+	WriteOpenMetricsHistogram(&sb, "x_ns", `k="v"`, h.NonEmptyBuckets(), h.Count(), h.Sum())
 	out := sb.String()
 	for _, want := range []string{
 		`x_ns_bucket{k="v",le="3"} 1`,
@@ -156,8 +156,8 @@ func TestMetricsPageWritesAllSections(t *testing.T) {
 	l.Client(0).Record(LatTotal, 123)
 	l.Server(0).Record(LatCollect, 9)
 	var sh NamedHistogram
-	sh.Name = "stm_server_phase_ns"
-	sh.Labels = `shard="0",phase="scan"`
+	sh.Name = "stm_server_queue_depth"
+	sh.Labels = `shard="0"`
 	srvHist := l.ClientPhaseHistogram(LatTotal)
 	sh.Hist = srvHist
 	page := MetricsPage{Latency: l.Report(), Server: []NamedHistogram{sh}}
@@ -170,8 +170,8 @@ func TestMetricsPageWritesAllSections(t *testing.T) {
 		"# TYPE stm_latency_ns histogram",
 		`stm_latency_ns_bucket{phase="total",side="client",le="+Inf"} 1`,
 		`stm_latency_ns_bucket{phase="collect",side="server",le="+Inf"} 1`,
-		"# TYPE stm_server_phase_ns histogram",
-		`stm_server_phase_ns_count{shard="0",phase="scan"} 1`,
+		"# TYPE stm_server_queue_depth histogram",
+		`stm_server_queue_depth_count{shard="0"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)

@@ -52,7 +52,6 @@ func family(w io.Writer, name, typ, help string) {
 // text; families added by future engines fall back to a generic line rather
 // than omitting HELP (the conformance test requires one per TYPE).
 var serverFamilyHelp = map[string]string{
-	"stm_server_phase_ns":    "Commit-server per-epoch phase durations, in nanoseconds.",
 	"stm_server_queue_depth": "Pending commit requests observed by each epoch's collection scan.",
 	"stm_server_step_ahead":  "RInvalV3 step-ahead occupancy when each epoch started.",
 	"stm_batch_size":         "Group-commit batch sizes, one sample per epoch.",
@@ -60,14 +59,14 @@ var serverFamilyHelp = map[string]string{
 
 // MetricsPage is everything one /metrics scrape exposes: the conflict
 // report's scalar counters, the critical-path latency histograms, the
-// commit-server phase histograms — the latter two as proper OpenMetrics
+// commit streams' per-epoch histograms — the latter two as proper OpenMetrics
 // histogram families with cumulative le buckets — and, when the windowed
 // telemetry engine is on, its rate/quantile/SLO gauges.
 type MetricsPage struct {
 	Conflict ConflictReport
 	Latency  LatencyReport
-	// Server holds histogram-typed series beyond the latency report —
-	// the Stats.Server phase histograms, one NamedHistogram per
+	// Server holds histogram-typed series beyond the latency report — the
+	// Stats.Server and batch-size histograms, one NamedHistogram per
 	// (family, label set) child; families are grouped for # TYPE lines in
 	// first-appearance order.
 	Server []NamedHistogram
@@ -92,7 +91,7 @@ func (p *MetricsPage) WriteOpenMetrics(w io.Writer) {
 			}
 			family(w, nh.Name, "histogram", help)
 		}
-		WriteOpenMetricsHistogram(w, nh.Name, nh.Labels, &nh.Hist)
+		WriteOpenMetricsHistogram(w, nh.Name, nh.Labels, nh.Hist.NonEmptyBuckets(), nh.Hist.Count(), nh.Hist.Sum())
 	}
 	if p.TimeSeries != nil {
 		p.TimeSeries.WriteOpenMetrics(w)

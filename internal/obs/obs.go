@@ -128,6 +128,9 @@ const (
 	// KStepAhead (counter, commit-server): commits the V3 server is running
 	// ahead of the slowest invalidation-server. Arg = occupancy.
 	KStepAhead
+	// KLockWait (span, commit-server): a multi-stream epoch's leader
+	// acquiring every touched stream's lock.
+	KLockWait
 	numKinds
 )
 
@@ -173,6 +176,8 @@ func (k Kind) String() string {
 		return "queue-depth"
 	case KStepAhead:
 		return "step-ahead"
+	case KLockWait:
+		return "lock-wait"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}

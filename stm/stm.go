@@ -223,9 +223,10 @@ func (s *System) Config() Config { return s.sys.Config() }
 func (s *System) Shards() int { return s.sys.Shards() }
 
 // ShardServerStats returns one Stats per commit stream — shard j's
-// commit-server counters folded with its invalidation-servers', including
-// per-shard phase histograms and the cross-shard-commit count. Nil for
-// engines without shard servers (everything but RInval). Call after Close.
+// epoch drivers' counters folded with its invalidation-servers', including
+// the per-epoch histograms and the cross-shard-commit count. Nil for
+// engines without shard servers (everything but RInval). Safe to call while
+// transactions run.
 func (s *System) ShardServerStats() []Stats { return s.sys.ShardServerStats() }
 
 // LatencyReport returns the critical-path latency decomposition. Safe to
@@ -234,11 +235,10 @@ func (s *System) ShardServerStats() []Stats { return s.sys.ShardServerStats() }
 // empty phases.
 func (s *System) LatencyReport() LatencyReport { return s.sys.LatencyReport() }
 
-// ServerPhaseHistograms returns the commit-server phase histograms
-// (Stats.Server) as exportable OpenMetrics histogram children, one per
-// phase (and per shard when sharding). The underlying histograms are folded
-// at Close, so call after Close; for a live view use
-// LatencyReport's server phases instead.
+// ServerPhaseHistograms returns the commit streams' per-epoch histograms
+// (queue depth, step-ahead occupancy, batch size) as exportable OpenMetrics
+// histogram children, one set per shard. Safe to call while transactions
+// run. The epochs' phase durations are LatencyReport's server phases.
 func (s *System) ServerPhaseHistograms() []NamedHistogram {
 	return s.sys.ServerPhaseHistograms()
 }
