@@ -83,7 +83,8 @@ type shardServer struct {
 	// Group-commit scratch, owned by the stream-lock holder: the batch
 	// member slots, the union of their write signatures, the union of their
 	// read signatures (for the R/W compatibility test), and the member mask
-	// RInvalV1 passes to its inline invalidation scan.
+	// RInvalV1 passes to its inline invalidation scan. The unions and the
+	// mask are built for two members or more; a lone member's own serve.
 	batchIdx  []int
 	batchWS   *bloom.Filter
 	batchRS   *bloom.Filter
@@ -371,12 +372,14 @@ func (sv *shardServer) commitServerMain(stop func() bool) {
 //
 //stm:hotpath
 func (sv *shardServer) serveEpoch(mask uint64, first int) bool {
-	clk := startClock(sv.latC, sv.commitRing)
-	sv.sys.lockStreams(mask)
+	var clk phaseClock
 	if mask&(mask-1) != 0 {
+		clk = startClock(sv.latC, sv.commitRing)
+		sv.sys.lockStreams(mask)
 		clk.lap(obs.LatLockWait, obs.KLockWait, 0)
 	} else {
 		// On one stream the wait was another driver's whole epoch, timed there.
+		sv.sys.lockStreams(mask)
 		clk = startClock(sv.latC, sv.commitRing)
 	}
 	_, replied := sv.epoch(mask, first, &clk)
@@ -403,10 +406,11 @@ func (sv *shardServer) serveEpoch(mask uint64, first int) bool {
 //	reply      COMMITTED to every member
 //	record     counters and the batch-size sample
 //
-// A multi-stream epoch admits one request: cross-shard requests are led solo. committed is the number of members the epoch
-// committed (0: no timestamp transition); replied is false when no reply at
-// all was sent (nothing admissible from first upward) so the caller can back
-// off. Incompatible or deferred requests stay PENDING for a later epoch.
+// A multi-stream epoch admits one request: cross-shard requests are led solo.
+// committed is the number of members the epoch committed (0: no timestamp
+// transition); replied is false when no reply at all was sent (nothing
+// admissible from first upward) so the caller can back off. Incompatible or
+// deferred requests stay PENDING for a later epoch.
 //
 //stm:hotpath
 func (sv *shardServer) epoch(mask uint64, first int, clk *phaseClock) (committed int, replied bool) {
@@ -501,8 +505,10 @@ func (sv *shardServer) epoch(mask uint64, first int, clk *phaseClock) (committed
 // compatible — a member's write signature must not intersect the members'
 // write union (W/W) or read union (it would overwrite something a member
 // read), and its read signature must not intersect the write union (it read
-// something a member overwrites). With maxBatch 1 this degenerates to the
-// paper's one-request protocol: the leader alone, no compatibility tests.
+// something a member overwrites). The unions exist only once a second
+// candidate is tested: a lone member's signature is taken from its request
+// (publish). With maxBatch 1 this degenerates to the paper's one-request
+// protocol: the leader alone, no compatibility tests.
 //
 //stm:hotpath
 func (sv *shardServer) collect(mask uint64, first, maxBatch int, lagBudget uint64) (pending uint64) {
@@ -521,8 +527,7 @@ func (sv *shardServer) collect(mask uint64, first, maxBatch int, lagBudget uint6
 		sv.commitRing.Counter(obs.KStepAhead, (t-minTS)/2)
 	}
 	sv.batchIdx = sv.batchIdx[:0]
-	sv.batchWS.Clear()
-	sv.batchRS.Clear()
+	unions := false // built from the leader once a second candidate needs them
 	sv.epochBuf = sys.appendPendingCandidates(sv.epochBuf[:0], first)
 	for _, j := range sv.epochBuf {
 		if len(sv.batchIdx) >= maxBatch {
@@ -544,13 +549,24 @@ func (sv *shardServer) collect(mask uint64, first, maxBatch int, lagBudget uint6
 			// zero budget the catch-up stage covers every server instead.)
 			continue
 		}
-		if len(sv.batchIdx) > 0 && (req.ws.intersects(sv.batchWS) || req.ws.intersects(sv.batchRS) ||
-			s.readBF.IntersectsFilter(sv.batchWS)) {
-			continue
+		if len(sv.batchIdx) > 0 {
+			if !unions {
+				lead := &sys.slots[sv.batchIdx[0]]
+				sv.batchWS.CopyFrom(lead.req.Load().ws.bf)
+				sv.batchRS.Clear()
+				sv.batchRS.UnionAtomic(lead.readBF)
+				unions = true
+			}
+			if req.ws.intersects(sv.batchWS) || req.ws.intersects(sv.batchRS) ||
+				s.readBF.IntersectsFilter(sv.batchWS) {
+				continue
+			}
 		}
 		sv.batchIdx = append(sv.batchIdx, j)
-		sv.batchWS.UnionWith(req.ws.bf)
-		sv.batchRS.UnionAtomic(s.readBF)
+		if unions {
+			sv.batchWS.UnionWith(req.ws.bf)
+			sv.batchRS.UnionAtomic(s.readBF)
+		}
 	}
 	return pending
 }
@@ -577,26 +593,35 @@ func (sv *shardServer) publish(clk *phaseClock) {
 	if sys.attr != nil {
 		kd = sv.epochKillDesc()
 	}
-	var writes uint64
-	sv.batchMask.clearAll()
-	for _, j := range sv.batchIdx {
-		sv.batchMask.set(j)
-		writes |= sys.slots[j].req.Load().writes
+	// The epoch's write signature, member mask and written streams: a lone
+	// member's own (its filter is stable until the reply, its mask immutable),
+	// else the batch unions.
+	sig, members, writes := sv.batchWS, sv.batchMask, uint64(0)
+	if len(sv.batchIdx) == 1 {
+		s := &sys.slots[sv.batchIdx[0]]
+		req := s.req.Load()
+		sig, members, writes = req.ws.bf, s.selfMask, req.writes
+	} else {
+		members.clearAll()
+		for _, j := range sv.batchIdx {
+			members.set(j)
+			writes |= sys.slots[j].req.Load().writes
+		}
 	}
 	for m := writes; m != 0; m &= m - 1 {
 		j := bits.TrailingZeros64(m)
 		st := &sys.streams[j]
 		if e.numInval > 0 {
 			slot := (st.ts.Load() / 2) % uint64(len(st.ring))
-			sig, members := e.srv[j].sigBufs[slot], e.srv[j].memberBufs[slot]
-			sig.CopyFrom(sv.batchWS)
-			members.copyFrom(sv.batchMask)
-			st.ring[slot].Store(&commitDesc{bf: sig, members: members, kd: kd})
+			d := &commitDesc{bf: e.srv[j].sigBufs[slot], members: e.srv[j].memberBufs[slot], kd: kd}
+			d.bf.CopyFrom(sig)
+			d.members.copyFrom(members)
+			st.ring[slot].Store(d)
 		}
 		st.ts.Add(1)
 	}
 	if e.numInval == 0 {
-		doomed := sys.invalidateOthers(sv.batchMask, sv.batchWS, sv.commitRing, kd)
+		doomed := sys.invalidateOthers(members, sig, sv.commitRing, kd)
 		atomic.AddUint64(&sv.commitSrv.Invalidations, doomed)
 		clk.lap(obs.LatScan, obs.KInvalWait, doomed)
 	}

@@ -198,6 +198,45 @@ func TestGroupCommitConflictSplitsEpochs(t *testing.T) {
 	}
 }
 
+// TestGroupCommitThirdCandidateMeetsUnions: the unions are built only when a
+// second candidate turns up, and must then hold every member — a third request
+// that conflicts with the second member alone stays out of the epoch, and the
+// signature the epoch publishes covers both members.
+func TestGroupCommitThirdCandidateMeetsUnions(t *testing.T) {
+	s, err := newSystem(Config{Algo: RInvalV2, MaxThreads: 4, InvalServers: 1, MaxBatch: 16,
+		Bloom: bloom.Params{Bits: 1 << 16, Hashes: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := NewVar(0), NewVar(0)
+	ths := []*Thread{s.MustRegister(), s.MustRegister(), s.MustRegister()}
+	slots := []*slot{postPending(s, ths[0], a, 1), postPending(s, ths[1], b, 2), postPending(s, ths[2], b, 3)}
+
+	if !s.eng.(*remoteEngine).srv[0].serveEpoch(1, 0) {
+		t.Fatal("epoch made no progress")
+	}
+	for i, want := range []uint32{reqCommitted, reqCommitted, reqPending} {
+		if got := slots[i].state.Load(); got != want {
+			t.Errorf("slot %d state = %d, want %d", i, got, want)
+		}
+	}
+	d := s.streams[0].ring[0].Load()
+	if !d.bf.MayContain(a.id) || !d.bf.MayContain(b.id) {
+		t.Error("published signature does not cover both members' writes")
+	}
+	has := func(i int) bool { return d.members[i>>6]&(1<<(uint(i)&63)) != 0 }
+	if !has(ths[0].idx) || !has(ths[1].idx) || has(ths[2].idx) {
+		t.Error("published member mask is not exactly the two committed members")
+	}
+	for i := range ths {
+		settle(s, ths[i].idx, slots[i])
+		ths[i].Close()
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestGroupCommitMaxBatchOneRegression: with MaxBatch=1 the server never
 // batches — every epoch retires exactly one request, reproducing the
 // pre-group-commit protocol.

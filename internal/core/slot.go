@@ -43,9 +43,9 @@ type commitReq struct {
 	// from. The epoch that retires the request runs over exactly the touched
 	// streams, led by the lowest one's commit-server: one stream batches with
 	// its neighbours, more make it a cross-shard request led solo. Both are
-	// 1<<0 when Shards == 1. They live here, not on the slot: commitReq is a per-commit
-	// heap value, so extending it cannot disturb the slot's cache-line
-	// layout.
+	// 1<<0 when Shards == 1. They live here, not on the slot: commitReq is a
+	// per-commit heap value, so extending it cannot disturb the slot's
+	// cache-line layout.
 	writes  uint64
 	touched uint64
 }
