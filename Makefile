@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build test vet lint lint-github race bench bench-layers bench-groupcommit bench-conflict bench-shard bench-latency bench-mvro bench-tsdb
+.PHONY: verify build test vet lint lint-github race deflaked bench bench-layers bench-groupcommit bench-conflict bench-shard bench-latency bench-mvro bench-tsdb
 
 ## verify: the full pre-merge gate — vet, the invariant linter, build, tests,
 ## and the race detector over the packages with real concurrency.
@@ -34,6 +34,13 @@ test:
 race:
 	$(GO) test -race -count=1 ./internal/core/ ./stm/ ./internal/obs/ ./internal/bloom/ ./internal/padded/ ./internal/analysis/
 	$(GO) test -race -count=10 -run 'Help|CrossShard' ./internal/core/
+
+## deflaked: the two snapshot-reader tests that used to fail a few runs in a
+## hundred (slot reuse; aborts of a reader that fell back), fifty times each
+## under the race detector, so a relapse shows in one CI run.
+deflaked:
+	$(GO) test -race -count=50 -run 'TestROTornPairProperty$$' ./internal/core/
+	$(GO) test -race -count=50 -run 'TestRunMVReadOnly$$' ./internal/bench/
 
 ## bench: the repository benchmark (BENCHMARK.json): four workloads x four
 ## engines, 13 end-to-end metrics each, ~2 min. bench-layers prints the

@@ -71,6 +71,8 @@ type MVReadOnlyPoint struct {
 	// With Versions > 0 the acceptance criterion is ROAborts == 0: snapshot
 	// readers cannot conflict, and the Var pool is sized so lap fallbacks
 	// (the one path that could re-expose a reader to dooming) stay at zero.
+	// That holds for the sweep's geometry, not for every one; the bound that
+	// holds by construction is ROAbortsNoFallback == 0 below.
 	ROCommits   uint64 `json:"ro_commits"`
 	ROAborts    uint64 `json:"ro_aborts"`
 	ROFallbacks uint64 `json:"ro_fallbacks"`
@@ -82,6 +84,13 @@ type MVReadOnlyPoint struct {
 	// ReadVictimConflicts sums the conflict-matrix cells whose victim is a
 	// reader slot — the "read-victim rows" the sweep must drive to zero.
 	ReadVictimConflicts uint64 `json:"read_victim_conflicts"`
+
+	// ROAbortsNoFallback and ReadVictimNoFallback restrict ROAborts and
+	// ReadVictimConflicts to the readers that never fell back. A fallback
+	// re-runs the body in the regular retry loop, where it can be doomed any
+	// number of times, so only these are zero by construction.
+	ROAbortsNoFallback   uint64 `json:"ro_aborts_no_fallback"`
+	ReadVictimNoFallback uint64 `json:"read_victim_no_fallback"`
 
 	ROKTxPerSec    float64 `json:"ro_ktx_per_sec"`
 	TotalKTxPerSec float64 `json:"total_ktx_per_sec"`
@@ -104,7 +113,8 @@ func RunMVReadOnly(algos []stm.Algo, o MVReadOnlyOpts) (*MVReadOnlyReport, error
 		Workload: fmt.Sprintf("%d shared vars; readers sum %d vars via AtomicallyRO, writers update 2",
 			o.Vars, o.ReadsPer),
 		Note: "dedicated reader/writer clients: reader-thread aborts are exactly the " +
-			"read-only aborts, and must be 0 at every Versions>0 point",
+			"read-only aborts, and must be 0 at every Versions>0 point for every reader " +
+			"that never fell back",
 	}
 	for _, algo := range algos {
 		for _, pct := range o.ReadPcts {
@@ -219,11 +229,15 @@ func runMVReadOnlyPoint(algo stm.Algo, pct, clients, versions int, o MVReadOnlyO
 		Writers:    writers,
 		DurationNs: elapsed.Nanoseconds(),
 	}
+	// readerSlot maps a reader's slot to whether it ever fell back.
 	readerSlot := make(map[int]bool, readers)
 	for i, th := range ths {
 		st := th.Stats()
 		if i < readers {
-			readerSlot[th.ID()] = true
+			readerSlot[th.ID()] = st.ROFallbacks != 0
+			if st.ROFallbacks == 0 {
+				p.ROAbortsNoFallback += st.Aborts
+			}
 			p.ROCommits += st.Commits
 			p.ROAborts += st.Aborts
 			p.ROFallbacks += st.ROFallbacks
@@ -245,8 +259,11 @@ func runMVReadOnlyPoint(algo stm.Algo, pct, clients, versions int, o MVReadOnlyO
 	// Matrix is [committer][victim]: fold every cell whose victim is a reader.
 	for _, row := range cr.Matrix {
 		for victim, n := range row {
-			if readerSlot[victim] {
+			if fellBack, ok := readerSlot[victim]; ok {
 				p.ReadVictimConflicts += n
+				if !fellBack {
+					p.ReadVictimNoFallback += n
+				}
 			}
 		}
 	}

@@ -10,9 +10,10 @@ import (
 )
 
 // TestRunMVReadOnly smoke-runs a tiny sweep and enforces the report's
-// structural invariants: reader threads take zero aborts and zero read-victim
-// matrix rows at every Versions>0 point (the abort-free construction), the
-// Versions=0 baseline takes no snapshot path at all, and the JSON round-trips.
+// structural invariants: a reader that never fell back takes zero aborts and
+// zero read-victim matrix cells at every Versions>0 point (the abort-free
+// construction), the Versions=0 baseline takes no snapshot path at all, and
+// the JSON round-trips.
 func TestRunMVReadOnly(t *testing.T) {
 	rep, err := RunMVReadOnly([]stm.Algo{stm.InvalSTM},
 		MVReadOnlyOpts{
@@ -35,11 +36,14 @@ func TestRunMVReadOnly(t *testing.T) {
 			t.Errorf("%s %d%%/V=%d: readers committed nothing", p.Algo, p.ReadPct, p.Versions)
 		}
 		if p.Versions > 0 {
-			if p.ROAborts != 0 {
-				t.Errorf("%s %d%%/V=%d: %d read-only aborts, want 0", p.Algo, p.ReadPct, p.Versions, p.ROAborts)
+			// Per reader: no fallback, no abort. Versions is tiny here, so a
+			// descheduled reader may be lapped, and its fallback runs in the
+			// regular retry loop where it can be doomed (more than once).
+			if p.ROAbortsNoFallback != 0 {
+				t.Errorf("%s %d%%/V=%d: %d aborts on readers that never fell back, want 0", p.Algo, p.ReadPct, p.Versions, p.ROAbortsNoFallback)
 			}
-			if p.ReadVictimConflicts != 0 {
-				t.Errorf("%s %d%%/V=%d: %d read-victim conflicts, want 0", p.Algo, p.ReadPct, p.Versions, p.ReadVictimConflicts)
+			if p.ReadVictimNoFallback != 0 {
+				t.Errorf("%s %d%%/V=%d: %d read-victim conflicts on readers that never fell back, want 0", p.Algo, p.ReadPct, p.Versions, p.ReadVictimNoFallback)
 			}
 			if p.ROSnapshot == 0 {
 				t.Errorf("%s %d%%/V=%d: snapshot path never taken", p.Algo, p.ReadPct, p.Versions)

@@ -15,33 +15,45 @@
 // atomics and Add uses a release-ordered OR — a reader that observes the bit
 // also observes everything the adder did before setting it.
 //
-// Both variants additionally maintain a 64-bit summary signature: every set
-// bit at position b also sets summary bit b&63. The summary is a strict
-// column-fold of the filter words, so two filters whose summaries are
-// disjoint cannot share a set bit — an invalidation scan can reject a
-// non-conflicting read set with one word load + AND instead of touching all
-// filter words (two cache lines at the default 1024-bit geometry). The fold
-// is conservative the same way the filter is: a summary hit commits the scan
-// to the full intersection, a summary miss is proof of no conflict.
+// The layout is one-word (blocked): an element hashes to one 64-bit word and
+// to k distinct bits inside it, so inserting it is one OR of a k-bit mask —
+// for Atomic, one locked instruction per transactional read whatever k is.
+// Intersection tests bit density, which the layout does not change.
+//
+// Both variants additionally maintain a 64-bit summary signature: the OR of
+// every inserted mask, i.e. the column-fold of the filter words onto 64 bits.
+// Two filters whose summaries are disjoint cannot share a set bit — an
+// invalidation scan can reject a non-conflicting read set with one word load
+// + AND instead of touching all filter words (two cache lines at the default
+// 1024-bit geometry). The fold is conservative the same way the filter is: a
+// summary hit commits the scan to the full intersection, a summary miss is
+// proof of no conflict.
 package bloom
 
-import "sync/atomic"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Params fixes a filter geometry. All filters that are intersected with each
 // other must share the same Params.
 type Params struct {
 	Bits   int // number of bits; must be a power of two and a multiple of 64
-	Hashes int // number of bits set per element (k)
+	Hashes int // number of bits set per element (k), all in one word; 1..8
 }
 
 // DefaultParams matches the configuration used by the benchmark harness:
 // 1024 bits x 2 hashes keeps the per-slot signature to two cache lines and
-// the false-conflict rate below 1% for read sets up to ~64 elements.
+// the membership false-positive rate near 2% for read sets of ~64 elements.
 var DefaultParams = Params{Bits: 1024, Hashes: 2}
 
-// valid reports whether p is a usable geometry.
-func (p Params) valid() bool {
-	return p.Bits >= 64 && p.Bits%64 == 0 && (p.Bits&(p.Bits-1)) == 0 && p.Hashes >= 1
+// Validate returns an error unless p is a usable geometry. Hashes is capped
+// at 8: an element's k bits share one 64-bit word, which wider masks saturate.
+func (p Params) Validate() error {
+	if p.Bits < 64 || p.Bits&(p.Bits-1) != 0 || p.Hashes < 1 || p.Hashes > 8 {
+		return fmt.Errorf("bloom: invalid %+v: Bits must be a power of two >= 64, Hashes in [1,8]", p)
+	}
+	return nil
 }
 
 // Words returns the number of 64-bit words backing a filter with geometry p.
@@ -56,18 +68,18 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// positions computes the k bit positions for id using double hashing
-// (Kirsch-Mitzenmacher): pos_i = h1 + i*h2 mod Bits.
-func (p Params) positions(id uint64, out []uint) []uint {
+// locate maps id to its word and to the mask of its k bits inside that word:
+// double hashing (Kirsch-Mitzenmacher) mod 64, bit_i = h1 + i*h2 with h2 odd
+// so the k positions are distinct; the word is taken from h1 above bit 6.
+func (p Params) locate(id uint64) (word int, mask uint64) {
 	h1 := splitmix64(id)
-	h2 := splitmix64(h1) | 1 // odd, so all positions are distinct mod 2^k
-	mask := uint64(p.Bits - 1)
-	out = out[:0]
+	h2 := splitmix64(h1) | 1
+	word = int(h1 >> 6 & uint64(p.Words()-1))
 	for i := 0; i < p.Hashes; i++ {
-		out = append(out, uint(h1&mask))
+		mask |= 1 << (h1 & 63)
 		h1 += h2
 	}
-	return out
+	return word, mask
 }
 
 // Filter is a single-owner bloom filter. It is not safe for concurrent use;
@@ -76,60 +88,44 @@ type Filter struct {
 	p     Params
 	sum   uint64 // summary signature: OR-fold of words onto 64 bits
 	words []uint64
-	pos   []uint // scratch, avoids per-Add allocation
 }
 
 // NewFilter returns an empty filter with geometry p. It panics on an invalid
-// geometry: filter parameters are fixed at system construction, so a bad
-// geometry is a programming error, not a runtime condition.
+// geometry: callers taking one from outside check Params.Validate first.
 func NewFilter(p Params) *Filter {
-	if !p.valid() {
-		panic("bloom: invalid Params")
+	if err := p.Validate(); err != nil {
+		panic(err)
 	}
-	return &Filter{p: p, words: make([]uint64, p.Words()), pos: make([]uint, 0, p.Hashes)}
+	return &Filter{p: p, words: make([]uint64, p.Words())}
 }
 
 // Params returns the filter geometry.
 func (f *Filter) Params() Params { return f.p }
 
 // Add inserts id into the filter.
+//
+//stm:hotpath
 func (f *Filter) Add(id uint64) {
-	f.pos = f.p.positions(id, f.pos)
-	for _, b := range f.pos {
-		f.words[b>>6] |= 1 << (b & 63)
-		f.sum |= 1 << (b & 63)
-	}
+	w, mask := f.p.locate(id)
+	f.words[w] |= mask
+	f.sum |= mask
 }
 
 // MayContain reports whether id may have been added (false positives
 // possible, false negatives impossible).
 func (f *Filter) MayContain(id uint64) bool {
-	f.pos = f.p.positions(id, f.pos)
-	for _, b := range f.pos {
-		if f.words[b>>6]&(1<<(b&63)) == 0 {
-			return false
-		}
-	}
-	return true
+	w, mask := f.p.locate(id)
+	return f.words[w]&mask == mask
 }
 
 // Clear removes all elements.
 func (f *Filter) Clear() {
-	for i := range f.words {
-		f.words[i] = 0
-	}
+	clear(f.words)
 	f.sum = 0
 }
 
-// Empty reports whether no bits are set.
-func (f *Filter) Empty() bool {
-	for _, w := range f.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
+// Empty reports whether no bits are set (the summary is the exact fold).
+func (f *Filter) Empty() bool { return f.sum == 0 }
 
 // Intersects reports whether f and g share at least one set bit. Both filters
 // must have the same geometry.
@@ -211,17 +207,16 @@ type Atomic struct {
 	// sum is the summary signature. It lives in the Atomic header next to
 	// the read-only geometry and slice header, so a scanner's summary-miss
 	// path touches exactly one cache line. Invariant: sum is always a
-	// superset of the column-fold of words — Add sets the summary bit before
-	// the word bits, so no observer can see a word bit whose summary bit is
-	// missing.
+	// superset of the column-fold of words — Add ORs the summary before the
+	// word, so no observer can see a word bit whose summary bit is missing.
 	sum   atomic.Uint64
 	words []atomic.Uint64
 }
 
 // NewAtomic returns an empty concurrent filter with geometry p.
 func NewAtomic(p Params) *Atomic {
-	if !p.valid() {
-		panic("bloom: invalid Params")
+	if err := p.Validate(); err != nil {
+		panic(err)
 	}
 	return &Atomic{p: p, words: make([]atomic.Uint64, p.Words())}
 }
@@ -229,22 +224,20 @@ func NewAtomic(p Params) *Atomic {
 // Params returns the filter geometry.
 func (a *Atomic) Params() Params { return a.p }
 
-// Add inserts id. The atomic OR publishes the bit with release semantics:
-// once an invalidation server observes the bit, it also observes the read
-// that the bit describes. The summary bit is set first so a scanner that
-// observes a word bit always observes its summary bit too.
+// Add inserts id. The atomic OR publishes the bits with release semantics:
+// once an invalidation server observes them, it also observes the read that
+// they describe. The summary is ORed first so a scanner that observes a word
+// bit always observes its summary bit too. An OR whose bits are all set is
+// skipped (no write traffic): an earlier OR of this incarnation set them.
+//
+//stm:hotpath
 func (a *Atomic) Add(id uint64) {
-	var posBuf [8]uint
-	pos := a.p.positions(id, posBuf[:0])
-	for _, b := range pos {
-		bit := uint64(1) << (b & 63)
-		if a.sum.Load()&bit == 0 { // avoid write traffic for already-set bits
-			a.sum.Or(bit)
-		}
-		w := &a.words[b>>6]
-		if w.Load()&bit == 0 {
-			w.Or(bit)
-		}
+	i, mask := a.p.locate(id)
+	if a.sum.Load()&mask != mask {
+		a.sum.Or(mask)
+	}
+	if w := &a.words[i]; w.Load()&mask != mask {
+		w.Or(mask)
 	}
 }
 
@@ -252,12 +245,19 @@ func (a *Atomic) Add(id uint64) {
 // transactions (never while a commit that could observe the filter is in
 // flight against the owner's current epoch). The words are cleared before
 // the summary for the same invariant Add preserves: sum covers words at
-// every intermediate point.
+// every intermediate point. A word the owner loads as zero is zero (it is the
+// only writer), so it is not stored to: an atomic store is a fenced exchange.
+//
+//stm:hotpath
 func (a *Atomic) Clear() {
 	for i := range a.words {
-		a.words[i].Store(0)
+		if w := &a.words[i]; w.Load() != 0 {
+			w.Store(0)
+		}
 	}
-	a.sum.Store(0)
+	if a.sum.Load() != 0 {
+		a.sum.Store(0)
+	}
 }
 
 // IntersectsFilter reports whether a and the plain filter g share a set bit.
@@ -289,14 +289,8 @@ func (a *Atomic) Summary() uint64 { return a.sum.Load() }
 
 // MayContain reports whether id may have been added.
 func (a *Atomic) MayContain(id uint64) bool {
-	var posBuf [8]uint
-	pos := a.p.positions(id, posBuf[:0])
-	for _, b := range pos {
-		if a.words[b>>6].Load()&(1<<(b&63)) == 0 {
-			return false
-		}
-	}
-	return true
+	i, mask := a.p.locate(id)
+	return a.words[i].Load()&mask == mask
 }
 
 // Snapshot copies the current contents into dst (same geometry required).

@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -16,8 +17,13 @@ func TestParamsValidation(t *testing.T) {
 		{Bits: 96, Hashes: 1},   // multiple of 32, not power of two
 		{Bits: 1000, Hashes: 2}, // not power of two
 		{Bits: 128, Hashes: 0},
+		{Bits: 128, Hashes: 9}, // k bits share one word: capped at 8
+		{Bits: -64, Hashes: 2},
 	}
 	for _, p := range bad {
+		if p.Validate() == nil {
+			t.Errorf("Validate(%+v) = nil", p)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -27,8 +33,11 @@ func TestParamsValidation(t *testing.T) {
 			NewFilter(p)
 		}()
 	}
-	good := []Params{{Bits: 64, Hashes: 1}, {Bits: 1024, Hashes: 4}, DefaultParams}
+	good := []Params{{Bits: 64, Hashes: 1}, {Bits: 1024, Hashes: 4}, {Bits: 64, Hashes: 8}, DefaultParams}
 	for _, p := range good {
+		if err := p.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v", p, err)
+		}
 		if NewFilter(p) == nil || NewAtomic(p) == nil {
 			t.Errorf("valid params %+v rejected", p)
 		}
@@ -241,21 +250,111 @@ func TestAtomicConcurrentAddIntersect(t *testing.T) {
 	wg.Wait()
 }
 
-func TestPositionsDeterministicAndDistinct(t *testing.T) {
-	p := Params{Bits: 1024, Hashes: 4}
-	var buf1, buf2 [8]uint
-	a := p.positions(123, buf1[:0])
-	b := p.positions(123, buf2[:0])
-	if len(a) != p.Hashes || len(b) != p.Hashes {
-		t.Fatalf("got %d positions want %d", len(a), p.Hashes)
+// sweepParams spans the geometries the layout tests sweep: every legal k over
+// a one-word filter, a two-word one, the default width and a wide one.
+func sweepParams() []Params {
+	var ps []Params
+	for _, b := range []int{64, 128, 1024, 4096} {
+		for k := 1; k <= 8; k++ {
+			ps = append(ps, Params{Bits: b, Hashes: k})
+		}
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("positions not deterministic")
+	return ps
+}
+
+// checkOneWordAdd asserts the layout contract for one id on empty filters:
+// Add sets exactly Hashes bits in exactly one word, Filter and Atomic set the
+// same bits, the summary equals the fold, the id is found, and an Atomic that
+// was cleared takes the id again (Add's test-before-OR must see the zeros).
+func checkOneWordAdd(t testing.TB, p Params, id uint64) {
+	t.Helper()
+	f, a, snap := NewFilter(p), NewAtomic(p), NewFilter(p)
+	f.Add(id)
+	a.Add(id)
+	a.Snapshot(snap)
+	dirty := 0
+	for i, w := range f.words {
+		if w != 0 {
+			dirty++
+			if n := bits.OnesCount64(w); n != p.Hashes {
+				t.Fatalf("%+v id %#x: %d bits set in word %d, want %d", p, id, n, i, p.Hashes)
+			}
 		}
-		if a[i] >= uint(p.Bits) {
-			t.Fatalf("position %d out of range", a[i])
+		if snap.words[i] != w {
+			t.Fatalf("%+v id %#x: word %d is %#x in Atomic, %#x in Filter", p, id, i, snap.words[i], w)
 		}
+	}
+	if dirty != 1 {
+		t.Fatalf("%+v id %#x: %d words dirtied, want 1", p, id, dirty)
+	}
+	if fold := foldWords(f.words); f.Summary() != fold || a.Summary() != fold {
+		t.Fatalf("%+v id %#x: summaries %#x/%#x, fold %#x", p, id, f.Summary(), a.Summary(), fold)
+	}
+	if !f.MayContain(id) || !a.MayContain(id) || !a.IntersectsFilter(f) {
+		t.Fatalf("%+v id %#x: false negative", p, id)
+	}
+	a.Clear()
+	a.Snapshot(snap)
+	if a.Summary() != 0 || !snap.Empty() || a.MayContain(id) {
+		t.Fatalf("%+v id %#x: Clear left bits behind", p, id)
+	}
+	a.Add(id)
+	if !a.MayContain(id) || a.Summary() != f.Summary() {
+		t.Fatalf("%+v id %#x: Add after Clear lost the id", p, id)
+	}
+}
+
+func TestQuickAddSetsKBitsInOneWord(t *testing.T) {
+	for _, p := range sweepParams() {
+		if err := quick.Check(func(id uint64) bool {
+			checkOneWordAdd(t, p, id)
+			return true
+		}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLocateDeterministicAndSpread: locate is a pure function of (Params,
+// id), stays inside the filter, and reaches every word — an id stream that
+// piled into a few words would raise the false-conflict rate silently.
+func TestLocateDeterministicAndSpread(t *testing.T) {
+	p := Params{Bits: 1024, Hashes: 4}
+	rng := rand.New(rand.NewSource(5))
+	hits := make([]int, p.Words())
+	const n = 16000
+	for i := 0; i < n; i++ {
+		id := rng.Uint64()
+		w, mask := p.locate(id)
+		if w2, mask2 := p.locate(id); w2 != w || mask2 != mask {
+			t.Fatal("locate not deterministic")
+		}
+		if w < 0 || w >= p.Words() || bits.OnesCount64(mask) != p.Hashes {
+			t.Fatalf("locate(%#x) = word %d mask %#x", id, w, mask)
+		}
+		hits[w]++
+	}
+	for w, h := range hits {
+		if mean := n / p.Words(); h < mean/2 || h > 2*mean {
+			t.Fatalf("word %d drew %d of %d ids (mean %d)", w, h, n, mean)
+		}
+	}
+}
+
+// TestReadPathDoesNotAllocate: the per-read and per-begin operations run
+// inside every transaction; none may allocate or grow a slice.
+func TestReadPathDoesNotAllocate(t *testing.T) {
+	f, a := NewFilter(DefaultParams), NewAtomic(DefaultParams)
+	id := uint64(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		id++
+		f.Add(id)
+		a.Add(id)
+		if id%64 == 0 {
+			a.Clear()
+		}
+	}); n != 0 {
+		t.Fatalf("Filter.Add + Atomic.Add + Atomic.Clear allocate %v times per run", n)
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 // id lists and asserts the fundamental bloom property: an added element is
 // always reported as possibly present, in both the plain and atomic
 // variants, and the atomic filter always intersects a plain filter sharing
-// an element.
+// an element. Every id also goes through the one-word layout contract
+// (checkOneWordAdd) for every geometry of sweepParams.
 func FuzzNoFalseNegatives(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{})
@@ -27,6 +28,9 @@ func FuzzNoFalseNegatives(f *testing.F) {
 			atomic.Add(id)
 		}
 		for _, id := range ids {
+			for _, g := range sweepParams() {
+				checkOneWordAdd(t, g, id)
+			}
 			if !plain.MayContain(id) {
 				t.Fatalf("plain false negative for %d", id)
 			}

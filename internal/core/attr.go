@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"github.com/ssrg-vt/rinval/internal/obs"
 )
@@ -119,8 +118,7 @@ func contains(ids []uint64, id uint64) bool {
 func (tx *Tx) recordAttribution(a *obs.Attribution) {
 	victim := tx.th.idx
 	ns := uint64(obs.Now() - tx.attrT0)
-	ops := atomic.LoadUint64(&tx.stats.Reads) - tx.attrReadsBase +
-		atomic.LoadUint64(&tx.stats.Writes) - tx.attrWritesBase
+	ops := tx.reads + tx.writes // the attempt's own counts, not yet folded
 
 	committer := a.Unknown()
 	if tx.reason == AbortInvalidated && tx.sys.eng.usesSlots() {

@@ -137,7 +137,8 @@ type Config struct {
 	// engine (RInvalV1/V2/V3) and, for V2/V3, an InvalServers count divisible
 	// by Shards so every stream gets the same number of invalidation-servers.
 	Shards int
-	// Bloom is the read/write signature geometry. Default bloom.DefaultParams.
+	// Bloom is the read/write signature geometry: Bits a power of two >= 64,
+	// Hashes in [1,8]. Default bloom.DefaultParams.
 	Bloom bloom.Params
 	// CM selects the contention manager. Default CMBackoff.
 	CM CMPolicy
@@ -297,6 +298,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Bloom == (bloom.Params{}) {
 		c.Bloom = bloom.DefaultParams
+	}
+	if err := c.Bloom.Validate(); err != nil {
+		return c, fmt.Errorf("core: Bloom: %w", err)
 	}
 	if c.ReaderBiasThreshold == 0 {
 		c.ReaderBiasThreshold = 2

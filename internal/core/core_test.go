@@ -79,10 +79,18 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 		{InvalServers: 100, MaxThreads: 8},
 		{StepsAhead: 200},
 		{Algo: Algo(42)},
+		{Bloom: bloom.Params{Bits: 100, Hashes: 2}},  // not a power of two
+		{Bloom: bloom.Params{Bits: 1024, Hashes: 9}}, // k bits must fit one word
+		{Bloom: bloom.Params{Bits: 1024}},            // Hashes unset
 	}
 	for _, b := range bad {
 		if _, err := b.withDefaults(); err == nil {
 			t.Errorf("config %+v accepted", b)
+		}
+		// New must return the error, not panic inside a constructor.
+		if s, err := New(b); err == nil {
+			s.Close()
+			t.Errorf("New(%+v) succeeded", b)
 		}
 	}
 	// An unset InvalServers clamps to small MaxThreads instead of erroring.
@@ -302,6 +310,133 @@ func TestStatsCountsAborts(t *testing.T) {
 		}
 		if counter.Peek().(int) != workers*per {
 			t.Fatal("final value wrong")
+		}
+	})
+}
+
+// TestReadsWritesFoldAtEveryExit: Load and Store count into plain per-attempt
+// fields, so every way out of an attempt must fold them into the thread's
+// Stats. The body counts the calls it issues (an aborting Load included);
+// after each exit Stats.Reads/Writes must have grown by exactly that.
+func TestReadsWritesFoldAtEveryExit(t *testing.T) {
+	forEachAlgo(t, func(t *testing.T, algo Algo) {
+		s := newSys(t, algo, func(c *Config) {
+			if algo != TL2 {
+				c.Versions = 2
+			}
+		})
+		th, other := s.MustRegister(), s.MustRegister()
+		defer th.Close()
+		defer other.Close()
+		x, y := NewVar(0), NewVar(0)
+
+		var loads, stores uint64 // issued by th's bodies since the last check
+		load := func(tx *Tx, v *Var) int { loads++; return tx.Load(v).(int) }
+		store := func(tx *Tx, v *Var, n int) { stores++; tx.Store(v, n) }
+		var last Stats
+		check := func(exit string) Stats {
+			t.Helper()
+			st := th.Stats()
+			if r, w := st.Reads-last.Reads, st.Writes-last.Writes; r != loads || w != stores {
+				t.Fatalf("%s: Stats grew by %d reads / %d writes, body issued %d / %d", exit, r, w, loads, stores)
+			}
+			loads, stores = 0, 0
+			last = st
+			return st
+		}
+		bump := func(v *Var) { // a commit by another thread
+			if err := other.Atomically(func(tx *Tx) error {
+				tx.Store(v, tx.Load(v).(int)+1)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		if err := th.Atomically(func(tx *Tx) error {
+			store(tx, x, load(tx, x)+load(tx, y))
+			store(tx, y, load(tx, x))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		check("commit")
+
+		errUser := errors.New("user abort")
+		if err := th.Atomically(func(tx *Tx) error {
+			store(tx, x, load(tx, x)+load(tx, y))
+			return errUser
+		}); err != errUser {
+			t.Fatalf("user abort returned %v", err)
+		}
+		check("user abort")
+
+		func() {
+			defer func() { _ = recover() }()
+			_ = th.Atomically(func(tx *Tx) error {
+				store(tx, y, load(tx, x))
+				panic("body panic")
+			})
+		}()
+		check("panic")
+
+		if algo != Mutex { // Mutex holds the global lock: no conflicts, and bump would deadlock
+			if err := th.Atomically(func(tx *Tx) error {
+				if tx.Attempt() > 1 {
+					// Folded by the abort itself, not carried into the retry.
+					check("conflict abort")
+				}
+				n := load(tx, x)
+				if tx.Attempt() == 1 {
+					bump(x) // dooms/invalidates this attempt's read of x
+				}
+				store(tx, x, n+load(tx, y))
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if st := check("commit after retry"); st.Aborts == 0 {
+				t.Fatal("the conflicting commit aborted nothing")
+			}
+		}
+
+		if algo == TL2 {
+			return // no Versions, no snapshot path
+		}
+		if err := th.AtomicallyRO(func(tx *Tx) error {
+			load(tx, x)
+			load(tx, y)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if st := check("snapshot commit"); st.ROCommits != 1 {
+			t.Fatalf("ROCommits = %d, want 1", st.ROCommits)
+		}
+
+		func() {
+			defer func() { _ = recover() }()
+			_ = th.AtomicallyRO(func(tx *Tx) error {
+				load(tx, x)
+				panic("body panic")
+			})
+		}()
+		check("snapshot panic")
+
+		if err := th.AtomicallyRO(func(tx *Tx) error {
+			load(tx, x)
+			if tx.Attempt() == 1 {
+				for i := 0; i < 4; i++ {
+					bump(y) // lap y's two-entry ring under the snapshot
+				}
+			}
+			load(tx, y)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if st := check("snapshot fallback"); st.ROFallbacks != 1 {
+			t.Fatalf("ROFallbacks = %d, want 1", st.ROFallbacks)
 		}
 	})
 }

@@ -95,13 +95,13 @@ func TestConcurrentStatsSnapshots(t *testing.T) {
 				}()
 			}
 
-			sample := func(st Stats) [4]uint64 {
-				return [4]uint64{st.Commits, st.Aborts, st.Reads, st.ConflictAborts()}
+			sample := func(st Stats) [5]uint64 {
+				return [5]uint64{st.Commits, st.Aborts, st.Reads, st.ConflictAborts(), st.Writes}
 			}
 			samplerDone := make(chan struct{})
 			go func() {
 				defer close(samplerDone)
-				var lastSys, lastTh [4]uint64
+				var lastSys, lastTh [5]uint64
 				for !stop.Load() {
 					cur := sample(s.Stats())
 					for i := range cur {
@@ -129,6 +129,11 @@ func TestConcurrentStatsSnapshots(t *testing.T) {
 			stop.Store(true)
 			<-samplerDone
 			for _, th := range ths {
+				// Every attempt issues one Load, and one Store unless that
+				// Load aborted it: the end-of-attempt folds lose nothing.
+				if st := th.Stats(); st.Reads != st.Commits+st.Aborts || st.Writes < st.Commits || st.Writes > st.Reads {
+					t.Errorf("thread %d: %d reads, %d writes for %d commits + %d aborts", th.ID(), st.Reads, st.Writes, st.Commits, st.Aborts)
+				}
 				th.Close()
 			}
 			if got := counter.Peek().(int); got != workers*per {

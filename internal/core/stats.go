@@ -40,8 +40,8 @@ type Stats struct {
 	Commits  uint64 // committed transactions
 	Aborts   uint64 // conflict aborts (user aborts are not counted)
 	ReadOnly uint64 // committed transactions that wrote nothing
-	Reads    uint64 // transactional loads (all attempts)
-	Writes   uint64 // transactional stores (all attempts)
+	Reads    uint64 // transactional loads (all attempts), added when an attempt ends
+	Writes   uint64 // transactional stores (all attempts), added when an attempt ends
 
 	// ROCommits counts AtomicallyRO transactions that finished on the
 	// multi-version snapshot path (Config.Versions > 0): zero aborts, zero

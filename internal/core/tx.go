@@ -205,7 +205,9 @@ func (tx *Tx) runSnapshot(fn func(*Tx) error) (err error, ok bool) {
 	sys.roEpoch[tx.th.idx].Store(minSnap)
 
 	tx.ro = true
-	defer func() { tx.ro = false }()
+	// The deferred fold covers every exit of the attempt: commit, user
+	// abort, fallback, and a panic passing through runRO.
+	defer func() { tx.ro = false; tx.foldOps() }()
 	tx.traceT0 = tx.ring.Now()
 	tx.ring.InstantAt(obs.KBegin, tx.traceT0, uint64(tx.attempts))
 	err, fellBack := tx.runRO(fn)
@@ -273,6 +275,11 @@ type Tx struct {
 	stats    *Stats
 	direct   bool // Mutex engine: operate on Vars directly under the lock
 
+	// reads and writes count the current attempt's Load and Store calls.
+	// They are plain fields — a counted read pays no locked instruction —
+	// that every attempt exit folds into Stats.Reads/Writes (foldOps).
+	reads, writes uint64
+
 	// roUser marks the whole AtomicallyRO call (snapshot path and fallback
 	// alike): Store panics while it is set. ro marks the snapshot attempt
 	// specifically: Load resolves against snap, the per-shard epoch vector
@@ -312,17 +319,15 @@ type Tx struct {
 	// Attribution state, used only under Config.Attribution (see attr.go).
 	// attrKD is this thread's cached unsampled killer descriptor (immutable;
 	// reused by every inline commit that is not part of the 1-in-N exact
-	// sample); attrSeq counts writer commits for that sampling. attrT0 and
-	// the attr*Base counters anchor the attempt's wasted-work accounting.
+	// sample); attrSeq counts writer commits for that sampling. attrT0
+	// anchors the attempt's wasted-work accounting.
 	// pendingRead is the Var id of a read doomed before Tx.Load could log
 	// it; conflictVar is the Var a validation/lock abort named at its site.
-	attrKD         *killDesc
-	attrSeq        uint64
-	attrT0         int64
-	attrReadsBase  uint64
-	attrWritesBase uint64
-	pendingRead    uint64
-	conflictVar    uint64
+	attrKD      *killDesc
+	attrSeq     uint64
+	attrT0      int64
+	pendingRead uint64
+	conflictVar uint64
 }
 
 // Attempt returns the 1-based attempt number of the current execution, so
@@ -345,8 +350,6 @@ func (tx *Tx) begin() {
 		tx.pendingRead = 0
 		tx.conflictVar = 0
 		tx.attrT0 = obs.Now()
-		tx.attrReadsBase = atomic.LoadUint64(&tx.stats.Reads)
-		tx.attrWritesBase = atomic.LoadUint64(&tx.stats.Writes)
 	}
 	if tx.sys.eng.usesSlots() {
 		// Order matters: clear the read signature while the slot is not
@@ -383,6 +386,7 @@ func (tx *Tx) run(fn func(*Tx) error) (err error, conflicted bool) {
 			}
 			tx.sys.eng.abort(tx)
 			tx.deactivateSlot()
+			tx.foldOps()
 			panic(r)
 		}
 	}()
@@ -392,11 +396,11 @@ func (tx *Tx) run(fn func(*Tx) error) (err error, conflicted bool) {
 // Load returns the transaction's view of v, aborting (via conflictSignal) if
 // the engine detects a conflict.
 //
-// Counter updates here and below are atomic adds so System.Stats can read a
-// live thread's counters without a data race; the thread is the only writer.
+// Updates of tx.stats here and below are atomic adds so System.Stats can read
+// a live thread's counters without a data race; the thread is the only writer.
 //stm:hotpath
 func (tx *Tx) Load(v *Var) any {
-	atomic.AddUint64(&tx.stats.Reads, 1)
+	tx.reads++
 	if tx.ro {
 		return tx.loadSnapshot(v)
 	}
@@ -449,8 +453,22 @@ func (tx *Tx) Store(v *Var, val any) {
 	if tx.roUser {
 		panic("core: Store in read-only transaction")
 	}
-	atomic.AddUint64(&tx.stats.Writes, 1)
+	tx.writes++
 	tx.ws.put(v, val)
+}
+
+// foldOps adds the attempt's Load/Store counts to the thread's Stats, one
+// atomic add each, and zeroes them. Every way out of an attempt calls it
+// once, so a live Stats sample lags by at most the attempt in flight.
+func (tx *Tx) foldOps() {
+	if tx.reads != 0 {
+		atomic.AddUint64(&tx.stats.Reads, tx.reads)
+		tx.reads = 0
+	}
+	if tx.writes != 0 {
+		atomic.AddUint64(&tx.stats.Writes, tx.writes)
+		tx.writes = 0
+	}
 }
 
 // finishCommit drives the engine commit and updates stats/slot state.
@@ -471,6 +489,9 @@ func (tx *Tx) finishCommit() bool {
 	}
 	tx.deactivateSlot()
 	if ok {
+		// A refused commit goes on to onConflictAbort, which folds after
+		// attribution has read the attempt's counts.
+		tx.foldOps()
 		atomic.AddUint64(&tx.stats.Commits, 1)
 		if tx.ws.len() == 0 {
 			atomic.AddUint64(&tx.stats.ReadOnly, 1)
@@ -508,6 +529,7 @@ func (tx *Tx) onConflictAbort() {
 		// time, not the contention manager's deliberate wait.
 		tx.recordAttribution(a)
 	}
+	tx.foldOps()
 	if tx.sys.cfg.CM != CMCommitterWins {
 		tx.th.backoff.Pause()
 	}
@@ -530,6 +552,7 @@ func (tx *Tx) onConflictAbort() {
 func (tx *Tx) onUserAbort() {
 	tx.sys.eng.abort(tx)
 	tx.deactivateSlot()
+	tx.foldOps()
 	atomic.AddUint64(&tx.stats.AbortReasons[AbortExplicit], 1)
 	tx.ring.Span(obs.KTx, tx.traceT0, obs.OutcomeUserAbort)
 	tx.ring.Instant(obs.KAbort, uint64(AbortExplicit))
