@@ -15,11 +15,6 @@
 //	rinval-bench -exp ablReadSet       # ablation: validation vs read-set size
 //	rinval-bench -exp ablTL2           # ablation: coarse family vs TL2
 //	rinval-bench -exp latency -mode live  # per-transaction latency percentiles
-//	rinval-bench -exp latencyslo -mode live -out results/BENCH_latency_slo.json
-//	rinval-bench -exp groupcommit -mode live -out results/BENCH_group_commit.json
-//	rinval-bench -exp conflict -mode live -out results/BENCH_conflict_attr.json
-//	rinval-bench -exp shardsweep -out results/BENCH_shard_sweep.json
-//	rinval-bench -exp mvreadonly -mode live -out results/BENCH_mv_readonly.json
 //	rinval-bench -exp fig7a -mode live -trace out.json   # Perfetto lifecycle trace
 //	rinval-bench -exp fig7a -mode live -metrics :8080    # expvar + pprof endpoint
 //
@@ -37,7 +32,6 @@ import (
 	"time"
 
 	"github.com/ssrg-vt/rinval/internal/bench"
-	"github.com/ssrg-vt/rinval/internal/obs"
 	"github.com/ssrg-vt/rinval/stm"
 )
 
@@ -57,12 +51,6 @@ var validExps = []expDesc{
 	{"ablReadSet", "ablation: validation vs read-set size"},
 	{"ablTL2", "ablation: coarse family vs TL2 (sim only)"},
 	{"latency", "per-transaction latency percentiles (live only)"},
-	{"latencyslo", "critical-path latency decomposition: phase p50/p99 per engine x threads x shards (live only)"},
-	{"sloburn", "SLO burn-rate monitor: planted phase change must alert, steady control must stay silent (live only)"},
-	{"groupcommit", "group-commit batching sweep (live only)"},
-	{"conflict", "conflict attribution: FP rate, hot-var skew, wasted work (live only)"},
-	{"shardsweep", "sharded commit streams: throughput vs Config.Shards (sim scaling + live parity)"},
-	{"mvreadonly", "multi-version read-only sweep: read-ratio x clients x Config.Versions (live only)"},
 }
 
 type expDesc struct{ name, what string }
@@ -88,6 +76,18 @@ func expNamesSorted() []string {
 	return names
 }
 
+// isExp reports whether validExps lists name.
+func isExp(name string) bool {
+	return slices.ContainsFunc(validExps, func(e expDesc) bool { return e.name == name })
+}
+
+// errUnknownExp is the error for a name validExps does not list. It ends by
+// naming the repository benchmark, where a performance number is measured.
+func errUnknownExp(exp string) error {
+	return fmt.Errorf("unknown experiment %q (valid: %s); performance numbers come from `go run ./benchmark`",
+		exp, strings.Join(expNamesSorted(), ", "))
+}
+
 func main() {
 	var (
 		exp      = flag.String("exp", "fig7a", expHelp())
@@ -98,15 +98,13 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "workload seed")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		svgDir   = flag.String("svg", "", "also render each table as an SVG chart into this directory")
-		out      = flag.String("out", "", "groupcommit/conflict/shardsweep: JSON output path (default results/BENCH_<exp>.json)")
-		iters    = flag.Int("iters", 400, "groupcommit/conflict/shardsweep: committed transactions per client")
 		trace    = flag.String("trace", "", "live mode: write a Chrome trace-event JSON of the last benchmark point to this path (open in Perfetto)")
-		metrics  = flag.String("metrics", "", "serve expvar and pprof on this address (e.g. :8080) for the duration of the run")
+		metrics  = flag.String("metrics", "", "serve expvar, /metrics and pprof on this address (e.g. :8080) for the duration of the run; live rbtree runs then collect attribution, latency and time series (cmd/stmtop's panels)")
 	)
 	flag.Parse()
 
-	if !slices.ContainsFunc(validExps, func(e expDesc) bool { return e.name == *exp }) {
-		fatal(fmt.Errorf("unknown experiment %q (valid: %s)", *exp, strings.Join(expNamesSorted(), ", ")))
+	if !isExp(*exp) {
+		fatal(errUnknownExp(*exp))
 	}
 	if *trace != "" {
 		if *mode != "live" {
@@ -115,49 +113,12 @@ func main() {
 		bench.TraceTo(*trace)
 	}
 	if *metrics != "" {
-		addr, shutdown, err := obs.ServeMetrics(*metrics)
+		addr, shutdown, err := bench.ServeMetrics(*metrics)
 		if err != nil {
 			fatal(err)
 		}
 		defer shutdown()
 		fmt.Fprintf(os.Stderr, "metrics on http://%s/debug/vars (pprof under /debug/pprof/)\n", addr)
-	}
-
-	if *exp == "groupcommit" {
-		if err := runGroupCommit(*mode, *out, *iters); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *exp == "conflict" {
-		if err := runConflict(*mode, *out, *iters, *seed); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *exp == "latencyslo" {
-		if err := runLatencySLO(*mode, *out, *iters, *seed); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *exp == "sloburn" {
-		if err := runSLOBurn(*mode, *out, *seed); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *exp == "shardsweep" {
-		if err := runShardSweep(*out, *iters, *seed); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *exp == "mvreadonly" {
-		if err := runMVReadOnly(*mode, *out, *duration, *seed); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	ths, err := bench.ParseThreads(*threads)
@@ -301,196 +262,7 @@ func run(exp, mode string, ths []int, app string, dur time.Duration, seed uint64
 		}
 		return []*bench.Table{bench.SimAblationCoarseVsFine(ths, seed)}, nil
 	}
-	return nil, fmt.Errorf("unknown experiment %q (valid: %s)", exp, strings.Join(expNamesSorted(), ", "))
-}
-
-// runGroupCommit sweeps the group-commit batching knob on the live RInval
-// engines and writes the JSON report consumed by the acceptance checks.
-func runGroupCommit(mode, out string, iters int) error {
-	if mode != "live" {
-		return fmt.Errorf("groupcommit is live-only (it measures the real commit-server)")
-	}
-	if out == "" {
-		out = "results/BENCH_group_commit.json"
-	}
-	rep, err := bench.RunGroupCommit(
-		[]stm.Algo{stm.RInvalV1, stm.RInvalV2},
-		bench.GroupCommitOpts{
-			Clients: []int{1, 4, 16, 64},
-			Batches: []int{1, 4, 16},
-			Iters:   iters,
-		})
-	if err != nil {
-		return err
-	}
-	rep.Format(os.Stdout)
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := rep.WriteJSON(f); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return nil
-}
-
-// runConflict sweeps the contention knob across the invalidation engines with
-// conflict attribution on and writes the JSON report consumed by the
-// acceptance checks: bloom false-positive rate, hot-var skew (top-4 sample
-// share), and wasted-work fraction per (engine, pool-size) point.
-func runConflict(mode, out string, iters int, seed uint64) error {
-	if mode != "live" {
-		return fmt.Errorf("conflict is live-only (it measures the real attribution layer)")
-	}
-	if out == "" {
-		out = "results/BENCH_conflict_attr.json"
-	}
-	rep, err := bench.RunConflict(bench.ConflictOpts{
-		Iters: iters,
-		Seed:  seed,
-	})
-	if err != nil {
-		return err
-	}
-	rep.Format(os.Stdout)
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := rep.WriteJSON(f); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return nil
-}
-
-// runLatencySLO sweeps the sampled critical-path latency decomposition
-// across engines, thread counts, and shard counts, and writes the JSON
-// report consumed by the acceptance checks: the per-phase p99s an SLO would
-// be written against, with the commit path decomposed on both the client
-// side (app/retry/commit-wait) and the server side (collect through reply).
-func runLatencySLO(mode, out string, iters int, seed uint64) error {
-	if mode != "live" {
-		return fmt.Errorf("latencyslo is live-only (it measures the real instrumented hot path)")
-	}
-	if out == "" {
-		out = "results/BENCH_latency_slo.json"
-	}
-	rep, err := bench.RunLatencySLO(bench.LatencySLOOpts{
-		Iters: iters,
-		Seed:  seed,
-	})
-	if err != nil {
-		return err
-	}
-	rep.Format(os.Stdout)
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := rep.WriteJSON(f); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return nil
-}
-
-// runSLOBurn runs the SLO burn-rate experiment: a steady control run that
-// must record zero alerts and a planted phase-change run whose abort-rate
-// objective must trip both burn windows.
-func runSLOBurn(mode, out string, seed uint64) error {
-	if mode != "live" {
-		return fmt.Errorf("sloburn is live-only (it exercises the real sampler and alert pipeline)")
-	}
-	if out == "" {
-		out = "results/BENCH_slo_burn.json"
-	}
-	rep, err := bench.RunSLOBurn(bench.SLOBurnOpts{Seed: seed})
-	if err != nil {
-		return err
-	}
-	rep.Format(os.Stdout)
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := rep.WriteJSON(f); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return nil
-}
-
-// runShardSweep sweeps Config.Shards and writes the JSON report consumed by
-// the acceptance checks. It always runs both phases regardless of -mode: the
-// deterministic 64-core model carries the scaling claim (S independent
-// commit-server pipelines need S cores the live CI host does not have), and
-// the live phase anchors S=1 parity with the group-commit baseline plus the
-// cross-shard handshake accounting.
-func runShardSweep(out string, iters int, seed uint64) error {
-	if out == "" {
-		out = "results/BENCH_shard_sweep.json"
-	}
-	rep, err := bench.RunShardSweep(
-		[]stm.Algo{stm.RInvalV1, stm.RInvalV2},
-		bench.ShardSweepOpts{
-			Iters: iters,
-			Seed:  seed,
-		})
-	if err != nil {
-		return err
-	}
-	rep.Format(os.Stdout)
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := rep.WriteJSON(f); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return nil
-}
-
-// runMVReadOnly sweeps read-ratio x clients x Config.Versions with dedicated
-// reader and writer clients and writes the JSON report consumed by the
-// acceptance checks: at every Versions>0 point the reader threads' abort
-// count and the conflict matrix's read-victim rows must be zero, and at
-// 90% reads / 64 clients the snapshot path must at least double the
-// Versions=0 read-only throughput.
-func runMVReadOnly(mode, out string, dur time.Duration, seed uint64) error {
-	if mode != "live" {
-		return fmt.Errorf("mvreadonly is live-only (it measures the real snapshot path; use the sim's Versions knob for modeled curves)")
-	}
-	if out == "" {
-		out = "results/BENCH_mv_readonly.json"
-	}
-	rep, err := bench.RunMVReadOnly(
-		[]stm.Algo{stm.InvalSTM, stm.RInvalV2},
-		bench.MVReadOnlyOpts{
-			Duration: dur,
-			Seed:     seed,
-		})
-	if err != nil {
-		return err
-	}
-	rep.Format(os.Stdout)
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := rep.WriteJSON(f); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return nil
+	return nil, errUnknownExp(exp)
 }
 
 // runLatency handles the latency experiment, which uses its own table shape.

@@ -70,22 +70,9 @@ func TestRunDispatchErrors(t *testing.T) {
 	}
 }
 
-func TestConflictDispatch(t *testing.T) {
-	if err := runConflict("sim", "", 1, 1); err == nil {
-		t.Error("conflict accepted sim mode")
-	}
-	if testing.Short() {
-		t.Skip("live run")
-	}
-	out := t.TempDir() + "/conflict.json"
-	if err := runConflict("live", out, 30, 1); err != nil {
-		t.Fatalf("conflict live: %v", err)
-	}
-}
-
 // TestExpHelpAndNames pins the --help and error-message contracts: one line
-// per experiment in the help text, and a sorted name list (with conflict
-// present) in the unknown-experiment message.
+// per experiment in the help text, and the twelve names, sorted, in the
+// unknown-experiment message.
 func TestExpHelpAndNames(t *testing.T) {
 	help := expHelp()
 	for _, e := range validExps {
@@ -96,15 +83,25 @@ func TestExpHelpAndNames(t *testing.T) {
 	if lines := strings.Count(help, "\n"); lines != len(validExps) {
 		t.Errorf("help text has %d experiment lines, want %d", lines, len(validExps))
 	}
-	names := expNamesSorted()
-	if !slices.IsSorted(names) {
-		t.Errorf("experiment names not sorted: %v", names)
+	want := []string{"ablBloom", "ablJitter", "ablK", "ablReadSet", "ablSteps", "ablTL2",
+		"fig2", "fig3", "fig7a", "fig7b", "fig8", "latency"}
+	if names := expNamesSorted(); !slices.Equal(names, want) {
+		t.Errorf("experiment names = %v, want %v", names, want)
 	}
-	if !slices.Contains(names, "conflict") {
-		t.Errorf("conflict missing from %v", names)
-	}
-	if !slices.Contains(names, "shardsweep") {
-		t.Errorf("shardsweep missing from %v", names)
+}
+
+// TestRetiredSweepsAreUnknown: the six sweep names the benchmark superseded
+// get the unknown-experiment error, which ends by naming the benchmark.
+func TestRetiredSweepsAreUnknown(t *testing.T) {
+	for _, exp := range []string{"groupcommit", "conflict", "shardsweep", "latencyslo", "mvreadonly", "sloburn"} {
+		if isExp(exp) {
+			t.Errorf("%s is still a valid experiment", exp)
+		}
+		_, err := run(exp, "live", []int{2}, "", time.Millisecond, 1)
+		if err == nil || err.Error() != errUnknownExp(exp).Error() ||
+			!strings.HasSuffix(err.Error(), "`go run ./benchmark`") {
+			t.Errorf("run(%s) = %v, want the unknown-experiment error ending at the benchmark", exp, err)
+		}
 	}
 }
 

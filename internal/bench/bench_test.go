@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -87,6 +89,63 @@ func TestRunRBTreeWithStatsBreakdown(t *testing.T) {
 	if sum < 0.99 || sum > 1.01 {
 		t.Fatalf("breakdown sums to %v (%+v)", sum, row)
 	}
+}
+
+// TestServeMetricsArmsLiveTelemetry: with the endpoint armed, a live rbtree
+// point publishes enabled conflict, latency and time-series reports — the
+// three vars cmd/stmtop draws its panels from.
+func TestServeMetricsArmsLiveTelemetry(t *testing.T) {
+	addr, shutdown, err := ServeMetrics("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown()
+	allEnabled := func() bool {
+		resp, err := http.Get("http://" + addr + "/debug/vars")
+		if err != nil {
+			return false
+		}
+		defer resp.Body.Close()
+		var page map[string]json.RawMessage
+		if json.NewDecoder(resp.Body).Decode(&page) != nil {
+			return false
+		}
+		for _, name := range []string{"stm_conflict", "stm_latency", "stm_timeseries"} {
+			var rep struct{ Enabled bool }
+			if json.Unmarshal(page[name], &rep) != nil || !rep.Enabled {
+				return false
+			}
+		}
+		return true
+	}
+	o := DefaultRBTreeOpts()
+	o.Keys = 16 * 1024
+	o.Duration = 15 * time.Millisecond
+	// The page shows a System only while its point runs; a scrape that loses
+	// the race to a point's end gets the next point.
+	for try := 0; try < 10; try++ {
+		done := make(chan error, 1)
+		go func() {
+			_, err := RunRBTree(stm.RInvalV2, 2, o)
+			done <- err
+		}()
+		seen := false
+		for running := true; running; {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+				running = false
+			default:
+				seen = seen || allEnabled()
+			}
+		}
+		if seen {
+			return
+		}
+	}
+	t.Fatal("no scrape of /debug/vars found stm_conflict, stm_latency and stm_timeseries all enabled")
 }
 
 func TestRunRBTreeBadOpts(t *testing.T) {

@@ -54,6 +54,11 @@ func RunRBTree(algo stm.Algo, threads int, o RBTreeOpts) (Row, error) {
 		Seed:       o.Seed,
 		Trace:      tracePath != "",
 	}
+	if serving {
+		cfg.Attribution = true
+		cfg.Latency = true
+		cfg.TimeSeries = stm.DefaultTimeSeriesWindows
+	}
 	if o.InvalServers > 0 {
 		cfg.InvalServers = o.InvalServers
 	} else {

@@ -22,6 +22,23 @@ var tracePath string
 // concurrently with a running benchmark.
 func TraceTo(path string) { tracePath = path }
 
+// serving, set while ServeMetrics' endpoint is up, makes every live rbtree
+// run collect what the endpoint publishes: conflict attribution, the latency
+// decomposition and the windowed time series behind cmd/stmtop's panels.
+var serving bool
+
+// ServeMetrics serves the observability endpoints (obs.ServeMetrics) on addr
+// and arms the telemetry they report for the live benchmark runs that follow.
+// Like TraceTo, not safe to call concurrently with a running benchmark.
+func ServeMetrics(addr string) (string, func() error, error) {
+	bound, shutdown, err := obs.ServeMetrics(addr)
+	if err != nil {
+		return "", nil, err
+	}
+	serving = true
+	return bound, func() error { serving = false; return shutdown() }, nil
+}
+
 // liveSys is the most recently started benchmark System, exposed to the
 // expvar metrics endpoint so `-metrics` shows live counters mid-run.
 var liveSys atomic.Pointer[stm.System]

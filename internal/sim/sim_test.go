@@ -263,3 +263,36 @@ func TestMoreInvalServersHelp(t *testing.T) {
 		t.Fatalf("4 invalidation servers (%d) not better than 1 (%d)", r4, r1)
 	}
 }
+
+// TestShardsDivideCommitBottleneck carries the sharding claim EXPERIMENTS.md
+// cites (`go test ./internal/sim -run TestShardsDivide -v` prints the
+// speedups): on disjoint write-only transactions at 64 threads — the regime
+// where the one commit stream is the bottleneck — S streams on S modeled
+// cores retire commits S-fold faster, and a cross-shard share, which occupies
+// two streams per commit, gives part of that back.
+func TestShardsDivideCommitBottleneck(t *testing.T) {
+	p := DefaultParams()
+	commits := func(e Engine, shards int, cross float64) uint64 {
+		w := Workload{Name: "disjoint", Reads: 4, Writes: 4, PerReadWork: 60, NonTxWork: 400, CrossShardFrac: cross}
+		c := DefaultConfig(e, 64)
+		c.Shards = shards
+		c.InvalServers = 2 * shards // constant invalidation capacity per stream
+		r := MustRun(p, w, c)
+		if again := MustRun(p, w, c); again != r {
+			t.Fatalf("%v S=%d cross=%.2f: nondeterministic\n%+v\n%+v", e, shards, cross, r, again)
+		}
+		return r.Commits
+	}
+	for _, e := range []Engine{RInvalV1, RInvalV2} {
+		base := float64(commits(e, 1, 0))
+		disjoint := float64(commits(e, 4, 0)) / base
+		crossed := float64(commits(e, 4, 0.10)) / base
+		t.Logf("%v at S=4: %.2fx the S=1 commit rate, %.2fx with 10%% cross-shard commits", e, disjoint, crossed)
+		if disjoint < 2 {
+			t.Errorf("%v: S=4 is %.2fx S=1 on disjoint keys, want >= 2x", e, disjoint)
+		}
+		if crossed >= disjoint {
+			t.Errorf("%v: 10%% cross-shard commits cost nothing at S=4 (%.2fx vs %.2fx)", e, crossed, disjoint)
+		}
+	}
+}

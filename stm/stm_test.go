@@ -251,3 +251,82 @@ func TestAtomicallyRO(t *testing.T) {
 		return nil
 	})
 }
+
+// TestShardedCommitAccounting plants an exact cross-shard load through the
+// public API: Vars pinned to streams with ShardOf, MaxBatch=1 so one epoch
+// retires one commit, and per client one transaction in ten writing a second
+// stream. The stream counters must account for every planted commit.
+func TestShardedCommitAccounting(t *testing.T) {
+	const clients, iters, crossEvery = 4, 40, 10
+	for _, shards := range []int{1, 4} {
+		s, err := stm.New(stm.Config{Algo: stm.RInvalV1, MaxThreads: 8, Shards: shards,
+			InvalServers: 2 * shards, MaxBatch: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Shards() != shards {
+			t.Fatalf("Shards() = %d, want %d", s.Shards(), shards)
+		}
+		// pinned returns a fresh Var owned by the given stream; ids hash
+		// uniformly, so it costs about `shards` allocations.
+		pinned := func(shard int) *stm.Var[int] {
+			for {
+				if v := stm.NewVar(0); stm.ShardOf(s, v) == shard {
+					return v
+				}
+			}
+		}
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			home, away := pinned(c%shards), pinned((c+1)%shards)
+			th := s.MustRegister()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer th.Close()
+				for i := 0; i < iters; i++ {
+					if err := th.Atomically(func(tx *stm.Tx) error {
+						home.Store(tx, i)
+						if i%crossEvery == 0 {
+							away.Store(tx, i)
+						}
+						return nil
+					}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wantCross := uint64(0) // at Shards=1 every footprint is one stream
+		if shards > 1 {
+			wantCross = clients * iters / crossEvery
+		}
+		// Counted per stream: after Close, Stats().Commits adds the epoch
+		// drivers' count to the clients' and would read double.
+		per := s.ShardServerStats()
+		if len(per) != shards {
+			t.Fatalf("S=%d: ShardServerStats has %d entries", shards, len(per))
+		}
+		var commits, epochs uint64
+		for _, sh := range per {
+			commits += sh.Commits
+			epochs += sh.Epochs
+		}
+		st := s.Stats()
+		if commits != clients*iters || st.Epochs != clients*iters {
+			t.Errorf("S=%d: stream commits = %d, epochs = %d, want %d each", shards, commits, st.Epochs, clients*iters)
+		}
+		if st.CrossShardCommits != wantCross {
+			t.Errorf("S=%d: cross-shard commits = %d, want %d", shards, st.CrossShardCommits, wantCross)
+		}
+		// The handshake charges its one combined epoch to the leading stream.
+		if epochs != st.Epochs {
+			t.Errorf("S=%d: per-stream epochs sum to %d, Stats().Epochs = %d", shards, epochs, st.Epochs)
+		}
+	}
+}
