@@ -29,11 +29,12 @@ test:
 
 ## race: the race detector over the packages with real concurrency (including
 ## core's live /metrics scrape, TestServerHistogramsLiveScrape), then the
-## helper-path and cross-shard tests ten times over — a client writing a
-## stream's scratch outside its lock only shows on some schedules.
+## helper-path, cross-shard and partition-lock tests ten times over — a
+## driver writing a stream's or a partition's scratch outside its lock only
+## shows on some schedules.
 race:
 	$(GO) test -race -count=1 ./internal/core/ ./stm/ ./internal/obs/ ./internal/bloom/ ./internal/padded/ ./internal/analysis/
-	$(GO) test -race -count=10 -run 'Help|CrossShard' ./internal/core/
+	$(GO) test -race -count=10 -run 'Help|CrossShard|Partition' ./internal/core/
 
 ## deflaked: the snapshot-reader property test (a reader that never fell back
 ## takes no abort and is no one's victim), which used to fail a few runs in a

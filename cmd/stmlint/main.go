@@ -11,8 +11,9 @@
 //	taxonomy-path   ...on every CFG path into the conflict exit
 //	hot-path        //stm:hotpath functions free of slow calls
 //	hot-path-deep   ...and every function they transitively call
-//	lock-order      stream locks: ascending acquire, descending release,
-//	                released on every exit path, no blocking while held
+//	lock-order      stream and partition locks: ascending acquire, descending
+//	                release, stream before partition, released on every exit
+//	                path, no blocking while held
 //	atomic-publish  no plain access to atomic state after the publishing store
 //
 // Usage:

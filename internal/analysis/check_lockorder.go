@@ -52,6 +52,17 @@ import (
 // of the result (stored, passed on, tested inside any other expression) is
 // reported: the checker could not tell which paths hold the lock.
 //
+// tryLockPartition / unlockPartition are the same idiom one tier down (the
+// epoch driver or an invalidation-server taking a free invalidation partition
+// of a stream to run its scan, DESIGN.md §16 "One tier down"): the result must
+// be tested by an if, the lock is held on the side where the try succeeded,
+// must be released on every path out, and nothing may block under it. Its
+// token is keyed by both arguments (stream, partition) and never ranked. One
+// edge is added: no stream lock — lockStream, tryLockStream or a mask helper —
+// may be acquired while a partition lock is held. Stream, then partition is
+// the only legal nesting, which is what lets an epoch driver wait for a
+// partition's holder under its stream lock without closing a cycle.
+//
 // The mask helpers are how the engine takes several streams (lockStreams /
 // unlockStreams in core). A module function whose only lock effect is the
 // ascending-mask idiom is summarized as a bulk-acquire helper: calling it
@@ -74,17 +85,29 @@ import (
 func init() {
 	RegisterCheck(&Check{
 		Name: "lock-order",
-		Doc:  "stream locks: ascending acquire, descending release, released on every exit path, no blocking ops while held",
+		Doc:  "stream and partition locks: ascending acquire, descending release, stream before partition, released on every exit path, no blocking ops while held",
 		Run:  runLockOrder,
 	})
 }
 
 const (
-	lockFnName    = "lockStream"
-	tryLockFnName = "tryLockStream"
-	unlockFnName  = "unlockStream"
-	releaseAllKey = "*"
+	lockFnName        = "lockStream"
+	tryLockFnName     = "tryLockStream"
+	unlockFnName      = "unlockStream"
+	tryLockPartFnName = "tryLockPartition"
+	unlockPartFnName  = "unlockPartition"
+	releaseAllKey     = "*"
+	partTokenPrefix   = "part@"
 )
+
+// isTryLockName / isUnlockName cover both tiers: the stream lock and the
+// partition lock share the try-lock and release rules. isLockFnName is any
+// lock primitive of either tier.
+func isTryLockName(name string) bool { return name == tryLockFnName || name == tryLockPartFnName }
+func isUnlockName(name string) bool  { return name == unlockFnName || name == unlockPartFnName }
+func isLockFnName(name string) bool {
+	return name == lockFnName || isTryLockName(name) || isUnlockName(name)
+}
 
 // lockFact is the dataflow state: held lock tokens in acquisition order and
 // pending deferred releases in registration order, each encoded as a
@@ -165,9 +188,9 @@ func (lo *lockOrderChecker) summarize() {
 						if l, ok := loop.(*ast.ForStmt); !ok || !isAscendingMaskLoop(p.Info, l, call) {
 							unordered = true
 						}
-					case tryLockFnName:
+					case tryLockFnName, tryLockPartFnName:
 						locks, unordered = true, true
-					case unlockFnName:
+					case unlockFnName, unlockPartFnName:
 						unlocks = true
 						if loop != nil {
 							unlocksInLoop = true
@@ -197,14 +220,11 @@ func (lo *lockOrderChecker) checkFunc(p *Package, fd *ast.FuncDecl) {
 	usesPrimitive := false
 	loopOf := make(map[*ast.CallExpr]ast.Stmt)
 	inspectLoops(fd.Body, func(call *ast.CallExpr, loop ast.Stmt) {
-		switch calleeName(p.Info, call) {
-		case lockFnName, tryLockFnName, unlockFnName:
+		if isLockFnName(calleeName(p.Info, call)) {
 			usesPrimitive = true
 			loopOf[call] = loop
-		default:
-			if fn := calleeFunc(p.Info, call); fn != nil && (lo.bulkAcquire[fn] || lo.bulkRelease[fn]) {
-				usesPrimitive = true
-			}
+		} else if fn := calleeFunc(p.Info, call); fn != nil && (lo.bulkAcquire[fn] || lo.bulkRelease[fn]) {
+			usesPrimitive = true
 		}
 	})
 	if !usesPrimitive {
@@ -286,7 +306,7 @@ type funcLockChecker struct {
 	fd        *ast.FuncDecl
 	loopOf    map[*ast.CallExpr]ast.Stmt
 	commStmts map[ast.Stmt]bool // select comm statements (skip blocking check)
-	// branchTries holds the tryLockStream calls an if condition tests
+	// branchTries holds the try-lock calls (either tier) an if condition tests
 	// directly; edge applies their acquisition on the side that holds it.
 	branchTries map[*ast.CallExpr]bool
 }
@@ -334,15 +354,15 @@ func (fc *funcLockChecker) transfer(f lockFact, n ast.Node, report ReportFunc) F
 		if !ok {
 			return true
 		}
-		switch calleeName(fc.p.Info, call) {
+		switch name := calleeName(fc.p.Info, call); name {
 		case lockFnName:
 			held = fc.acquire(held, call, false, report)
-		case tryLockFnName:
+		case tryLockFnName, tryLockPartFnName:
 			if !fc.branchTries[call] {
 				fc.reportOnce(report, call.Pos(),
-					"tryLockStream result must be tested directly by an if condition (if tryLockStream(i) { ... } or if !tryLockStream(i) { return }); otherwise the checker cannot tell which paths hold the lock")
+					"%[1]s result must be tested directly by an if condition (if %[1]s(..) { ... } or if !%[1]s(..) { return }); otherwise the checker cannot tell which paths hold the lock", name)
 			}
-		case unlockFnName:
+		case unlockFnName, unlockPartFnName:
 			held = fc.release(held, call, report)
 		default:
 			switch fn := calleeFunc(fc.p.Info, call); {
@@ -350,7 +370,7 @@ func (fc *funcLockChecker) transfer(f lockFact, n ast.Node, report ReportFunc) F
 			case fc.lo.bulkAcquire[fn]:
 				held = fc.acquire(held, call, false, report)
 			case fc.lo.bulkRelease[fn]:
-				held = nil // descending-release helper clears everything
+				held = partTokens(held) // descending-release helper clears every stream
 			}
 		}
 		return true
@@ -393,17 +413,17 @@ func (fc *funcLockChecker) edge(f lockFact, from, to *Block, report ReportFunc) 
 	return f
 }
 
-// tryLockCond recognizes an if condition that tests a tryLockStream call
-// directly: the call itself or a conjunct of an && chain (held when the
+// tryLockCond recognizes an if condition that tests a try-lock call (either
+// tier) directly: the call itself or a conjunct of an && chain (held when the
 // condition is true), or its plain negation (held when it is false).
 func tryLockCond(info *types.Info, cond ast.Expr) (call *ast.CallExpr, negated bool) {
 	switch e := unwrap(cond).(type) {
 	case *ast.CallExpr:
-		if calleeName(info, e) == tryLockFnName {
+		if isTryLockName(calleeName(info, e)) {
 			return e, false
 		}
 	case *ast.UnaryExpr:
-		if c, ok := unwrap(e.X).(*ast.CallExpr); ok && e.Op == token.NOT && calleeName(info, c) == tryLockFnName {
+		if c, ok := unwrap(e.X).(*ast.CallExpr); ok && e.Op == token.NOT && isTryLockName(calleeName(info, c)) {
 			return c, true
 		}
 	case *ast.BinaryExpr:
@@ -418,11 +438,21 @@ func tryLockCond(info *types.Info, cond ast.Expr) (call *ast.CallExpr, negated b
 	return nil, false
 }
 
-// acquire applies one lockStream call, or (try) a tryLockStream call on the
-// edge where it succeeded. A try-lock never waits, so the loop and order
-// rules — which exist to rule out a wait cycle — do not apply to it.
+// acquire applies one lockStream call, or (try) a try-lock call of either tier
+// on the edge where it succeeded. A try-lock never waits, so the loop and
+// order rules — which exist to rule out a wait cycle — do not apply to it.
 func (fc *funcLockChecker) acquire(held []string, call *ast.CallExpr, try bool, report ReportFunc) []string {
 	key, sanctioned := fc.tokenOf(call)
+	if !isPartToken(key) {
+		for _, h := range held {
+			if isPartToken(h) {
+				fc.reportOnce(report, call.Pos(),
+					"%s acquired while holding %s; stream, then partition is the only legal nesting (DESIGN.md §16)",
+					describeToken(key), describeToken(h))
+				break
+			}
+		}
+	}
 	if loop := fc.loopOf[call]; loop != nil && !sanctioned && !try {
 		fc.reportOnce(report, call.Pos(),
 			"stream lock acquired in a loop the checker cannot order; use the ascending-mask idiom (for m := mask; m != 0; m &= m - 1 { lockStream(bits.TrailingZeros64(m)) })")
@@ -433,7 +463,7 @@ func (fc *funcLockChecker) acquire(held []string, call *ast.CallExpr, try bool, 
 			if strings.HasPrefix(key, "loop@") {
 				return held // batch re-acquisition on the back edge
 			}
-			fc.reportOnce(report, call.Pos(), "stream lock %s acquired twice on the same path (self-deadlock)", describeToken(key))
+			fc.reportOnce(report, call.Pos(), "%s acquired twice on the same path (self-deadlock)", describeToken(key))
 			return held
 		}
 	}
@@ -451,7 +481,7 @@ func (fc *funcLockChecker) acquire(held []string, call *ast.CallExpr, try bool, 
 		for _, h := range held {
 			if isBatchToken(key) || isBatchToken(h) {
 				fc.reportOnce(report, call.Pos(),
-					"stream lock %s acquired while already holding %s: a mask batch cannot be ordered against another acquisition; take every stream in one ascending batch (DESIGN.md §11)",
+					"%s acquired while already holding %s: a mask batch cannot be ordered against another acquisition; take every stream in one ascending batch (DESIGN.md §11)",
 					describeToken(key), describeToken(h))
 				break
 			}
@@ -460,11 +490,11 @@ func (fc *funcLockChecker) acquire(held []string, call *ast.CallExpr, try bool, 
 	return append(append([]string(nil), held...), key)
 }
 
-// release applies one unlockStream call.
+// release applies one unlockStream or unlockPartition call.
 func (fc *funcLockChecker) release(held []string, call *ast.CallExpr, report ReportFunc) []string {
 	key, _ := fc.tokenOf(call)
 	if len(held) == 0 {
-		fc.reportOnce(report, call.Pos(), "stream lock released but none is held on this path")
+		fc.reportOnce(report, call.Pos(), "%s released but no lock is held on this path", describeToken(key))
 		return held
 	}
 	if held[len(held)-1] == key {
@@ -476,18 +506,18 @@ func (fc *funcLockChecker) release(held []string, call *ast.CallExpr, report Rep
 			// descending order. Exact when both ranks are known, still a
 			// stack-discipline violation otherwise.
 			fc.reportOnce(report, call.Pos(),
-				"stream lock %s released out of order while %s is still held; release descending (reverse of acquisition)",
+				"%s released out of order while %s is still held; release descending (reverse of acquisition)",
 				describeToken(key), describeToken(held[len(held)-1]))
 			return append(append([]string(nil), held[:i]...), held[i+1:]...)
 		}
 	}
-	if fc.loopOf[call] != nil {
+	if fc.loopOf[call] != nil && !isPartToken(key) {
 		// An inline mask-iteration release (the unlockStreamsDesc shape,
-		// written inline): treat as releasing everything this path holds.
-		return nil
+		// written inline): treat as releasing every stream this path holds.
+		return partTokens(held)
 	}
 	fc.reportOnce(report, call.Pos(),
-		"stream lock %s released but was not acquired on this path (held: %s)", describeToken(key), describeHeld(held))
+		"%s released but was not acquired on this path (held: %s)", describeToken(key), describeHeld(held))
 	return held
 }
 
@@ -499,7 +529,7 @@ func (fc *funcLockChecker) checkExit(f lockFact, pos token.Pos, kind string) {
 	for i := len(defers) - 1; i >= 0; i-- {
 		key := defers[i]
 		if key == releaseAllKey {
-			held = nil
+			held = partTokens(held)
 			continue
 		}
 		for j := len(held) - 1; j >= 0; j-- {
@@ -511,7 +541,7 @@ func (fc *funcLockChecker) checkExit(f lockFact, pos token.Pos, kind string) {
 	}
 	if len(held) > 0 {
 		fc.reportOnce(fc.lo.report, pos,
-			"stream lock %s still held at %s; every path out of %s must release it (leaked lock deadlocks the next epoch)",
+			"%s still held at %s; every path out of %s must release it (leaked lock deadlocks the next epoch)",
 			describeHeld(held), kind, fc.fd.Name.Name)
 	}
 }
@@ -519,8 +549,7 @@ func (fc *funcLockChecker) checkExit(f lockFact, pos token.Pos, kind string) {
 // releaseKeyOf classifies a deferred call: the key it will release ("" when
 // the defer is lock-irrelevant). kind is "one" or "all".
 func (fc *funcLockChecker) releaseKeyOf(call *ast.CallExpr) (key, kind string) {
-	switch calleeName(fc.p.Info, call) {
-	case unlockFnName:
+	if isUnlockName(calleeName(fc.p.Info, call)) {
 		k, _ := fc.tokenOf(call)
 		return k, "one"
 	}
@@ -531,11 +560,19 @@ func (fc *funcLockChecker) releaseKeyOf(call *ast.CallExpr) (key, kind string) {
 }
 
 // tokenOf derives the symbolic token of a lock/unlock call from its last
-// argument (the shard index; methods and plain functions both put it last).
+// argument (the shard index; methods and plain functions both put it last) —
+// for a partition lock from both arguments (stream, partition), unranked.
 // sanctioned reports that the call sits in a recognized ascending-mask loop.
 func (fc *funcLockChecker) tokenOf(call *ast.CallExpr) (key string, sanctioned bool) {
 	if len(call.Args) == 0 {
 		return "opaque@" + strconv.Itoa(int(call.Pos())), false
+	}
+	if name := calleeName(fc.p.Info, call); name == tryLockPartFnName || name == unlockPartFnName {
+		parts := make([]string, len(call.Args))
+		for i, a := range call.Args {
+			parts[i] = exprKey(a)
+		}
+		return partTokenPrefix + strings.Join(parts, ","), false
 	}
 	arg := unwrap(call.Args[len(call.Args)-1])
 	if fn := calleeFunc(fc.p.Info, call); fn != nil && fc.lo.bulkAcquire[fn] {
@@ -561,15 +598,33 @@ func isBatchToken(key string) bool {
 	return strings.HasPrefix(key, "loop@") || strings.HasPrefix(key, "batch@")
 }
 
+// isPartToken reports whether key stands for a partition lock.
+func isPartToken(key string) bool { return strings.HasPrefix(key, partTokenPrefix) }
+
+// partTokens returns the partition locks in held: what a bulk release of
+// stream locks leaves behind.
+func partTokens(held []string) []string {
+	var out []string
+	for _, h := range held {
+		if isPartToken(h) {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
 // describeToken renders a token for diagnostics.
 func describeToken(key string) string {
+	if p, ok := strings.CutPrefix(key, partTokenPrefix); ok {
+		return fmt.Sprintf("partition lock (index %s)", p)
+	}
 	if r, ok := rankOf(key); ok {
-		return fmt.Sprintf("for shard %d", r)
+		return fmt.Sprintf("stream lock for shard %d", r)
 	}
 	if isBatchToken(key) {
-		return "batch (mask loop)"
+		return "stream lock batch (mask loop)"
 	}
-	return fmt.Sprintf("(index %s)", key)
+	return fmt.Sprintf("stream lock (index %s)", key)
 }
 
 func describeHeld(held []string) string {
@@ -586,7 +641,7 @@ func describeHeld(held []string) string {
 func (fc *funcLockChecker) checkBlocking(n ast.Node, held []string, report ReportFunc) {
 	blockedMsg := func(pos token.Pos, what string) {
 		fc.reportOnce(report, pos,
-			"%s while stream lock %s is held; the commit critical section must not block (spin instead)",
+			"%s while %s is held; the commit critical section must not block (spin instead)",
 			what, describeHeld(held))
 	}
 	if sel, ok := n.(*ast.SelectStmt); ok {
@@ -661,9 +716,7 @@ func blockingCall(info *types.Info, call *ast.CallExpr) string {
 
 // isLockPrimitive reports whether fd declares one of the lock primitives
 // themselves.
-func isLockPrimitive(fd *ast.FuncDecl) bool {
-	return fd.Name.Name == lockFnName || fd.Name.Name == tryLockFnName || fd.Name.Name == unlockFnName
-}
+func isLockPrimitive(fd *ast.FuncDecl) bool { return isLockFnName(fd.Name.Name) }
 
 // calleeName resolves a call's function name, or "".
 func calleeName(info *types.Info, call *ast.CallExpr) string {

@@ -43,7 +43,10 @@ import (
 // reply may take its single stream's free lock and run the epoch for its own
 // request itself (help, DESIGN.md §16), which is what keeps commit latency at
 // the cost of the work rather than of the hand-off when the server has no core
-// of its own.
+// of its own. The same rule holds one tier down: partition k of a stream is
+// scanned by whoever holds its try-lock — invalidation-server k, or an epoch
+// driver that found it lagging and free (scanPartition) — so a partition lags
+// only while somebody is scanning it.
 type remoteEngine struct {
 	sys        *System
 	numInval   int // invalidation-servers per commit stream (0 for V1)
@@ -60,25 +63,27 @@ type remoteEngine struct {
 // fields, epochBuf, attrEpochs, commitRing, latC and the three histograms)
 // belong to whoever holds this stream's lock — the shard's commit-server, a
 // multi-stream leader, or a helping client — and must only be written with it
-// held. scanBuf stays private to the commit-server goroutine's outer scan,
-// and each invalidation-server owns its Stats entry, ring and cell.
+// held. One tier down the rule is the same: invalRings[k] and invalLat[k]
+// belong to whoever holds partition k's lock (tryLockPartition) — in practice
+// invalidation-server k, which records on them only inside scanPartition.
+// scanBuf stays private to the commit-server goroutine's outer scan; invalSrv
+// is atomic adds from any scanner.
 type shardServer struct {
 	eng   *remoteEngine
 	sys   *System
 	shard int
 	st    *commitStream
 
-	// sigBufs[i] is the stable write-signature buffer for ring slot i. The
-	// commit-server copies the batch's merged write filter here before
-	// publishing the descriptor: a client regains ownership of its write set
-	// (and clears its filter) as soon as it sees the COMMITTED reply, which
-	// can happen while invalidation-servers are still scanning. The ring's
-	// overwrite bound (no server trails by more than stepsAhead commits)
-	// guarantees a buffer is never recycled while a server still reads it.
-	sigBufs []*bloom.Filter
-	// memberBufs[i] is the stable member-mask buffer for ring slot i, reused
-	// under the same overwrite bound as sigBufs.
-	memberBufs []slotMask
+	// descBufs[i] is ring slot i's descriptor with its own stable
+	// write-signature and member-mask buffers. publish copies the batch's
+	// merged write filter and members here and stores the descriptor's address
+	// in the ring: a client regains ownership of its write set (and clears its
+	// filter) as soon as it sees the COMMITTED reply, which can happen while
+	// the partitions are still being scanned. The ring's overwrite bound (no
+	// partition trails by more than stepsAhead commits, proved by the epoch's
+	// catch-up stage) guarantees a descriptor is never refilled while a scan
+	// still reads it.
+	descBufs []commitDesc
 
 	// Group-commit scratch, owned by the stream-lock holder: the batch
 	// member slots, the union of their write signatures, the union of their
@@ -133,23 +138,21 @@ func newRemoteEngine(sys *System, numInval, stepsAhead int) *remoteEngine {
 	}
 	for j := range sys.streams {
 		sv := &shardServer{
-			eng:        e,
-			sys:        sys,
-			shard:      j,
-			st:         &sys.streams[j],
-			invalSrv:   make([]Stats, perShard),
-			sigBufs:    make([]*bloom.Filter, len(sys.streams[j].ring)),
-			memberBufs: make([]slotMask, len(sys.streams[j].ring)),
-			batchIdx:   make([]int, 0, sys.cfg.MaxThreads),
-			batchWS:    bloom.NewFilter(sys.cfg.Bloom),
-			batchRS:    bloom.NewFilter(sys.cfg.Bloom),
-			batchMask:  newSlotMask(sys.cfg.MaxThreads),
-			scanBuf:    make([]int, 0, sys.cfg.MaxThreads),
-			epochBuf:   make([]int, 0, sys.cfg.MaxThreads),
+			eng:       e,
+			sys:       sys,
+			shard:     j,
+			st:        &sys.streams[j],
+			invalSrv:  make([]Stats, perShard),
+			descBufs:  make([]commitDesc, len(sys.streams[j].ring)),
+			batchIdx:  make([]int, 0, sys.cfg.MaxThreads),
+			batchWS:   bloom.NewFilter(sys.cfg.Bloom),
+			batchRS:   bloom.NewFilter(sys.cfg.Bloom),
+			batchMask: newSlotMask(sys.cfg.MaxThreads),
+			scanBuf:   make([]int, 0, sys.cfg.MaxThreads),
+			epochBuf:  make([]int, 0, sys.cfg.MaxThreads),
 		}
-		for i := range sv.sigBufs {
-			sv.sigBufs[i] = bloom.NewFilter(sys.cfg.Bloom)
-			sv.memberBufs[i] = newSlotMask(sys.cfg.MaxThreads)
+		for i := range sv.descBufs {
+			sv.descBufs[i] = commitDesc{bf: bloom.NewFilter(sys.cfg.Bloom), members: newSlotMask(sys.cfg.MaxThreads)}
 		}
 		sv.latC = sys.lat.Server(j)
 		sv.invalLat = make([]*obs.LatCell, perShard)
@@ -252,8 +255,8 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 // under the lock, so a request the server answered just before the CAS is
 // skipped. A busy lock means someone is already driving an epoch here (in
 // the paper's regime the commit-server, for the whole epoch), and V3 declines
-// inside the epoch while the client's invalidation-server lags; both fall
-// back to waiting. Cross-shard requests stay with their leader server: a
+// inside the epoch while the client's partition is still being scanned; both
+// fall back to waiting. Cross-shard requests stay with their leader server: a
 // helper would have to try-lock several streams and back out of a partial set.
 //
 //stm:hotpath
@@ -392,19 +395,22 @@ func (sv *shardServer) serveEpoch(mask uint64, first int) bool {
 // a client helping its own single-stream request. The locks serialize it
 // against every other driver of those streams and hand the caller sv's
 // scratch and each written stream's ring buffers. The epoch is the paper's
-// commit-server critical path as six stages; what the variants change is a
+// commit-server critical path as seven stages; what the variants change is a
 // parameter of a stage, not a different path (DESIGN.md §11):
 //
 //	collect    admit pending requests with touched == mask from slot first
 //	           upward, re-reading each under the locks (collect)
-//	catch up   wait until no touched stream's invalidation-server trails by
-//	           more than the lag budget: 2·stepsAhead on one stream, 0 across
-//	           streams (V2's lag wait and the cross-shard drain); V1 skips it
+//	catch up   until no touched stream's partition trails by more than the lag
+//	           budget — 2·stepsAhead on one stream, 0 across streams (V2's lag
+//	           wait and the cross-shard drain) — wait for its scanner, or, once
+//	           the busy phase is spent, scan it if it is free; V1 skips it
 //	check      answer doomed members ABORTED without a timestamp transition
 //	publish    raise the written streams odd, invalidate (V1 inline, V2/V3 by
 //	           descriptor), write back, lower them even (publish)
 //	reply      COMMITTED to every member
 //	record     counters and the batch-size sample
+//	scan       V2/V3: apply the new descriptor to every partition of the
+//	           written streams that no one else is scanning (scanPartition)
 //
 // A multi-stream epoch admits one request: cross-shard requests are led solo.
 // committed is the number of members the epoch committed (0: no timestamp
@@ -431,18 +437,22 @@ func (sv *shardServer) epoch(mask uint64, first int, clk *phaseClock) (committed
 
 	if e.numInval > 0 {
 		// Every stream's timestamp is frozen even under its lock. Bounding
-		// each server's lag also proves the ring entry publish overwrites has
-		// been consumed (Alg. 3 l. 7 / Alg. 4 l. 5); a zero budget catches
-		// every server up, which makes the ALIVE checks below conclusive for
-		// any member (V3 on one stream admitted only members whose own server
-		// already had).
+		// each partition's lag also proves the ring entry publish overwrites
+		// has been consumed (Alg. 3 l. 7 / Alg. 4 l. 5); a zero budget catches
+		// every partition up, which makes the ALIVE checks below conclusive
+		// for any member (V3 on one stream admitted only members whose own
+		// partition already had). A partition that still lags once the busy
+		// phase is spent has no scanner with a core of its own: the driver
+		// scans it itself if it is free, and otherwise yields to its holder.
 		for m := mask; m != 0; m &= m - 1 {
-			st := &sys.streams[bits.TrailingZeros64(m)]
-			t := st.ts.Load()
-			for k := range st.invalTS {
+			tsv := e.srv[bits.TrailingZeros64(m)]
+			t := tsv.st.ts.Load()
+			for k := range tsv.st.invalTS {
 				var w spin.Waiter
-				for st.invalTS[k].Load()+lagBudget < t {
-					w.Wait()
+				for tsv.st.invalTS[k].Load()+lagBudget < t {
+					if w.Busy() || !tsv.scanPartition(k, clk) {
+						w.Wait()
+					}
 				}
 			}
 		}
@@ -477,13 +487,12 @@ func (sv *shardServer) epoch(mask uint64, first int, clk *phaseClock) (committed
 		}
 	}
 
-	sv.publish(clk)
+	writes := sv.publish(clk)
 
 	for _, j := range sv.batchIdx {
 		sys.slots[j].state.Store(reqCommitted)
 	}
 	clk.lap(obs.LatReply, obs.KReply, uint64(n))
-	clk.ring.SpanAt(obs.KEpoch, clk.t0, clk.prev, uint64(n))
 
 	// Every record lands while the caller still holds sv's stream: the next
 	// driver owns sv's histograms, ring and cell the moment the lock is free.
@@ -493,6 +502,19 @@ func (sv *shardServer) epoch(mask uint64, first int, clk *phaseClock) (committed
 		atomic.AddUint64(&sv.commitSrv.CrossShardCommits, uint64(n))
 	}
 	sv.batchSizes.Record(uint64(n))
+
+	// Last, off the members' critical path: leave no written partition (V1
+	// has none) lagging unless somebody is scanning it. An invalidation-server
+	// with a core of its own took its partition when the stream went odd, so
+	// these calls fail on a plain load; without one the driver does the scan
+	// and the next reader of the partition finds it caught up.
+	for m := writes; m != 0; m &= m - 1 {
+		wsv := e.srv[bits.TrailingZeros64(m)]
+		for k := 0; k < e.numInval; k++ {
+			wsv.scanPartition(k, clk)
+		}
+	}
+	clk.ring.SpanAt(obs.KEpoch, clk.t0, clk.prev, uint64(n))
 	return n, true
 }
 
@@ -579,15 +601,15 @@ func (sv *shardServer) collect(mask uint64, first, maxBatch int, lagBudget uint6
 // only read stay even. V1 dooms inline, between the raise and the write-back
 // (latency phase "scan": the driver actively scans rather than waits). V2/V3
 // hand the merged signature and member mask to each written stream's
-// invalidation-servers and write back in parallel with their scans; both are
-// copied into that stream's ring-slot buffers (owned through its lock, proved
-// consumed by the catch-up stage) because a client reclaims its write set the
-// moment it sees the reply, while the scans may still run. A victim may be
-// scanned once per written stream — the doom CAS is epoch-guarded, so
-// duplicates are no-ops.
+// partition scanners and write back in parallel with their scans; both are
+// copied into that stream's ring-slot descriptor (owned through its lock,
+// proved consumed by the catch-up stage) because a client reclaims its write
+// set the moment it sees the reply, while the scans may still run. A victim
+// may be scanned once per written stream — the doom CAS is epoch-guarded, so
+// duplicates are no-ops. It returns the written-stream mask.
 //
 //stm:hotpath
-func (sv *shardServer) publish(clk *phaseClock) {
+func (sv *shardServer) publish(clk *phaseClock) (writes uint64) {
 	sys, e := sv.sys, sv.eng
 	var kd *killDesc
 	if sys.attr != nil {
@@ -596,7 +618,7 @@ func (sv *shardServer) publish(clk *phaseClock) {
 	// The epoch's write signature, member mask and written streams: a lone
 	// member's own (its filter is stable until the reply, its mask immutable),
 	// else the batch unions.
-	sig, members, writes := sv.batchWS, sv.batchMask, uint64(0)
+	sig, members := sv.batchWS, sv.batchMask
 	if len(sv.batchIdx) == 1 {
 		s := &sys.slots[sv.batchIdx[0]]
 		req := s.req.Load()
@@ -613,9 +635,10 @@ func (sv *shardServer) publish(clk *phaseClock) {
 		st := &sys.streams[j]
 		if e.numInval > 0 {
 			slot := (st.ts.Load() / 2) % uint64(len(st.ring))
-			d := &commitDesc{bf: e.srv[j].sigBufs[slot], members: e.srv[j].memberBufs[slot], kd: kd}
+			d := &e.srv[j].descBufs[slot]
 			d.bf.CopyFrom(sig)
 			d.members.copyFrom(members)
+			d.kd = kd
 			st.ring[slot].Store(d)
 		}
 		st.ts.Add(1)
@@ -634,6 +657,7 @@ func (sv *shardServer) publish(clk *phaseClock) {
 		sys.streams[j].ts.Add(1)
 	}
 	clk.lap(obs.LatWriteBack, obs.KWriteBack, uint64(len(sv.batchIdx)))
+	return writes
 }
 
 // phaseClock times a server's phases for their two consumers, its latency
@@ -671,34 +695,51 @@ func (c *phaseClock) lap(p obs.LatPhase, k obs.Kind, arg uint64) {
 	c.prev = now
 }
 
-// invalServerMain is Algorithm 3's INVALIDATION-SERVER LOOP for this shard's
-// stream: whenever the stream timestamp passes this server's local
-// timestamp, fetch the pending commit descriptor, doom conflicting
-// transactions in this server's partition, and advance the local timestamp
-// by 2. Every stream's server k covers the same global slot partition k;
-// concurrent scans from different streams are safe because the doom CAS is
-// epoch-guarded and idempotent.
+// scanPartition applies every outstanding descriptor of this stream to
+// invalidation partition k and advances invalTS[k] past each, if the partition
+// lags and nobody else is scanning it; it reports whether it took the
+// partition. It is Algorithm 3's INVALIDATION-SERVER LOOP body, run by
+// whoever holds the partition's lock: invalidation-server k, or an epoch
+// driver (catch-up and post-reply stages of epoch), so a partition lags only
+// while somebody is scanning it. The lag test is two plain loads and the
+// try-lock a third, so a caller that finds the partition caught up or taken —
+// the driver's common case where a server owns a core — pays no more. The
+// descriptor for base timestamp invalTS[k] was published before the timestamp
+// moved past it, and no epoch driver can overwrite it until invalTS[k]
+// advances (ring bound). Each descriptor is one "scan" lap on the caller's
+// clock — the server's own, or the driver's epoch clock, so an epoch's phases
+// still sum to its span — and its dooms land on that clock's track.
+//
+//stm:hotpath
+func (sv *shardServer) scanPartition(k int, clk *phaseClock) bool {
+	sys, st := sv.sys, sv.st
+	if st.ts.Load() > st.invalTS[k].Load() && sys.tryLockPartition(sv.shard, k) {
+		for my := st.invalTS[k].Load(); st.ts.Load() > my; my += 2 {
+			d := st.ring[(my/2)%uint64(len(st.ring))].Load()
+			doomed := sys.invalidatePartition(k, d.members, d.bf, clk.ring, d.kd)
+			atomic.AddUint64(&sv.invalSrv[k].Invalidations, doomed)
+			st.invalTS[k].Store(my + 2)
+			clk.lap(obs.LatScan, obs.KInvalScan, doomed)
+		}
+		sys.unlockPartition(sv.shard, k)
+		return true
+	}
+	return false
+}
+
+// invalServerMain is invalidation-server k of this shard's stream: scan the
+// partition whenever the stream timestamp passes its local timestamp and no
+// epoch driver got there first. Every stream's server k covers the same
+// global slot partition k; concurrent scans from different streams are safe
+// because the doom CAS is epoch-guarded and idempotent.
 //
 //stm:hotpath
 func (sv *shardServer) invalServerMain(k int, stop func() bool) {
-	sys := sv.sys
-	st := sv.st
-	stats := &sv.invalSrv[k]
-	ring := sv.invalRings[k]
-	lc := sv.invalLat[k]
 	var w spin.Waiter
 	for !stop() {
-		my := st.invalTS[k].Load()
-		if st.ts.Load() > my {
-			// The descriptor for base timestamp `my` was published before
-			// the timestamp moved past it, and no epoch driver can
-			// overwrite it until this server advances (ring bound).
-			clk := startClock(lc, ring)
-			d := st.ring[(my/2)%uint64(len(st.ring))].Load()
-			doomed := sys.invalidatePartition(k, d.members, d.bf, ring, d.kd)
-			atomic.AddUint64(&stats.Invalidations, doomed)
-			st.invalTS[k].Store(my + 2)
-			clk.lap(obs.LatScan, obs.KInvalScan, doomed)
+		// The server's own cell and track, written only under the lock.
+		clk := startClock(sv.invalLat[k], sv.invalRings[k])
+		if sv.scanPartition(k, &clk) {
 			w.Reset()
 		} else {
 			w.Wait()

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -11,8 +11,8 @@ import (
 // Tests for the one epoch routine (shardServer.epoch, DESIGN.md §11), driven
 // without servers: requests are hand-posted and the lead stream's serveEpoch
 // is called directly, over every variant and mask width. Four streams, one
-// invalidation-server each; with no server goroutines the tests play the
-// invalidation-servers' part by catching invalTS up between epochs.
+// invalidation partition each; with no server goroutines the driver scans
+// every written partition itself unless a test holds its lock.
 
 // epochMasks are the touched/written stream masks per mask width. The lead
 // stream is never stream 0 alone, and the wider masks keep one touched stream
@@ -48,17 +48,6 @@ func postMasked(t *testing.T, s *System, th *Thread, touched, writes uint64, val
 	}
 	req.touched, req.writes = touched, writes
 	return sl, vars
-}
-
-// catchUpInval stands in for the invalidation-servers: every stream's servers
-// have processed every commit so far.
-func catchUpInval(s *System) {
-	for j := range s.streams {
-		st := &s.streams[j]
-		for k := range st.invalTS {
-			st.invalTS[k].Store(st.ts.Load())
-		}
-	}
 }
 
 func streamTimestamps(s *System) string {
@@ -151,70 +140,105 @@ func TestEpochSkipsStaleCandidate(t *testing.T) {
 // version stamp is the stream's odd timestamp); touched read-only streams were
 // locked and caught up but never went odd and received no descriptor;
 // multi-stream epochs record lock-wait (and drain with invalidation-servers),
-// single-stream ones inval-wait, never both.
+// single-stream ones inval-wait, never both. With invalidation-servers the
+// shape runs twice: with every partition free, where the driver scans each
+// written stream's partition itself after the reply (one "scan" sample per
+// written stream, the partition caught up), and with every partition held as
+// by a server in mid-scan, where it leaves them alone (no "scan", the
+// partition one commit behind).
 func TestEpochStreamsAndPhases(t *testing.T) {
 	forEachEpochShape(t, func(t *testing.T, algo Algo, touched, writes uint64) {
-		s := newEpochSystem(t, algo)
-		eng := s.eng.(*remoteEngine)
-		th := s.MustRegister()
-		sl, vars := postMasked(t, s, th, touched, writes, 7)
-		lead := eng.srv[bits.TrailingZeros64(touched)]
-		if !lead.serveEpoch(touched, th.idx) || sl.state.Load() != reqCommitted {
-			t.Fatalf("request not committed (state %d)", sl.state.Load())
+		if algo == RInvalV1 {
+			epochStreamsAndPhases(t, algo, touched, writes, false)
+			return
 		}
-		for j := range s.streams {
-			st := &s.streams[j]
-			want := uint64(0)
-			if writes&(1<<uint(j)) != 0 {
-				want = 2
-			}
-			if got := st.ts.Load(); got != want {
-				t.Errorf("stream %d timestamp = %d, want %d (written mask %04b)", j, got, want, writes)
-			}
-			if st.owner.Load() != 0 {
-				t.Errorf("stream %d left locked", j)
-			}
-			d := st.ring[0].Load()
-			if wantDesc := eng.numInval > 0 && want == 2; (d != nil) != wantDesc {
-				t.Errorf("stream %d descriptor present = %v, want %v", j, d != nil, wantDesc)
-			} else if d != nil && !(d.members[0] == 1<<uint(th.idx) && d.bf.MayContain(vars[0].id)) {
-				t.Errorf("stream %d descriptor does not carry the batch (members %b)", j, d.members)
-			}
-		}
-		for _, v := range vars {
-			if b := v.loadBox(); b.v != 7 || b.epoch != 1 {
-				t.Errorf("var in stream %d = %v stamped %d, want 7 stamped 1 (odd window)", s.shardOf(v), b.v, b.epoch)
-			}
-		}
-
-		var want []string
-		switch multi, remote := touched&(touched-1) != 0, eng.numInval > 0; {
-		case !multi && !remote:
-			want = []string{"collect", "reply", "scan", "write-back"}
-		case !multi && remote:
-			want = []string{"collect", "inval-wait", "reply", "write-back"}
-		case multi && !remote:
-			want = []string{"collect", "lock-wait", "reply", "scan", "write-back"}
-		default:
-			want = []string{"collect", "drain", "lock-wait", "reply", "write-back"}
-		}
-		var got []string
-		for name, n := range serverPhaseCounts(s) {
-			if n != 1 {
-				t.Errorf("phase %q has %d samples after one epoch", name, n)
-			}
-			got = append(got, name)
-		}
-		sort.Strings(got)
-		if strings.Join(got, ",") != strings.Join(want, ",") {
-			t.Errorf("recorded phases %v, want %v", got, want)
-		}
-		settle(s, th.idx, sl)
-		th.Close()
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
+		t.Run("partitions-free", func(t *testing.T) { epochStreamsAndPhases(t, algo, touched, writes, false) })
+		t.Run("partitions-held", func(t *testing.T) { epochStreamsAndPhases(t, algo, touched, writes, true) })
 	})
+}
+
+func epochStreamsAndPhases(t *testing.T, algo Algo, touched, writes uint64, held bool) {
+	s := newEpochSystem(t, algo)
+	eng := s.eng.(*remoteEngine)
+	if held {
+		for j := range s.streams {
+			if !s.tryLockPartition(j, 0) {
+				t.Fatalf("stream %d: fresh partition lock not free", j)
+			}
+		}
+	}
+	th := s.MustRegister()
+	sl, vars := postMasked(t, s, th, touched, writes, 7)
+	lead := eng.srv[bits.TrailingZeros64(touched)]
+	if !lead.serveEpoch(touched, th.idx) || sl.state.Load() != reqCommitted {
+		t.Fatalf("request not committed (state %d)", sl.state.Load())
+	}
+	for j := range s.streams {
+		st := &s.streams[j]
+		want := uint64(0)
+		if writes&(1<<uint(j)) != 0 {
+			want = 2
+		}
+		if got := st.ts.Load(); got != want {
+			t.Errorf("stream %d timestamp = %d, want %d (written mask %04b)", j, got, want, writes)
+		}
+		if st.owner.Load() != 0 {
+			t.Errorf("stream %d left locked", j)
+		}
+		d := st.ring[0].Load()
+		if wantDesc := eng.numInval > 0 && want == 2; (d != nil) != wantDesc {
+			t.Errorf("stream %d descriptor present = %v, want %v", j, d != nil, wantDesc)
+		} else if d != nil && !(d.members[0] == 1<<uint(th.idx) && d.bf.MayContain(vars[0].id)) {
+			t.Errorf("stream %d descriptor does not carry the batch (members %b)", j, d.members)
+		}
+		if eng.numInval > 0 {
+			wantTS, wantLock := want, uint32(0)
+			if held {
+				wantTS, wantLock = 0, 1
+			}
+			if got := st.invalTS[0].Load(); got != wantTS {
+				t.Errorf("stream %d invalTS = %d, want %d", j, got, wantTS)
+			}
+			if got := st.partOwner[0].Load(); got != wantLock {
+				t.Errorf("stream %d partition lock = %d, want %d", j, got, wantLock)
+			}
+		}
+	}
+	for _, v := range vars {
+		if b := v.loadBox(); b.v != 7 || b.epoch != 1 {
+			t.Errorf("var in stream %d = %v stamped %d, want 7 stamped 1 (odd window)", s.shardOf(v), b.v, b.epoch)
+		}
+	}
+
+	want := map[string]uint64{"collect": 1, "write-back": 1, "reply": 1}
+	multi, remote := touched&(touched-1) != 0, eng.numInval > 0
+	if multi {
+		want["lock-wait"] = 1
+	}
+	switch {
+	case !remote:
+		want["scan"] = 1 // V1's inline scan
+	case multi:
+		want["drain"] = 1
+	default:
+		want["inval-wait"] = 1
+	}
+	if remote && !held {
+		want["scan"] = uint64(bits.OnesCount64(writes))
+	}
+	if got := serverPhaseCounts(s); !reflect.DeepEqual(got, want) {
+		t.Errorf("recorded phase samples %v, want %v", got, want)
+	}
+	if held {
+		for j := range s.streams {
+			s.unlockPartition(j, 0)
+		}
+	}
+	settle(s, th.idx, sl)
+	th.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestEpochOddWindowsNest: a multi-stream epoch raises its written streams odd
@@ -260,7 +284,6 @@ func TestEpochOddWindowsNest(t *testing.T) {
 					t.Fatalf("epoch %d: request not committed (state %d)", i, sl.state.Load())
 				}
 				settle(s, th.idx, sl)
-				catchUpInval(s)
 			}
 			close(stop)
 			if msg, ok := <-torn; ok {

@@ -19,12 +19,18 @@ func postPending(s *System, th *Thread, v *Var, val any) *slot {
 	sl := th.slot
 	ws := newWriteSet(s.cfg.Bloom)
 	ws.put(v, val)
-	s.active.set(th.idx) // as Tx.begin would: bit before the ALIVE store
-	epoch := (sl.status.Load() >> epochShift) + 1
-	sl.status.Store(statusWord(epoch, txAlive))
+	beginSlot(s, th)
 	sl.req.Store(&commitReq{ws: ws, writes: 1, touched: 1}) // single stream: shard 0
 	sl.state.Store(reqPending)
 	return sl
+}
+
+// beginSlot makes th's slot an in-flight transaction as Tx.begin would: the
+// active bit before the ALIVE store of a fresh epoch.
+func beginSlot(s *System, th *Thread) {
+	s.active.set(th.idx)
+	epoch := (th.slot.status.Load() >> epochShift) + 1
+	th.slot.status.Store(statusWord(epoch, txAlive))
 }
 
 // settle returns a slot to idle after a manual epoch so Close can succeed.
@@ -95,8 +101,9 @@ func TestGroupCommitDisjointBatchOneEpoch(t *testing.T) {
 
 // TestGroupCommitConflictSplitsEpochs: W/W and R/W overlaps keep requests
 // out of the same epoch; the excluded request stays PENDING and commits in
-// the next epoch. V1 and V3 are exercised (V2's lag wait needs live
-// invalidation-servers, which these manual epochs do not run).
+// the next epoch. V1 and V3 are exercised; V3 with its partition held, as by
+// an invalidation-server in mid-scan, so the follower is also deferred for lag
+// (V2 would wait out the holder in its catch-up stage instead).
 func TestGroupCommitConflictSplitsEpochs(t *testing.T) {
 	for _, algo := range []Algo{RInvalV1, RInvalV3} {
 		for _, kind := range []string{"ww", "follower-reads-leader-write", "leader-read-follower-write"} {
@@ -124,6 +131,9 @@ func TestGroupCommitConflictSplitsEpochs(t *testing.T) {
 				}
 
 				eng := s.eng.(*remoteEngine)
+				if algo == RInvalV3 && !s.tryLockPartition(0, 0) {
+					t.Fatal("fresh partition lock not free")
+				}
 				if !eng.srv[0].serveEpoch(1, 0) {
 					t.Fatal("first epoch made no progress")
 				}
@@ -162,22 +172,23 @@ func TestGroupCommitConflictSplitsEpochs(t *testing.T) {
 						t.Errorf("Epochs = %d, want %d", eng.srv[0].commitSrv.Epochs, wantEpochs)
 					}
 				} else {
-					// V3 with no live invalidation-servers: invalTS lags the
-					// new timestamp, so the follower is deferred — the
-					// documented step-ahead behavior.
+					// V3 with the partition held: the first epoch's driver
+					// left its descriptor to the holder, invalTS lags the new
+					// timestamp, so the follower is deferred — the documented
+					// step-ahead behavior.
 					if eng.srv[0].serveEpoch(1, 0) {
-						t.Fatal("V3 should defer the follower while its server lags")
+						t.Fatal("V3 should defer the follower while its partition is being scanned")
 					}
 					if sl1.state.Load() != reqPending {
 						t.Fatal("deferred follower must stay pending")
 					}
-					// Run one invalidation-server step by hand; the follower's
-					// request is then served (committed, or aborted when the
-					// scan doomed it).
-					my := s.streams[0].invalTS[0].Load()
-					d := s.streams[0].ring[(my/2)%uint64(len(s.streams[0].ring))].Load()
-					s.invalidatePartition(0, d.members, d.bf, nil, nil)
-					s.streams[0].invalTS[0].Store(my + 2)
+					// The holder lets go and the invalidation-server takes its
+					// next turn; the follower's request is then served
+					// (committed, or aborted when the scan doomed it).
+					s.unlockPartition(0, 0)
+					if !serverTurn(eng.srv[0], 0) {
+						t.Fatal("free lagging partition not scanned")
+					}
 					if !eng.srv[0].serveEpoch(1, 0) {
 						t.Fatal("follower epoch made no progress after catch-up")
 					}

@@ -153,21 +153,38 @@ func TestHelpDeclines(t *testing.T) {
 		}
 		eng := s.eng.(*remoteEngine)
 		th0, th1 := s.MustRegister(), s.MustRegister()
+		// The invalidation-server is in the middle of a scan: it holds the
+		// partition, so the first epoch's driver leaves its descriptor to it.
+		if !s.tryLockPartition(0, 0) {
+			t.Fatal("fresh partition lock not free")
+		}
 		sl0 := postPending(s, th0, NewVar(0), 1)
 		if !eng.help(&th0.tx, sl0.req.Load()) {
 			t.Fatal("first epoch: nothing lags yet, help should commit")
 		}
-		// No invalidation-server runs here, so invalTS now trails the
-		// timestamp and the next requester's ALIVE check is inconclusive.
+		// invalTS now trails the timestamp and the next requester's ALIVE
+		// check is inconclusive.
 		sl1 := postPending(s, th1, NewVar(0), 2)
 		if eng.help(&th1.tx, sl1.req.Load()) {
-			t.Fatal("V3 helper served a request whose invalidation-server lags")
+			t.Fatal("V3 helper served a request whose partition is still being scanned")
 		}
 		if sl1.state.Load() != reqPending || s.streams[0].owner.Load() != 0 {
 			t.Fatal("declined help changed the request or kept the lock")
 		}
+		if s.streams[0].invalTS[0].Load() != 0 || s.streams[0].partOwner[0].Load() != 1 {
+			t.Fatal("declined help touched the partition its server holds")
+		}
 		if got := th1.Stats().HelpedEpochs; got != 0 {
 			t.Fatalf("declined help counted %d helped epochs", got)
+		}
+		// The server finishes and takes its next turn; the deferred request
+		// is then served.
+		s.unlockPartition(0, 0)
+		if !serverTurn(eng.srv[0], 0) {
+			t.Fatal("free lagging partition not scanned")
+		}
+		if !eng.help(&th1.tx, sl1.req.Load()) || sl1.state.Load() != reqCommitted {
+			t.Fatalf("caught-up partition: help should have committed the request (state %d)", sl1.state.Load())
 		}
 		settle(s, th0.idx, sl0)
 		settle(s, th1.idx, sl1)
@@ -179,80 +196,101 @@ func TestHelpDeclines(t *testing.T) {
 	})
 }
 
-// TestHelpStress runs clients against live servers with every recorder the
-// lock holder writes switched on (Stats histograms, trace ring, latency
-// cells), so under -race a helper write outside the stream lock shows up.
-// Transfers between accounts placed on known shards give single-stream and
-// cross-shard commits, conflicts and batches.
+// TestHelpStress runs clients against live servers with every recorder a lock
+// holder writes switched on (Stats histograms, trace rings, latency cells), so
+// under -race a write to a stream's scratch outside its lock, or to a
+// partition's outside the partition lock, shows up. Transfers between accounts
+// placed on known shards give single-stream and cross-shard commits, conflicts
+// and batches; V2/V3 run with one and with two partitions per stream, so
+// drivers and invalidation-servers race for partitions they both may scan.
 func TestHelpStress(t *testing.T) {
-	const workers, per, accounts, initial = 4, 150, 8, 100
 	for _, algo := range rinvalAlgos {
 		for _, shards := range []int{1, 4} {
 			for _, maxBatch := range []int{1, 8} {
 				t.Run(fmt.Sprintf("%s/shards=%d/batch=%d", algo, shards, maxBatch), func(t *testing.T) {
-					s, err := New(Config{Algo: algo, MaxThreads: 8, InvalServers: 4, StepsAhead: 2,
-						Shards: shards, MaxBatch: maxBatch, Stats: true, Trace: true, Latency: true})
-					if err != nil {
-						t.Fatal(err)
+					cfg := Config{Algo: algo, MaxThreads: 8, InvalServers: 4, StepsAhead: 2,
+						Shards: shards, MaxBatch: maxBatch, Stats: true, Trace: true, Latency: true}
+					if algo == RInvalV1 {
+						helpStress(t, cfg)
+						return
 					}
-					// Accounts 2k and 2k+1 share a stream; a transfer goes to the
-					// sibling, every fourth one to the next pair (cross-shard
-					// when Shards > 1).
-					vars := make([]*Var, accounts)
-					for i := range vars {
-						vars[i] = varInShard(t, s, (i/2)%shards, initial)
+					for _, perStream := range []int{1, 2} {
+						cfg.InvalServers = perStream * shards
+						t.Run(fmt.Sprintf("inval=%d", perStream), func(t *testing.T) { helpStress(t, cfg) })
 					}
-					var wg sync.WaitGroup
-					for w := 0; w < workers; w++ {
-						w := w
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							th := s.MustRegister()
-							defer th.Close()
-							for i := 0; i < per; i++ {
-								f := (w + i) % accounts
-								from, to := vars[f], vars[f^1]
-								if i%4 == 3 {
-									to = vars[(f+2)%accounts]
-								}
-								if err := th.Atomically(func(tx *Tx) error {
-									tx.Store(from, tx.Load(from).(int)-1)
-									tx.Store(to, tx.Load(to).(int)+1)
-									return nil
-								}); err != nil {
-									t.Errorf("worker %d: %v", w, err)
-									return
-								}
-							}
-						}()
-					}
-					wg.Wait()
-					if err := s.Close(); err != nil {
-						t.Fatal(err)
-					}
-					total := 0
-					for _, v := range vars {
-						total += v.Peek().(int)
-					}
-					if total != accounts*initial {
-						t.Fatalf("sum = %d, want %d", total, accounts*initial)
-					}
-					st := s.Stats()
-					if got := st.ConflictAborts(); got != st.Aborts {
-						t.Fatalf("conflict reasons sum to %d, Aborts = %d (reasons %v)", got, st.Aborts, st.AbortReasons)
-					}
-					if st.HelpedEpochs > st.Epochs {
-						t.Fatalf("HelpedEpochs = %d exceeds Epochs = %d", st.HelpedEpochs, st.Epochs)
-					}
-					// Client commits + the servers' count of the same commits.
-					if st.Commits != 2*workers*per {
-						t.Fatalf("Commits = %d, want %d", st.Commits, 2*workers*per)
-					}
-					t.Logf("epochs %d, helped %d, cross-shard %d, aborts %d",
-						st.Epochs, st.HelpedEpochs, st.CrossShardCommits, st.Aborts)
 				})
 			}
 		}
 	}
+}
+
+func helpStress(t *testing.T, cfg Config) {
+	const workers, per, accounts, initial = 4, 150, 8, 100
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Accounts 2k and 2k+1 share a stream; a transfer goes to the sibling,
+	// every fourth one to the next pair (cross-shard when Shards > 1).
+	vars := make([]*Var, accounts)
+	for i := range vars {
+		vars[i] = varInShard(t, s, (i/2)%cfg.Shards, initial)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			th := s.MustRegister()
+			defer th.Close()
+			for i := 0; i < per; i++ {
+				f := (w + i) % accounts
+				from, to := vars[f], vars[f^1]
+				if i%4 == 3 {
+					to = vars[(f+2)%accounts]
+				}
+				if err := th.Atomically(func(tx *Tx) error {
+					tx.Store(from, tx.Load(from).(int)-1)
+					tx.Store(to, tx.Load(to).(int)+1)
+					return nil
+				}); err != nil {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, v := range vars {
+		total += v.Peek().(int)
+	}
+	if total != accounts*initial {
+		t.Fatalf("sum = %d, want %d", total, accounts*initial)
+	}
+	st := s.Stats()
+	if got := st.ConflictAborts(); got != st.Aborts {
+		t.Fatalf("conflict reasons sum to %d, Aborts = %d (reasons %v)", got, st.Aborts, st.AbortReasons)
+	}
+	if st.HelpedEpochs > st.Epochs {
+		t.Fatalf("HelpedEpochs = %d exceeds Epochs = %d", st.HelpedEpochs, st.Epochs)
+	}
+	if st.Commits != workers*per {
+		t.Fatalf("Commits = %d, want %d", st.Commits, workers*per)
+	}
+	for j := range s.streams {
+		st := &s.streams[j]
+		for k := range st.invalTS {
+			if st.partOwner[k].Load() != 0 || st.invalTS[k].Load() > st.ts.Load() {
+				t.Fatalf("stream %d partition %d: lock %d, invalTS %d past timestamp %d",
+					j, k, st.partOwner[k].Load(), st.invalTS[k].Load(), st.ts.Load())
+			}
+		}
+	}
+	t.Logf("epochs %d, helped %d, cross-shard %d, aborts %d",
+		st.Epochs, st.HelpedEpochs, st.CrossShardCommits, st.Aborts)
 }

@@ -107,14 +107,22 @@ type commitStream struct {
 	// this stream with base timestamp below invalTS[k] for its partition.
 	invalTS []padded.Uint64
 
+	// partOwner[k] is partition k's lock on this stream: held (1) by whoever
+	// is applying the stream's outstanding descriptors to partition k —
+	// invalidation-server k, or an epoch driver that found the partition
+	// lagging and free (DESIGN.md §16, "One tier down"). invalTS[k] advances
+	// only under it. Acquired with tryLockPartition alone, so it never waits;
+	// the only legal nesting is stream lock, then partition lock.
+	partOwner []padded.Uint32
+
 	// ring holds this stream's in-flight commit descriptors. Slot (base/2)
 	// mod len(ring); len(ring) = StepsAhead+1 bounds how many commits may be
 	// awaiting invalidation at once.
 	ring []padded.Pointer[commitDesc]
 
-	// Round the cold tail (two 24-byte slice headers) up to a whole cache
+	// Round the cold tail (three 24-byte slice headers) up to a whole cache
 	// line so []commitStream keeps every stream's spin lines exclusive.
-	_ [padded.CacheLineSize - (24+24)%padded.CacheLineSize]byte
+	_ [padded.CacheLineSize - (24+24+24)%padded.CacheLineSize]byte
 }
 
 // System owns the shared state of one STM instance: the commit streams
@@ -277,6 +285,7 @@ func newSystem(cfg Config) (*System, error) {
 	s.streams = make([]commitStream, cfg.Shards)
 	for j := range s.streams {
 		s.streams[j].invalTS = make([]padded.Uint64, s.nInvalPerShard)
+		s.streams[j].partOwner = make([]padded.Uint32, s.nInvalPerShard)
 		s.streams[j].ring = make([]padded.Pointer[commitDesc], cfg.StepsAhead+1)
 	}
 
@@ -411,7 +420,11 @@ func (s *System) Close() error {
 		close(s.tsStop)
 	}
 	s.wg.Wait()
-	s.retired.Add(s.eng.serverStats())
+	// Fold in what only the servers count. The epoch drivers' Commits are the
+	// clients' own commits seen from the stream side, already in retired.
+	srv := s.eng.serverStats()
+	srv.Commits = 0
+	s.retired.Add(srv)
 	return nil
 }
 
@@ -482,7 +495,9 @@ func (s *System) release(th *Thread) {
 }
 
 // Stats aggregates statistics from retired threads, live threads, and (after
-// Close) servers. Safe to call at any time, including while threads are
+// Close) what only the servers count: Invalidations, Epochs,
+// CrossShardCommits, BatchSizes and Server. Commits is the clients' count
+// before and after. Safe to call at any time, including while threads are
 // running transactions: live threads' counters are read atomically (each
 // counter individually; the aggregate is not a single instant).
 func (s *System) Stats() Stats {
@@ -559,6 +574,23 @@ func (s *System) tryLockStream(j int) bool {
 //
 //stm:hotpath
 func (s *System) unlockStream(j int) { s.streams[j].owner.Store(0) }
+
+// tryLockPartition acquires partition k's lock on shard j's stream only if it
+// is free right now and reports whether it did; like tryLockStream, a busy
+// lock costs a plain load. The holder owns the partition's scan of that
+// stream — invalTS[k] and the invalidation-server's trace ring and latency
+// cell — until unlockPartition.
+//
+//stm:hotpath
+func (s *System) tryLockPartition(j, k int) bool {
+	o := &s.streams[j].partOwner[k]
+	return o.Load() == 0 && o.CompareAndSwap(0, 1)
+}
+
+// unlockPartition releases partition k's lock on shard j's stream.
+//
+//stm:hotpath
+func (s *System) unlockPartition(j, k int) { s.streams[j].partOwner[k].Store(0) }
 
 // lockStreams acquires the stream lock of every shard in mask in ascending
 // shard order. Every waiting acquisition takes this one route, so concurrent

@@ -50,8 +50,9 @@ const (
 	// LatCollect: the batch-collection scan over pending commit requests.
 	LatCollect
 	// LatScan: invalidation scan work — the commit-server's inline
-	// invalidation pass (V1) or an invalidation-server's partition scan of
-	// one commit descriptor (V2/V3).
+	// invalidation pass (V1) or one partition scan of one commit descriptor
+	// (V2/V3), on the cell of whoever ran it: the invalidation-server's, or
+	// the commit-server's when the epoch driver did.
 	LatScan
 	// LatInvalWait: commit-server waiting for invalidation-servers to come
 	// within the lag budget.

@@ -116,8 +116,9 @@ const (
 	KWriteBack
 	// KReply (span, commit-server): replying COMMITTED to the batch members.
 	KReply
-	// KInvalScan (span, invalidation-server): processing one commit
-	// descriptor against this server's partition. Arg = transactions doomed.
+	// KInvalScan (span, invalidation-server or commit-server): processing one
+	// commit descriptor against one invalidation partition, on the track of
+	// whoever ran the scan. Arg = transactions doomed.
 	KInvalScan
 	// KInval (instant, any invalidator): one victim doomed. Arg = victim
 	// slot index.

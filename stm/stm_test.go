@@ -306,8 +306,6 @@ func TestShardedCommitAccounting(t *testing.T) {
 		if shards > 1 {
 			wantCross = clients * iters / crossEvery
 		}
-		// Counted per stream: after Close, Stats().Commits adds the epoch
-		// drivers' count to the clients' and would read double.
 		per := s.ShardServerStats()
 		if len(per) != shards {
 			t.Fatalf("S=%d: ShardServerStats has %d entries", shards, len(per))
@@ -318,8 +316,9 @@ func TestShardedCommitAccounting(t *testing.T) {
 			epochs += sh.Epochs
 		}
 		st := s.Stats()
-		if commits != clients*iters || st.Epochs != clients*iters {
-			t.Errorf("S=%d: stream commits = %d, epochs = %d, want %d each", shards, commits, st.Epochs, clients*iters)
+		if commits != clients*iters || st.Commits != clients*iters || st.Epochs != clients*iters {
+			t.Errorf("S=%d: stream commits = %d, Stats().Commits = %d, epochs = %d, want %d each",
+				shards, commits, st.Commits, st.Epochs, clients*iters)
 		}
 		if st.CrossShardCommits != wantCross {
 			t.Errorf("S=%d: cross-shard commits = %d, want %d", shards, st.CrossShardCommits, wantCross)
