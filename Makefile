@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build test vet lint lint-github race deflaked bench bench-layers
+.PHONY: verify build test vet lint lint-github race deflaked size bench bench-layers
 
 ## verify: the full pre-merge gate — vet, the invariant linter, build, tests,
 ## and the race detector over the packages with real concurrency.
@@ -42,6 +42,19 @@ race:
 ## shows in one CI run.
 deflaked:
 	$(GO) test -race -count=50 -run 'TestROTornPairProperty$$' ./internal/core/
+
+## size: the numbers ROADMAP aim 2 tracks like throughput — tracked Go lines
+## per top-level directory (lint fixtures under testdata count as non-test),
+## Config's field count and the OpenMetrics family count, the last two as the
+## tests that pin them log them. ROADMAP's state line is copied from here.
+size:
+	@git ls-files '*.go' | xargs wc -l | awk '$$2 != "total" { \
+		d = index($$2, "/") ? substr($$2, 1, index($$2, "/") - 1) : "."; \
+		if ($$2 ~ /_test\.go$$/) t[d] += $$1; else s[d] += $$1; \
+		seen[d] = 1; files++ } \
+		END { for (d in seen) { printf "%-10s %6d non-test %6d test\n", d, s[d], t[d]; S += s[d]; T += t[d] } \
+		printf "%-10s %6d non-test %6d test  (%d Go files, %d lines)\n", "total", S, T, files, S + T }' | sort
+	@$(GO) test -count=1 -v -run 'TestConfigFieldCount$$|TestOpenMetricsHelpConformance$$' ./internal/core/ | grep -o 'Config fields: .*\|OpenMetrics families: .*'
 
 ## bench: the repository benchmark (BENCHMARK.json): four workloads x four
 ## engines, 13 end-to-end metrics each, ~2 min. bench-layers prints the

@@ -183,29 +183,20 @@ type Config struct {
 	// decomposition: every Nth transaction is timed. 1 times every
 	// transaction. Default 64.
 	LatencySampleEvery int
-	// FlightRecorder arms the anomaly-triggered post-mortem dump: a
-	// background goroutine ticks every FlightInterval, watches the windowed
-	// latency p99 and abort rate against EWMA baselines (and the
-	// commit-servers for stalls), and on a spike writes a flight bundle —
-	// trace-ring snapshots, conflict report, latency report, goroutine
-	// stacks — atomically to a timestamped JSON file under FlightDir.
-	// Implies Latency (the detector needs the windowed p99). Off by default.
+	// FlightRecorder arms the triggered post-mortem dump: after every window
+	// the time-series sampler pushes, it runs one flight check, and when a
+	// declared SLO's burn alert rose on that window, or the stall watchdog
+	// trips (a client waiting on its commit reply, or a V2/V3 invalidation
+	// partition trailing its stream, across two windows with no progress), it
+	// writes a flight bundle — trace-ring snapshots, conflict report, latency
+	// report, windowed telemetry, goroutine stacks — atomically to a
+	// timestamped JSON file under FlightDir, at most one per 10 s. With no
+	// SLOs declared the recorder is the stall watchdog alone. Implies
+	// TimeSeries (at DefaultTimeSeriesWindows when unset). Off by default.
 	FlightRecorder bool
 	// FlightDir is the directory flight bundles are written to. Default
 	// "flight" (relative to the working directory).
 	FlightDir string
-	// FlightInterval is the detector's tick period. Default 500ms.
-	FlightInterval time.Duration
-	// FlightP99Factor trips a dump when a window's p99 exceeds this multiple
-	// of the EWMA baseline. Default 3.
-	FlightP99Factor float64
-	// FlightAbortRate trips a dump when a window's abort rate exceeds this
-	// absolute threshold (and twice its EWMA baseline). Default 0.5.
-	FlightAbortRate float64
-	// FlightCooldown suppresses further dumps for this long after one fires,
-	// so a sustained incident produces one bundle, not one per tick.
-	// Default 10s.
-	FlightCooldown time.Duration
 	// TimeSeries enables the windowed telemetry engine (DESIGN.md §15): a
 	// sampler goroutine snapshots the cumulative counters and latency
 	// histograms every TimeSeriesInterval and delta-encodes them into a
@@ -229,7 +220,8 @@ type Config struct {
 	// catches slow bleeds). Alerts land in the report, the /metrics
 	// stm_slo_* gauges, and — when FlightRecorder is armed — trigger a
 	// flight dump carrying the tripping window. Setting SLOs with
-	// TimeSeries == 0 enables the engine at DefaultTimeSeriesWindows.
+	// TimeSeries == 0 enables the engine at DefaultTimeSeriesWindows. An
+	// objective whose threshold no window can reach is rejected.
 	SLOs []obs.SLO
 	// Trace enables lifecycle event tracing: every client thread and server
 	// goroutine records begin/read-wait/commit/abort/epoch/invalidation
@@ -317,12 +309,9 @@ func (c Config) withDefaults() (Config, error) {
 	if c.AttrSampleEvery == 0 {
 		c.AttrSampleEvery = 8
 	}
-	if c.FlightRecorder {
-		// The anomaly detector runs off the windowed latency p99; arming the
-		// flight recorder forces the decomposition on.
-		c.Latency = true
-	}
-	if len(c.SLOs) > 0 && c.TimeSeries == 0 {
+	if (c.FlightRecorder || len(c.SLOs) > 0) && c.TimeSeries == 0 {
+		// Both ride the sampler: SLOs are evaluated per window and the flight
+		// check runs after each push.
 		c.TimeSeries = DefaultTimeSeriesWindows
 	}
 	if c.TimeSeries != 0 {
@@ -360,30 +349,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.FlightDir == "" {
 		c.FlightDir = "flight"
-	}
-	if c.FlightInterval == 0 {
-		c.FlightInterval = 500 * time.Millisecond
-	}
-	if c.FlightInterval < 0 {
-		return c, fmt.Errorf("core: negative FlightInterval %v", c.FlightInterval)
-	}
-	if c.FlightP99Factor == 0 {
-		c.FlightP99Factor = 3
-	}
-	if c.FlightP99Factor < 1 {
-		return c, fmt.Errorf("core: FlightP99Factor %v below 1", c.FlightP99Factor)
-	}
-	if c.FlightAbortRate == 0 {
-		c.FlightAbortRate = 0.5
-	}
-	if c.FlightAbortRate < 0 || c.FlightAbortRate > 1 {
-		return c, fmt.Errorf("core: FlightAbortRate %v out of range [0,1]", c.FlightAbortRate)
-	}
-	if c.FlightCooldown == 0 {
-		c.FlightCooldown = 10 * time.Second
-	}
-	if c.FlightCooldown < 0 {
-		return c, fmt.Errorf("core: negative FlightCooldown %v", c.FlightCooldown)
 	}
 	if c.AttrSampleEvery < 1 || c.AttrSampleEvery > 1<<20 {
 		return c, fmt.Errorf("core: AttrSampleEvery %d out of range [1,1Mi]", c.AttrSampleEvery)

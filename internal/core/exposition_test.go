@@ -185,4 +185,5 @@ func TestOpenMetricsHelpConformance(t *testing.T) {
 	if types != len(goldenFamilies) {
 		t.Errorf("declared %d families, want %d", types, len(goldenFamilies))
 	}
+	t.Logf("OpenMetrics families: %d", types) // read by `make size`
 }

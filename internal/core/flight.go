@@ -2,19 +2,17 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
-	"github.com/ssrg-vt/rinval/internal/histo"
 	"github.com/ssrg-vt/rinval/internal/obs"
 )
 
 // DumpFlightBundle assembles the full post-mortem bundle — latency report,
-// conflict report, trace-ring snapshots, goroutine stacks — and writes it
-// atomically to Config.FlightDir, returning the file path. Safe to call
-// while transactions run (every section reads through concurrent-safe
-// snapshots); callable directly for operator-initiated dumps, and what the
-// flight recorder invokes when its detector trips.
+// conflict report, windowed telemetry, trace-ring snapshots, goroutine
+// stacks — and writes it atomically to Config.FlightDir, returning the file
+// path. Safe to call while transactions run (every section reads through
+// concurrent-safe snapshots); callable directly for operator-initiated
+// dumps, and what the flight check invokes when a trigger trips.
 func (s *System) DumpFlightBundle(reason string) (string, error) {
 	b := &obs.FlightBundle{
 		Reason:    reason,
@@ -30,128 +28,70 @@ func (s *System) DumpFlightBundle(reason string) (string, error) {
 	return b.WriteFile(s.cfg.FlightDir)
 }
 
-// flightState is the detector's between-tick memory: the previous tick's
-// cumulative latency snapshot (windowed p99 = delta), counter baselines for
-// the abort-rate window, and the stall tracker (which slots were waiting on
-// a commit reply, and each shard server's epoch count).
+// flightCooldownNs suppresses further dumps for this long after one is
+// written, so a sustained incident produces one bundle, not one per window.
+// Measured on the sampler's tick timestamps.
+const flightCooldownNs = int64(10 * time.Second)
+
+// flightState is the flight check's between-tick memory (Config.FlightRecorder),
+// owned by whoever runs the sampler's tick.
 type flightState struct {
-	det         *obs.AnomalyDetector
-	prevTotal   histo.Histogram
-	prevCommits uint64
-	prevAborts  uint64
-	prevEpochs  []uint64
-	prevPending []bool
-	// prevAlerts is the SLO-trigger watermark: the time-series engine's
-	// alert count as of the last tick. New alerts between ticks trip a dump.
-	prevAlerts uint64
+	// pending[i]: slot i was waiting on a commit reply at the last tick.
+	pending []bool
+	// lagging[j*n+k] is 1+invalTS[k] of stream j as of the last tick if
+	// partition k trailed the stream's timestamp then, else 0 (invalTS is
+	// even, so the two cannot collide).
+	lagging []uint64
+	// lastDump is the tick timestamp of the last written bundle, 0 if none.
+	lastDump int64
 }
 
-func (s *System) newFlightState() *flightState {
-	fs := &flightState{
-		det:         obs.NewAnomalyDetector(s.cfg.FlightP99Factor, s.cfg.FlightAbortRate),
-		prevPending: make([]bool, len(s.slots)),
+// flightCheck is the sampler's third consumer, after the ring and the SLO
+// monitor: one pass of the triggers over the window just pushed, and a bundle
+// on disk when one trips outside the cooldown. Triggers, least severe first,
+// each overwriting the last: a burn alert that rose on the window; a partition
+// of a V2/V3 stream that trailed the stream's timestamp on two consecutive
+// ticks without moving (its readers spin in invalRead, and they are not
+// reqPending); a client waiting on its commit reply across two consecutive
+// ticks while the window saw no epoch. Atomic loads only.
+func (s *System) flightCheck(nowNanos int64, epochs uint64, rose []obs.SLOAlert) {
+	fs, reason := s.flight, ""
+	if len(rose) > 0 {
+		a := &rose[0]
+		reason = fmt.Sprintf("slo burn: %s fast=%.2fx slow=%.2fx (threshold %.2fx)",
+			a.SLO, a.FastBurn, a.SlowBurn, a.Burn)
 	}
+	n := 0 // partitions per stream: V1 and the inline engines scan none
 	if re, ok := s.eng.(*remoteEngine); ok {
-		fs.prevEpochs = make([]uint64, len(re.srv))
+		n = re.numInval
 	}
-	return fs
-}
-
-// flightTick evaluates one detector window and returns a non-empty dump
-// reason if it is anomalous. Split from flightLoop so tests can drive ticks
-// deterministically.
-func (s *System) flightTick(fs *flightState) string {
-	// Commit-server stall: a client has been spinning on its commit reply
-	// across two consecutive ticks while no shard server finished an epoch.
-	// Checked before the rate math so a wedged server is reported even when
-	// the stall has driven the windows to zero activity.
-	epochsAdvanced := false
-	if re, ok := s.eng.(*remoteEngine); ok {
-		for j := range re.srv {
-			e := atomic.LoadUint64(&re.srv[j].commitSrv.Epochs)
-			if e != fs.prevEpochs[j] {
-				epochsAdvanced = true
+	for j := range s.streams {
+		st := &s.streams[j]
+		for k := 0; k < n; k++ {
+			seen := &fs.lagging[j*n+k]
+			its := st.invalTS[k].Load()
+			switch ts := st.ts.Load(); {
+			case its >= ts:
+				*seen = 0
+			case *seen != its+1:
+				*seen = its + 1
+			default:
+				reason = fmt.Sprintf("partition stall: stream %d partition %d is %d commits behind and did not move across two ticks (lock held: %t)",
+					j, k, (ts-its+1)/2, st.partOwner[k].Load() != 0)
 			}
-			fs.prevEpochs[j] = e
-		}
-		stalled := -1
-		for i := range s.slots {
-			pending := s.slots[i].state.Load() == reqPending
-			if pending && fs.prevPending[i] && !epochsAdvanced {
-				stalled = i
-			}
-			fs.prevPending[i] = pending
-		}
-		if stalled >= 0 {
-			return fmt.Sprintf("commit-server stall: slot %d pending across two ticks with no epoch progress", stalled)
 		}
 	}
-
-	// SLO burn-rate trigger: the time-series engine recorded a multi-window
-	// burn alert since the last tick. Better grounded than the EWMA detector
-	// — the thresholds are declared objectives, not learned baselines — so
-	// it is checked first; the bundle's TimeSeries section carries the
-	// alert with the window that tripped it.
-	if n := s.tseries.AlertCount(); n > fs.prevAlerts {
-		fs.prevAlerts = n
-		if a, ok := s.tseries.LastAlert(); ok {
-			return fmt.Sprintf("slo burn: %s fast=%.2fx slow=%.2fx (threshold %.2fx)",
-				a.SLO, a.FastBurn, a.SlowBurn, a.Burn)
+	for i := range s.slots {
+		pending := s.slots[i].state.Load() == reqPending
+		if pending && fs.pending[i] && epochs == 0 {
+			reason = fmt.Sprintf("commit-server stall: slot %d pending across two ticks with no epoch progress", i)
 		}
+		fs.pending[i] = pending
 	}
-
-	st := s.Stats()
-	dCommits := st.Commits - fs.prevCommits
-	dAborts := st.Aborts - fs.prevAborts
-	fs.prevCommits, fs.prevAborts = st.Commits, st.Aborts
-
-	cur := s.latTotalHistogram()
-	win := histo.Delta(&cur, &fs.prevTotal)
-	fs.prevTotal = cur
-
-	if dCommits+dAborts == 0 && win.Count() == 0 {
-		return "" // idle window: no signal, and don't dilute the baseline
+	if reason == "" || (fs.lastDump != 0 && nowNanos-fs.lastDump < flightCooldownNs) {
+		return
 	}
-	// Under-sampled windows carry no p99 signal (Observe skips p99 when <= 0);
-	// the abort rate is still fed from the full counter deltas.
-	p99 := float64(0)
-	if win.Count() >= flightMinSamples {
-		p99 = float64(win.Quantile(0.99))
-	}
-	abortRate := float64(0)
-	if dCommits+dAborts > 0 {
-		abortRate = float64(dAborts) / float64(dCommits+dAborts)
-	}
-	return fs.det.Observe(p99, abortRate)
-}
-
-// flightMinSamples is the minimum sampled transactions a window needs before
-// its p99 is considered meaningful.
-const flightMinSamples = 8
-
-// flightLoop is the flight-recorder goroutine: tick, detect, dump, cool
-// down. Started by startServers when Config.FlightRecorder is set; stopped
-// by Close via flightStop.
-func (s *System) flightLoop() {
-	fs := s.newFlightState()
-	ticker := time.NewTicker(s.cfg.FlightInterval)
-	defer ticker.Stop()
-	var lastDump time.Time
-	for {
-		select {
-		case <-s.flightStop:
-			return
-		case <-ticker.C:
-		}
-		reason := s.flightTick(fs)
-		if reason == "" {
-			continue
-		}
-		if !lastDump.IsZero() && time.Since(lastDump) < s.cfg.FlightCooldown {
-			continue
-		}
-		if _, err := s.DumpFlightBundle(reason); err == nil {
-			lastDump = time.Now()
-		}
+	if _, err := s.DumpFlightBundle(reason); err == nil {
+		fs.lastDump = nowNanos
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/ssrg-vt/rinval/internal/histo"
 	"github.com/ssrg-vt/rinval/internal/obs"
 )
 
@@ -12,12 +11,6 @@ import (
 // snapshotted atomically. With Latency off, Enabled is false.
 func (s *System) LatencyReport() obs.LatencyReport {
 	return s.lat.Report()
-}
-
-// latTotalHistogram merges the client end-to-end ("total") phase across all
-// cells — the flight recorder's p99 source.
-func (s *System) latTotalHistogram() histo.Histogram {
-	return s.lat.ClientPhaseHistogram(obs.LatTotal)
 }
 
 // ServerPhaseHistograms exposes the commit streams' per-epoch histograms

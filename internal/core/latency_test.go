@@ -1,11 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
+	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -162,117 +167,211 @@ func TestLatencyUserAbortsUnrecorded(t *testing.T) {
 
 var errTest = os.ErrInvalid
 
-// TestFlightTickStallDetection drives the detector's tick function directly:
-// a slot left PENDING across two ticks with no shard-server epoch progress
-// must be reported as a commit-server stall.
+// flightBundles parses the bundles written under dir, oldest first (the file
+// name is the dump's wall-clock nanosecond).
+func flightBundles(t *testing.T, dir string) []obs.FlightBundle {
+	t.Helper()
+	paths, _ := filepath.Glob(filepath.Join(dir, "flight-*.json"))
+	sort.Strings(paths)
+	out := make([]obs.FlightBundle, len(paths))
+	for i, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &out[i]); err != nil {
+			t.Fatalf("%s does not parse: %v", p, err)
+		}
+	}
+	return out
+}
+
+// flightTicker drives s's sampler tick by hand on fabricated timestamps a
+// cooldown and a bit apart, so every tripped tick writes its bundle.
+func flightTicker(s *System) func() {
+	now := int64(0)
+	return func() {
+		now += flightCooldownNs + 1
+		s.tsTick(now)
+	}
+}
+
+// TestFlightTickStallDetection drives the sampler's tick directly: a slot left
+// PENDING across two ticks whose window saw no epoch must be dumped as a
+// commit-server stall, and a window with epoch progress must not.
 func TestFlightTickStallDetection(t *testing.T) {
-	cfg := Config{Algo: RInvalV2, MaxThreads: 8, InvalServers: 2, FlightRecorder: true}
+	dir := t.TempDir()
+	cfg := Config{Algo: RInvalV2, MaxThreads: 8, InvalServers: 2, FlightRecorder: true, FlightDir: dir}
 	s, err := newSystem(cfg) // servers deliberately not started: epochs frozen
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := s.newFlightState()
+	tick := flightTicker(s)
 	s.slots[3].state.Store(reqPending)
-	if r := s.flightTick(fs); r != "" {
-		t.Fatalf("first tick tripped early: %q", r)
+	tick()
+	if b := flightBundles(t, dir); len(b) != 0 {
+		t.Fatalf("first tick tripped early: %q", b[0].Reason)
 	}
-	r := s.flightTick(fs)
-	if !strings.Contains(r, "stall") || !strings.Contains(r, "slot 3") {
-		t.Fatalf("second tick reason = %q, want commit-server stall on slot 3", r)
+	tick()
+	b := flightBundles(t, dir)
+	if len(b) != 1 || !strings.Contains(b[0].Reason, "stall") || !strings.Contains(b[0].Reason, "slot 3") {
+		t.Fatalf("second tick: %d bundles, want one commit-server stall on slot 3: %+v", len(b), b)
 	}
-	// Epoch progress clears the tracker: bump a server's epoch counter and
-	// the still-pending slot no longer counts as stalled.
-	s.slots[3].state.Store(reqPending)
-	re := s.eng.(*remoteEngine)
-	re.srv[0].commitSrv.Epochs++
-	if r := s.flightTick(fs); r != "" {
-		t.Fatalf("tick with epoch progress tripped: %q", r)
+	// Epoch progress clears it: the window the next tick pushes shows an
+	// epoch, so the still-pending slot no longer counts as stalled.
+	atomic.AddUint64(&s.eng.(*remoteEngine).srv[0].commitSrv.Epochs, 1)
+	tick()
+	if b := flightBundles(t, dir); len(b) != 1 {
+		t.Fatalf("tick with epoch progress tripped: %q", b[1].Reason)
+	}
+	tick()
+	if b := flightBundles(t, dir); len(b) != 2 {
+		t.Fatalf("stall resumed, %d bundles, want 2", len(b))
 	}
 }
 
-// TestFlightRecorderDumpsOnAbortSpike forces a real anomaly through the
-// running flight loop: a calm warmup establishes the baseline, then heavy
-// write-write contention spikes the abort rate past the threshold. The dump
-// must appear in FlightDir and parse back with all four sections populated.
+// TestFlightPartitionStall: a V2/V3 partition whose scanner is wedged (the
+// test holds its lock, as a descheduled server would) trails the stream's
+// timestamp; clients reading there spin in invalRead without ever being
+// PENDING. The watchdog reports it on the second tick it has not moved, and a
+// moved invalTS clears it. Engines without partitions never report one.
+func TestFlightPartitionStall(t *testing.T) {
+	commit := func(th *Thread, v *Var) {
+		t.Helper()
+		if err := th.Atomically(func(tx *Tx) error { tx.Store(v, 1); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	s, err := newSystem(Config{Algo: RInvalV3, MaxThreads: 4, InvalServers: 2, StepsAhead: 2,
+		FlightRecorder: true, FlightDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const held = 1
+	th, st := s.MustRegister(), &s.streams[0]
+	if th.slot.invalServer == held || !s.tryLockPartition(0, held) {
+		t.Fatal("writer must live in the free partition, and the other lock be free")
+	}
+	tick := flightTicker(s)
+	v := NewVar(0)
+	commit(th, v)
+	commit(th, v) // V3 runs two commits past the held partition
+	tick()
+	if b := flightBundles(t, dir); len(b) != 0 {
+		t.Fatalf("first tick tripped early: %q", b[0].Reason)
+	}
+	tick()
+	b := flightBundles(t, dir)
+	if len(b) != 1 || !strings.Contains(b[0].Reason, "partition stall: stream 0 partition 1 is 2 commits behind") ||
+		!strings.Contains(b[0].Reason, "lock held: true") {
+		t.Fatalf("second tick: want one partition-stall bundle, got %+v", b)
+	}
+	// The holder makes progress but stays behind: moved, so not stalled —
+	// until it sits still for two ticks again.
+	st.invalTS[held].Store(2)
+	tick()
+	if b := flightBundles(t, dir); len(b) != 1 {
+		t.Fatalf("moved partition reported: %q", b[1].Reason)
+	}
+	tick()
+	if b := flightBundles(t, dir); len(b) != 2 || !strings.Contains(b[1].Reason, "1 commits behind") {
+		t.Fatalf("partition that stopped again: %+v", b)
+	}
+	st.invalTS[held].Store(st.ts.Load())
+	s.unlockPartition(0, held)
+	tick()
+	tick()
+	if b := flightBundles(t, dir); len(b) != 2 {
+		t.Fatalf("caught-up partition reported: %q", b[2].Reason)
+	}
+	th.Close()
+
+	for _, algo := range []Algo{NOrec, InvalSTM, RInvalV1} {
+		dir := t.TempDir()
+		s, err := newSystem(Config{Algo: algo, MaxThreads: 4, FlightRecorder: true, FlightDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		th, tick := s.MustRegister(), flightTicker(s)
+		commit(th, NewVar(0)) // the timestamp moves; invalTS is not in use
+		for i := 0; i < 3; i++ {
+			tick()
+		}
+		if b := flightBundles(t, dir); len(b) != 0 {
+			t.Fatalf("%v has no partitions, yet: %q", algo, b[0].Reason)
+		}
+		th.Close()
+	}
+}
+
+// TestFlightRecorderDumpsOnAbortSpike is the end-to-end path on a running
+// System: real write-write contention burns a declared abort-rate SLO, the
+// sampler's flight check dumps, and the bundle on disk parses back with every
+// section populated.
 func TestFlightRecorderDumpsOnAbortSpike(t *testing.T) {
 	dir := t.TempDir()
 	s := newSys(t, NOrec, func(c *Config) {
 		c.MaxThreads = 8
 		c.FlightRecorder = true
 		c.FlightDir = dir
-		c.FlightInterval = 5 * time.Millisecond
-		c.FlightAbortRate = 0.05
-		c.FlightCooldown = time.Minute
+		c.TimeSeries = 64
+		c.TimeSeriesInterval = 5 * time.Millisecond
+		c.SLOs = []obs.SLO{{
+			Kind: obs.SLOAbortRate, MaxRate: 0.05,
+			Fast: 10 * time.Millisecond, Slow: 20 * time.Millisecond,
+		}}
 		c.Trace = true
 		c.Attribution = true
 		c.Stats = true
 	})
 	const workers = 4
 	stop := make(chan struct{})
-	contend := make(chan struct{})
 	shared := NewVar(0)
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			th := s.MustRegister()
 			defer th.Close()
-			private := NewVar(0)
-			contended := false
-			for i := 0; ; i++ {
+			for {
 				select {
 				case <-stop:
 					return
-				case <-contend:
-					contended = true
 				default:
 				}
-				v := private // disjoint during warmup: near-zero abort rate
-				if contended {
-					v = shared
-				}
 				_ = th.Atomically(func(tx *Tx) error {
-					tx.Store(v, tx.Load(v).(int)+1)
+					n := tx.Load(shared).(int)
+					runtime.Gosched() // let another writer in: most attempts abort
+					tx.Store(shared, n+1)
 					return nil
 				})
 			}
-		}(g)
+		}()
 	}
-	time.Sleep(100 * time.Millisecond) // > detector warmup at 5ms ticks
-	close(contend)
-
-	var bundle string
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		m, _ := filepath.Glob(filepath.Join(dir, "flight-*.json"))
-		if len(m) > 0 {
-			bundle = m[0]
-			break
-		}
+	var bundles []obs.FlightBundle
+	for deadline := time.Now().Add(10 * time.Second); len(bundles) == 0 && time.Now().Before(deadline); {
 		time.Sleep(10 * time.Millisecond)
+		bundles = flightBundles(t, dir)
 	}
 	close(stop)
 	wg.Wait()
-	if bundle == "" {
+	if len(bundles) == 0 {
 		t.Fatal("no flight bundle appeared under contention")
 	}
-	data, err := os.ReadFile(bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b obs.FlightBundle
-	if err := json.Unmarshal(data, &b); err != nil {
-		t.Fatalf("bundle does not parse: %v", err)
-	}
-	if b.Reason == "" || b.UnixNanos == 0 {
-		t.Errorf("bundle missing reason/timestamp: %+v", b.Reason)
+	b := bundles[0]
+	if !strings.Contains(b.Reason, "slo burn: abort-rate") || b.UnixNanos == 0 {
+		t.Errorf("bundle reason/timestamp: %q %d", b.Reason, b.UnixNanos)
 	}
 	if !b.Latency.Enabled || b.Latency.SampleEvery == 0 {
 		t.Error("bundle latency section empty (FlightRecorder must imply Latency)")
 	}
 	if !b.Conflict.Enabled {
 		t.Error("bundle conflict section not enabled")
+	}
+	if b.TimeSeries == nil || len(b.TimeSeries.Alerts) == 0 {
+		t.Error("bundle time-series section carries no alert")
 	}
 	if len(b.Trace) == 0 {
 		t.Error("bundle trace section empty with Config.Trace set")
@@ -284,6 +383,80 @@ func TestFlightRecorderDumpsOnAbortSpike(t *testing.T) {
 	if tmp, _ := filepath.Glob(filepath.Join(dir, ".flight-*.tmp")); len(tmp) != 0 {
 		t.Errorf("temp files left behind: %v", tmp)
 	}
+}
+
+// TestFlightRecorderOneGoroutine: arming the recorder adds no goroutine of
+// its own — a running System has exactly one telemetry goroutine, the
+// time-series sampler, and Close joins it. The baseline push startServers
+// makes never dumps.
+func TestFlightRecorderOneGoroutine(t *testing.T) {
+	roles := func(role string) int {
+		var buf bytes.Buffer
+		if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(buf.String(), `"stm-role":"`+role+`"`)
+	}
+	samplers := roles("timeseries-sampler")
+	dir := t.TempDir()
+	s, err := New(Config{Algo: RInvalV2, MaxThreads: 4, InvalServers: 2, FlightRecorder: true, FlightDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := s.Config(); c.TimeSeries != DefaultTimeSeriesWindows || !c.Latency {
+		t.Errorf("FlightRecorder must imply TimeSeries and Latency: TimeSeries=%d Latency=%v", c.TimeSeries, c.Latency)
+	}
+	// The label appears once the new goroutine has run its first instruction.
+	for deadline := time.Now().Add(5 * time.Second); roles("timeseries-sampler") == samplers && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	if got := roles("timeseries-sampler") - samplers; got != 1 {
+		t.Errorf("%d sampler goroutines started, want 1", got)
+	}
+	if got := roles("flight-recorder"); got != 0 {
+		t.Errorf("%d goroutines labelled flight-recorder, want none", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := roles("timeseries-sampler") - samplers; got != 0 {
+		t.Errorf("Close left %d sampler goroutines running", got)
+	}
+	if b := flightBundles(t, dir); len(b) != 0 {
+		t.Errorf("idle system dumped: %q", b[0].Reason)
+	}
+}
+
+// TestFlightCheckDuringCommits runs the flight check against live V2 commits
+// (it reads slot states, stream and partition timestamps and partition locks
+// that clients and servers are writing) for the race detector's benefit.
+// Back-to-back ticks can catch one request PENDING twice, so what is dumped
+// is not asserted — only that whatever is written parses.
+func TestFlightCheckDuringCommits(t *testing.T) {
+	dir := t.TempDir()
+	s := newSys(t, RInvalV2, func(c *Config) {
+		c.FlightRecorder = true
+		c.FlightDir = dir
+		c.TimeSeriesInterval = time.Minute // the test is the only ticker
+	})
+	th, done := s.MustRegister(), make(chan struct{})
+	go func() {
+		defer close(done)
+		v := NewVar(0)
+		for i := 0; i < 2000; i++ {
+			_ = th.Atomically(func(tx *Tx) error { tx.Store(v, tx.Load(v).(int)+1); return nil })
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			s.tsTick(time.Now().UnixNano())
+		}
+	}
+	th.Close()
+	flightBundles(t, dir)
 }
 
 // TestDumpFlightBundleDirect covers the operator-initiated dump entry point
@@ -326,21 +499,12 @@ func TestLatencyConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Latency {
-		t.Error("FlightRecorder must imply Latency")
-	}
-	if c.LatencySampleEvery != 64 || c.FlightDir != "flight" ||
-		c.FlightInterval != 500*time.Millisecond || c.FlightP99Factor != 3 ||
-		c.FlightAbortRate != 0.5 || c.FlightCooldown != 10*time.Second {
+	if c.LatencySampleEvery != 64 || c.FlightDir != "flight" {
 		t.Errorf("bad observability defaults: %+v", c)
 	}
 	bad := []Config{
 		{Latency: true, LatencySampleEvery: -1},
 		{Latency: true, LatencySampleEvery: 1 << 21},
-		{FlightRecorder: true, FlightInterval: -time.Second},
-		{FlightRecorder: true, FlightP99Factor: 0.5},
-		{FlightRecorder: true, FlightAbortRate: 1.5},
-		{FlightRecorder: true, FlightCooldown: -time.Second},
 	}
 	for _, b := range bad {
 		if _, err := b.withDefaults(); err == nil {

@@ -206,16 +206,15 @@ type System struct {
 	// lat.Server(Shards + j*nInvalPerShard + k).
 	lat *obs.LatencyRecorder
 
-	// flightStop ends the flight-recorder goroutine (cfg.FlightRecorder).
-	// A dedicated channel rather than the stop flag so Close interrupts the
-	// detector's tick sleep immediately instead of waiting out the interval.
-	flightStop chan struct{}
-
 	// tseries is the windowed telemetry engine when cfg.TimeSeries > 0; nil
 	// otherwise (nil-receiver no-op discipline, like attr and lat). tsStop
-	// ends its sampler goroutine, mirroring flightStop.
+	// ends its sampler goroutine: a dedicated channel rather than the stop
+	// flag so Close interrupts the tick sleep instead of waiting out the
+	// interval. flight is the sampler's flight-check memory when
+	// cfg.FlightRecorder is set (which implies TimeSeries); nil otherwise.
 	tseries *obs.TimeSeries
 	tsStop  chan struct{}
+	flight  *flightState
 
 	regMu     sync.Mutex
 	freeSlots []int
@@ -310,6 +309,12 @@ func newSystem(cfg Config) (*System, error) {
 	if cfg.TimeSeries > 0 {
 		s.tseries = obs.NewTimeSeries(cfg.TimeSeries, cfg.TimeSeriesInterval, cfg.SLOs)
 	}
+	if cfg.FlightRecorder {
+		s.flight = &flightState{
+			pending: make([]bool, cfg.MaxThreads),
+			lagging: make([]uint64, cfg.InvalServers),
+		}
+	}
 
 	switch cfg.Algo {
 	case Mutex:
@@ -354,15 +359,6 @@ func (s *System) startServers() {
 			defer s.wg.Done()
 			pprof.Do(context.Background(), pprof.Labels("stm-role", "timeseries-sampler"),
 				func(context.Context) { s.tsLoop() })
-		}()
-	}
-	if s.cfg.FlightRecorder {
-		s.flightStop = make(chan struct{})
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			pprof.Do(context.Background(), pprof.Labels("stm-role", "flight-recorder"),
-				func(context.Context) { s.flightLoop() })
 		}()
 	}
 	for _, task := range s.eng.serverTasks() {
@@ -413,9 +409,6 @@ func (s *System) Close() error {
 	s.regMu.Unlock()
 
 	s.stop.Store(true)
-	if s.flightStop != nil {
-		close(s.flightStop)
-	}
 	if s.tsStop != nil {
 		close(s.tsStop)
 	}

@@ -3,10 +3,11 @@
 // obs.TSSample per interval — from System.Stats' atomic counter snapshots,
 // the live commit-servers' epoch counters, attribution totals, and the
 // latency recorder's client-phase histograms — and pushes it into the obs
-// engine, which delta-encodes and evaluates SLO burn rates. The sampler is
-// the only goroutine that may read the clock here; nothing reachable from a
-// //stm:hotpath root touches this file (enforced by stmlint's tsclean/tsnow
-// fixtures).
+// engine, which delta-encodes and evaluates SLO burn rates; what the push
+// returns feeds the flight check (flight.go) on the same goroutine. The
+// sampler is the only goroutine that may read the clock here; nothing
+// reachable from a //stm:hotpath root touches this file or flight.go
+// (enforced by stmlint's tsclean/tsnow fixtures).
 package core
 
 import (
@@ -17,8 +18,9 @@ import (
 )
 
 // DefaultTimeSeriesWindows is the ring capacity Config.TimeSeries defaults
-// to when SLOs are declared without an explicit window count: 600 windows
-// is 10 minutes of history at the default 1 s interval.
+// to when SLOs are declared, or FlightRecorder is set, without an explicit
+// window count: 600 windows is 10 minutes of history at the default 1 s
+// interval.
 const DefaultTimeSeriesWindows = 600
 
 // collectTSSample assembles one cumulative observation as of nowNanos.
@@ -42,9 +44,9 @@ func (s *System) collectTSSample(nowNanos int64) obs.TSSample {
 	c[obs.TSReads] = st.Reads
 	c[obs.TSWrites] = st.Writes
 	// Server-side activity lives in the server goroutines' Stats, which
-	// System.Stats only folds in after Close; read the live counters the way
-	// the flight recorder's stall watchdog does. The sampler joins before
-	// Close folds the server stats, so the two sources never double-count.
+	// System.Stats only folds in after Close; read the live counters. The
+	// sampler joins before Close folds the server stats, so the two sources
+	// never double-count.
 	epochs, cross := st.Epochs, st.CrossShardCommits
 	if re, ok := s.eng.(*remoteEngine); ok {
 		for j := range re.srv {
@@ -64,10 +66,21 @@ func (s *System) collectTSSample(nowNanos int64) obs.TSSample {
 	return smp
 }
 
-// tsTick takes one sample and pushes it into the engine. Split from tsLoop
-// so tests can drive windows deterministically with fabricated timestamps.
+// tsTick takes one sample and pushes it. Split from tsLoop so tests can
+// drive windows deterministically with fabricated timestamps.
 func (s *System) tsTick(nowNanos int64) {
-	s.tseries.Push(s.collectTSSample(nowNanos))
+	s.tsPush(s.collectTSSample(nowNanos))
+}
+
+// tsPush feeds one sample to the sampler's three consumers: the ring and the
+// SLO monitor inside the engine and, with Config.FlightRecorder, the flight
+// check, which reads the window's epoch delta and the alerts that rose on it.
+// Split from tsTick so tests can fabricate the sample too.
+func (s *System) tsPush(smp obs.TSSample) {
+	delta, rose := s.tseries.Push(smp)
+	if s.flight != nil {
+		s.flightCheck(smp.UnixNanos, delta[obs.TSEpochs], rose)
+	}
 }
 
 // tsLoop is the sampler goroutine: one sample per interval, and a final

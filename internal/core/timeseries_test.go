@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -61,6 +59,9 @@ func TestTimeSeriesConfigValidation(t *testing.T) {
 		{TimeSeries: 4, SLOs: []obs.SLO{ // slow window exceeds the ring
 			{Kind: obs.SLOAbortRate, MaxRate: 0.1, Fast: time.Second, Slow: time.Minute},
 		}},
+		// An objective no window can trip would leave the flight recorder
+		// without the trigger its operator declared.
+		{FlightRecorder: true, SLOs: []obs.SLO{{Kind: obs.SLOAbortRate, MaxRate: 0.6}}},
 	}
 	for i, b := range bad {
 		if _, err := b.withDefaults(); err == nil {
@@ -173,60 +174,56 @@ func TestTimeSeriesSamplerLive(t *testing.T) {
 	t.Fatal("sampler never accumulated two windows")
 }
 
-// TestSLOAlertTriggersFlightDump wires the SLO layer through the flight
-// recorder: fabricated abort-heavy samples trip the burn-rate alert, the next
-// detector tick reports it as the dump reason, and the written bundle carries
-// the time-series section with the tripping window.
-func TestSLOAlertTriggersFlightDump(t *testing.T) {
-	dir := t.TempDir()
+// newBurnSystem arms the flight recorder behind an abort-rate SLO that an
+// all-abort window pair trips, and returns a push that fabricates one window
+// of dc commits and da aborts ending step after the last one. The sampler's
+// interval is a minute so the background loop contributes only the baseline
+// startServers pushes; the engine counts windows, not time, so the fabricated
+// timestamps are free to run on the cooldown's scale instead.
+func newBurnSystem(t *testing.T, dir string) (*System, func(step time.Duration, dc, da uint64)) {
 	s := newSys(t, NOrec, func(c *Config) {
 		c.TimeSeries = 16
-		c.TimeSeriesInterval = time.Minute // background sampler: baseline only
+		c.TimeSeriesInterval = time.Minute
 		c.SLOs = []obs.SLO{{
-			Kind: obs.SLOAbortRate, MaxRate: 0.2,
-			Fast: 2 * time.Minute, Slow: 4 * time.Minute,
+			Kind: obs.SLOAbortRate, MaxRate: 0.5,
+			Fast: time.Minute, Slow: 2 * time.Minute,
 		}}
+		c.FlightRecorder = true
 		c.FlightDir = dir
 	})
-	fs := s.newFlightState()
-	if r := s.flightTick(fs); r != "" {
-		t.Fatalf("quiescent tick tripped: %q", r)
-	}
-
 	var smp obs.TSSample
-	push := func(dc, da uint64) {
-		smp.UnixNanos += int64(time.Minute)
+	return s, func(step time.Duration, dc, da uint64) {
+		smp.UnixNanos += int64(step)
 		smp.Counters[obs.TSCommits] += dc
 		smp.Counters[obs.TSAborts] += da
-		s.tseries.Push(smp)
+		s.tsPush(smp)
 	}
-	push(100, 0) // baseline
-	for i := 0; i < 4; i++ {
-		push(100, 100) // rate 0.5, burn 2.5x on both windows once the ring fills
+}
+
+// TestSLOAlertTriggersFlightDump wires the SLO layer through the flight
+// recorder: fabricated all-abort windows trip the burn-rate alert, the flight
+// check on the same tick dumps, and the written bundle carries the time-series
+// section with the tripping window. A sustained burn is one rising edge, so
+// one bundle.
+func TestSLOAlertTriggersFlightDump(t *testing.T) {
+	dir := t.TempDir()
+	s, push := newBurnSystem(t, dir)
+	push(time.Second, 100, 0)
+	push(time.Second, 0, 100) // the fast window burns, the slow pair is half clean
+	if n := s.TimeSeriesReport().AlertsTotal; n != 0 || len(flightBundles(t, dir)) != 0 {
+		t.Fatalf("tripped early: %d alerts", n)
 	}
-	if n := s.tseries.AlertCount(); n != 1 {
+	for i := 0; i < 3; i++ {
+		push(time.Second, 0, 100) // burn 2x on both windows, then sustained
+	}
+	if n := s.TimeSeriesReport().AlertsTotal; n != 1 {
 		t.Fatalf("alert count: %d", n)
 	}
-	reason := s.flightTick(fs)
-	if !strings.Contains(reason, "slo burn: abort-rate") {
-		t.Fatalf("tick reason = %q, want slo burn", reason)
+	bundles := flightBundles(t, dir)
+	if len(bundles) != 1 || !strings.Contains(bundles[0].Reason, "slo burn: abort-rate") {
+		t.Fatalf("want one slo-burn bundle, got %+v", bundles)
 	}
-	if r := s.flightTick(fs); strings.Contains(r, "slo burn") {
-		t.Fatalf("watermark did not advance: %q", r)
-	}
-
-	path, err := s.DumpFlightBundle(reason)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b obs.FlightBundle
-	if err := json.Unmarshal(data, &b); err != nil {
-		t.Fatal(err)
-	}
+	b := bundles[0]
 	if b.TimeSeries == nil || !b.TimeSeries.Enabled {
 		t.Fatal("bundle missing the time-series section")
 	}
@@ -235,6 +232,28 @@ func TestSLOAlertTriggersFlightDump(t *testing.T) {
 	}
 	if a := b.TimeSeries.Alerts[0]; a.Window.Counters["aborts"] != 100 {
 		t.Fatalf("bundle alert should carry the tripping window: %+v", a)
+	}
+}
+
+// TestFlightDumpCooldown: a trigger inside the 10 s after a dump, measured on the
+// ticks' own timestamps, writes nothing; the first one after it does.
+func TestFlightDumpCooldown(t *testing.T) {
+	dir := t.TempDir()
+	s, push := newBurnSystem(t, dir)
+	relapse := func(step time.Duration) {
+		push(step, 100, 0) // recover: the fast window stops burning
+		push(time.Second, 0, 100)
+		push(time.Second, 0, 100) // both windows burn again: a new rising edge
+	}
+	push(time.Second, 100, 0)
+	relapse(time.Second) // dump at t=4s
+	relapse(time.Second) // edge at t=7s, inside the cooldown
+	if n, b := s.TimeSeriesReport().AlertsTotal, flightBundles(t, dir); n != 2 || len(b) != 1 {
+		t.Fatalf("inside the cooldown: %d alerts, %d bundles, want 2 and 1", n, len(b))
+	}
+	relapse(5 * time.Second) // edge at t=14s
+	if n, b := s.TimeSeriesReport().AlertsTotal, flightBundles(t, dir); n != 3 || len(b) != 2 {
+		t.Fatalf("after the cooldown: %d alerts, %d bundles, want 3 and 2", n, len(b))
 	}
 }
 

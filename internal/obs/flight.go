@@ -1,10 +1,10 @@
-// Flight recorder: the obs half of the anomaly-triggered post-mortem dump.
-// core runs a rolling detector off the latency recorder's windowed p99 and
-// the abort-rate window; when a tick trips a threshold (or a commit-server
-// stalls), it assembles a FlightBundle — trace-ring snapshots, the conflict
-// report, the latency report, goroutine stacks — and writes it atomically
-// to a timestamped JSON file, so "why was it slow at 3am" has an artifact
-// instead of a reproduction request.
+// Flight recorder: the obs half of the post-mortem dump. core's time-series
+// sampler runs one flight check per window; when a declared SLO's burn alert
+// rises or the stall watchdog trips, it assembles a FlightBundle — trace-ring
+// snapshots, the conflict report, the latency report, the windowed
+// telemetry, goroutine stacks — and writes it atomically to a timestamped
+// JSON file, so "why was it slow at 3am" has an artifact instead of a
+// reproduction request.
 package obs
 
 import (
@@ -14,64 +14,6 @@ import (
 	"path/filepath"
 	"runtime"
 )
-
-// AnomalyDetector tracks EWMAs of the windowed p99 latency and abort rate
-// and flags ticks that spike past configurable multiples of the baseline.
-// Not safe for concurrent use; the flight-recorder goroutine owns it.
-type AnomalyDetector struct {
-	// P99Factor trips when the window's p99 exceeds factor × EWMA(p99).
-	P99Factor float64
-	// AbortRate trips when the window's abort rate exceeds both this
-	// absolute threshold and 2 × EWMA(rate) — the EWMA guard keeps a
-	// steadily contended workload from dumping every tick.
-	AbortRate float64
-	// Alpha is the EWMA smoothing weight of the newest observation.
-	Alpha float64
-
-	ewmaP99  float64
-	ewmaRate float64
-	ticks    int
-}
-
-// detectorWarmup ticks establish the baseline before anything can trip.
-const detectorWarmup = 3
-
-// NewAnomalyDetector returns a detector with the given thresholds
-// (non-positive values fall back to 3× p99 and 0.5 abort rate).
-func NewAnomalyDetector(p99Factor, abortRate float64) *AnomalyDetector {
-	if p99Factor <= 0 {
-		p99Factor = 3
-	}
-	if abortRate <= 0 {
-		abortRate = 0.5
-	}
-	return &AnomalyDetector{P99Factor: p99Factor, AbortRate: abortRate, Alpha: 0.3}
-}
-
-// Observe feeds one window (p99 in ns, abort rate in [0,1]) and returns a
-// non-empty reason if the window is anomalous against the EWMA baseline.
-// A non-positive p99 means the window carried no latency signal (e.g. too
-// few sampled transactions): the p99 check and its EWMA update are skipped
-// so empty windows don't dilute the baseline. The baselines are updated
-// after the check, from anomalous windows too — a sustained new plateau
-// stops re-triggering once the EWMA catches up.
-func (d *AnomalyDetector) Observe(p99 float64, abortRate float64) string {
-	reason := ""
-	if d.ticks >= detectorWarmup {
-		switch {
-		case p99 > 0 && d.ewmaP99 > 0 && p99 > d.P99Factor*d.ewmaP99:
-			reason = fmt.Sprintf("p99 spike: %.0fns > %.1fx ewma %.0fns", p99, d.P99Factor, d.ewmaP99)
-		case abortRate > d.AbortRate && abortRate > 2*d.ewmaRate:
-			reason = fmt.Sprintf("abort-rate spike: %.2f > %.2f (ewma %.2f)", abortRate, d.AbortRate, d.ewmaRate)
-		}
-	}
-	d.ticks++
-	if p99 > 0 {
-		d.ewmaP99 = d.Alpha*p99 + (1-d.Alpha)*d.ewmaP99
-	}
-	d.ewmaRate = d.Alpha*abortRate + (1-d.Alpha)*d.ewmaRate
-	return reason
-}
 
 // ActorTrace is one trace ring's snapshot in a flight bundle.
 type ActorTrace struct {

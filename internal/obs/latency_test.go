@@ -179,38 +179,6 @@ func TestMetricsPageWritesAllSections(t *testing.T) {
 	}
 }
 
-func TestAnomalyDetector(t *testing.T) {
-	d := NewAnomalyDetector(3, 0.5)
-	// Warmup + stable baseline: no trigger.
-	for i := 0; i < 6; i++ {
-		if r := d.Observe(1000, 0.05); r != "" {
-			t.Fatalf("stable tick %d tripped: %s", i, r)
-		}
-	}
-	if r := d.Observe(10000, 0.05); !strings.Contains(r, "p99 spike") {
-		t.Fatalf("p99 spike not detected: %q", r)
-	}
-	d2 := NewAnomalyDetector(100, 0.3) // p99 factor too high to trip
-	for i := 0; i < 6; i++ {
-		d2.Observe(1000, 0.05)
-	}
-	if r := d2.Observe(1000, 0.9); !strings.Contains(r, "abort-rate spike") {
-		t.Fatalf("abort spike not detected: %q", r)
-	}
-	// Defaults applied for non-positive thresholds.
-	d3 := NewAnomalyDetector(0, 0)
-	if d3.P99Factor != 3 || d3.AbortRate != 0.5 {
-		t.Fatalf("defaults %+v", d3)
-	}
-	// Warmup period never trips even on wild input.
-	d4 := NewAnomalyDetector(2, 0.1)
-	for i := 0; i < detectorWarmup; i++ {
-		if r := d4.Observe(1e9, 1.0); r != "" {
-			t.Fatalf("warmup tick tripped: %s", r)
-		}
-	}
-}
-
 func TestFlightBundleWriteFile(t *testing.T) {
 	tr := NewTracer(8)
 	r := tr.AddActor("client-0")

@@ -177,8 +177,8 @@ const (
 )
 
 // sloMinSamples is the minimum windowed latency-sample count before a
-// latency SLO's burn is considered meaningful (mirrors the flight
-// recorder's flightMinSamples discipline).
+// latency SLO's burn is considered meaningful: a tail fraction over fewer
+// samples is one slow transaction, not a trend.
 const sloMinSamples = 8
 
 // latencyErrBudget is the error budget implied by a p99 objective: 1% of
@@ -249,6 +249,15 @@ func (o SLO) Normalize(interval time.Duration, capacity int) (SLO, error) {
 	}
 	if o.Burn < 1 {
 		return o, fmt.Errorf("obs: SLO burn threshold %v below 1", o.Burn)
+	}
+	// An objective whose largest possible burn (every transaction aborts, or
+	// every sample is in the tail) is below its threshold can never fire.
+	maxBurn := 1 / latencyErrBudget
+	if o.Kind == SLOAbortRate {
+		maxBurn = 1 / o.MaxRate
+	}
+	if o.Burn > maxBurn {
+		return o, fmt.Errorf("obs: SLO %s can never fire: burn threshold %v above its maximum burn %v", o.Objective(), o.Burn, maxBurn)
 	}
 	if o.Fast < interval {
 		return o, fmt.Errorf("obs: SLO fast window %v below the sampling interval %v", o.Fast, interval)
@@ -370,9 +379,12 @@ func (ts *TimeSeries) window(age int) *tsWindow {
 
 // Push feeds one cumulative sample. The first push only establishes the
 // delta baseline; each later push appends one window and re-evaluates the
-// SLOs. Single sampler goroutine; no allocation (alert rising edges aside,
-// which append into a preallocated bounded log).
-func (ts *TimeSeries) Push(s TSSample) {
+// SLOs. It returns the appended window's counter deltas and the alerts that
+// rose on it (all zero and nil for the baseline push and on a nil
+// engine) — what core's flight check consumes. Single sampler goroutine; no
+// allocation (alert rising edges aside, which append into a preallocated
+// bounded log).
+func (ts *TimeSeries) Push(s TSSample) (delta [NumTSCounters]uint64, rose []SLOAlert) {
 	if ts == nil {
 		return
 	}
@@ -407,7 +419,7 @@ func (ts *TimeSeries) Push(s TSSample) {
 		ts.n++
 	}
 	ts.seq++
-	ts.evalSLOs(w)
+	return w.counters, ts.evalSLOs(w)
 }
 
 // sumCounter folds counter c over the newest k windows. Caller holds mu.
@@ -452,9 +464,9 @@ func (ts *TimeSeries) burnOver(st *sloState, k int) float64 {
 	return frac / latencyErrBudget
 }
 
-// evalSLOs re-evaluates every objective against the just-pushed window w and
-// records rising edges into the alert log. Caller holds mu.
-func (ts *TimeSeries) evalSLOs(w *tsWindow) {
+// evalSLOs re-evaluates every objective against the just-pushed window w,
+// records rising edges into the alert log and returns them. Caller holds mu.
+func (ts *TimeSeries) evalSLOs(w *tsWindow) (rose []SLOAlert) {
 	for i := range ts.slos {
 		st := &ts.slos[i]
 		st.fastBurn = ts.burnOver(st, st.fastK)
@@ -467,7 +479,7 @@ func (ts *TimeSeries) evalSLOs(w *tsWindow) {
 				copy(ts.alerts, ts.alerts[1:])
 				ts.alerts = ts.alerts[:maxAlerts-1]
 			}
-			ts.alerts = append(ts.alerts, SLOAlert{
+			a := SLOAlert{
 				SLO:       st.cfg.Name,
 				UnixNanos: w.unixNanos,
 				Seq:       ts.seq,
@@ -475,34 +487,13 @@ func (ts *TimeSeries) evalSLOs(w *tsWindow) {
 				SlowBurn:  st.slowBurn,
 				Burn:      st.cfg.Burn,
 				Window:    windowReport(w),
-			})
+			}
+			ts.alerts = append(ts.alerts, a)
+			rose = append(rose, a)
 		}
 		st.firing = firing
 	}
-}
-
-// AlertCount returns the total number of alerts ever recorded. Nil-safe;
-// the flight recorder polls it as its SLO trigger watermark.
-func (ts *TimeSeries) AlertCount() uint64 {
-	if ts == nil {
-		return 0
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return ts.alertN
-}
-
-// LastAlert returns the most recent alert, if any. Nil-safe.
-func (ts *TimeSeries) LastAlert() (SLOAlert, bool) {
-	if ts == nil {
-		return SLOAlert{}, false
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if len(ts.alerts) == 0 {
-		return SLOAlert{}, false
-	}
-	return ts.alerts[len(ts.alerts)-1], true
+	return rose
 }
 
 // TSWindowReport is one window's exported form: the non-zero counter deltas

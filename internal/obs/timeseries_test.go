@@ -55,6 +55,8 @@ func TestSLONormalize(t *testing.T) {
 		{Kind: SLOAbortRate, MaxRate: 0.1, Fast: time.Millisecond},                     // fast < interval
 		{Kind: SLOAbortRate, MaxRate: 0.1, Fast: time.Second, Slow: time.Second},       // fast !< slow
 		{Kind: SLOAbortRate, MaxRate: 0.1, Fast: time.Second, Slow: 600 * time.Second}, // slow > ring
+		{Kind: SLOAbortRate, MaxRate: 0.6},                                             // burn tops out at 1.67 < 2
+		{Kind: SLOLatencyP99, MaxNs: 1e6, Burn: 101},                                   // burn tops out at 100
 	}
 	for i, s := range bad {
 		if _, err := s.Normalize(interval, capacity); err == nil {
@@ -69,15 +71,11 @@ func TestNilEngine(t *testing.T) {
 	if ts.Enabled() || ts.Interval() != 0 {
 		t.Error("nil engine should report disabled")
 	}
-	ts.Push(TSSample{}) // must not panic
+	if delta, rose := ts.Push(TSSample{}); delta != [NumTSCounters]uint64{} || rose != nil {
+		t.Error("nil engine Push should return nothing")
+	}
 	if rep := ts.Report(); rep.Enabled {
 		t.Error("nil engine Report should be disabled")
-	}
-	if ts.AlertCount() != 0 {
-		t.Error("nil engine alert count")
-	}
-	if _, ok := ts.LastAlert(); ok {
-		t.Error("nil engine last alert")
 	}
 }
 
@@ -157,39 +155,41 @@ func TestAbortRateBurnAlert(t *testing.T) {
 	}
 	ts := NewTimeSeries(16, interval, []SLO{slo})
 
+	// push returns what Push does: the window's deltas and the alerts that
+	// rose on it.
 	now, commits, aborts := int64(0), uint64(0), uint64(0)
-	push := func(dc, da uint64) {
+	push := func(dc, da uint64) ([NumTSCounters]uint64, []SLOAlert) {
 		now += int64(interval)
 		commits += dc
 		aborts += da
-		ts.Push(tsSampleAt(now, commits, aborts))
+		return ts.Push(tsSampleAt(now, commits, aborts))
 	}
 
-	push(100, 0) // baseline
+	if delta, rose := push(100, 0); delta[TSCommits] != 0 || rose != nil {
+		t.Fatalf("baseline push returned a window: %v %v", delta, rose)
+	}
 	// Aborting from the very first window: burn must stay 0 until the ring
 	// holds the slow span (startup transients cannot alert).
-	push(100, 100)
-	push(100, 100)
-	push(100, 100)
-	if n := ts.AlertCount(); n != 0 {
-		t.Fatalf("alerted with %d windows held (slow span is 4)", 3)
+	for i := 0; i < 3; i++ {
+		if delta, rose := push(100, 100); delta[TSAborts] != 100 || rose != nil {
+			t.Fatalf("window %d (slow span is 4): delta %v, rose %v", i, delta, rose)
+		}
 	}
-	push(100, 100) // 4 windows held: fast rate 0.5 burn 2, slow rate 0.5 burn 2
-	if n := ts.AlertCount(); n != 1 {
-		t.Fatalf("alert count after both windows burn: %d", n)
+	_, rose := push(100, 100) // 4 windows held: fast rate 0.5 burn 2, slow rate 0.5 burn 2
+	if len(rose) != 1 || ts.Report().AlertsTotal != 1 {
+		t.Fatalf("alerts after both windows burn: rose %v, total %d", rose, ts.Report().AlertsTotal)
 	}
-	a, ok := ts.LastAlert()
-	if !ok || a.SLO != "abort-rate" || a.FastBurn < 2 || a.SlowBurn < 2 {
-		t.Fatalf("alert: %+v ok=%v", a, ok)
+	a := rose[0]
+	if a.SLO != "abort-rate" || a.FastBurn < 2 || a.SlowBurn < 2 {
+		t.Fatalf("alert: %+v", a)
 	}
 	if a.Window.Counters["aborts"] != 100 {
 		t.Errorf("alert should carry the tripping window: %+v", a.Window)
 	}
 
 	// Still firing: no second rising edge.
-	push(100, 100)
-	if n := ts.AlertCount(); n != 1 {
-		t.Fatalf("level-triggered alert (want rising edge only): %d", n)
+	if _, rose := push(100, 100); rose != nil || ts.Report().AlertsTotal != 1 {
+		t.Fatalf("level-triggered alert (want rising edge only): %v", rose)
 	}
 	st := ts.Report().SLOs[0]
 	if !st.Firing || st.Alerts != 1 {
@@ -207,7 +207,7 @@ func TestAbortRateBurnAlert(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		push(100, 100)
 	}
-	if n := ts.AlertCount(); n != 2 {
+	if n := ts.Report().AlertsTotal; n != 2 {
 		t.Fatalf("alert count after relapse: %d", n)
 	}
 }
@@ -244,7 +244,7 @@ func TestLatencyBurn(t *testing.T) {
 	if !st.Firing || st.FastBurn < 50 || st.SlowBurn < 50 {
 		t.Fatalf("latency SLO should fire: %+v", st)
 	}
-	if n := ts.AlertCount(); n != 1 {
+	if n := ts.Report().AlertsTotal; n != 1 {
 		t.Fatalf("alert count: %d", n)
 	}
 

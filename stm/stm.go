@@ -147,7 +147,8 @@ const (
 )
 
 // DefaultTimeSeriesWindows is the ring capacity Config.TimeSeries defaults
-// to when SLOs are declared without an explicit window count.
+// to when SLOs are declared, or FlightRecorder is set, without an explicit
+// window count.
 const DefaultTimeSeriesWindows = core.DefaultTimeSeriesWindows
 
 // System is one STM instance: a global timestamp domain, a cache-aligned
@@ -248,9 +249,10 @@ func (s *System) ServerPhaseHistograms() []NamedHistogram {
 func (s *System) TimeSeriesReport() TimeSeriesReport { return s.sys.TimeSeriesReport() }
 
 // DumpFlightBundle writes a flight-recorder bundle (latency report, conflict
-// report, trace-ring snapshots, goroutine stacks) to Config.FlightDir and
-// returns the file path. Safe while transactions run; this is the same dump
-// the anomaly detector triggers, exposed for operator-initiated snapshots.
+// report, windowed telemetry, trace-ring snapshots, goroutine stacks) to
+// Config.FlightDir and returns the file path. Safe while transactions run;
+// this is the same dump Config.FlightRecorder writes when an SLO burn alert
+// rises or the stall watchdog trips, exposed for operator-initiated snapshots.
 func (s *System) DumpFlightBundle(reason string) (string, error) {
 	return s.sys.DumpFlightBundle(reason)
 }
