@@ -34,7 +34,7 @@ test:
 ## shows on some schedules.
 race:
 	$(GO) test -race -count=1 ./internal/core/ ./stm/ ./internal/obs/ ./internal/bloom/ ./internal/padded/ ./internal/analysis/
-	$(GO) test -race -count=10 -run 'Help|CrossShard|Partition' ./internal/core/
+	$(GO) test -race -count=10 -run 'Help|CrossShard|Partition|LivenessOneP|Mailbox' ./internal/core/
 
 ## deflaked: the snapshot-reader property test (a reader that never fell back
 ## takes no abort and is no one's victim), which used to fail a few runs in a

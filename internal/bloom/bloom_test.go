@@ -409,7 +409,9 @@ func wordsIntersect(a, b []uint64) bool {
 
 // TestSummaryIsExactFoldOnFilter: through Add/Clear/CopyFrom/UnionWith/Clone
 // the single-owner filter's summary stays exactly the column-fold of its
-// words.
+// words, so Empty is exact too: a filter nothing was added to since its last
+// Clear has no bit set anywhere (core's writeSet.reset skips the Clear of a
+// write set with no entries on the strength of that).
 func TestSummaryIsExactFoldOnFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f := NewFilter(testParams)
@@ -433,6 +435,9 @@ func TestSummaryIsExactFoldOnFilter(t *testing.T) {
 		for name, x := range map[string]*Filter{"f": f, "g": g} {
 			if x.Summary() != foldWords(x.words) {
 				t.Fatalf("step %d: %s summary %x != fold %x", step, name, x.Summary(), foldWords(x.words))
+			}
+			if x.Empty() != (x.PopCount() == 0) {
+				t.Fatalf("step %d: %s Empty()=%v with %d bits set", step, name, x.Empty(), x.PopCount())
 			}
 		}
 	}

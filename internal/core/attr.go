@@ -81,7 +81,7 @@ func (sv *shardServer) epochKillDesc() *killDesc {
 	if int(sv.attrEpochs%uint64(sv.sys.cfg.AttrSampleEvery)) == 0 {
 		var ids []uint64
 		for _, j := range sv.batchIdx {
-			ws := sv.sys.slots[j].req.Load().ws
+			ws := sv.sys.slots[j].req.ws
 			for i := range ws.entries {
 				ids = append(ids, ws.entries[i].v.id)
 			}

@@ -25,7 +25,7 @@ func (e *invalEngine) begin(tx *Tx) {}
 // window of the global timestamp, publish the read-filter bit before the
 // stability re-check, then verify this transaction has not been invalidated.
 //stm:hotpath
-func (e *invalEngine) read(tx *Tx, v *Var) (*box, bool) {
+func (e *invalEngine) read(tx *Tx, v *Var) (*Box, bool) {
 	return invalRead(tx, v, false)
 }
 
@@ -37,7 +37,7 @@ func (e *invalEngine) read(tx *Tx, v *Var) (*box, bool) {
 // blocked — on an odd timestamp, a lagging server, or an unstable window —
 // is recorded as a read-wait trace span.
 //stm:hotpath
-func invalRead(tx *Tx, v *Var, waitCaughtUp bool) (*box, bool) {
+func invalRead(tx *Tx, v *Var, waitCaughtUp bool) (*Box, bool) {
 	sys := tx.sys
 	shard := int(v.shardH & sys.shardMask)
 	st := &sys.streams[shard]

@@ -17,7 +17,7 @@ func (e *mutexEngine) begin(tx *Tx) {
 	tx.direct = true
 }
 
-func (e *mutexEngine) read(tx *Tx, v *Var) (*box, bool) {
+func (e *mutexEngine) read(tx *Tx, v *Var) (*Box, bool) {
 	// Unreachable: direct-mode loads bypass the engine. Kept total so the
 	// engine satisfies the interface even if a future caller routes here.
 	return v.loadBox(), true

@@ -31,7 +31,7 @@ func (e *norecEngine) begin(tx *Tx) {
 // read returns a value consistent with tx.start, extending the snapshot via
 // revalidation whenever the global timestamp moved.
 //stm:hotpath
-func (e *norecEngine) read(tx *Tx, v *Var) (*box, bool) {
+func (e *norecEngine) read(tx *Tx, v *Var) (*Box, bool) {
 	for {
 		b := v.loadBox()
 		if e.sys.streams[0].ts.Load() == tx.start {

@@ -191,19 +191,18 @@ func (e *remoteEngine) begin(tx *Tx) {}
 // proof that no prior commit conflicted.
 //
 //stm:hotpath
-func (e *remoteEngine) read(tx *Tx, v *Var) (*box, bool) {
+func (e *remoteEngine) read(tx *Tx, v *Var) (*Box, bool) {
 	return invalRead(tx, v, e.numInval > 0)
 }
 
-// commit is the client side of Algorithm 2's CLIENT COMMIT: publish the
-// request, then spin on the private reply field until an epoch driver
-// answers. Identical for all three variants. The request carries the
-// transaction's stream masks, computed here from the write set and the shards
-// its reads visited (both are bit 0 when Shards == 1); the server of the
-// lowest touched stream owns the request. Once the waiter's busy phase has
-// run out — a server with a core of its own would have replied by now — each
-// further iteration first offers to drive the epoch itself (help) and only
-// yields if it could not.
+// commit is the client side of Algorithm 2's CLIENT COMMIT, identical for all
+// three variants: publish the request on the slot, then spin on the private
+// reply word until an epoch driver answers. The request is the transaction's
+// stream masks, computed here from the write set and the shards its reads
+// visited (both bit 0 when Shards == 1); the server of the lowest touched
+// stream owns it. Once the waiter's busy phase has run out — a server with a
+// core of its own would have replied by now — each further iteration first
+// offers to drive the epoch itself (help) and only yields if it could not.
 //
 //stm:hotpath
 func (e *remoteEngine) commit(tx *Tx) bool {
@@ -221,25 +220,21 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 	for i := range tx.ws.entries {
 		writes |= 1 << (tx.ws.entries[i].v.shardH & e.sys.shardMask)
 	}
-	req := &commitReq{ws: tx.ws, writes: writes, touched: writes | tx.readShards}
+	touched := writes | tx.readShards
 	sl := tx.slot
-	sl.req.Store(req)
-	sl.state.Store(reqPending)
+	pending := sl.publish(writes, touched)
 	tx.ring.Instant(obs.KCommitReq, 0)
 	var w spin.Waiter
 	for {
-		switch sl.state.Load() {
-		case reqCommitted:
-			sl.state.Store(reqIdle)
-			sl.req.Store(nil)
-			return true
-		case reqAborted:
-			sl.state.Store(reqIdle)
-			sl.req.Store(nil)
-			tx.reason = AbortInvalidated
-			return false
+		if reply := sl.state.Load(); reply != pending {
+			sl.state.Store(pending &^ reqCodeMask) // consumed: idle
+			committed := reply&reqCodeMask == reqCommitted
+			if !committed {
+				tx.reason = AbortInvalidated
+			}
+			return committed
 		}
-		if !w.Busy() && e.help(tx, req) {
+		if !w.Busy() && e.help(tx, touched) {
 			continue // replied to: re-read our own line
 		}
 		w.Wait()
@@ -260,16 +255,16 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 // helper would have to try-lock several streams and back out of a partial set.
 //
 //stm:hotpath
-func (e *remoteEngine) help(tx *Tx, req *commitReq) bool {
-	if req.touched&(req.touched-1) != 0 {
+func (e *remoteEngine) help(tx *Tx, touched uint64) bool {
+	if touched&(touched-1) != 0 {
 		return false
 	}
-	sv := e.srv[bits.TrailingZeros64(req.touched)]
+	sv := e.srv[bits.TrailingZeros64(touched)]
 	if !e.sys.tryLockStream(sv.shard) {
 		return false
 	}
 	clk := startClock(sv.latC, sv.commitRing)
-	committed, replied := sv.epoch(req.touched, tx.th.idx, &clk)
+	committed, replied := sv.epoch(touched, tx.th.idx, &clk)
 	e.sys.unlockStream(sv.shard)
 	if committed > 0 {
 		atomic.AddUint64(&tx.stats.HelpedEpochs, 1)
@@ -346,16 +341,12 @@ func (sv *shardServer) commitServerMain(stop func() bool) {
 		// published after the bitmap snapshot is picked up on the next pass.
 		sv.scanBuf = sys.appendPendingCandidates(sv.scanBuf[:0], 0)
 		for _, i := range sv.scanBuf {
-			if sys.slots[i].state.Load() != reqPending {
+			sl := &sys.slots[i]
+			touched, ok := sl.pendingTouched(sl.state.Load())
+			if !ok || bits.TrailingZeros64(touched) != sv.shard {
 				continue
 			}
-			// The request pointer may already be retracted if a helping
-			// client answered its owner between the state check and this load.
-			req := sys.slots[i].req.Load()
-			if req == nil || bits.TrailingZeros64(req.touched) != sv.shard {
-				continue
-			}
-			if sv.serveEpoch(req.touched, i) {
+			if sv.serveEpoch(touched, i) {
 				progress = true
 			}
 		}
@@ -468,7 +459,7 @@ func (sv *shardServer) epoch(mask uint64, first int, clk *phaseClock) (committed
 	for _, j := range sv.batchIdx {
 		s := &sys.slots[j]
 		if _, alive := s.aliveWord(); !alive {
-			s.state.Store(reqAborted)
+			s.reply(reqAborted)
 			continue
 		}
 		sv.batchIdx[n] = j
@@ -483,14 +474,14 @@ func (sv *shardServer) epoch(mask uint64, first int, clk *phaseClock) (committed
 		sv.batchIdx = sv.batchIdx[:n]
 		sv.batchWS.Clear()
 		for _, j := range sv.batchIdx {
-			sv.batchWS.UnionWith(sys.slots[j].req.Load().ws.bf)
+			sv.batchWS.UnionWith(sys.slots[j].req.ws.bf)
 		}
 	}
 
 	writes := sv.publish(clk)
 
 	for _, j := range sv.batchIdx {
-		sys.slots[j].state.Store(reqCommitted)
+		sys.slots[j].reply(reqCommitted)
 	}
 	clk.lap(obs.LatReply, obs.KReply, uint64(n))
 
@@ -556,13 +547,10 @@ func (sv *shardServer) collect(mask uint64, first, maxBatch int, lagBudget uint6
 			break
 		}
 		s := &sys.slots[j]
-		if s.state.Load() != reqPending {
-			continue
-		}
-		req := s.req.Load()
-		if req == nil || req.touched != mask {
+		if touched, ok := s.pendingTouched(s.state.Load()); !ok || touched != mask {
 			continue // answered meanwhile, or another mask's epoch to serve
 		}
+		ws := s.req.ws
 		pending++
 		if lagBudget > 0 && st.invalTS[s.invalServer].Load() < t {
 			// V3: the requester's own server must have applied every prior
@@ -574,19 +562,19 @@ func (sv *shardServer) collect(mask uint64, first, maxBatch int, lagBudget uint6
 		if len(sv.batchIdx) > 0 {
 			if !unions {
 				lead := &sys.slots[sv.batchIdx[0]]
-				sv.batchWS.CopyFrom(lead.req.Load().ws.bf)
+				sv.batchWS.CopyFrom(lead.req.ws.bf)
 				sv.batchRS.Clear()
 				sv.batchRS.UnionAtomic(lead.readBF)
 				unions = true
 			}
-			if req.ws.intersects(sv.batchWS) || req.ws.intersects(sv.batchRS) ||
+			if ws.bf.Intersects(sv.batchWS) || ws.bf.Intersects(sv.batchRS) ||
 				s.readBF.IntersectsFilter(sv.batchWS) {
 				continue
 			}
 		}
 		sv.batchIdx = append(sv.batchIdx, j)
 		if unions {
-			sv.batchWS.UnionWith(req.ws.bf)
+			sv.batchWS.UnionWith(ws.bf)
 			sv.batchRS.UnionAtomic(s.readBF)
 		}
 	}
@@ -621,13 +609,12 @@ func (sv *shardServer) publish(clk *phaseClock) (writes uint64) {
 	sig, members := sv.batchWS, sv.batchMask
 	if len(sv.batchIdx) == 1 {
 		s := &sys.slots[sv.batchIdx[0]]
-		req := s.req.Load()
-		sig, members, writes = req.ws.bf, s.selfMask, req.writes
+		sig, members, writes = s.req.ws.bf, s.selfMask, s.req.writes.Load()
 	} else {
 		members.clearAll()
 		for _, j := range sv.batchIdx {
 			members.set(j)
-			writes |= sys.slots[j].req.Load().writes
+			writes |= sys.slots[j].req.writes.Load()
 		}
 	}
 	for m := writes; m != 0; m &= m - 1 {
@@ -649,7 +636,7 @@ func (sv *shardServer) publish(clk *phaseClock) (writes uint64) {
 		clk.lap(obs.LatScan, obs.KInvalWait, doomed)
 	}
 	for _, j := range sv.batchIdx {
-		sys.writeBack(sys.slots[j].req.Load().ws)
+		sys.writeBack(sys.slots[j].req.ws)
 	}
 	for m := writes; m != 0; {
 		j := bits.Len64(m) - 1
@@ -731,7 +718,11 @@ func (sv *shardServer) scanPartition(k int, clk *phaseClock) bool {
 // partition whenever the stream timestamp passes its local timestamp and no
 // epoch driver got there first. Every stream's server k covers the same
 // global slot partition k; concurrent scans from different streams are safe
-// because the doom CAS is epoch-guarded and idempotent.
+// because the doom CAS is epoch-guarded and idempotent. A server with a P of
+// its own goes back to busy polling after every scan it won; one that shares
+// the clients' Ps (System.yieldPerTx) keeps backing off, down to a poll per
+// spin.MaxSleep: hot, it only races the driver's own post-reply scan for the
+// partition and bounces the clients' slot lines between the Ps.
 //
 //stm:hotpath
 func (sv *shardServer) invalServerMain(k int, stop func() bool) {
@@ -739,7 +730,7 @@ func (sv *shardServer) invalServerMain(k int, stop func() bool) {
 	for !stop() {
 		// The server's own cell and track, written only under the lock.
 		clk := startClock(sv.invalLat[k], sv.invalRings[k])
-		if sv.scanPartition(k, &clk) {
+		if sv.scanPartition(k, &clk) && !sv.sys.yieldPerTx {
 			w.Reset()
 		} else {
 			w.Wait()

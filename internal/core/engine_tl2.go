@@ -49,7 +49,7 @@ func (e *tl2Engine) begin(tx *Tx) {
 // read returns v's value if it is committed no later than the transaction's
 // read version. TL2 does not extend snapshots: a newer version aborts.
 //stm:hotpath
-func (e *tl2Engine) read(tx *Tx, v *Var) (*box, bool) {
+func (e *tl2Engine) read(tx *Tx, v *Var) (*Box, bool) {
 	var w spin.Waiter
 	var tw int64 // trace timestamp of the first blocked sample, if any
 	for i := 0; ; i++ {

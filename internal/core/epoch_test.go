@@ -42,11 +42,11 @@ func postMasked(t *testing.T, s *System, th *Thread, touched, writes uint64, val
 		vars = append(vars, varInShard(t, s, bits.TrailingZeros64(m), 0))
 	}
 	sl := postPending(s, th, vars[0], val)
-	req := sl.req.Load()
 	for _, v := range vars[1:] {
-		req.ws.put(v, val)
+		sl.req.ws.put(v, newAnyCell(val))
 	}
-	req.touched, req.writes = touched, writes
+	sl.req.touched.Store(touched)
+	sl.req.writes.Store(writes)
 	return sl, vars
 }
 
@@ -87,17 +87,14 @@ func TestEpochSkipsStaleCandidate(t *testing.T) {
 		th := s.MustRegister()
 		sl, _ := postMasked(t, s, th, touched, writes, 7)
 		lead := s.eng.(*remoteEngine).srv[bits.TrailingZeros64(touched)]
-		req := sl.req.Load()
+		pending := sl.state.Load()
 		stale := []struct {
 			name  string
 			apply func()
 		}{
-			{"answered", func() { sl.state.Store(reqAborted) }},
-			{"retracted", func() { sl.state.Store(reqIdle); sl.req.Store(nil) }},
-			{"replaced", func() {
-				sl.state.Store(reqPending)
-				sl.req.Store(&commitReq{ws: req.ws, writes: 1, touched: 1 << 3})
-			}},
+			{"answered", func() { sl.reply(reqAborted) }},
+			{"retracted", func() { sl.state.Store(pending &^ reqCodeMask) }},
+			{"replaced", func() { sl.publish(1, 1<<3) }},
 		}
 		for _, c := range stale {
 			c.apply()
@@ -113,9 +110,8 @@ func TestEpochSkipsStaleCandidate(t *testing.T) {
 			}
 		}
 		// The same request, still pending under its own mask, is served.
-		sl.req.Store(req)
-		sl.state.Store(reqPending)
-		if !lead.serveEpoch(touched, th.idx) || sl.state.Load() != reqCommitted {
+		sl.publish(writes, touched)
+		if !lead.serveEpoch(touched, th.idx) || sl.state.Load()&reqCodeMask != reqCommitted {
 			t.Fatalf("live candidate not committed (state %d)", sl.state.Load())
 		}
 		if got := lead.stats(); got.Epochs != 1 || got.Commits != 1 {
@@ -132,6 +128,52 @@ func TestEpochSkipsStaleCandidate(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestMailboxAdmitsOnlyTheWordItRead replays, step by step, the interleaving
+// that used to serve one write set twice with Shards > 1: a driver of stream 0
+// reads slot's PENDING word for request N (another stream's), N is answered
+// there, and the owner posts request N+1 — masks first, PENDING second — now
+// touching stream 0. Whatever point of that the driver's mask load falls on,
+// the word it read first is no longer the slot's word, so it is refused; the
+// current word is admitted with the current mask, and a reply keeps its
+// sequence number.
+func TestMailboxAdmitsOnlyTheWordItRead(t *testing.T) {
+	var sl slot
+	if _, ok := sl.pendingTouched(sl.state.Load()); ok {
+		t.Fatal("idle slot admitted")
+	}
+	n := sl.publish(0b10, 0b10) // request N: stream 1's
+	if touched, ok := sl.pendingTouched(n); !ok || touched != 0b10 {
+		t.Fatalf("current word: touched=%b ok=%v, want 10 true", touched, ok)
+	}
+	sl.reply(reqCommitted)
+	if got := sl.state.Load(); got != n^reqPending^reqCommitted {
+		t.Fatalf("reply word %#x, want request %#x with COMMITTED", got, n)
+	}
+	if _, ok := sl.pendingTouched(n); ok {
+		t.Fatal("stale word admitted after the reply")
+	}
+	sl.state.Store(n &^ reqCodeMask) // the owner consumed the reply
+	// N+1's masks are on the line, its PENDING word is not yet.
+	sl.req.writes.Store(0b01)
+	sl.req.touched.Store(0b01)
+	if _, ok := sl.pendingTouched(n); ok {
+		t.Fatal("stale word admitted over the next request's masks")
+	}
+	n1 := sl.publish(0b01, 0b01)
+	if n1 == n || n1&reqCodeMask != reqPending {
+		t.Fatalf("publish reused word %#x (was %#x)", n1, n)
+	}
+	if _, ok := sl.pendingTouched(n); ok {
+		t.Fatal("stale word admitted once the next request was PENDING")
+	}
+	if touched, ok := sl.pendingTouched(n1); !ok || touched != 0b01 {
+		t.Fatalf("next request: touched=%b ok=%v, want 1 true", touched, ok)
+	}
+	if _, ok := sl.pendingTouched(n1 ^ reqPending ^ reqAborted); ok {
+		t.Fatal("a reply word admitted as a request")
+	}
 }
 
 // TestEpochStreamsAndPhases runs one epoch per shape and checks what it did to
@@ -170,7 +212,7 @@ func epochStreamsAndPhases(t *testing.T, algo Algo, touched, writes uint64, held
 	th := s.MustRegister()
 	sl, vars := postMasked(t, s, th, touched, writes, 7)
 	lead := eng.srv[bits.TrailingZeros64(touched)]
-	if !lead.serveEpoch(touched, th.idx) || sl.state.Load() != reqCommitted {
+	if !lead.serveEpoch(touched, th.idx) || sl.state.Load()&reqCodeMask != reqCommitted {
 		t.Fatalf("request not committed (state %d)", sl.state.Load())
 	}
 	for j := range s.streams {
@@ -205,8 +247,8 @@ func epochStreamsAndPhases(t *testing.T, algo Algo, touched, writes uint64, held
 		}
 	}
 	for _, v := range vars {
-		if b := v.loadBox(); b.v != 7 || b.epoch != 1 {
-			t.Errorf("var in stream %d = %v stamped %d, want 7 stamped 1 (odd window)", s.shardOf(v), b.v, b.epoch)
+		if b := v.loadBox(); v.Peek() != 7 || b.epoch != 1 {
+			t.Errorf("var in stream %d = %v stamped %d, want 7 stamped 1 (odd window)", s.shardOf(v), v.Peek(), b.epoch)
 		}
 	}
 
@@ -280,7 +322,7 @@ func TestEpochOddWindowsNest(t *testing.T) {
 			}()
 			for i := 0; i < epochs; i++ {
 				sl, _ := postMasked(t, s, th, touched, writes, i)
-				if !lead.serveEpoch(touched, th.idx) || sl.state.Load() != reqCommitted {
+				if !lead.serveEpoch(touched, th.idx) || sl.state.Load()&reqCodeMask != reqCommitted {
 					t.Fatalf("epoch %d: request not committed (state %d)", i, sl.state.Load())
 				}
 				settle(s, th.idx, sl)

@@ -82,7 +82,7 @@ func (s *System) flightCheck(nowNanos int64, epochs uint64, rose []obs.SLOAlert)
 		}
 	}
 	for i := range s.slots {
-		pending := s.slots[i].state.Load() == reqPending
+		pending := s.slots[i].state.Load()&reqCodeMask == reqPending
 		if pending && fs.pending[i] && epochs == 0 {
 			reason = fmt.Sprintf("commit-server stall: slot %d pending across two ticks with no epoch progress", i)
 		}

@@ -17,11 +17,10 @@ var rinvalAlgos = []Algo{RInvalV1, RInvalV2, RInvalV3}
 // control which requests are pending before the server runs.
 func postPending(s *System, th *Thread, v *Var, val any) *slot {
 	sl := th.slot
-	ws := newWriteSet(s.cfg.Bloom)
-	ws.put(v, val)
+	sl.req.ws.reset()
+	sl.req.ws.put(v, newAnyCell(val))
 	beginSlot(s, th)
-	sl.req.Store(&commitReq{ws: ws, writes: 1, touched: 1}) // single stream: shard 0
-	sl.state.Store(reqPending)
+	sl.publish(1, 1) // single stream: shard 0
 	return sl
 }
 
@@ -35,8 +34,7 @@ func beginSlot(s *System, th *Thread) {
 
 // settle returns a slot to idle after a manual epoch so Close can succeed.
 func settle(s *System, idx int, sl *slot) {
-	sl.state.Store(reqIdle)
-	sl.req.Store(nil)
+	sl.state.Store(sl.state.Load() &^ reqCodeMask)
 	sl.status.Store(sl.status.Load() &^ statusBits)
 	s.active.clear(idx)
 }
@@ -83,7 +81,7 @@ func TestGroupCommitDisjointBatchOneEpoch(t *testing.T) {
 				t.Errorf("recorded batch size = %d, want %d", got.Max(), n)
 			}
 			for i := 0; i < n; i++ {
-				if st := slots[i].state.Load(); st != reqCommitted {
+				if st := slots[i].state.Load() & reqCodeMask; st != reqCommitted {
 					t.Errorf("slot %d reply = %d, want reqCommitted", i, st)
 				}
 				if got := vars[i].Peek(); got != i+100 {
@@ -137,10 +135,10 @@ func TestGroupCommitConflictSplitsEpochs(t *testing.T) {
 				if !eng.srv[0].serveEpoch(1, 0) {
 					t.Fatal("first epoch made no progress")
 				}
-				if sl0.state.Load() != reqCommitted {
+				if sl0.state.Load()&reqCodeMask != reqCommitted {
 					t.Fatal("leader not committed in first epoch")
 				}
-				if sl1.state.Load() != reqPending {
+				if sl1.state.Load()&reqCodeMask != reqPending {
 					t.Fatal("conflicting follower should have stayed pending")
 				}
 				if eng.srv[0].commitSrv.Epochs != 1 || eng.srv[0].commitSrv.Commits != 1 {
@@ -161,7 +159,7 @@ func TestGroupCommitConflictSplitsEpochs(t *testing.T) {
 					if !eng.srv[0].serveEpoch(1, 0) {
 						t.Fatal("second epoch made no progress")
 					}
-					if got := sl1.state.Load(); got != wantFollower {
+					if got := sl1.state.Load() & reqCodeMask; got != wantFollower {
 						t.Fatalf("follower reply = %d, want %d", got, wantFollower)
 					}
 					wantEpochs := uint64(2)
@@ -179,7 +177,7 @@ func TestGroupCommitConflictSplitsEpochs(t *testing.T) {
 					if eng.srv[0].serveEpoch(1, 0) {
 						t.Fatal("V3 should defer the follower while its partition is being scanned")
 					}
-					if sl1.state.Load() != reqPending {
+					if sl1.state.Load()&reqCodeMask != reqPending {
 						t.Fatal("deferred follower must stay pending")
 					}
 					// The holder lets go and the invalidation-server takes its
@@ -192,7 +190,7 @@ func TestGroupCommitConflictSplitsEpochs(t *testing.T) {
 					if !eng.srv[0].serveEpoch(1, 0) {
 						t.Fatal("follower epoch made no progress after catch-up")
 					}
-					if got := sl1.state.Load(); got != wantFollower {
+					if got := sl1.state.Load() & reqCodeMask; got != wantFollower {
 						t.Fatalf("follower reply = %d, want %d", got, wantFollower)
 					}
 				}
@@ -226,8 +224,8 @@ func TestGroupCommitThirdCandidateMeetsUnions(t *testing.T) {
 	if !s.eng.(*remoteEngine).srv[0].serveEpoch(1, 0) {
 		t.Fatal("epoch made no progress")
 	}
-	for i, want := range []uint32{reqCommitted, reqCommitted, reqPending} {
-		if got := slots[i].state.Load(); got != want {
+	for i, want := range []uint64{reqCommitted, reqCommitted, reqPending} {
+		if got := slots[i].state.Load() & reqCodeMask; got != want {
 			t.Errorf("slot %d state = %d, want %d", i, got, want)
 		}
 	}
@@ -451,11 +449,11 @@ func TestStatsReadableWhileLive(t *testing.T) {
 }
 
 // TestSetResetReleasesPointers: reset must clear the backing arrays so
-// retired Vars/boxes are collectable between transactions.
+// retired Vars/cells are collectable between transactions.
 func TestSetResetReleasesPointers(t *testing.T) {
 	var rs readSet
-	rs.add(NewVar(1), &box{v: 1})
-	rs.add(NewVar(2), &box{v: 2})
+	rs.add(NewVar(1), newAnyCell(1))
+	rs.add(NewVar(2), newAnyCell(2))
 	rs.reset()
 	for i, e := range rs.entries[:cap(rs.entries)] {
 		if e.v != nil || e.snap != nil {
@@ -464,8 +462,8 @@ func TestSetResetReleasesPointers(t *testing.T) {
 	}
 
 	ws := newWriteSet(bloom.DefaultParams)
-	ws.put(NewVar(3), 3)
-	ws.put(NewVar(4), 4)
+	ws.put(NewVar(3), newAnyCell(3))
+	ws.put(NewVar(4), newAnyCell(4))
 	ws.reset()
 	for i, e := range ws.entries[:cap(ws.entries)] {
 		if e.v != nil || e.b != nil {

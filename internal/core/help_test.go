@@ -70,7 +70,7 @@ func TestHelpBatchesFollowers(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := fsl.state.Load(); got != reqCommitted {
+	if got := fsl.state.Load() & reqCodeMask; got != reqCommitted {
 		t.Fatalf("follower reply = %d, want reqCommitted", got)
 	}
 	if a.Peek() != 5 || b.Peek() != 7 {
@@ -108,14 +108,14 @@ func TestHelpDeclines(t *testing.T) {
 		th := s.MustRegister()
 		sl := postPending(s, th, NewVar(0), 1)
 		s.lockStream(0)
-		if eng.help(&th.tx, sl.req.Load()) {
+		if eng.help(&th.tx, sl.req.touched.Load()) {
 			t.Fatal("helped while another driver held the stream")
 		}
-		if sl.state.Load() != reqPending || s.streams[0].owner.Load() != 1 {
+		if sl.state.Load()&reqCodeMask != reqPending || s.streams[0].owner.Load() != 1 {
 			t.Fatal("declined help changed the request or the lock")
 		}
 		s.unlockStream(0)
-		if !eng.help(&th.tx, sl.req.Load()) || sl.state.Load() != reqCommitted {
+		if !eng.help(&th.tx, sl.req.touched.Load()) || sl.state.Load()&reqCodeMask != reqCommitted {
 			t.Fatal("free stream: help should have committed the request")
 		}
 		settle(s, th.idx, sl)
@@ -132,12 +132,12 @@ func TestHelpDeclines(t *testing.T) {
 		eng := s.eng.(*remoteEngine)
 		th := s.MustRegister()
 		sl := postPending(s, th, NewVar(0), 1)
-		req := &commitReq{ws: sl.req.Load().ws, writes: 3, touched: 3}
-		sl.req.Store(req)
-		if eng.help(&th.tx, req) {
+		sl.req.writes.Store(3)
+		sl.req.touched.Store(3)
+		if eng.help(&th.tx, sl.req.touched.Load()) {
 			t.Fatal("helped a cross-shard request; those are leader-only")
 		}
-		if sl.state.Load() != reqPending || s.streams[0].owner.Load() != 0 || s.streams[1].owner.Load() != 0 {
+		if sl.state.Load()&reqCodeMask != reqPending || s.streams[0].owner.Load() != 0 || s.streams[1].owner.Load() != 0 {
 			t.Fatal("declined help changed the request or a lock")
 		}
 		settle(s, th.idx, sl)
@@ -159,16 +159,16 @@ func TestHelpDeclines(t *testing.T) {
 			t.Fatal("fresh partition lock not free")
 		}
 		sl0 := postPending(s, th0, NewVar(0), 1)
-		if !eng.help(&th0.tx, sl0.req.Load()) {
+		if !eng.help(&th0.tx, sl0.req.touched.Load()) {
 			t.Fatal("first epoch: nothing lags yet, help should commit")
 		}
 		// invalTS now trails the timestamp and the next requester's ALIVE
 		// check is inconclusive.
 		sl1 := postPending(s, th1, NewVar(0), 2)
-		if eng.help(&th1.tx, sl1.req.Load()) {
+		if eng.help(&th1.tx, sl1.req.touched.Load()) {
 			t.Fatal("V3 helper served a request whose partition is still being scanned")
 		}
-		if sl1.state.Load() != reqPending || s.streams[0].owner.Load() != 0 {
+		if sl1.state.Load()&reqCodeMask != reqPending || s.streams[0].owner.Load() != 0 {
 			t.Fatal("declined help changed the request or kept the lock")
 		}
 		if s.streams[0].invalTS[0].Load() != 0 || s.streams[0].partOwner[0].Load() != 1 {
@@ -183,7 +183,7 @@ func TestHelpDeclines(t *testing.T) {
 		if !serverTurn(eng.srv[0], 0) {
 			t.Fatal("free lagging partition not scanned")
 		}
-		if !eng.help(&th1.tx, sl1.req.Load()) || sl1.state.Load() != reqCommitted {
+		if !eng.help(&th1.tx, sl1.req.touched.Load()) || sl1.state.Load()&reqCodeMask != reqCommitted {
 			t.Fatalf("caught-up partition: help should have committed the request (state %d)", sl1.state.Load())
 		}
 		settle(s, th0.idx, sl0)

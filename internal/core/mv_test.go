@@ -36,7 +36,15 @@ func TestVersionsConfigValidation(t *testing.T) {
 func TestVersionRingResolve(t *testing.T) {
 	v := NewVar("e0")
 	// Before any versioned write-back, every snapshot resolves to the head.
-	if got, ok := v.versionAt(0); !ok || got != "e0" {
+	// at resolves a snapshot epoch to the any-API value of the cell found.
+	at := func(e uint64) (any, bool) {
+		b, ok := v.versionAt(e)
+		if !ok {
+			return nil, false
+		}
+		return anyOf(b).v, true
+	}
+	if got, ok := at(0); !ok || got != "e0" {
 		t.Fatalf("fresh head: %v %v", got, ok)
 	}
 
@@ -44,40 +52,43 @@ func TestVersionRingResolve(t *testing.T) {
 	// keeps the ring un-full: versionAt refuses the oldest entry of a full
 	// ring (a concurrent append may already be overwriting its slot).
 	for _, e := range []uint64{2, 4, 6} {
-		b := &box{v: "e" + string(rune('0'+e)), epoch: e}
+		b := newAnyCell("e" + string(rune('0'+e)))
+		b.epoch = e
 		v.appendVersion(b, 8, 0)
 		v.storeBox(b)
 	}
 	want := map[uint64]string{0: "e0", 1: "e0", 2: "e2", 3: "e2", 4: "e4", 5: "e4", 6: "e6", 99: "e6"}
 	for snap, val := range want {
-		if got, ok := v.versionAt(snap); !ok || got != val {
+		if got, ok := at(snap); !ok || got != val {
 			t.Errorf("versionAt(%d) = %v, %v; want %q", snap, got, ok, val)
 		}
 	}
 
 	// A floor of 4 makes "e4" the oldest entry any reader can need: the
 	// sweep on the next append must drop e0 and e2 but keep e4.
-	b8 := &box{v: "e8", epoch: 8}
+	b8 := newAnyCell("e8")
+	b8.epoch = 8
 	v.appendVersion(b8, 8, 4)
 	v.storeBox(b8)
-	if _, ok := v.versionAt(3); ok {
+	if _, ok := at(3); ok {
 		t.Error("trimmed epoch still resolvable")
 	}
-	if got, ok := v.versionAt(5); !ok || got != "e4" {
+	if got, ok := at(5); !ok || got != "e4" {
 		t.Errorf("floor survivor: %v, %v", got, ok)
 	}
 
 	// Lap the ring (capacity 8): old snapshots must fall back, the newest
 	// entries must still resolve.
 	for e := uint64(10); e <= 30; e += 2 {
-		b := &box{v: "new", epoch: e}
+		b := newAnyCell("new")
+		b.epoch = e
 		v.appendVersion(b, 8, 0)
 		v.storeBox(b)
 	}
-	if _, ok := v.versionAt(5); ok {
+	if _, ok := at(5); ok {
 		t.Error("lapped snapshot resolved")
 	}
-	if got, ok := v.versionAt(19); !ok || got != "new" {
+	if got, ok := at(19); !ok || got != "new" {
 		t.Errorf("recent snapshot: %v, %v", got, ok)
 	}
 }

@@ -7,7 +7,7 @@ import "github.com/ssrg-vt/rinval/internal/bloom"
 // snap; the invalidation engines keep the log only when stats are enabled.
 type readEntry struct {
 	v    *Var
-	snap *box
+	snap *Box
 }
 
 // readSet is an append-only log of the transaction's reads. It is reused
@@ -16,13 +16,13 @@ type readSet struct {
 	entries []readEntry
 }
 
-func (rs *readSet) add(v *Var, snap *box) {
+func (rs *readSet) add(v *Var, snap *Box) {
 	rs.entries = append(rs.entries, readEntry{v: v, snap: snap})
 }
 
 func (rs *readSet) reset() {
 	// Zero the recorded entries before truncating: entries[:0] alone keeps
-	// the *Var/*box pointers reachable through the backing array, pinning
+	// the *Var/*Box pointers reachable through the backing array, pinning
 	// retired data structures for as long as this thread lives.
 	clear(rs.entries)
 	rs.entries = rs.entries[:0]
@@ -34,7 +34,7 @@ func (rs *readSet) len() int { return len(rs.entries) }
 // publish at commit.
 type writeEntry struct {
 	v *Var
-	b *box
+	b *Box
 }
 
 // wsetMapThreshold is the write-set size beyond which lookups switch from
@@ -55,47 +55,40 @@ func newWriteSet(p bloom.Params) *writeSet {
 	return &writeSet{bf: bloom.NewFilter(p)}
 }
 
-// lookup returns the pending version for v, if any.
-func (ws *writeSet) lookup(v *Var) (*box, bool) {
+// find returns the index of v's entry, if it has one.
+func (ws *writeSet) find(v *Var) (int, bool) {
 	if ws.idx != nil {
-		if i, ok := ws.idx[v]; ok {
-			return ws.entries[i].b, true
-		}
-		return nil, false
+		i, ok := ws.idx[v]
+		return i, ok
 	}
 	for i := len(ws.entries) - 1; i >= 0; i-- {
 		if ws.entries[i].v == v {
-			return ws.entries[i].b, true
+			return i, true
 		}
+	}
+	return 0, false
+}
+
+// lookup returns the pending version for v, if any.
+func (ws *writeSet) lookup(v *Var) (*Box, bool) {
+	if i, ok := ws.find(v); ok {
+		return ws.entries[i].b, true
 	}
 	return nil, false
 }
 
-// put records a write of val to v, replacing any earlier write to v. An
-// overwrite mutates the buffered box in place: the box is private to the
-// write set until writeBack publishes it into the Var (lookup hands out only
-// the value, never the box), so no reader can hold a reference to it yet and
-// the overwrite allocates nothing.
-func (ws *writeSet) put(v *Var, val any) {
-	if ws.idx != nil {
-		if i, ok := ws.idx[v]; ok {
-			ws.entries[i].b.v = val
-			return
-		}
-		ws.entries = append(ws.entries, writeEntry{v: v, b: &box{v: val}})
-		ws.idx[v] = len(ws.entries) - 1
-		ws.bf.Add(v.id)
+// put records b as the version of v to publish, replacing any earlier write
+// to v (nobody else has seen that cell: it is dropped).
+func (ws *writeSet) put(v *Var, b *Box) {
+	if i, ok := ws.find(v); ok {
+		ws.entries[i].b = b
 		return
 	}
-	for i := range ws.entries {
-		if ws.entries[i].v == v {
-			ws.entries[i].b.v = val
-			return
-		}
-	}
-	ws.entries = append(ws.entries, writeEntry{v: v, b: &box{v: val}})
+	ws.entries = append(ws.entries, writeEntry{v: v, b: b})
 	ws.bf.Add(v.id)
-	if len(ws.entries) > wsetMapThreshold {
+	if ws.idx != nil {
+		ws.idx[v] = len(ws.entries) - 1
+	} else if len(ws.entries) > wsetMapThreshold {
 		//stmlint:ignore hot-path-deep amortized one-time index build above the threshold; O(1) lookups from then on repay the allocation
 		ws.idx = make(map[*Var]int, 2*len(ws.entries))
 		for i, e := range ws.entries {
@@ -105,8 +98,13 @@ func (ws *writeSet) put(v *Var, val any) {
 }
 
 func (ws *writeSet) reset() {
+	if len(ws.entries) == 0 {
+		// Nothing written since the last reset, so no index and (put alone
+		// sets its bits) an empty filter: a read-only begin clears nothing.
+		return
+	}
 	// As in readSet.reset: drop the pointers, not just the length, so
-	// committed boxes and dead Vars can be collected between transactions.
+	// committed cells and dead Vars can be collected between transactions.
 	clear(ws.entries)
 	ws.entries = ws.entries[:0]
 	ws.idx = nil
@@ -114,13 +112,6 @@ func (ws *writeSet) reset() {
 }
 
 func (ws *writeSet) len() int { return len(ws.entries) }
-
-// intersects reports whether this write set's bloom signature shares a bit
-// with f — the constant-time conflict test group commit uses to decide
-// whether two pending requests may share an epoch.
-func (ws *writeSet) intersects(f *bloom.Filter) bool {
-	return ws.bf.Intersects(f)
-}
 
 // writeBack publishes every buffered version. The caller must hold the
 // write-back right (global timestamp odd, or the global mutex).

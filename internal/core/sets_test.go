@@ -14,13 +14,13 @@ func TestWriteSetLinearThenMapPath(t *testing.T) {
 	}
 	// Linear-path inserts and replacement.
 	for i := 0; i < wsetMapThreshold; i++ {
-		ws.put(vars[i], i)
+		ws.put(vars[i], newAnyCell(i))
 	}
 	if ws.idx != nil {
 		t.Fatal("map built too early")
 	}
-	ws.put(vars[0], 999)
-	if b, ok := ws.lookup(vars[0]); !ok || b.v.(int) != 999 {
+	ws.put(vars[0], newAnyCell(999))
+	if b, ok := ws.lookup(vars[0]); !ok || anyOf(b).v.(int) != 999 {
 		t.Fatal("linear replacement broken")
 	}
 	if ws.len() != wsetMapThreshold {
@@ -28,13 +28,13 @@ func TestWriteSetLinearThenMapPath(t *testing.T) {
 	}
 	// Cross the threshold: map path activates.
 	for i := wsetMapThreshold; i < len(vars); i++ {
-		ws.put(vars[i], i)
+		ws.put(vars[i], newAnyCell(i))
 	}
 	if ws.idx == nil {
 		t.Fatal("map not built past threshold")
 	}
-	ws.put(vars[5], 555)
-	if b, ok := ws.lookup(vars[5]); !ok || b.v.(int) != 555 {
+	ws.put(vars[5], newAnyCell(555))
+	if b, ok := ws.lookup(vars[5]); !ok || anyOf(b).v.(int) != 555 {
 		t.Fatal("map replacement broken")
 	}
 	if _, ok := ws.lookup(NewVar(0)); ok {
@@ -50,12 +50,49 @@ func TestWriteSetLinearThenMapPath(t *testing.T) {
 	}
 }
 
+// TestWriteSetResetSkipsAnEmptySet: reset of a write set with no entries
+// returns before the clears, and that is sound — whatever ran before, a set
+// with no entries has no index and an empty signature.
+func TestWriteSetResetSkipsAnEmptySet(t *testing.T) {
+	s := MustNew(Config{Algo: InvalSTM, MaxThreads: 2})
+	defer s.Close()
+	th := s.MustRegister()
+	defer th.Close()
+	vars := make([]*Var, wsetMapThreshold+2)
+	for i := range vars {
+		vars[i] = NewVar(i)
+	}
+	txs := []func(tx *Tx) error{
+		func(tx *Tx) error { // past the threshold: index built, filter populated
+			for i, v := range vars {
+				tx.Store(v, i+1)
+			}
+			return nil
+		},
+		func(tx *Tx) error { _ = tx.Load(vars[0]); return nil }, // begin clears the writer's set
+		func(tx *Tx) error { _ = tx.Load(vars[1]); return nil }, // begin finds it empty
+	}
+	for i, fn := range txs {
+		if err := th.Atomically(func(tx *Tx) error {
+			if tx.ws.len() != 0 || tx.ws.idx != nil || !tx.ws.bf.Empty() {
+				t.Errorf("tx %d began with %d entries, idx=%v, empty filter=%v", i, tx.ws.len(), tx.ws.idx != nil, tx.ws.bf.Empty())
+			}
+			if _, ok := tx.ws.lookup(vars[0]); ok {
+				t.Errorf("tx %d began with a buffered write", i)
+			}
+			return fn(tx)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestWriteSetWriteBackOrder(t *testing.T) {
 	ws := newWriteSet(bloom.DefaultParams)
 	a, b := NewVar(0), NewVar(0)
-	ws.put(a, 1)
-	ws.put(b, 2)
-	ws.put(a, 3) // replacement keeps program order slot
+	ws.put(a, newAnyCell(1))
+	ws.put(b, newAnyCell(2))
+	ws.put(a, newAnyCell(3)) // replacement keeps program order slot
 	ws.writeBack()
 	if a.Peek().(int) != 3 || b.Peek().(int) != 2 {
 		t.Fatalf("writeBack wrong: a=%v b=%v", a.Peek(), b.Peek())
@@ -144,7 +181,7 @@ func TestVarBoxIdentityChangesOnStore(t *testing.T) {
 	if b1 == b2 {
 		t.Fatal("Set did not install a fresh version box")
 	}
-	if b1.v.(int) != b2.v.(int) {
+	if anyOf(b1).v.(int) != anyOf(b2).v.(int) {
 		t.Fatal("value changed unexpectedly")
 	}
 }

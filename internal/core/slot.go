@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"github.com/ssrg-vt/rinval/internal/bloom"
 	"github.com/ssrg-vt/rinval/internal/padded"
 )
@@ -23,31 +25,34 @@ func statusWord(epoch, status uint64) uint64 { return epoch<<epochShift | status
 // wordStatus extracts the status field.
 func wordStatus(w uint64) uint64 { return w & statusBits }
 
-// Request states for the client/commit-server mailbox (Figure 5).
+// Request codes for the client/commit-server mailbox (Figure 5): the low two
+// bits of a slot's state word. Above them is the request's sequence number,
+// bumped by the client with every publish, so a word names one request.
 const (
-	reqIdle      uint32 = iota // no request outstanding
+	reqIdle      uint64 = iota // no request outstanding
 	reqPending                 // client published a commit request
-	reqCommitted               // server reply: committed
-	reqAborted                 // server reply: invalidated, roll back
+	reqCommitted               // driver's reply: committed
+	reqAborted                 // driver's reply: invalidated, roll back
+
+	reqCodeMask uint64 = 3
 )
 
-// commitReq is the payload of a commit request: everything the commit-server
-// needs to execute the commit on the client's behalf (the paper's Figure 5
-// passes the write-set and its bloom signature through the requests array).
-// The client builds it privately and publishes it with a single padded
-// pointer store; the server treats it as read-only.
-type commitReq struct {
+// reqLine is the payload of a commit request, alone on its cache line: what
+// an epoch driver needs to execute the commit on the client's behalf (the
+// paper's Figure 5 passes the write-set and its bloom signature through the
+// requests array). ws is the owning thread's, fixed from Register to Close; the
+// client stores the masks before the PENDING word, then waits for the reply.
+type reqLine struct {
+	_  [padded.CacheLineSize - 24]byte
 	ws *writeSet
 	// writes/touched are shard bitmasks (bit j = stream j): the shards the
 	// write set lands in, and those plus every shard the transaction read
 	// from. The epoch that retires the request runs over exactly the touched
 	// streams, led by the lowest one's commit-server: one stream batches with
 	// its neighbours, more make it a cross-shard request led solo. Both are
-	// 1<<0 when Shards == 1. They live here, not on the slot: commitReq is a
-	// per-commit heap value, so extending it cannot disturb the slot's
-	// cache-line layout.
-	writes  uint64
-	touched uint64
+	// 1<<0 when Shards == 1.
+	writes, touched atomic.Uint64
+	_               [padded.CacheLineSize]byte
 }
 
 // slot is one entry of the cache-aligned requests array. Every hot field is
@@ -57,14 +62,15 @@ type commitReq struct {
 // array never share one (stmlint's padding check and sizeof_test.go enforce
 // both).
 type slot struct {
-	// state is the request mailbox the client spins on (PENDING -> reply).
-	state padded.Uint32
+	// state is the request mailbox word the client spins on: the request's
+	// sequence number above a request code (PENDING -> reply).
+	state padded.Uint64
 	// status packs the slot's transaction epoch and liveness/invalidation
 	// status. The owner stores begin/end transitions; servers may only CAS
 	// alive->invalid on the exact word they observed (epoch guard).
 	status padded.Uint64
 	// req carries the published commit request while state is PENDING.
-	req padded.Pointer[commitReq]
+	req reqLine
 	// killer is the attribution mailbox: a doomer stores its killDesc here
 	// immediately before the doom CAS, and the victim reads it back on its
 	// abort path (nil outside Config.Attribution; cleared by the owner at
@@ -94,6 +100,39 @@ func (s *slot) aliveWord() (uint64, bool) {
 	w := s.status.Load()
 	return w, wordStatus(w) == txAlive
 }
+
+// publish posts the owner's commit request — the masks, then the next sequence
+// number with PENDING — and returns that word, which the reply will carry too.
+//
+//stm:hotpath
+func (s *slot) publish(writes, touched uint64) uint64 {
+	s.req.writes.Store(writes)
+	s.req.touched.Store(touched)
+	w := (s.state.Load() | reqCodeMask) + 1 + reqPending // next sequence number
+	s.state.Store(w)
+	return w
+}
+
+// pendingTouched returns the touched mask of the request named by w, a state
+// word the caller loaded before this call, if w is PENDING and still the slot's
+// word once the mask has been read. Past a word that moved on, the mask may be
+// the owner's next request's, not yet PENDING, which would then be served twice.
+//
+//stm:hotpath
+func (s *slot) pendingTouched(w uint64) (touched uint64, ok bool) {
+	if w&reqCodeMask != reqPending {
+		return 0, false
+	}
+	touched = s.req.touched.Load()
+	return touched, s.state.Load() == w
+}
+
+// reply answers the admitted request with code. Its word is frozen at PENDING
+// from admission to here (only a holder of every touched stream answers), so
+// one add turns it into the reply without first loading the client's line.
+//
+//stm:hotpath
+func (s *slot) reply(code uint64) { s.state.Add(code - reqPending) }
 
 // tryInvalidate dooms the transaction incarnation described by w. It returns
 // false if the slot moved on (commit finished, new epoch, already doomed) —

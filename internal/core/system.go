@@ -27,7 +27,7 @@ type engine interface {
 	begin(tx *Tx)
 	// read returns the current consistent version of v, or ok=false if the
 	// transaction must abort.
-	read(tx *Tx, v *Var) (b *box, ok bool)
+	read(tx *Tx, v *Var) (b *Box, ok bool)
 	// commit attempts to commit tx; false means a conflict abort (the
 	// engine sets tx.reason before failing). Read-only fast paths are the
 	// engine's responsibility.
@@ -222,13 +222,14 @@ type System struct {
 	retired   Stats
 	closed    bool
 
-	// yieldPerTx enables a cooperative runtime.Gosched at every transaction
-	// boundary. On machines with few cores the Go scheduler only preempts
-	// busy goroutines every ~10ms, which would make each client/server
-	// handoff (and any writer competing with tight read-only loops) ride on
-	// the preemption tick; yielding at transaction boundaries restores
-	// fairness. On big machines the servers own their cores — the paper's
-	// deployment — and the yield is skipped.
+	// yieldPerTx is true iff the engine runs invalidation-server goroutines
+	// (RInval-V2/V3) and GOMAXPROCS < 4: they have no P of their own. A
+	// transaction then ends in runtime.Gosched — a published descriptor may be
+	// held by a server that needs the client's P, and a busy goroutine is
+	// preempted only every ~10ms — and those servers do not stay hot
+	// (invalServerMain). No other engine has anything to yield to (a waiting
+	// RInval-V1 client drives its own epoch); liveness on one P rests on
+	// spin.Waiter, which yields after its busy phase (DESIGN.md §3).
 	yieldPerTx bool
 
 	stop padded.Bool
@@ -254,9 +255,8 @@ func newSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{
-		cfg:        cfg,
-		live:       make(map[*Thread]struct{}),
-		yieldPerTx: runtime.GOMAXPROCS(0) < 4,
+		cfg:  cfg,
+		live: make(map[*Thread]struct{}),
 	}
 	s.shardMask = uint64(cfg.Shards - 1)
 	s.nInvalPerShard = cfg.InvalServers / cfg.Shards
@@ -331,6 +331,9 @@ func newSystem(cfg Config) (*System, error) {
 		s.eng = newRemoteEngine(s, cfg.InvalServers, cfg.StepsAhead)
 	case TL2:
 		s.eng = &tl2Engine{sys: s}
+	}
+	if re, ok := s.eng.(*remoteEngine); ok && re.numInval > 0 {
+		s.yieldPerTx = runtime.GOMAXPROCS(0) < 4
 	}
 	switch cfg.Algo {
 	case NOrec, TL2:
@@ -448,6 +451,7 @@ func (s *System) Register() (*Thread, error) {
 		ws:    newWriteSet(s.cfg.Bloom),
 		stats: &th.stats,
 	}
+	sl.req.ws = th.tx.ws // before any request of this thread's can be PENDING
 	if s.tracer != nil {
 		th.tx.ring = s.tracer.Ring(idx)
 	}
@@ -631,7 +635,7 @@ func (s *System) waitEven() uint64 {
 
 // writeBack publishes every buffered version of ws. With Versions off this is
 // exactly the seed's bare loop (one storeBox per entry, nothing else touches
-// the hot path); with Versions on, each box is first stamped with its owning
+// the hot path); with Versions on, each cell is first stamped with its owning
 // stream's timestamp — odd at this point, uniquely identifying the epoch — and
 // appended to its Var's history ring, trimming entries below the GC floor in
 // the same pass. The caller must hold the write-back right for every written

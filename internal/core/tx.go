@@ -68,24 +68,8 @@ func (th *Thread) Close() {
 // discarded and the error is returned (a user abort). fn may be re-executed
 // many times and must confine its side effects to Tx operations.
 func (th *Thread) Atomically(fn func(*Tx) error) error {
-	if th.closed {
-		panic("core: Atomically on closed Thread")
-	}
-	if th.inTx {
-		panic("core: nested Atomically (flat nesting is not supported; pass the Tx down)")
-	}
-	th.inTx = true
-	defer func() {
-		th.inTx = false
-		if th.sys.yieldPerTx {
-			runtime.Gosched()
-		}
-	}()
-
-	tx := &th.tx
-	tx.attempts = 0
-	th.backoff.Reset()
-	tx.sampleLatency()
+	tx := th.startTx("Atomically", false)
+	defer th.endTx()
 	return tx.retryLoop(fn)
 }
 
@@ -99,26 +83,8 @@ func (th *Thread) Atomically(fn func(*Tx) error) error {
 // is behaviourally unchanged. Either way fn must not call Tx.Store (it
 // panics); returning a non-nil error aborts as in Atomically.
 func (th *Thread) AtomicallyRO(fn func(*Tx) error) error {
-	if th.closed {
-		panic("core: AtomicallyRO on closed Thread")
-	}
-	if th.inTx {
-		panic("core: nested AtomicallyRO (flat nesting is not supported; pass the Tx down)")
-	}
-	th.inTx = true
-	tx := &th.tx
-	tx.roUser = true
-	defer func() {
-		tx.roUser = false
-		th.inTx = false
-		if th.sys.yieldPerTx {
-			runtime.Gosched()
-		}
-	}()
-
-	tx.attempts = 0
-	th.backoff.Reset()
-	tx.sampleLatency()
+	tx := th.startTx("AtomicallyRO", true)
+	defer th.endTx()
 	if th.sys.nVers > 0 {
 		if err, ok := tx.runSnapshot(fn); ok {
 			return err
@@ -126,6 +92,34 @@ func (th *Thread) AtomicallyRO(fn func(*Tx) error) error {
 		// Lapped (or capture never stabilized): one shot on the regular path.
 	}
 	return tx.retryLoop(fn)
+}
+
+// startTx opens an Atomically/AtomicallyRO call, named what in its panics;
+// the caller defers endTx.
+func (th *Thread) startTx(what string, ro bool) *Tx {
+	if th.closed {
+		panic("core: " + what + " on closed Thread")
+	}
+	if th.inTx {
+		panic("core: nested " + what + " (flat nesting is not supported; pass the Tx down)")
+	}
+	th.inTx = true
+	tx := &th.tx
+	tx.roUser = ro
+	tx.attempts = 0
+	th.backoff.Reset()
+	tx.sampleLatency()
+	return tx
+}
+
+// endTx closes the call, on return and on a panic passing through; see
+// System.yieldPerTx for who yields.
+func (th *Thread) endTx() {
+	th.tx.roUser = false
+	th.inTx = false
+	if th.sys.yieldPerTx {
+		runtime.Gosched()
+	}
 }
 
 // sampleLatency makes the one sampling decision per transaction, before the
@@ -393,25 +387,27 @@ func (tx *Tx) run(fn func(*Tx) error) (err error, conflicted bool) {
 	return fn(tx), false
 }
 
-// Load returns the transaction's view of v, aborting (via conflictSignal) if
-// the engine detects a conflict.
+// Load is LoadBox through the any API; v must hold anyCells.
+func (tx *Tx) Load(v *Var) any { return anyOf(tx.LoadBox(v)).v }
+
+// LoadBox returns the cell the transaction sees in v — its own buffered write,
+// else a published version — aborting (via conflictSignal) if the engine
+// detects a conflict.
 //
 // Updates of tx.stats here and below are atomic adds so System.Stats can read
 // a live thread's counters without a data race; the thread is the only writer.
+//
 //stm:hotpath
-func (tx *Tx) Load(v *Var) any {
+func (tx *Tx) LoadBox(v *Var) *Box {
 	tx.reads++
 	if tx.ro {
 		return tx.loadSnapshot(v)
 	}
-	if tx.direct {
-		if b, ok := tx.ws.lookup(v); ok {
-			return b.v
-		}
-		return v.loadBox().v
-	}
 	if b, ok := tx.ws.lookup(v); ok {
-		return b.v
+		return b
+	}
+	if tx.direct {
+		return v.loadBox()
 	}
 	var t0 time.Time
 	if tx.sys.cfg.Stats {
@@ -429,7 +425,7 @@ func (tx *Tx) Load(v *Var) any {
 		// it only when stats are enabled (read-set accounting).
 		tx.rs.add(v, b)
 	}
-	return b.v
+	return b
 }
 
 // loadSnapshot resolves v against the attempt's epoch snapshot: the newest
@@ -439,22 +435,27 @@ func (tx *Tx) Load(v *Var) any {
 // one-shot fallback in AtomicallyRO.
 //
 //stm:hotpath
-func (tx *Tx) loadSnapshot(v *Var) any {
-	val, ok := v.versionAt(tx.snap[v.shardH&tx.sys.shardMask])
+func (tx *Tx) loadSnapshot(v *Var) *Box {
+	b, ok := v.versionAt(tx.snap[v.shardH&tx.sys.shardMask])
 	if !ok {
 		panic(roFallbackSignal{})
 	}
-	return val
+	return b
 }
 
-// Store buffers a write of val to v; it becomes visible atomically at commit.
+// Store is StoreBox through the any API.
+func (tx *Tx) Store(v *Var, val any) { tx.StoreBox(v, newAnyCell(val)) }
+
+// StoreBox buffers b as v's next version; it becomes visible atomically at
+// commit. b must be a fresh cell of v's cell type that the caller gives up.
+//
 //stm:hotpath
-func (tx *Tx) Store(v *Var, val any) {
+func (tx *Tx) StoreBox(v *Var, b *Box) {
 	if tx.roUser {
 		panic("core: Store in read-only transaction")
 	}
 	tx.writes++
-	tx.ws.put(v, val)
+	tx.ws.put(v, b)
 }
 
 // foldOps adds the attempt's Load/Store counts to the thread's Stats, one

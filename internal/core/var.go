@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // varID hands out unique identities for bloom-filter hashing. The RSTM
@@ -19,11 +20,12 @@ var (
 	varNames   map[uint64]string
 )
 
-// NewVarNamed returns a Var holding initial, labeled for attribution
-// reports. The label is advisory: it costs one map insert at construction
-// and nothing afterwards.
-func NewVarNamed(initial any, name string) *Var {
-	v := NewVar(initial)
+// NewVarNamed returns a Var holding initial, labeled as by SetName.
+func NewVarNamed(initial any, name string) *Var { return NewVar(initial).SetName(name) }
+
+// SetName labels v for attribution reports and returns it. The label is
+// advisory: one map insert, at construction time, and nothing afterwards.
+func (v *Var) SetName(name string) *Var {
 	varNamesMu.Lock()
 	if varNames == nil {
 		varNames = make(map[uint64]string)
@@ -42,20 +44,32 @@ func VarName(id uint64) string {
 	return name
 }
 
-// box is an immutable published version of a Var's value. Write-back installs
-// a fresh box, so two loads returning the same *box are guaranteed to be the
-// same version — pointer comparison is NOrec's value-based validation, made
-// conservative (a re-written equal value reads as a change, which can only
-// cause an extra abort, never a missed conflict).
-type box struct {
-	v any
+// Box is the header of one published version of a Var and the first field of
+// every cell, so the engines move, compare and publish *Box and never see the
+// value behind it. Write-back installs a fresh cell, so two loads returning
+// the same *Box are the same version — pointer comparison is NOrec's
+// value-based validation, made conservative (a re-written equal value reads as
+// a change: an extra abort, never a missed conflict). A cell is private to its
+// write set until write-back, immutable afterwards, and of the one type its
+// Var's creator uses (stm's cell[T], or this package's anyCell).
+type Box struct {
 	// epoch is the commit-stream timestamp of the group-commit epoch that
-	// installed this box, stamped by sys.writeBack before publication (the
-	// box is immutable afterwards). Zero under Versions=0, where nothing
-	// reads it; the initial box of a Var is also epoch 0, which every
-	// snapshot dominates.
+	// installed this cell, stamped by sys.writeBack before publication. Zero
+	// under Versions=0, where nothing reads it; the initial cell of a Var is
+	// also epoch 0, which every snapshot dominates.
 	epoch uint64
 }
+
+// anyCell is the cell behind NewVar, Tx.Load, Tx.Store, Peek and Set.
+type anyCell struct {
+	Box
+	v any
+}
+
+func newAnyCell(val any) *Box { return &(&anyCell{v: val}).Box }
+
+// anyOf recovers the anyCell whose header is b (offset 0).
+func anyOf(b *Box) *anyCell { return (*anyCell)(unsafe.Pointer(b)) }
 
 // Var is one transactional memory location. Create Vars with NewVar; access
 // them only through a transaction (Tx.Load / Tx.Store). The zero value is not
@@ -71,7 +85,7 @@ type Var struct {
 	// stream that owns this Var. Stored rather than recomputed so the read
 	// hot path pays one load instead of a hash.
 	shardH uint64
-	val    atomic.Pointer[box]
+	val    atomic.Pointer[Box]
 	// verlock is the TL2 engine's versioned write-lock: bit 0 is the lock
 	// bit, the remaining bits hold the version (global-clock value of the
 	// last commit that wrote this Var). Unused by the coarse-grained
@@ -79,36 +93,36 @@ type Var struct {
 	verlock atomic.Uint64
 	// vers is the bounded version history ring under Config.Versions > 0,
 	// allocated lazily at this Var's first versioned write-back. nil means
-	// every committed box so far is the head (epoch-0 initial value included),
+	// every committed cell so far is the head (epoch-0 initial value included),
 	// so a snapshot reader can take the head directly.
 	vers atomic.Pointer[verRing]
 }
 
-// verRing is a Var's bounded history of recent committed boxes, newest last.
+// verRing is a Var's bounded history of recent committed cells, newest last.
 // Appends happen only under write-back exclusivity (the owning stream's
 // timestamp is odd), so writers never race each other; readers race writers
-// and validate against w (see versionAt). slots[ℓ%n] holds the box appended
+// and validate against w (see versionAt). slots[ℓ%n] holds the cell appended
 // as logical entry ℓ; w counts appends, so logical entries w-n..w-1 are the
 // ones potentially still resident.
 type verRing struct {
 	n     uint64
 	w     atomic.Uint64
-	slots []atomic.Pointer[box]
+	slots []atomic.Pointer[Box]
 }
 
 // appendVersion publishes b (already epoch-stamped) as the Var's newest
 // history entry and trims entries no live snapshot reader can need: every
 // entry strictly older than the newest entry at or below floor is unlinked so
-// the boxes become collectable. Called only during write-back, while the
+// the cells become collectable. Called only during write-back, while the
 // owning stream's timestamp is odd.
-func (v *Var) appendVersion(b *box, n int, floor uint64) {
+func (v *Var) appendVersion(b *Box, n int, floor uint64) {
 	r := v.vers.Load()
 	if r == nil {
 		// First versioned write-back: seed the ring with the current head so
 		// readers whose snapshot predates this append still resolve here
 		// instead of falling back.
 		//stmlint:ignore hot-path-deep one-time ring allocation per Var, amortized over its whole history
-		r = &verRing{n: uint64(n), slots: make([]atomic.Pointer[box], n)}
+		r = &verRing{n: uint64(n), slots: make([]atomic.Pointer[Box], n)}
 		r.slots[0].Store(v.loadBox())
 		r.w.Store(1)
 		v.vers.Store(r)
@@ -148,12 +162,12 @@ func (v *Var) appendVersion(b *box, n int, floor uint64) {
 // snapshot) and the caller must fall back to the regular path.
 //
 //stm:hotpath
-func (v *Var) versionAt(e uint64) (any, bool) {
+func (v *Var) versionAt(e uint64) (*Box, bool) {
 	h := v.loadBox()
 	if h.epoch <= e {
 		// Head fast path: the common case for read-mostly Vars, and the only
 		// case ever taken before the Var's first versioned write-back.
-		return h.v, true
+		return h, true
 	}
 	r := v.vers.Load()
 	if r == nil {
@@ -185,7 +199,7 @@ func (v *Var) versionAt(e uint64) (any, bool) {
 			if r.w.Load() >= j+r.n {
 				return nil, false // lapped while scanning
 			}
-			return b.v, true
+			return b, true
 		}
 		if j == lo {
 			return nil, false
@@ -194,10 +208,13 @@ func (v *Var) versionAt(e uint64) (any, bool) {
 }
 
 // NewVar returns a Var holding initial.
-func NewVar(initial any) *Var {
+func NewVar(initial any) *Var { return NewVarBox(newAnyCell(initial)) }
+
+// NewVarBox returns a Var whose initial version is the cell headed by b.
+func NewVarBox(b *Box) *Var {
 	id := varID.Add(1)
 	v := &Var{id: id, shardH: splitmix64(id)}
-	v.val.Store(&box{v: initial})
+	v.val.Store(b)
 	return v
 }
 
@@ -215,18 +232,19 @@ func splitmix64(x uint64) uint64 {
 func (v *Var) ID() uint64 { return v.id }
 
 // loadBox returns the current published version.
-func (v *Var) loadBox() *box { return v.val.Load() }
+func (v *Var) loadBox() *Box { return v.val.Load() }
 
 // storeBox publishes a new version. Only commit write-back (by the committing
 // thread, or by the commit-server on its behalf) may call this, and only
 // while the global timestamp is odd.
-func (v *Var) storeBox(b *box) { v.val.Store(b) }
+func (v *Var) storeBox(b *Box) { v.val.Store(b) }
 
-// Peek returns the current committed value without any transactional
-// protection. It is intended for single-threaded inspection (test assertions,
-// post-run validation) and must not be used while transactions are running.
-func (v *Var) Peek() any { return v.loadBox().v }
+// PeekBox returns the current committed cell, and SetBox replaces it, without
+// any transactional protection: for single-threaded setup and inspection (test
+// assertions, post-run validation) only, never while transactions are running.
+func (v *Var) PeekBox() *Box { return v.loadBox() }
+func (v *Var) SetBox(b *Box) { v.storeBox(b) }
 
-// Set unconditionally replaces the committed value without transactional
-// protection. Like Peek, it is for quiescent setup/teardown only.
-func (v *Var) Set(val any) { v.storeBox(&box{v: val}) }
+// Peek and Set are PeekBox and SetBox through the any API.
+func (v *Var) Peek() any   { return anyOf(v.loadBox()).v }
+func (v *Var) Set(val any) { v.storeBox(newAnyCell(val)) }

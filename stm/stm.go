@@ -34,6 +34,8 @@
 package stm
 
 import (
+	"unsafe"
+
 	"github.com/ssrg-vt/rinval/internal/core"
 	"github.com/ssrg-vt/rinval/internal/obs"
 )
@@ -276,8 +278,10 @@ type Thread struct {
 // The wrapper Tx is a local of this call, not Thread state: parking the
 // *core.Tx in a long-lived struct would let it outlive the atomic block it
 // is only valid inside (stmlint's tx-escape check rejects exactly that).
-// Retries reuse the same local, so the cost is one stack slot per
-// Atomically call, not per attempt.
+// Retries reuse the same local, so the cost is one allocation per call, not
+// per attempt. The call returns without yielding to the scheduler, except
+// under RInval-V2/V3 on fewer than four Ps, where an invalidation-server may
+// be waiting for this P (DESIGN.md §3).
 func (t *Thread) Atomically(fn func(*Tx) error) error {
 	var tx Tx
 	return t.th.Atomically(func(inner *core.Tx) error {
@@ -325,9 +329,25 @@ type Var[T any] struct {
 	v *core.Var
 }
 
+// cell is one version of a Var[T]: the engines' header first, then the value,
+// in one allocation. A cell is private to the transaction that allocated it
+// until its commit publishes it, and immutable afterwards.
+type cell[T any] struct {
+	core.Box
+	val T
+}
+
+func newCell[T any](val T) *core.Box { return &(&cell[T]{val: val}).Box }
+
+// cellOf recovers the cell whose header is b (offset 0). Every cell a Var[T]
+// hands to core is a cell[T], and core hands back only those.
+//
+//stm:hotpath
+func cellOf[T any](b *core.Box) *cell[T] { return (*cell[T])(unsafe.Pointer(b)) }
+
 // NewVar returns a Var initialized to initial.
 func NewVar[T any](initial T) *Var[T] {
-	return &Var[T]{v: core.NewVar(initial)}
+	return &Var[T]{v: core.NewVarBox(newCell(initial))}
 }
 
 // NewVarNamed returns a Var labeled for conflict attribution: the name
@@ -335,7 +355,7 @@ func NewVar[T any](initial T) *Var[T] {
 // place of the raw Var id. The label costs one registry insert at
 // construction and nothing on any hot path.
 func NewVarNamed[T any](initial T, name string) *Var[T] {
-	return &Var[T]{v: core.NewVarNamed(initial, name)}
+	return &Var[T]{v: core.NewVarBox(newCell(initial)).SetName(name)}
 }
 
 // VarName returns the label a Var id was given via NewVarNamed, or "".
@@ -343,21 +363,22 @@ func VarName(id uint64) string { return core.VarName(id) }
 
 // Load returns the transaction's view of the Var.
 func (v *Var[T]) Load(tx *Tx) T {
-	return tx.inner.Load(v.v).(T)
+	return cellOf[T](tx.inner.LoadBox(v.v)).val
 }
 
-// Store buffers a write; it becomes visible atomically when tx commits.
+// Store buffers a write (one allocation, the cell); it becomes visible
+// atomically when tx commits.
 func (v *Var[T]) Store(tx *Tx, val T) {
-	tx.inner.Store(v.v, val)
+	tx.inner.StoreBox(v.v, newCell(val))
 }
 
 // Peek returns the committed value without transactional protection — for
 // quiescent inspection (setup, teardown, assertions) only.
-func (v *Var[T]) Peek() T { return v.v.Peek().(T) }
+func (v *Var[T]) Peek() T { return cellOf[T](v.v.PeekBox()).val }
 
 // Set replaces the committed value without transactional protection — for
 // quiescent setup only.
-func (v *Var[T]) Set(val T) { v.v.Set(val) }
+func (v *Var[T]) Set(val T) { v.v.SetBox(newCell(val)) }
 
 // ID returns the Var's stable identity (used by bloom signatures).
 func (v *Var[T]) ID() uint64 { return v.v.ID() }
