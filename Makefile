@@ -1,10 +1,16 @@
 GO ?= go
 
-.PHONY: verify build test vet lint lint-github race deflaked size bench bench-layers
+.PHONY: verify fmt-check build test vet lint lint-github race deflaked sim-check size bench bench-layers
 
-## verify: the full pre-merge gate — vet, the invariant linter, build, tests,
-## and the race detector over the packages with real concurrency.
-verify: vet lint build test race
+GOFMT ?= gofmt
+
+## verify: the full pre-merge gate — gofmt, vet, the invariant linter, build,
+## tests, and the race detector over the packages with real concurrency.
+verify: fmt-check vet lint build test race
+
+## fmt-check: fail when any Go file is not gofmt-formatted.
+fmt-check:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -42,6 +48,14 @@ race:
 ## shows in one CI run.
 deflaked:
 	$(GO) test -race -count=50 -run 'TestROTornPairProperty$$' ./internal/core/
+
+## sim-check: regenerate every simulated figure and ablation (~12 s) with the
+## arguments that recorded results/sim_results.txt, and diff against it.
+SIM_RUNS = "-exp fig2 -threads 8,16,32,48" "-exp fig3" "-exp fig7a" "-exp fig7b" "-exp fig8" \
+	"-exp ablK" "-exp ablJitter" "-exp ablSteps" "-exp ablReadSet" "-exp ablTL2 -threads 4,16,48"
+sim-check:
+	@for args in $(SIM_RUNS); do $(GO) run ./cmd/rinval-bench $$args; done | diff -u results/sim_results.txt -
+	@echo "sim-check: results/sim_results.txt reproduces"
 
 ## size: the numbers ROADMAP aim 2 tracks like throughput — tracked Go lines
 ## per top-level directory (lint fixtures under testdata count as non-test),

@@ -4,15 +4,14 @@
 //
 //	go test -bench=. -benchmem
 //
-// Figure benchmarks come in two flavours: *Sim runs the deterministic
-// 64-core discrete-event model (paper-shape results on any host), *Live runs
-// the real engines on this machine. EXPERIMENTS.md records paper-vs-measured
-// for every entry.
+// The figure benchmarks run the deterministic 64-core discrete-event model
+// (paper-shape results on any host); live numbers on this host come from the
+// repository benchmark, `go run ./benchmark`. EXPERIMENTS.md records
+// paper-vs-measured for every entry.
 package rinval_test
 
 import (
 	"testing"
-	"time"
 
 	"github.com/ssrg-vt/rinval/internal/bench"
 	"github.com/ssrg-vt/rinval/internal/sim"
@@ -57,20 +56,6 @@ func BenchmarkFigure2Sim(b *testing.B) {
 	}
 }
 
-func BenchmarkFigure2Live(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := bench.LiveFigure2([]int{2, 4}, 50*time.Millisecond, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range t.Rows {
-				b.ReportMetric(100*r.CommitFrac, r.Algo+"/"+itoa(r.Threads)+"_commit%")
-			}
-		}
-	}
-}
-
 // --- Figure 3: STAMP breakdown ---
 
 func BenchmarkFigure3Sim(b *testing.B) {
@@ -104,30 +89,6 @@ func BenchmarkFigure7bSim(b *testing.B) {
 	}
 }
 
-func BenchmarkFigure7aLive(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := bench.LiveFigure7(50, []int{2, 4}, 50*time.Millisecond, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportSeries(b, t)
-		}
-	}
-}
-
-func BenchmarkFigure7bLive(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := bench.LiveFigure7(80, []int{2, 4}, 50*time.Millisecond, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportSeries(b, t)
-		}
-	}
-}
-
 // --- Figure 8: STAMP execution times (one benchmark per panel) ---
 
 func benchFig8Sim(b *testing.B, app string) {
@@ -151,29 +112,6 @@ func BenchmarkFigure8LabyrinthSim(b *testing.B) { benchFig8Sim(b, "labyrinth") }
 func BenchmarkFigure8IntruderSim(b *testing.B)  { benchFig8Sim(b, "intruder") }
 func BenchmarkFigure8GenomeSim(b *testing.B)    { benchFig8Sim(b, "genome") }
 func BenchmarkFigure8VacationSim(b *testing.B)  { benchFig8Sim(b, "vacation") }
-
-func benchFig8Live(b *testing.B, app string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		t, err := bench.LiveFigure8(app, []int{2, 4}, bench.ScaleSmall, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range t.Rows {
-				b.ReportMetric(r.Elapsed.Seconds()*1e3, r.Algo+"/"+itoa(r.Threads)+"_ms")
-			}
-		}
-	}
-}
-
-func BenchmarkFigure8KmeansLive(b *testing.B)    { benchFig8Live(b, "kmeans") }
-func BenchmarkFigure8Ssca2Live(b *testing.B)     { benchFig8Live(b, "ssca2") }
-func BenchmarkFigure8LabyrinthLive(b *testing.B) { benchFig8Live(b, "labyrinth") }
-func BenchmarkFigure8IntruderLive(b *testing.B)  { benchFig8Live(b, "intruder") }
-func BenchmarkFigure8GenomeLive(b *testing.B)    { benchFig8Live(b, "genome") }
-func BenchmarkFigure8VacationLive(b *testing.B)  { benchFig8Live(b, "vacation") }
-func BenchmarkFigure3BayesLive(b *testing.B)     { benchFig8Live(b, "bayes") }
 
 // --- Ablations (DESIGN.md A1-A4) ---
 
@@ -204,22 +142,6 @@ func BenchmarkAblationStepsAhead(b *testing.B) {
 			r := sim.MustRun(p, w, c)
 			if i == 0 {
 				b.ReportMetric(r.ThroughputKTxPerSec(p), "steps"+itoa(steps)+"_ktx/s")
-			}
-		}
-	}
-}
-
-// BenchmarkAblationBloomBits runs the live false-conflict sweep: smaller
-// read/write signatures doom more readers spuriously.
-func BenchmarkAblationBloomBits(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := bench.LiveAblationBloomBits([]int{64, 1024}, 2, 40*time.Millisecond, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range t.Rows {
-				b.ReportMetric(float64(r.Aborts), r.Algo+"_aborts")
 			}
 		}
 	}
@@ -277,21 +199,6 @@ func BenchmarkAblationCoarseVsFine(b *testing.B) {
 		if i == 0 {
 			for _, r := range t.Rows {
 				b.ReportMetric(r.KTxPerSec, r.Algo+"/"+itoa(r.Threads)+"_ktx/s")
-			}
-		}
-	}
-}
-
-// BenchmarkLatencyProfile reports live per-transaction latency percentiles.
-func BenchmarkLatencyProfile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := bench.LiveLatencyProfile([]stm.Algo{stm.NOrec, stm.RInvalV2}, 2, 40*time.Millisecond, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range t.Rows {
-				b.ReportMetric(float64(r.P99.Nanoseconds()), r.Algo+"_p99ns")
 			}
 		}
 	}

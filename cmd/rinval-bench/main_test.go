@@ -1,34 +1,55 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
-	"time"
+
+	"github.com/ssrg-vt/rinval/internal/bench"
 )
 
-func TestRunDispatchSim(t *testing.T) {
-	ths := []int{2, 4}
-	cases := []struct {
-		exp    string
-		tables int
-	}{
-		{"fig7a", 1},
-		{"fig7b", 1},
-		{"fig2", 1},
-		{"fig3", 1},
-		{"ablK", 1},
-		{"ablJitter", 1},
-		{"ablSteps", 1},
-		{"ablReadSet", 1},
-		{"ablTL2", 1},
-		{"fig8", 6},
-	}
-	for _, c := range cases {
-		got, err := run(c.exp, "sim", ths, "", 20*time.Millisecond, 1)
+// simExps lists every experiment with the table count run returns for it.
+var simExps = []struct {
+	exp    string
+	tables int
+}{
+	{"fig7a", 1},
+	{"fig7b", 1},
+	{"fig2", 1},
+	{"fig3", 1},
+	{"ablK", 1},
+	{"ablJitter", 1},
+	{"ablSteps", 1},
+	{"ablReadSet", 1},
+	{"ablTL2", 1},
+	{"fig8", 6},
+}
+
+// simTables runs every experiment once at threads 2,4, for the tests that
+// inspect the tables.
+var simTables = sync.OnceValues(func() (map[string][]*bench.Table, error) {
+	out := map[string][]*bench.Table{}
+	for _, c := range simExps {
+		tables, err := run(c.exp, []int{2, 4}, "", 1)
 		if err != nil {
-			t.Fatalf("%s: %v", c.exp, err)
+			return nil, err
 		}
+		out[c.exp] = tables
+	}
+	return out, nil
+})
+
+func TestRunDispatchSim(t *testing.T) {
+	all, err := simTables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range simExps {
+		got := all[c.exp]
 		if len(got) != c.tables {
 			t.Fatalf("%s: %d tables, want %d", c.exp, len(got), c.tables)
 		}
@@ -41,37 +62,29 @@ func TestRunDispatchSim(t *testing.T) {
 }
 
 func TestRunFig8SingleApp(t *testing.T) {
-	got, err := run("fig8", "sim", []int{2}, "genome", time.Millisecond, 1)
+	got, err := run("fig8", []int{2}, "genome", 1)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("got %d tables, err %v", len(got), err)
 	}
 }
 
+// TestRunDispatchErrors: an unknown name — including the retired live-only
+// experiments ablBloom and latency — and an unknown fig8 app are errors.
 func TestRunDispatchErrors(t *testing.T) {
-	ths := []int{2}
-	for _, c := range []struct{ exp, mode string }{
-		{"nope", "sim"},
-		{"fig7a", "warp"},
-		{"fig3", "live"},
-		{"ablK", "live"},
-		{"ablJitter", "live"},
-		{"ablSteps", "live"},
-		{"ablTL2", "live"},
-		{"ablBloom", "sim"},
-		{"fig8", "sim"}, // with bogus app below
+	for _, c := range []struct{ exp, app string }{
+		{"nope", ""},
+		{"ablBloom", ""},
+		{"latency", ""},
+		{"fig8", "bogus"},
 	} {
-		app := ""
-		if c.exp == "fig8" {
-			app = "bogus"
-		}
-		if _, err := run(c.exp, c.mode, ths, app, time.Millisecond, 1); err == nil {
-			t.Errorf("run(%s,%s) accepted", c.exp, c.mode)
+		if _, err := run(c.exp, []int{2}, c.app, 1); err == nil {
+			t.Errorf("run(%s, app %q) accepted", c.exp, c.app)
 		}
 	}
 }
 
 // TestExpHelpAndNames pins the --help and error-message contracts: one line
-// per experiment in the help text, and the twelve names, sorted, in the
+// per experiment in the help text, and the ten names, sorted, in the
 // unknown-experiment message.
 func TestExpHelpAndNames(t *testing.T) {
 	help := expHelp()
@@ -83,8 +96,8 @@ func TestExpHelpAndNames(t *testing.T) {
 	if lines := strings.Count(help, "\n"); lines != len(validExps) {
 		t.Errorf("help text has %d experiment lines, want %d", lines, len(validExps))
 	}
-	want := []string{"ablBloom", "ablJitter", "ablK", "ablReadSet", "ablSteps", "ablTL2",
-		"fig2", "fig3", "fig7a", "fig7b", "fig8", "latency"}
+	want := []string{"ablJitter", "ablK", "ablReadSet", "ablSteps", "ablTL2",
+		"fig2", "fig3", "fig7a", "fig7b", "fig8"}
 	if names := expNamesSorted(); !slices.Equal(names, want) {
 		t.Errorf("experiment names = %v, want %v", names, want)
 	}
@@ -97,7 +110,7 @@ func TestRetiredSweepsAreUnknown(t *testing.T) {
 		if isExp(exp) {
 			t.Errorf("%s is still a valid experiment", exp)
 		}
-		_, err := run(exp, "live", []int{2}, "", time.Millisecond, 1)
+		_, err := run(exp, []int{2}, "", 1)
 		if err == nil || err.Error() != errUnknownExp(exp).Error() ||
 			!strings.HasSuffix(err.Error(), "`go run ./benchmark`") {
 			t.Errorf("run(%s) = %v, want the unknown-experiment error ending at the benchmark", exp, err)
@@ -105,12 +118,67 @@ func TestRetiredSweepsAreUnknown(t *testing.T) {
 	}
 }
 
-func TestRunLiveQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live run")
+// TestSVGFileNamesDistinct renders every experiment's tables into one
+// directory: no chart may overwrite another, and the charts recorded in
+// results/figures keep their names.
+func TestSVGFileNamesDistinct(t *testing.T) {
+	all, err := simTables()
+	if err != nil {
+		t.Fatal(err)
 	}
-	got, err := run("fig7a", "live", []int{2}, "", 15*time.Millisecond, 1)
-	if err != nil || len(got) != 1 || len(got[0].Rows) != 4 {
-		t.Fatalf("live fig7a: %v", err)
+	dir := t.TempDir()
+	seen := map[string]string{}
+	for _, c := range simExps {
+		for _, tb := range all[c.exp] {
+			name := tb.SVGFileName()
+			if prev, dup := seen[name]; dup {
+				t.Errorf("%q and %q both render to %s", prev, tb.Title, name)
+			}
+			seen[name] = tb.Title
+			if err := writeSVG(dir, tb, c.exp); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if files, _ := os.ReadDir(dir); len(files) != len(seen) {
+		t.Errorf("%d SVG files for %d tables", len(files), len(seen))
+	}
+	recorded, _ := filepath.Glob("../../results/figures/*.svg")
+	if len(recorded) == 0 {
+		t.Fatal("no recorded figures found")
+	}
+	for _, path := range recorded {
+		if _, ok := seen[filepath.Base(path)]; !ok {
+			t.Errorf("recorded figure %s is no longer produced", filepath.Base(path))
+		}
+	}
+}
+
+// TestSimResultsReproduce regenerates the two quickest sections of
+// results/sim_results.txt (≈ 0.7 s together) with the arguments that recorded
+// them and compares each byte for byte; `make sim-check` diffs the whole file.
+func TestSimResultsReproduce(t *testing.T) {
+	recorded, err := os.ReadFile("../../results/sim_results.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		exp     string
+		threads []int
+	}{
+		{"fig2", []int{8, 16, 32, 48}},
+		{"ablJitter", nil},
+	} {
+		tables, err := run(c.exp, c.threads, "", 1)
+		if err != nil {
+			t.Fatalf("%s: %v", c.exp, err)
+		}
+		for _, tb := range tables {
+			var got bytes.Buffer
+			tb.Format(&got)
+			if !bytes.Contains(recorded, got.Bytes()) {
+				t.Errorf("%s: %q differs from results/sim_results.txt; regenerated:\n%s", c.exp, tb.Title, got.String())
+			}
+		}
 	}
 }

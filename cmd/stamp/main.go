@@ -19,7 +19,7 @@ import (
 func main() {
 	var (
 		app     = flag.String("app", "kmeans", "kmeans|ssca2|labyrinth|intruder|genome|vacation|bayes")
-		algo    = flag.String("algo", "rinval-v2", "mutex|norec|invalstm|rinval-v1|rinval-v2|rinval-v3")
+		algo    = flag.String("algo", "rinval-v2", "mutex|norec|invalstm|rinval-v1|rinval-v2|rinval-v3|tl2")
 		threads = flag.Int("threads", 4, "worker threads")
 		scale   = flag.String("scale", "default", "workload scale: small|default|large")
 		seed    = flag.Uint64("seed", 1, "input generation seed")

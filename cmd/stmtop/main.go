@@ -1,9 +1,9 @@
 // Command stmtop is a live terminal dashboard for a running STM system. It
-// polls the expvar endpoint a benchmark exposes via -metrics (rinval-bench
-// -metrics :8080, or any process calling obs.ServeMetrics) and renders the
-// conflict-attribution view: commit/abort rates, the hottest who-aborted-whom
-// matrix cells, the top-K contended Vars, bloom false-positive rate, and
-// wasted-work totals per abort reason.
+// polls the expvar endpoint a process exposes via obs.ServeMetrics (`go run
+// ./examples/kvstore -metrics :8080 -duration 10s` is the ready-made source)
+// and renders the conflict-attribution view: commit/abort rates, the hottest
+// who-aborted-whom matrix cells, the top-K contended Vars, bloom
+// false-positive rate, and wasted-work totals per abort reason.
 //
 // Usage:
 //
@@ -16,8 +16,9 @@
 // The data source is /debug/vars: the "stm" var carries the base counters,
 // "stm_conflict" the ConflictReport snapshot, "stm_latency" the sampled
 // critical-path decomposition, and "stm_timeseries" the windowed telemetry
-// ring (all published by the benchmark harness; attribution detail needs
-// Config.Attribution, latency Config.Latency, sparklines Config.TimeSeries).
+// ring (all published by examples/kvstore's -metrics, which also turns on
+// Config.Attribution, Config.Latency and Config.TimeSeries, the settings
+// attribution detail, latency and sparklines need).
 package main
 
 import (
@@ -142,7 +143,7 @@ type snapshot struct {
 	hasSTM   bool
 }
 
-// stmVars mirrors the "stm" expvar the benchmark harness publishes.
+// stmVars mirrors the "stm" expvar examples/kvstore publishes.
 type stmVars struct {
 	Algo         string            `json:"algo"`
 	Commits      uint64            `json:"commits"`
@@ -164,7 +165,7 @@ func fetch(url string) (*snapshot, error) {
 }
 
 // decode parses an expvar JSON document. The "stm" and "stm_conflict" vars
-// are null until a benchmark point is running; that decodes to zero values,
+// are null until a System is published; that decodes to zero values,
 // which render as an idle dashboard rather than an error.
 func decode(r io.Reader) (*snapshot, error) {
 	var vars map[string]json.RawMessage
@@ -207,7 +208,7 @@ type matrixCell struct {
 func render(w io.Writer, prev, cur *snapshot, k int) {
 	fmt.Fprintf(w, "stmtop — %s\n", time.Now().Format("15:04:05"))
 	if !cur.hasSTM {
-		fmt.Fprintln(w, "no STM system is currently running (stm expvar is null); waiting for a benchmark point")
+		fmt.Fprintln(w, "no STM system is currently running (stm expvar is null); waiting for a run")
 		return
 	}
 	st := cur.stm
@@ -307,7 +308,7 @@ func render(w io.Writer, prev, cur *snapshot, k int) {
 
 // counterDelta computes a monotonic-counter delta, detecting resets: when the
 // current reading is below the previous one the scraped process restarted (or
-// a new benchmark point replaced the System), and the raw uint64 subtraction
+// a new run replaced the System), and the raw uint64 subtraction
 // would wrap to an absurd positive rate. It reports ok=false instead; the
 // caller shows a reset note for one frame and re-syncs on the next poll.
 func counterDelta(cur, prev uint64) (uint64, bool) {

@@ -12,9 +12,9 @@ import (
 )
 
 // cannedVars is a minimal /debug/vars document with both STM vars populated,
-// shaped exactly as the benchmark harness publishes them.
+// shaped exactly as examples/kvstore publishes them.
 const cannedVars = `{
-  "cmdline": ["rinval-bench"],
+  "cmdline": ["kvstore"],
   "stm": {
     "algo": "rinval-v2",
     "commits": 3200,

@@ -7,16 +7,25 @@
 // a checker thread verifies cross-key invariants transactionally.
 //
 //	go run ./examples/kvstore -algo rinval-v1
+//	go run ./examples/kvstore -metrics :8080 -duration 10s   # cmd/stmtop's source
+//	go run ./examples/kvstore -trace out.json                # open in ui.perfetto.dev
+//
+// -metrics serves expvar (/debug/vars), /metrics and pprof for the length of
+// the run and turns on the telemetry cmd/stmtop draws: conflict attribution,
+// the latency decomposition and the windowed time series.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/ssrg-vt/rinval/internal/obs"
 	"github.com/ssrg-vt/rinval/stm"
 )
 
@@ -77,18 +86,52 @@ func (s *Store) Delete(tx *stm.Tx, key string) {
 	b.Store(tx, next)
 }
 
+// options are the command-line flags.
+type options struct {
+	algo     string
+	duration time.Duration
+	metrics  string    // serve the observability endpoints here during the run
+	trace    string    // write the run's Chrome trace-event JSON here
+	out      io.Writer // the report
+}
+
 func main() {
-	algoName := flag.String("algo", "rinval-v2", "STM engine")
+	o := options{out: os.Stdout}
+	flag.StringVar(&o.algo, "algo", "rinval-v2", "STM engine")
+	flag.DurationVar(&o.duration, "duration", 300*time.Millisecond, "how long the writers and the checker run")
+	flag.StringVar(&o.metrics, "metrics", "", "serve expvar, /metrics and pprof on this address (e.g. :8080) during the run, with attribution, latency and time series on (cmd/stmtop's source)")
+	flag.StringVar(&o.trace, "trace", "", "write a Chrome trace-event JSON of the run to this path (open in ui.perfetto.dev)")
 	flag.Parse()
-	algo, err := stm.ParseAlgo(*algoName)
-	if err != nil {
+	if err := run(o); err != nil {
 		log.Fatal(err)
 	}
-	sys, err := stm.New(stm.Config{Algo: algo, MaxThreads: 12, InvalServers: 2})
+}
+
+func run(o options) error {
+	algo, err := stm.ParseAlgo(o.algo)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	cfg := stm.Config{Algo: algo, MaxThreads: 12, InvalServers: 2, Trace: o.trace != ""}
+	if o.metrics != "" {
+		cfg.Attribution = true
+		cfg.Latency = true
+		cfg.TimeSeries = stm.DefaultTimeSeriesWindows
+	}
+	sys, err := stm.New(cfg)
+	if err != nil {
+		return err
 	}
 	defer sys.Close()
+	if o.metrics != "" {
+		publishMetrics(sys)
+		addr, shutdown, err := obs.ServeMetrics(o.metrics)
+		if err != nil {
+			return err
+		}
+		defer shutdown()
+		fmt.Fprintf(o.out, "metrics on http://%s/debug/vars (pprof under /debug/pprof/)\n", addr)
+	}
 
 	store := NewStore(16)
 
@@ -109,6 +152,7 @@ func main() {
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	var moves, checks atomic.Int64
+	var violation error // set by the checker only
 
 	for w := 0; w < 6; w++ {
 		w := w
@@ -150,20 +194,49 @@ func main() {
 					return nil
 				})
 				if sum != 100 {
-					log.Fatalf("pair %d sums to %d (atomicity violated!)", i, sum)
+					violation = fmt.Errorf("pair %d sums to %d (atomicity violated!)", i, sum)
+					stop.Store(true)
+					return
 				}
 				checks.Add(1)
 			}
 		}
 	}()
 
-	time.Sleep(300 * time.Millisecond)
+	time.Sleep(o.duration)
 	stop.Store(true)
 	wg.Wait()
+	if violation != nil {
+		return violation
+	}
 
 	st := sys.Stats()
-	fmt.Printf("engine  %s\n", algo)
-	fmt.Printf("moves   %d cross-key transactions\n", moves.Load())
-	fmt.Printf("checks  %d invariant reads (all passed)\n", checks.Load())
-	fmt.Printf("commits %d, aborts %d\n", st.Commits, st.Aborts)
+	fmt.Fprintf(o.out, "engine  %s\n", algo)
+	fmt.Fprintf(o.out, "moves   %d cross-key transactions\n", moves.Load())
+	fmt.Fprintf(o.out, "checks  %d invariant reads (all passed)\n", checks.Load())
+	fmt.Fprintf(o.out, "commits %d, aborts %d\n", st.Commits, st.Aborts)
+	if o.trace != "" {
+		if err := writeTrace(sys, o.trace); err != nil {
+			return err
+		}
+		fmt.Fprintf(o.out, "wrote %s\n", o.trace)
+	}
+	return nil
+}
+
+// writeTrace closes sys, which quiesces its server goroutines so the export
+// reads stable rings, and writes its lifecycle trace to path.
+func writeTrace(sys *stm.System, path string) error {
+	if err := sys.Close(); err != nil {
+		return err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := sys.Tracer().WriteChromeTrace(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -20,8 +20,8 @@ import (
 // — whose amortized map build is a deliberate design decision — stay
 // un-annotated, while the annotated frontier (engine read/commit, the
 // invalidation scans, the commit-server epoch loop) is kept clean. Clock
-// reads behind a config gate go through the package's clock variable
-// (core.realClock), which the check deliberately does not resolve: an
+// reads behind a config gate go through a helper or a clock variable (core
+// calls obs.Now), which the check deliberately does not resolve: an
 // indirect, gated clock is the sanctioned pattern.
 //
 // Banned inside an annotated function:

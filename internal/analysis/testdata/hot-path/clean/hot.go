@@ -11,6 +11,7 @@ var clock func() time.Time = time.Now
 
 // read is the fast path: one atomic load, clock reads only through the
 // indirection.
+//
 //stm:hotpath
 func read(p *uint64, timing bool) uint64 {
 	if timing {

@@ -27,6 +27,7 @@ func unlockStream(j int) { streams[j].owner.Store(0) }
 
 // lockTouched acquires every stream in the mask in ascending index order
 // (the handshake's deadlock-freedom argument).
+//
 //stm:hotpath
 func lockTouched(mask uint64) {
 	for m := mask; m != 0; m &= m - 1 {

@@ -11,6 +11,6 @@ type holder struct {
 var retained []*core.Tx
 
 func Stash(h *holder, tx *core.Tx) {
-	h.tx = tx // want tx-escape
+	h.tx = tx                       // want tx-escape
 	retained = append(retained, tx) // want tx-escape
 }

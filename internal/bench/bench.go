@@ -1,16 +1,13 @@
-// Package bench is the experiment harness that regenerates every table and
-// figure of the paper's evaluation (§V): the red-black tree throughput
-// curves (Figure 7), the critical-path breakdowns (Figures 2-3), the STAMP
-// execution times (Figure 8), and the ablations called out in DESIGN.md.
+// Package bench regenerates the tables and figures of the paper's evaluation
+// (§V) on internal/sim, the deterministic discrete-event model of its 64-core
+// testbed: the red-black tree throughput curves (Figure 7), the critical-path
+// breakdowns (Figures 2-3), the STAMP execution times (Figure 8), and the
+// ablations called out in DESIGN.md. It also formats them as aligned text,
+// CSV and SVG, and holds the registry of live STAMP ports (NewSTAMP,
+// RunSTAMP) that cmd/stamp runs.
 //
-// Each experiment can run in two modes:
-//
-//   - live: the real STM engines execute the real workloads on this
-//     machine's Go runtime. Correct on any core count, but the paper's
-//     cache-contention effects require many physical cores to show.
-//   - sim: the internal/sim discrete-event model of the paper's 64-core
-//     testbed. Deterministic, core-count-independent, reproduces the
-//     figures' shapes.
+// Live performance is measured by the repository benchmark (./benchmark),
+// not here.
 package bench
 
 import (
@@ -35,8 +32,8 @@ type Row struct {
 	Elapsed time.Duration
 	Commits uint64
 	Aborts  uint64
-	// Breakdown fractions of busy time (Figures 2-3). Zero when the run
-	// did not collect phase timing.
+	// Breakdown fractions of busy time (Figures 2-3). Zero for a live
+	// STAMP run, which collects no phase timing.
 	ReadFrac, CommitFrac, AbortFrac, OtherFrac float64
 }
 

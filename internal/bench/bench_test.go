@@ -2,11 +2,8 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
-	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/ssrg-vt/rinval/stm"
 )
@@ -58,105 +55,6 @@ func TestTableSortAndSeries(t *testing.T) {
 	s := tbl.Series("norec")
 	if len(s) != 2 || s[0] != 1 || s[1] != 2 {
 		t.Fatalf("series %v", s)
-	}
-}
-
-func TestRunRBTreeLiveSmoke(t *testing.T) {
-	o := DefaultRBTreeOpts()
-	o.Keys = 512
-	o.Duration = 30 * time.Millisecond
-	for _, a := range []stm.Algo{stm.NOrec, stm.RInvalV2} {
-		row, err := RunRBTree(a, 2, o)
-		if err != nil {
-			t.Fatalf("%v: %v", a, err)
-		}
-		if row.Commits == 0 || row.KTxPerSec <= 0 {
-			t.Fatalf("%v: empty result %+v", a, row)
-		}
-	}
-}
-
-func TestRunRBTreeWithStatsBreakdown(t *testing.T) {
-	o := DefaultRBTreeOpts()
-	o.Keys = 512
-	o.Duration = 30 * time.Millisecond
-	o.Stats = true
-	row, err := RunRBTree(stm.InvalSTM, 2, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := row.ReadFrac + row.CommitFrac + row.AbortFrac + row.OtherFrac
-	if sum < 0.99 || sum > 1.01 {
-		t.Fatalf("breakdown sums to %v (%+v)", sum, row)
-	}
-}
-
-// TestServeMetricsArmsLiveTelemetry: with the endpoint armed, a live rbtree
-// point publishes enabled conflict, latency and time-series reports — the
-// three vars cmd/stmtop draws its panels from.
-func TestServeMetricsArmsLiveTelemetry(t *testing.T) {
-	addr, shutdown, err := ServeMetrics("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-	allEnabled := func() bool {
-		resp, err := http.Get("http://" + addr + "/debug/vars")
-		if err != nil {
-			return false
-		}
-		defer resp.Body.Close()
-		var page map[string]json.RawMessage
-		if json.NewDecoder(resp.Body).Decode(&page) != nil {
-			return false
-		}
-		for _, name := range []string{"stm_conflict", "stm_latency", "stm_timeseries"} {
-			var rep struct{ Enabled bool }
-			if json.Unmarshal(page[name], &rep) != nil || !rep.Enabled {
-				return false
-			}
-		}
-		return true
-	}
-	o := DefaultRBTreeOpts()
-	o.Keys = 16 * 1024
-	o.Duration = 15 * time.Millisecond
-	// The page shows a System only while its point runs; a scrape that loses
-	// the race to a point's end gets the next point.
-	for try := 0; try < 10; try++ {
-		done := make(chan error, 1)
-		go func() {
-			_, err := RunRBTree(stm.RInvalV2, 2, o)
-			done <- err
-		}()
-		seen := false
-		for running := true; running; {
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatal(err)
-				}
-				running = false
-			default:
-				seen = seen || allEnabled()
-			}
-		}
-		if seen {
-			return
-		}
-	}
-	t.Fatal("no scrape of /debug/vars found stm_conflict, stm_latency and stm_timeseries all enabled")
-}
-
-func TestRunRBTreeBadOpts(t *testing.T) {
-	o := DefaultRBTreeOpts()
-	o.Keys = 1
-	if _, err := RunRBTree(stm.NOrec, 1, o); err == nil {
-		t.Fatal("keys=1 accepted")
-	}
-	o = DefaultRBTreeOpts()
-	if _, err := RunRBTree(stm.NOrec, 0, o); err == nil {
-		t.Fatal("threads=0 accepted")
 	}
 }
 
@@ -241,19 +139,6 @@ func TestSimAblationGenerators(t *testing.T) {
 	}
 }
 
-func TestClampDuration(t *testing.T) {
-	lo, hi := 10*time.Millisecond, time.Second
-	if clampDuration(time.Millisecond, lo, hi) != lo {
-		t.Fatal("low clamp")
-	}
-	if clampDuration(time.Minute, lo, hi) != hi {
-		t.Fatal("high clamp")
-	}
-	if clampDuration(500*time.Millisecond, lo, hi) != 500*time.Millisecond {
-		t.Fatal("pass-through")
-	}
-}
-
 // TestSimFigure7Shape asserts the headline result on the generated table:
 // at 48 threads RInval-V2 leads NOrec and InvalSTM, and InvalSTM trails
 // NOrec at low thread counts.
@@ -279,24 +164,29 @@ func TestSimFigure7Shape(t *testing.T) {
 	}
 }
 
-func TestLiveFigureSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live figures are slow")
+func TestSimAblationReadSetSizeShape(t *testing.T) {
+	tbl := SimAblationReadSetSize([]int{8, 512}, 16, 1)
+	if len(tbl.Rows) != 6 {
+		t.Fatalf("rows %d", len(tbl.Rows))
 	}
-	f7, err := LiveFigure7(50, []int{2}, 20*time.Millisecond, 1)
-	if err != nil || len(f7.Rows) != 4 {
-		t.Fatalf("live fig7: %v", err)
+	get := func(algo string) float64 {
+		for _, r := range tbl.Rows {
+			if r.Algo == algo {
+				return r.KTxPerSec
+			}
+		}
+		t.Fatalf("missing %s", algo)
+		return 0
 	}
-	f2, err := LiveFigure2([]int{2}, 20*time.Millisecond, 1)
-	if err != nil || len(f2.Rows) != 3 {
-		t.Fatalf("live fig2: %v", err)
+	// The NOrec advantage over InvalSTM must narrow as read sets grow
+	// (quadratic validation vs linear invalidation, the paper's §II).
+	small := get("norec/reads=8") / get("invalstm/reads=8")
+	large := get("norec/reads=512") / get("invalstm/reads=512")
+	if large >= small {
+		t.Fatalf("validation-cost effect absent: ratio %0.2f -> %0.2f", small, large)
 	}
-	f8, err := LiveFigure8("ssca2", []int{2}, ScaleSmall, 1)
-	if err != nil || len(f8.Rows) != 4 {
-		t.Fatalf("live fig8: %v", err)
-	}
-	abl, err := LiveAblationBloomBits([]int{64, 1024}, 2, 20*time.Millisecond, 1)
-	if err != nil || len(abl.Rows) != 2 {
-		t.Fatalf("live bloom ablation: %v", err)
+	// RInval-V2 dominates on short transactions (server pipeline).
+	if get("rinval-v2/reads=8") <= get("norec/reads=8") {
+		t.Fatal("V2 did not lead at small read sets")
 	}
 }

@@ -234,93 +234,23 @@ func SimAblationStepsAhead(steps []int, threads int, seed uint64) *Table {
 	return t
 }
 
-// LiveFigure7 runs the real engines on the real tree on this machine.
-func LiveFigure7(readPct int, threads []int, dur time.Duration, seed uint64) (*Table, error) {
-	o := DefaultRBTreeOpts()
-	o.ReadPct = readPct
-	o.Duration = clampDuration(dur, 10*time.Millisecond, time.Minute)
-	o.Seed = seed
-	o.Keys = 16 * 1024 // scaled for CI-class machines
+// SimAblationReadSetSize sweeps the transaction read-set size on the
+// modeled machine, holding everything else fixed.
+func SimAblationReadSetSize(readSets []int, threads int, seed uint64) *Table {
+	p := sim.DefaultParams()
 	t := &Table{
-		Title: fmt.Sprintf("Figure 7 (%d%% reads): red-black tree throughput, live on this machine", readPct),
-		Note:  "live numbers depend on GOMAXPROCS; see sim mode for paper-shape curves",
+		Title: fmt.Sprintf("Ablation: validation cost vs read-set size (%d threads, simulated)", threads),
+		Note:  "NOrec revalidation is O(prefix) per timestamp move; invalidation reads are O(1)",
 	}
-	for _, a := range figureAlgos {
-		for _, n := range threads {
-			row, err := RunRBTree(a, n, o)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, row)
+	for _, n := range readSets {
+		w := sim.ListTraversal(n)
+		for _, a := range []stm.Algo{stm.NOrec, stm.InvalSTM, stm.RInvalV2} {
+			c := sim.DefaultConfig(simEngine(a), threads)
+			c.Seed = seed
+			r := simRow(sim.MustRun(p, w, c), p)
+			r.Algo = fmt.Sprintf("%s/reads=%d", a, n)
+			t.Rows = append(t.Rows, r)
 		}
 	}
-	t.Sort()
-	return t, nil
-}
-
-// LiveFigure2 collects the live phase breakdown on the red-black tree.
-func LiveFigure2(threads []int, dur time.Duration, seed uint64) (*Table, error) {
-	o := DefaultRBTreeOpts()
-	o.Duration = clampDuration(dur, 10*time.Millisecond, time.Minute)
-	o.Seed = seed
-	o.Keys = 16 * 1024
-	o.Stats = true
-	t := &Table{
-		Title: "Figure 2: validation/commit/other breakdown on red-black tree, live",
-	}
-	for _, a := range []stm.Algo{stm.NOrec, stm.InvalSTM, stm.RInvalV2} {
-		for _, n := range threads {
-			row, err := RunRBTree(a, n, o)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, row)
-		}
-	}
-	t.Sort()
-	return t, nil
-}
-
-// LiveFigure8 runs one live STAMP app across engines and thread counts.
-func LiveFigure8(app string, threads []int, scale Scale, seed uint64) (*Table, error) {
-	t := &Table{
-		Title: fmt.Sprintf("Figure 8 (%s): execution time, live on this machine", app),
-	}
-	for _, a := range figureAlgos {
-		for _, n := range threads {
-			row, err := RunSTAMP(a, app, n, scale, seed)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, row)
-		}
-	}
-	t.Sort()
-	return t, nil
-}
-
-// LiveAblationBloomBits sweeps the signature size for RInval-V2 on the live
-// tree: smaller filters mean more false conflicts, hence more spurious
-// invalidations and aborts. RInval is used (rather than InvalSTM) because
-// its commit round-trip interleaves with readers on any core count, so
-// false conflicts actually manifest.
-func LiveAblationBloomBits(bits []int, threads int, dur time.Duration, seed uint64) (*Table, error) {
-	t := &Table{
-		Title: fmt.Sprintf("Ablation: bloom filter size (live, rinval-v2, %d threads)", threads),
-		Note:  "smaller filters -> more false conflicts -> more aborts",
-	}
-	for _, b := range bits {
-		o := DefaultRBTreeOpts()
-		o.Duration = clampDuration(dur, 10*time.Millisecond, time.Minute)
-		o.Seed = seed
-		o.Keys = 4 * 1024
-		o.BloomBits = b
-		row, err := RunRBTree(stm.RInvalV2, threads, o)
-		if err != nil {
-			return nil, err
-		}
-		row.Algo = fmt.Sprintf("rinval-v2/%db", b)
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+	return t
 }

@@ -61,13 +61,19 @@ func (t *Table) RenderSVG(w io.Writer, kind ChartKind) error {
 	return t.Chart(kind).Render(w)
 }
 
-// SVGFileName derives a filesystem-friendly name from the table title.
+// SVGFileName derives a filesystem-friendly name from the table title: the
+// label before its first ':' ("Figure 7 (50% reads)" → figure-7-50-reads.svg).
+// Every ablation shares the label "Ablation", so its subject — the text after
+// the ':' up to the first '(' or ',' — is added to tell them apart.
 func (t *Table) SVGFileName() string {
-	name := strings.ToLower(t.Title)
-	if i := strings.IndexAny(name, ":,"); i > 0 {
-		name = name[:i]
+	label, subject, _ := strings.Cut(t.Title, ":")
+	if strings.TrimSpace(label) == "Ablation" {
+		if i := strings.IndexAny(subject, "(,"); i >= 0 {
+			subject = subject[:i]
+		}
+		label += " " + subject
 	}
-	name = strings.TrimSpace(name)
+	name := strings.TrimSpace(strings.ToLower(label))
 	var b strings.Builder
 	lastDash := false
 	for _, r := range name {

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/ssrg-vt/rinval/internal/stamp"
 	"github.com/ssrg-vt/rinval/internal/stamp/bayes"
@@ -136,15 +135,4 @@ func RunSTAMP(algo stm.Algo, app string, threads int, scale Scale, seed uint64) 
 		row.KTxPerSec = float64(res.Stats.Commits) / res.Elapsed.Seconds() / 1e3
 	}
 	return row, nil
-}
-
-// clampDuration bounds a user-provided duration to something sane.
-func clampDuration(d, lo, hi time.Duration) time.Duration {
-	if d < lo {
-		return lo
-	}
-	if d > hi {
-		return hi
-	}
-	return d
 }

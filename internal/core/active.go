@@ -35,12 +35,14 @@ func newActiveSet(n int) activeSet {
 }
 
 // set marks slot i in flight.
+//
 //stm:hotpath
 func (a *activeSet) set(i int) {
 	a.words[i>>6].Or(1 << (uint(i) & 63))
 }
 
 // clear marks slot i retired.
+//
 //stm:hotpath
 func (a *activeSet) clear(i int) {
 	a.words[i>>6].And(^(uint64(1) << (uint(i) & 63)))
@@ -53,6 +55,7 @@ func (a *activeSet) has(i int) bool {
 
 // nextSlot peels the lowest set bit from *bits (a word w snapshot) and
 // returns its slot index.
+//
 //stm:hotpath
 func nextSlot(w int, b *uint64) int {
 	i := w<<6 + bits.TrailingZeros64(*b)

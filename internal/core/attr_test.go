@@ -58,7 +58,7 @@ func collidingVars(t *testing.T, p bloom.Params) (a, b, disjoint *Var) {
 // Returns after both transactions finished (victim's retry commits empty).
 func doomVictim(t *testing.T, sys *System, readVar, writeVar *Var) {
 	t.Helper()
-	victim := sys.MustRegister()   // slot 0
+	victim := sys.MustRegister()    // slot 0
 	committer := sys.MustRegister() // slot 1
 	defer victim.Close()
 	defer committer.Close()

@@ -148,14 +148,9 @@ type Config struct {
 	// ReaderBiasRetries caps how many times a CMReaderBiased writer yields
 	// to readers before it falls back to committer-wins. Default 3.
 	ReaderBiasRetries int
-	// PinServers dedicates an OS thread to each server goroutine
-	// (runtime.LockOSThread), approximating the paper's core-pinned
-	// deployment on machines with spare cores. Counterproductive when
-	// GOMAXPROCS is small, so it is off by default.
-	PinServers bool
-	// Stats enables per-thread phase timing (read/validation, commit, abort).
-	// Timing costs ~two clock reads per operation, so it is off by default.
-	// (The commit-server's phase timings are Latency's server side.)
+	// Stats makes the invalidation engines (InvalSTM, RInval) keep the
+	// per-transaction read log, which NOrec and TL2 always keep. Off by
+	// default.
 	Stats bool
 	// Attribution enables conflict attribution: the who-aborted-whom matrix,
 	// wasted-work accounting per abort reason, bloom false-positive sampling,

@@ -58,8 +58,8 @@ func TestAlgoStringRoundTrip(t *testing.T) {
 // diff here too.
 func TestConfigFieldCount(t *testing.T) {
 	n := reflect.TypeOf(Config{}).NumField()
-	if n != 25 {
-		t.Fatalf("Config has %d fields, want 25", n)
+	if n != 24 {
+		t.Fatalf("Config has %d fields, want 24", n)
 	}
 	t.Logf("Config fields: %d", n) // read by `make size`
 }

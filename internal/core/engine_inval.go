@@ -24,6 +24,7 @@ func (e *invalEngine) begin(tx *Tx) {}
 // read implements Algorithm 1's READ: load the value inside a stable even
 // window of the global timestamp, publish the read-filter bit before the
 // stability re-check, then verify this transaction has not been invalidated.
+//
 //stm:hotpath
 func (e *invalEngine) read(tx *Tx, v *Var) (*Box, bool) {
 	return invalRead(tx, v, false)
@@ -36,6 +37,7 @@ func (e *invalEngine) read(tx *Tx, v *Var) (*Box, bool) {
 // stream has processed every prior commit (Algorithm 3, line 28). Time spent
 // blocked — on an odd timestamp, a lagging server, or an unstable window —
 // is recorded as a read-wait trace span.
+//
 //stm:hotpath
 func invalRead(tx *Tx, v *Var, waitCaughtUp bool) (*Box, bool) {
 	sys := tx.sys
@@ -87,6 +89,7 @@ func invalRead(tx *Tx, v *Var, waitCaughtUp bool) (*Box, bool) {
 // with a CAS, re-check the status flag (a commit may have doomed us between
 // the request and the acquisition), invalidate every conflicting in-flight
 // transaction, publish the write set, and release.
+//
 //stm:hotpath
 func (e *invalEngine) commit(tx *Tx) bool {
 	sys := e.sys

@@ -30,6 +30,7 @@ func (e *norecEngine) begin(tx *Tx) {
 
 // read returns a value consistent with tx.start, extending the snapshot via
 // revalidation whenever the global timestamp moved.
+//
 //stm:hotpath
 func (e *norecEngine) read(tx *Tx, v *Var) (*Box, bool) {
 	for {
@@ -51,6 +52,7 @@ func (e *norecEngine) read(tx *Tx, v *Var) (*Box, bool) {
 // revalidate re-checks every read against the current memory state and
 // returns a new even timestamp at which the read set was observed intact.
 // A value mismatch is a validation abort (tx.reason).
+//
 //stm:hotpath
 func (e *norecEngine) revalidate(tx *Tx) (uint64, bool) {
 	var w spin.Waiter
@@ -87,6 +89,7 @@ func (e *norecEngine) revalidate(tx *Tx) (uint64, bool) {
 // snapshot; success proves no commit intervened, so no commit-time
 // validation is needed. On CAS failure the snapshot is extended and the
 // acquisition retried.
+//
 //stm:hotpath
 func (e *norecEngine) commit(tx *Tx) bool {
 	if tx.ws.len() == 0 {

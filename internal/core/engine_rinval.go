@@ -327,14 +327,15 @@ func (sv *shardServer) stats() Stats {
 // stream is its own — single-stream requests of its stream, and the
 // cross-shard requests it leads — so a request still has exactly one server;
 // a single-stream request may instead be answered by a helping client, and
-// the stream lock decides which of the two does.
+// the stream lock decides which of the two does. After an epoch it served,
+// the server goes back to busy polling only if staysHot says so.
 //
 //stm:hotpath
 func (sv *shardServer) commitServerMain(stop func() bool) {
 	sys := sv.sys
 	var w spin.Waiter
 	for !stop() {
-		progress := false
+		hot := false
 		// Candidates come from the active bitmap: a PENDING requester is
 		// ALIVE for its whole wait, so its bit is set, and the per-candidate
 		// state check below filters the (routine) stale bits. A request
@@ -346,16 +347,29 @@ func (sv *shardServer) commitServerMain(stop func() bool) {
 			if !ok || bits.TrailingZeros64(touched) != sv.shard {
 				continue
 			}
-			if sv.serveEpoch(touched, i) {
-				progress = true
+			if sv.serveEpoch(touched, i) && sv.staysHot(touched) {
+				hot = true
 			}
 		}
-		if progress {
+		if hot {
 			w.Reset()
 		} else {
 			w.Wait()
 		}
 	}
+}
+
+// staysHot reports whether the commit-server, having just served an epoch for
+// mask, goes back to busy polling. With a P of its own it always does. One
+// that shares the clients' Ps (System.coolServers) does so only for a
+// cross-shard request, which no client can drive, or while more than one
+// Thread is registered; for a lone client it keeps backing off like
+// invalServerMain. Hot, it wins just enough races against a lone client's own
+// help to stay hot, and a System then settles in either regime by chance.
+//
+//stm:hotpath
+func (sv *shardServer) staysHot(mask uint64) bool {
+	return !sv.sys.coolServers || mask&(mask-1) != 0 || sv.sys.nLive.Load() > 1
 }
 
 // serveEpoch is the commit-server's way into an epoch: take every stream in
@@ -720,7 +734,7 @@ func (sv *shardServer) scanPartition(k int, clk *phaseClock) bool {
 // global slot partition k; concurrent scans from different streams are safe
 // because the doom CAS is epoch-guarded and idempotent. A server with a P of
 // its own goes back to busy polling after every scan it won; one that shares
-// the clients' Ps (System.yieldPerTx) keeps backing off, down to a poll per
+// the clients' Ps (System.coolServers) keeps backing off, down to a poll per
 // spin.MaxSleep: hot, it only races the driver's own post-reply scan for the
 // partition and bounces the clients' slot lines between the Ps.
 //
@@ -730,7 +744,7 @@ func (sv *shardServer) invalServerMain(k int, stop func() bool) {
 	for !stop() {
 		// The server's own cell and track, written only under the lock.
 		clk := startClock(sv.invalLat[k], sv.invalRings[k])
-		if sv.scanPartition(k, &clk) && !sv.sys.yieldPerTx {
+		if sv.scanPartition(k, &clk) && !sv.sys.coolServers {
 			w.Reset()
 		} else {
 			w.Wait()

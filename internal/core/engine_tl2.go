@@ -48,6 +48,7 @@ func (e *tl2Engine) begin(tx *Tx) {
 
 // read returns v's value if it is committed no later than the transaction's
 // read version. TL2 does not extend snapshots: a newer version aborts.
+//
 //stm:hotpath
 func (e *tl2Engine) read(tx *Tx, v *Var) (*Box, bool) {
 	var w spin.Waiter
@@ -86,6 +87,7 @@ func (e *tl2Engine) read(tx *Tx, v *Var) (*Box, bool) {
 
 // commit locks the write set in id order, validates the read set against
 // the snapshot, publishes, and releases at the new version.
+//
 //stm:hotpath
 func (e *tl2Engine) commit(tx *Tx) bool {
 	if tx.ws.len() == 0 {

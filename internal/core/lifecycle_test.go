@@ -97,31 +97,6 @@ func TestAtomicallyOnClosedThreadPanics(t *testing.T) {
 	_ = th.Atomically(func(tx *Tx) error { return nil })
 }
 
-func TestPinnedServers(t *testing.T) {
-	// Pinned servers must behave identically (the pin is a scheduling hint).
-	s, err := New(Config{Algo: RInvalV2, MaxThreads: 8, InvalServers: 2, PinServers: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := NewVar(0)
-	th := s.MustRegister()
-	for i := 0; i < 50; i++ {
-		if err := th.Atomically(func(tx *Tx) error {
-			tx.Store(x, tx.Load(x).(int)+1)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	th.Close()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if x.Peek().(int) != 50 {
-		t.Fatalf("got %v", x.Peek())
-	}
-}
-
 func TestServerStartStopAllRemoteEngines(t *testing.T) {
 	// Systems with server goroutines must start and stop cleanly even when
 	// no transaction ever runs.

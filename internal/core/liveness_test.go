@@ -114,9 +114,9 @@ func TestLivenessOneP(t *testing.T) {
 	}
 }
 
-// TestYieldPerTxRule: only an engine that starts invalidation-server
-// goroutines, on fewer than four Ps, ends its transactions in a scheduler
-// yield (and cools its invalidation-servers down); the rule is fixed at New.
+// TestYieldPerTxRule: on fewer than four Ps, every engine that starts server
+// goroutines cools them down, and only one that starts invalidation-servers
+// also ends its transactions in a scheduler yield; the rule is fixed at New.
 func TestYieldPerTxRule(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 3, 4} {
@@ -126,10 +126,48 @@ func TestYieldPerTxRule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := procs < 4 && (algo == RInvalV2 || algo == RInvalV3)
-			if s.yieldPerTx != want {
+			remote := algo == RInvalV1 || algo == RInvalV2 || algo == RInvalV3
+			if want := procs < 4 && remote; s.coolServers != want {
+				t.Errorf("%s at GOMAXPROCS %d: coolServers = %v, want %v", algo, procs, s.coolServers, want)
+			}
+			if want := procs < 4 && remote && algo != RInvalV1; s.yieldPerTx != want {
 				t.Errorf("%s at GOMAXPROCS %d: yieldPerTx = %v, want %v", algo, procs, s.yieldPerTx, want)
 			}
+		}
+	}
+}
+
+// TestCommitServerStaysHotRule: a commit-server that shares the clients' Ps
+// goes back to busy polling after a single-stream epoch only while more than
+// one Thread is registered, and after a cross-shard epoch always; with a P of
+// its own, after every epoch.
+func TestCommitServerStaysHotRule(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, algo := range []Algo{RInvalV1, RInvalV2, RInvalV3} {
+			s, err := newSystem(Config{Algo: algo, MaxThreads: 3, Shards: 2, InvalServers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sv := s.eng.(*remoteEngine).srv[0]
+			cool := procs < 4
+			check := func(threads int, mask uint64, want bool) {
+				t.Helper()
+				if got := sv.staysHot(mask); got != want {
+					t.Errorf("%s at GOMAXPROCS %d, %d threads, mask %b: staysHot = %v, want %v",
+						algo, procs, threads, mask, got, want)
+				}
+			}
+			check(0, 0b01, !cool)
+			th1 := s.MustRegister()
+			check(1, 0b01, !cool)
+			check(1, 0b11, true)
+			th2 := s.MustRegister()
+			check(2, 0b01, true)
+			th2.Close()
+			check(1, 0b01, !cool)
+			th1.Close()
 		}
 	}
 }

@@ -14,7 +14,7 @@ func TestShardsValidation(t *testing.T) {
 	cases := []struct {
 		name    string
 		cfg     Config
-		want    int  // effective Shards when ok
+		want    int // effective Shards when ok
 		wantErr bool
 	}{
 		{name: "default-1", cfg: Config{}, want: 1},

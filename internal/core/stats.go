@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync/atomic"
-	"time"
 
 	"github.com/ssrg-vt/rinval/internal/histo"
 	"github.com/ssrg-vt/rinval/internal/obs"
@@ -23,13 +22,9 @@ const (
 	NumAbortReasons  = obs.NumAbortReasons
 )
 
-// Stats aggregates a thread's transactional activity. With Config.Stats
-// enabled the *Ns fields attribute wall time to the paper's critical-path
-// phases (Figures 2-3): ReadNs covers reads including validation/consistency
-// waits, CommitNs covers the commit routine including lock acquisition or
-// server round-trip, AbortNs covers rollback and contention-manager backoff.
-// Everything else (transaction bodies, non-transactional work) is the paper's
-// "other" block, computed by the harness as wallTime - Read - Commit - Abort.
+// Stats aggregates a thread's transactional activity. Every counter is
+// always kept; where a transaction's time goes is the sampled latency
+// decomposition's job (Config.Latency, System.LatencyReport).
 //
 // A live thread updates its counters with atomic adds, so System.Stats and
 // Thread.Stats may be called while transactions run: each counter is read
@@ -51,10 +46,6 @@ type Stats struct {
 	// each one re-ran once on the regular path.
 	ROCommits   uint64
 	ROFallbacks uint64
-
-	ReadNs   uint64 // time in Tx.Load: value load + validation/invalidation checks
-	CommitNs uint64 // time in commit: acquisition/invalidation/write-back or server wait
-	AbortNs  uint64 // time rolling back + contention-manager backoff
 
 	Validations   uint64 // NOrec full read-set revalidations
 	ValidationOps uint64 // read-set entries compared during revalidations
@@ -119,9 +110,6 @@ func (s *Stats) Add(o Stats) {
 	atomic.AddUint64(&s.ROFallbacks, o.ROFallbacks)
 	atomic.AddUint64(&s.Reads, o.Reads)
 	atomic.AddUint64(&s.Writes, o.Writes)
-	atomic.AddUint64(&s.ReadNs, o.ReadNs)
-	atomic.AddUint64(&s.CommitNs, o.CommitNs)
-	atomic.AddUint64(&s.AbortNs, o.AbortNs)
 	atomic.AddUint64(&s.Validations, o.Validations)
 	atomic.AddUint64(&s.ValidationOps, o.ValidationOps)
 	atomic.AddUint64(&s.Invalidations, o.Invalidations)
@@ -150,9 +138,6 @@ func (s *Stats) snapshotAtomic() Stats {
 		ROFallbacks:       atomic.LoadUint64(&s.ROFallbacks),
 		Reads:             atomic.LoadUint64(&s.Reads),
 		Writes:            atomic.LoadUint64(&s.Writes),
-		ReadNs:            atomic.LoadUint64(&s.ReadNs),
-		CommitNs:          atomic.LoadUint64(&s.CommitNs),
-		AbortNs:           atomic.LoadUint64(&s.AbortNs),
 		Validations:       atomic.LoadUint64(&s.Validations),
 		ValidationOps:     atomic.LoadUint64(&s.ValidationOps),
 		Invalidations:     atomic.LoadUint64(&s.Invalidations),
@@ -188,8 +173,3 @@ func (s Stats) AbortRate() float64 {
 	}
 	return float64(s.Aborts) / float64(total)
 }
-
-// clock abstracts time.Now so tests can make phase accounting deterministic.
-type clock func() time.Time
-
-var realClock clock = time.Now

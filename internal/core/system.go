@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/ssrg-vt/rinval/internal/bloom"
@@ -184,9 +185,9 @@ type System struct {
 
 	eng engine
 
-	// logReads gates the read-log append in Tx.Load. NOrec and TL2 always
-	// revalidate from the log; the invalidation engines never replay it, so
-	// they keep it only when cfg.Stats wants read-set accounting.
+	// logReads gates the read-log append in Tx.LoadBox. NOrec and TL2 always
+	// revalidate from the log; the invalidation engines replay it only for
+	// Attribution's sampled exact-set check, and keep it under cfg.Stats.
 	logReads bool
 
 	// tracer records lifecycle events when cfg.Trace is set; nil otherwise.
@@ -221,15 +222,24 @@ type System struct {
 	live      map[*Thread]struct{}
 	retired   Stats
 	closed    bool
+	// nLive is len(live), for readers that do not take regMu.
+	nLive atomic.Int32
 
-	// yieldPerTx is true iff the engine runs invalidation-server goroutines
-	// (RInval-V2/V3) and GOMAXPROCS < 4: they have no P of their own. A
-	// transaction then ends in runtime.Gosched — a published descriptor may be
-	// held by a server that needs the client's P, and a busy goroutine is
-	// preempted only every ~10ms — and those servers do not stay hot
-	// (invalServerMain). No other engine has anything to yield to (a waiting
-	// RInval-V1 client drives its own epoch); liveness on one P rests on
-	// spin.Waiter, which yields after its busy phase (DESIGN.md §3).
+	// coolServers is true iff the engine runs server goroutines (RInval) and
+	// GOMAXPROCS < 4: they have no P of their own. A server then does not go
+	// back to busy polling after work a lone client could have done itself —
+	// a single-stream epoch with one Thread registered (commitServerMain) or
+	// a partition scan (invalServerMain) — so a run does not flip between
+	// "servers hot" and "the client drives everything" from one System to the
+	// next (DESIGN.md §3).
+	coolServers bool
+	// yieldPerTx is true iff coolServers and the engine runs
+	// invalidation-server goroutines (RInval-V2/V3). A transaction then ends
+	// in runtime.Gosched: a published descriptor may be held by a server that
+	// needs the client's P, and a busy goroutine is preempted only every
+	// ~10ms. No other engine has anything to yield to (a waiting RInval-V1
+	// client drives its own epoch); liveness on one P rests on spin.Waiter,
+	// which yields after its busy phase (DESIGN.md §3).
 	yieldPerTx bool
 
 	stop padded.Bool
@@ -332,8 +342,9 @@ func newSystem(cfg Config) (*System, error) {
 	case TL2:
 		s.eng = &tl2Engine{sys: s}
 	}
-	if re, ok := s.eng.(*remoteEngine); ok && re.numInval > 0 {
-		s.yieldPerTx = runtime.GOMAXPROCS(0) < 4
+	if re, ok := s.eng.(*remoteEngine); ok {
+		s.coolServers = runtime.GOMAXPROCS(0) < 4
+		s.yieldPerTx = s.coolServers && re.numInval > 0
 	}
 	switch cfg.Algo {
 	case NOrec, TL2:
@@ -368,12 +379,6 @@ func (s *System) startServers() {
 		s.wg.Add(1)
 		go func(t serverTask) {
 			defer s.wg.Done()
-			if s.cfg.PinServers {
-				// Dedicate an OS thread to this server, as the paper pins
-				// servers to cores. Unlocked implicitly when the goroutine
-				// exits.
-				runtime.LockOSThread()
-			}
 			pprof.Do(context.Background(), pprof.Labels("stm-role", t.name),
 				func(context.Context) { t.run(s.stop.Load) })
 		}(task)
@@ -466,6 +471,7 @@ func (s *System) Register() (*Thread, error) {
 	}
 	th.backoff = spin.NewBackoff(time.Microsecond, 128*time.Microsecond, s.cfg.Seed+uint64(idx)*0x9e37)
 	s.live[th] = struct{}{}
+	s.nLive.Add(1)
 	return th, nil
 }
 
@@ -487,6 +493,7 @@ func (s *System) release(th *Thread) {
 		return
 	}
 	delete(s.live, th)
+	s.nLive.Add(-1)
 	s.freeSlots = append(s.freeSlots, th.idx)
 	s.retired.Add(th.stats)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"github.com/ssrg-vt/rinval/internal/obs"
 )
@@ -394,8 +393,8 @@ func (tx *Tx) Load(v *Var) any { return anyOf(tx.LoadBox(v)).v }
 // else a published version — aborting (via conflictSignal) if the engine
 // detects a conflict.
 //
-// Updates of tx.stats here and below are atomic adds so System.Stats can read
-// a live thread's counters without a data race; the thread is the only writer.
+// Updates of tx.stats below are atomic adds so System.Stats can read a live
+// thread's counters without a data race; the thread is the only writer.
 //
 //stm:hotpath
 func (tx *Tx) LoadBox(v *Var) *Box {
@@ -409,20 +408,13 @@ func (tx *Tx) LoadBox(v *Var) *Box {
 	if tx.direct {
 		return v.loadBox()
 	}
-	var t0 time.Time
-	if tx.sys.cfg.Stats {
-		t0 = realClock()
-	}
 	b, ok := tx.sys.eng.read(tx, v)
-	if tx.sys.cfg.Stats {
-		atomic.AddUint64(&tx.stats.ReadNs, uint64(realClock().Sub(t0)))
-	}
 	if !ok {
 		panic(conflictSignal{})
 	}
 	if tx.sys.logReads {
 		// NOrec/TL2 revalidate from this log; the invalidation engines keep
-		// it only when stats are enabled (read-set accounting).
+		// it only under Config.Stats or Config.Attribution.
 		tx.rs.add(v, b)
 	}
 	return b
@@ -473,21 +465,15 @@ func (tx *Tx) foldOps() {
 }
 
 // finishCommit drives the engine commit and updates stats/slot state.
+//
 //stm:hotpath
 func (tx *Tx) finishCommit() bool {
-	var t0 time.Time
-	if tx.sys.cfg.Stats {
-		t0 = realClock()
-	}
 	var latC0 int64
 	if tx.latOn {
 		latC0 = obs.Now()
 	}
 	tc := tx.ring.Now()
 	ok := tx.sys.eng.commit(tx)
-	if tx.sys.cfg.Stats {
-		atomic.AddUint64(&tx.stats.CommitNs, uint64(realClock().Sub(t0)))
-	}
 	tx.deactivateSlot()
 	if ok {
 		// A refused commit goes on to onConflictAbort, which folds after
@@ -515,10 +501,6 @@ func (tx *Tx) finishCommit() bool {
 // manager's retry policy. The engine set tx.reason at the conflict site;
 // the per-reason counter keeps the taxonomy in lockstep with Aborts.
 func (tx *Tx) onConflictAbort() {
-	var t0 time.Time
-	if tx.sys.cfg.Stats {
-		t0 = realClock()
-	}
 	tx.sys.eng.abort(tx)
 	tx.deactivateSlot()
 	atomic.AddUint64(&tx.stats.Aborts, 1)
@@ -533,9 +515,6 @@ func (tx *Tx) onConflictAbort() {
 	tx.foldOps()
 	if tx.sys.cfg.CM != CMCommitterWins {
 		tx.th.backoff.Pause()
-	}
-	if tx.sys.cfg.Stats {
-		atomic.AddUint64(&tx.stats.AbortNs, uint64(realClock().Sub(t0)))
 	}
 	if tx.latOn {
 		// After the backoff pause: the retry phase is the full cost of the

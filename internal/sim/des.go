@@ -70,12 +70,12 @@ type des struct {
 	oversub float64 // threads per core beyond 1.0 stretch compute costs
 
 	// Global engine state.
-	commitCount  uint64     // sequence-lock version / 2
-	lockFreeAt   uint64     // when the global lock (or commit-server) frees
-	writebacks   []interval // recent write-back windows (readers stall)
-	commitWaits  []interval // recent commit-wait windows (spinner count)
-	invalDoneAt  []uint64   // per invalidation-server completion time
-	shardFreeAt  []uint64   // per commit-stream server availability (RInval)
+	commitCount uint64     // sequence-lock version / 2
+	lockFreeAt  uint64     // when the global lock (or commit-server) frees
+	writebacks  []interval // recent write-back windows (readers stall)
+	commitWaits []interval // recent commit-wait windows (spinner count)
+	invalDoneAt []uint64   // per invalidation-server completion time
+	shardFreeAt []uint64   // per commit-stream server availability (RInval)
 }
 
 // Run executes one simulation.
