@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check build test vet lint lint-github race deflaked sim-check size bench bench-layers
+.PHONY: verify fmt-check build test vet lint lint-github race deflaked sim-check size bench bench-layers bench-core
 
 GOFMT ?= gofmt
 
@@ -78,3 +78,8 @@ bench:
 
 bench-layers:
 	$(GO) run ./benchmark -seed 1 -layers
+
+## bench-core: every core micro-benchmark (bench_test.go) once, as a smoke
+## test that they still build and run; for numbers use -benchtime 200ms.
+bench-core:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core/

@@ -17,17 +17,18 @@
 //
 // The layout is one-word (blocked): an element hashes to one 64-bit word and
 // to k distinct bits inside it, so inserting it is one OR of a k-bit mask —
-// for Atomic, one locked instruction per transactional read whatever k is.
+// for Atomic, one locked instruction per transactional read whatever k is,
+// and no other. An element's two hashes depend only on its id (KeyOf), so a
+// caller that inserts the same id often computes its Key once and uses AddKey.
 // Intersection tests bit density, which the layout does not change.
 //
-// Both variants additionally maintain a 64-bit summary signature: the OR of
-// every inserted mask, i.e. the column-fold of the filter words onto 64 bits.
-// Two filters whose summaries are disjoint cannot share a set bit — an
-// invalidation scan can reject a non-conflicting read set with one word load
-// + AND instead of touching all filter words (two cache lines at the default
-// 1024-bit geometry). The fold is conservative the same way the filter is: a
-// summary hit commits the scan to the full intersection, a summary miss is
-// proof of no conflict.
+// Filter additionally maintains a 64-bit summary signature, the OR of every
+// inserted mask (the column-fold of its words), which costs it no locked
+// instruction: two Filters whose summaries are disjoint share no bit.
+// Atomic keeps none — a summary would be a second locked OR per read.
+// Instead Atomic.IntersectsFilter loads only the words where the write
+// filter has a bit, so a scan rejects a non-conflicting read set of a short
+// commit in one or two word loads.
 package bloom
 
 import (
@@ -68,18 +69,28 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// locate maps id to its word and to the mask of its k bits inside that word:
+// Key is an element's pair of hashes, independent of the filter geometry:
+// H1 = splitmix64(id) places the word and the first bit, H2 (odd) steps to
+// the others. H1 is a well-mixed hash of the id in its own right, so a
+// caller may mask it for other placements too.
+type Key struct{ H1, H2 uint64 }
+
+// KeyOf hashes id. It is the only place an element id is hashed.
+func KeyOf(id uint64) Key {
+	h1 := splitmix64(id)
+	return Key{H1: h1, H2: splitmix64(h1) | 1}
+}
+
+// locate maps k to its word and to the mask of its k bits inside that word:
 // double hashing (Kirsch-Mitzenmacher) mod 64, bit_i = h1 + i*h2 with h2 odd
 // so the k positions are distinct; the word is taken from h1 above bit 6.
-func (p Params) locate(id uint64) (word int, mask uint64) {
-	h1 := splitmix64(id)
-	h2 := splitmix64(h1) | 1
-	word = int(h1 >> 6 & uint64(p.Words()-1))
-	for i := 0; i < p.Hashes; i++ {
-		mask |= 1 << (h1 & 63)
-		h1 += h2
+// Written to stay within the inliner's budget inside Atomic.AddKey, which
+// saves a call on every transactional read.
+func (p Params) locate(k Key) (word int, mask uint64) {
+	for i := uint64(0); i < uint64(p.Hashes); i++ {
+		mask |= 1 << ((k.H1 + i*k.H2) & 63)
 	}
-	return word, mask
+	return int(k.H1>>6) & (p.Bits>>6 - 1), mask
 }
 
 // Filter is a single-owner bloom filter. It is not safe for concurrent use;
@@ -103,10 +114,13 @@ func NewFilter(p Params) *Filter {
 func (f *Filter) Params() Params { return f.p }
 
 // Add inserts id into the filter.
+func (f *Filter) Add(id uint64) { f.AddKey(KeyOf(id)) }
+
+// AddKey inserts the element whose key is k.
 //
 //stm:hotpath
-func (f *Filter) Add(id uint64) {
-	w, mask := f.p.locate(id)
+func (f *Filter) AddKey(k Key) {
+	w, mask := f.p.locate(k)
 	f.words[w] |= mask
 	f.sum |= mask
 }
@@ -114,7 +128,7 @@ func (f *Filter) Add(id uint64) {
 // MayContain reports whether id may have been added (false positives
 // possible, false negatives impossible).
 func (f *Filter) MayContain(id uint64) bool {
-	w, mask := f.p.locate(id)
+	w, mask := f.p.locate(KeyOf(id))
 	return f.words[w]&mask == mask
 }
 
@@ -165,19 +179,11 @@ func (f *Filter) UnionWith(g *Filter) {
 // copy per member.
 func (f *Filter) UnionAtomic(a *Atomic) {
 	for i := range a.words {
-		f.words[i] |= a.words[i].Load()
+		w := a.words[i].Load()
+		f.words[i] |= w
+		f.sum |= w
 	}
-	// Atomic.Add publishes the summary bit before the word bit, so loading
-	// the summary after the words keeps f.sum a superset of f.words' fold
-	// even against a concurrent Add.
-	f.sum |= a.sum.Load()
 }
-
-// Summary returns the 64-bit summary signature. Disjoint summaries imply
-// disjoint filters; see the package comment.
-//
-//stm:hotpath
-func (f *Filter) Summary() uint64 { return f.sum }
 
 // Clone returns an independent copy of f.
 func (f *Filter) Clone() *Filter {
@@ -203,13 +209,7 @@ func (f *Filter) PopCount() int {
 // only writer of bits (via Add) and the only caller of Clear; invalidation
 // servers only read.
 type Atomic struct {
-	p Params
-	// sum is the summary signature. It lives in the Atomic header next to
-	// the read-only geometry and slice header, so a scanner's summary-miss
-	// path touches exactly one cache line. Invariant: sum is always a
-	// superset of the column-fold of words — Add ORs the summary before the
-	// word, so no observer can see a word bit whose summary bit is missing.
-	sum   atomic.Uint64
+	p     Params
 	words []atomic.Uint64
 }
 
@@ -224,18 +224,17 @@ func NewAtomic(p Params) *Atomic {
 // Params returns the filter geometry.
 func (a *Atomic) Params() Params { return a.p }
 
-// Add inserts id. The atomic OR publishes the bits with release semantics:
-// once an invalidation server observes them, it also observes the read that
-// they describe. The summary is ORed first so a scanner that observes a word
-// bit always observes its summary bit too. An OR whose bits are all set is
+// Add inserts id.
+func (a *Atomic) Add(id uint64) { a.AddKey(KeyOf(id)) }
+
+// AddKey inserts the element whose key is k. The atomic OR publishes the bits
+// with release semantics: once an invalidation server observes them, it also
+// observes the read that they describe. An OR whose bits are all set is
 // skipped (no write traffic): an earlier OR of this incarnation set them.
 //
 //stm:hotpath
-func (a *Atomic) Add(id uint64) {
-	i, mask := a.p.locate(id)
-	if a.sum.Load()&mask != mask {
-		a.sum.Or(mask)
-	}
+func (a *Atomic) AddKey(k Key) {
+	i, mask := a.p.locate(k)
 	if w := &a.words[i]; w.Load()&mask != mask {
 		w.Or(mask)
 	}
@@ -243,10 +242,9 @@ func (a *Atomic) Add(id uint64) {
 
 // Clear removes all elements. Only the owner may call it, between
 // transactions (never while a commit that could observe the filter is in
-// flight against the owner's current epoch). The words are cleared before
-// the summary for the same invariant Add preserves: sum covers words at
-// every intermediate point. A word the owner loads as zero is zero (it is the
-// only writer), so it is not stored to: an atomic store is a fenced exchange.
+// flight against the owner's current epoch). A word the owner loads as zero
+// is zero (it is the only writer), so it is not stored to: an atomic store is
+// a fenced exchange.
 //
 //stm:hotpath
 func (a *Atomic) Clear() {
@@ -255,16 +253,18 @@ func (a *Atomic) Clear() {
 			w.Store(0)
 		}
 	}
-	if a.sum.Load() != 0 {
-		a.sum.Store(0)
-	}
 }
 
 // IntersectsFilter reports whether a and the plain filter g share a set bit.
-// Safe to call concurrently with the owner's Add.
+// It loads only the words of a where g has a bit — for a write signature of
+// n elements at most n loads — so it is also the invalidation scan's cheap
+// first test. Safe to call concurrently with the owner's Add.
+//
+//stm:hotpath
 func (a *Atomic) IntersectsFilter(g *Filter) bool {
-	for i := range a.words {
-		if a.words[i].Load()&g.words[i] != 0 {
+	aw := a.words[:len(g.words)] // one bounds check, not one per word
+	for i, w := range g.words {
+		if w != 0 && aw[i].Load()&w != 0 {
 			return true
 		}
 	}
@@ -273,32 +273,32 @@ func (a *Atomic) IntersectsFilter(g *Filter) bool {
 
 // SummaryIntersects reports whether a's summary signature shares a bit with
 // sum. A false result proves a full IntersectsFilter against any filter with
-// summary sum would also be false; a true result decides nothing. Safe to
-// call concurrently with the owner's Add — this is the invalidation scan's
-// level-1 rejection test, one atomic load + AND.
-//
-//stm:hotpath
-func (a *Atomic) SummaryIntersects(sum uint64) bool {
-	return a.sum.Load()&sum != 0
-}
+// summary sum would also be false; a true result decides nothing.
+func (a *Atomic) SummaryIntersects(sum uint64) bool { return a.Summary()&sum != 0 }
 
-// Summary returns the current summary signature.
-//
-//stm:hotpath
-func (a *Atomic) Summary() uint64 { return a.sum.Load() }
+// Summary returns the current summary signature, the fold of the words.
+// Atomic maintains none (see the package comment), so this loads every word;
+// it and SummaryIntersects serve the layer benchmark, not the scan.
+func (a *Atomic) Summary() uint64 {
+	var s uint64
+	for i := range a.words {
+		s |= a.words[i].Load()
+	}
+	return s
+}
 
 // MayContain reports whether id may have been added.
 func (a *Atomic) MayContain(id uint64) bool {
-	i, mask := a.p.locate(id)
+	i, mask := a.p.locate(KeyOf(id))
 	return a.words[i].Load()&mask == mask
 }
 
 // Snapshot copies the current contents into dst (same geometry required).
 func (a *Atomic) Snapshot(dst *Filter) {
+	dst.sum = 0
 	for i := range a.words {
-		dst.words[i] = a.words[i].Load()
+		w := a.words[i].Load()
+		dst.words[i] = w
+		dst.sum |= w
 	}
-	// After the words, as in UnionAtomic: the summary stays a superset of
-	// the fold of the copied words.
-	dst.sum = a.sum.Load()
 }

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -212,6 +213,9 @@ func TestAtomicSnapshot(t *testing.T) {
 			t.Fatal("snapshot lost element")
 		}
 	}
+	if a.Summary() != snap.sum || a.SummaryIntersects(^snap.sum) {
+		t.Fatalf("Atomic summary %#x is not the fold %#x", a.Summary(), snap.sum)
+	}
 }
 
 // TestAtomicConcurrentAddIntersect exercises the invalidation-server pattern:
@@ -264,7 +268,8 @@ func sweepParams() []Params {
 
 // checkOneWordAdd asserts the layout contract for one id on empty filters:
 // Add sets exactly Hashes bits in exactly one word, Filter and Atomic set the
-// same bits, the summary equals the fold, the id is found, and an Atomic that
+// same bits, the Filter summary equals the fold, the id is found, the
+// occupied-word intersection agrees with the full one, and an Atomic that
 // was cleared takes the id again (Add's test-before-OR must see the zeros).
 func checkOneWordAdd(t testing.TB, p Params, id uint64) {
 	t.Helper()
@@ -287,19 +292,20 @@ func checkOneWordAdd(t testing.TB, p Params, id uint64) {
 	if dirty != 1 {
 		t.Fatalf("%+v id %#x: %d words dirtied, want 1", p, id, dirty)
 	}
-	if fold := foldWords(f.words); f.Summary() != fold || a.Summary() != fold {
-		t.Fatalf("%+v id %#x: summaries %#x/%#x, fold %#x", p, id, f.Summary(), a.Summary(), fold)
+	if fold := foldWords(f.words); f.sum != fold || snap.sum != fold {
+		t.Fatalf("%+v id %#x: summaries %#x/%#x, fold %#x", p, id, f.sum, snap.sum, fold)
 	}
 	if !f.MayContain(id) || !a.MayContain(id) || !a.IntersectsFilter(f) {
 		t.Fatalf("%+v id %#x: false negative", p, id)
 	}
 	a.Clear()
 	a.Snapshot(snap)
-	if a.Summary() != 0 || !snap.Empty() || a.MayContain(id) {
+	if !snap.Empty() || a.MayContain(id) || a.IntersectsFilter(f) != wordsIntersect(snap.words, f.words) {
 		t.Fatalf("%+v id %#x: Clear left bits behind", p, id)
 	}
 	a.Add(id)
-	if !a.MayContain(id) || a.Summary() != f.Summary() {
+	a.Snapshot(snap)
+	if !a.MayContain(id) || snap.sum != f.sum || a.IntersectsFilter(f) != wordsIntersect(snap.words, f.words) {
 		t.Fatalf("%+v id %#x: Add after Clear lost the id", p, id)
 	}
 }
@@ -325,8 +331,8 @@ func TestLocateDeterministicAndSpread(t *testing.T) {
 	const n = 16000
 	for i := 0; i < n; i++ {
 		id := rng.Uint64()
-		w, mask := p.locate(id)
-		if w2, mask2 := p.locate(id); w2 != w || mask2 != mask {
+		w, mask := p.locate(KeyOf(id))
+		if w2, mask2 := p.locate(KeyOf(id)); w2 != w || mask2 != mask {
 			t.Fatal("locate not deterministic")
 		}
 		if w < 0 || w >= p.Words() || bits.OnesCount64(mask) != p.Hashes {
@@ -337,6 +343,68 @@ func TestLocateDeterministicAndSpread(t *testing.T) {
 	for w, h := range hits {
 		if mean := n / p.Words(); h < mean/2 || h > 2*mean {
 			t.Fatalf("word %d drew %d of %d ids (mean %d)", w, h, n, mean)
+		}
+	}
+}
+
+// TestLocateGolden pins the bit positions: (word, mask) for fixed ids over a
+// one-word, the default and a wide eight-hash geometry, recorded before ids
+// were hashed once into a Key, and each id's H1 = splitmix64(id), which core
+// masks to pick a Var's commit stream. A change here changes every signature
+// and shard placement, and with them bloom.fp_ratio_r64_w2.
+func TestLocateGolden(t *testing.T) {
+	for id, h1 := range map[uint64]uint64{
+		0x0:                0xe220a8397b1dcdaf,
+		0x1:                0x910a2dec89025cc1,
+		0x2:                0x975835de1c9756ce,
+		0x3:                0x1d0b14e4db018fed,
+		0x3e8:              0x3c1eba8b4dccc148,
+		0x100000000:        0xc42c5a1aa3820138,
+		0x9e3779b97f4a7c15: 0x6e789e6aa1b965f4,
+		0xffffffffffffffff: 0xe4d971771b652c20,
+	} {
+		if k := KeyOf(id); k.H1 != h1 || k.H2 != KeyOf(h1).H1|1 {
+			t.Errorf("KeyOf(%#x) = %#x, want H1 %#x and H2 splitmix64(H1)|1", id, k, h1)
+		}
+	}
+	for _, g := range []struct {
+		p    Params
+		id   uint64
+		word int
+		mask uint64
+	}{
+		{Params{Bits: 64, Hashes: 1}, 0x0, 0, 0x800000000000},
+		{Params{Bits: 64, Hashes: 1}, 0x1, 0, 0x2},
+		{Params{Bits: 64, Hashes: 1}, 0x2, 0, 0x4000},
+		{Params{Bits: 64, Hashes: 1}, 0x3, 0, 0x200000000000},
+		{Params{Bits: 64, Hashes: 1}, 0x3e8, 0, 0x100},
+		{Params{Bits: 64, Hashes: 1}, 0x100000000, 0, 0x100000000000000},
+		{Params{Bits: 64, Hashes: 1}, 0x9e3779b97f4a7c15, 0, 0x10000000000000},
+		{Params{Bits: 64, Hashes: 1}, 0xffffffffffffffff, 0, 0x100000000},
+		{Params{Bits: 1024, Hashes: 2}, 0x0, 6, 0x800040000000},
+		{Params{Bits: 1024, Hashes: 2}, 0x1, 3, 0x100000002},
+		{Params{Bits: 1024, Hashes: 2}, 0x2, 11, 0x4008},
+		{Params{Bits: 1024, Hashes: 2}, 0x3, 15, 0x200000000010},
+		{Params{Bits: 1024, Hashes: 2}, 0x3e8, 5, 0x180},
+		{Params{Bits: 1024, Hashes: 2}, 0x100000000, 4, 0x100000000000080},
+		{Params{Bits: 1024, Hashes: 2}, 0x9e3779b97f4a7c15, 7, 0x30000000000000},
+		{Params{Bits: 1024, Hashes: 2}, 0xffffffffffffffff, 0, 0x100800000},
+		{Params{Bits: 4096, Hashes: 8}, 0x0, 54, 0x1100880044002200},
+		{Params{Bits: 4096, Hashes: 8}, 0x1, 51, 0xa800000154000002},
+		{Params{Bits: 4096, Hashes: 8}, 0x2, 27, 0x10020040080500a},
+		{Params{Bits: 4096, Hashes: 8}, 0x3, 63, 0x84200108004210},
+		{Params{Bits: 4096, Hashes: 8}, 0x3e8, 5, 0x1fe},
+		{Params{Bits: 4096, Hashes: 8}, 0x100000000, 4, 0x110002200440088},
+		{Params{Bits: 4096, Hashes: 8}, 0x9e3779b97f4a7c15, 23, 0xff0000000000000},
+		{Params{Bits: 4096, Hashes: 8}, 0xffffffffffffffff, 48, 0x1008040300804020},
+	} {
+		if w, mask := g.p.locate(KeyOf(g.id)); w != g.word || mask != g.mask {
+			t.Errorf("%+v id %#x: (word, mask) = (%d, %#x), want (%d, %#x)", g.p, g.id, w, mask, g.word, g.mask)
+		}
+		f := NewFilter(g.p)
+		f.Add(g.id)
+		if f.words[g.word] != g.mask || f.PopCount() != g.p.Hashes {
+			t.Errorf("%+v id %#x: Add set word %d to %#x", g.p, g.id, g.word, f.words[g.word])
 		}
 	}
 }
@@ -433,8 +501,8 @@ func TestSummaryIsExactFoldOnFilter(t *testing.T) {
 			g.Add(rng.Uint64())
 		}
 		for name, x := range map[string]*Filter{"f": f, "g": g} {
-			if x.Summary() != foldWords(x.words) {
-				t.Fatalf("step %d: %s summary %x != fold %x", step, name, x.Summary(), foldWords(x.words))
+			if x.sum != foldWords(x.words) {
+				t.Fatalf("step %d: %s summary %x != fold %x", step, name, x.sum, foldWords(x.words))
 			}
 			if x.Empty() != (x.PopCount() == 0) {
 				t.Fatalf("step %d: %s Empty()=%v with %d bits set", step, name, x.Empty(), x.PopCount())
@@ -444,9 +512,10 @@ func TestSummaryIsExactFoldOnFilter(t *testing.T) {
 }
 
 // TestSummaryNeverFalseNegative is the two-level safety property: for random
-// add-sets, a summary miss implies a full-intersection miss, on both the
-// plain Filter and the Atomic read filter. (The converse — summary hit with
-// a full miss — is allowed and expected; the summary is conservative.)
+// add-sets, a Filter summary miss implies a full-intersection miss (the
+// converse — summary hit with a full miss — is allowed and expected; the
+// summary is conservative), and the Atomic read filter's occupied-word
+// intersection decides exactly as the full one does.
 func TestSummaryNeverFalseNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 500; trial++ {
@@ -463,15 +532,15 @@ func TestSummaryNeverFalseNegative(t *testing.T) {
 		}
 		snap := NewFilter(testParams)
 		a.Snapshot(snap)
-		if f.Summary()&w.Summary() == 0 && wordsIntersect(f.words, w.words) {
+		if f.sum&w.sum == 0 && wordsIntersect(f.words, w.words) {
 			t.Fatalf("trial %d: Filter summary miss but words intersect", trial)
 		}
-		if !a.SummaryIntersects(w.Summary()) && a.IntersectsFilter(w) {
-			t.Fatalf("trial %d: Atomic summary miss but full intersect hits", trial)
+		if a.IntersectsFilter(w) != wordsIntersect(snap.words, w.words) {
+			t.Fatalf("trial %d: Atomic occupied-word intersect disagrees with the full one", trial)
 		}
-		if snap.Summary() != foldWords(snap.words) {
+		if snap.sum != foldWords(snap.words) {
 			// Quiescent snapshot: summary must equal the fold exactly.
-			t.Fatalf("trial %d: snapshot summary %x != fold %x", trial, snap.Summary(), foldWords(snap.words))
+			t.Fatalf("trial %d: snapshot summary %x != fold %x", trial, snap.sum, foldWords(snap.words))
 		}
 		// Intersects' summary fast path must agree with the word-level truth.
 		if f.Intersects(w) != wordsIntersect(f.words, w.words) {
@@ -480,49 +549,49 @@ func TestSummaryNeverFalseNegative(t *testing.T) {
 	}
 }
 
-// TestAtomicSummarySupersetUnderConcurrentAdds: while an owner adds bits,
-// concurrent observers must never catch a word bit whose summary bit is
-// missing — the invariant the two-level scan's safety rests on (Atomic.Add
-// orders the summary OR before the word OR). The owner never Clears here:
-// the STM owner only clears between transactions, when no scan against the
-// current incarnation can be in flight, so the concurrent invariant is the
-// Add-only one and it is strict.
-func TestAtomicSummarySupersetUnderConcurrentAdds(t *testing.T) {
+// TestAtomicIntersectsUnderConcurrentAdds: while the owner keeps adding, an
+// IntersectsFilter against a filter holding an id already added always hits —
+// the scan's level-1 reject, which loads only the words the write filter
+// occupies, never misses a published read whatever the owner is adding
+// elsewhere. The owner never Clears here: the STM owner only clears between
+// transactions, when no scan against the current incarnation is in flight.
+func TestAtomicIntersectsUnderConcurrentAdds(t *testing.T) {
 	a := NewAtomic(testParams)
-	stop := make(chan struct{})
+	ids := make([]uint64, 1<<14)
+	rng := rand.New(rand.NewSource(3))
+	for i := range ids {
+		ids[i] = rng.Uint64()
+	}
+	var added atomic.Int64 // ids[:added] are in a
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		rng := rand.New(rand.NewSource(3))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			a.Add(rng.Uint64())
+		for i, id := range ids {
+			a.Add(id)
+			added.Store(int64(i + 1))
 		}
 	}()
-	for trial := 0; trial < 5000; trial++ {
-		// Words first, summary second: every bit in the fold was published
-		// after its summary bit, so the later summary load must cover it.
-		var fold uint64
-		for i := range a.words {
-			fold |= a.words[i].Load()
+	g := NewFilter(testParams)
+	for trial := 0; added.Load() < int64(len(ids)); trial++ {
+		n := added.Load()
+		if n == 0 {
+			continue
 		}
-		if sum := a.Summary(); fold&^sum != 0 {
-			t.Fatalf("trial %d: word fold %x not covered by summary %x", trial, fold, sum)
+		id := ids[rng.Int63n(n)]
+		g.Clear()
+		g.Add(id)
+		if !a.IntersectsFilter(g) {
+			t.Fatalf("trial %d: intersect missed id %#x added before it began", trial, id)
 		}
 	}
-	close(stop)
 	wg.Wait()
 
-	// Clear is owner-only and quiescent; after it both levels are empty.
+	// Clear is owner-only and quiescent; after it no word bit is left.
 	a.Clear()
 	snap := NewFilter(testParams)
 	a.Snapshot(snap)
-	if a.Summary() != 0 || !snap.Empty() {
-		t.Fatal("Clear left summary or word bits behind")
+	if !snap.Empty() || a.IntersectsFilter(g) {
+		t.Fatal("Clear left word bits behind")
 	}
 }

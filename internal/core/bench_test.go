@@ -57,8 +57,11 @@ func BenchmarkWriteTx(b *testing.B) {
 	}
 }
 
+// yardstickAlgos are the four engines the repository benchmark compares.
+var yardstickAlgos = []Algo{NOrec, InvalSTM, RInvalV1, RInvalV2}
+
 func BenchmarkReadHeavyTx(b *testing.B) {
-	for _, a := range []Algo{NOrec, InvalSTM, RInvalV2, TL2} {
+	for _, a := range append(yardstickAlgos, TL2) {
 		a := a
 		b.Run(a.String(), func(b *testing.B) {
 			_, th := benchSys(b, a)
@@ -81,8 +84,32 @@ func BenchmarkReadHeavyTx(b *testing.B) {
 	}
 }
 
+// BenchmarkScanTx is scan_ro_c1's shape: 64 Loads and no Store, so the read
+// path (for the invalidation engines, the signature publish and status check
+// per read) is all the work and no commit-server is asked.
+func BenchmarkScanTx(b *testing.B) {
+	for _, a := range yardstickAlgos {
+		b.Run(a.String(), func(b *testing.B) {
+			_, th := benchSys(b, a)
+			vars := make([]*Var, 64)
+			for i := range vars {
+				vars[i] = NewVar(i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = th.Atomically(func(tx *Tx) error {
+					for _, v := range vars {
+						_ = tx.Load(v)
+					}
+					return nil
+				})
+			}
+		})
+	}
+}
+
 func BenchmarkContendedCounter(b *testing.B) {
-	for _, a := range []Algo{NOrec, InvalSTM, RInvalV2, TL2} {
+	for _, a := range append(yardstickAlgos, TL2) {
 		a := a
 		b.Run(a.String(), func(b *testing.B) {
 			s, err := New(Config{Algo: a, MaxThreads: 8, InvalServers: 2})

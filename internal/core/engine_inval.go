@@ -41,7 +41,7 @@ func (e *invalEngine) read(tx *Tx, v *Var) (*Box, bool) {
 //stm:hotpath
 func invalRead(tx *Tx, v *Var, waitCaughtUp bool) (*Box, bool) {
 	sys := tx.sys
-	shard := int(v.shardH & sys.shardMask)
+	shard := sys.shardOf(v)
 	st := &sys.streams[shard]
 	var w spin.Waiter
 	var tw int64 // trace timestamp of the first blocked sample, if any
@@ -59,7 +59,7 @@ func invalRead(tx *Tx, v *Var, waitCaughtUp bool) (*Box, bool) {
 		// committer whose timestamp transition we fail to observe below is
 		// ordered after this OR (sequential consistency), so its
 		// invalidation scan will see the bit.
-		tx.slot.readBF.Add(v.id)
+		tx.slot.readBF.AddKey(v.key)
 		if st.ts.Load() != t0 {
 			if tw == 0 {
 				tw = tx.ring.Now()

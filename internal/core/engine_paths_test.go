@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"sync"
 	"testing"
 )
@@ -205,6 +206,28 @@ func TestTL2ReadTooNewAborts(t *testing.T) {
 	if !bumped {
 		t.Fatal("test did not exercise the path")
 	}
+}
+
+// TestTxStringCountsOps: String reports the attempt's Load and Store calls on
+// every engine, including the invalidation engines, which keep no read log.
+func TestTxStringCountsOps(t *testing.T) {
+	forEachAlgo(t, func(t *testing.T, algo Algo) {
+		th := newSys(t, algo, nil).MustRegister()
+		defer th.Close()
+		vs := []*Var{NewVar(0), NewVar(1), NewVar(2)}
+		if err := th.Atomically(func(tx *Tx) error {
+			for _, v := range vs {
+				_ = tx.Load(v)
+			}
+			tx.Store(vs[0], 3)
+			if s := tx.String(); !strings.Contains(s, " reads=3 writes=1}") {
+				t.Errorf("String() = %q, want reads=3 writes=1", s)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestTxStringAndAlgoString(t *testing.T) {

@@ -218,7 +218,7 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 	}
 	var writes uint64
 	for i := range tx.ws.entries {
-		writes |= 1 << (tx.ws.entries[i].v.shardH & e.sys.shardMask)
+		writes |= 1 << uint(e.sys.shardOf(tx.ws.entries[i].v))
 	}
 	touched := writes | tx.readShards
 	sl := tx.slot

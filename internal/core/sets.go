@@ -85,7 +85,7 @@ func (ws *writeSet) put(v *Var, b *Box) {
 		return
 	}
 	ws.entries = append(ws.entries, writeEntry{v: v, b: b})
-	ws.bf.Add(v.id)
+	ws.bf.AddKey(v.key)
 	if ws.idx != nil {
 		ws.idx[v] = len(ws.entries) - 1
 	} else if len(ws.entries) > wsetMapThreshold {

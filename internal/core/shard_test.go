@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"github.com/ssrg-vt/rinval/internal/bloom"
 )
 
 // TestShardsValidation is the table-driven withDefaults contract for the
@@ -73,7 +75,8 @@ func varInShard(t *testing.T, s *System, shard int, initial any) *Var {
 }
 
 // TestShardOfCoversAllStreams: the creation-time hash reaches every shard,
-// and the mask agrees with the stored hash.
+// and shardOf masks the id's H1 — splitmix64(id), pinned by bloom's
+// TestLocateGolden — so placement is what it was before Vars held a Key.
 func TestShardOfCoversAllStreams(t *testing.T) {
 	s := newSys(t, RInvalV2, func(c *Config) { c.Shards = 4; c.InvalServers = 4 })
 	if got := s.Shards(); got != 4 {
@@ -86,7 +89,7 @@ func TestShardOfCoversAllStreams(t *testing.T) {
 		if j < 0 || j >= 4 {
 			t.Fatalf("shardOf = %d, out of range", j)
 		}
-		if j != int(v.shardH&s.shardMask) {
+		if j != int(bloom.KeyOf(v.ID()).H1&s.shardMask) {
 			t.Fatalf("shardOf disagrees with mask")
 		}
 		seen[j] = true
@@ -94,6 +97,30 @@ func TestShardOfCoversAllStreams(t *testing.T) {
 	for j := 0; j < 4; j++ {
 		if !seen[j] {
 			t.Errorf("no Var hashed to shard %d in 1024 tries", j)
+		}
+	}
+}
+
+// TestVarKeySetsTheBitsOfItsID: the key a Var hashes once at creation sets
+// exactly the bits its id does, in the write signature and the read signature
+// alike, at the default and a wide geometry.
+func TestVarKeySetsTheBitsOfItsID(t *testing.T) {
+	for _, p := range []bloom.Params{bloom.DefaultParams, {Bits: 4096, Hashes: 8}} {
+		for i := 0; i < 256; i++ {
+			v := NewVar(i)
+			byKey, byID, read := bloom.NewFilter(p), bloom.NewFilter(p), bloom.NewAtomic(p)
+			byKey.AddKey(v.key)
+			byID.Add(v.ID())
+			read.AddKey(v.key)
+			// k bits each and k in their union: the same k bits.
+			both := byKey.Clone()
+			both.UnionWith(byID)
+			if byKey.PopCount() != p.Hashes || byID.PopCount() != p.Hashes || both.PopCount() != p.Hashes {
+				t.Fatalf("%+v Var %d: AddKey and Add(ID) set different bits", p, v.ID())
+			}
+			if !read.IntersectsFilter(byID) || !read.MayContain(v.ID()) {
+				t.Fatalf("%+v Var %d: Atomic.AddKey missed the id's bits", p, v.ID())
+			}
 		}
 	}
 }

@@ -77,10 +77,11 @@ type slot struct {
 	// begin, while the slot is not alive). Padded like the other hot cells —
 	// a committer's store must not collide with the victim's spin lines.
 	killer padded.Pointer[killDesc]
-	// readBF is the transaction's read signature, written by the owner and
-	// scanned concurrently by committers/invalidation-servers. The pointer
-	// and the fields below it are written once at System construction and
-	// read-only afterwards, so sharing a line among them is harmless.
+	// readBF is the transaction's read signature, written by the owner (one
+	// test-then-OR per read, no summary word) and scanned concurrently by
+	// committers/invalidation-servers (conflictWord). The pointer and the
+	// fields below it are written once at System construction and read-only
+	// afterwards, so sharing a line among them is harmless.
 	readBF *bloom.Atomic
 	// invalServer is the invalidation-server partition this slot belongs to
 	// (RInvalV2/V3); fixed at System construction.
@@ -99,6 +100,23 @@ type slot struct {
 func (s *slot) aliveWord() (uint64, bool) {
 	w := s.status.Load()
 	return w, wordStatus(w) == txAlive
+}
+
+// conflictWord reports whether the slot's live transaction may have read
+// something bf covers, and returns the status word naming that incarnation.
+// The first intersection is the cheap reject: it loads only the read-filter
+// words bf occupies, and most slots stop there without touching the status
+// line. The deciding intersection reloads them after the status word, so a
+// doom CAS on the returned word can only name the incarnation whose bits
+// were seen — bits of an earlier one were cleared before its ALIVE store.
+//
+//stm:hotpath
+func (s *slot) conflictWord(bf *bloom.Filter) (uint64, bool) {
+	if !s.readBF.IntersectsFilter(bf) {
+		return 0, false
+	}
+	w, alive := s.aliveWord()
+	return w, alive && s.readBF.IntersectsFilter(bf)
 }
 
 // publish posts the owner's commit request — the masks, then the next sequence

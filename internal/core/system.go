@@ -541,7 +541,7 @@ func (s *System) ShardServerStats() []Stats {
 // shardOf returns the index of the commit stream that owns v.
 //
 //stm:hotpath
-func (s *System) shardOf(v *Var) int { return int(v.shardH & s.shardMask) }
+func (s *System) shardOf(v *Var) int { return int(v.key.H1 & s.shardMask) }
 
 // VarShard returns the index of the commit stream that owns v — which
 // commit-server serializes writes to it. Always 0 when Shards == 1. Exposed
@@ -656,7 +656,7 @@ func (s *System) writeBack(ws *writeSet) {
 	}
 	floor := s.roFloorNow()
 	for _, e := range ws.entries {
-		e.b.epoch = s.streams[e.v.shardH&s.shardMask].ts.Load()
+		e.b.epoch = s.streams[s.shardOf(e.v)].ts.Load()
 		e.v.appendVersion(e.b, s.nVers, floor)
 		e.v.storeBox(e.b)
 	}
@@ -747,20 +747,19 @@ func (s *System) captureSnapshot(dst []uint64) bool {
 //
 // The default path is the two-level scan: level 0 iterates only the slots
 // whose active bit is set (word load + TrailingZeros64, cost proportional to
-// in-flight transactions), level 1 rejects a non-conflicting slot on its
-// 64-bit read-summary signature before committing to the full filter
-// intersection. Both levels are conservative — they may pass a slot the full
-// check would reject, never skip a true conflict — so the doom decision is
-// still made exactly where it was at seed.
+// in-flight transactions), level 1 rejects a non-conflicting slot by loading
+// only the read-filter words bf occupies (slot.conflictWord). Both levels are
+// conservative — they may pass a slot the full check would reject, never
+// skip a true conflict — so the doom decision is still made exactly where it
+// was at seed.
 //
 //stm:hotpath
 func (s *System) invalidateOthers(skip slotMask, bf *bloom.Filter, ring *obs.Ring, kd *killDesc) uint64 {
 	var doomed uint64
-	sum := bf.Summary()
 	for w := range s.active.words {
 		b := s.active.words[w].Load() &^ skip[w]
 		for b != 0 {
-			doomed += s.invalidateSlot(nextSlot(w, &b), sum, bf, ring, kd)
+			doomed += s.invalidateSlot(nextSlot(w, &b), bf, ring, kd)
 		}
 	}
 	return doomed
@@ -774,35 +773,24 @@ func (s *System) invalidateOthers(skip slotMask, bf *bloom.Filter, ring *obs.Rin
 //stm:hotpath
 func (s *System) invalidatePartition(k int, skip slotMask, bf *bloom.Filter, ring *obs.Ring, kd *killDesc) uint64 {
 	var doomed uint64
-	sum := bf.Summary()
 	part := s.partMask[k]
 	for w := range s.active.words {
 		b := s.active.words[w].Load() & part[w] &^ skip[w]
 		for b != 0 {
-			doomed += s.invalidateSlot(nextSlot(w, &b), sum, bf, ring, kd)
+			doomed += s.invalidateSlot(nextSlot(w, &b), bf, ring, kd)
 		}
 	}
 	return doomed
 }
 
-// invalidateSlot applies the two-level doom check to one slot whose active
-// bit was observed. The summary rejection comes first so the common
-// non-conflicting case touches a single cache line (the Atomic filter
-// header); the status word is captured before the full filter intersection
-// so the CAS can only doom the exact transaction incarnation whose bits
-// were observed.
+// invalidateSlot dooms the transaction in slot i, whose active bit was
+// observed, if slot.conflictWord finds its read signature meets bf.
 //
 //stm:hotpath
-func (s *System) invalidateSlot(i int, sum uint64, bf *bloom.Filter, ring *obs.Ring, kd *killDesc) uint64 {
+func (s *System) invalidateSlot(i int, bf *bloom.Filter, ring *obs.Ring, kd *killDesc) uint64 {
 	sl := &s.slots[i]
-	if !sl.readBF.SummaryIntersects(sum) {
-		return 0
-	}
-	w, alive := sl.aliveWord()
-	if !alive {
-		return 0
-	}
-	if !sl.readBF.IntersectsFilter(bf) {
+	w, conflict := sl.conflictWord(bf)
+	if !conflict {
 		return 0
 	}
 	// Publish the killer descriptor before the doom CAS: a victim that
@@ -826,21 +814,13 @@ func (s *System) invalidateSlot(i int, sum uint64, bf *bloom.Filter, ring *obs.R
 //stm:hotpath
 func (s *System) countConflictingReaders(committer int, bf *bloom.Filter) int {
 	n := 0
-	sum := bf.Summary()
 	for w := range s.active.words {
 		b := s.active.words[w].Load()
 		if committer>>6 == w {
 			b &^= 1 << (uint(committer) & 63)
 		}
 		for b != 0 {
-			sl := &s.slots[nextSlot(w, &b)]
-			if !sl.readBF.SummaryIntersects(sum) {
-				continue
-			}
-			if _, alive := sl.aliveWord(); !alive {
-				continue
-			}
-			if sl.readBF.IntersectsFilter(bf) {
+			if _, conflict := s.slots[nextSlot(w, &b)].conflictWord(bf); conflict {
 				n++
 			}
 		}

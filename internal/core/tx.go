@@ -428,7 +428,7 @@ func (tx *Tx) LoadBox(v *Var) *Box {
 //
 //stm:hotpath
 func (tx *Tx) loadSnapshot(v *Var) *Box {
-	b, ok := v.versionAt(tx.snap[v.shardH&tx.sys.shardMask])
+	b, ok := v.versionAt(tx.snap[tx.sys.shardOf(v)])
 	if !ok {
 		panic(roFallbackSignal{})
 	}
@@ -559,8 +559,9 @@ func (tx *Tx) invalidated() bool {
 	return !alive
 }
 
-// String identifies the transaction for debugging.
+// String identifies the transaction for debugging, with the attempt's Load
+// and Store calls so far (every engine counts them; not all keep a read log).
 func (tx *Tx) String() string {
 	return fmt.Sprintf("tx{thread=%d attempt=%d reads=%d writes=%d}",
-		tx.th.idx, tx.attempts, tx.rs.len(), tx.ws.len())
+		tx.th.idx, tx.attempts, tx.reads, tx.writes)
 }

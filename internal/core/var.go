@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"github.com/ssrg-vt/rinval/internal/bloom"
 )
 
 // varID hands out unique identities for bloom-filter hashing. The RSTM
@@ -80,12 +82,12 @@ func anyOf(b *Box) *anyCell { return (*anyCell)(unsafe.Pointer(b)) }
 // consistency argument hinges on one global timestamp covering all accesses.
 type Var struct {
 	id uint64
-	// shardH is a well-mixed hash of id, assigned at creation; a System
-	// masks it down to its shard count (Config.Shards) to pick the commit
-	// stream that owns this Var. Stored rather than recomputed so the read
-	// hot path pays one load instead of a hash.
-	shardH uint64
-	val    atomic.Pointer[Box]
+	// key is id's bloom key, hashed once at creation so a read or write
+	// publishes its signature bits without rehashing. It depends on no filter
+	// geometry, so Vars stay System-agnostic; a System masks key.H1 down to
+	// its shard count (Config.Shards) to pick the commit stream owning v.
+	key bloom.Key
+	val atomic.Pointer[Box]
 	// verlock is the TL2 engine's versioned write-lock: bit 0 is the lock
 	// bit, the remaining bits hold the version (global-clock value of the
 	// last commit that wrote this Var). Unused by the coarse-grained
@@ -213,18 +215,9 @@ func NewVar(initial any) *Var { return NewVarBox(newAnyCell(initial)) }
 // NewVarBox returns a Var whose initial version is the cell headed by b.
 func NewVarBox(b *Box) *Var {
 	id := varID.Add(1)
-	v := &Var{id: id, shardH: splitmix64(id)}
+	v := &Var{id: id, key: bloom.KeyOf(id)}
 	v.val.Store(b)
 	return v
-}
-
-// splitmix64 is the SplitMix64 finalizer: a cheap, well-distributed mixer
-// that decorrelates the sequential Var ids before shard masking.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // ID returns the Var's bloom-hash identity. Exposed for tests and for the
