@@ -79,7 +79,8 @@ bench:
 bench-layers:
 	$(GO) run ./benchmark -seed 1 -layers
 
-## bench-core: every core micro-benchmark (bench_test.go) once, as a smoke
-## test that they still build and run; for numbers use -benchtime 200ms.
+## bench-core: every testing.B benchmark of the root package (the paper's
+## figures and ablations on the simulator) and of internal/core once, as a
+## smoke test that they still build and run; for numbers use -benchtime 200ms.
 bench-core:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core/

@@ -113,7 +113,7 @@ func BenchmarkFigure8IntruderSim(b *testing.B)  { benchFig8Sim(b, "intruder") }
 func BenchmarkFigure8GenomeSim(b *testing.B)    { benchFig8Sim(b, "genome") }
 func BenchmarkFigure8VacationSim(b *testing.B)  { benchFig8Sim(b, "vacation") }
 
-// --- Ablations (DESIGN.md A1-A4) ---
+// --- Ablations (DESIGN.md A1, A2, A5, A6) ---
 
 // BenchmarkAblationInvalServers sweeps RInval-V2's invalidation-server
 // count (paper §IV-B: 4-8 suffice on 64 cores).
@@ -144,37 +144,6 @@ func BenchmarkAblationStepsAhead(b *testing.B) {
 				b.ReportMetric(r.ThroughputKTxPerSec(p), "steps"+itoa(steps)+"_ktx/s")
 			}
 		}
-	}
-}
-
-// BenchmarkAblationCM compares contention managers on the live tree: the
-// paper's committer-wins base rule, its backoff CM, and the future-work
-// reader-biased CM (§V).
-func BenchmarkAblationCM(b *testing.B) {
-	for _, cm := range []stm.CMPolicy{stm.CMCommitterWins, stm.CMBackoff, stm.CMReaderBiased} {
-		cm := cm
-		b.Run(cm.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sys, err := stm.New(stm.Config{
-					Algo: stm.RInvalV2, MaxThreads: 4, InvalServers: 2, CM: cm,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				counter := stm.NewVar(0)
-				th := sys.MustRegister()
-				for j := 0; j < 200; j++ {
-					_ = th.Atomically(func(tx *stm.Tx) error {
-						counter.Store(tx, counter.Load(tx)+1)
-						return nil
-					})
-				}
-				th.Close()
-				if err := sys.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

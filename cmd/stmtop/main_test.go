@@ -19,7 +19,7 @@ const cannedVars = `{
     "algo": "rinval-v2",
     "commits": 3200,
     "aborts": 800,
-    "abort_reasons": {"invalidated": 700, "validation": 0, "self": 40, "locked": 60, "explicit": 0}
+    "abort_reasons": {"invalidated": 700, "validation": 0, "locked": 100, "explicit": 0}
   },
   "stm_conflict": {
     "enabled": true,
@@ -32,8 +32,8 @@ const cannedVars = `{
     "filter_bits": 1024,
     "hot_vars": [{"id": 9, "name": "hot-0", "samples": 50, "share": 0.5}],
     "hot_var_samples": 100,
-    "wasted_ns": {"invalidated": 120000, "validation": 0, "self": 100, "locked": 200, "explicit": 0},
-    "wasted_ops": {"invalidated": 900, "validation": 0, "self": 3, "locked": 6, "explicit": 0}
+    "wasted_ns": {"invalidated": 120000, "validation": 0, "locked": 200, "explicit": 0},
+    "wasted_ops": {"invalidated": 900, "validation": 0, "locked": 6, "explicit": 0}
   },
   "stm_latency": {
     "enabled": true,

@@ -22,7 +22,6 @@ func publishMetrics(sys *stm.System) {
 			"commits":       st.Commits,
 			"aborts":        st.Aborts,
 			"abort_reasons": reasons,
-			"self_aborts":   st.SelfAborts,
 			"invalidations": st.Invalidations,
 			"validations":   st.Validations,
 		}

@@ -104,7 +104,6 @@ func attrConfig() Config {
 		MaxThreads:      4,
 		Attribution:     true,
 		AttrSampleEvery: 1,
-		CM:              CMCommitterWins,
 		Bloom:           smallBloom,
 	}
 }
@@ -247,7 +246,6 @@ func TestAttributionMatrixMatchesTaxonomy(t *testing.T) {
 				InvalServers:    2,
 				Attribution:     true,
 				AttrSampleEvery: 2,
-				CM:              CMCommitterWins,
 			})
 			vars := make([]*Var, 8)
 			for i := range vars {
@@ -301,8 +299,7 @@ func TestAttributionMatrixMatchesTaxonomy(t *testing.T) {
 			if rows != rep.InvalidationAborts || cols != rep.InvalidationAborts {
 				t.Fatalf("row sum %d / col sum %d != total %d", rows, cols, rep.InvalidationAborts)
 			}
-			if st.Aborts > 0 && rep.WastedNs["invalidated"]+rep.WastedNs["validation"]+
-				rep.WastedNs["locked"]+rep.WastedNs["self"] == 0 {
+			if st.Aborts > 0 && rep.WastedNs["invalidated"]+rep.WastedNs["validation"]+rep.WastedNs["locked"] == 0 {
 				t.Fatal("aborts happened but no wasted time was accounted")
 			}
 		})
@@ -313,7 +310,7 @@ func TestAttributionMatrixMatchesTaxonomy(t *testing.T) {
 // is allocated, reports carry Enabled=false, and the killer mailbox stays
 // nil through doom traffic.
 func TestAttributionOffIsInert(t *testing.T) {
-	sys := MustNew(Config{Algo: InvalSTM, MaxThreads: 4, CM: CMCommitterWins})
+	sys := MustNew(Config{Algo: InvalSTM, MaxThreads: 4})
 	if sys.attr != nil {
 		t.Fatal("attribution state allocated with Attribution off")
 	}

@@ -71,42 +71,10 @@ func ParseAlgo(s string) (Algo, error) {
 	return 0, fmt.Errorf("core: unknown algorithm %q", s)
 }
 
-// CMPolicy selects the contention manager applied on conflict aborts.
-type CMPolicy int
-
-const (
-	// CMCommitterWins retries immediately: the committing transaction always
-	// wins and doomed transactions restart at once (the paper's base rule).
-	CMCommitterWins CMPolicy = iota
-	// CMBackoff retries after randomized exponential backoff — the paper's
-	// "simple contention manager" (§IV-D).
-	CMBackoff
-	// CMReaderBiased implements the paper's future-work suggestion (§V):
-	// before requesting commit, a writer counts the in-flight readers its
-	// write set would doom; if more than ReaderBiasThreshold and the writer
-	// has not exceeded ReaderBiasRetries attempts, the writer aborts itself
-	// instead of the readers.
-	CMReaderBiased
-)
-
-// String returns a stable lowercase policy name.
-func (p CMPolicy) String() string {
-	switch p {
-	case CMCommitterWins:
-		return "committer-wins"
-	case CMBackoff:
-		return "backoff"
-	case CMReaderBiased:
-		return "reader-biased"
-	default:
-		return fmt.Sprintf("CMPolicy(%d)", int(p))
-	}
-}
-
 // Config parameterizes a System. The zero value is not usable; call
 // (*Config).withDefaults via New, which fills unset fields.
 type Config struct {
-	// Algo selects the engine. Default NOrec.
+	// Algo selects the engine. The zero value is Mutex.
 	Algo Algo
 	// MaxThreads bounds the number of concurrently registered threads and
 	// sizes the request-slot array. Default 64, matching the paper's testbed.
@@ -140,14 +108,6 @@ type Config struct {
 	// Bloom is the read/write signature geometry: Bits a power of two >= 64,
 	// Hashes in [1,8]. Default bloom.DefaultParams.
 	Bloom bloom.Params
-	// CM selects the contention manager. Default CMBackoff.
-	CM CMPolicy
-	// ReaderBiasThreshold is the doomed-reader count above which a
-	// CMReaderBiased writer self-aborts. Default 2.
-	ReaderBiasThreshold int
-	// ReaderBiasRetries caps how many times a CMReaderBiased writer yields
-	// to readers before it falls back to committer-wins. Default 3.
-	ReaderBiasRetries int
 	// Stats makes the invalidation engines (InvalSTM, RInval) keep the
 	// per-transaction read log, which NOrec and TL2 always keep. Off by
 	// default.
@@ -244,7 +204,8 @@ type Config struct {
 	// one epoch behind). TL2 is excluded: its per-Var verlock clock is not
 	// the seqlock epoch the snapshot rule is anchored on.
 	Versions int
-	// Seed makes contention-manager jitter reproducible. Default 1.
+	// Seed derives the sampling streams of the Attribution hot-var
+	// reservoirs, so their samples are reproducible. Default 1.
 	Seed uint64
 }
 
@@ -288,12 +249,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if err := c.Bloom.Validate(); err != nil {
 		return c, fmt.Errorf("core: Bloom: %w", err)
-	}
-	if c.ReaderBiasThreshold == 0 {
-		c.ReaderBiasThreshold = 2
-	}
-	if c.ReaderBiasRetries == 0 {
-		c.ReaderBiasRetries = 3
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

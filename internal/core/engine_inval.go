@@ -102,9 +102,6 @@ func (e *invalEngine) commit(tx *Tx) bool {
 		tx.reason = AbortInvalidated
 		return false
 	}
-	if readerBiasedSelfAbort(tx) {
-		return false
-	}
 	var w spin.Waiter
 	var t uint64
 	for {
@@ -137,20 +134,3 @@ func (e *invalEngine) abort(tx *Tx) {}
 func (e *invalEngine) serverTasks() []serverTask { return nil }
 
 func (e *invalEngine) serverStats() Stats { return Stats{} }
-
-// readerBiasedSelfAbort applies the CMReaderBiased policy (the paper's §V
-// future-work contention manager): a writer that would doom more than
-// ReaderBiasThreshold in-flight readers aborts itself instead, for up to
-// ReaderBiasRetries attempts.
-func readerBiasedSelfAbort(tx *Tx) bool {
-	sys := tx.sys
-	if sys.cfg.CM != CMReaderBiased || tx.attempts > sys.cfg.ReaderBiasRetries {
-		return false
-	}
-	if sys.countConflictingReaders(tx.th.idx, tx.ws.bf) > sys.cfg.ReaderBiasThreshold {
-		atomic.AddUint64(&tx.stats.SelfAborts, 1)
-		tx.reason = AbortSelf
-		return true
-	}
-	return false
-}

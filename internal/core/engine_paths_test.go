@@ -243,9 +243,4 @@ func TestTxStringAndAlgoString(t *testing.T) {
 		}
 		return nil
 	})
-	for _, p := range []CMPolicy{CMCommitterWins, CMBackoff, CMReaderBiased, CMPolicy(9)} {
-		if p.String() == "" {
-			t.Error("empty CM policy string")
-		}
-	}
 }

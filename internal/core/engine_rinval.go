@@ -213,9 +213,6 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 		tx.reason = AbortInvalidated
 		return false
 	}
-	if readerBiasedSelfAbort(tx) {
-		return false
-	}
 	var writes uint64
 	for i := range tx.ws.entries {
 		writes |= 1 << uint(e.sys.shardOf(tx.ws.entries[i].v))

@@ -296,7 +296,6 @@ func TestAbortReasonConstantsAlias(t *testing.T) {
 	}{
 		{AbortInvalidated, obs.AbortInvalidated, "invalidated"},
 		{AbortValidation, obs.AbortValidation, "validation"},
-		{AbortSelf, obs.AbortSelf, "self"},
 		{AbortLocked, obs.AbortLocked, "locked"},
 		{AbortExplicit, obs.AbortExplicit, "explicit"},
 	}

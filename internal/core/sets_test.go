@@ -121,11 +121,11 @@ func TestReadSetReuse(t *testing.T) {
 
 func TestStatsAddAndAbortRate(t *testing.T) {
 	a := Stats{Commits: 10, Aborts: 5, Reads: 100, Writes: 50,
-		Validations: 3, ValidationOps: 30, Invalidations: 2, SelfAborts: 1, ReadOnly: 4}
+		Validations: 3, ValidationOps: 30, Invalidations: 2, ReadOnly: 4}
 	b := a
 	a.Add(b)
 	if a.Commits != 20 || a.Aborts != 10 || a.Reads != 200 || a.Writes != 100 ||
-		a.Validations != 6 || a.Invalidations != 4 || a.SelfAborts != 2 || a.ReadOnly != 8 {
+		a.Validations != 6 || a.Invalidations != 4 || a.ReadOnly != 8 {
 		t.Fatalf("Add wrong: %+v", a)
 	}
 	if got := a.AbortRate(); got != float64(10)/30 {

@@ -16,7 +16,6 @@ type AbortReason = obs.AbortReason
 const (
 	AbortInvalidated = obs.AbortInvalidated
 	AbortValidation  = obs.AbortValidation
-	AbortSelf        = obs.AbortSelf
 	AbortLocked      = obs.AbortLocked
 	AbortExplicit    = obs.AbortExplicit
 	NumAbortReasons  = obs.NumAbortReasons
@@ -50,10 +49,9 @@ type Stats struct {
 	Validations   uint64 // NOrec full read-set revalidations
 	ValidationOps uint64 // read-set entries compared during revalidations
 	Invalidations uint64 // transactions this thread doomed (InvalSTM commits)
-	SelfAborts    uint64 // CMReaderBiased writer self-aborts
 
 	// AbortReasons breaks aborts down by cause, indexed by AbortReason. The
-	// conflict reasons (invalidated, validation, self, locked) sum exactly
+	// conflict reasons (invalidated, validation, locked) sum exactly
 	// to Aborts; the trailing AbortExplicit entry counts user aborts (fn
 	// returned an error), which Aborts excludes.
 	AbortReasons [NumAbortReasons]uint64
@@ -113,7 +111,6 @@ func (s *Stats) Add(o Stats) {
 	atomic.AddUint64(&s.Validations, o.Validations)
 	atomic.AddUint64(&s.ValidationOps, o.ValidationOps)
 	atomic.AddUint64(&s.Invalidations, o.Invalidations)
-	atomic.AddUint64(&s.SelfAborts, o.SelfAborts)
 	for i := range s.AbortReasons {
 		atomic.AddUint64(&s.AbortReasons[i], o.AbortReasons[i])
 	}
@@ -141,7 +138,6 @@ func (s *Stats) snapshotAtomic() Stats {
 		Validations:       atomic.LoadUint64(&s.Validations),
 		ValidationOps:     atomic.LoadUint64(&s.ValidationOps),
 		Invalidations:     atomic.LoadUint64(&s.Invalidations),
-		SelfAborts:        atomic.LoadUint64(&s.SelfAborts),
 		Epochs:            atomic.LoadUint64(&s.Epochs),
 		CrossShardCommits: atomic.LoadUint64(&s.CrossShardCommits),
 		HelpedEpochs:      atomic.LoadUint64(&s.HelpedEpochs),

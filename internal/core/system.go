@@ -469,7 +469,6 @@ func (s *System) Register() (*Thread, error) {
 		// victims may read it long after the commit that published it.
 		th.tx.attrKD = &killDesc{committer: idx}
 	}
-	th.backoff = spin.NewBackoff(time.Microsecond, 128*time.Microsecond, s.cfg.Seed+uint64(idx)*0x9e37)
 	s.live[th] = struct{}{}
 	s.nLive.Add(1)
 	return th, nil
@@ -805,27 +804,6 @@ func (s *System) invalidateSlot(i int, bf *bloom.Filter, ring *obs.Ring, kd *kil
 		return 1
 	}
 	return 0
-}
-
-// countConflictingReaders counts in-flight transactions whose read signature
-// intersects bf — the CMReaderBiased policy's doom estimate. Same two-level
-// structure as the invalidation scan, without the doom.
-//
-//stm:hotpath
-func (s *System) countConflictingReaders(committer int, bf *bloom.Filter) int {
-	n := 0
-	for w := range s.active.words {
-		b := s.active.words[w].Load()
-		if committer>>6 == w {
-			b &^= 1 << (uint(committer) & 63)
-		}
-		for b != 0 {
-			if _, conflict := s.slots[nextSlot(w, &b)].conflictWord(bf); conflict {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // appendPendingCandidates appends to buf the indices (>= from, ascending) of

@@ -35,7 +35,6 @@ func (s *System) collectTSSample(nowNanos int64) obs.TSSample {
 	c[obs.TSAborts] = st.Aborts
 	c[obs.TSAbortInvalidated] = st.AbortReasons[AbortInvalidated]
 	c[obs.TSAbortValidation] = st.AbortReasons[AbortValidation]
-	c[obs.TSAbortSelf] = st.AbortReasons[AbortSelf]
 	c[obs.TSAbortLocked] = st.AbortReasons[AbortLocked]
 	c[obs.TSAbortExplicit] = st.AbortReasons[AbortExplicit]
 	c[obs.TSReadOnly] = st.ReadOnly

@@ -26,21 +26,13 @@ type roFallbackSignal struct{}
 // Obtain with System.Register, release with Close. A Thread (and its
 // transactions) must be driven by a single goroutine at a time.
 type Thread struct {
-	sys     *System
-	idx     int
-	slot    *slot
-	tx      Tx
-	backoff backoffState
-	stats   Stats
-	inTx    bool
-	closed  bool
-}
-
-// backoffState is a tiny wrapper so Thread can hold a *spin.Backoff without
-// exposing the dependency in its public surface.
-type backoffState = interface {
-	Pause()
-	Reset()
+	sys    *System
+	idx    int
+	slot   *slot
+	tx     Tx
+	stats  Stats
+	inTx   bool
+	closed bool
 }
 
 // ID returns the thread's slot index within the requests array.
@@ -106,7 +98,6 @@ func (th *Thread) startTx(what string, ro bool) *Tx {
 	tx := &th.tx
 	tx.roUser = ro
 	tx.attempts = 0
-	th.backoff.Reset()
 	tx.sampleLatency()
 	return tx
 }
@@ -302,7 +293,7 @@ type Tx struct {
 	// transaction as sampled — every clock read below is gated on it, so an
 	// unsampled (or disabled) transaction costs only the flag checks.
 	// latT0 anchors the end-to-end phase, latAttemptT0 the current attempt,
-	// and latRetryNs accumulates failed attempts including backoff.
+	// and latRetryNs accumulates failed attempts.
 	lat          *obs.LatCell
 	latOn        bool
 	latT0        int64
@@ -497,8 +488,8 @@ func (tx *Tx) finishCommit() bool {
 	return ok
 }
 
-// onConflictAbort rolls back after a conflict and applies the contention
-// manager's retry policy. The engine set tx.reason at the conflict site;
+// onConflictAbort rolls back after a conflict; the caller retries at once
+// (committer wins, no pause). The engine set tx.reason at the conflict site;
 // the per-reason counter keeps the taxonomy in lockstep with Aborts.
 func (tx *Tx) onConflictAbort() {
 	tx.sys.eng.abort(tx)
@@ -508,19 +499,14 @@ func (tx *Tx) onConflictAbort() {
 	tx.ring.Span(obs.KTx, tx.traceT0, obs.OutcomeAbort)
 	tx.ring.Instant(obs.KAbort, uint64(tx.reason))
 	if a := tx.sys.attr; a != nil {
-		// Before the backoff pause: wasted work is the attempt's burned
-		// time, not the contention manager's deliberate wait.
 		tx.recordAttribution(a)
 	}
 	tx.foldOps()
-	if tx.sys.cfg.CM != CMCommitterWins {
-		tx.th.backoff.Pause()
-	}
 	if tx.latOn {
-		// After the backoff pause: the retry phase is the full cost of the
-		// failed attempt, deliberate wait included. The same timestamp
-		// anchors the next attempt, so begin() needs no clock read of its
-		// own and the attempt intervals stay disjoint.
+		// The retry phase is the full cost of the failed attempt, rollback
+		// and bookkeeping included. The same timestamp anchors the next
+		// attempt, so begin() needs no clock read of its own and the attempt
+		// intervals stay disjoint.
 		now := obs.Now()
 		tx.latRetryNs += now - tx.latAttemptT0
 		tx.latAttemptT0 = now

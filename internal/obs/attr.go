@@ -189,7 +189,7 @@ func (a *Attribution) Unknown() int {
 
 // RecordAbort charges one conflict abort of victim to committer
 // (a.Unknown() when unidentified) and accounts the attempt's wasted work.
-// Only invalidation aborts enter the matrix — validation/locked/self aborts
+// Only invalidation aborts enter the matrix — validation/locked aborts
 // have no committer, so they are accounted per reason only; this keeps the
 // matrix sum equal to the taxonomy's AbortInvalidated counter.
 //

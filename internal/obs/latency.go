@@ -34,7 +34,7 @@ const (
 	// LatApp: the user function body of the attempt that committed.
 	LatApp LatPhase = iota
 	// LatRetry: wasted time — every failed attempt of the sampled
-	// transaction, user-function time and backoff included.
+	// transaction, user-function time and rollback included.
 	LatRetry
 	// LatCommitWait: the engine commit call of the committing attempt; for
 	// remote engines this is publish-request -> reply spin, i.e. the full

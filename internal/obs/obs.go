@@ -41,8 +41,6 @@ const (
 	// AbortValidation: a value- or version-based validation failed (NOrec
 	// read-set revalidation, TL2 version check).
 	AbortValidation
-	// AbortSelf: a CMReaderBiased writer aborted itself to spare readers.
-	AbortSelf
 	// AbortLocked: a per-location lock could not be acquired in time (TL2
 	// bounded lock spinning, on read or at commit).
 	AbortLocked
@@ -62,8 +60,6 @@ func (r AbortReason) String() string {
 		return "invalidated"
 	case AbortValidation:
 		return "validation"
-	case AbortSelf:
-		return "self"
 	case AbortLocked:
 		return "locked"
 	case AbortExplicit:
@@ -75,7 +71,7 @@ func (r AbortReason) String() string {
 
 // AbortReasons lists the full taxonomy in counter-array order.
 var AbortReasons = []AbortReason{
-	AbortInvalidated, AbortValidation, AbortSelf, AbortLocked, AbortExplicit,
+	AbortInvalidated, AbortValidation, AbortLocked, AbortExplicit,
 }
 
 // Kind identifies a lifecycle event. Span kinds carry a duration; instant

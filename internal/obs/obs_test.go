@@ -80,7 +80,6 @@ func TestAbortReasonStrings(t *testing.T) {
 	want := map[AbortReason]string{
 		AbortInvalidated: "invalidated",
 		AbortValidation:  "validation",
-		AbortSelf:        "self",
 		AbortLocked:      "locked",
 		AbortExplicit:    "explicit",
 	}

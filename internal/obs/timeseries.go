@@ -38,7 +38,6 @@ const (
 	// TSAbortInvalidated .. TSAbortExplicit: the abort-reason taxonomy.
 	TSAbortInvalidated
 	TSAbortValidation
-	TSAbortSelf
 	TSAbortLocked
 	TSAbortExplicit
 	// TSReadOnly: committed transactions that wrote nothing.
@@ -75,8 +74,6 @@ func (c TSCounter) String() string {
 		return "aborts_invalidated"
 	case TSAbortValidation:
 		return "aborts_validation"
-	case TSAbortSelf:
-		return "aborts_self"
 	case TSAbortLocked:
 		return "aborts_locked"
 	case TSAbortExplicit:

@@ -78,51 +78,3 @@ func Until(cond func() bool) {
 		w.Wait()
 	}
 }
-
-// Backoff implements randomized exponential backoff for abort/retry paths.
-// Aborted transactions back off before retrying so that a storm of doomed
-// re-executions does not keep re-invalidating each other (the paper's simple
-// contention manager). The zero value is invalid; use NewBackoff.
-type Backoff struct {
-	min, max time.Duration
-	cur      time.Duration
-	rng      uint64
-}
-
-// NewBackoff returns a Backoff sleeping between min and max, seeded
-// deterministically from seed so test runs are reproducible.
-func NewBackoff(min, max time.Duration, seed uint64) *Backoff {
-	if min <= 0 {
-		min = time.Microsecond
-	}
-	if max < min {
-		max = min
-	}
-	return &Backoff{min: min, max: max, cur: min, rng: seed | 1}
-}
-
-// nextRand is SplitMix64: tiny, fast, and good enough for jitter.
-func (b *Backoff) nextRand() uint64 {
-	b.rng += 0x9e3779b97f4a7c15
-	z := b.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// Pause sleeps for the current backoff interval with +-50% jitter and then
-// doubles the interval (capped at max).
-func (b *Backoff) Pause() {
-	d := b.cur
-	// jitter in [d/2, 3d/2)
-	j := time.Duration(b.nextRand() % uint64(d))
-	d = d/2 + j
-	time.Sleep(d)
-	b.cur *= 2
-	if b.cur > b.max {
-		b.cur = b.max
-	}
-}
-
-// Reset restores the backoff interval to its minimum. Call after a success.
-func (b *Backoff) Reset() { b.cur = b.min }

@@ -124,50 +124,3 @@ func TestWaiterSleepCapped(t *testing.T) {
 		t.Fatalf("sleep %v exceeds cap %v", w.sleep, MaxSleep)
 	}
 }
-
-func TestBackoffGrowsAndResets(t *testing.T) {
-	b := NewBackoff(time.Microsecond, 8*time.Microsecond, 42)
-	if b.cur != time.Microsecond {
-		t.Fatalf("initial %v", b.cur)
-	}
-	for i := 0; i < 10; i++ {
-		b.Pause()
-	}
-	if b.cur != 8*time.Microsecond {
-		t.Fatalf("cap not honored: %v", b.cur)
-	}
-	b.Reset()
-	if b.cur != time.Microsecond {
-		t.Fatalf("reset to %v", b.cur)
-	}
-}
-
-func TestBackoffDefaults(t *testing.T) {
-	b := NewBackoff(0, -1, 0)
-	if b.min <= 0 || b.max < b.min {
-		t.Fatalf("bad defaults min=%v max=%v", b.min, b.max)
-	}
-	if b.rng == 0 {
-		t.Fatal("seed 0 must still produce nonzero rng state")
-	}
-}
-
-func TestBackoffDeterministicJitter(t *testing.T) {
-	a := NewBackoff(time.Microsecond, time.Millisecond, 7)
-	b := NewBackoff(time.Microsecond, time.Millisecond, 7)
-	for i := 0; i < 16; i++ {
-		if a.nextRand() != b.nextRand() {
-			t.Fatal("same seed diverged")
-		}
-	}
-	c := NewBackoff(time.Microsecond, time.Millisecond, 8)
-	same := true
-	for i := 0; i < 16; i++ {
-		if a.nextRand() != c.nextRand() {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical stream")
-	}
-}

@@ -18,10 +18,11 @@
 //		return nil
 //	})
 //
-// Six engines share this API (see Algo): a global-mutex baseline, NOrec
-// (validation-based), InvalSTM (commit-time invalidation), and the paper's
+// Seven engines share this API (see Algo): a global-mutex baseline, NOrec
+// (validation-based), InvalSTM (commit-time invalidation), the paper's
 // three Remote Invalidation variants, which execute commit and invalidation
-// on dedicated server goroutines with cache-aligned client/server mailboxes.
+// on dedicated server goroutines with cache-aligned client/server mailboxes,
+// and TL2 (per-location versioned locks), the fine-grained baseline.
 //
 // # Concurrency model
 //
@@ -40,7 +41,7 @@ import (
 	"github.com/ssrg-vt/rinval/internal/obs"
 )
 
-// Config parameterizes a System. The zero value selects NOrec with 64
+// Config parameterizes a System. The zero value selects Mutex with 64
 // threads; see the field documentation on the aliased type.
 type Config = core.Config
 
@@ -64,16 +65,6 @@ var Algos = core.Algos
 // ParseAlgo converts an engine name ("norec", "rinval-v2", ...) to an Algo.
 func ParseAlgo(s string) (Algo, error) { return core.ParseAlgo(s) }
 
-// CMPolicy selects the contention manager.
-type CMPolicy = core.CMPolicy
-
-// Contention-manager policies.
-const (
-	CMCommitterWins = core.CMCommitterWins
-	CMBackoff       = core.CMBackoff
-	CMReaderBiased  = core.CMReaderBiased
-)
-
 // Stats aggregates transactional activity; see the field documentation on
 // the aliased type.
 type Stats = core.Stats
@@ -82,12 +73,11 @@ type Stats = core.Stats
 // Stats.AbortReasons.
 type AbortReason = core.AbortReason
 
-// Abort reasons. The conflict reasons (the first four) sum to Stats.Aborts;
+// Abort reasons. The conflict reasons (the first three) sum to Stats.Aborts;
 // AbortExplicit counts user aborts, which Stats.Aborts excludes.
 const (
 	AbortInvalidated = core.AbortInvalidated
 	AbortValidation  = core.AbortValidation
-	AbortSelf        = core.AbortSelf
 	AbortLocked      = core.AbortLocked
 	AbortExplicit    = core.AbortExplicit
 	NumAbortReasons  = core.NumAbortReasons
@@ -202,7 +192,8 @@ func (s *System) MustRegister() *Thread {
 func (s *System) Close() error { return s.sys.Close() }
 
 // Stats aggregates statistics across all threads (and, after Close, the
-// servers). Call while quiescent.
+// servers). Safe to call while transactions run: each counter is read
+// atomically, though the aggregate is not a single instant.
 func (s *System) Stats() Stats { return s.sys.Stats() }
 
 // Algo returns the engine this system runs.
