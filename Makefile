@@ -16,8 +16,8 @@ vet:
 	$(GO) vet ./...
 
 ## lint: machine-check the STM's concurrency invariants (mixed atomic/plain
-## access, cache-line padding, *Tx escape, abort taxonomy, hot-path hygiene,
-## and the CFG/dataflow suite: lock-order, atomic-publish, hot-path-deep,
+## access, cache-line padding, *Tx escape, hot-path hygiene, and the
+## CFG/dataflow suite: lock-order, atomic-publish, hot-path-deep,
 ## taxonomy-path).
 lint:
 	$(GO) run ./cmd/stmlint ./...
@@ -37,10 +37,13 @@ test:
 ## core's live /metrics scrape, TestServerHistogramsLiveScrape), then the
 ## helper-path, cross-shard and partition-lock tests ten times over — a
 ## driver writing a stream's or a partition's scratch outside its lock only
-## shows on some schedules.
+## shows on some schedules — and a third leg at GOMAXPROCS=4, the only setting
+## where V2/V3 start their invalidation-servers (on fewer Ps the epoch drivers
+## scan every partition themselves).
 race:
 	$(GO) test -race -count=1 ./internal/core/ ./stm/ ./internal/obs/ ./internal/bloom/ ./internal/padded/ ./internal/analysis/
 	$(GO) test -race -count=10 -run 'Help|CrossShard|Partition|LivenessOneP|Mailbox' ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -count=3 -run 'Help|CrossShard|Partition|Liveness|Mailbox|Opacity|Differential|Epoch' ./internal/core/
 
 ## deflaked: the snapshot-reader property test (a reader that never fell back
 ## takes no abort and is no one's victim), which used to fail a few runs in a

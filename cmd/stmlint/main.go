@@ -7,8 +7,8 @@
 //	mixed-access    sync/atomic fields never read or written plainly
 //	padding         cache-padded cells and per-slot structs fill whole lines
 //	tx-escape       *Tx handles confined to their atomic block
-//	abort-taxonomy  every engine conflict path records an AbortReason
-//	taxonomy-path   ...on every CFG path into the conflict exit
+//	taxonomy-path   every CFG path into an engine conflict exit records an
+//	                AbortReason
 //	hot-path        //stm:hotpath functions free of slow calls
 //	hot-path-deep   ...and every function they transitively call
 //	lock-order      stream and partition locks: ascending acquire, descending

@@ -100,7 +100,7 @@ func TestListChecks(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("-list: exit %d", code)
 	}
-	for _, name := range []string{"abort-taxonomy", "atomic-publish", "hot-path", "hot-path-deep",
+	for _, name := range []string{"atomic-publish", "hot-path", "hot-path-deep",
 		"lock-order", "mixed-access", "padding", "taxonomy-path", "tx-escape"} {
 		if !strings.Contains(out.String(), name) {
 			t.Fatalf("-list output missing %s:\n%s", name, out.String())

@@ -14,7 +14,7 @@ import (
 // TestRegistry pins the check suite: a check whose init registration is
 // dropped would otherwise silently stop running everywhere.
 func TestRegistry(t *testing.T) {
-	want := []string{"abort-taxonomy", "atomic-publish", "hot-path", "hot-path-deep",
+	want := []string{"atomic-publish", "hot-path", "hot-path-deep",
 		"lock-order", "mixed-access", "padding", "taxonomy-path", "tx-escape"}
 	var got []string
 	for _, c := range analysis.AllChecks() {

@@ -1,7 +1,7 @@
-// The case the textual abort-taxonomy heuristic is blind to: a reason
-// assignment in an earlier branch textually precedes the second conflict
-// exit, but no execution path connects them — a transaction failing only the
-// doom check aborts with a stale reason.
+// The case a textual "some assignment precedes the exit" rule is blind to: a
+// reason assignment in an earlier branch textually precedes the second
+// conflict exit, but no execution path connects them — a transaction failing
+// only the doom check aborts with a stale reason.
 package eng
 
 type Tx struct {

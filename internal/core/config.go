@@ -79,8 +79,10 @@ type Config struct {
 	// MaxThreads bounds the number of concurrently registered threads and
 	// sizes the request-slot array. Default 64, matching the paper's testbed.
 	MaxThreads int
-	// InvalServers is the number of invalidation-server goroutines for
-	// RInvalV2/V3. The paper found 4-8 sufficient on 64 cores. Default 4.
+	// InvalServers is the number of invalidation partitions for RInvalV2/V3,
+	// each scanned by its own invalidation-server goroutine when GOMAXPROCS
+	// is at least 4 and by the epoch drivers otherwise. The paper found 4-8
+	// sufficient on 64 cores. Default 4.
 	InvalServers int
 	// StepsAhead bounds how far the RInvalV3 commit-server may run ahead of
 	// the slowest invalidation-server, in commits. Default 2.

@@ -271,6 +271,9 @@ func (e *remoteEngine) help(tx *Tx, touched uint64) bool {
 
 func (e *remoteEngine) abort(tx *Tx) {}
 
+// serverTasks is one commit-server per stream, plus the stream's
+// invalidation-servers only where GOMAXPROCS leaves them a P (!coolServers);
+// elsewhere the epoch drivers' own scanPartition calls are the only scanners.
 func (e *remoteEngine) serverTasks() []serverTask {
 	var tasks []serverTask
 	for j := range e.srv {
@@ -279,6 +282,9 @@ func (e *remoteEngine) serverTasks() []serverTask {
 			name: e.sys.serverName("commit-server", j),
 			run:  sv.commitServerMain,
 		})
+		if e.sys.coolServers {
+			continue
+		}
 		for k := 0; k < e.numInval; k++ {
 			k := k
 			tasks = append(tasks, serverTask{
@@ -360,9 +366,9 @@ func (sv *shardServer) commitServerMain(stop func() bool) {
 // mask, goes back to busy polling. With a P of its own it always does. One
 // that shares the clients' Ps (System.coolServers) does so only for a
 // cross-shard request, which no client can drive, or while more than one
-// Thread is registered; for a lone client it keeps backing off like
-// invalServerMain. Hot, it wins just enough races against a lone client's own
-// help to stay hot, and a System then settles in either regime by chance.
+// Thread is registered; for a lone client it keeps backing off, down to a poll
+// per spin.MaxSleep. Hot, it wins just enough races against a lone client's
+// own help to stay hot, and a System then settles in either regime by chance.
 //
 //stm:hotpath
 func (sv *shardServer) staysHot(mask uint64) bool {
@@ -729,11 +735,9 @@ func (sv *shardServer) scanPartition(k int, clk *phaseClock) bool {
 // partition whenever the stream timestamp passes its local timestamp and no
 // epoch driver got there first. Every stream's server k covers the same
 // global slot partition k; concurrent scans from different streams are safe
-// because the doom CAS is epoch-guarded and idempotent. A server with a P of
-// its own goes back to busy polling after every scan it won; one that shares
-// the clients' Ps (System.coolServers) keeps backing off, down to a poll per
-// spin.MaxSleep: hot, it only races the driver's own post-reply scan for the
-// partition and bounces the clients' slot lines between the Ps.
+// because the doom CAS is epoch-guarded and idempotent. It runs only with a P
+// of its own (serverTasks) and goes back to busy polling after every scan it
+// won.
 //
 //stm:hotpath
 func (sv *shardServer) invalServerMain(k int, stop func() bool) {
@@ -741,7 +745,7 @@ func (sv *shardServer) invalServerMain(k int, stop func() bool) {
 	for !stop() {
 		// The server's own cell and track, written only under the lock.
 		clk := startClock(sv.invalLat[k], sv.invalRings[k])
-		if sv.scanPartition(k, &clk) && !sv.sys.coolServers {
+		if sv.scanPartition(k, &clk) {
 			w.Reset()
 		} else {
 			w.Wait()

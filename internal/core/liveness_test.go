@@ -10,8 +10,8 @@ import (
 )
 
 // TestLivenessOneP: on a single P, with no scheduler call at a transaction
-// boundary (only V2/V3 keep one, System.yieldPerTx), every engine still
-// finishes a fixed amount of work well inside a deadline. Two shapes per
+// boundary and no invalidation-server goroutine (serverTasks), every engine
+// still finishes a fixed amount of work well inside a deadline. Two shapes per
 // client count. "transfers": every client moves money between shared
 // accounts. "ro-loopers": one writer does that, starting once every other
 // client is already running back-to-back read-only transactions over all
@@ -114,24 +114,44 @@ func TestLivenessOneP(t *testing.T) {
 	}
 }
 
-// TestYieldPerTxRule: on fewer than four Ps, every engine that starts server
-// goroutines cools them down, and only one that starts invalidation-servers
-// also ends its transactions in a scheduler yield; the rule is fixed at New.
-func TestYieldPerTxRule(t *testing.T) {
+// TestServerTasksRule: an RInval engine starts one commit-server per stream
+// and, only when GOMAXPROCS leaves them a P, InvalServers/Shards
+// invalidation-servers per stream besides (V2/V3); the rule is fixed at New.
+// No other engine starts a server.
+func TestServerTasksRule(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const inval = 4
 	for _, procs := range []int{1, 3, 4} {
 		runtime.GOMAXPROCS(procs)
 		for _, algo := range Algos {
-			s, err := newSystem(Config{Algo: algo, MaxThreads: 2, InvalServers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
 			remote := algo == RInvalV1 || algo == RInvalV2 || algo == RInvalV3
-			if want := procs < 4 && remote; s.coolServers != want {
-				t.Errorf("%s at GOMAXPROCS %d: coolServers = %v, want %v", algo, procs, s.coolServers, want)
-			}
-			if want := procs < 4 && remote && algo != RInvalV1; s.yieldPerTx != want {
-				t.Errorf("%s at GOMAXPROCS %d: yieldPerTx = %v, want %v", algo, procs, s.yieldPerTx, want)
+			for _, shards := range []int{1, 2} {
+				if shards > 1 && !remote {
+					continue
+				}
+				s, err := newSystem(Config{Algo: algo, MaxThreads: inval, Shards: shards, InvalServers: inval})
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := func(base string, j int) string {
+					if shards == 1 {
+						return base
+					}
+					return fmt.Sprintf("shard%d-%s", j, base)
+				}
+				var want, got []string
+				for j := 0; remote && j < shards; j++ {
+					want = append(want, name("commit-server", j))
+					for k := 0; procs >= 4 && algo != RInvalV1 && k < inval/shards; k++ {
+						want = append(want, name(fmt.Sprintf("inval-server-%d", k), j))
+					}
+				}
+				for _, task := range s.eng.serverTasks() {
+					got = append(got, task.name)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s, %d shards at GOMAXPROCS %d: server tasks %v, want %v", algo, shards, procs, got, want)
+				}
 			}
 		}
 	}

@@ -225,22 +225,14 @@ type System struct {
 	// nLive is len(live), for readers that do not take regMu.
 	nLive atomic.Int32
 
-	// coolServers is true iff the engine runs server goroutines (RInval) and
-	// GOMAXPROCS < 4: they have no P of their own. A server then does not go
-	// back to busy polling after work a lone client could have done itself —
-	// a single-stream epoch with one Thread registered (commitServerMain) or
-	// a partition scan (invalServerMain) — so a run does not flip between
-	// "servers hot" and "the client drives everything" from one System to the
-	// next (DESIGN.md §3).
+	// coolServers is true iff the engine is RInval and GOMAXPROCS < 4: its
+	// servers would have no P of their own. Then no invalidation-server is
+	// started (the epoch drivers scan every partition), and the commit-server
+	// does not go back to busy polling after a single-stream epoch with one
+	// Thread registered, work the lone client could have done itself — so a
+	// run does not flip between "server hot" and "the client drives
+	// everything" from one System to the next (DESIGN.md §3).
 	coolServers bool
-	// yieldPerTx is true iff coolServers and the engine runs
-	// invalidation-server goroutines (RInval-V2/V3). A transaction then ends
-	// in runtime.Gosched: a published descriptor may be held by a server that
-	// needs the client's P, and a busy goroutine is preempted only every
-	// ~10ms. No other engine has anything to yield to (a waiting RInval-V1
-	// client drives its own epoch); liveness on one P rests on spin.Waiter,
-	// which yields after its busy phase (DESIGN.md §3).
-	yieldPerTx bool
 
 	stop padded.Bool
 	wg   sync.WaitGroup
@@ -342,9 +334,8 @@ func newSystem(cfg Config) (*System, error) {
 	case TL2:
 		s.eng = &tl2Engine{sys: s}
 	}
-	if re, ok := s.eng.(*remoteEngine); ok {
+	if _, ok := s.eng.(*remoteEngine); ok {
 		s.coolServers = runtime.GOMAXPROCS(0) < 4
-		s.yieldPerTx = s.coolServers && re.numInval > 0
 	}
 	switch cfg.Algo {
 	case NOrec, TL2:

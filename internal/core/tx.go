@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"github.com/ssrg-vt/rinval/internal/obs"
@@ -102,14 +101,10 @@ func (th *Thread) startTx(what string, ro bool) *Tx {
 	return tx
 }
 
-// endTx closes the call, on return and on a panic passing through; see
-// System.yieldPerTx for who yields.
+// endTx closes the call, on return and on a panic passing through.
 func (th *Thread) endTx() {
 	th.tx.roUser = false
 	th.inTx = false
-	if th.sys.yieldPerTx {
-		runtime.Gosched()
-	}
 }
 
 // sampleLatency makes the one sampling decision per transaction, before the
