@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check build test vet lint lint-github race deflaked sim-check size bench bench-layers bench-core
+.PHONY: verify fmt-check build test vet lint lint-github race deflaked sim-check size bench bench-layers bench-core pairs
 
 GOFMT ?= gofmt
 
@@ -87,3 +87,27 @@ bench-layers:
 ## smoke test that they still build and run; for numbers use -benchtime 200ms.
 bench-core:
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core/
+
+## pairs: the ten-pair protocol behind every performance claim in
+## EXPERIMENTS.md. Usage: make pairs PARENT=<rev> W=<workload> [N=10]
+## [SECONDS=24]. Builds ./benchmark at PARENT (in a temporary git worktree) and
+## at the working tree, then runs N pairs of workload W: pair i runs seed 100+i
+## on both sides, the side that goes first alternates, every run is -trace 0
+## from its own checkout. Prints each run's JSON line tagged parent or change
+## with its pair number, then removes the worktree.
+N ?= 10
+SECONDS ?= 24
+pairs:
+	@if [ -z "$(PARENT)" ] || [ -z "$(W)" ]; then echo "usage: make pairs PARENT=<rev> W=<workload> [N=10] [SECONDS=24]"; exit 2; fi
+	@tmp=$$(mktemp -d); trap 'git worktree remove --force "$$tmp/parent" 2>/dev/null; rm -rf "$$tmp"' EXIT; \
+	git worktree add --detach -q "$$tmp/parent" "$(PARENT)" && \
+	(cd "$$tmp/parent" && $(GO) build -o "$$tmp/parent.bin" ./benchmark) && \
+	$(GO) build -o "$$tmp/change.bin" ./benchmark || exit 1; \
+	for i in $$(seq 1 $(N)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi; \
+		for side in $$order; do \
+			dir=.; [ $$side = parent ] && dir="$$tmp/parent"; \
+			line=$$(cd "$$dir" && "$$tmp/$$side.bin" --workload "$(W)" --seed $$((100 + i)) --seconds $(SECONDS) --trace 0 | tail -n 1); \
+			echo "$$side $$i $$line"; \
+		done; \
+	done

@@ -39,14 +39,15 @@ import (
 // server of its lowest touched stream, holding every touched stream.
 //
 // An epoch is driven by whoever holds its streams' locks. Normally that is the
-// leading commit-server; a client whose busy-wait budget ran out without a
-// reply may take its single stream's free lock and run the epoch for its own
-// request itself (help, DESIGN.md §16), which is what keeps commit latency at
-// the cost of the work rather than of the hand-off when the server has no core
-// of its own. The same rule holds one tier down: partition k of a stream is
-// scanned by whoever holds its try-lock — invalidation-server k, or an epoch
-// driver that found it lagging and free (scanPartition) — so a partition lags
-// only while somebody is scanning it.
+// leading commit-server; a waiting client may take its single stream's free
+// lock and run the epoch for its own request itself (help, DESIGN.md §16) —
+// at once where the server does not stay hot for it (staysHot), otherwise once
+// its busy-wait budget ran out without a reply — which is what keeps commit
+// latency at the cost of the work rather than of the hand-off when the server
+// has no core of its own. The same rule holds one tier down: partition k of a
+// stream is scanned by whoever holds its try-lock — invalidation-server k, or
+// an epoch driver that found it lagging and free (scanPartition) — so a
+// partition lags only while somebody is scanning it.
 type remoteEngine struct {
 	sys        *System
 	numInval   int // invalidation-servers per commit stream (0 for V1)
@@ -200,9 +201,11 @@ func (e *remoteEngine) read(tx *Tx, v *Var) (*Box, bool) {
 // reply word until an epoch driver answers. The request is the transaction's
 // stream masks, computed here from the write set and the shards its reads
 // visited (both bit 0 when Shards == 1); the server of the lowest touched
-// stream owns it. Once the waiter's busy phase has run out — a server with a
-// core of its own would have replied by now — each further iteration first
-// offers to drive the epoch itself (help) and only yields if it could not.
+// stream owns it. Where that server does not stay hot for the request
+// (staysHot, read once here — the rule the server backs off by), every
+// iteration first offers to drive the epoch itself (help); elsewhere only
+// those after the waiter's busy phase has run out, by when a server with a
+// core of its own would have replied. An iteration that could not help waits.
 //
 //stm:hotpath
 func (e *remoteEngine) commit(tx *Tx) bool {
@@ -219,6 +222,7 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 	}
 	touched := writes | tx.readShards
 	sl := tx.slot
+	hot := e.srv[bits.TrailingZeros64(touched)].staysHot(touched)
 	pending := sl.publish(writes, touched)
 	tx.ring.Instant(obs.KCommitReq, 0)
 	var w spin.Waiter
@@ -231,7 +235,7 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 			}
 			return committed
 		}
-		if !w.Busy() && e.help(tx, touched) {
+		if (!hot || !w.Busy()) && e.help(tx, touched) {
 			continue // replied to: re-read our own line
 		}
 		w.Wait()
@@ -369,6 +373,9 @@ func (sv *shardServer) commitServerMain(stop func() bool) {
 // Thread is registered; for a lone client it keeps backing off, down to a poll
 // per spin.MaxSleep. Hot, it wins just enough races against a lone client's
 // own help to stay hot, and a System then settles in either regime by chance.
+// Both sides of the mailbox read this one rule: a client whose request it
+// says no to does not spend its busy phase waiting for this server's reply
+// (commit).
 //
 //stm:hotpath
 func (sv *shardServer) staysHot(mask uint64) bool {

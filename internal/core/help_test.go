@@ -2,14 +2,19 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/ssrg-vt/rinval/internal/bloom"
+	"github.com/ssrg-vt/rinval/internal/spin"
 )
 
-// Tests for client-helped epochs (DESIGN.md §16): a waiting client whose busy
-// phase ran out takes a free stream lock and runs the epoch itself.
+// Tests for client-helped epochs (DESIGN.md §16): a waiting client takes a
+// free stream lock and runs the epoch itself — at once when its commit-server
+// does not stay hot for the request (shardServer.staysHot), otherwise once its
+// busy phase ran out.
 
 // TestHelpLivenessWithoutServer: with no commit-server goroutine at all, every
 // write transaction still commits — each one by the client driving its own
@@ -44,6 +49,56 @@ func TestHelpLivenessWithoutServer(t *testing.T) {
 	}
 	if got := s.Stats().HelpedEpochs; got != n {
 		t.Fatalf("System.Stats folded HelpedEpochs = %d, want %d", got, n)
+	}
+}
+
+// TestHelpAtOnceWhenServerCools: where the commit-server does not stay hot for
+// a request — shared Ps, a single-stream mask, one Thread — the client drives
+// its epoch from the first iteration of its wait instead of spending the busy
+// phase on a reply that will not come. A busy phase raised out of reach makes
+// a client that waits for it first hang past the deadline.
+func TestHelpAtOnceWhenServerCools(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	busy := spin.BusyIters
+	spin.BusyIters = 1 << 40
+	t.Cleanup(func() { spin.BusyIters = busy })
+	for _, algo := range rinvalAlgos {
+		s, err := newSystem(Config{Algo: algo, MaxThreads: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 200
+		th := s.MustRegister()
+		v := NewVar(0)
+		done := make(chan error, 1)
+		go func() {
+			for i := 0; i < n; i++ {
+				if err := th.Atomically(func(tx *Tx) error {
+					tx.Store(v, tx.Load(v).(int)+1)
+					return nil
+				}); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: %d increments not done in 10s: the client waited out its busy phase", algo, n)
+		}
+		st := th.Stats()
+		if st.Commits != n || st.HelpedEpochs != n {
+			t.Fatalf("%s: Commits=%d HelpedEpochs=%d, want both %d", algo, st.Commits, st.HelpedEpochs, n)
+		}
+		th.Close()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

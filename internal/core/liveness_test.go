@@ -160,7 +160,9 @@ func TestServerTasksRule(t *testing.T) {
 // TestCommitServerStaysHotRule: a commit-server that shares the clients' Ps
 // goes back to busy polling after a single-stream epoch only while more than
 // one Thread is registered, and after a cross-shard epoch always; with a P of
-// its own, after every epoch.
+// its own, after every epoch. The client's commit wait reads the same
+// predicate: where it is false, the client helps from its first iteration
+// (TestHelpAtOnceWhenServerCools).
 func TestCommitServerStaysHotRule(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{2, 4} {
