@@ -40,13 +40,15 @@ import (
 //
 // An epoch is driven by whoever holds its streams' locks. Normally that is the
 // leading commit-server; a waiting client may take its single stream's free
-// lock and run the epoch for its own request itself (help, DESIGN.md §16) —
-// at once where the server does not stay hot for it (staysHot), otherwise once
-// its busy-wait budget ran out without a reply — which is what keeps commit
-// latency at the cost of the work rather than of the hand-off when the server
-// has no core of its own. The same rule holds one tier down: partition k of a
-// stream is scanned by whoever holds its try-lock — invalidation-server k, or
-// an epoch driver that found it lagging and free (scanPartition) — so a
+// lock once its busy-wait budget ran out without a reply and run the epoch for
+// its own request itself (help, DESIGN.md §16). Where the server would not stay
+// hot for the request (staysHot) the client publishes none: it takes the
+// stream lock and runs the epoch's stages after admission over its own slot
+// (commitOwn). Both keep commit latency at the cost of the work rather than of
+// the hand-off when the server has no core of its own, the second without a
+// mailbox round trip with itself. The same rule holds one tier down: partition
+// k of a stream is scanned by whoever holds its try-lock — invalidation-server
+// k, or an epoch driver that found it lagging and free (scanPartition) — so a
 // partition lags only while somebody is scanning it.
 type remoteEngine struct {
 	sys        *System
@@ -102,13 +104,14 @@ type shardServer struct {
 	scanBuf  []int
 	epochBuf []int
 
-	commitSrv Stats   // epoch drivers' counters (atomic adds)
+	commitSrv Stats   // epoch drivers' Invalidations and CrossShardCommits (atomic adds)
 	invalSrv  []Stats // per-invalidation-server counters (atomic adds)
 
 	// One sample per epoch, recorded by the lock holder and snapshotted by
 	// anyone (stats): pending requests the collection saw, V3's step-ahead
-	// occupancy, and the batch size.
-	queueDepth, stepAhead, batchSizes histo.Atomic
+	// occupancy, and the batch size. Each is one atomic add per sample; the
+	// stream's Epochs and Commits are the batch sizes' count and sum.
+	queueDepth, stepAhead, batchSizes histo.Exact
 
 	// attrEpochs counts served epochs for attribution's 1-in-N exact-sample
 	// selection (lock-holder-owned; see epochKillDesc).
@@ -151,6 +154,13 @@ func newRemoteEngine(sys *System, numInval, stepsAhead int) *remoteEngine {
 			batchMask: newSlotMask(sys.cfg.MaxThreads),
 			scanBuf:   make([]int, 0, sys.cfg.MaxThreads),
 			epochBuf:  make([]int, 0, sys.cfg.MaxThreads),
+			// Bounds: a collection sees at most every slot and admits at
+			// most min(MaxBatch, MaxThreads); V3's catch-up keeps a partition
+			// within stepsAhead commits before each epoch's publish, which the
+			// next epoch samples one commit later.
+			queueDepth: histo.NewExact(sys.cfg.MaxThreads),
+			batchSizes: histo.NewExact(min(sys.cfg.MaxBatch, sys.cfg.MaxThreads)),
+			stepAhead:  histo.NewExact(stepsAhead + 1),
 		}
 		for i := range sv.descBufs {
 			sv.descBufs[i] = commitDesc{bf: bloom.NewFilter(sys.cfg.Bloom), members: newSlotMask(sys.cfg.MaxThreads)}
@@ -201,11 +211,13 @@ func (e *remoteEngine) read(tx *Tx, v *Var) (*Box, bool) {
 // reply word until an epoch driver answers. The request is the transaction's
 // stream masks, computed here from the write set and the shards its reads
 // visited (both bit 0 when Shards == 1); the server of the lowest touched
-// stream owns it. Where that server does not stay hot for the request
-// (staysHot, read once here — the rule the server backs off by), every
-// iteration first offers to drive the epoch itself (help); elsewhere only
-// those after the waiter's busy phase has run out, by when a server with a
-// core of its own would have replied. An iteration that could not help waits.
+// stream owns it. Where that server would not stay hot for the request
+// (staysHot, read once here — the rule the server backs off by) nobody else
+// would answer it soon, so no request is published: the client commits its
+// own write set under the stream lock (commitOwn). Elsewhere every wait
+// iteration after the busy phase has run out, by when a server with a core of
+// its own would have replied, first offers to drive the epoch itself (help);
+// an iteration that could not help waits.
 //
 //stm:hotpath
 func (e *remoteEngine) commit(tx *Tx) bool {
@@ -221,10 +233,13 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 		writes |= 1 << uint(e.sys.shardOf(tx.ws.entries[i].v))
 	}
 	touched := writes | tx.readShards
-	sl := tx.slot
-	hot := e.srv[bits.TrailingZeros64(touched)].staysHot(touched)
-	pending := sl.publish(writes, touched)
+	sv := e.srv[bits.TrailingZeros64(touched)]
 	tx.ring.Instant(obs.KCommitReq, 0)
+	if !sv.staysHot(touched) {
+		return commitOwn(tx, sv)
+	}
+	sl := tx.slot
+	pending := sl.publish(writes, touched)
 	var w spin.Waiter
 	for {
 		if reply := sl.state.Load(); reply != pending {
@@ -235,25 +250,51 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 			}
 			return committed
 		}
-		if (!hot || !w.Busy()) && e.help(tx, touched) {
+		if !w.Busy() && e.help(tx, touched) {
 			continue // replied to: re-read our own line
 		}
 		w.Wait()
 	}
 }
 
-// help lets a waiting client drive the epoch for its own request: if the
-// request is single-stream and the home stream's lock is free at this moment,
-// take it, run the same epoch the commit-server runs — starting at the
-// client's own slot, so compatible requests above it ride along — and
-// release. It reports whether the call sent any reply. The lock holder is
-// the single answerer: the collection pass re-reads every candidate's state
-// under the lock, so a request the server answered just before the CAS is
-// skipped. A busy lock means someone is already driving an epoch here (in
-// the paper's regime the commit-server, for the whole epoch), and V3 declines
-// inside the epoch while the client's partition is still being scanned; both
-// fall back to waiting. Cross-shard requests stay with their leader server: a
-// helper would have to try-lock several streams and back out of a partial set.
+// commitOwn commits tx through its single stream sv without a mailbox
+// request: take the stream lock, admit the client's own slot as a batch of
+// one (ownEpoch), run the epoch's remaining stages over it and read the outcome
+// from their result. No request word is published, answered or consumed. A
+// declined admission — V3, the client's partition lags and its scanner holds
+// it — unlocks, waits and retries, as a declined help does. The epoch counts
+// as helped: the client drove it.
+//
+//stm:hotpath
+func commitOwn(tx *Tx, sv *shardServer) bool {
+	var w spin.Waiter
+	for {
+		committed, admitted := sv.ownEpoch(tx.th.idx)
+		if admitted {
+			if !committed {
+				tx.reason = AbortInvalidated
+				return false
+			}
+			atomic.AddUint64(&tx.stats.HelpedEpochs, 1)
+			return true
+		}
+		w.Wait()
+	}
+}
+
+// help lets a client waiting on a published request, its busy phase spent
+// without a reply, drive the epoch for it: if the request is single-stream and
+// the home stream's lock is free at this moment, take it, run the same epoch
+// the commit-server runs — starting at the client's own slot, so compatible
+// requests above it ride along — and release. It reports whether the call
+// sent any reply. The lock holder is the single answerer: the collection pass
+// re-reads every candidate's state under the lock, so a request the server
+// answered just before the CAS is skipped. A busy lock means someone is
+// already driving an epoch here (in the paper's regime the commit-server, for
+// the whole epoch), and V3 declines inside the epoch while the client's
+// partition is still being scanned; both fall back to waiting. Cross-shard
+// requests stay with their leader server: a helper would have to try-lock
+// several streams and back out of a partial set.
 //
 //stm:hotpath
 func (e *remoteEngine) help(tx *Tx, touched uint64) bool {
@@ -311,13 +352,15 @@ func (e *remoteEngine) serverStats() Stats {
 // stats folds this stream's server activity — its epoch drivers' counters and
 // per-epoch histograms, and its invalidation-servers' counters — into one
 // Stats. Safe while the servers run: counters are loaded atomically and the
-// histograms snapshotted.
+// histograms snapshotted. Epochs and Commits are the batch-size histogram's
+// sample count and total: one sample per committing epoch, of its batch size.
 func (sv *shardServer) stats() Stats {
 	st := sv.commitSrv.snapshotAtomic()
 	for k := range sv.invalSrv {
 		st.Add(sv.invalSrv[k].snapshotAtomic())
 	}
 	st.BatchSizes = sv.batchSizes.Snapshot()
+	st.Epochs, st.Commits = st.BatchSizes.Count(), st.BatchSizes.Sum()
 	st.Server.QueueDepth = sv.queueDepth.Snapshot()
 	st.Server.StepAhead = sv.stepAhead.Snapshot()
 	return st
@@ -374,8 +417,8 @@ func (sv *shardServer) commitServerMain(stop func() bool) {
 // per spin.MaxSleep. Hot, it wins just enough races against a lone client's
 // own help to stay hot, and a System then settles in either regime by chance.
 // Both sides of the mailbox read this one rule: a client whose request it
-// says no to does not spend its busy phase waiting for this server's reply
-// (commit).
+// says no to publishes none and commits it itself under the stream lock
+// (commit, commitOwn).
 //
 //stm:hotpath
 func (sv *shardServer) staysHot(mask uint64) bool {
@@ -423,29 +466,68 @@ func (sv *shardServer) serveEpoch(mask uint64, first int) bool {
 //	publish    raise the written streams odd, invalidate (V1 inline, V2/V3 by
 //	           descriptor), write back, lower them even (publish)
 //	reply      COMMITTED to every member
-//	record     counters and the batch-size sample
+//	record     the batch-size sample (the stream's Epochs and Commits)
 //	scan       V2/V3: apply the new descriptor to every partition of the
 //	           written streams that no one else is scanning (scanPartition)
 //
-// A multi-stream epoch admits one request: cross-shard requests are led solo.
-// committed is the number of members the epoch committed (0: no timestamp
-// transition); replied is false when no reply at all was sent (nothing
-// admissible from first upward) so the caller can back off. Incompatible or
-// deferred requests stay PENDING for a later epoch.
+// Everything after collect is retire, which a client committing without a
+// request (ownEpoch) runs after its own admission. A multi-stream epoch admits
+// one request: cross-shard requests are led solo. committed is the number of
+// members the epoch committed (0: no timestamp transition); replied is false
+// when no reply at all was sent (nothing admissible from first upward) so the
+// caller can back off. Incompatible or deferred requests stay PENDING for a
+// later epoch.
 //
 //stm:hotpath
 func (sv *shardServer) epoch(mask uint64, first int, clk *phaseClock) (committed int, replied bool) {
-	sys, e := sv.sys, sv.eng
-	maxBatch, lagBudget, catchUp := e.maxBatch, 2*uint64(e.stepsAhead), obs.LatInvalWait
-	multi := mask&(mask-1) != 0
-	if multi {
-		maxBatch, lagBudget, catchUp = 1, 0, obs.LatDrain
+	maxBatch, lagBudget := sv.eng.maxBatch, 2*uint64(sv.eng.stepsAhead)
+	if mask&(mask-1) != 0 {
+		maxBatch, lagBudget = 1, 0
 	}
-
 	pending := sv.collect(mask, first, maxBatch, lagBudget)
 	if len(sv.batchIdx) == 0 {
 		return 0, false
 	}
+	return sv.retire(mask, lagBudget, pending, -1, clk), true
+}
+
+// ownEpoch is the epoch of a client committing without a request (commitOwn):
+// under sv's stream lock, admit slot self alone with collect's test — except
+// that a lagging partition of its own is scanned here when free — then retire
+// it, answering through the result instead of the mailbox. admitted is false
+// when V3's admission declined: the partition lags and someone is scanning it.
+//
+//stm:hotpath
+func (sv *shardServer) ownEpoch(self int) (committed, admitted bool) {
+	sys, st := sv.sys, sv.st
+	lagBudget := 2 * uint64(sv.eng.stepsAhead)
+	sys.lockStream(sv.shard)
+	clk := startClock(sv.latC, sv.commitRing)
+	if lagBudget > 0 {
+		t := st.ts.Load()
+		sv.sampleStepAhead(t)
+		k := sys.slots[self].invalServer
+		if st.invalTS[k].Load() < t && !sv.scanPartition(k, &clk) {
+			sys.unlockStream(sv.shard)
+			return false, false
+		}
+	}
+	sv.batchIdx = append(sv.batchIdx[:0], self)
+	committed = sv.retire(1<<uint(sv.shard), lagBudget, 1, self, &clk) > 0
+	sys.unlockStream(sv.shard)
+	return committed, true
+}
+
+// retire runs the epoch's stages after admission — catch-up within lagBudget,
+// check, publish, reply, record and scan — over the members in sv.batchIdx;
+// pending is the queue depth admission saw. Member self, if not -1, is the
+// driver's own slot with no request published: it gets no reply, and the
+// result (0: doomed) tells it how it fared. It returns the members committed.
+//
+//stm:hotpath
+func (sv *shardServer) retire(mask, lagBudget, pending uint64, self int, clk *phaseClock) (committed int) {
+	sys, e := sv.sys, sv.eng
+	multi := mask&(mask-1) != 0
 	sv.queueDepth.Record(pending)
 	sv.commitRing.Counter(obs.KQueueDepth, pending)
 	clk.lap(obs.LatCollect, obs.KScan, pending)
@@ -459,6 +541,10 @@ func (sv *shardServer) epoch(mask uint64, first int, clk *phaseClock) (committed
 		// partition already had). A partition that still lags once the busy
 		// phase is spent has no scanner with a core of its own: the driver
 		// scans it itself if it is free, and otherwise yields to its holder.
+		catchUp := obs.LatInvalWait
+		if multi {
+			catchUp = obs.LatDrain
+		}
 		for m := mask; m != 0; m &= m - 1 {
 			tsv := e.srv[bits.TrailingZeros64(m)]
 			t := tsv.st.ts.Load()
@@ -483,14 +569,16 @@ func (sv *shardServer) epoch(mask uint64, first int, clk *phaseClock) (committed
 	for _, j := range sv.batchIdx {
 		s := &sys.slots[j]
 		if _, alive := s.aliveWord(); !alive {
-			s.reply(reqAborted)
+			if j != self {
+				s.reply(reqAborted)
+			}
 			continue
 		}
 		sv.batchIdx[n] = j
 		n++
 	}
 	if n == 0 {
-		return 0, true // progress: abort replies were sent
+		return 0 // progress: abort replies were sent, or self learns its doom
 	}
 	if n < len(sv.batchIdx) {
 		// Rebuild the epoch signature from the survivors so a doomed
@@ -502,17 +590,19 @@ func (sv *shardServer) epoch(mask uint64, first int, clk *phaseClock) (committed
 		}
 	}
 
-	writes := sv.publish(clk)
+	writes := sv.publish(mask, clk)
 
 	for _, j := range sv.batchIdx {
-		sys.slots[j].reply(reqCommitted)
+		if j != self {
+			sys.slots[j].reply(reqCommitted)
+		}
 	}
 	clk.lap(obs.LatReply, obs.KReply, uint64(n))
 
 	// Every record lands while the caller still holds sv's stream: the next
 	// driver owns sv's histograms, ring and cell the moment the lock is free.
-	atomic.AddUint64(&sv.commitSrv.Commits, uint64(n))
-	atomic.AddUint64(&sv.commitSrv.Epochs, 1)
+	// The batch-size sample is the stream's Epochs (its count) and Commits
+	// (its sum).
 	if multi {
 		atomic.AddUint64(&sv.commitSrv.CrossShardCommits, uint64(n))
 	}
@@ -530,7 +620,7 @@ func (sv *shardServer) epoch(mask uint64, first int, clk *phaseClock) (committed
 		}
 	}
 	clk.ring.SpanAt(obs.KEpoch, clk.t0, clk.prev, uint64(n))
-	return n, true
+	return n
 }
 
 // collect is the epoch's admit stage: it fills batchIdx (and the batch's
@@ -552,16 +642,7 @@ func (sv *shardServer) collect(mask uint64, first, maxBatch int, lagBudget uint6
 	sys, st := sv.sys, sv.st
 	t := st.ts.Load() // even: only a stream-lock holder makes it odd
 	if lagBudget > 0 {
-		// V3 step-ahead occupancy: how many commits this stream is running
-		// ahead of its slowest invalidation-server right now.
-		minTS := st.invalTS[0].Load()
-		for k := 1; k < len(st.invalTS); k++ {
-			if v := st.invalTS[k].Load(); v < minTS {
-				minTS = v
-			}
-		}
-		sv.stepAhead.Record((t - minTS) / 2)
-		sv.commitRing.Counter(obs.KStepAhead, (t-minTS)/2)
+		sv.sampleStepAhead(t)
 	}
 	sv.batchIdx = sv.batchIdx[:0]
 	unions := false // built from the leader once a second candidate needs them
@@ -605,6 +686,23 @@ func (sv *shardServer) collect(mask uint64, first, maxBatch int, lagBudget uint6
 	return pending
 }
 
+// sampleStepAhead records V3's step-ahead occupancy at stream timestamp t:
+// how many commits this stream is running ahead of its slowest
+// invalidation-server.
+//
+//stm:hotpath
+func (sv *shardServer) sampleStepAhead(t uint64) {
+	st := sv.st
+	minTS := st.invalTS[0].Load()
+	for k := 1; k < len(st.invalTS); k++ {
+		if v := st.invalTS[k].Load(); v < minTS {
+			minTS = v
+		}
+	}
+	sv.stepAhead.Record((t - minTS) / 2)
+	sv.commitRing.Counter(obs.KStepAhead, (t-minTS)/2)
+}
+
 // publish is the epoch's write stage, under one odd window per written
 // stream: raise every stream the batch writes odd in ascending order, doom
 // the conflicting readers, write back, lower the streams even in descending
@@ -618,10 +716,12 @@ func (sv *shardServer) collect(mask uint64, first, maxBatch int, lagBudget uint6
 // proved consumed by the catch-up stage) because a client reclaims its write
 // set the moment it sees the reply, while the scans may still run. A victim
 // may be scanned once per written stream — the doom CAS is epoch-guarded, so
-// duplicates are no-ops. It returns the written-stream mask.
+// duplicates are no-ops. It returns the written-stream mask: mask itself on
+// one stream (every member's write set is non-empty and lies in its touched
+// mask, which is mask), the lone member's request's across streams.
 //
 //stm:hotpath
-func (sv *shardServer) publish(clk *phaseClock) (writes uint64) {
+func (sv *shardServer) publish(mask uint64, clk *phaseClock) (writes uint64) {
 	sys, e := sv.sys, sv.eng
 	var kd *killDesc
 	if sys.attr != nil {
@@ -630,15 +730,17 @@ func (sv *shardServer) publish(clk *phaseClock) (writes uint64) {
 	// The epoch's write signature, member mask and written streams: a lone
 	// member's own (its filter is stable until the reply, its mask immutable),
 	// else the batch unions.
-	sig, members := sv.batchWS, sv.batchMask
+	sig, members, writes := sv.batchWS, sv.batchMask, mask
 	if len(sv.batchIdx) == 1 {
 		s := &sys.slots[sv.batchIdx[0]]
-		sig, members, writes = s.req.ws.bf, s.selfMask, s.req.writes.Load()
+		sig, members = s.req.ws.bf, s.selfMask
+		if mask&(mask-1) != 0 {
+			writes = s.req.writes.Load()
+		}
 	} else {
 		members.clearAll()
 		for _, j := range sv.batchIdx {
 			members.set(j)
-			writes |= sys.slots[j].req.writes.Load()
 		}
 	}
 	for m := writes; m != 0; m &= m - 1 {
@@ -656,7 +758,9 @@ func (sv *shardServer) publish(clk *phaseClock) (writes uint64) {
 	}
 	if e.numInval == 0 {
 		doomed := sys.invalidateOthers(members, sig, sv.commitRing, kd)
-		atomic.AddUint64(&sv.commitSrv.Invalidations, doomed)
+		if doomed > 0 {
+			atomic.AddUint64(&sv.commitSrv.Invalidations, doomed)
+		}
 		clk.lap(obs.LatScan, obs.KInvalWait, doomed)
 	}
 	for _, j := range sv.batchIdx {
@@ -728,7 +832,9 @@ func (sv *shardServer) scanPartition(k int, clk *phaseClock) bool {
 		for my := st.invalTS[k].Load(); st.ts.Load() > my; my += 2 {
 			d := st.ring[(my/2)%uint64(len(st.ring))].Load()
 			doomed := sys.invalidatePartition(k, d.members, d.bf, clk.ring, d.kd)
-			atomic.AddUint64(&sv.invalSrv[k].Invalidations, doomed)
+			if doomed > 0 {
+				atomic.AddUint64(&sv.invalSrv[k].Invalidations, doomed)
+			}
 			st.invalTS[k].Store(my + 2)
 			clk.lap(obs.LatScan, obs.KInvalScan, doomed)
 		}

@@ -71,14 +71,19 @@ func TestGroupCommitDisjointBatchOneEpoch(t *testing.T) {
 			if got := s.streams[0].ts.Load(); got != 2 {
 				t.Errorf("timestamp after one batch epoch = %d, want 2", got)
 			}
-			if eng.srv[0].commitSrv.Epochs != 1 {
-				t.Errorf("Epochs = %d, want 1", eng.srv[0].commitSrv.Epochs)
+			srv := eng.srv[0].stats()
+			if srv.Epochs != 1 {
+				t.Errorf("Epochs = %d, want 1", srv.Epochs)
 			}
-			if eng.srv[0].commitSrv.Commits != n {
-				t.Errorf("server Commits = %d, want %d", eng.srv[0].commitSrv.Commits, n)
+			if srv.Commits != n {
+				t.Errorf("server Commits = %d, want %d", srv.Commits, n)
 			}
-			if got := eng.srv[0].batchSizes.Snapshot(); got.Max() != n {
+			if got := srv.BatchSizes; got.Max() != n {
 				t.Errorf("recorded batch size = %d, want %d", got.Max(), n)
+			}
+			if srv.Epochs != srv.BatchSizes.Count() || srv.Commits != srv.BatchSizes.Sum() {
+				t.Errorf("Epochs/Commits = %d/%d, batch sizes count/sum = %d/%d, want equal",
+					srv.Epochs, srv.Commits, srv.BatchSizes.Count(), srv.BatchSizes.Sum())
 			}
 			for i := 0; i < n; i++ {
 				if st := slots[i].state.Load() & reqCodeMask; st != reqCommitted {
@@ -141,9 +146,8 @@ func TestGroupCommitConflictSplitsEpochs(t *testing.T) {
 				if sl1.state.Load()&reqCodeMask != reqPending {
 					t.Fatal("conflicting follower should have stayed pending")
 				}
-				if eng.srv[0].commitSrv.Epochs != 1 || eng.srv[0].commitSrv.Commits != 1 {
-					t.Fatalf("after first epoch: Epochs=%d Commits=%d, want 1/1",
-						eng.srv[0].commitSrv.Epochs, eng.srv[0].commitSrv.Commits)
+				if srv := eng.srv[0].stats(); srv.Epochs != 1 || srv.Commits != 1 {
+					t.Fatalf("after first epoch: Epochs=%d Commits=%d, want 1/1", srv.Epochs, srv.Commits)
 				}
 
 				// A follower that read what the leader wrote is a real
@@ -166,8 +170,8 @@ func TestGroupCommitConflictSplitsEpochs(t *testing.T) {
 					if wantFollower == reqAborted {
 						wantEpochs = 1 // aborts do not burn a timestamp epoch
 					}
-					if eng.srv[0].commitSrv.Epochs != wantEpochs {
-						t.Errorf("Epochs = %d, want %d", eng.srv[0].commitSrv.Epochs, wantEpochs)
+					if got := eng.srv[0].stats().Epochs; got != wantEpochs {
+						t.Errorf("Epochs = %d, want %d", got, wantEpochs)
 					}
 				} else {
 					// V3 with the partition held: the first epoch's driver

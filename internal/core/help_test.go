@@ -11,10 +11,11 @@ import (
 	"github.com/ssrg-vt/rinval/internal/spin"
 )
 
-// Tests for client-helped epochs (DESIGN.md §16): a waiting client takes a
-// free stream lock and runs the epoch itself — at once when its commit-server
-// does not stay hot for the request (shardServer.staysHot), otherwise once its
-// busy phase ran out.
+// Tests for client-driven epochs (DESIGN.md §16): where its commit-server does
+// not stay hot for the request (shardServer.staysHot) a client publishes none
+// and commits its own write set under the stream lock (commitOwn); elsewhere
+// a waiting client takes a free stream lock once its busy phase ran out and
+// runs the epoch itself (help).
 
 // TestHelpLivenessWithoutServer: with no commit-server goroutine at all, every
 // write transaction still commits — each one by the client driving its own
@@ -99,6 +100,177 @@ func TestHelpAtOnceWhenServerCools(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestHelpOwnCommitSkipsMailbox: a lone Thread whose commit-server shares the
+// Ps (GOMAXPROCS 2) commits its own write set under the stream lock and never
+// publishes a request — its slot's mailbox word is the same after 200 commits
+// — and every one of those commits is one helped epoch of the stream. A second
+// registered Thread keeps the server hot, and the first one's commits go
+// through the mailbox again.
+func TestHelpOwnCommitSkipsMailbox(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, algo := range rinvalAlgos {
+		t.Run(algo.String(), func(t *testing.T) {
+			s, err := New(Config{Algo: algo, MaxThreads: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 200
+			th := s.MustRegister()
+			v := NewVar(0)
+			incr := func() {
+				t.Helper()
+				if err := th.Atomically(func(tx *Tx) error {
+					tx.Store(v, tx.Load(v).(int)+1)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := th.slot.state.Load()
+			for i := 0; i < n; i++ {
+				incr()
+			}
+			if after := th.slot.state.Load(); after != before {
+				t.Fatalf("mailbox word %#x -> %#x: a lone client published a request", before, after)
+			}
+			st, srv := th.Stats(), s.ShardServerStats()[0]
+			if st.Commits != n || st.HelpedEpochs != n || srv.Epochs != n || srv.Commits != n {
+				t.Fatalf("Commits=%d HelpedEpochs=%d stream Epochs=%d Commits=%d, want all %d",
+					st.Commits, st.HelpedEpochs, srv.Epochs, srv.Commits, n)
+			}
+			other := s.MustRegister()
+			incr()
+			if after := th.slot.state.Load(); after == before {
+				t.Fatal("with two Threads the commit published no request")
+			}
+			if got := v.Peek().(int); got != n+1 {
+				t.Fatalf("counter = %d, want %d", got, n+1)
+			}
+			other.Close()
+			th.Close()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestHelpOwnCommitWaitsForPartition: V3's admission holds for a commit made
+// without a request. With the Thread's own partition held by its scanner, the
+// first commit passes (nothing lags yet) and the second waits — the client
+// declines while its partition lags and is taken — until the holder lets go;
+// the client then scans the lagging partition itself. With the other partition
+// held, the catch-up stage admits an epoch while that partition is at most
+// StepsAhead commits behind: StepsAhead+1 commits pass, and the next waits for
+// the release. The transactions write blindly: a Load would wait for the
+// reader's own partition before the commit is reached (invalRead).
+func TestHelpOwnCommitWaitsForPartition(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const stepsAhead = 2
+	for _, own := range []bool{true, false} {
+		t.Run(fmt.Sprintf("own=%v", own), func(t *testing.T) {
+			s, err := New(Config{Algo: RInvalV3, MaxThreads: 4, InvalServers: 2, StepsAhead: stepsAhead})
+			if err != nil {
+				t.Fatal(err)
+			}
+			th := s.MustRegister()
+			held := th.slot.invalServer
+			if !own {
+				held = 1 - held
+			}
+			if !s.tryLockPartition(0, held) {
+				t.Fatal("fresh partition lock not free")
+			}
+			v, x := NewVar(0), 0
+			commit := func() error {
+				x++
+				return th.Atomically(func(tx *Tx) error {
+					tx.Store(v, x)
+					return nil
+				})
+			}
+			pass := 1
+			if !own {
+				pass = stepsAhead + 1
+			}
+			for i := 0; i < pass; i++ {
+				if err := commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			done := make(chan error, 1)
+			go func() { done <- commit() }()
+			select {
+			case err := <-done:
+				t.Fatalf("commit %d passed partition %d held %d commits behind (err %v)",
+					pass+1, held, s.streams[0].ts.Load()/2, err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			if got := s.streams[0].ts.Load(); got != 2*uint64(pass) {
+				t.Fatalf("timestamp %d while the commit waits, want %d", got, 2*pass)
+			}
+			s.unlockPartition(0, held)
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the waiting commit did not complete once the partition was released")
+			}
+			if got, st := v.Peek().(int), th.Stats(); got != pass+1 || st.HelpedEpochs != uint64(pass+1) {
+				t.Fatalf("counter = %d, HelpedEpochs = %d, want both %d", got, st.HelpedEpochs, pass+1)
+			}
+			th.Close()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestHelpOwnEpochDoomedSelf: a client doomed between its commit's status
+// check and its own epoch's check stage learns it from the result —
+// admitted, not committed — with no timestamp transition, no mailbox word
+// and no epoch recorded beyond the queue-depth sample of its admission.
+func TestHelpOwnEpochDoomedSelf(t *testing.T) {
+	for _, algo := range rinvalAlgos {
+		t.Run(algo.String(), func(t *testing.T) {
+			s, err := newSystem(Config{Algo: algo, MaxThreads: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			th := s.MustRegister()
+			sv := s.eng.(*remoteEngine).srv[0]
+			beginSlot(s, th)
+			if w, _ := th.slot.aliveWord(); !th.slot.tryInvalidate(w) {
+				t.Fatal("could not doom the fresh transaction")
+			}
+			state := th.slot.state.Load()
+			committed, admitted := sv.ownEpoch(th.idx)
+			if committed || !admitted {
+				t.Fatalf("doomed self: committed=%v admitted=%v, want false/true", committed, admitted)
+			}
+			if ts := s.streams[0].ts.Load(); ts != 0 {
+				t.Fatalf("timestamp %d after a doomed own epoch, want 0", ts)
+			}
+			if got := th.slot.state.Load(); got != state {
+				t.Fatalf("mailbox word %#x -> %#x", state, got)
+			}
+			srv := sv.stats()
+			if srv.Epochs != 0 || srv.Server.QueueDepth.Count() != 1 || s.streams[0].owner.Load() != 0 {
+				t.Fatalf("Epochs=%d queue-depth samples=%d lock=%d, want 0/1/0",
+					srv.Epochs, srv.Server.QueueDepth.Count(), s.streams[0].owner.Load())
+			}
+			settle(s, th.idx, th.slot)
+			th.Close()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

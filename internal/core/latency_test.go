@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -218,8 +217,9 @@ func TestFlightTickStallDetection(t *testing.T) {
 		t.Fatalf("second tick: %d bundles, want one commit-server stall on slot 3: %+v", len(b), b)
 	}
 	// Epoch progress clears it: the window the next tick pushes shows an
-	// epoch, so the still-pending slot no longer counts as stalled.
-	atomic.AddUint64(&s.eng.(*remoteEngine).srv[0].commitSrv.Epochs, 1)
+	// epoch (one batch-size sample), so the still-pending slot no longer
+	// counts as stalled.
+	s.eng.(*remoteEngine).srv[0].batchSizes.Record(1)
 	tick()
 	if b := flightBundles(t, dir); len(b) != 1 {
 		t.Fatalf("tick with epoch progress tripped: %q", b[1].Reason)

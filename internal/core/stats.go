@@ -58,23 +58,29 @@ type Stats struct {
 
 	// Epochs counts odd/even timestamp transitions executed on the RInval
 	// commit streams, whoever drove them (commit-server, cross-shard leader
-	// or helping client). With group commit one epoch can retire a whole
-	// batch, so Epochs <= the server's Commits; the ratio is the batching win.
+	// or client). With group commit one epoch can retire a whole batch, so
+	// Epochs <= the server's Commits; the ratio is the batching win. On the
+	// server side both are derived from BatchSizes: Epochs is its sample
+	// count, the streams' Commits its sum.
 	Epochs uint64
 	// CrossShardCommits counts commits retired by multi-stream epochs
 	// (Config.Shards > 1 only): requests whose touched-shard mask spanned
 	// more than one commit stream.
 	CrossShardCommits uint64
-	// HelpedEpochs counts the epochs a client drove itself: its busy-wait
-	// budget ran out with no reply, the home stream's lock was free, and the
-	// epoch it then ran committed at least one request (DESIGN.md §16).
-	// Recorded on the helping client's own Stats; those epochs are also in
-	// the stream's Epochs, so HelpedEpochs <= Epochs and the ratio is the
-	// share of epochs the commit-server did not get to first.
+	// HelpedEpochs counts the epochs a client drove itself and that
+	// committed at least one request (DESIGN.md §16): either its busy-wait
+	// budget ran out with no reply and the home stream's lock was free, or
+	// its commit-server would not stay hot for the request and it committed
+	// its own write set under the stream lock without publishing one.
+	// Recorded on the client's own Stats; those epochs are also in the
+	// stream's Epochs, so HelpedEpochs <= Epochs and the ratio is the share
+	// of epochs the commit-server did not get to first.
 	HelpedEpochs uint64
 	// BatchSizes is the distribution of group-commit batch sizes, one sample
-	// per epoch. Like Server it is populated only in server-side Stats (the
-	// epoch drivers record into atomic histograms; this is their snapshot).
+	// per committing epoch; Epochs and the server's Commits are its count
+	// and sum. Like Server it is populated only in server-side Stats (the
+	// epoch drivers record into exact-count histograms, one atomic add per
+	// sample; this is their snapshot).
 	BatchSizes histo.Histogram
 
 	// Server holds the commit streams' clock-free per-epoch samples. The

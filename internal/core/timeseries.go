@@ -25,7 +25,8 @@ const DefaultTimeSeriesWindows = 600
 
 // collectTSSample assembles one cumulative observation as of nowNanos.
 // Alloc-free: Stats() copies values, the server counters are individual
-// atomic loads, and the phase histograms merge into the sample in place.
+// atomic loads or histogram snapshots, and the phase histograms merge into
+// the sample in place.
 func (s *System) collectTSSample(nowNanos int64) obs.TSSample {
 	var smp obs.TSSample
 	smp.UnixNanos = nowNanos
@@ -43,13 +44,14 @@ func (s *System) collectTSSample(nowNanos int64) obs.TSSample {
 	c[obs.TSReads] = st.Reads
 	c[obs.TSWrites] = st.Writes
 	// Server-side activity lives in the server goroutines' Stats, which
-	// System.Stats only folds in after Close; read the live counters. The
-	// sampler joins before Close folds the server stats, so the two sources
-	// never double-count.
+	// System.Stats only folds in after Close; read the live counters (a
+	// stream's epochs are its batch-size samples). The sampler joins before
+	// Close folds the server stats, so the two sources never double-count.
 	epochs, cross := st.Epochs, st.CrossShardCommits
 	if re, ok := s.eng.(*remoteEngine); ok {
 		for j := range re.srv {
-			epochs += atomic.LoadUint64(&re.srv[j].commitSrv.Epochs)
+			bs := re.srv[j].batchSizes.Snapshot()
+			epochs += bs.Count()
 			cross += atomic.LoadUint64(&re.srv[j].commitSrv.CrossShardCommits)
 		}
 	}

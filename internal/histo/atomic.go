@@ -94,3 +94,58 @@ func Delta(cur, prev *Histogram) Histogram {
 	}
 	return out
 }
+
+// Exact is Atomic for samples that are small integers with a known bound,
+// such as a batch size or a queue depth: one counter per value 0..max, so a
+// sample costs one atomic add where Atomic's costs three (bucket, sum, count)
+// and two loads. Snapshot derives the buckets, count, sum, min and max from
+// the counters and returns exactly the Histogram an Atomic fed the same
+// samples would. A sample above max is recorded in an Atomic instead, so no
+// value is lost. The discipline is Atomic's: one goroutine records, any number
+// snapshot, and a snapshot taken mid-record is a state the histogram passed
+// through counter by counter.
+type Exact struct {
+	counts []atomic.Uint64 // counts[v]: samples equal to v
+	over   Atomic          // samples above len(counts)-1
+}
+
+// NewExact returns an Exact counting each value 0..max.
+func NewExact(max int) Exact { return Exact{counts: make([]atomic.Uint64, max+1)} }
+
+// Record adds one sample. Only the owning goroutine may call it.
+//
+//stm:hotpath
+func (h *Exact) Record(v uint64) {
+	if v < uint64(len(h.counts)) {
+		h.counts[v].Add(1)
+		return
+	}
+	h.over.Record(v)
+}
+
+// Snapshot returns the current state as a plain Histogram, safe to call
+// while the owner records. Count and Sum of the result are the sample count
+// and total; every counted value lies below the overflow's samples, so the
+// smallest counted value is the minimum and the overflow's maximum, if any,
+// the maximum.
+func (h *Exact) Snapshot() Histogram {
+	out := h.over.Snapshot()
+	var n uint64
+	for v := range h.counts {
+		c := h.counts[v].Load()
+		if c == 0 {
+			continue
+		}
+		if n == 0 {
+			out.min = uint64(v)
+		}
+		if out.count == 0 {
+			out.max = uint64(v)
+		}
+		n += c
+		out.buckets[bits.Len64(uint64(v))] += c
+		out.sum += uint64(v) * c
+	}
+	out.count += n
+	return out
+}

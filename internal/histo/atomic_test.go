@@ -3,6 +3,7 @@ package histo
 import (
 	"math/bits"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -47,7 +48,10 @@ func TestQuantileBucketBoundaries(t *testing.T) {
 
 // TestQuantileOracle is the sorted-slice property test: for random sample
 // sets and random q, Quantile must land in the same power-of-two bucket as
-// the exact nearest-rank value from a sorted copy.
+// the exact nearest-rank value from a sorted copy. The fixed case is q = 0.28
+// over the samples 1..25, whose rank is 7 (value 7, bucket 3); a rank taken
+// as the ceiling of the floating-point product 7.000000000000001 is 8 (value
+// 8, bucket 4).
 func TestQuantileOracle(t *testing.T) {
 	f := func(vals []uint32, qRaw uint16) bool {
 		if len(vals) == 0 {
@@ -73,6 +77,13 @@ func TestQuantileOracle(t *testing.T) {
 		// Same bucket as the oracle (clamping keeps it there: min/max of a
 		// histogram whose clamp fires live in the selected bucket).
 		return bits.Len64(got) == bits.Len64(exact)
+	}
+	oneTo25 := make([]uint32, 25)
+	for i := range oneTo25 {
+		oneTo25[i] = uint32(i + 1)
+	}
+	if !f(oneTo25, 279) {
+		t.Fatal("Quantile(0.28) over 1..25 left the bucket of rank 7")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -220,5 +231,62 @@ func BenchmarkAtomicRecord(b *testing.B) {
 	var h Atomic
 	for i := 0; i < b.N; i++ {
 		h.Record(uint64(i))
+	}
+}
+
+// TestExactMatchesAtomic is the property test behind Exact's contract: for
+// any sample sequence, values above max included, its Snapshot is the very
+// Histogram an Atomic fed the same samples returns — buckets, count, sum,
+// min and max.
+func TestExactMatchesAtomic(t *testing.T) {
+	f := func(vals []uint16, maxRaw uint8) bool {
+		max := int(maxRaw % 64)
+		e := NewExact(max)
+		var a Atomic
+		for _, v := range vals {
+			// Most samples within 0..max+8, some far above it.
+			x := uint64(v % uint16(max+9))
+			if v%16 == 0 {
+				x = uint64(v) << 20
+			}
+			e.Record(x)
+			a.Record(x)
+		}
+		return reflect.DeepEqual(e.Snapshot(), a.Snapshot())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	var empty Atomic
+	if e := NewExact(4); e.Snapshot() != empty.Snapshot() {
+		t.Fatal("empty Exact's snapshot differs from an empty Atomic's")
+	}
+}
+
+// TestExactConcurrentSnapshot: snapshots taken while the owner records see
+// monotone counts, and the final one is exact.
+func TestExactConcurrentSnapshot(t *testing.T) {
+	e := NewExact(8)
+	const n = 20000
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			e.Record(uint64(i % 11))
+		}
+	}()
+	var last uint64
+	for i := 0; i < 200; i++ {
+		s := e.Snapshot()
+		if s.Count() < last {
+			t.Fatalf("count went back from %d to %d", last, s.Count())
+		}
+		last = s.Count()
+	}
+	wg.Wait()
+	s := e.Snapshot()
+	if s.Count() != n || s.Min() != 0 || s.Max() != 10 {
+		t.Fatalf("final snapshot n=%d min=%d max=%d, want %d/0/10", s.Count(), s.Min(), s.Max(), n)
 	}
 }

@@ -69,7 +69,9 @@ func (h *Histogram) Max() uint64 { return h.max }
 // clamped to [Min, Max]. The rank is ceil(q*count) — the standard
 // nearest-rank definition — so q=0.5 over three samples selects the middle
 // one, not the first (truncation used to bias every mid-bucket quantile one
-// sample low). Returns 0 when empty.
+// sample low). The product is taken in integers, with q rounded to parts per
+// billion: in floating point 0.28*25 is 7.000000000000001, whose ceiling
+// would rank 8 instead of 7. Returns 0 when empty.
 func (h *Histogram) Quantile(q float64) uint64 {
 	if h.count == 0 {
 		return 0
@@ -80,7 +82,7 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	if q > 1 {
 		q = 1
 	}
-	target := uint64(math.Ceil(q * float64(h.count)))
+	target := ceilRank(uint64(math.Round(q*rankScale)), h.count)
 	if target == 0 {
 		target = 1
 	}
@@ -102,6 +104,19 @@ func (h *Histogram) Quantile(q float64) uint64 {
 		}
 	}
 	return h.max
+}
+
+// rankScale is the resolution of Quantile's q: parts per billion.
+const rankScale = 1e9
+
+// ceilRank returns ceil(qn*count/rankScale) exactly, for qn <= rankScale: the
+// product is 128-bit, and its high word stays below rankScale, so the
+// division cannot overflow.
+func ceilRank(qn, count uint64) uint64 {
+	hi, lo := bits.Mul64(qn, count)
+	lo, carry := bits.Add64(lo, rankScale-1, 0)
+	rank, _ := bits.Div64(hi+carry, lo, rankScale)
+	return rank
 }
 
 // bucketMid returns the geometric midpoint of bucket i: values in bucket i
