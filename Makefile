@@ -40,8 +40,8 @@ test:
 ## shows on some schedules — then the same -run set at both server layouts,
 ## whatever the runner's core count: GOMAXPROCS=4, the only setting where
 ## V2/V3 start their invalidation-servers, and GOMAXPROCS=2, where the servers
-## share the Ps (System.coolServers), a lone client commits its own write set
-## without a request and the epoch drivers scan every partition themselves.
+## share the Ps (remoteEngine.coolServers), a lone client commits its own write
+## set without a request and the epoch drivers scan every partition themselves.
 RACE_LAYOUT_RUN = 'Help|CrossShard|Partition|Liveness|Mailbox|Opacity|Differential|Epoch'
 race:
 	$(GO) test -race -count=1 ./internal/core/ ./stm/ ./internal/obs/ ./internal/bloom/ ./internal/padded/ ./internal/analysis/
@@ -66,8 +66,10 @@ sim-check:
 
 ## size: the numbers ROADMAP aim 2 tracks like throughput — tracked Go lines
 ## per top-level directory (lint fixtures under testdata count as non-test),
+## the lines of the three commit-path files ROADMAP item 4's bar counts,
 ## Config's field count and the OpenMetrics family count, the last two as the
 ## tests that pin them log them. ROADMAP's state line is copied from here.
+COMMIT_PATH = internal/core/engine_rinval.go internal/core/engine_inval.go internal/core/system.go
 size:
 	@git ls-files '*.go' | xargs wc -l | awk '$$2 != "total" { \
 		d = index($$2, "/") ? substr($$2, 1, index($$2, "/") - 1) : "."; \
@@ -75,6 +77,7 @@ size:
 		seen[d] = 1; files++ } \
 		END { for (d in seen) { printf "%-10s %6d non-test %6d test\n", d, s[d], t[d]; S += s[d]; T += t[d] } \
 		printf "%-10s %6d non-test %6d test  (%d Go files, %d lines)\n", "total", S, T, files, S + T }' | sort
+	@cat $(COMMIT_PATH) | wc -l | awk '{ printf "commit path %d non-test (item 4: engine_rinval.go + engine_inval.go + system.go)\n", $$1 }'
 	@$(GO) test -count=1 -v -run 'TestConfigFieldCount$$|TestOpenMetricsHelpConformance$$' ./internal/core/ | grep -o 'Config fields: .*\|OpenMetrics families: .*'
 
 ## bench: the repository benchmark (BENCHMARK.json): four workloads x four

@@ -123,7 +123,7 @@ func (e *invalEngine) commit(tx *Tx) bool {
 	if sys.attr != nil {
 		kd = tx.attrKillDesc()
 	}
-	atomic.AddUint64(&tx.stats.Invalidations, sys.invalidateOthers(tx.slot.selfMask, tx.ws.bf, tx.ring, kd))
+	atomic.AddUint64(&tx.stats.Invalidations, sys.invalidate(sys.allSlots, tx.slot.selfMask, tx.ws.bf, tx.ring, kd))
 	sys.writeBack(tx.ws)
 	sys.streams[0].ts.Store(t + 2)
 	return true

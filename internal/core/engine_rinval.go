@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync/atomic"
 
 	"github.com/ssrg-vt/rinval/internal/bloom"
@@ -41,8 +42,8 @@ import (
 // An epoch is driven by whoever holds its streams' locks. Normally that is the
 // leading commit-server; a waiting client may take its single stream's free
 // lock once its busy-wait budget ran out without a reply and run the epoch for
-// its own request itself (help, DESIGN.md §16). Where the server would not stay
-// hot for the request (staysHot) the client publishes none: it takes the
+// its own request itself (help, DESIGN.md §16). Where the engine gives the
+// commit to the client (ownsCommit) the client publishes none: it takes the
 // stream lock and runs the epoch's stages after admission over its own slot
 // (commitOwn). Both keep commit latency at the cost of the work rather than of
 // the hand-off when the server has no core of its own, the second without a
@@ -55,6 +56,11 @@ type remoteEngine struct {
 	numInval   int // invalidation-servers per commit stream (0 for V1)
 	stepsAhead int
 	maxBatch   int
+
+	// coolServers is GOMAXPROCS < 4 at construction: the servers would have no
+	// P of their own, so no invalidation-server starts (serverTasks) and a lone
+	// client commits its own write sets (ownsCommit; DESIGN.md §3).
+	coolServers bool
 
 	// srv[j] is shard j's server set. Exactly one entry when Shards == 1.
 	srv []*shardServer
@@ -135,10 +141,11 @@ func newRemoteEngine(sys *System, numInval, stepsAhead int) *remoteEngine {
 		perShard = sys.nInvalPerShard
 	}
 	e := &remoteEngine{
-		sys:        sys,
-		numInval:   perShard,
-		stepsAhead: stepsAhead,
-		maxBatch:   sys.cfg.MaxBatch,
+		sys:         sys,
+		numInval:    perShard,
+		stepsAhead:  stepsAhead,
+		maxBatch:    sys.cfg.MaxBatch,
+		coolServers: runtime.GOMAXPROCS(0) < 4,
 	}
 	for j := range sys.streams {
 		sv := &shardServer{
@@ -211,13 +218,13 @@ func (e *remoteEngine) read(tx *Tx, v *Var) (*Box, bool) {
 // reply word until an epoch driver answers. The request is the transaction's
 // stream masks, computed here from the write set and the shards its reads
 // visited (both bit 0 when Shards == 1); the server of the lowest touched
-// stream owns it. Where that server would not stay hot for the request
-// (staysHot, read once here — the rule the server backs off by) nobody else
-// would answer it soon, so no request is published: the client commits its
-// own write set under the stream lock (commitOwn). Elsewhere every wait
-// iteration after the busy phase has run out, by when a server with a core of
-// its own would have replied, first offers to drive the epoch itself (help);
-// an iteration that could not help waits.
+// stream owns it. Where the engine gives the commit to the client
+// (ownsCommit, read once here) nobody else would answer it soon, so no request
+// is published: the client commits its own write set under the stream lock
+// (commitOwn). Elsewhere every wait iteration after the busy phase has run
+// out, by when a server with a core of its own would have replied, first
+// offers to drive the epoch itself (help); an iteration that could not help
+// waits.
 //
 //stm:hotpath
 func (e *remoteEngine) commit(tx *Tx) bool {
@@ -235,7 +242,7 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 	touched := writes | tx.readShards
 	sv := e.srv[bits.TrailingZeros64(touched)]
 	tx.ring.Instant(obs.KCommitReq, 0)
-	if !sv.staysHot(touched) {
+	if e.ownsCommit(touched) {
 		return commitOwn(tx, sv)
 	}
 	sl := tx.slot
@@ -255,6 +262,18 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 		}
 		w.Wait()
 	}
+}
+
+// ownsCommit is the one rule for who drives an epoch: a client commits its
+// request over mask itself, publishing nothing (commitOwn), only where the
+// servers share the clients' Ps (coolServers), the mask is single-stream and
+// at most one Thread is registered. A cross-shard request has no client
+// driver, and two or more Threads are the hot commit-server's to batch
+// (EXPERIMENTS.md, "Where the commit-server rule stops").
+//
+//stm:hotpath
+func (e *remoteEngine) ownsCommit(mask uint64) bool {
+	return e.coolServers && mask&(mask-1) == 0 && e.sys.nLive.Load() < 2
 }
 
 // commitOwn commits tx through its single stream sv without a mailbox
@@ -327,7 +346,7 @@ func (e *remoteEngine) serverTasks() []serverTask {
 			name: e.sys.serverName("commit-server", j),
 			run:  sv.commitServerMain,
 		})
-		if e.sys.coolServers {
+		if e.coolServers {
 			continue
 		}
 		for k := 0; k < e.numInval; k++ {
@@ -377,8 +396,9 @@ func (sv *shardServer) stats() Stats {
 // stream is its own — single-stream requests of its stream, and the
 // cross-shard requests it leads — so a request still has exactly one server;
 // a single-stream request may instead be answered by a helping client, and
-// the stream lock decides which of the two does. After an epoch it served,
-// the server goes back to busy polling only if staysHot says so.
+// the stream lock decides which of the two does. After any epoch it served
+// the server goes back to busy polling; it backs off only while it finds
+// nothing to serve.
 //
 //stm:hotpath
 func (sv *shardServer) commitServerMain(stop func() bool) {
@@ -397,7 +417,7 @@ func (sv *shardServer) commitServerMain(stop func() bool) {
 			if !ok || bits.TrailingZeros64(touched) != sv.shard {
 				continue
 			}
-			if sv.serveEpoch(touched, i) && sv.staysHot(touched) {
+			if sv.serveEpoch(touched, i) {
 				hot = true
 			}
 		}
@@ -407,22 +427,6 @@ func (sv *shardServer) commitServerMain(stop func() bool) {
 			w.Wait()
 		}
 	}
-}
-
-// staysHot reports whether the commit-server, having just served an epoch for
-// mask, goes back to busy polling. With a P of its own it always does. One
-// that shares the clients' Ps (System.coolServers) does so only for a
-// cross-shard request, which no client can drive, or while more than one
-// Thread is registered; for a lone client it keeps backing off, down to a poll
-// per spin.MaxSleep. Hot, it wins just enough races against a lone client's
-// own help to stay hot, and a System then settles in either regime by chance.
-// Both sides of the mailbox read this one rule: a client whose request it
-// says no to publishes none and commits it itself under the stream lock
-// (commit, commitOwn).
-//
-//stm:hotpath
-func (sv *shardServer) staysHot(mask uint64) bool {
-	return !sv.sys.coolServers || mask&(mask-1) != 0 || sv.sys.nLive.Load() > 1
 }
 
 // serveEpoch is the commit-server's way into an epoch: take every stream in
@@ -465,8 +469,8 @@ func (sv *shardServer) serveEpoch(mask uint64, first int) bool {
 //	check      answer doomed members ABORTED without a timestamp transition
 //	publish    raise the written streams odd, invalidate (V1 inline, V2/V3 by
 //	           descriptor), write back, lower them even (publish)
-//	reply      COMMITTED to every member
 //	record     the batch-size sample (the stream's Epochs and Commits)
+//	reply      COMMITTED to every member
 //	scan       V2/V3: apply the new descriptor to every partition of the
 //	           written streams that no one else is scanning (scanPartition)
 //
@@ -519,7 +523,7 @@ func (sv *shardServer) ownEpoch(self int) (committed, admitted bool) {
 }
 
 // retire runs the epoch's stages after admission — catch-up within lagBudget,
-// check, publish, reply, record and scan — over the members in sv.batchIdx;
+// check, publish, record, reply and scan — over the members in sv.batchIdx;
 // pending is the queue depth admission saw. Member self, if not -1, is the
 // driver's own slot with no request published: it gets no reply, and the
 // result (0: doomed) tells it how it fared. It returns the members committed.
@@ -592,21 +596,22 @@ func (sv *shardServer) retire(mask, lagBudget, pending uint64, self int, clk *ph
 
 	writes := sv.publish(mask, clk)
 
+	// Every record lands while the caller still holds sv's stream: the next
+	// driver owns sv's histograms, ring and cell the moment the lock is free.
+	// The batch-size sample is the stream's Epochs (its count) and Commits
+	// (its sum); it precedes the replies, so a member that saw its commit
+	// finds it counted in System.Stats.
+	if multi {
+		atomic.AddUint64(&sv.commitSrv.CrossShardCommits, uint64(n))
+	}
+	sv.batchSizes.Record(uint64(n))
+
 	for _, j := range sv.batchIdx {
 		if j != self {
 			sys.slots[j].reply(reqCommitted)
 		}
 	}
 	clk.lap(obs.LatReply, obs.KReply, uint64(n))
-
-	// Every record lands while the caller still holds sv's stream: the next
-	// driver owns sv's histograms, ring and cell the moment the lock is free.
-	// The batch-size sample is the stream's Epochs (its count) and Commits
-	// (its sum).
-	if multi {
-		atomic.AddUint64(&sv.commitSrv.CrossShardCommits, uint64(n))
-	}
-	sv.batchSizes.Record(uint64(n))
 
 	// Last, off the members' critical path: leave no written partition (V1
 	// has none) lagging unless somebody is scanning it. An invalidation-server
@@ -757,7 +762,7 @@ func (sv *shardServer) publish(mask uint64, clk *phaseClock) (writes uint64) {
 		st.ts.Add(1)
 	}
 	if e.numInval == 0 {
-		doomed := sys.invalidateOthers(members, sig, sv.commitRing, kd)
+		doomed := sys.invalidate(sys.allSlots, members, sig, sv.commitRing, kd)
 		if doomed > 0 {
 			atomic.AddUint64(&sv.commitSrv.Invalidations, doomed)
 		}
@@ -831,7 +836,7 @@ func (sv *shardServer) scanPartition(k int, clk *phaseClock) bool {
 	if st.ts.Load() > st.invalTS[k].Load() && sys.tryLockPartition(sv.shard, k) {
 		for my := st.invalTS[k].Load(); st.ts.Load() > my; my += 2 {
 			d := st.ring[(my/2)%uint64(len(st.ring))].Load()
-			doomed := sys.invalidatePartition(k, d.members, d.bf, clk.ring, d.kd)
+			doomed := sys.invalidate(sys.partMask[k], d.members, d.bf, clk.ring, d.kd)
 			if doomed > 0 {
 				atomic.AddUint64(&sv.invalSrv[k].Invalidations, doomed)
 			}

@@ -397,7 +397,10 @@ func TestGroupCommitOpacityStress(t *testing.T) {
 }
 
 // TestStatsReadableWhileLive: System.Stats and Thread.Stats are safe (and
-// race-clean) while threads are mid-transaction.
+// race-clean) while threads are mid-transaction, and System.Stats reports the
+// servers' counters live: Commits and Epochs never go backwards, Epochs is
+// non-zero on RInval before Close, and Close adds nothing to what the last
+// live read said.
 func TestStatsReadableWhileLive(t *testing.T) {
 	for _, algo := range []Algo{NOrec, RInvalV2} {
 		t.Run(algo.String(), func(t *testing.T) {
@@ -434,19 +437,30 @@ func TestStatsReadableWhileLive(t *testing.T) {
 				if st.Commits < last.Commits {
 					t.Errorf("commits went backwards: %d -> %d", last.Commits, st.Commits)
 				}
+				if st.Epochs < last.Epochs {
+					t.Errorf("epochs went backwards: %d -> %d", last.Epochs, st.Epochs)
+				}
 				last = st
 				_ = ths[0].Stats()
 			}
 			for _, th := range ths {
 				th.Close()
 			}
+			live := s.Stats()
+			if _, remote := s.eng.(*remoteEngine); remote && live.Epochs == 0 {
+				t.Errorf("live Epochs = 0 with every commit done, want > 0")
+			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			// At least one count per transaction; RInval aggregates also
-			// include the commit-server's committed-request counter.
-			if got := s.Stats().Commits; got < workers*iters {
-				t.Errorf("commits = %d, want >= %d", got, workers*iters)
+			// At least one count per transaction, and each counted once.
+			after := s.Stats()
+			if after.Commits < workers*iters {
+				t.Errorf("commits = %d, want >= %d", after.Commits, workers*iters)
+			}
+			if after.Commits != live.Commits || after.Epochs != live.Epochs || after.Invalidations != live.Invalidations {
+				t.Errorf("after Close Commits/Epochs/Invalidations = %d/%d/%d, live before it %d/%d/%d",
+					after.Commits, after.Epochs, after.Invalidations, live.Commits, live.Epochs, live.Invalidations)
 			}
 		})
 	}

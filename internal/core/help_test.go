@@ -11,8 +11,8 @@ import (
 	"github.com/ssrg-vt/rinval/internal/spin"
 )
 
-// Tests for client-driven epochs (DESIGN.md §16): where its commit-server does
-// not stay hot for the request (shardServer.staysHot) a client publishes none
+// Tests for client-driven epochs (DESIGN.md §16): where the engine gives the
+// commit to the client (remoteEngine.ownsCommit) a client publishes no request
 // and commits its own write set under the stream lock (commitOwn); elsewhere
 // a waiting client takes a free stream lock once its busy phase ran out and
 // runs the epoch itself (help).
@@ -53,8 +53,8 @@ func TestHelpLivenessWithoutServer(t *testing.T) {
 	}
 }
 
-// TestHelpAtOnceWhenServerCools: where the commit-server does not stay hot for
-// a request — shared Ps, a single-stream mask, one Thread — the client drives
+// TestHelpAtOnceWhenServerCools: where the engine gives a request's commit to
+// the client — shared Ps, a single-stream mask, one Thread — the client drives
 // its epoch from the first iteration of its wait instead of spending the busy
 // phase on a reply that will not come. A busy phase raised out of reach makes
 // a client that waits for it first hang past the deadline.

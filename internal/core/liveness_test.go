@@ -157,13 +157,13 @@ func TestServerTasksRule(t *testing.T) {
 	}
 }
 
-// TestCommitServerStaysHotRule: a commit-server that shares the clients' Ps
-// goes back to busy polling after a single-stream epoch only while more than
-// one Thread is registered, and after a cross-shard epoch always; with a P of
-// its own, after every epoch. The client's commit wait reads the same
-// predicate: where it is false, the client helps from its first iteration
-// (TestHelpAtOnceWhenServerCools).
-func TestCommitServerStaysHotRule(t *testing.T) {
+// TestOwnsCommitRule: the engine's one rule for who drives an epoch. A client
+// commits its own request, publishing none, only where the servers share the
+// clients' Ps, the request is single-stream and at most one Thread is
+// registered; a cross-shard request, two Threads, or servers with a P of their
+// own always go through the commit-server. Where the rule says yes, the client
+// drives its epoch from the start (TestHelpAtOnceWhenServerCools).
+func TestOwnsCommitRule(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{2, 4} {
 		runtime.GOMAXPROCS(procs)
@@ -172,23 +172,24 @@ func TestCommitServerStaysHotRule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sv := s.eng.(*remoteEngine).srv[0]
+			e := s.eng.(*remoteEngine)
 			cool := procs < 4
 			check := func(threads int, mask uint64, want bool) {
 				t.Helper()
-				if got := sv.staysHot(mask); got != want {
-					t.Errorf("%s at GOMAXPROCS %d, %d threads, mask %b: staysHot = %v, want %v",
+				if got := e.ownsCommit(mask); got != want {
+					t.Errorf("%s at GOMAXPROCS %d, %d threads, mask %b: ownsCommit = %v, want %v",
 						algo, procs, threads, mask, got, want)
 				}
 			}
-			check(0, 0b01, !cool)
+			check(0, 0b01, cool)
 			th1 := s.MustRegister()
-			check(1, 0b01, !cool)
-			check(1, 0b11, true)
+			check(1, 0b01, cool)
+			check(1, 0b11, false)
 			th2 := s.MustRegister()
-			check(2, 0b01, true)
+			check(2, 0b01, false)
+			check(2, 0b11, false)
 			th2.Close()
-			check(1, 0b01, !cool)
+			check(1, 0b01, cool)
 			th1.Close()
 		}
 	}

@@ -70,17 +70,19 @@ type Stats struct {
 	// HelpedEpochs counts the epochs a client drove itself and that
 	// committed at least one request (DESIGN.md §16): either its busy-wait
 	// budget ran out with no reply and the home stream's lock was free, or
-	// its commit-server would not stay hot for the request and it committed
-	// its own write set under the stream lock without publishing one.
+	// the engine gave it the commit (a lone client on shared Ps) and it
+	// committed its own write set under the stream lock without publishing a
+	// request.
 	// Recorded on the client's own Stats; those epochs are also in the
 	// stream's Epochs, so HelpedEpochs <= Epochs and the ratio is the share
 	// of epochs the commit-server did not get to first.
 	HelpedEpochs uint64
 	// BatchSizes is the distribution of group-commit batch sizes, one sample
 	// per committing epoch; Epochs and the server's Commits are its count
-	// and sum. Like Server it is populated only in server-side Stats (the
-	// epoch drivers record into exact-count histograms, one atomic add per
-	// sample; this is their snapshot).
+	// and sum. Like Server it is empty in a Thread's Stats and filled in
+	// System.Stats and ShardServerStats, live (the epoch drivers record into
+	// exact-count histograms, one atomic add per sample; this is their
+	// snapshot).
 	BatchSizes histo.Histogram
 
 	// Server holds the commit streams' clock-free per-epoch samples. The

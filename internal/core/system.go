@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -41,7 +40,7 @@ type engine interface {
 	// in pprof profiles and trace exports.
 	serverTasks() []serverTask
 	// serverStats returns activity the servers performed on behalf of
-	// clients (e.g. invalidations executed remotely). Valid after Close.
+	// clients (e.g. invalidations executed remotely). Safe while they run.
 	serverStats() Stats
 }
 
@@ -176,9 +175,11 @@ type System struct {
 	roEpoch []padded.Uint64
 
 	// partMask[k] masks active's words down to invalidation partition k
-	// (slots with invalServer == k). Built once at construction; every
-	// stream's server k scans the same slot partition.
+	// (slots with invalServer == k); allSlots is every slot, the scope of an
+	// unpartitioned scan. Built once at construction; every stream's server k
+	// scans the same slot partition.
 	partMask []slotMask
+	allSlots slotMask
 
 	// mu is the Mutex engine's global lock.
 	mu sync.Mutex
@@ -225,15 +226,6 @@ type System struct {
 	// nLive is len(live), for readers that do not take regMu.
 	nLive atomic.Int32
 
-	// coolServers is true iff the engine is RInval and GOMAXPROCS < 4: its
-	// servers would have no P of their own. Then no invalidation-server is
-	// started (the epoch drivers scan every partition), and the commit-server
-	// does not go back to busy polling after a single-stream epoch with one
-	// Thread registered, work the lone client could have done itself — so a
-	// run does not flip between "server hot" and "the client drives
-	// everything" from one System to the next (DESIGN.md §3).
-	coolServers bool
-
 	stop padded.Bool
 	wg   sync.WaitGroup
 }
@@ -273,6 +265,7 @@ func newSystem(cfg Config) (*System, error) {
 	for k := range s.partMask {
 		s.partMask[k] = newSlotMask(cfg.MaxThreads)
 	}
+	s.allSlots = newSlotMask(cfg.MaxThreads)
 	s.freeSlots = make([]int, 0, cfg.MaxThreads)
 	for i := range s.slots {
 		s.slots[i].readBF = bloom.NewAtomic(cfg.Bloom)
@@ -280,6 +273,7 @@ func newSystem(cfg Config) (*System, error) {
 		s.slots[i].selfMask = newSlotMask(cfg.MaxThreads)
 		s.slots[i].selfMask.set(i)
 		s.partMask[i%s.nInvalPerShard].set(i)
+		s.allSlots.set(i)
 		s.freeSlots = append(s.freeSlots, cfg.MaxThreads-1-i)
 	}
 
@@ -333,9 +327,6 @@ func newSystem(cfg Config) (*System, error) {
 		s.eng = newRemoteEngine(s, cfg.InvalServers, cfg.StepsAhead)
 	case TL2:
 		s.eng = &tl2Engine{sys: s}
-	}
-	if _, ok := s.eng.(*remoteEngine); ok {
-		s.coolServers = runtime.GOMAXPROCS(0) < 4
 	}
 	switch cfg.Algo {
 	case NOrec, TL2:
@@ -412,11 +403,6 @@ func (s *System) Close() error {
 		close(s.tsStop)
 	}
 	s.wg.Wait()
-	// Fold in what only the servers count. The epoch drivers' Commits are the
-	// clients' own commits seen from the stream side, already in retired.
-	srv := s.eng.serverStats()
-	srv.Commits = 0
-	s.retired.Add(srv)
 	return nil
 }
 
@@ -488,12 +474,12 @@ func (s *System) release(th *Thread) {
 	s.retired.Add(th.stats)
 }
 
-// Stats aggregates statistics from retired threads, live threads, and (after
-// Close) what only the servers count: Invalidations, Epochs,
-// CrossShardCommits, BatchSizes and Server. Commits is the clients' count
-// before and after. Safe to call at any time, including while threads are
-// running transactions: live threads' counters are read atomically (each
-// counter individually; the aggregate is not a single instant).
+// Stats aggregates statistics from retired threads, live threads, and what
+// only the servers count: Invalidations, Epochs, CrossShardCommits,
+// BatchSizes and Server. Commits is the clients' count alone. Safe to call at
+// any time, including while threads are running transactions and before or
+// after Close: every counter is read atomically (each individually; the
+// aggregate is not a single instant).
 func (s *System) Stats() Stats {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
@@ -501,6 +487,11 @@ func (s *System) Stats() Stats {
 	for th := range s.live {
 		agg.Add(th.stats.snapshotAtomic())
 	}
+	// The epoch drivers' Commits are the clients' own commits seen from the
+	// stream side, already counted above.
+	srv := s.eng.serverStats()
+	srv.Commits = 0
+	agg.Add(srv)
 	return agg
 }
 
@@ -728,12 +719,14 @@ func (s *System) captureSnapshot(dst []uint64) bool {
 	return false
 }
 
-// invalidateOthers dooms every in-flight transaction outside the skip set
-// whose read signature intersects bf. It returns the number of transactions
-// doomed. Used inline by InvalSTM (skip = the committer's selfMask) and by
-// RInvalV1's commit-server (skip = the epoch's batch members), and
-// per-partition by the invalidation-servers. Each doom is recorded on the
-// invalidator's trace ring (nil when tracing is off).
+// invalidate dooms every in-flight transaction in scope and outside the skip
+// set whose read signature intersects bf. It returns the number of
+// transactions doomed. Used inline over allSlots by InvalSTM (skip = the
+// committer's selfMask) and RInvalV1's epoch driver (skip = the epoch's batch
+// members), and over partMask[k] by partition k's scanners. Every stream's
+// partition k covers the same slots; concurrent scans from different streams
+// are safe because the doom CAS is epoch-guarded and idempotent. Each doom is
+// recorded on the invalidator's trace ring (nil when tracing is off).
 //
 // The default path is the two-level scan: level 0 iterates only the slots
 // whose active bit is set (word load + TrailingZeros64, cost proportional to
@@ -744,28 +737,10 @@ func (s *System) captureSnapshot(dst []uint64) bool {
 // was at seed.
 //
 //stm:hotpath
-func (s *System) invalidateOthers(skip slotMask, bf *bloom.Filter, ring *obs.Ring, kd *killDesc) uint64 {
+func (s *System) invalidate(scope, skip slotMask, bf *bloom.Filter, ring *obs.Ring, kd *killDesc) uint64 {
 	var doomed uint64
 	for w := range s.active.words {
-		b := s.active.words[w].Load() &^ skip[w]
-		for b != 0 {
-			doomed += s.invalidateSlot(nextSlot(w, &b), bf, ring, kd)
-		}
-	}
-	return doomed
-}
-
-// invalidatePartition is invalidateOthers restricted to invalidation
-// partition k (the bitmap words masked by partMask[k]). Every stream's
-// server k covers the same slot partition; concurrent scans from different
-// streams are safe because the doom CAS is epoch-guarded and idempotent.
-//
-//stm:hotpath
-func (s *System) invalidatePartition(k int, skip slotMask, bf *bloom.Filter, ring *obs.Ring, kd *killDesc) uint64 {
-	var doomed uint64
-	part := s.partMask[k]
-	for w := range s.active.words {
-		b := s.active.words[w].Load() & part[w] &^ skip[w]
+		b := s.active.words[w].Load() & scope[w] &^ skip[w]
 		for b != 0 {
 			doomed += s.invalidateSlot(nextSlot(w, &b), bf, ring, kd)
 		}

@@ -1,7 +1,7 @@
 // Windowed-telemetry sampling: the core half of Config.TimeSeries
 // (DESIGN.md §15). A single sampler goroutine assembles one cumulative
-// obs.TSSample per interval — from System.Stats' atomic counter snapshots,
-// the live commit-servers' epoch counters, attribution totals, and the
+// obs.TSSample per interval — from System.Stats' atomic counter snapshots
+// (the commit streams' epoch counters included), attribution totals, and the
 // latency recorder's client-phase histograms — and pushes it into the obs
 // engine, which delta-encodes and evaluates SLO burn rates; what the push
 // returns feeds the flight check (flight.go) on the same goroutine. The
@@ -11,7 +11,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
 	"github.com/ssrg-vt/rinval/internal/obs"
@@ -24,8 +23,8 @@ import (
 const DefaultTimeSeriesWindows = 600
 
 // collectTSSample assembles one cumulative observation as of nowNanos.
-// Alloc-free: Stats() copies values, the server counters are individual
-// atomic loads or histogram snapshots, and the phase histograms merge into
+// Alloc-free: Stats() copies values (its server counters are individual
+// atomic loads or histogram snapshots), and the phase histograms merge into
 // the sample in place.
 func (s *System) collectTSSample(nowNanos int64) obs.TSSample {
 	var smp obs.TSSample
@@ -43,20 +42,8 @@ func (s *System) collectTSSample(nowNanos int64) obs.TSSample {
 	c[obs.TSROFallbacks] = st.ROFallbacks
 	c[obs.TSReads] = st.Reads
 	c[obs.TSWrites] = st.Writes
-	// Server-side activity lives in the server goroutines' Stats, which
-	// System.Stats only folds in after Close; read the live counters (a
-	// stream's epochs are its batch-size samples). The sampler joins before
-	// Close folds the server stats, so the two sources never double-count.
-	epochs, cross := st.Epochs, st.CrossShardCommits
-	if re, ok := s.eng.(*remoteEngine); ok {
-		for j := range re.srv {
-			bs := re.srv[j].batchSizes.Snapshot()
-			epochs += bs.Count()
-			cross += atomic.LoadUint64(&re.srv[j].commitSrv.CrossShardCommits)
-		}
-	}
-	c[obs.TSEpochs] = epochs
-	c[obs.TSCrossShard] = cross
+	c[obs.TSEpochs] = st.Epochs
+	c[obs.TSCrossShard] = st.CrossShardCommits
 	fpSampled, fpFalse, wastedNs := s.attr.Totals()
 	c[obs.TSBloomFPSampled] = fpSampled
 	c[obs.TSBloomFPFalse] = fpFalse

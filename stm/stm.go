@@ -191,8 +191,8 @@ func (s *System) MustRegister() *Thread {
 // Close stops the server goroutines. All Threads must be closed first.
 func (s *System) Close() error { return s.sys.Close() }
 
-// Stats aggregates statistics across all threads (and, after Close, the
-// servers). Safe to call while transactions run: each counter is read
+// Stats aggregates statistics across all threads and the servers, before and
+// after Close. Safe to call while transactions run: each counter is read
 // atomically, though the aggregate is not a single instant.
 func (s *System) Stats() Stats { return s.sys.Stats() }
 
