@@ -35,19 +35,22 @@ test:
 
 ## race: the race detector over the packages with real concurrency (including
 ## core's live /metrics scrape, TestServerHistogramsLiveScrape), then the
-## helper-path, cross-shard and partition-lock tests ten times over — a
-## driver writing a stream's or a partition's scratch outside its lock only
+## helper-path, cross-shard, partition-lock and solo-attempt tests ten times
+## over — a driver writing a stream's or a partition's scratch outside its
+## lock, or an attempt that changed protocol as a Thread came or went, only
 ## shows on some schedules — then the same -run set at both server layouts,
 ## whatever the runner's core count: GOMAXPROCS=4, the only setting where
 ## V2/V3 start their invalidation-servers, and GOMAXPROCS=2, where the servers
-## share the Ps (remoteEngine.coolServers), a lone client commits its own write
-## set without a request and the epoch drivers scan every partition themselves.
-RACE_LAYOUT_RUN = 'Help|CrossShard|Partition|Liveness|Mailbox|Opacity|Differential|Epoch'
+## share the Ps (remoteEngine.coolServers), a lone client's attempts run solo
+## (validated by timestamps, committed without a request) and the epoch
+## drivers scan every partition themselves. internal/verify's churn check
+## flips a client between solo and shared attempts.
+RACE_LAYOUT_RUN = 'Help|CrossShard|Partition|Liveness|Mailbox|Opacity|Differential|Epoch|Solo|Churn'
 race:
 	$(GO) test -race -count=1 ./internal/core/ ./stm/ ./internal/obs/ ./internal/bloom/ ./internal/padded/ ./internal/analysis/
-	$(GO) test -race -count=10 -run 'Help|CrossShard|Partition|LivenessOneP|Mailbox' ./internal/core/
-	GOMAXPROCS=4 $(GO) test -race -count=3 -run $(RACE_LAYOUT_RUN) ./internal/core/
-	GOMAXPROCS=2 $(GO) test -race -count=3 -run $(RACE_LAYOUT_RUN) ./internal/core/
+	$(GO) test -race -count=10 -run 'Help|CrossShard|Partition|LivenessOneP|Mailbox|Solo|Churn' ./internal/core/ ./internal/verify/
+	GOMAXPROCS=4 $(GO) test -race -count=3 -run $(RACE_LAYOUT_RUN) ./internal/core/ ./internal/verify/
+	GOMAXPROCS=2 $(GO) test -race -count=3 -run $(RACE_LAYOUT_RUN) ./internal/core/ ./internal/verify/
 
 ## deflaked: the snapshot-reader property test (a reader that never fell back
 ## takes no abort and is no one's victim), which used to fail a few runs in a

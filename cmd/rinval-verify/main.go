@@ -1,8 +1,9 @@
 // Command rinval-verify stress-checks an engine's safety properties on this
 // machine: opacity (no transaction body ever observes an inconsistent
-// snapshot), atomicity (conserved quantities stay conserved), and
-// structural integrity of the transactional red-black tree under a mixed
-// workload. It is the tool to run when porting the library to a new
+// snapshot), atomicity (conserved quantities stay conserved), structural
+// integrity of the transactional red-black tree under a mixed workload, and
+// the first two again while short-lived Threads register and close around a
+// long-lived client. It is the tool to run when porting the library to a new
 // platform or after modifying an engine.
 //
 // Usage:
@@ -53,8 +54,8 @@ func main() {
 			fmt.Printf("FAIL: %v\n", err)
 			continue
 		}
-		fmt.Printf("ok   snapshots=%d audits=%d treeOps=%d commits=%d aborts=%d\n",
-			rep.Snapshots, rep.Audits, rep.TreeOps, rep.Commits, rep.Aborts)
+		fmt.Printf("ok   snapshots=%d audits=%d treeOps=%d churns=%d commits=%d aborts=%d\n",
+			rep.Snapshots, rep.Audits, rep.TreeOps, rep.Churns, rep.Commits, rep.Aborts)
 	}
 	if failed {
 		os.Exit(1)

@@ -58,14 +58,16 @@ func TestActiveSetWordPadding(t *testing.T) {
 	}
 }
 
-// TestActiveBitmapTracksTransactions: the bit is set exactly while a
+// TestActiveBitmapTracksTransactions: the bit is set exactly while a shared
 // transaction is in flight in the slot (for engines that use slots), and the
-// whole bitmap is clear once the system quiesces.
+// whole bitmap is clear once the system quiesces. A second, idle Thread keeps
+// the attempt shared: a lone Thread's may be solo and set no bit at all
+// (TestSoloPublishesNothing).
 func TestActiveBitmapTracksTransactions(t *testing.T) {
 	for _, algo := range []Algo{InvalSTM, RInvalV1, RInvalV2} {
 		t.Run(algo.String(), func(t *testing.T) {
 			s := MustNew(Config{Algo: algo, MaxThreads: 8, InvalServers: 2})
-			th := s.MustRegister()
+			th, idle := s.MustRegister(), s.MustRegister()
 			if s.active.has(th.idx) {
 				t.Fatal("bit set before any transaction")
 			}
@@ -81,6 +83,7 @@ func TestActiveBitmapTracksTransactions(t *testing.T) {
 				t.Fatal("bit still set after commit")
 			}
 			th.Close()
+			idle.Close()
 			for w := range s.active.words {
 				if got := s.active.words[w].Load(); got != 0 {
 					t.Fatalf("quiescent bitmap word %d = %x", w, got)

@@ -40,72 +40,81 @@ func BenchmarkReadOnlyTx(b *testing.B) {
 	}
 }
 
-func BenchmarkWriteTx(b *testing.B) {
-	for _, a := range Algos {
-		a := a
-		b.Run(a.String(), func(b *testing.B) {
-			_, th := benchSys(b, a)
-			v := NewVar(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = th.Atomically(func(tx *Tx) error {
-					tx.Store(v, i)
-					return nil
-				})
-			}
-		})
+// benchShared runs body once per engine on a lone Thread, as <engine>, and
+// again as <engine>/shared with a second, idle Thread registered. The lone
+// Thread's attempts may be solo (System.solo: no read signature, no liveness,
+// timestamp validation); the shared ones publish every read and their
+// liveness as the paper's protocol does, so both read paths stay measured.
+func benchShared(b *testing.B, algos []Algo, body func(b *testing.B, th *Thread)) {
+	for _, a := range algos {
+		for _, name := range []string{a.String(), a.String() + "/shared"} {
+			b.Run(name, func(b *testing.B) {
+				s, th := benchSys(b, a)
+				if name != a.String() {
+					b.Cleanup(s.MustRegister().Close) // runs before benchSys's cleanup
+				}
+				body(b, th)
+			})
+		}
 	}
+}
+
+func BenchmarkWriteTx(b *testing.B) {
+	benchShared(b, Algos, func(b *testing.B, th *Thread) {
+		v := NewVar(0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = th.Atomically(func(tx *Tx) error {
+				tx.Store(v, i)
+				return nil
+			})
+		}
+	})
 }
 
 // yardstickAlgos are the four engines the repository benchmark compares.
 var yardstickAlgos = []Algo{NOrec, InvalSTM, RInvalV1, RInvalV2}
 
 func BenchmarkReadHeavyTx(b *testing.B) {
-	for _, a := range append(yardstickAlgos, TL2) {
-		a := a
-		b.Run(a.String(), func(b *testing.B) {
-			_, th := benchSys(b, a)
-			vars := make([]*Var, 64)
-			for i := range vars {
-				vars[i] = NewVar(i)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = th.Atomically(func(tx *Tx) error {
-					sum := 0
-					for _, v := range vars {
-						sum += tx.Load(v).(int)
-					}
-					tx.Store(vars[0], sum)
-					return nil
-				})
-			}
-		})
-	}
+	benchShared(b, append(yardstickAlgos, TL2), func(b *testing.B, th *Thread) {
+		vars := make([]*Var, 64)
+		for i := range vars {
+			vars[i] = NewVar(i)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = th.Atomically(func(tx *Tx) error {
+				sum := 0
+				for _, v := range vars {
+					sum += tx.Load(v).(int)
+				}
+				tx.Store(vars[0], sum)
+				return nil
+			})
+		}
+	})
 }
 
 // BenchmarkScanTx is scan_ro_c1's shape: 64 Loads and no Store, so the read
-// path (for the invalidation engines, the signature publish and status check
-// per read) is all the work and no commit-server is asked.
+// path is all the work and no commit-server is asked. For the invalidation
+// engines that is a timestamp re-check per read on a lone (solo) Thread, and
+// the signature publish and status check per read in the shared variant.
 func BenchmarkScanTx(b *testing.B) {
-	for _, a := range yardstickAlgos {
-		b.Run(a.String(), func(b *testing.B) {
-			_, th := benchSys(b, a)
-			vars := make([]*Var, 64)
-			for i := range vars {
-				vars[i] = NewVar(i)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = th.Atomically(func(tx *Tx) error {
-					for _, v := range vars {
-						_ = tx.Load(v)
-					}
-					return nil
-				})
-			}
-		})
-	}
+	benchShared(b, yardstickAlgos, func(b *testing.B, th *Thread) {
+		vars := make([]*Var, 64)
+		for i := range vars {
+			vars[i] = NewVar(i)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = th.Atomically(func(tx *Tx) error {
+				for _, v := range vars {
+					_ = tx.Load(v)
+				}
+				return nil
+			})
+		}
+	})
 }
 
 func BenchmarkContendedCounter(b *testing.B) {

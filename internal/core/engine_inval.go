@@ -36,7 +36,8 @@ func (e *invalEngine) read(tx *Tx, v *Var) (*Box, bool) {
 // RInvalV2/V3 requirement that the reader's own invalidation-server for that
 // stream has processed every prior commit (Algorithm 3, line 28). Time spent
 // blocked — on an odd timestamp, a lagging server, or an unstable window —
-// is recorded as a read-wait trace span.
+// is recorded as a read-wait trace span. This is a shared attempt's read: a
+// solo one never gets here (Tx.LoadBox calls soloRead).
 //
 //stm:hotpath
 func invalRead(tx *Tx, v *Var, waitCaughtUp bool) (*Box, bool) {
@@ -85,10 +86,33 @@ func invalRead(tx *Tx, v *Var, waitCaughtUp bool) (*Box, bool) {
 	}
 }
 
+// soloRead is a solo attempt's read for every invalidation engine, called by
+// Tx.LoadBox without the engine dispatch. It validates as NOrec does: load the
+// cell, then re-load its stream's timestamp. Still the snapshot's, it proves
+// no commit wrote the stream since begin — every write-back runs while the
+// timestamp is odd — so the cell is the snapshot's; moved, the attempt aborts
+// without returning it. The shard joins readShards, which the solo commit
+// validates under the locks.
+//
+//stm:hotpath
+func soloRead(tx *Tx, v *Var) (*Box, bool) {
+	shard := tx.sys.shardOf(v)
+	b := v.loadBox()
+	if tx.sys.streams[shard].ts.Load() != tx.snap[shard] {
+		tx.reason = AbortValidation
+		return nil, false
+	}
+	tx.readShards |= 1 << uint(shard)
+	return b, true
+}
+
 // commit implements Algorithm 1's COMMIT: acquire the global sequence lock
 // with a CAS, re-check the status flag (a commit may have doomed us between
 // the request and the acquisition), invalidate every conflicting in-flight
-// transaction, publish the write set, and release.
+// transaction, publish the write set, and release. A solo attempt acquires
+// the lock with one CAS from its snapshot, which succeeds only if no commit
+// ran since its begin; it still scans the other slots, for a Thread that
+// registered mid-attempt.
 //
 //stm:hotpath
 func (e *invalEngine) commit(tx *Tx) bool {
@@ -98,26 +122,34 @@ func (e *invalEngine) commit(tx *Tx) bool {
 		// nothing remains to serialize.
 		return true
 	}
-	if tx.invalidated() {
-		tx.reason = AbortInvalidated
-		return false
-	}
-	var w spin.Waiter
 	var t uint64
-	for {
-		t = sys.streams[0].ts.Load()
-		if t&1 == 0 && sys.streams[0].ts.CompareAndSwap(t, t+1) {
-			break
+	if tx.solo {
+		t = tx.snap[0]
+		if !sys.streams[0].ts.CompareAndSwap(t, t+1) {
+			tx.reason = AbortValidation
+			return false
 		}
-		w.Wait()
-	}
-	// Re-check after acquisition (Algorithm 1 checks the flag under the
-	// lock): a commit serialized between our last read and the CAS may have
-	// invalidated us.
-	if tx.invalidated() {
-		tx.reason = AbortInvalidated
-		sys.streams[0].ts.Store(t) // release without publishing anything
-		return false
+	} else {
+		if tx.invalidated() {
+			tx.reason = AbortInvalidated
+			return false
+		}
+		var w spin.Waiter
+		for {
+			t = sys.streams[0].ts.Load()
+			if t&1 == 0 && sys.streams[0].ts.CompareAndSwap(t, t+1) {
+				break
+			}
+			w.Wait()
+		}
+		// Re-check after acquisition (Algorithm 1 checks the flag under the
+		// lock): a commit serialized between our last read and the CAS may
+		// have invalidated us.
+		if tx.invalidated() {
+			tx.reason = AbortInvalidated
+			sys.streams[0].ts.Store(t) // release without publishing anything
+			return false
+		}
 	}
 	var kd *killDesc
 	if sys.attr != nil {

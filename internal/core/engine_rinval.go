@@ -42,12 +42,12 @@ import (
 // An epoch is driven by whoever holds its streams' locks. Normally that is the
 // leading commit-server; a waiting client may take its single stream's free
 // lock once its busy-wait budget ran out without a reply and run the epoch for
-// its own request itself (help, DESIGN.md §16). Where the engine gives the
-// commit to the client (ownsCommit) the client publishes none: it takes the
-// stream lock and runs the epoch's stages after admission over its own slot
-// (commitOwn). Both keep commit latency at the cost of the work rather than of
-// the hand-off when the server has no core of its own, the second without a
-// mailbox round trip with itself. The same rule holds one tier down: partition
+// its own request itself (help, DESIGN.md §16). A solo attempt (System.solo)
+// publishes none: it takes its streams' locks, validates its snapshot and runs
+// the epoch's stages after admission over its own slot (commitOwn). Both keep
+// commit latency at the cost of the work rather than of the hand-off when the
+// server has no core of its own, the second without a mailbox round trip with
+// itself. The same rule holds one tier down: partition
 // k of a stream is scanned by whoever holds its try-lock — invalidation-server
 // k, or an epoch driver that found it lagging and free (scanPartition) — so a
 // partition lags only while somebody is scanning it.
@@ -59,7 +59,7 @@ type remoteEngine struct {
 
 	// coolServers is GOMAXPROCS < 4 at construction: the servers would have no
 	// P of their own, so no invalidation-server starts (serverTasks) and a lone
-	// client commits its own write sets (ownsCommit; DESIGN.md §3).
+	// client's attempts run solo (System.solo; DESIGN.md §3).
 	coolServers bool
 
 	// srv[j] is shard j's server set. Exactly one entry when Shards == 1.
@@ -203,10 +203,10 @@ func (e *remoteEngine) usesSlots() bool { return true }
 func (e *remoteEngine) begin(tx *Tx) {}
 
 // read uses the shared invalidation read protocol against the stream owning
-// v's shard. With invalidation-servers present, a read additionally requires
-// the reader's own server for that stream to have processed every prior
-// commit (Algorithm 3 line 28): only then is "my status flag is still ALIVE"
-// proof that no prior commit conflicted.
+// v's shard. With invalidation-servers present, a read of a shared attempt
+// additionally requires the reader's own server for that stream to have
+// processed every prior commit (Algorithm 3 line 28): only then is "my status
+// flag is still ALIVE" proof that no prior commit conflicted.
 //
 //stm:hotpath
 func (e *remoteEngine) read(tx *Tx, v *Var) (*Box, bool) {
@@ -218,9 +218,8 @@ func (e *remoteEngine) read(tx *Tx, v *Var) (*Box, bool) {
 // reply word until an epoch driver answers. The request is the transaction's
 // stream masks, computed here from the write set and the shards its reads
 // visited (both bit 0 when Shards == 1); the server of the lowest touched
-// stream owns it. Where the engine gives the commit to the client
-// (ownsCommit, read once here) nobody else would answer it soon, so no request
-// is published: the client commits its own write set under the stream lock
+// stream owns it. A solo attempt publishes no request: nobody else would
+// answer it soon, so it commits its own write set under its streams' locks
 // (commitOwn). Elsewhere every wait iteration after the busy phase has run
 // out, by when a server with a core of its own would have replied, first
 // offers to drive the epoch itself (help); an iteration that could not help
@@ -231,10 +230,6 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 	if tx.ws.len() == 0 {
 		return true
 	}
-	if tx.invalidated() {
-		tx.reason = AbortInvalidated
-		return false
-	}
 	var writes uint64
 	for i := range tx.ws.entries {
 		writes |= 1 << uint(e.sys.shardOf(tx.ws.entries[i].v))
@@ -242,8 +237,12 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 	touched := writes | tx.readShards
 	sv := e.srv[bits.TrailingZeros64(touched)]
 	tx.ring.Instant(obs.KCommitReq, 0)
-	if e.ownsCommit(touched) {
-		return commitOwn(tx, sv)
+	if tx.solo {
+		return commitOwn(tx, sv, writes, touched)
+	}
+	if tx.invalidated() {
+		tx.reason = AbortInvalidated
+		return false
 	}
 	sl := tx.slot
 	pending := sl.publish(writes, touched)
@@ -264,41 +263,42 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 	}
 }
 
-// ownsCommit is the one rule for who drives an epoch: a client commits its
-// request over mask itself, publishing nothing (commitOwn), only where the
-// servers share the clients' Ps (coolServers), the mask is single-stream and
-// at most one Thread is registered. A cross-shard request has no client
-// driver, and two or more Threads are the hot commit-server's to batch
-// (EXPERIMENTS.md, "Where the commit-server rule stops").
-//
-//stm:hotpath
-func (e *remoteEngine) ownsCommit(mask uint64) bool {
-	return e.coolServers && mask&(mask-1) == 0 && e.sys.nLive.Load() < 2
-}
-
-// commitOwn commits tx through its single stream sv without a mailbox
-// request: take the stream lock, admit the client's own slot as a batch of
-// one (ownEpoch), run the epoch's remaining stages over it and read the outcome
-// from their result. No request word is published, answered or consumed. A
-// declined admission — V3, the client's partition lags and its scanner holds
-// it — unlocks, waits and retries, as a declined help does. The epoch counts
+// commitOwn commits a solo attempt's write set without a mailbox request: take
+// every touched stream's lock in ascending order (lockStreams, as the
+// commit-server does; sv is the lowest stream's server), check each
+// timestamp against the attempt's snapshot — unmoved, no commit ran on the
+// streams it read or writes since its begin — then admit the client's own slot
+// as a batch of one and run the epoch's remaining stages over it (retire). No
+// request word is published, answered or consumed, and no ALIVE check is made:
+// the snapshot check is the solo attempt's whole validation. The epoch counts
 // as helped: the client drove it.
 //
 //stm:hotpath
-func commitOwn(tx *Tx, sv *shardServer) bool {
-	var w spin.Waiter
-	for {
-		committed, admitted := sv.ownEpoch(tx.th.idx)
-		if admitted {
-			if !committed {
-				tx.reason = AbortInvalidated
-				return false
-			}
-			atomic.AddUint64(&tx.stats.HelpedEpochs, 1)
-			return true
+func commitOwn(tx *Tx, sv *shardServer, writes, touched uint64) bool {
+	sys := sv.sys
+	sys.lockStreams(touched)
+	clk := startClock(sv.latC, sv.commitRing)
+	for m := touched; m != 0; m &= m - 1 {
+		if j := bits.TrailingZeros64(m); sys.streams[j].ts.Load() != tx.snap[j] {
+			sys.unlockStreams(touched)
+			tx.reason = AbortValidation
+			return false
 		}
-		w.Wait()
 	}
+	lagBudget := 2 * uint64(sv.eng.stepsAhead)
+	if touched&(touched-1) != 0 {
+		// Led solo across streams: every partition caught up, and publish
+		// reads the written streams from the request line (no request word).
+		lagBudget = 0
+		tx.slot.req.writes.Store(writes)
+	} else if lagBudget > 0 {
+		sv.sampleStepAhead(sv.st.ts.Load()) // V3's per-epoch sample, as collect takes it
+	}
+	sv.batchIdx = append(sv.batchIdx[:0], tx.th.idx)
+	sv.retire(touched, lagBudget, 1, tx.th.idx, &clk)
+	sys.unlockStreams(touched)
+	atomic.AddUint64(&tx.stats.HelpedEpochs, 1)
+	return true
 }
 
 // help lets a client waiting on a published request, its busy phase spent
@@ -474,8 +474,8 @@ func (sv *shardServer) serveEpoch(mask uint64, first int) bool {
 //	scan       V2/V3: apply the new descriptor to every partition of the
 //	           written streams that no one else is scanning (scanPartition)
 //
-// Everything after collect is retire, which a client committing without a
-// request (ownEpoch) runs after its own admission. A multi-stream epoch admits
+// Everything after collect is retire, which a solo client committing without a
+// request (commitOwn) runs after its own admission. A multi-stream epoch admits
 // one request: cross-shard requests are led solo. committed is the number of
 // members the epoch committed (0: no timestamp transition); replied is false
 // when no reply at all was sent (nothing admissible from first upward) so the
@@ -495,38 +495,12 @@ func (sv *shardServer) epoch(mask uint64, first int, clk *phaseClock) (committed
 	return sv.retire(mask, lagBudget, pending, -1, clk), true
 }
 
-// ownEpoch is the epoch of a client committing without a request (commitOwn):
-// under sv's stream lock, admit slot self alone with collect's test — except
-// that a lagging partition of its own is scanned here when free — then retire
-// it, answering through the result instead of the mailbox. admitted is false
-// when V3's admission declined: the partition lags and someone is scanning it.
-//
-//stm:hotpath
-func (sv *shardServer) ownEpoch(self int) (committed, admitted bool) {
-	sys, st := sv.sys, sv.st
-	lagBudget := 2 * uint64(sv.eng.stepsAhead)
-	sys.lockStream(sv.shard)
-	clk := startClock(sv.latC, sv.commitRing)
-	if lagBudget > 0 {
-		t := st.ts.Load()
-		sv.sampleStepAhead(t)
-		k := sys.slots[self].invalServer
-		if st.invalTS[k].Load() < t && !sv.scanPartition(k, &clk) {
-			sys.unlockStream(sv.shard)
-			return false, false
-		}
-	}
-	sv.batchIdx = append(sv.batchIdx[:0], self)
-	committed = sv.retire(1<<uint(sv.shard), lagBudget, 1, self, &clk) > 0
-	sys.unlockStream(sv.shard)
-	return committed, true
-}
-
 // retire runs the epoch's stages after admission — catch-up within lagBudget,
 // check, publish, record, reply and scan — over the members in sv.batchIdx;
-// pending is the queue depth admission saw. Member self, if not -1, is the
-// driver's own slot with no request published: it gets no reply, and the
-// result (0: doomed) tells it how it fared. It returns the members committed.
+// pending is the queue depth admission saw. Member self, if not -1, is a solo
+// driver's own slot (commitOwn): it published no request, validated its
+// snapshot under the locks, and gets neither an ALIVE check nor a reply. It
+// returns the members committed.
 //
 //stm:hotpath
 func (sv *shardServer) retire(mask, lagBudget, pending uint64, self int, clk *phaseClock) (committed int) {
@@ -541,7 +515,7 @@ func (sv *shardServer) retire(mask, lagBudget, pending uint64, self int, clk *ph
 		// each partition's lag also proves the ring entry publish overwrites
 		// has been consumed (Alg. 3 l. 7 / Alg. 4 l. 5); a zero budget catches
 		// every partition up, which makes the ALIVE checks below conclusive
-		// for any member (V3 on one stream admitted only members whose own
+		// for any member (V3 on one stream admitted only requesters whose own
 		// partition already had). A partition that still lags once the busy
 		// phase is spent has no scanner with a core of its own: the driver
 		// scans it itself if it is free, and otherwise yields to its holder.
@@ -572,17 +546,17 @@ func (sv *shardServer) retire(mask, lagBudget, pending uint64, self int, clk *ph
 	n := 0
 	for _, j := range sv.batchIdx {
 		s := &sys.slots[j]
-		if _, alive := s.aliveWord(); !alive {
-			if j != self {
+		if j != self {
+			if _, alive := s.aliveWord(); !alive {
 				s.reply(reqAborted)
+				continue
 			}
-			continue
 		}
 		sv.batchIdx[n] = j
 		n++
 	}
 	if n == 0 {
-		return 0 // progress: abort replies were sent, or self learns its doom
+		return 0 // progress: abort replies were sent
 	}
 	if n < len(sv.batchIdx) {
 		// Rebuild the epoch signature from the survivors so a doomed

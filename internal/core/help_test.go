@@ -11,11 +11,10 @@ import (
 	"github.com/ssrg-vt/rinval/internal/spin"
 )
 
-// Tests for client-driven epochs (DESIGN.md §16): where the engine gives the
-// commit to the client (remoteEngine.ownsCommit) a client publishes no request
-// and commits its own write set under the stream lock (commitOwn); elsewhere
-// a waiting client takes a free stream lock once its busy phase ran out and
-// runs the epoch itself (help).
+// Tests for client-driven epochs (DESIGN.md §16): a solo attempt (System.solo)
+// publishes no request and commits its own write set under its streams' locks
+// (commitOwn); elsewhere a waiting client takes a free stream lock once its
+// busy phase ran out and runs the epoch itself (help).
 
 // TestHelpLivenessWithoutServer: with no commit-server goroutine at all, every
 // write transaction still commits — each one by the client driving its own
@@ -53,10 +52,10 @@ func TestHelpLivenessWithoutServer(t *testing.T) {
 	}
 }
 
-// TestHelpAtOnceWhenServerCools: where the engine gives a request's commit to
-// the client — shared Ps, a single-stream mask, one Thread — the client drives
-// its epoch from the first iteration of its wait instead of spending the busy
-// phase on a reply that will not come. A busy phase raised out of reach makes
+// TestHelpAtOnceWhenServerCools: where the engine gives a commit to the client
+// — shared Ps, one Thread, so the attempt is solo — the client drives its
+// epoch at once instead of spending the busy phase on a reply that will not
+// come. A busy phase raised out of reach makes
 // a client that waits for it first hang past the deadline.
 func TestHelpAtOnceWhenServerCools(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -158,15 +157,14 @@ func TestHelpOwnCommitSkipsMailbox(t *testing.T) {
 	}
 }
 
-// TestHelpOwnCommitWaitsForPartition: V3's admission holds for a commit made
-// without a request. With the Thread's own partition held by its scanner, the
-// first commit passes (nothing lags yet) and the second waits — the client
-// declines while its partition lags and is taken — until the holder lets go;
-// the client then scans the lagging partition itself. With the other partition
-// held, the catch-up stage admits an epoch while that partition is at most
-// StepsAhead commits behind: StepsAhead+1 commits pass, and the next waits for
-// the release. The transactions write blindly: a Load would wait for the
-// reader's own partition before the commit is reached (invalRead).
+// TestHelpOwnCommitWaitsForPartition: V3's step-ahead bound holds for a solo
+// commit made without a request. The catch-up stage admits the epoch while a
+// held partition is at most StepsAhead commits behind: StepsAhead+1 commits
+// pass, and the next waits for the holder to let go; the client then scans
+// the lagging partition itself. The partition held may be the Thread's own or
+// the other one: a solo attempt is validated by its snapshot, not by its
+// status word, so its own partition needs no catching up of its own (the
+// request path's admission test, TestHelpDeclines/v3-lag).
 func TestHelpOwnCommitWaitsForPartition(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const stepsAhead = 2
@@ -192,10 +190,7 @@ func TestHelpOwnCommitWaitsForPartition(t *testing.T) {
 					return nil
 				})
 			}
-			pass := 1
-			if !own {
-				pass = stepsAhead + 1
-			}
+			pass := stepsAhead + 1
 			for i := 0; i < pass; i++ {
 				if err := commit(); err != nil {
 					t.Fatal(err)
@@ -232,11 +227,13 @@ func TestHelpOwnCommitWaitsForPartition(t *testing.T) {
 	}
 }
 
-// TestHelpOwnEpochDoomedSelf: a client doomed between its commit's status
-// check and its own epoch's check stage learns it from the result —
-// admitted, not committed — with no timestamp transition, no mailbox word
-// and no epoch recorded beyond the queue-depth sample of its admission.
+// TestHelpOwnEpochDoomedSelf: a solo client whose snapshot another commit
+// overtook — the one way a solo attempt is doomed, since nothing can CAS its
+// status word — learns it from commitOwn's snapshot check under the stream
+// lock: refused with AbortValidation, no timestamp transition of its own, no
+// mailbox word, no queue-depth or epoch sample, and the lock released.
 func TestHelpOwnEpochDoomedSelf(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, algo := range rinvalAlgos {
 		t.Run(algo.String(), func(t *testing.T) {
 			s, err := newSystem(Config{Algo: algo, MaxThreads: 4})
@@ -245,27 +242,28 @@ func TestHelpOwnEpochDoomedSelf(t *testing.T) {
 			}
 			th := s.MustRegister()
 			sv := s.eng.(*remoteEngine).srv[0]
-			beginSlot(s, th)
-			if w, _ := th.slot.aliveWord(); !th.slot.tryInvalidate(w) {
-				t.Fatal("could not doom the fresh transaction")
+			tx := &th.tx
+			tx.begin()
+			if !tx.solo {
+				t.Fatal("a lone Thread's attempt at GOMAXPROCS 2 is not solo")
 			}
+			tx.Store(NewVar(0), 1)
+			s.streams[0].ts.Add(2) // a commit the attempt did not see
 			state := th.slot.state.Load()
-			committed, admitted := sv.ownEpoch(th.idx)
-			if committed || !admitted {
-				t.Fatalf("doomed self: committed=%v admitted=%v, want false/true", committed, admitted)
+			if commitOwn(tx, sv, 1, 1) || tx.reason != AbortValidation {
+				t.Fatalf("stale snapshot: commit passed or reason %v, want AbortValidation", tx.reason)
 			}
-			if ts := s.streams[0].ts.Load(); ts != 0 {
-				t.Fatalf("timestamp %d after a doomed own epoch, want 0", ts)
+			if ts := s.streams[0].ts.Load(); ts != 2 {
+				t.Fatalf("timestamp %d after a refused own commit, want 2", ts)
 			}
 			if got := th.slot.state.Load(); got != state {
 				t.Fatalf("mailbox word %#x -> %#x", state, got)
 			}
 			srv := sv.stats()
-			if srv.Epochs != 0 || srv.Server.QueueDepth.Count() != 1 || s.streams[0].owner.Load() != 0 {
-				t.Fatalf("Epochs=%d queue-depth samples=%d lock=%d, want 0/1/0",
+			if srv.Epochs != 0 || srv.Server.QueueDepth.Count() != 0 || s.streams[0].owner.Load() != 0 {
+				t.Fatalf("Epochs=%d queue-depth samples=%d lock=%d, want 0/0/0",
 					srv.Epochs, srv.Server.QueueDepth.Count(), s.streams[0].owner.Load())
 			}
-			settle(s, th.idx, th.slot)
 			th.Close()
 			if err := s.Close(); err != nil {
 				t.Fatal(err)

@@ -156,41 +156,3 @@ func TestServerTasksRule(t *testing.T) {
 		}
 	}
 }
-
-// TestOwnsCommitRule: the engine's one rule for who drives an epoch. A client
-// commits its own request, publishing none, only where the servers share the
-// clients' Ps, the request is single-stream and at most one Thread is
-// registered; a cross-shard request, two Threads, or servers with a P of their
-// own always go through the commit-server. Where the rule says yes, the client
-// drives its epoch from the start (TestHelpAtOnceWhenServerCools).
-func TestOwnsCommitRule(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{2, 4} {
-		runtime.GOMAXPROCS(procs)
-		for _, algo := range []Algo{RInvalV1, RInvalV2, RInvalV3} {
-			s, err := newSystem(Config{Algo: algo, MaxThreads: 3, Shards: 2, InvalServers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := s.eng.(*remoteEngine)
-			cool := procs < 4
-			check := func(threads int, mask uint64, want bool) {
-				t.Helper()
-				if got := e.ownsCommit(mask); got != want {
-					t.Errorf("%s at GOMAXPROCS %d, %d threads, mask %b: ownsCommit = %v, want %v",
-						algo, procs, threads, mask, got, want)
-				}
-			}
-			check(0, 0b01, cool)
-			th1 := s.MustRegister()
-			check(1, 0b01, cool)
-			check(1, 0b11, false)
-			th2 := s.MustRegister()
-			check(2, 0b01, false)
-			check(2, 0b11, false)
-			th2.Close()
-			check(1, 0b01, cool)
-			th1.Close()
-		}
-	}
-}

@@ -186,6 +186,11 @@ type System struct {
 
 	eng engine
 
+	// loneCommit is true where the engine drives a lone client's commit itself:
+	// always for InvalSTM, and for RInval where its servers share the clients'
+	// Ps (remoteEngine.coolServers). Fixed at construction; see solo.
+	loneCommit bool
+
 	// logReads gates the read-log append in Tx.LoadBox. NOrec and TL2 always
 	// revalidate from the log; the invalidation engines replay it only for
 	// Attribution's sampled exact-set check, and keep it under cfg.Stats.
@@ -328,6 +333,11 @@ func newSystem(cfg Config) (*System, error) {
 	case TL2:
 		s.eng = &tl2Engine{sys: s}
 	}
+	if re, ok := s.eng.(*remoteEngine); ok {
+		s.loneCommit = re.coolServers
+	} else {
+		s.loneCommit = cfg.Algo == InvalSTM
+	}
 	switch cfg.Algo {
 	case NOrec, TL2:
 		s.logReads = true // revalidation replays the log
@@ -437,7 +447,7 @@ func (s *System) Register() (*Thread, error) {
 	if s.tracer != nil {
 		th.tx.ring = s.tracer.Ring(idx)
 	}
-	if s.nVers > 0 {
+	if s.nVers > 0 || s.loneCommit {
 		th.tx.snap = make([]uint64, s.cfg.Shards)
 	}
 	th.tx.lat = s.lat.Client(idx) // nil cell when Latency is off
@@ -518,6 +528,17 @@ func (s *System) ShardServerStats() []Stats {
 	}
 	return out
 }
+
+// solo is the one rule for a lone client (DESIGN.md §3): an attempt beginning
+// now runs solo — validated by its streams' timestamps, publishing no read
+// signature and no liveness — where the engine drives a lone client's commit
+// itself and at most one Thread is registered. No committer but the client
+// itself can then doom it, so invalidation would only be overhead; a Thread
+// that registers mid-attempt commits through the timestamps the attempt
+// re-checks, and a solo commit still scans the other slots for it.
+//
+//stm:hotpath
+func (s *System) solo() bool { return s.loneCommit && s.nLive.Load() < 2 }
 
 // shardOf returns the index of the commit stream that owns v.
 //

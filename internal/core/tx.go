@@ -262,9 +262,15 @@ type Tx struct {
 	// roUser marks the whole AtomicallyRO call (snapshot path and fallback
 	// alike): Store panics while it is set. ro marks the snapshot attempt
 	// specifically: Load resolves against snap, the per-shard epoch vector
-	// captured at begin (allocated once at Register when Versions > 0).
+	// captured at begin (allocated once at Register when Versions > 0 or the
+	// engine can run solo attempts). solo marks an invalidation-engine attempt
+	// begun under System.solo: snap holds its streams' timestamps at begin,
+	// every read re-checks its stream's against it, and the slot publishes
+	// nothing — no read signature, no active bit, no ALIVE word — so no
+	// committer can doom it.
 	roUser bool
 	ro     bool
+	solo   bool
 	snap   []uint64
 
 	// readShards accumulates the shard bits of every Var this attempt read
@@ -331,26 +337,37 @@ func (tx *Tx) begin() {
 		tx.attrT0 = obs.Now()
 	}
 	if tx.sys.eng.usesSlots() {
-		// Order matters: clear the read signature while the slot is not
-		// alive, then set the active bit, then publish the new (epoch, ALIVE)
-		// word. A server holding the previous word can no longer doom this
-		// incarnation (CAS epoch guard), and one scanning after the store
-		// sees an empty filter. The active bit precedes the ALIVE store so a
-		// scanner that misses the bit has proof the slot was not ALIVE at
-		// that point (DESIGN.md §9).
-		tx.slot.readBF.Clear()
-		if tx.sys.attr != nil {
-			// Retire the previous incarnation's killer descriptor while the
-			// slot is not alive: a doomer targeting this incarnation stores
-			// its descriptor after observing the ALIVE word below, so it
-			// cannot be erased by this clear.
-			tx.slot.killer.Store(nil)
+		// A solo attempt publishes nothing: its snapshot is its whole begin.
+		// Streams that never stay still long enough for a consistent cut make
+		// the attempt shared instead.
+		tx.solo = tx.sys.solo() && tx.sys.captureSnapshot(tx.snap)
+		if !tx.solo {
+			tx.activateSlot()
 		}
-		tx.sys.active.set(tx.th.idx)
-		epoch := (tx.slot.status.Load() >> epochShift) + 1
-		tx.slot.status.Store(statusWord(epoch, txAlive))
 	}
 	tx.sys.eng.begin(tx)
+}
+
+// activateSlot makes the slot a shared attempt's: doomable through its read
+// signature by any committer. Order matters: clear the read signature while
+// the slot is not alive, then set the active bit, then publish the new (epoch,
+// ALIVE) word. A server holding the previous word can no longer doom this
+// incarnation (CAS epoch guard), and one scanning after the store sees an
+// empty filter. The active bit precedes the ALIVE store so a scanner that
+// misses the bit has proof the slot was not ALIVE at that point (DESIGN.md
+// §9).
+func (tx *Tx) activateSlot() {
+	tx.slot.readBF.Clear()
+	if tx.sys.attr != nil {
+		// Retire the previous incarnation's killer descriptor while the slot
+		// is not alive: a doomer targeting this incarnation stores its
+		// descriptor after observing the ALIVE word below, so it cannot be
+		// erased by this clear.
+		tx.slot.killer.Store(nil)
+	}
+	tx.sys.active.set(tx.th.idx)
+	epoch := (tx.slot.status.Load() >> epochShift) + 1
+	tx.slot.status.Store(statusWord(epoch, txAlive))
 }
 
 // run executes the user function, translating a conflictSignal panic into
@@ -394,7 +411,13 @@ func (tx *Tx) LoadBox(v *Var) *Box {
 	if tx.direct {
 		return v.loadBox()
 	}
-	b, ok := tx.sys.eng.read(tx, v)
+	var b *Box
+	var ok bool
+	if tx.solo {
+		b, ok = soloRead(tx, v) // the invalidation engines' solo read, undispatched
+	} else {
+		b, ok = tx.sys.eng.read(tx, v)
+	}
 	if !ok {
 		panic(conflictSignal{})
 	}
@@ -524,9 +547,10 @@ func (tx *Tx) onUserAbort() {
 // it, invalidating any doom a server is still trying to apply. The active
 // bit is cleared only after the INACTIVE store (mirror image of begin): a
 // scanner that still sees the bit merely re-checks the status word, while
-// one that misses it can rely on the transaction having retired.
+// one that misses it can rely on the transaction having retired. A solo
+// attempt published nothing, so it has nothing to undo.
 func (tx *Tx) deactivateSlot() {
-	if !tx.sys.eng.usesSlots() {
+	if !tx.sys.eng.usesSlots() || tx.solo {
 		return
 	}
 	w := tx.slot.status.Load()
@@ -535,6 +559,8 @@ func (tx *Tx) deactivateSlot() {
 }
 
 // invalidated reports whether this transaction incarnation has been doomed.
+// Only a shared attempt can be: a solo one is never ALIVE and checks its
+// snapshot instead, so it must not ask.
 func (tx *Tx) invalidated() bool {
 	_, alive := tx.slot.aliveWord()
 	return !alive

@@ -1,9 +1,10 @@
 // Package verify stress-checks an engine's safety properties: opacity
 // (consistent snapshots inside every transaction body, even doomed ones),
-// atomicity (conservation of transferred quantities), and structural
-// integrity of a transactional red-black tree under a concurrent mixed
-// workload. cmd/rinval-verify wraps it as a CLI; the test suite uses it as
-// one more adversarial pass over every engine.
+// atomicity (conservation of transferred quantities), structural integrity
+// of a transactional red-black tree under a concurrent mixed workload, and
+// both of the first two while Threads register and close around a
+// long-lived client. cmd/rinval-verify wraps it as a CLI; the test suite uses
+// it as one more adversarial pass over every engine.
 package verify
 
 import (
@@ -29,6 +30,7 @@ type Report struct {
 	Snapshots uint64 // consistent multi-var snapshots observed
 	Audits    uint64 // conserved-total audits performed
 	TreeOps   uint64 // red-black tree operations executed
+	Churns    uint64 // short-lived Threads registered, run and closed
 	Commits   uint64
 	Aborts    uint64
 }
@@ -54,6 +56,9 @@ func Engine(algo stm.Algo, o Options) (Report, error) {
 	}
 	if err := checkTree(algo, o, &rep); err != nil {
 		return rep, fmt.Errorf("rbtree: %w", err)
+	}
+	if err := checkChurn(algo, o, &rep); err != nil {
+		return rep, fmt.Errorf("churn: %w", err)
 	}
 	return rep, nil
 }
@@ -258,4 +263,115 @@ func checkTree(algo stm.Algo, o Options, rep *Report) error {
 	rep.Commits += st.Commits
 	rep.Aborts += st.Aborts
 	return tree.CheckInvariants()
+}
+
+// checkChurn: one long-lived client alternates transfers with audits while
+// short-lived Threads register, run a few conflicting transfers and close, so
+// Threads come and go in the middle of the long-lived client's attempts and
+// those attempts flip between solo (at most one Thread registered, where the
+// engine drives a lone client's commit itself) and shared. Every audit body
+// checks the total it read — a torn read shows as a wrong sum even in an
+// attempt that later aborts — and the final total is checked quiescently. It
+// runs at every shard count the engine supports: 1, and 2 for RInval.
+func checkChurn(algo stm.Algo, o Options, rep *Report) error {
+	shards := []int{1}
+	if algo == stm.RInvalV1 || algo == stm.RInvalV2 || algo == stm.RInvalV3 {
+		shards = append(shards, 2)
+	}
+	for _, n := range shards {
+		if err := churn(algo, n, o, rep); err != nil {
+			return fmt.Errorf("shards=%d: %w", n, err)
+		}
+	}
+	return nil
+}
+
+func churn(algo stm.Algo, shards int, o Options, rep *Report) error {
+	sys, err := stm.New(stm.Config{
+		Algo:         algo,
+		MaxThreads:   o.Threads + 1,
+		Shards:       shards,
+		InvalServers: 2,
+		Seed:         o.Seed,
+	})
+	if err != nil {
+		return err
+	}
+	defer sys.Close()
+	const accounts, initial = 16, 100
+	accs := make([]*stm.Var[int], accounts)
+	for i := range accs {
+		accs[i] = stm.NewVar(initial)
+	}
+	transfer := func(th *stm.Thread, rng *stamp.Rand) {
+		from, to := rng.Intn(accounts), rng.Intn(accounts)
+		amt := rng.Intn(20)
+		_ = th.Atomically(func(tx *stm.Tx) error {
+			accs[from].Store(tx, accs[from].Load(tx)-amt)
+			accs[to].Store(tx, accs[to].Load(tx)+amt)
+			return nil
+		})
+	}
+	var stop atomic.Bool
+	var torn atomic.Int64
+	var audits, churns atomic.Uint64
+	var wg sync.WaitGroup
+	// Two churners at most, each absent for a random pause between lives, so
+	// the long-lived client also runs alone.
+	for c := 0; c < min(2, o.Threads-1); c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := stamp.NewRand(o.Seed, uint64(c)+130)
+			for !stop.Load() {
+				th := sys.MustRegister()
+				for i := rng.Intn(3); i >= 0; i-- {
+					transfer(th, rng)
+				}
+				th.Close()
+				churns.Add(1)
+				time.Sleep(time.Duration(rng.Intn(100)) * time.Microsecond)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		th := sys.MustRegister()
+		defer th.Close()
+		rng := stamp.NewRand(o.Seed, 170)
+		for !stop.Load() {
+			transfer(th, rng)
+			_ = th.Atomically(func(tx *stm.Tx) error {
+				total := 0
+				for _, a := range accs {
+					total += a.Load(tx)
+				}
+				if total != accounts*initial {
+					torn.Add(1)
+				}
+				return nil
+			})
+			audits.Add(1)
+		}
+	}()
+	time.Sleep(o.Duration)
+	stop.Store(true)
+	wg.Wait()
+	rep.Audits += audits.Load()
+	rep.Churns += churns.Load()
+	st := sys.Stats()
+	rep.Commits += st.Commits
+	rep.Aborts += st.Aborts
+	if v := torn.Load(); v != 0 {
+		return fmt.Errorf("%d audit bodies read a wrong total", v)
+	}
+	total := 0
+	for _, a := range accs {
+		total += a.Peek()
+	}
+	if total != accounts*initial {
+		return fmt.Errorf("final total %d != %d", total, accounts*initial)
+	}
+	return nil
 }
