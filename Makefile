@@ -35,20 +35,23 @@ test:
 
 ## race: the race detector over the packages with real concurrency (including
 ## core's live /metrics scrape, TestServerHistogramsLiveScrape), then the
-## helper-path, cross-shard, partition-lock and solo-attempt tests ten times
-## over — a driver writing a stream's or a partition's scratch outside its
-## lock, or an attempt that changed protocol as a Thread came or went, only
-## shows on some schedules — then the same -run set at both server layouts,
+## helper-path, cross-shard, partition-lock, solo-attempt and
+## invisible-attempt tests ten times over — a driver writing a stream's or a
+## partition's scratch outside its lock, or an attempt that changed protocol
+## as a Thread came or went or as it retried, only shows on some schedules —
+## then the same -run set at both server layouts,
 ## whatever the runner's core count: GOMAXPROCS=4, the only setting where
 ## V2/V3 start their invalidation-servers, and GOMAXPROCS=2, where the servers
 ## share the Ps (remoteEngine.coolServers), a lone client's attempts run solo
 ## (validated by timestamps, committed without a request) and the epoch
 ## drivers scan every partition themselves. internal/verify's churn check
-## flips a client between solo and shared attempts.
-RACE_LAYOUT_RUN = 'Help|CrossShard|Partition|Liveness|Mailbox|Opacity|Differential|Epoch|Solo|Churn'
+## flips a client between solo and shared attempts, and its conservation
+## check on InvalSTM (TestInvisibleThenVisibleRegimes) runs invisible
+## attempts and their visible retries side by side.
+RACE_LAYOUT_RUN = 'Help|CrossShard|Partition|Liveness|Mailbox|Opacity|Differential|Epoch|Solo|Churn|Invisible'
 race:
 	$(GO) test -race -count=1 ./internal/core/ ./stm/ ./internal/obs/ ./internal/bloom/ ./internal/padded/ ./internal/analysis/
-	$(GO) test -race -count=10 -run 'Help|CrossShard|Partition|LivenessOneP|Mailbox|Solo|Churn' ./internal/core/ ./internal/verify/
+	$(GO) test -race -count=10 -run 'Help|CrossShard|Partition|LivenessOneP|Mailbox|Solo|Churn|Invisible' ./internal/core/ ./internal/verify/
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run $(RACE_LAYOUT_RUN) ./internal/core/ ./internal/verify/
 	GOMAXPROCS=2 $(GO) test -race -count=3 -run $(RACE_LAYOUT_RUN) ./internal/core/ ./internal/verify/
 

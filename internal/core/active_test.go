@@ -58,11 +58,12 @@ func TestActiveSetWordPadding(t *testing.T) {
 	}
 }
 
-// TestActiveBitmapTracksTransactions: the bit is set exactly while a shared
+// TestActiveBitmapTracksTransactions: the bit is set exactly while a visible
 // transaction is in flight in the slot (for engines that use slots), and the
-// whole bitmap is clear once the system quiesces. A second, idle Thread keeps
-// the attempt shared: a lone Thread's may be solo and set no bit at all
-// (TestSoloPublishesNothing).
+// whole bitmap is clear once the system quiesces. A second Thread keeps the
+// attempt shared — a lone Thread's may be solo and set no bit at all
+// (TestSoloPublishesNothing) — and fails the first attempt, so an InvalSTM
+// retry is visible rather than invisible (failFirstAttempt).
 func TestActiveBitmapTracksTransactions(t *testing.T) {
 	for _, algo := range []Algo{InvalSTM, RInvalV1, RInvalV2} {
 		t.Run(algo.String(), func(t *testing.T) {
@@ -72,6 +73,7 @@ func TestActiveBitmapTracksTransactions(t *testing.T) {
 				t.Fatal("bit set before any transaction")
 			}
 			if err := th.Atomically(func(tx *Tx) error {
+				failFirstAttempt(t, tx, idle)
 				if !s.active.has(th.idx) {
 					t.Error("bit not set inside transaction")
 				}

@@ -51,36 +51,69 @@ func collidingVars(t *testing.T, p bloom.Params) (a, b, disjoint *Var) {
 	return nil, nil, nil
 }
 
-// doomVictim orchestrates one exact invalidation: the victim reads readVar,
-// parks; the committer writes writeVar (dooming the victim if the filters
-// collide — with a 1-element read set and AttrSampleEvery=1, every doom is
-// exactness-checked); the victim's next read observes the doom and aborts.
-// Returns after both transactions finished (victim's retry commits empty).
-func doomVictim(t *testing.T, sys *System, readVar, writeVar *Var) {
+// visibleVictim registers a victim (slot 0), then a committer (slot 1), and
+// runs body in the victim's transaction on a goroutine from its second attempt
+// on; wait on the returned group for the transaction to end. The first
+// attempt begins solo, before the committer registers, and its read fails
+// validation on the committer's commit to a fresh Var: a solo read's abort
+// names no Var, so the attribution report counts nothing of it but the abort
+// and its wasted work. An InvalSTM retry after a validation abort is visible
+// (System.solo), so body's first call runs an attempt a commit can doom.
+func visibleVictim(t *testing.T, sys *System, body func(tx *Tx)) (victim, committer *Thread, wg *sync.WaitGroup) {
 	t.Helper()
-	victim := sys.MustRegister()    // slot 0
-	committer := sys.MustRegister() // slot 1
-	defer victim.Close()
-	defer committer.Close()
-
-	ready := make(chan struct{})
-	committed := make(chan struct{})
-	var wg sync.WaitGroup
+	victim = sys.MustRegister()
+	begun, moved := make(chan struct{}), make(chan struct{})
+	wg = new(sync.WaitGroup)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		first := true
 		_ = victim.Atomically(func(tx *Tx) error {
-			tx.Load(readVar)
-			if first {
-				first = false
-				close(ready)
-				<-committed
-				tx.Load(readVar) // observes the doom -> conflict abort
+			if tx.Attempt() == 1 {
+				close(begun)
+				<-moved
+				tx.Load(NewVar(0)) // a solo read after a commit: AbortValidation
 			}
+			body(tx)
 			return nil
 		})
 	}()
+	<-begun
+	committer = sys.MustRegister()
+	if err := committer.Atomically(func(tx *Tx) error {
+		tx.Store(NewVar(0), 1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	close(moved)
+	return victim, committer, wg
+}
+
+// doomVictim orchestrates one exact invalidation: the victim's visible
+// attempt reads readVar, parks; the committer writes writeVar (dooming the
+// victim if the filters collide — with a 1-element read set and
+// AttrSampleEvery=1, every doom is exactness-checked); the victim's next read
+// observes the doom and aborts. Returns after both transactions finished
+// (victim's retry commits empty).
+func doomVictim(t *testing.T, sys *System, readVar, writeVar *Var) {
+	t.Helper()
+	ready := make(chan struct{})
+	committed := make(chan struct{})
+	first := true
+	victim, committer, wg := visibleVictim(t, sys, func(tx *Tx) {
+		tx.Load(readVar)
+		if first {
+			first = false
+			if tx.invisible {
+				t.Error("the victim's retry is not visible")
+			}
+			close(ready)
+			<-committed
+			tx.Load(readVar) // observes the doom -> conflict abort
+		}
+	})
+	defer victim.Close()
+	defer committer.Close()
 	<-ready
 	if err := committer.Atomically(func(tx *Tx) error {
 		tx.Store(writeVar, 1)
@@ -173,36 +206,29 @@ func TestAttributionTrueConflict(t *testing.T) {
 }
 
 // TestAttributionPendingRead covers the read doomed before Tx.Load could
-// log it. The victim reads a, whose signature collides with b's; the
-// committer writes b, dooming the victim through the collision; the victim
-// then reads b itself, and that read observes the doom before reaching the
-// read log — only tx.pendingRead can carry b into the exact check. Since b
+// log it. The victim's visible attempt reads a, whose signature collides
+// with b's; the committer writes b, dooming the victim through the collision;
+// the victim then reads b itself, and that read observes the doom before
+// reaching the read log — only tx.pendingRead can carry b into the exact
+// check. Since b
 // IS in the committer's write set, the check must classify a true conflict
 // (the logged read a alone would call it a false positive).
 func TestAttributionPendingRead(t *testing.T) {
 	a, b, _ := collidingVars(t, smallBloom)
 	sys := MustNew(attrConfig())
 
-	victim := sys.MustRegister()
-	committer := sys.MustRegister()
 	ready := make(chan struct{})
 	committed := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		first := true
-		_ = victim.Atomically(func(tx *Tx) error {
-			if first {
-				first = false
-				tx.Load(a) // publishes a's filter bits, logs a
-				close(ready)
-				<-committed
-				tx.Load(b) // doomed before this read could be logged
-			}
-			return nil
-		})
-	}()
+	first := true
+	victim, committer, wg := visibleVictim(t, sys, func(tx *Tx) {
+		if first {
+			first = false
+			tx.Load(a) // publishes a's filter bits, logs a
+			close(ready)
+			<-committed
+			tx.Load(b) // doomed before this read could be logged
+		}
+	})
 	<-ready
 	if err := committer.Atomically(func(tx *Tx) error {
 		tx.Store(b, 1)

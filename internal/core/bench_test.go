@@ -43,8 +43,12 @@ func BenchmarkReadOnlyTx(b *testing.B) {
 // benchShared runs body once per engine on a lone Thread, as <engine>, and
 // again as <engine>/shared with a second, idle Thread registered. The lone
 // Thread's attempts may be solo (System.solo: no read signature, no liveness,
-// timestamp validation); the shared ones publish every read and their
-// liveness as the paper's protocol does, so both read paths stay measured.
+// timestamp validation). The shared ones of RInval (rinval-v1/shared,
+// rinval-v2/shared) publish every read and their liveness as the paper's
+// protocol does (invalRead); invalstm/shared measures the invisible attempt —
+// NOrec's validated read, logged, and its CAS commit — which is all an
+// uncontended InvalSTM attempt runs with two Threads registered. Every read
+// path an uncontended client takes stays measured.
 func benchShared(b *testing.B, algos []Algo, body func(b *testing.B, th *Thread)) {
 	for _, a := range algos {
 		for _, name := range []string{a.String(), a.String() + "/shared"} {
@@ -97,8 +101,9 @@ func BenchmarkReadHeavyTx(b *testing.B) {
 
 // BenchmarkScanTx is scan_ro_c1's shape: 64 Loads and no Store, so the read
 // path is all the work and no commit-server is asked. For the invalidation
-// engines that is a timestamp re-check per read on a lone (solo) Thread, and
-// the signature publish and status check per read in the shared variant.
+// engines that is a timestamp re-check per read on a lone (solo) Thread; in
+// the shared variant the signature publish and status check per read for
+// RInval, and a timestamp re-check and a log append per read for InvalSTM.
 func BenchmarkScanTx(b *testing.B) {
 	benchShared(b, yardstickAlgos, func(b *testing.B, th *Thread) {
 		vars := make([]*Var, 64)

@@ -110,9 +110,11 @@ type Config struct {
 	// Bloom is the read/write signature geometry: Bits a power of two >= 64,
 	// Hashes in [1,8]. Default bloom.DefaultParams.
 	Bloom bloom.Params
-	// Stats makes the invalidation engines (InvalSTM, RInval) keep the
-	// per-transaction read log, which NOrec and TL2 always keep. Off by
-	// default.
+	// Stats makes the invalidation engines keep the per-transaction read log
+	// in every attempt. NOrec and TL2 always keep it, and so does an
+	// invisible InvalSTM attempt (one that is neither solo nor the retry of a
+	// validation abort), which validates from it; Stats forces it on for
+	// RInval and for InvalSTM's solo and visible attempts. Off by default.
 	Stats bool
 	// Attribution enables conflict attribution: the who-aborted-whom matrix,
 	// wasted-work accounting per abort reason, bloom false-positive sampling,

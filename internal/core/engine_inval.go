@@ -13,20 +13,41 @@ import (
 // transaction's own status flag — but the entire invalidation scan runs
 // inside the commit critical section, inflating lock hold time. This is the
 // imbalance RInval removes (§III).
+//
+// With another Thread registered, an attempt first runs invisible (Tx.begin,
+// DESIGN.md §3): it is NOrec's attempt — norec's read, revalidation and
+// locking CAS over tx.start and the read log — plus the commit's invalidation
+// scan, so the other Thread's visible attempts are still doomed. Only the
+// retry of a validation abort publishes its reads and can be doomed.
 type invalEngine struct {
-	sys *System
+	sys   *System
+	norec norecEngine
 }
 
-func (e *invalEngine) usesSlots() bool { return true }
+func (e *invalEngine) usesSlots() bool      { return true }
+func (e *invalEngine) readsInvisibly() bool { return true }
 
-func (e *invalEngine) begin(tx *Tx) {}
+func (e *invalEngine) begin(tx *Tx) {
+	if tx.invisible {
+		e.norec.begin(tx)
+	}
+}
 
-// read implements Algorithm 1's READ: load the value inside a stable even
-// window of the global timestamp, publish the read-filter bit before the
-// stability re-check, then verify this transaction has not been invalidated.
+// read implements Algorithm 1's READ for a visible attempt: load the value
+// inside a stable even window of the global timestamp, publish the
+// read-filter bit before the stability re-check, then verify this
+// transaction has not been invalidated. An invisible attempt reads as NOrec
+// does and logs the cell, unless Tx.LoadBox already logs every read.
 //
 //stm:hotpath
 func (e *invalEngine) read(tx *Tx, v *Var) (*Box, bool) {
+	if tx.invisible {
+		b, ok := e.norec.read(tx, v)
+		if ok && !e.sys.logReads {
+			tx.rs.add(v, b)
+		}
+		return b, ok
+	}
 	return invalRead(tx, v, false)
 }
 
@@ -36,8 +57,9 @@ func (e *invalEngine) read(tx *Tx, v *Var) (*Box, bool) {
 // RInvalV2/V3 requirement that the reader's own invalidation-server for that
 // stream has processed every prior commit (Algorithm 3, line 28). Time spent
 // blocked — on an odd timestamp, a lagging server, or an unstable window —
-// is recorded as a read-wait trace span. This is a shared attempt's read: a
-// solo one never gets here (Tx.LoadBox calls soloRead).
+// is recorded as a read-wait trace span. This is a visible attempt's read: a
+// solo one never gets here (Tx.LoadBox calls soloRead), and an invisible one
+// reads as NOrec does (invalEngine.read).
 //
 //stm:hotpath
 func invalRead(tx *Tx, v *Var, waitCaughtUp bool) (*Box, bool) {
@@ -111,8 +133,11 @@ func soloRead(tx *Tx, v *Var) (*Box, bool) {
 // the request and the acquisition), invalidate every conflicting in-flight
 // transaction, publish the write set, and release. A solo attempt acquires
 // the lock with one CAS from its snapshot, which succeeds only if no commit
-// ran since its begin; it still scans the other slots, for a Thread that
-// registered mid-attempt.
+// ran since its begin. An invisible attempt acquires it as NOrec does,
+// extending its snapshot on a failed CAS. Every writer scans the other slots;
+// a solo one finds no visible attempt there (a Thread registered mid-attempt
+// turns visible only after a validation abort, which takes a commit that fails
+// the solo CAS), but the scan keeps one rule for every commit.
 //
 //stm:hotpath
 func (e *invalEngine) commit(tx *Tx) bool {
@@ -123,13 +148,19 @@ func (e *invalEngine) commit(tx *Tx) bool {
 		return true
 	}
 	var t uint64
-	if tx.solo {
+	switch {
+	case tx.solo:
 		t = tx.snap[0]
 		if !sys.streams[0].ts.CompareAndSwap(t, t+1) {
 			tx.reason = AbortValidation
 			return false
 		}
-	} else {
+	case tx.invisible:
+		if !e.norec.lock(tx) {
+			return false
+		}
+		t = tx.start
+	default:
 		if tx.invalidated() {
 			tx.reason = AbortInvalidated
 			return false

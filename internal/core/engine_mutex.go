@@ -10,7 +10,8 @@ type mutexEngine struct {
 	sys *System
 }
 
-func (e *mutexEngine) usesSlots() bool { return false }
+func (e *mutexEngine) usesSlots() bool      { return false }
+func (e *mutexEngine) readsInvisibly() bool { return false }
 
 func (e *mutexEngine) begin(tx *Tx) {
 	e.sys.mu.Lock()

@@ -21,7 +21,8 @@ type norecEngine struct {
 	sys *System
 }
 
-func (e *norecEngine) usesSlots() bool { return false }
+func (e *norecEngine) usesSlots() bool      { return false }
+func (e *norecEngine) readsInvisibly() bool { return false }
 
 // begin snapshots an even timestamp — the transaction's linearization basis.
 func (e *norecEngine) begin(tx *Tx) {
@@ -29,7 +30,8 @@ func (e *norecEngine) begin(tx *Tx) {
 }
 
 // read returns a value consistent with tx.start, extending the snapshot via
-// revalidation whenever the global timestamp moved.
+// revalidation whenever the global timestamp moved. It is also an invisible
+// InvalSTM attempt's read (invalEngine.read), which logs the cell itself.
 //
 //stm:hotpath
 func (e *norecEngine) read(tx *Tx, v *Var) (*Box, bool) {
@@ -85,10 +87,25 @@ func (e *norecEngine) revalidate(tx *Tx) (uint64, bool) {
 	}
 }
 
-// commit acquires the sequence lock with a CAS from the transaction's
-// snapshot; success proves no commit intervened, so no commit-time
-// validation is needed. On CAS failure the snapshot is extended and the
-// acquisition retried.
+// lock acquires the sequence lock with a CAS from the transaction's
+// snapshot; success proves no commit intervened, so no commit-time validation
+// is needed. On CAS failure the snapshot is extended and the acquisition
+// retried; false is a validation abort. The caller writes back and releases
+// with tx.start+2. NOrec's commit and an invisible InvalSTM attempt's share it.
+//
+//stm:hotpath
+func (e *norecEngine) lock(tx *Tx) bool {
+	for !e.sys.streams[0].ts.CompareAndSwap(tx.start, tx.start+1) {
+		t, ok := e.revalidate(tx)
+		if !ok {
+			return false
+		}
+		tx.start = t
+	}
+	return true
+}
+
+// commit locks from the snapshot, writes back and releases.
 //
 //stm:hotpath
 func (e *norecEngine) commit(tx *Tx) bool {
@@ -96,12 +113,8 @@ func (e *norecEngine) commit(tx *Tx) bool {
 		// Read-only: the read set is valid at tx.start by construction.
 		return true
 	}
-	for !e.sys.streams[0].ts.CompareAndSwap(tx.start, tx.start+1) {
-		t, ok := e.revalidate(tx)
-		if !ok {
-			return false
-		}
-		tx.start = t
+	if !e.lock(tx) {
+		return false
 	}
 	e.sys.writeBack(tx.ws)
 	e.sys.streams[0].ts.Store(tx.start + 2)

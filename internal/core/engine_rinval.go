@@ -198,7 +198,8 @@ func (s *System) serverName(base string, shard int) string {
 	return fmt.Sprintf("shard%d-%s", shard, base)
 }
 
-func (e *remoteEngine) usesSlots() bool { return true }
+func (e *remoteEngine) usesSlots() bool      { return true }
+func (e *remoteEngine) readsInvisibly() bool { return false }
 
 func (e *remoteEngine) begin(tx *Tx) {}
 

@@ -39,7 +39,8 @@ func tl2Version(w uint64) uint64 { return w >> 1 }
 // keeps the engine abort-based rather than blocking.
 const tl2LockSpins = 128
 
-func (e *tl2Engine) usesSlots() bool { return false }
+func (e *tl2Engine) usesSlots() bool      { return false }
+func (e *tl2Engine) readsInvisibly() bool { return false }
 
 // begin samples the read version.
 func (e *tl2Engine) begin(tx *Tx) {

@@ -45,7 +45,9 @@ func (c soloConfig) new(t *testing.T) *System {
 // TestSoloRule: the one rule for a lone client. An attempt is solo exactly
 // where the engine drives a lone client's commit itself — InvalSTM always,
 // RInval below four Ps — and at most one Thread is registered; the predicate
-// follows registrations both ways, and a begun attempt carries it.
+// follows registrations both ways, and a begun attempt carries it. An
+// InvalSTM attempt that is not solo is invisible, unless it retries a
+// validation abort: then it is visible. An RInval attempt is never invisible.
 func TestSoloRule(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{2, 4} {
@@ -69,10 +71,11 @@ func TestSoloRule(t *testing.T) {
 				if th == nil {
 					return
 				}
+				wantInvisible := algo == InvalSTM && !want
 				if err := th.AtomicallyRO(func(tx *Tx) error {
-					if tx.solo != want {
-						t.Errorf("%s at GOMAXPROCS %d, %d threads: attempt solo = %v, want %v",
-							algo, procs, threads, tx.solo, want)
+					if tx.solo != want || tx.invisible != wantInvisible {
+						t.Errorf("%s at GOMAXPROCS %d, %d threads: attempt solo = %v invisible = %v, want %v and %v",
+							algo, procs, threads, tx.solo, tx.invisible, want, wantInvisible)
 					}
 					return nil
 				}); err != nil {
@@ -85,6 +88,18 @@ func TestSoloRule(t *testing.T) {
 			th2 := s.MustRegister()
 			check(2, th1)
 			check(2, th2)
+			if algo == InvalSTM {
+				if err := th1.AtomicallyRO(func(tx *Tx) error {
+					failFirstAttempt(t, tx, th2)
+					if tx.solo || tx.invisible {
+						t.Errorf("GOMAXPROCS %d: retry of a validation abort solo = %v invisible = %v, want a visible attempt",
+							procs, tx.solo, tx.invisible)
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
 			th2.Close()
 			check(1, th1)
 			th1.Close()
@@ -95,7 +110,9 @@ func TestSoloRule(t *testing.T) {
 
 // TestSoloPublishesNothing: a solo attempt sets no active bit, no ALIVE word
 // and no read-signature bit, reads or writes; the same attempt with a second
-// Thread registered is shared and sets all three.
+// Thread registered, retrying a first attempt the second Thread failed, is
+// visible and sets all three (an InvalSTM first attempt is invisible and
+// sets none: TestInvisibleExtendsPastUnrelatedCommit).
 func TestSoloPublishesNothing(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, c := range soloConfigs() {
@@ -103,9 +120,13 @@ func TestSoloPublishesNothing(t *testing.T) {
 			s := c.new(t)
 			th := s.MustRegister()
 			v, w := NewVar(0), NewVar(0)
-			attempt := func(wantSolo bool) {
+			attempt := func(other *Thread) {
 				t.Helper()
+				wantSolo := other == nil
 				if err := th.Atomically(func(tx *Tx) error {
+					if other != nil {
+						failFirstAttempt(t, tx, other)
+					}
 					tx.Store(w, tx.Load(v).(int)+1)
 					_, alive := th.slot.aliveWord()
 					if tx.solo != wantSolo || s.active.has(th.idx) == wantSolo || alive == wantSolo ||
@@ -118,9 +139,9 @@ func TestSoloPublishesNothing(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			attempt(true)
+			attempt(nil)
 			other := s.MustRegister()
-			attempt(false)
+			attempt(other)
 			other.Close()
 			if s.active.has(th.idx) {
 				t.Fatal("active bit left set after a shared commit")
@@ -191,9 +212,13 @@ func TestSoloAbortsOnMidAttemptCommit(t *testing.T) {
 }
 
 // TestSoloCommitDoomsMidAttemptReader: a Thread that registers inside a solo
-// attempt runs shared — eager, doomable — and reads a Var the solo attempt
-// then writes. The solo commit's scan over the other slots dooms it: its next
-// operation aborts with AbortInvalidated, and the retry reads the new value.
+// attempt runs shared and reads a Var the solo attempt then writes. Under
+// RInval the reader is visible — eager, doomable — and the solo commit's scan
+// over the other slots dooms it: its next operation aborts with
+// AbortInvalidated. Under InvalSTM it is invisible, and the same operation
+// fails validation instead; it cannot be made visible, since that takes a
+// validation abort, and so a commit the solo attempt would see. Either way the
+// retry reads the new value.
 func TestSoloCommitDoomsMidAttemptReader(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, c := range soloConfigs() {
@@ -220,7 +245,7 @@ func TestSoloCommitDoomsMidAttemptReader(t *testing.T) {
 							close(read)
 							<-committed
 						}
-						tx.Load(u) // doomed by now on the first attempt
+						tx.Load(u) // aborts by now on the first attempt
 						return nil
 					}); err != nil {
 						t.Error(err)
@@ -236,8 +261,12 @@ func TestSoloCommitDoomsMidAttemptReader(t *testing.T) {
 			if seen := <-done; fmt.Sprint(seen) != "[0 1]" {
 				t.Fatalf("shared reader saw %v, want [0 1]", seen)
 			}
-			if st := other.Stats(); st.AbortReasons[AbortInvalidated] != 1 {
-				t.Fatalf("shared reader AbortInvalidated = %d, want 1", st.AbortReasons[AbortInvalidated])
+			reason := AbortInvalidated
+			if c.algo == InvalSTM {
+				reason = AbortValidation
+			}
+			if st := other.Stats(); st.Aborts != 1 || st.AbortReasons[reason] != 1 {
+				t.Fatalf("shared reader Aborts = %d, %v = %d, want 1 and 1", st.Aborts, reason, st.AbortReasons[reason])
 			}
 			if st := th.Stats(); st.Aborts != 0 {
 				t.Fatalf("solo writer aborted %d times", st.Aborts)

@@ -248,7 +248,7 @@ type Tx struct {
 
 	rs    readSet
 	ws    *writeSet
-	start uint64 // NOrec: timestamp snapshot
+	start uint64 // NOrec and an invisible InvalSTM attempt: timestamp snapshot
 
 	attempts int
 	stats    *Stats
@@ -267,11 +267,16 @@ type Tx struct {
 	// begun under System.solo: snap holds its streams' timestamps at begin,
 	// every read re-checks its stream's against it, and the slot publishes
 	// nothing — no read signature, no active bit, no ALIVE word — so no
-	// committer can doom it.
-	roUser bool
-	ro     bool
-	solo   bool
-	snap   []uint64
+	// committer can doom it. invisible marks an InvalSTM attempt that is not
+	// solo and does not retry a validation abort (System.solo): it publishes
+	// nothing either, and validates as NOrec does, against start and the
+	// read log rs. An attempt of an invalidation engine that is neither is
+	// visible: its slot publishes all three, and a committer can doom it.
+	roUser    bool
+	ro        bool
+	solo      bool
+	invisible bool
+	snap      []uint64
 
 	// readShards accumulates the shard bits of every Var this attempt read
 	// (invalidation engines only; always bit 0 when Config.Shards == 1). The
@@ -325,6 +330,9 @@ func (tx *Tx) System() *System { return tx.sys }
 // begin resets per-attempt state and runs the engine's begin hook.
 func (tx *Tx) begin() {
 	tx.attempts++
+	// Read before the reset below: the previous attempt of this transaction
+	// failed validation.
+	failedValidation := tx.attempts > 1 && tx.reason == AbortValidation
 	tx.rs.reset()
 	tx.ws.reset()
 	tx.readShards = 0
@@ -339,16 +347,18 @@ func (tx *Tx) begin() {
 	if tx.sys.eng.usesSlots() {
 		// A solo attempt publishes nothing: its snapshot is its whole begin.
 		// Streams that never stay still long enough for a consistent cut make
-		// the attempt shared instead.
+		// the attempt shared instead. An invisible one publishes nothing
+		// either; the engine's begin takes its snapshot.
 		tx.solo = tx.sys.solo() && tx.sys.captureSnapshot(tx.snap)
-		if !tx.solo {
+		tx.invisible = !tx.solo && !failedValidation && tx.sys.eng.readsInvisibly()
+		if !tx.solo && !tx.invisible {
 			tx.activateSlot()
 		}
 	}
 	tx.sys.eng.begin(tx)
 }
 
-// activateSlot makes the slot a shared attempt's: doomable through its read
+// activateSlot makes the slot a visible attempt's: doomable through its read
 // signature by any committer. Order matters: clear the read signature while
 // the slot is not alive, then set the active bit, then publish the new (epoch,
 // ALIVE) word. A server holding the previous word can no longer doom this
@@ -423,7 +433,8 @@ func (tx *Tx) LoadBox(v *Var) *Box {
 	}
 	if tx.sys.logReads {
 		// NOrec/TL2 revalidate from this log; the invalidation engines keep
-		// it only under Config.Stats or Config.Attribution.
+		// it here only under Config.Stats or Config.Attribution (an invisible
+		// InvalSTM attempt otherwise logs in invalEngine.read).
 		tx.rs.add(v, b)
 	}
 	return b
@@ -547,10 +558,10 @@ func (tx *Tx) onUserAbort() {
 // it, invalidating any doom a server is still trying to apply. The active
 // bit is cleared only after the INACTIVE store (mirror image of begin): a
 // scanner that still sees the bit merely re-checks the status word, while
-// one that misses it can rely on the transaction having retired. A solo
-// attempt published nothing, so it has nothing to undo.
+// one that misses it can rely on the transaction having retired. A solo or
+// invisible attempt published nothing, so it has nothing to undo.
 func (tx *Tx) deactivateSlot() {
-	if !tx.sys.eng.usesSlots() || tx.solo {
+	if !tx.sys.eng.usesSlots() || tx.solo || tx.invisible {
 		return
 	}
 	w := tx.slot.status.Load()
@@ -559,8 +570,8 @@ func (tx *Tx) deactivateSlot() {
 }
 
 // invalidated reports whether this transaction incarnation has been doomed.
-// Only a shared attempt can be: a solo one is never ALIVE and checks its
-// snapshot instead, so it must not ask.
+// Only a visible attempt can be: a solo or invisible one is never ALIVE and
+// checks its snapshot instead, so it must not ask.
 func (tx *Tx) invalidated() bool {
 	_, alive := tx.slot.aliveWord()
 	return !alive

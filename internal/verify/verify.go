@@ -9,6 +9,7 @@ package verify
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -146,7 +147,11 @@ func checkOpacity(algo stm.Algo, o Options, rep *Report) error {
 }
 
 // checkConservation: random transfers between accounts; auditors sum all
-// accounts transactionally and at the end quiescently.
+// accounts transactionally and at the end quiescently. Both bodies yield
+// mid-attempt, so attempts overlap even on one P. For InvalSTM, whose
+// attempts read invisibly first and visibly on the retry of a validation
+// abort, both validation and invalidation aborts must occur: the proof that
+// both kinds of attempt ran.
 func checkConservation(algo stm.Algo, o Options, rep *Report) error {
 	sys, err := newSystem(algo, o)
 	if err != nil {
@@ -175,6 +180,7 @@ func checkConservation(algo stm.Algo, o Options, rep *Report) error {
 				amt := rng.Intn(40)
 				_ = th.Atomically(func(tx *stm.Tx) error {
 					accs[from].Store(tx, accs[from].Load(tx)-amt)
+					runtime.Gosched()
 					accs[to].Store(tx, accs[to].Load(tx)+amt)
 					return nil
 				})
@@ -190,7 +196,10 @@ func checkConservation(algo stm.Algo, o Options, rep *Report) error {
 			total := 0
 			_ = th.Atomically(func(tx *stm.Tx) error {
 				total = 0
-				for _, a := range accs {
+				for i, a := range accs {
+					if i == accounts/2 {
+						runtime.Gosched()
+					}
 					total += a.Load(tx)
 				}
 				return nil
@@ -217,6 +226,11 @@ func checkConservation(algo stm.Algo, o Options, rep *Report) error {
 	}
 	if total != accounts*initial {
 		return fmt.Errorf("final total %d != %d", total, accounts*initial)
+	}
+	if algo == stm.InvalSTM {
+		if v, i := st.AbortReasons[stm.AbortValidation], st.AbortReasons[stm.AbortInvalidated]; v == 0 || i == 0 {
+			return fmt.Errorf("validation aborts %d, invalidation aborts %d: want both, one per attempt kind", v, i)
+		}
 	}
 	return nil
 }

@@ -60,3 +60,17 @@ func TestChurnSoloShared(t *testing.T) {
 		}
 	}
 }
+
+// TestInvisibleThenVisibleRegimes runs the conservation check on InvalSTM
+// with one transfer client and one auditor: the total is conserved, and both
+// validation aborts (invisible attempts) and invalidation aborts (their
+// visible retries) occur.
+func TestInvisibleThenVisibleRegimes(t *testing.T) {
+	var rep Report
+	if err := checkConservation(stm.InvalSTM, Options{Threads: 2, Duration: 50 * time.Millisecond, Seed: 1}, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Commits == 0 || rep.Aborts == 0 {
+		t.Fatalf("no evidence gathered: %+v", rep)
+	}
+}
