@@ -40,15 +40,19 @@ test:
 ## partition's scratch outside its lock, or an attempt that changed protocol
 ## as a Thread came or went or as it retried, only shows on some schedules —
 ## then the same -run set at both server layouts,
-## whatever the runner's core count: GOMAXPROCS=4, the only setting where
-## V2/V3 start their invalidation-servers, and GOMAXPROCS=2, where the servers
-## share the Ps (remoteEngine.coolServers), a lone client's attempts run solo
-## (validated by timestamps, committed without a request) and the epoch
-## drivers scan every partition themselves. internal/verify's churn check
+## whatever the runner's core count: GOMAXPROCS=4, the leg that covers
+## partitions (V2/V3 keep InvalServers/Shards per stream and start their
+## invalidation-servers; the -run set adds the group-commit, flight-stall,
+## trace and server-phase tests that drive them), and GOMAXPROCS=2, where the
+## servers share the Ps (coolServers), a lone client's attempts run solo
+## (validated by timestamps, committed without a request) and every RInval
+## variant runs V1's inline scan (no partitions). Tests that need partitions
+## build their System at four Ps (atFourPs), so they also run at
+## GOMAXPROCS=2 with that layout. internal/verify's churn check
 ## flips a client between solo and shared attempts, and its conservation
 ## check on InvalSTM (TestInvisibleThenVisibleRegimes) runs invisible
 ## attempts and their visible retries side by side.
-RACE_LAYOUT_RUN = 'Help|CrossShard|Partition|Liveness|Mailbox|Opacity|Differential|Epoch|Solo|Churn|Invisible'
+RACE_LAYOUT_RUN = 'Help|CrossShard|Partition|Liveness|Mailbox|Opacity|Differential|Epoch|Solo|Churn|Invisible|GroupCommit|FlightPartition|TraceLifecycle|ServerPhase'
 race:
 	$(GO) test -race -count=1 ./internal/core/ ./stm/ ./internal/obs/ ./internal/bloom/ ./internal/padded/ ./internal/analysis/
 	$(GO) test -race -count=10 -run 'Help|CrossShard|Partition|LivenessOneP|Mailbox|Solo|Churn|Invisible' ./internal/core/ ./internal/verify/

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -11,14 +12,29 @@ import (
 	"github.com/ssrg-vt/rinval/internal/bloom"
 )
 
-// forEachAlgo runs f once per engine, in a subtest named after the engine.
+// forEachAlgo runs f once per engine, in a subtest named after the engine,
+// then once more for RInval-V2 and V3 with the paper's server layout
+// ("rinval-v2/4p", "rinval-v3/4p"): there newSys builds at four Ps
+// (atFourPs), so descriptors, partitions and the readers' catch-up stay
+// covered on a host with fewer, where those engines have no partitions.
 func forEachAlgo(t *testing.T, f func(t *testing.T, algo Algo)) {
 	t.Helper()
 	for _, a := range Algos {
 		a := a
 		t.Run(a.String(), func(t *testing.T) { f(t, a) })
 	}
+	for _, a := range []Algo{RInvalV2, RInvalV3} {
+		t.Run(a.String()+"/4p", func(t *testing.T) {
+			sysAtFourPs = true
+			defer func() { sysAtFourPs = false }()
+			f(t, a)
+		})
+	}
 }
+
+// sysAtFourPs is set for the body of forEachAlgo's "/4p" subtests: newSys
+// then builds its System with atFourPs.
+var sysAtFourPs bool
 
 // newSys builds a small system for tests and registers cleanup.
 func newSys(t *testing.T, algo Algo, mutate func(*Config)) *System {
@@ -27,15 +43,36 @@ func newSys(t *testing.T, algo Algo, mutate func(*Config)) *System {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	var s *System
+	if sysAtFourPs {
+		s = atFourPs(t, New, cfg)
+	} else {
+		var err error
+		if s, err = New(cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
 	t.Cleanup(func() {
 		if err := s.Close(); err != nil {
 			t.Errorf("Close: %v", err)
 		}
 	})
+	return s
+}
+
+// atFourPs builds a System with build (New, or newSystem to start no server)
+// at GOMAXPROCS 4 and restores the old value right after: the paper's server
+// layout on any host. RInval-V2/V3 get InvalServers/Shards partitions per
+// stream, an invalidation-server each once started and V3 its step-ahead
+// window, while the test itself runs on the host's Ps.
+func atFourPs(t testing.TB, build func(Config) (*System, error), cfg Config) *System {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(4)
+	s, err := build(cfg)
+	runtime.GOMAXPROCS(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return s
 }
 

@@ -79,52 +79,48 @@ var errDiffAbort = fmt.Errorf("diff abort")
 // quantity must not.
 func TestDifferentialConcurrentConservation(t *testing.T) {
 	const nvars, workers, per, initial = 8, 6, 120, 1000
-	for _, algo := range Algos {
-		algo := algo
-		t.Run(algo.String(), func(t *testing.T) {
-			s := MustNew(Config{Algo: algo, MaxThreads: 16, InvalServers: 2})
-			defer s.Close()
-			vars := make([]*Var, nvars)
-			for i := range vars {
-				vars[i] = NewVar(initial)
-			}
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				w := w
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					th := s.MustRegister()
-					defer th.Close()
-					rng := uint64(w + 7)
-					next := func() int {
-						rng = rng*6364136223846793005 + 1442695040888963407
-						return int(rng >> 33)
-					}
-					for i := 0; i < per; i++ {
-						from, to, amt := next()%nvars, next()%nvars, next()%25
-						_ = th.Atomically(func(tx *Tx) error {
-							tx.Store(vars[from], tx.Load(vars[from]).(int)-amt)
-							tx.Store(vars[to], tx.Load(vars[to]).(int)+amt)
-							return nil
-						})
-					}
-				}()
-			}
-			wg.Wait()
-			total := 0
-			for _, v := range vars {
-				total += v.Peek().(int)
-			}
-			if total != nvars*initial {
-				t.Fatalf("conservation violated: %d != %d", total, nvars*initial)
-			}
-			st := s.Stats()
-			if st.Commits != workers*per {
-				t.Fatalf("commits %d != %d", st.Commits, workers*per)
-			}
-		})
-	}
+	forEachAlgo(t, func(t *testing.T, algo Algo) {
+		s := newSys(t, algo, nil)
+		vars := make([]*Var, nvars)
+		for i := range vars {
+			vars[i] = NewVar(initial)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			w := w
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				th := s.MustRegister()
+				defer th.Close()
+				rng := uint64(w + 7)
+				next := func() int {
+					rng = rng*6364136223846793005 + 1442695040888963407
+					return int(rng >> 33)
+				}
+				for i := 0; i < per; i++ {
+					from, to, amt := next()%nvars, next()%nvars, next()%25
+					_ = th.Atomically(func(tx *Tx) error {
+						tx.Store(vars[from], tx.Load(vars[from]).(int)-amt)
+						tx.Store(vars[to], tx.Load(vars[to]).(int)+amt)
+						return nil
+					})
+				}
+			}()
+		}
+		wg.Wait()
+		total := 0
+		for _, v := range vars {
+			total += v.Peek().(int)
+		}
+		if total != nvars*initial {
+			t.Fatalf("conservation violated: %d != %d", total, nvars*initial)
+		}
+		st := s.Stats()
+		if st.Commits != workers*per {
+			t.Fatalf("commits %d != %d", st.Commits, workers*per)
+		}
+	})
 }
 
 // TestSlotReuseAfterRemoteCommits exercises register/unregister churn on a

@@ -17,6 +17,10 @@
 //     StepsAhead commits past the slowest invalidation-server, as long as the
 //     committer's own invalidation-server has caught up (Algorithm 4).
 //
+// V2 and V3 keep their invalidation partitions only where the
+// invalidation-servers get Ps of their own (GOMAXPROCS ≥ 4 at New); below
+// that they run V1's inline scan (partitionsPerStream).
+//
 // All engines share one object model: transactional state lives in Vars
 // (boxed values published through an atomic pointer), transactions buffer
 // writes (lazy versioning) and publish them at commit, and consistency is
@@ -36,9 +40,10 @@
 //     reader did not observe a committer's timestamp transition, the
 //     committer's subsequent filter scan observes the reader's bit.
 //  2. A read is accepted only when the timestamp is even (no write-back in
-//     progress) and — for V2/V3 — equal to the reader's own
+//     progress) and — for V2/V3 with partitions — equal to the reader's own
 //     invalidation-server timestamp, i.e. every prior commit's invalidation
-//     pass over this reader's slot has completed. Hence if any prior commit
+//     pass over this reader's slot has completed (without partitions every
+//     commit dooms inline before its write-back). Hence if any prior commit
 //     conflicted with this transaction, its status word is already
 //     INVALIDATED when the read checks it, and the transaction aborts before
 //     observing a state newer than its earlier reads.

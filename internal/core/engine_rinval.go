@@ -13,21 +13,23 @@ import (
 )
 
 // remoteEngine implements the three Remote Invalidation variants (the
-// paper's Algorithms 2-4) behind one parameterization:
+// paper's Algorithms 2-4) behind one parameterization, sys.nInvalPerShard:
 //
-//   - numInval == 0: RInval-V1. The commit-server executes both the
-//     invalidation scan and the write-back itself. A client answered within
-//     its busy phase never touches the global timestamp: it publishes a
-//     request in its padded slot and spins on its own cache line, so commit
-//     has zero CAS operations and no shared-lock spinning.
-//   - numInval > 0, stepsAhead == 0: RInval-V2. Invalidation is partitioned
-//     across numInval invalidation-server goroutines that run in parallel
-//     with the commit-server's write-back. The commit-server waits for every
-//     invalidation-server to catch up before starting the next commit.
-//   - numInval > 0, stepsAhead > 0: RInval-V3. The commit-server may run up
-//     to stepsAhead commits past the slowest invalidation-server, provided
-//     the *requester's own* invalidation-server is fully caught up (which
-//     makes the pre-commit status check conclusive). In-flight commit
+//   - nInvalPerShard == 0: RInval-V1, and V2/V3 below four Ps. The epoch
+//     driver executes both the invalidation scan and the write-back itself. A
+//     client answered within its busy phase never touches the global
+//     timestamp: it publishes a request in its padded slot and spins on its
+//     own cache line, so commit has zero CAS operations and no shared-lock
+//     spinning.
+//   - nInvalPerShard > 0, stepsAhead == 0: RInval-V2. Invalidation is
+//     partitioned across nInvalPerShard invalidation-server goroutines that
+//     run in parallel with the commit-server's write-back. The commit-server
+//     waits for every invalidation-server to catch up before starting the
+//     next commit.
+//   - nInvalPerShard > 0, stepsAhead > 0: RInval-V3. The commit-server may
+//     run up to stepsAhead commits past the slowest invalidation-server,
+//     provided the *requester's own* invalidation-server is fully caught up
+//     (which makes the pre-commit status check conclusive). In-flight commit
 //     descriptors live in a ring of stepsAhead+1 padded pointers.
 //
 // The engine runs one shardServer — a commit-server plus its share of
@@ -53,14 +55,8 @@ import (
 // partition lags only while somebody is scanning it.
 type remoteEngine struct {
 	sys        *System
-	numInval   int // invalidation-servers per commit stream (0 for V1)
-	stepsAhead int
+	stepsAhead int // 0 unless V3 with partitions
 	maxBatch   int
-
-	// coolServers is GOMAXPROCS < 4 at construction: the servers would have no
-	// P of their own, so no invalidation-server starts (serverTasks) and a lone
-	// client's attempts run solo (System.solo; DESIGN.md §3).
-	coolServers bool
 
 	// srv[j] is shard j's server set. Exactly one entry when Shards == 1.
 	srv []*shardServer
@@ -135,17 +131,33 @@ type shardServer struct {
 	invalLat []*obs.LatCell
 }
 
-func newRemoteEngine(sys *System, numInval, stepsAhead int) *remoteEngine {
-	perShard := 0
-	if numInval > 0 {
-		perShard = sys.nInvalPerShard
+// coolServers reports whether RInval's servers would share the clients' Ps: a
+// client, the commit-server and two invalidation-servers need four. New reads
+// it once, for partitionsPerStream and System.solo (DESIGN.md §3).
+func coolServers() bool { return runtime.GOMAXPROCS(0) < 4 }
+
+// partitionsPerStream is the RInval layout's one value: the partitions per
+// stream that have a scanner of their own, InvalServers/Shards for V2/V3 where
+// their servers get a P, else 0. A partition pays off only if it is scanned in
+// parallel with the write-back, so with 0 V2/V3 run V1's inline doom (DESIGN.md
+// §3). Every stage and every per-partition array read only this value.
+func partitionsPerStream(cfg Config, cool bool) int {
+	if cool || (cfg.Algo != RInvalV2 && cfg.Algo != RInvalV3) {
+		return 0
+	}
+	return cfg.InvalServers / cfg.Shards
+}
+
+// newRemoteEngine builds the engine; V3's stepsAhead needs partitions.
+func newRemoteEngine(sys *System, stepsAhead int) *remoteEngine {
+	perShard := sys.nInvalPerShard
+	if perShard == 0 {
+		stepsAhead = 0
 	}
 	e := &remoteEngine{
-		sys:         sys,
-		numInval:    perShard,
-		stepsAhead:  stepsAhead,
-		maxBatch:    sys.cfg.MaxBatch,
-		coolServers: runtime.GOMAXPROCS(0) < 4,
+		sys:        sys,
+		stepsAhead: stepsAhead,
+		maxBatch:   sys.cfg.MaxBatch,
 	}
 	for j := range sys.streams {
 		sv := &shardServer{
@@ -204,14 +216,15 @@ func (e *remoteEngine) readsInvisibly() bool { return false }
 func (e *remoteEngine) begin(tx *Tx) {}
 
 // read uses the shared invalidation read protocol against the stream owning
-// v's shard. With invalidation-servers present, a read of a shared attempt
-// additionally requires the reader's own server for that stream to have
-// processed every prior commit (Algorithm 3 line 28): only then is "my status
-// flag is still ALIVE" proof that no prior commit conflicted.
+// v's shard. With partitions, a read of a shared attempt additionally
+// requires the reader's own partition of that stream to have processed every
+// prior commit (Algorithm 3 line 28): only then is "my status flag is still
+// ALIVE" proof that no prior commit conflicted. Without them every commit
+// dooms inline before its write-back, so the reader never waits.
 //
 //stm:hotpath
 func (e *remoteEngine) read(tx *Tx, v *Var) (*Box, bool) {
-	return invalRead(tx, v, e.numInval > 0)
+	return invalRead(tx, v, e.sys.nInvalPerShard > 0)
 }
 
 // commit is the client side of Algorithm 2's CLIENT COMMIT, identical for all
@@ -271,8 +284,9 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 // streams it read or writes since its begin — then admit the client's own slot
 // as a batch of one and run the epoch's remaining stages over it (retire). No
 // request word is published, answered or consumed, and no ALIVE check is made:
-// the snapshot check is the solo attempt's whole validation. The epoch counts
-// as helped: the client drove it.
+// the snapshot check is the solo attempt's whole validation. Solo needs fewer
+// than four Ps, so there are no partitions: the epoch dooms inline. The epoch
+// counts as helped: the client drove it.
 //
 //stm:hotpath
 func commitOwn(tx *Tx, sv *shardServer, writes, touched uint64) bool {
@@ -286,17 +300,12 @@ func commitOwn(tx *Tx, sv *shardServer, writes, touched uint64) bool {
 			return false
 		}
 	}
-	lagBudget := 2 * uint64(sv.eng.stepsAhead)
 	if touched&(touched-1) != 0 {
-		// Led solo across streams: every partition caught up, and publish
-		// reads the written streams from the request line (no request word).
-		lagBudget = 0
-		tx.slot.req.writes.Store(writes)
-	} else if lagBudget > 0 {
-		sv.sampleStepAhead(sv.st.ts.Load()) // V3's per-epoch sample, as collect takes it
+		tx.slot.req.writes.Store(writes) // publish reads it across streams
+
 	}
 	sv.batchIdx = append(sv.batchIdx[:0], tx.th.idx)
-	sv.retire(touched, lagBudget, 1, tx.th.idx, &clk)
+	sv.retire(touched, 0, 1, tx.th.idx, &clk)
 	sys.unlockStreams(touched)
 	atomic.AddUint64(&tx.stats.HelpedEpochs, 1)
 	return true
@@ -336,9 +345,8 @@ func (e *remoteEngine) help(tx *Tx, touched uint64) bool {
 
 func (e *remoteEngine) abort(tx *Tx) {}
 
-// serverTasks is one commit-server per stream, plus the stream's
-// invalidation-servers only where GOMAXPROCS leaves them a P (!coolServers);
-// elsewhere the epoch drivers' own scanPartition calls are the only scanners.
+// serverTasks is one commit-server per stream, plus one invalidation-server
+// per partition of the stream (none below four Ps, where there are none).
 func (e *remoteEngine) serverTasks() []serverTask {
 	var tasks []serverTask
 	for j := range e.srv {
@@ -347,11 +355,7 @@ func (e *remoteEngine) serverTasks() []serverTask {
 			name: e.sys.serverName("commit-server", j),
 			run:  sv.commitServerMain,
 		})
-		if e.coolServers {
-			continue
-		}
-		for k := 0; k < e.numInval; k++ {
-			k := k
+		for k := 0; k < e.sys.nInvalPerShard; k++ {
 			tasks = append(tasks, serverTask{
 				name: e.sys.serverName(fmt.Sprintf("inval-server-%d", k), j),
 				run:  func(stop func() bool) { sv.invalServerMain(k, stop) },
@@ -466,14 +470,15 @@ func (sv *shardServer) serveEpoch(mask uint64, first int) bool {
 //	catch up   until no touched stream's partition trails by more than the lag
 //	           budget — 2·stepsAhead on one stream, 0 across streams (V2's lag
 //	           wait and the cross-shard drain) — wait for its scanner, or, once
-//	           the busy phase is spent, scan it if it is free; V1 skips it
+//	           the busy phase is spent, scan it if it is free; skipped without
+//	           partitions (V1, and V2/V3 below four Ps)
 //	check      answer doomed members ABORTED without a timestamp transition
-//	publish    raise the written streams odd, invalidate (V1 inline, V2/V3 by
-//	           descriptor), write back, lower them even (publish)
+//	publish    raise the written streams odd, invalidate (inline without
+//	           partitions, else by descriptor), write back, lower them even
 //	record     the batch-size sample (the stream's Epochs and Commits)
 //	reply      COMMITTED to every member
-//	scan       V2/V3: apply the new descriptor to every partition of the
-//	           written streams that no one else is scanning (scanPartition)
+//	scan       with partitions: apply the new descriptor to every partition of
+//	           the written streams that no one else is scanning (scanPartition)
 //
 // Everything after collect is retire, which a solo client committing without a
 // request (commitOwn) runs after its own admission. A multi-stream epoch admits
@@ -511,7 +516,7 @@ func (sv *shardServer) retire(mask, lagBudget, pending uint64, self int, clk *ph
 	sv.commitRing.Counter(obs.KQueueDepth, pending)
 	clk.lap(obs.LatCollect, obs.KScan, pending)
 
-	if e.numInval > 0 {
+	if sys.nInvalPerShard > 0 {
 		// Every stream's timestamp is frozen even under its lock. Bounding
 		// each partition's lag also proves the ring entry publish overwrites
 		// has been consumed (Alg. 3 l. 7 / Alg. 4 l. 5); a zero budget catches
@@ -588,14 +593,14 @@ func (sv *shardServer) retire(mask, lagBudget, pending uint64, self int, clk *ph
 	}
 	clk.lap(obs.LatReply, obs.KReply, uint64(n))
 
-	// Last, off the members' critical path: leave no written partition (V1
-	// has none) lagging unless somebody is scanning it. An invalidation-server
+	// Last, off the members' critical path: leave no written partition (if
+	// any) lagging unless somebody is scanning it. An invalidation-server
 	// with a core of its own took its partition when the stream went odd, so
 	// these calls fail on a plain load; without one the driver does the scan
 	// and the next reader of the partition finds it caught up.
 	for m := writes; m != 0; m &= m - 1 {
 		wsv := e.srv[bits.TrailingZeros64(m)]
-		for k := 0; k < e.numInval; k++ {
+		for k := 0; k < sys.nInvalPerShard; k++ {
 			wsv.scanPartition(k, clk)
 		}
 	}
@@ -622,7 +627,13 @@ func (sv *shardServer) collect(mask uint64, first, maxBatch int, lagBudget uint6
 	sys, st := sv.sys, sv.st
 	t := st.ts.Load() // even: only a stream-lock holder makes it odd
 	if lagBudget > 0 {
-		sv.sampleStepAhead(t)
+		// V3's step-ahead occupancy: commits ahead of the slowest partition.
+		minTS := st.invalTS[0].Load()
+		for k := 1; k < len(st.invalTS); k++ {
+			minTS = min(minTS, st.invalTS[k].Load())
+		}
+		sv.stepAhead.Record((t - minTS) / 2)
+		sv.commitRing.Counter(obs.KStepAhead, (t-minTS)/2)
 	}
 	sv.batchIdx = sv.batchIdx[:0]
 	unions := false // built from the leader once a second candidate needs them
@@ -666,32 +677,16 @@ func (sv *shardServer) collect(mask uint64, first, maxBatch int, lagBudget uint6
 	return pending
 }
 
-// sampleStepAhead records V3's step-ahead occupancy at stream timestamp t:
-// how many commits this stream is running ahead of its slowest
-// invalidation-server.
-//
-//stm:hotpath
-func (sv *shardServer) sampleStepAhead(t uint64) {
-	st := sv.st
-	minTS := st.invalTS[0].Load()
-	for k := 1; k < len(st.invalTS); k++ {
-		if v := st.invalTS[k].Load(); v < minTS {
-			minTS = v
-		}
-	}
-	sv.stepAhead.Record((t - minTS) / 2)
-	sv.commitRing.Counter(obs.KStepAhead, (t-minTS)/2)
-}
-
 // publish is the epoch's write stage, under one odd window per written
 // stream: raise every stream the batch writes odd in ascending order, doom
 // the conflicting readers, write back, lower the streams even in descending
 // order — so the lowest written stream's odd window encloses the others,
 // which is what captureSnapshot's double collect relies on. Streams the batch
-// only read stay even. V1 dooms inline, between the raise and the write-back
-// (latency phase "scan": the driver actively scans rather than waits). V2/V3
-// hand the merged signature and member mask to each written stream's
-// partition scanners and write back in parallel with their scans; both are
+// only read stay even. Without partitions (V1, and V2/V3 below four Ps) the
+// driver dooms inline, between the raise and the write-back (latency phase
+// "scan": the driver actively scans rather than waits). With them it hands
+// the merged signature and member mask to each written stream's
+// partition scanners and writes back in parallel with their scans; both are
 // copied into that stream's ring-slot descriptor (owned through its lock,
 // proved consumed by the catch-up stage) because a client reclaims its write
 // set the moment it sees the reply, while the scans may still run. A victim
@@ -726,7 +721,7 @@ func (sv *shardServer) publish(mask uint64, clk *phaseClock) (writes uint64) {
 	for m := writes; m != 0; m &= m - 1 {
 		j := bits.TrailingZeros64(m)
 		st := &sys.streams[j]
-		if e.numInval > 0 {
+		if sys.nInvalPerShard > 0 {
 			slot := (st.ts.Load() / 2) % uint64(len(st.ring))
 			d := &e.srv[j].descBufs[slot]
 			d.bf.CopyFrom(sig)
@@ -736,7 +731,7 @@ func (sv *shardServer) publish(mask uint64, clk *phaseClock) (writes uint64) {
 		}
 		st.ts.Add(1)
 	}
-	if e.numInval == 0 {
+	if sys.nInvalPerShard == 0 {
 		doomed := sys.invalidate(sys.allSlots, members, sig, sv.commitRing, kd)
 		if doomed > 0 {
 			atomic.AddUint64(&sv.commitSrv.Invalidations, doomed)

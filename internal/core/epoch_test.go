@@ -11,8 +11,9 @@ import (
 // Tests for the one epoch routine (shardServer.epoch, DESIGN.md §11), driven
 // without servers: requests are hand-posted and the lead stream's serveEpoch
 // is called directly, over every variant and mask width. Four streams, one
-// invalidation partition each; with no server goroutines the driver scans
-// every written partition itself unless a test holds its lock.
+// invalidation partition each for V2/V3 (the paper's layout, built at four
+// Ps); with no server goroutines the driver scans every written partition
+// itself unless a test holds its lock.
 
 // epochMasks are the touched/written stream masks per mask width. The lead
 // stream is never stream 0 alone, and the wider masks keep one touched stream
@@ -25,12 +26,8 @@ var epochMasks = []struct{ touched, writes uint64 }{
 
 func newEpochSystem(t *testing.T, algo Algo) *System {
 	t.Helper()
-	s, err := newSystem(Config{Algo: algo, MaxThreads: 4, Shards: 4, InvalServers: 4,
+	return atFourPs(t, newSystem, Config{Algo: algo, MaxThreads: 4, Shards: 4, InvalServers: 4,
 		StepsAhead: 2, Versions: 4, Latency: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
 }
 
 // postMasked publishes a request in th's slot that writes one fresh Var in
@@ -228,12 +225,12 @@ func epochStreamsAndPhases(t *testing.T, algo Algo, touched, writes uint64, held
 			t.Errorf("stream %d left locked", j)
 		}
 		d := st.ring[0].Load()
-		if wantDesc := eng.numInval > 0 && want == 2; (d != nil) != wantDesc {
+		if wantDesc := s.nInvalPerShard > 0 && want == 2; (d != nil) != wantDesc {
 			t.Errorf("stream %d descriptor present = %v, want %v", j, d != nil, wantDesc)
 		} else if d != nil && !(d.members[0] == 1<<uint(th.idx) && d.bf.MayContain(vars[0].id)) {
 			t.Errorf("stream %d descriptor does not carry the batch (members %b)", j, d.members)
 		}
-		if eng.numInval > 0 {
+		if s.nInvalPerShard > 0 {
 			wantTS, wantLock := want, uint32(0)
 			if held {
 				wantTS, wantLock = 0, 1
@@ -253,7 +250,7 @@ func epochStreamsAndPhases(t *testing.T, algo Algo, touched, writes uint64, held
 	}
 
 	want := map[string]uint64{"collect": 1, "write-back": 1, "reply": 1}
-	multi, remote := touched&(touched-1) != 0, eng.numInval > 0
+	multi, remote := touched&(touched-1) != 0, s.nInvalPerShard > 0
 	if multi {
 		want["lock-wait"] = 1
 	}

@@ -61,10 +61,8 @@ func (s *System) flightCheck(nowNanos int64, epochs uint64, rose []obs.SLOAlert)
 		reason = fmt.Sprintf("slo burn: %s fast=%.2fx slow=%.2fx (threshold %.2fx)",
 			a.SLO, a.FastBurn, a.SlowBurn, a.Burn)
 	}
-	n := 0 // partitions per stream: V1 and the inline engines scan none
-	if re, ok := s.eng.(*remoteEngine); ok {
-		n = re.numInval
-	}
+	// Partitions per stream: none for V1, below four Ps or inline engines.
+	n := s.nInvalPerShard
 	for j := range s.streams {
 		st := &s.streams[j]
 		for k := 0; k < n; k++ {

@@ -111,10 +111,7 @@ func TestGroupCommitConflictSplitsEpochs(t *testing.T) {
 	for _, algo := range []Algo{RInvalV1, RInvalV3} {
 		for _, kind := range []string{"ww", "follower-reads-leader-write", "leader-read-follower-write"} {
 			t.Run(fmt.Sprintf("%s/%s", algo, kind), func(t *testing.T) {
-				s, err := newSystem(Config{Algo: algo, MaxThreads: 4, InvalServers: 1, StepsAhead: 2, MaxBatch: 16})
-				if err != nil {
-					t.Fatal(err)
-				}
+				s := atFourPs(t, newSystem, Config{Algo: algo, MaxThreads: 4, InvalServers: 1, StepsAhead: 2, MaxBatch: 16})
 				a, b := NewVar(0), NewVar(0)
 				th0, th1 := s.MustRegister(), s.MustRegister()
 
@@ -216,11 +213,8 @@ func TestGroupCommitConflictSplitsEpochs(t *testing.T) {
 // that conflicts with the second member alone stays out of the epoch, and the
 // signature the epoch publishes covers both members.
 func TestGroupCommitThirdCandidateMeetsUnions(t *testing.T) {
-	s, err := newSystem(Config{Algo: RInvalV2, MaxThreads: 4, InvalServers: 1, MaxBatch: 16,
+	s := atFourPs(t, newSystem, Config{Algo: RInvalV2, MaxThreads: 4, InvalServers: 1, MaxBatch: 16,
 		Bloom: bloom.Params{Bits: 1 << 16, Hashes: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	a, b := NewVar(0), NewVar(0)
 	ths := []*Thread{s.MustRegister(), s.MustRegister(), s.MustRegister()}
 	slots := []*slot{postPending(s, ths[0], a, 1), postPending(s, ths[1], b, 2), postPending(s, ths[2], b, 3)}

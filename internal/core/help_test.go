@@ -157,73 +157,62 @@ func TestHelpOwnCommitSkipsMailbox(t *testing.T) {
 	}
 }
 
-// TestHelpOwnCommitWaitsForPartition: V3's step-ahead bound holds for a solo
-// commit made without a request. The catch-up stage admits the epoch while a
-// held partition is at most StepsAhead commits behind: StepsAhead+1 commits
-// pass, and the next waits for the holder to let go; the client then scans
-// the lagging partition itself. The partition held may be the Thread's own or
-// the other one: a solo attempt is validated by its snapshot, not by its
-// status word, so its own partition needs no catching up of its own (the
-// request path's admission test, TestHelpDeclines/v3-lag).
-func TestHelpOwnCommitWaitsForPartition(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+// TestHelpCatchUpWaitsForHeldPartition: V3's step-ahead bound holds for an
+// epoch a client drives itself. Built at four Ps with no server started, a
+// lone writer's attempts are shared and every request is answered by the
+// writer's own help. Its own partition is free and scanned after each reply;
+// the other is held, as by an invalidation-server in mid-scan. The catch-up
+// stage admits an epoch while the held partition is at most StepsAhead
+// commits behind: StepsAhead+1 commits pass, the next waits for the holder to
+// let go, and the client then scans the lagging partition itself.
+func TestHelpCatchUpWaitsForHeldPartition(t *testing.T) {
 	const stepsAhead = 2
-	for _, own := range []bool{true, false} {
-		t.Run(fmt.Sprintf("own=%v", own), func(t *testing.T) {
-			s, err := New(Config{Algo: RInvalV3, MaxThreads: 4, InvalServers: 2, StepsAhead: stepsAhead})
-			if err != nil {
-				t.Fatal(err)
-			}
-			th := s.MustRegister()
-			held := th.slot.invalServer
-			if !own {
-				held = 1 - held
-			}
-			if !s.tryLockPartition(0, held) {
-				t.Fatal("fresh partition lock not free")
-			}
-			v, x := NewVar(0), 0
-			commit := func() error {
-				x++
-				return th.Atomically(func(tx *Tx) error {
-					tx.Store(v, x)
-					return nil
-				})
-			}
-			pass := stepsAhead + 1
-			for i := 0; i < pass; i++ {
-				if err := commit(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			done := make(chan error, 1)
-			go func() { done <- commit() }()
-			select {
-			case err := <-done:
-				t.Fatalf("commit %d passed partition %d held %d commits behind (err %v)",
-					pass+1, held, s.streams[0].ts.Load()/2, err)
-			case <-time.After(50 * time.Millisecond):
-			}
-			if got := s.streams[0].ts.Load(); got != 2*uint64(pass) {
-				t.Fatalf("timestamp %d while the commit waits, want %d", got, 2*pass)
-			}
-			s.unlockPartition(0, held)
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatal(err)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("the waiting commit did not complete once the partition was released")
-			}
-			if got, st := v.Peek().(int), th.Stats(); got != pass+1 || st.HelpedEpochs != uint64(pass+1) {
-				t.Fatalf("counter = %d, HelpedEpochs = %d, want both %d", got, st.HelpedEpochs, pass+1)
-			}
-			th.Close()
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
+	s := atFourPs(t, newSystem, Config{Algo: RInvalV3, MaxThreads: 4, InvalServers: 2, StepsAhead: stepsAhead})
+	th := s.MustRegister()
+	held := 1 - th.slot.invalServer
+	if !s.tryLockPartition(0, held) {
+		t.Fatal("fresh partition lock not free")
+	}
+	v, x := NewVar(0), 0
+	commit := func() error {
+		x++
+		return th.Atomically(func(tx *Tx) error {
+			tx.Store(v, x)
+			return nil
 		})
+	}
+	pass := stepsAhead + 1
+	for i := 0; i < pass; i++ {
+		if err := commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan error, 1)
+	go func() { done <- commit() }()
+	select {
+	case err := <-done:
+		t.Fatalf("commit %d passed partition %d held %d commits behind (err %v)",
+			pass+1, held, s.streams[0].ts.Load()/2, err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if got := s.streams[0].ts.Load(); got != 2*uint64(pass) {
+		t.Fatalf("timestamp %d while the commit waits, want %d", got, 2*pass)
+	}
+	s.unlockPartition(0, held)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the waiting commit did not complete once the partition was released")
+	}
+	if got, st := v.Peek().(int), th.Stats(); got != pass+1 || st.HelpedEpochs != uint64(pass+1) {
+		t.Fatalf("counter = %d, HelpedEpochs = %d, want both %d", got, st.HelpedEpochs, pass+1)
+	}
+	th.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -372,10 +361,7 @@ func TestHelpDeclines(t *testing.T) {
 		}
 	})
 	t.Run("v3-lag", func(t *testing.T) {
-		s, err := newSystem(Config{Algo: RInvalV3, MaxThreads: 4, InvalServers: 1, StepsAhead: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := atFourPs(t, newSystem, Config{Algo: RInvalV3, MaxThreads: 4, InvalServers: 1, StepsAhead: 2})
 		eng := s.eng.(*remoteEngine)
 		th0, th1 := s.MustRegister(), s.MustRegister()
 		// The invalidation-server is in the middle of a scan: it holds the

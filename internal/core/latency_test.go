@@ -243,11 +243,8 @@ func TestFlightPartitionStall(t *testing.T) {
 		}
 	}
 	dir := t.TempDir()
-	s, err := newSystem(Config{Algo: RInvalV3, MaxThreads: 4, InvalServers: 2, StepsAhead: 2,
+	s := atFourPs(t, newSystem, Config{Algo: RInvalV3, MaxThreads: 4, InvalServers: 2, StepsAhead: 2,
 		FlightRecorder: true, FlightDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const held = 1
 	th, st := s.MustRegister(), &s.streams[0]
 	if th.slot.invalServer == held || !s.tryLockPartition(0, held) {

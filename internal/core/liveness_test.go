@@ -156,3 +156,98 @@ func TestServerTasksRule(t *testing.T) {
 		}
 	}
 }
+
+// TestPartitionLayoutRule: partitionsPerStream is the RInval layout's one
+// value, fixed at New. Below four Ps V2/V3 have no partition, as V1 never
+// does: no per-partition state, no step-ahead window, no invalidation-server
+// cell or track. A visible reader there never waits on a partition (it has no
+// invalTS to load: the slices are empty, so a load would panic), and a commit
+// dooms it inline: the doom is counted by the epoch driver
+// (commitSrv.Invalidations) in one "scan" phase, with no "inval-wait". At
+// four Ps the paper's layout is unchanged: InvalServers/Shards partitions per
+// stream, V3's window, a catch-up stage, and the doom counted by the
+// reader's partition.
+func TestPartitionLayoutRule(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const inval, stepsAhead = 4, 2
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, algo := range rinvalAlgos {
+			for _, shards := range []int{1, 2} {
+				name := fmt.Sprintf("%s, %d shards at GOMAXPROCS %d", algo, shards, procs)
+				s, err := newSystem(Config{Algo: algo, MaxThreads: 4, Shards: shards, InvalServers: inval,
+					StepsAhead: stepsAhead, Latency: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng := s.eng.(*remoteEngine)
+				parts, steps := 0, 0
+				if procs >= 4 && algo != RInvalV1 {
+					parts = inval / shards
+					if algo == RInvalV3 {
+						steps = stepsAhead
+					}
+				}
+				if s.nInvalPerShard != parts || eng.stepsAhead != steps || len(s.partMask) != parts {
+					t.Errorf("%s: partitions %d (masks %d), stepsAhead %d; want %d and %d",
+						name, s.nInvalPerShard, len(s.partMask), eng.stepsAhead, parts, steps)
+				}
+				for j, sv := range eng.srv {
+					st := &s.streams[j]
+					if len(st.invalTS) != parts || len(st.partOwner) != parts || len(sv.invalSrv) != parts ||
+						len(sv.invalLat) != parts || len(sv.invalRings) != parts {
+						t.Errorf("%s: stream %d keeps per-partition state for %d/%d/%d/%d/%d partitions, want %d", name, j,
+							len(st.invalTS), len(st.partOwner), len(sv.invalSrv), len(sv.invalLat), len(sv.invalRings), parts)
+					}
+				}
+
+				// Two Threads, so attempts are shared: the read is visible.
+				reader, writer := s.MustRegister(), s.MustRegister()
+				v := varInShard(t, s, shards-1, 0)
+				if err := reader.AtomicallyRO(func(tx *Tx) error {
+					if tx.solo || tx.Load(v) != 0 || tx.readShards != 1<<uint(shards-1) {
+						t.Errorf("%s: the read was not a visible one (solo %v)", name, tx.solo)
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+
+				armReader(s, reader, v)
+				if err := writer.Atomically(func(tx *Tx) error {
+					tx.Store(v, 1)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if _, alive := reader.slot.aliveWord(); alive {
+					t.Errorf("%s: the reader of the written Var survived its commit", name)
+				}
+				settle(s, reader.idx, reader.slot)
+				sv := eng.srv[shards-1]
+				var byPartition uint64
+				for k := range sv.invalSrv {
+					byPartition += sv.invalSrv[k].Invalidations
+				}
+				inline := uint64(1)
+				if parts > 0 {
+					inline = 0
+				}
+				if sv.commitSrv.Invalidations != inline || byPartition != 1-inline {
+					t.Errorf("%s: dooms by the epoch driver %d, by partitions %d; want %d and %d",
+						name, sv.commitSrv.Invalidations, byPartition, inline, 1-inline)
+				}
+				phases := serverPhaseCounts(s)
+				if parts == 0 && (phases["scan"] != 1 || phases["inval-wait"] != 0) ||
+					parts > 0 && (phases["scan"] != uint64(parts) || phases["inval-wait"] != 1) {
+					t.Errorf("%s: server phases %v, want one inline scan and no inval-wait without partitions", name, phases)
+				}
+				reader.Close()
+				writer.Close()
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}

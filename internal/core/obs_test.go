@@ -148,12 +148,8 @@ func TestConcurrentStatsSnapshots(t *testing.T) {
 // remote engines, and a loadable Chrome export.
 func TestTraceLifecycle(t *testing.T) {
 	forEachAlgo(t, func(t *testing.T, algo Algo) {
-		cfg := Config{Algo: algo, MaxThreads: 4, InvalServers: 2, StepsAhead: 2,
-			Trace: true, TraceEvents: 256}
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := atFourPs(t, New, Config{Algo: algo, MaxThreads: 4, InvalServers: 2, StepsAhead: 2,
+			Trace: true, TraceEvents: 256})
 		counter := NewVar(0)
 		var wg sync.WaitGroup
 		for w := 0; w < 2; w++ {
@@ -248,11 +244,7 @@ func TestServerPhaseHistograms(t *testing.T) {
 	for _, algo := range []Algo{RInvalV1, RInvalV2, RInvalV3} {
 		algo := algo
 		t.Run(algo.String(), func(t *testing.T) {
-			cfg := Config{Algo: algo, MaxThreads: 4, InvalServers: 2, StepsAhead: 2, Latency: true}
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := atFourPs(t, New, Config{Algo: algo, MaxThreads: 4, InvalServers: 2, StepsAhead: 2, Latency: true})
 			x := NewVar(0)
 			th := s.MustRegister()
 			for i := 0; i < 40; i++ {

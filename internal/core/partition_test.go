@@ -39,11 +39,8 @@ func TestPartitionLivenessWithoutServers(t *testing.T) {
 	const n, victimEvery = 1000, 10
 	for _, algo := range partitionedAlgos {
 		t.Run(algo.String(), func(t *testing.T) {
-			s, err := newSystem(Config{Algo: algo, MaxThreads: 4, InvalServers: 2, StepsAhead: 2,
+			s := atFourPs(t, newSystem, Config{Algo: algo, MaxThreads: 4, InvalServers: 2, StepsAhead: 2,
 				Bloom: bloom.Params{Bits: 1 << 16, Hashes: 2}})
-			if err != nil {
-				t.Fatal(err)
-			}
 			sv := s.eng.(*remoteEngine).srv[0]
 			th, victim := s.MustRegister(), s.MustRegister()
 			v := NewVar(0)
@@ -102,11 +99,8 @@ func TestPartitionLivenessWithoutServers(t *testing.T) {
 // per commit and the victim is counted once. V3 with room to run ahead, so the
 // epochs themselves need not wait for the held partition.
 func TestPartitionDriverDeclinesHeld(t *testing.T) {
-	s, err := newSystem(Config{Algo: RInvalV3, MaxThreads: 4, InvalServers: 2, StepsAhead: 2,
+	s := atFourPs(t, newSystem, Config{Algo: RInvalV3, MaxThreads: 4, InvalServers: 2, StepsAhead: 2,
 		Bloom: bloom.Params{Bits: 1 << 16, Hashes: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	eng := s.eng.(*remoteEngine)
 	sv, st := eng.srv[0], &s.streams[0]
 	// The writer lives in the free partition, the victim in the held one.
@@ -186,18 +180,16 @@ func TestPartitionDriverDeclinesHeld(t *testing.T) {
 	}
 }
 
-// TestPartitionLivenessOneP: with a single P nobody owns a core — clients,
-// commit-server and invalidation-servers all share it — and every transfer
-// still commits; whichever goroutine is running does the scans.
+// TestPartitionLivenessOneP: a System built with the paper's layout (four Ps)
+// then run on a single P, where nobody owns a core — clients, commit-server
+// and invalidation-servers all share it — and every transfer still commits;
+// whichever goroutine is running does the scans.
 func TestPartitionLivenessOneP(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const workers, per, accounts, initial = 2, 300, 4, 100
 	for _, algo := range partitionedAlgos {
 		t.Run(algo.String(), func(t *testing.T) {
-			s, err := New(Config{Algo: algo, MaxThreads: 4, InvalServers: 2, StepsAhead: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := atFourPs(t, New, Config{Algo: algo, MaxThreads: 4, InvalServers: 2, StepsAhead: 2})
 			vars := make([]*Var, accounts)
 			for i := range vars {
 				vars[i] = NewVar(initial)

@@ -13,7 +13,7 @@ import (
 // the snapshot under its streams' locks (InvalSTM: one CAS from it). A Thread
 // that registers mid-attempt makes the next attempts shared but does not
 // change the running one. Every test runs at GOMAXPROCS 2, where RInval's
-// servers share the clients' Ps (remoteEngine.coolServers).
+// servers share the clients' Ps (coolServers) and no stream has partitions.
 
 // soloConfig is one engine layout the solo tests cover.
 type soloConfig struct {

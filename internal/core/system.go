@@ -147,8 +147,8 @@ type System struct {
 	// single-stream fast path costs one masked load.
 	shardMask uint64
 
-	// nInvalPerShard is the invalidation-server count per stream
-	// (InvalServers/Shards); slot i's partition index is i % nInvalPerShard.
+	// nInvalPerShard is the partitions per stream (partitionsPerStream), 0
+	// without invalidation-servers; slot i's partition is i % nInvalPerShard.
 	nInvalPerShard int
 
 	// slots is the cache-aligned requests array (Figure 5), one entry per
@@ -182,7 +182,7 @@ type System struct {
 	// partMask[k] masks active's words down to invalidation partition k
 	// (slots with invalServer == k); allSlots is every slot, the scope of an
 	// unpartitioned scan. Built once at construction; every stream's server k
-	// scans the same slot partition.
+	// scans the same slot partition. partMask is empty without partitions.
 	partMask []slotMask
 	allSlots slotMask
 
@@ -193,7 +193,7 @@ type System struct {
 
 	// loneCommit is true where the engine drives a lone client's commit itself:
 	// always for InvalSTM, and for RInval where its servers share the clients'
-	// Ps (remoteEngine.coolServers). Fixed at construction; see solo.
+	// Ps (coolServers). Fixed at construction; see solo.
 	loneCommit bool
 
 	// logReads gates the read-log append in Tx.LoadBox. NOrec and TL2 always
@@ -265,7 +265,8 @@ func newSystem(cfg Config) (*System, error) {
 		live: make(map[*Thread]struct{}),
 	}
 	s.shardMask = uint64(cfg.Shards - 1)
-	s.nInvalPerShard = cfg.InvalServers / cfg.Shards
+	cool := coolServers()
+	s.nInvalPerShard = partitionsPerStream(cfg, cool)
 	s.slots = make([]slot, cfg.MaxThreads)
 	s.active = newActiveSet(cfg.MaxThreads)
 	s.nVers = cfg.Versions
@@ -281,10 +282,12 @@ func newSystem(cfg Config) (*System, error) {
 	s.freeSlots = make([]int, 0, cfg.MaxThreads)
 	for i := range s.slots {
 		s.slots[i].readBF = bloom.NewAtomic(cfg.Bloom)
-		s.slots[i].invalServer = i % s.nInvalPerShard
 		s.slots[i].selfMask = newSlotMask(cfg.MaxThreads)
 		s.slots[i].selfMask.set(i)
-		s.partMask[i%s.nInvalPerShard].set(i)
+		if s.nInvalPerShard > 0 {
+			s.slots[i].invalServer = i % s.nInvalPerShard
+			s.partMask[s.slots[i].invalServer].set(i)
+		}
 		s.allSlots.set(i)
 		s.freeSlots = append(s.freeSlots, cfg.MaxThreads-1-i)
 	}
@@ -320,7 +323,7 @@ func newSystem(cfg Config) (*System, error) {
 	if cfg.FlightRecorder {
 		s.flight = &flightState{
 			pending: make([]bool, cfg.MaxThreads),
-			lagging: make([]uint64, cfg.InvalServers),
+			lagging: make([]uint64, cfg.Shards*s.nInvalPerShard),
 		}
 	}
 
@@ -331,17 +334,15 @@ func newSystem(cfg Config) (*System, error) {
 		s.eng = &norecEngine{sys: s}
 	case InvalSTM:
 		s.eng = &invalEngine{sys: s, norec: norecEngine{sys: s}}
-	case RInvalV1:
-		s.eng = newRemoteEngine(s, 0, 0)
-	case RInvalV2:
-		s.eng = newRemoteEngine(s, cfg.InvalServers, 0)
+	case RInvalV1, RInvalV2:
+		s.eng = newRemoteEngine(s, 0)
 	case RInvalV3:
-		s.eng = newRemoteEngine(s, cfg.InvalServers, cfg.StepsAhead)
+		s.eng = newRemoteEngine(s, cfg.StepsAhead)
 	case TL2:
 		s.eng = &tl2Engine{sys: s}
 	}
-	if re, ok := s.eng.(*remoteEngine); ok {
-		s.loneCommit = re.coolServers
+	if _, ok := s.eng.(*remoteEngine); ok {
+		s.loneCommit = cool
 	} else {
 		s.loneCommit = cfg.Algo == InvalSTM
 	}

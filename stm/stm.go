@@ -270,9 +270,9 @@ type Thread struct {
 // *core.Tx in a long-lived struct would let it outlive the atomic block it
 // is only valid inside (stmlint's tx-escape check rejects exactly that).
 // Retries reuse the same local, so the cost is one allocation per call, not
-// per attempt. The call returns without yielding to the scheduler, except
-// under RInval-V2/V3 on fewer than four Ps, where an invalidation-server may
-// be waiting for this P (DESIGN.md §3).
+// per attempt. No engine yields to the scheduler at a transaction boundary:
+// only a wait inside the call — for an even timestamp, a lock or a commit
+// reply — backs off by yielding, then sleeping (DESIGN.md §3).
 func (t *Thread) Atomically(fn func(*Tx) error) error {
 	var tx Tx
 	return t.th.Atomically(func(inner *core.Tx) error {
