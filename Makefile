@@ -35,16 +35,17 @@ test:
 
 ## race: the race detector over the packages with real concurrency (including
 ## core's live /metrics scrape, TestServerHistogramsLiveScrape), then the
-## helper-path, cross-shard, partition-lock, solo-attempt and
-## invisible-attempt tests ten times over — a driver writing a stream's or a
-## partition's scratch outside its lock, or an attempt that changed protocol
-## as a Thread came or went or as it retried, only shows on some schedules —
+## helper-path, cross-shard, partition-lock tests, the attempt-kind rule
+## (TestAttemptKindRule) and the solo- and invisible-attempt tests ten times
+## over — a driver writing a stream's or a partition's scratch outside its
+## lock, or an attempt whose kind changed as a Thread came or went or as it
+## retried, only shows on some schedules —
 ## then the same -run set at both server layouts,
 ## whatever the runner's core count: GOMAXPROCS=4, the leg that covers
 ## partitions (V2/V3 keep InvalServers/Shards per stream and start their
 ## invalidation-servers; the -run set adds the group-commit, flight-stall,
 ## trace and server-phase tests that drive them), and GOMAXPROCS=2, where the
-## servers share the Ps (coolServers), a lone client's attempts run solo
+## servers share the Ps (coolServers), a lone client's attempts are solo kind
 ## (validated by timestamps, committed without a request) and every RInval
 ## variant runs V1's inline scan (no partitions). Tests that need partitions
 ## build their System at four Ps (atFourPs), so they also run at
@@ -52,10 +53,10 @@ test:
 ## flips a client between solo and shared attempts, and its conservation
 ## check on InvalSTM (TestInvisibleThenVisibleRegimes) runs invisible
 ## attempts and their visible retries side by side.
-RACE_LAYOUT_RUN = 'Help|CrossShard|Partition|Liveness|Mailbox|Opacity|Differential|Epoch|Solo|Churn|Invisible|GroupCommit|FlightPartition|TraceLifecycle|ServerPhase'
+RACE_LAYOUT_RUN = 'Help|CrossShard|Partition|Liveness|Mailbox|Opacity|Differential|Epoch|Solo|Kind|Churn|Invisible|GroupCommit|FlightPartition|TraceLifecycle|ServerPhase'
 race:
 	$(GO) test -race -count=1 ./internal/core/ ./stm/ ./internal/obs/ ./internal/bloom/ ./internal/padded/ ./internal/analysis/
-	$(GO) test -race -count=10 -run 'Help|CrossShard|Partition|LivenessOneP|Mailbox|Solo|Churn|Invisible' ./internal/core/ ./internal/verify/
+	$(GO) test -race -count=10 -run 'Help|CrossShard|Partition|LivenessOneP|Mailbox|Solo|Kind|Churn|Invisible' ./internal/core/ ./internal/verify/
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run $(RACE_LAYOUT_RUN) ./internal/core/ ./internal/verify/
 	GOMAXPROCS=2 $(GO) test -race -count=3 -run $(RACE_LAYOUT_RUN) ./internal/core/ ./internal/verify/
 

@@ -121,7 +121,7 @@ func (tx *Tx) recordAttribution(a *obs.Attribution) {
 	ops := tx.reads + tx.writes // the attempt's own counts, not yet folded
 
 	committer := a.Unknown()
-	if tx.reason == AbortInvalidated && tx.sys.eng.usesSlots() {
+	if tx.reason == AbortInvalidated && tx.kind == kindVisible {
 		if kd := tx.slot.killer.Load(); kd != nil {
 			committer = kd.committer
 			if kd.writeIDs != nil {

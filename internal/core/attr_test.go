@@ -58,7 +58,7 @@ func collidingVars(t *testing.T, p bloom.Params) (a, b, disjoint *Var) {
 // validation on the committer's commit to a fresh Var: a solo read's abort
 // names no Var, so the attribution report counts nothing of it but the abort
 // and its wasted work. An InvalSTM retry after a validation abort is visible
-// (System.solo), so body's first call runs an attempt a commit can doom.
+// (System.attemptKind), so body's first call runs an attempt a commit can doom.
 func visibleVictim(t *testing.T, sys *System, body func(tx *Tx)) (victim, committer *Thread, wg *sync.WaitGroup) {
 	t.Helper()
 	victim = sys.MustRegister()
@@ -104,7 +104,7 @@ func doomVictim(t *testing.T, sys *System, readVar, writeVar *Var) {
 		tx.Load(readVar)
 		if first {
 			first = false
-			if tx.invisible {
+			if tx.kind == kindInvisible {
 				t.Error("the victim's retry is not visible")
 			}
 			close(ready)

@@ -42,8 +42,8 @@ func BenchmarkReadOnlyTx(b *testing.B) {
 
 // benchShared runs body once per engine on a lone Thread, as <engine>, and
 // again as <engine>/shared with a second, idle Thread registered. The lone
-// Thread's attempts may be solo (System.solo: no read signature, no liveness,
-// timestamp validation). The shared ones of RInval (rinval-v1/shared,
+// Thread's attempts may be solo (System.attemptKind: no read signature, no
+// liveness, timestamp validation). The shared ones of RInval (rinval-v1/shared,
 // rinval-v2/shared) publish every read and their liveness as the paper's
 // protocol does (invalRead); invalstm/shared measures the invisible attempt —
 // NOrec's validated read, logged, and its CAS commit — which is all an

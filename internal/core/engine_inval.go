@@ -24,53 +24,47 @@ type invalEngine struct {
 	norec norecEngine
 }
 
-func (e *invalEngine) usesSlots() bool      { return true }
-func (e *invalEngine) readsInvisibly() bool { return true }
-
 func (e *invalEngine) begin(tx *Tx) {
-	if tx.invisible {
+	if tx.kind == kindInvisible {
 		e.norec.begin(tx)
 	}
 }
 
-// read implements Algorithm 1's READ for a visible attempt: load the value
-// inside a stable even window of the global timestamp, publish the
-// read-filter bit before the stability re-check, then verify this
-// transaction has not been invalidated. An invisible attempt reads as NOrec
-// does and logs the cell, unless Tx.LoadBox already logs every read.
+// read implements Algorithm 1's READ for a visible attempt (invalRead). An
+// invisible attempt reads as NOrec does; Tx.LoadBox logs the cell.
 //
 //stm:hotpath
 func (e *invalEngine) read(tx *Tx, v *Var) (*Box, bool) {
-	if tx.invisible {
-		b, ok := e.norec.read(tx, v)
-		if ok && !e.sys.logReads {
-			tx.rs.add(v, b)
-		}
-		return b, ok
+	if tx.kind == kindInvisible {
+		return e.norec.read(tx, v)
 	}
-	return invalRead(tx, v, false)
+	return invalRead(tx, v)
 }
 
-// invalRead is the read protocol shared by InvalSTM and the RInval engines,
+// invalRead is a visible attempt's read for InvalSTM and the RInval engines,
 // applied against the stream that owns v's shard (with Shards == 1 that is
-// the global timestamp, exactly the paper's protocol). waitCaughtUp adds the
-// RInvalV2/V3 requirement that the reader's own invalidation-server for that
-// stream has processed every prior commit (Algorithm 3, line 28). Time spent
-// blocked — on an odd timestamp, a lagging server, or an unstable window —
-// is recorded as a read-wait trace span. This is a visible attempt's read: a
-// solo one never gets here (Tx.LoadBox calls soloRead), and an invisible one
-// reads as NOrec does (invalEngine.read).
+// the global timestamp, exactly the paper's protocol): load the value inside
+// a stable even window of the timestamp, publish the read-filter bit before
+// the stability re-check, then verify this transaction has not been
+// invalidated. Where the stream has partitions (RInvalV2/V3 at four Ps or
+// more) the reader's own partition must also have processed every prior
+// commit (Algorithm 3, line 28): only then is "my status flag is still ALIVE"
+// proof that no prior commit conflicted. Without them every commit dooms
+// inline before its write-back, so the reader never waits. Time spent
+// blocked — on an odd timestamp, a lagging partition, or an unstable window —
+// is recorded as a read-wait trace span.
 //
 //stm:hotpath
-func invalRead(tx *Tx, v *Var, waitCaughtUp bool) (*Box, bool) {
+func invalRead(tx *Tx, v *Var) (*Box, bool) {
 	sys := tx.sys
 	shard := sys.shardOf(v)
 	st := &sys.streams[shard]
+	partitioned := sys.nInvalPerShard > 0
 	var w spin.Waiter
 	var tw int64 // trace timestamp of the first blocked sample, if any
 	for {
 		t0 := st.ts.Load()
-		if t0&1 == 1 || (waitCaughtUp && st.invalTS[tx.slot.invalServer].Load() < t0) {
+		if t0&1 == 1 || (partitioned && st.invalTS[tx.slot.invalServer].Load() < t0) {
 			if tw == 0 {
 				tw = tx.ring.Now()
 			}
@@ -148,14 +142,14 @@ func (e *invalEngine) commit(tx *Tx) bool {
 		return true
 	}
 	var t uint64
-	switch {
-	case tx.solo:
+	switch tx.kind {
+	case kindSolo:
 		t = tx.snap[0]
 		if !sys.streams[0].ts.CompareAndSwap(t, t+1) {
 			tx.reason = AbortValidation
 			return false
 		}
-	case tx.invisible:
+	case kindInvisible:
 		if !e.norec.lock(tx) {
 			return false
 		}
@@ -193,7 +187,3 @@ func (e *invalEngine) commit(tx *Tx) bool {
 }
 
 func (e *invalEngine) abort(tx *Tx) {}
-
-func (e *invalEngine) serverTasks() []serverTask { return nil }
-
-func (e *invalEngine) serverStats() Stats { return Stats{} }

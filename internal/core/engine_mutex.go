@@ -10,17 +10,11 @@ type mutexEngine struct {
 	sys *System
 }
 
-func (e *mutexEngine) usesSlots() bool      { return false }
-func (e *mutexEngine) readsInvisibly() bool { return false }
-
-func (e *mutexEngine) begin(tx *Tx) {
-	e.sys.mu.Lock()
-	tx.direct = true
-}
+func (e *mutexEngine) begin(tx *Tx) { e.sys.mu.Lock() }
 
 func (e *mutexEngine) read(tx *Tx, v *Var) (*Box, bool) {
-	// Unreachable: direct-mode loads bypass the engine. Kept total so the
-	// engine satisfies the interface even if a future caller routes here.
+	// Unreachable: a direct attempt's loads bypass the engine. Kept total so
+	// the engine satisfies the interface even if a future caller routes here.
 	return v.loadBox(), true
 }
 
@@ -36,16 +30,8 @@ func (e *mutexEngine) commit(tx *Tx) bool {
 	} else {
 		tx.ws.writeBack()
 	}
-	tx.direct = false
 	e.sys.mu.Unlock()
 	return true
 }
 
-func (e *mutexEngine) abort(tx *Tx) {
-	tx.direct = false
-	e.sys.mu.Unlock()
-}
-
-func (e *mutexEngine) serverTasks() []serverTask { return nil }
-
-func (e *mutexEngine) serverStats() Stats { return Stats{} }
+func (e *mutexEngine) abort(tx *Tx) { e.sys.mu.Unlock() }

@@ -21,9 +21,6 @@ type norecEngine struct {
 	sys *System
 }
 
-func (e *norecEngine) usesSlots() bool      { return false }
-func (e *norecEngine) readsInvisibly() bool { return false }
-
 // begin snapshots an even timestamp — the transaction's linearization basis.
 func (e *norecEngine) begin(tx *Tx) {
 	tx.start = e.sys.waitEven()
@@ -31,7 +28,7 @@ func (e *norecEngine) begin(tx *Tx) {
 
 // read returns a value consistent with tx.start, extending the snapshot via
 // revalidation whenever the global timestamp moved. It is also an invisible
-// InvalSTM attempt's read (invalEngine.read), which logs the cell itself.
+// InvalSTM attempt's read (invalEngine.read).
 //
 //stm:hotpath
 func (e *norecEngine) read(tx *Tx, v *Var) (*Box, bool) {
@@ -122,7 +119,3 @@ func (e *norecEngine) commit(tx *Tx) bool {
 }
 
 func (e *norecEngine) abort(tx *Tx) {}
-
-func (e *norecEngine) serverTasks() []serverTask { return nil }
-
-func (e *norecEngine) serverStats() Stats { return Stats{} }

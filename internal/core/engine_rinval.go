@@ -9,6 +9,7 @@ import (
 	"github.com/ssrg-vt/rinval/internal/bloom"
 	"github.com/ssrg-vt/rinval/internal/histo"
 	"github.com/ssrg-vt/rinval/internal/obs"
+	"github.com/ssrg-vt/rinval/internal/padded"
 	"github.com/ssrg-vt/rinval/internal/spin"
 )
 
@@ -44,12 +45,12 @@ import (
 // An epoch is driven by whoever holds its streams' locks. Normally that is the
 // leading commit-server; a waiting client may take its single stream's free
 // lock once its busy-wait budget ran out without a reply and run the epoch for
-// its own request itself (help, DESIGN.md §16). A solo attempt (System.solo)
-// publishes none: it takes its streams' locks, validates its snapshot and runs
-// the epoch's stages after admission over its own slot (commitOwn). Both keep
-// commit latency at the cost of the work rather than of the hand-off when the
-// server has no core of its own, the second without a mailbox round trip with
-// itself. The same rule holds one tier down: partition
+// its own request itself (help, DESIGN.md §16). A solo attempt
+// (System.attemptKind) publishes none: it takes its streams' locks, validates
+// its snapshot and runs the epoch's stages after admission over its own slot
+// (commitOwn). Both keep commit latency at the cost of the work rather than of
+// the hand-off when the server has no core of its own, the second without a
+// mailbox round trip with itself. The same rule holds one tier down: partition
 // k of a stream is scanned by whoever holds its try-lock — invalidation-server
 // k, or an epoch driver that found it lagging and free (scanPartition) — so a
 // partition lags only while somebody is scanning it.
@@ -133,7 +134,7 @@ type shardServer struct {
 
 // coolServers reports whether RInval's servers would share the clients' Ps: a
 // client, the commit-server and two invalidation-servers need four. New reads
-// it once, for partitionsPerStream and System.solo (DESIGN.md §3).
+// it once, for partitionsPerStream and System.attemptKind (DESIGN.md §3).
 func coolServers() bool { return runtime.GOMAXPROCS(0) < 4 }
 
 // partitionsPerStream is the RInval layout's one value: the partitions per
@@ -148,11 +149,17 @@ func partitionsPerStream(cfg Config, cool bool) int {
 	return cfg.InvalServers / cfg.Shards
 }
 
-// newRemoteEngine builds the engine; V3's stepsAhead needs partitions.
-func newRemoteEngine(sys *System, stepsAhead int) *remoteEngine {
+// newRemoteEngine builds the engine. V3's stepsAhead needs partitions, and
+// only partitions read descriptors: each stream's ring and descBufs get
+// stepsAhead+1 entries where it has them, none otherwise.
+func newRemoteEngine(sys *System) *remoteEngine {
 	perShard := sys.nInvalPerShard
-	if perShard == 0 {
-		stepsAhead = 0
+	stepsAhead, ring := 0, 0
+	if perShard > 0 {
+		if sys.cfg.Algo == RInvalV3 {
+			stepsAhead = sys.cfg.StepsAhead
+		}
+		ring = stepsAhead + 1
 	}
 	e := &remoteEngine{
 		sys:        sys,
@@ -160,13 +167,14 @@ func newRemoteEngine(sys *System, stepsAhead int) *remoteEngine {
 		maxBatch:   sys.cfg.MaxBatch,
 	}
 	for j := range sys.streams {
+		sys.streams[j].ring = make([]padded.Pointer[commitDesc], ring)
 		sv := &shardServer{
 			eng:       e,
 			sys:       sys,
 			shard:     j,
 			st:        &sys.streams[j],
 			invalSrv:  make([]Stats, perShard),
-			descBufs:  make([]commitDesc, len(sys.streams[j].ring)),
+			descBufs:  make([]commitDesc, ring),
 			batchIdx:  make([]int, 0, sys.cfg.MaxThreads),
 			batchWS:   bloom.NewFilter(sys.cfg.Bloom),
 			batchRS:   bloom.NewFilter(sys.cfg.Bloom),
@@ -210,22 +218,12 @@ func (s *System) serverName(base string, shard int) string {
 	return fmt.Sprintf("shard%d-%s", shard, base)
 }
 
-func (e *remoteEngine) usesSlots() bool      { return true }
-func (e *remoteEngine) readsInvisibly() bool { return false }
-
 func (e *remoteEngine) begin(tx *Tx) {}
 
-// read uses the shared invalidation read protocol against the stream owning
-// v's shard. With partitions, a read of a shared attempt additionally
-// requires the reader's own partition of that stream to have processed every
-// prior commit (Algorithm 3 line 28): only then is "my status flag is still
-// ALIVE" proof that no prior commit conflicted. Without them every commit
-// dooms inline before its write-back, so the reader never waits.
+// read is a visible attempt's read, the same as InvalSTM's (invalRead).
 //
 //stm:hotpath
-func (e *remoteEngine) read(tx *Tx, v *Var) (*Box, bool) {
-	return invalRead(tx, v, e.sys.nInvalPerShard > 0)
-}
+func (e *remoteEngine) read(tx *Tx, v *Var) (*Box, bool) { return invalRead(tx, v) }
 
 // commit is the client side of Algorithm 2's CLIENT COMMIT, identical for all
 // three variants: publish the request on the slot, then spin on the private
@@ -251,7 +249,7 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 	touched := writes | tx.readShards
 	sv := e.srv[bits.TrailingZeros64(touched)]
 	tx.ring.Instant(obs.KCommitReq, 0)
-	if tx.solo {
+	if tx.kind == kindSolo {
 		return commitOwn(tx, sv, writes, touched)
 	}
 	if tx.invalidated() {
@@ -345,8 +343,10 @@ func (e *remoteEngine) help(tx *Tx, touched uint64) bool {
 
 func (e *remoteEngine) abort(tx *Tx) {}
 
-// serverTasks is one commit-server per stream, plus one invalidation-server
-// per partition of the stream (none below four Ps, where there are none).
+// serverTasks is the goroutine bodies System.startServers runs: one
+// commit-server per stream, plus one invalidation-server per partition of the
+// stream (none below four Ps, where there are none). Each body polls its stop
+// predicate; the name labels the goroutine in pprof profiles and traces.
 func (e *remoteEngine) serverTasks() []serverTask {
 	var tasks []serverTask
 	for j := range e.srv {
@@ -365,6 +365,8 @@ func (e *remoteEngine) serverTasks() []serverTask {
 	return tasks
 }
 
+// serverStats folds every stream's server activity (shardServer.stats); safe
+// while the servers run.
 func (e *remoteEngine) serverStats() Stats {
 	var agg Stats
 	for _, sv := range e.srv {

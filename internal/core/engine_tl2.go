@@ -39,9 +39,6 @@ func tl2Version(w uint64) uint64 { return w >> 1 }
 // keeps the engine abort-based rather than blocking.
 const tl2LockSpins = 128
 
-func (e *tl2Engine) usesSlots() bool      { return false }
-func (e *tl2Engine) readsInvisibly() bool { return false }
-
 // begin samples the read version.
 func (e *tl2Engine) begin(tx *Tx) {
 	tx.start = e.sys.streams[0].ts.Load()
@@ -171,7 +168,3 @@ func (e *tl2Engine) commit(tx *Tx) bool {
 }
 
 func (e *tl2Engine) abort(tx *Tx) {}
-
-func (e *tl2Engine) serverTasks() []serverTask { return nil }
-
-func (e *tl2Engine) serverStats() Stats { return Stats{} }

@@ -83,7 +83,7 @@ func TestEpochSkipsStaleCandidate(t *testing.T) {
 		s := newEpochSystem(t, algo)
 		th := s.MustRegister()
 		sl, _ := postMasked(t, s, th, touched, writes, 7)
-		lead := s.eng.(*remoteEngine).srv[bits.TrailingZeros64(touched)]
+		lead := s.rinval.srv[bits.TrailingZeros64(touched)]
 		pending := sl.state.Load()
 		stale := []struct {
 			name  string
@@ -198,7 +198,7 @@ func TestEpochStreamsAndPhases(t *testing.T) {
 
 func epochStreamsAndPhases(t *testing.T, algo Algo, touched, writes uint64, held bool) {
 	s := newEpochSystem(t, algo)
-	eng := s.eng.(*remoteEngine)
+	eng := s.rinval
 	if held {
 		for j := range s.streams {
 			if !s.tryLockPartition(j, 0) {
@@ -224,7 +224,10 @@ func epochStreamsAndPhases(t *testing.T, algo Algo, touched, writes uint64, held
 		if st.owner.Load() != 0 {
 			t.Errorf("stream %d left locked", j)
 		}
-		d := st.ring[0].Load()
+		var d *commitDesc
+		if len(st.ring) > 0 {
+			d = st.ring[0].Load()
+		}
 		if wantDesc := s.nInvalPerShard > 0 && want == 2; (d != nil) != wantDesc {
 			t.Errorf("stream %d descriptor present = %v, want %v", j, d != nil, wantDesc)
 		} else if d != nil && !(d.members[0] == 1<<uint(th.idx) && d.bf.MayContain(vars[0].id)) {
@@ -294,7 +297,7 @@ func TestEpochOddWindowsNest(t *testing.T) {
 		t.Run(algo.String(), func(t *testing.T) {
 			s := newEpochSystem(t, algo)
 			th := s.MustRegister()
-			lead := s.eng.(*remoteEngine).srv[lo]
+			lead := s.rinval.srv[lo]
 			stop, torn := make(chan struct{}), make(chan string, 1)
 			go func() {
 				defer close(torn)

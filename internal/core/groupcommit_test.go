@@ -64,7 +64,7 @@ func TestGroupCommitDisjointBatchOneEpoch(t *testing.T) {
 				slots[i] = postPending(s, ths[i], vars[i], i+100)
 			}
 
-			eng := s.eng.(*remoteEngine)
+			eng := s.rinval
 			if !eng.srv[0].serveEpoch(1, 0) {
 				t.Fatal("serveEpoch made no progress")
 			}
@@ -130,7 +130,7 @@ func TestGroupCommitConflictSplitsEpochs(t *testing.T) {
 					sl1 = postPending(s, th1, b, 2)
 				}
 
-				eng := s.eng.(*remoteEngine)
+				eng := s.rinval
 				if algo == RInvalV3 && !s.tryLockPartition(0, 0) {
 					t.Fatal("fresh partition lock not free")
 				}
@@ -219,7 +219,7 @@ func TestGroupCommitThirdCandidateMeetsUnions(t *testing.T) {
 	ths := []*Thread{s.MustRegister(), s.MustRegister(), s.MustRegister()}
 	slots := []*slot{postPending(s, ths[0], a, 1), postPending(s, ths[1], b, 2), postPending(s, ths[2], b, 3)}
 
-	if !s.eng.(*remoteEngine).srv[0].serveEpoch(1, 0) {
+	if !s.rinval.srv[0].serveEpoch(1, 0) {
 		t.Fatal("epoch made no progress")
 	}
 	for i, want := range []uint64{reqCommitted, reqCommitted, reqPending} {
@@ -441,7 +441,7 @@ func TestStatsReadableWhileLive(t *testing.T) {
 				th.Close()
 			}
 			live := s.Stats()
-			if _, remote := s.eng.(*remoteEngine); remote && live.Epochs == 0 {
+			if s.rinval != nil && live.Epochs == 0 {
 				t.Errorf("live Epochs = 0 with every commit done, want > 0")
 			}
 			if err := s.Close(); err != nil {

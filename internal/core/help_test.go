@@ -11,8 +11,8 @@ import (
 	"github.com/ssrg-vt/rinval/internal/spin"
 )
 
-// Tests for client-driven epochs (DESIGN.md §16): a solo attempt (System.solo)
-// publishes no request and commits its own write set under its streams' locks
+// Tests for client-driven epochs (DESIGN.md §16): a solo attempt
+// (System.attemptKind) publishes no request and commits its own write set under its streams' locks
 // (commitOwn); elsewhere a waiting client takes a free stream lock once its
 // busy phase ran out and runs the epoch itself (help).
 
@@ -43,7 +43,7 @@ func TestHelpLivenessWithoutServer(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	epochs := s.eng.serverStats().Epochs
+	epochs := s.rinval.serverStats().Epochs
 	if st.Commits != n || st.HelpedEpochs != n || epochs != n {
 		t.Fatalf("Commits=%d HelpedEpochs=%d Epochs=%d, want all %d", st.Commits, st.HelpedEpochs, epochs, n)
 	}
@@ -230,10 +230,10 @@ func TestHelpOwnEpochDoomedSelf(t *testing.T) {
 				t.Fatal(err)
 			}
 			th := s.MustRegister()
-			sv := s.eng.(*remoteEngine).srv[0]
+			sv := s.rinval.srv[0]
 			tx := &th.tx
 			tx.begin()
-			if !tx.solo {
+			if tx.kind != kindSolo {
 				t.Fatal("a lone Thread's attempt at GOMAXPROCS 2 is not solo")
 			}
 			tx.Store(NewVar(0), 1)
@@ -290,7 +290,7 @@ func TestHelpBatchesFollowers(t *testing.T) {
 	if a.Peek() != 5 || b.Peek() != 7 {
 		t.Fatalf("a=%v b=%v, want 5 and 7", a.Peek(), b.Peek())
 	}
-	srv := s.eng.(*remoteEngine).srv[0].stats()
+	srv := s.rinval.srv[0].stats()
 	if srv.Epochs != 1 || srv.Commits != 2 || srv.BatchSizes.Max() != 2 {
 		t.Fatalf("Epochs=%d Commits=%d max batch=%d, want 1/2/2", srv.Epochs, srv.Commits, srv.BatchSizes.Max())
 	}
@@ -318,7 +318,7 @@ func TestHelpDeclines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := s.eng.(*remoteEngine)
+		eng := s.rinval
 		th := s.MustRegister()
 		sl := postPending(s, th, NewVar(0), 1)
 		s.lockStream(0)
@@ -343,7 +343,7 @@ func TestHelpDeclines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := s.eng.(*remoteEngine)
+		eng := s.rinval
 		th := s.MustRegister()
 		sl := postPending(s, th, NewVar(0), 1)
 		sl.req.writes.Store(3)
@@ -362,7 +362,7 @@ func TestHelpDeclines(t *testing.T) {
 	})
 	t.Run("v3-lag", func(t *testing.T) {
 		s := atFourPs(t, newSystem, Config{Algo: RInvalV3, MaxThreads: 4, InvalServers: 1, StepsAhead: 2})
-		eng := s.eng.(*remoteEngine)
+		eng := s.rinval
 		th0, th1 := s.MustRegister(), s.MustRegister()
 		// The invalidation-server is in the middle of a scan: it holds the
 		// partition, so the first epoch's driver leaves its descriptor to it.

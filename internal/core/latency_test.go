@@ -219,7 +219,7 @@ func TestFlightTickStallDetection(t *testing.T) {
 	// Epoch progress clears it: the window the next tick pushes shows an
 	// epoch (one batch-size sample), so the still-pending slot no longer
 	// counts as stalled.
-	s.eng.(*remoteEngine).srv[0].batchSizes.Record(1)
+	s.rinval.srv[0].batchSizes.Record(1)
 	tick()
 	if b := flightBundles(t, dir); len(b) != 1 {
 		t.Fatalf("tick with epoch progress tripped: %q", b[1].Reason)

@@ -146,8 +146,10 @@ func TestServerTasksRule(t *testing.T) {
 						want = append(want, name(fmt.Sprintf("inval-server-%d", k), j))
 					}
 				}
-				for _, task := range s.eng.serverTasks() {
-					got = append(got, task.name)
+				if s.rinval != nil {
+					for _, task := range s.rinval.serverTasks() {
+						got = append(got, task.name)
+					}
 				}
 				if fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Errorf("%s, %d shards at GOMAXPROCS %d: server tasks %v, want %v", algo, shards, procs, got, want)
@@ -166,7 +168,9 @@ func TestServerTasksRule(t *testing.T) {
 // (commitSrv.Invalidations) in one "scan" phase, with no "inval-wait". At
 // four Ps the paper's layout is unchanged: InvalServers/Shards partitions per
 // stream, V3's window, a catch-up stage, and the doom counted by the
-// reader's partition.
+// reader's partition. Only partitions read descriptors, so each stream's
+// ring (and its server's descriptor buffers) has stepsAhead+1 entries with
+// partitions and none without.
 func TestPartitionLayoutRule(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const inval, stepsAhead = 4, 2
@@ -180,13 +184,14 @@ func TestPartitionLayoutRule(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				eng := s.eng.(*remoteEngine)
-				parts, steps := 0, 0
+				eng := s.rinval
+				parts, steps, ring := 0, 0, 0
 				if procs >= 4 && algo != RInvalV1 {
 					parts = inval / shards
 					if algo == RInvalV3 {
 						steps = stepsAhead
 					}
+					ring = steps + 1
 				}
 				if s.nInvalPerShard != parts || eng.stepsAhead != steps || len(s.partMask) != parts {
 					t.Errorf("%s: partitions %d (masks %d), stepsAhead %d; want %d and %d",
@@ -194,6 +199,9 @@ func TestPartitionLayoutRule(t *testing.T) {
 				}
 				for j, sv := range eng.srv {
 					st := &s.streams[j]
+					if len(st.ring) != ring || len(sv.descBufs) != ring {
+						t.Errorf("%s: stream %d ring %d, descriptor buffers %d; want %d", name, j, len(st.ring), len(sv.descBufs), ring)
+					}
 					if len(st.invalTS) != parts || len(st.partOwner) != parts || len(sv.invalSrv) != parts ||
 						len(sv.invalLat) != parts || len(sv.invalRings) != parts {
 						t.Errorf("%s: stream %d keeps per-partition state for %d/%d/%d/%d/%d partitions, want %d", name, j,
@@ -205,8 +213,8 @@ func TestPartitionLayoutRule(t *testing.T) {
 				reader, writer := s.MustRegister(), s.MustRegister()
 				v := varInShard(t, s, shards-1, 0)
 				if err := reader.AtomicallyRO(func(tx *Tx) error {
-					if tx.solo || tx.Load(v) != 0 || tx.readShards != 1<<uint(shards-1) {
-						t.Errorf("%s: the read was not a visible one (solo %v)", name, tx.solo)
+					if tx.kind == kindSolo || tx.Load(v) != 0 || tx.readShards != 1<<uint(shards-1) {
+						t.Errorf("%s: the read was not a visible one (kind %v)", name, tx.kind)
 					}
 					return nil
 				}); err != nil {

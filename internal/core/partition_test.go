@@ -41,7 +41,7 @@ func TestPartitionLivenessWithoutServers(t *testing.T) {
 		t.Run(algo.String(), func(t *testing.T) {
 			s := atFourPs(t, newSystem, Config{Algo: algo, MaxThreads: 4, InvalServers: 2, StepsAhead: 2,
 				Bloom: bloom.Params{Bits: 1 << 16, Hashes: 2}})
-			sv := s.eng.(*remoteEngine).srv[0]
+			sv := s.rinval.srv[0]
 			th, victim := s.MustRegister(), s.MustRegister()
 			v := NewVar(0)
 			victims := uint64(0)
@@ -101,7 +101,7 @@ func TestPartitionLivenessWithoutServers(t *testing.T) {
 func TestPartitionDriverDeclinesHeld(t *testing.T) {
 	s := atFourPs(t, newSystem, Config{Algo: RInvalV3, MaxThreads: 4, InvalServers: 2, StepsAhead: 2,
 		Bloom: bloom.Params{Bits: 1 << 16, Hashes: 2}})
-	eng := s.eng.(*remoteEngine)
+	eng := s.rinval
 	sv, st := eng.srv[0], &s.streams[0]
 	// The writer lives in the free partition, the victim in the held one.
 	var writer, victim *Thread
@@ -293,7 +293,7 @@ func TestStatsCommitsSurviveClose(t *testing.T) {
 			if before.Commits != n || after.Commits != n {
 				t.Fatalf("Commits = %d before Close, %d after, want %d both", before.Commits, after.Commits, n)
 			}
-			if _, remote := s.eng.(*remoteEngine); remote && after.Epochs != n {
+			if s.rinval != nil && after.Epochs != n {
 				t.Fatalf("Epochs = %d after Close, want %d (server-only fields are still folded)", after.Epochs, n)
 			}
 		})

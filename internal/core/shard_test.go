@@ -363,7 +363,7 @@ func TestShardAbortReasonsSum(t *testing.T) {
 				invals += ss.Invalidations
 				cross += ss.CrossShardCommits
 			}
-			eng := s.eng.(*remoteEngine)
+			eng := s.rinval
 			agg := eng.serverStats()
 			if epochs != agg.Epochs || commits != agg.Commits ||
 				invals != agg.Invalidations || cross != agg.CrossShardCommits {
@@ -419,7 +419,7 @@ func TestCrossShardMaskClassification(t *testing.T) {
 	if got := th.Stats(); got.Commits != 2 {
 		t.Fatalf("Commits = %d, want 2", got.Commits)
 	}
-	eng := s.eng.(*remoteEngine)
+	eng := s.rinval
 	if got := atomic.LoadUint64(&eng.srv[0].commitSrv.CrossShardCommits); got != 1 {
 		t.Errorf("shard-0 server CrossShardCommits = %d, want 1 (read-only foreign shard must route through the handshake)", got)
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// Tests for solo attempts (System.solo, DESIGN.md §3): where the engine drives
+// Tests for solo attempts (System.attemptKind, DESIGN.md §3): where the engine drives
 // a lone client's commit itself and at most one Thread is registered, an
 // attempt publishes no read signature and no liveness; every read re-checks
 // its stream's timestamp against the begin snapshot, and the commit validates
@@ -42,40 +42,69 @@ func (c soloConfig) new(t *testing.T) *System {
 	return s
 }
 
-// TestSoloRule: the one rule for a lone client. An attempt is solo exactly
-// where the engine drives a lone client's commit itself — InvalSTM always,
-// RInval below four Ps — and at most one Thread is registered; the predicate
-// follows registrations both ways, and a begun attempt carries it. An
-// InvalSTM attempt that is not solo is invisible, unless it retries a
-// validation abort: then it is visible. An RInval attempt is never invisible.
-func TestSoloRule(t *testing.T) {
+// String names the kind in test failures.
+func (k attemptKind) String() string {
+	return [...]string{"validated", "direct", "solo", "invisible", "visible", "snapshot"}[k]
+}
+
+// TestAttemptKindRule: the one rule for an attempt's kind, over all seven
+// engines. Mutex's attempts are direct, NOrec's and TL2's validated. An
+// invalidation-engine attempt is solo exactly where the engine drives a lone
+// client's commit itself — InvalSTM always, RInval below four Ps — and at most
+// one Thread is registered, whatever the previous attempt; the rule follows
+// registrations both ways, and a begun attempt carries it. A shared InvalSTM
+// attempt is invisible, unless it retries a validation abort: then it is
+// visible. A shared RInval attempt is always visible. An AtomicallyRO attempt
+// with Versions is a snapshot one on every engine that has versions.
+func TestAttemptKindRule(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{2, 4} {
+	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
-		for _, algo := range []Algo{InvalSTM, RInvalV1, RInvalV2, RInvalV3} {
-			shards := 2
-			if algo == InvalSTM {
-				shards = 1
+		for _, algo := range Algos {
+			shards := 1
+			if algo == RInvalV1 || algo == RInvalV2 || algo == RInvalV3 {
+				shards = 2
 			}
 			s, err := newSystem(Config{Algo: algo, MaxThreads: 3, Shards: shards, InvalServers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			lone := algo == InvalSTM || procs < 4
+			want := func(threads int, retry bool) attemptKind {
+				switch algo {
+				case Mutex:
+					return kindDirect
+				case NOrec, TL2:
+					return kindValidated
+				case InvalSTM:
+					if threads < 2 {
+						return kindSolo
+					}
+					if retry {
+						return kindVisible
+					}
+					return kindInvisible
+				}
+				if procs < 4 && threads < 2 {
+					return kindSolo
+				}
+				return kindVisible
+			}
 			check := func(threads int, th *Thread) {
 				t.Helper()
-				want := lone && threads < 2
-				if got := s.solo(); got != want {
-					t.Errorf("%s at GOMAXPROCS %d, %d threads: solo = %v, want %v", algo, procs, threads, got, want)
+				for _, retry := range []bool{false, true} {
+					probe := &Tx{snap: make([]uint64, shards)}
+					if got := s.attemptKind(probe, retry); got != want(threads, retry) {
+						t.Errorf("%s at GOMAXPROCS %d, %d threads, retry %v: kind %v, want %v",
+							algo, procs, threads, retry, got, want(threads, retry))
+					}
 				}
 				if th == nil {
 					return
 				}
-				wantInvisible := algo == InvalSTM && !want
 				if err := th.AtomicallyRO(func(tx *Tx) error {
-					if tx.solo != want || tx.invisible != wantInvisible {
-						t.Errorf("%s at GOMAXPROCS %d, %d threads: attempt solo = %v invisible = %v, want %v and %v",
-							algo, procs, threads, tx.solo, tx.invisible, want, wantInvisible)
+					if tx.kind != want(threads, false) {
+						t.Errorf("%s at GOMAXPROCS %d, %d threads: attempt kind %v, want %v",
+							algo, procs, threads, tx.kind, want(threads, false))
 					}
 					return nil
 				}); err != nil {
@@ -91,9 +120,8 @@ func TestSoloRule(t *testing.T) {
 			if algo == InvalSTM {
 				if err := th1.AtomicallyRO(func(tx *Tx) error {
 					failFirstAttempt(t, tx, th2)
-					if tx.solo || tx.invisible {
-						t.Errorf("GOMAXPROCS %d: retry of a validation abort solo = %v invisible = %v, want a visible attempt",
-							procs, tx.solo, tx.invisible)
+					if tx.kind != kindVisible {
+						t.Errorf("GOMAXPROCS %d: retry of a validation abort is %v, want a visible attempt", procs, tx.kind)
 					}
 					return nil
 				}); err != nil {
@@ -104,6 +132,22 @@ func TestSoloRule(t *testing.T) {
 			check(1, th1)
 			th1.Close()
 			check(0, nil)
+		}
+	}
+	for _, algo := range mvAlgos {
+		s := MustNew(Config{Algo: algo, Versions: 2})
+		th := s.MustRegister()
+		if err := th.AtomicallyRO(func(tx *Tx) error {
+			if tx.kind != kindSnapshot {
+				t.Errorf("%s: AtomicallyRO attempt with Versions is %v, want snapshot", algo, tx.kind)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		th.Close()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -129,10 +173,10 @@ func TestSoloPublishesNothing(t *testing.T) {
 					}
 					tx.Store(w, tx.Load(v).(int)+1)
 					_, alive := th.slot.aliveWord()
-					if tx.solo != wantSolo || s.active.has(th.idx) == wantSolo || alive == wantSolo ||
+					if (tx.kind == kindSolo) != wantSolo || s.active.has(th.idx) == wantSolo || alive == wantSolo ||
 						th.slot.readBF.MayContain(v.id) == wantSolo {
-						t.Errorf("solo=%v active=%v alive=%v read bit=%v, want solo %v and the rest %v",
-							tx.solo, s.active.has(th.idx), alive, th.slot.readBF.MayContain(v.id), wantSolo, !wantSolo)
+						t.Errorf("kind=%v active=%v alive=%v read bit=%v, want solo %v and the rest %v",
+							tx.kind, s.active.has(th.idx), alive, th.slot.readBF.MayContain(v.id), wantSolo, !wantSolo)
 					}
 					return nil
 				}); err != nil {
@@ -172,7 +216,7 @@ func TestSoloAbortsOnMidAttemptCommit(t *testing.T) {
 				err := th.Atomically(func(tx *Tx) error {
 					x := tx.Load(v).(int)
 					seen = append(seen, x)
-					if !tx.solo {
+					if tx.kind != kindSolo {
 						t.Errorf("attempt %d with one Thread registered at its begin is not solo", tx.Attempt())
 					}
 					if tx.Attempt() == 1 {
@@ -229,8 +273,8 @@ func TestSoloCommitDoomsMidAttemptReader(t *testing.T) {
 			read, committed, done := make(chan struct{}), make(chan struct{}), make(chan []int)
 			var other *Thread
 			if err := th.Atomically(func(tx *Tx) error {
-				if !tx.solo || tx.Attempt() != 1 {
-					t.Fatalf("attempt %d solo=%v, want the first and solo", tx.Attempt(), tx.solo)
+				if tx.kind != kindSolo || tx.Attempt() != 1 {
+					t.Fatalf("attempt %d kind %v, want the first and solo", tx.Attempt(), tx.kind)
 				}
 				tx.Store(v, tx.Load(v).(int)+1)
 				other = s.MustRegister()
@@ -239,7 +283,7 @@ func TestSoloCommitDoomsMidAttemptReader(t *testing.T) {
 					if err := other.AtomicallyRO(func(tx *Tx) error {
 						seen = append(seen, tx.Load(v).(int))
 						if tx.Attempt() == 1 {
-							if tx.solo {
+							if tx.kind == kindSolo {
 								t.Error("an attempt begun with two Threads registered is solo")
 							}
 							close(read)
@@ -298,7 +342,7 @@ func TestSoloCrossShardConservation(t *testing.T) {
 			const n = 200
 			for i := 0; i < n; i++ {
 				if err := th.Atomically(func(tx *Tx) error {
-					if !tx.solo {
+					if tx.kind != kindSolo {
 						t.Fatal("a lone Thread's attempt is not solo")
 					}
 					x, y := tx.Load(a).(int), tx.Load(b).(int)

@@ -16,22 +16,16 @@ import (
 )
 
 // engine is the concurrency-control strategy plugged into a System. A Tx
-// funnels every transactional access through its System's engine.
+// funnels every transactional access through its System's engine; how an
+// attempt reads, validates and commits within it is the attempt's kind
+// (System.attemptKind).
 type engine interface {
-	// usesSlots reports whether the engine relies on the per-thread status
-	// word and read bloom filter (the invalidation engines do; Mutex and
-	// NOrec do not, and skip that bookkeeping).
-	usesSlots() bool
-	// readsInvisibly reports whether an attempt that is neither solo nor the
-	// retry of a validation abort publishes nothing and validates from its
-	// read log, as NOrec does (InvalSTM; see System.solo). Asked by Tx.begin
-	// only for engines that use slots.
-	readsInvisibly() bool
 	// begin runs engine-specific transaction setup (e.g. NOrec's snapshot,
-	// Mutex's lock acquisition).
+	// Mutex's lock acquisition), after the attempt's kind is chosen.
 	begin(tx *Tx)
 	// read returns the current consistent version of v, or ok=false if the
-	// transaction must abort.
+	// transaction must abort. Tx.LoadBox never calls it for a direct or solo
+	// attempt.
 	read(tx *Tx, v *Var) (b *Box, ok bool)
 	// commit attempts to commit tx; false means a conflict abort (the
 	// engine sets tx.reason before failing). Read-only fast paths are the
@@ -39,17 +33,9 @@ type engine interface {
 	commit(tx *Tx) bool
 	// abort releases engine resources on any abort path (conflict or user).
 	abort(tx *Tx)
-	// serverTasks returns the named goroutine bodies the System must run
-	// for this engine (commit-server, invalidation-servers). Each body
-	// receives a stop predicate it must poll; the name labels the goroutine
-	// in pprof profiles and trace exports.
-	serverTasks() []serverTask
-	// serverStats returns activity the servers performed on behalf of
-	// clients (e.g. invalidations executed remotely). Safe while they run.
-	serverStats() Stats
 }
 
-// serverTask is one engine server goroutine: its run loop plus the stable
+// serverTask is one RInval server goroutine: its run loop plus the stable
 // name used for pprof goroutine labels and tracer tracks.
 type serverTask struct {
 	name string
@@ -121,8 +107,9 @@ type commitStream struct {
 	partOwner []padded.Uint32
 
 	// ring holds this stream's in-flight commit descriptors. Slot (base/2)
-	// mod len(ring); len(ring) = StepsAhead+1 bounds how many commits may be
-	// awaiting invalidation at once.
+	// mod len(ring); len(ring) = stepsAhead+1 bounds how many commits may be
+	// awaiting invalidation at once. Empty without partitions, where every
+	// commit dooms inline (newRemoteEngine).
 	ring []padded.Pointer[commitDesc]
 
 	// Round the cold tail (three 24-byte slice headers) up to a whole cache
@@ -190,17 +177,22 @@ type System struct {
 	mu sync.Mutex
 
 	eng engine
+	// rinval is eng for the RInval engines, nil otherwise: the System starts
+	// its servers and folds their stats.
+	rinval *remoteEngine
 
-	// loneCommit is true where the engine drives a lone client's commit itself:
-	// always for InvalSTM, and for RInval where its servers share the clients'
-	// Ps (coolServers). Fixed at construction; see solo.
-	loneCommit bool
+	// The inputs of attemptKind, fixed at construction. baseKind is the
+	// engine's kind: validated (NOrec, TL2), direct (Mutex) or visible (the
+	// invalidation engines). loneCommit is true where the engine drives a
+	// lone client's commit itself: always for InvalSTM, and for RInval where
+	// its servers share the clients' Ps (coolServers). invisibleFirst is true
+	// for InvalSTM alone.
+	baseKind       attemptKind
+	loneCommit     bool
+	invisibleFirst bool
 
-	// logReads gates the read-log append in Tx.LoadBox. NOrec and TL2 always
-	// revalidate from the log; the invalidation engines replay it only for
-	// Attribution's sampled exact-set check, and keep it under cfg.Stats.
-	// Without it an invisible InvalSTM attempt still logs, in
-	// invalEngine.read, because it revalidates from the log as NOrec does.
+	// logReads makes every attempt keep its read log (Tx.logs; an invisible
+	// attempt keeps it regardless). Set in newSystem.
 	logReads bool
 
 	// tracer records lifecycle events when cfg.Trace is set; nil otherwise.
@@ -296,7 +288,6 @@ func newSystem(cfg Config) (*System, error) {
 	for j := range s.streams {
 		s.streams[j].invalTS = make([]padded.Uint64, s.nInvalPerShard)
 		s.streams[j].partOwner = make([]padded.Uint32, s.nInvalPerShard)
-		s.streams[j].ring = make([]padded.Pointer[commitDesc], cfg.StepsAhead+1)
 	}
 
 	if cfg.Trace {
@@ -329,32 +320,23 @@ func newSystem(cfg Config) (*System, error) {
 
 	switch cfg.Algo {
 	case Mutex:
-		s.eng = &mutexEngine{sys: s}
+		s.eng, s.baseKind = &mutexEngine{sys: s}, kindDirect
 	case NOrec:
 		s.eng = &norecEngine{sys: s}
-	case InvalSTM:
-		s.eng = &invalEngine{sys: s, norec: norecEngine{sys: s}}
-	case RInvalV1, RInvalV2:
-		s.eng = newRemoteEngine(s, 0)
-	case RInvalV3:
-		s.eng = newRemoteEngine(s, cfg.StepsAhead)
 	case TL2:
 		s.eng = &tl2Engine{sys: s}
+	case InvalSTM:
+		s.eng, s.baseKind = &invalEngine{sys: s, norec: norecEngine{sys: s}}, kindVisible
+		s.loneCommit, s.invisibleFirst = true, true
+	case RInvalV1, RInvalV2, RInvalV3:
+		s.rinval = newRemoteEngine(s)
+		s.eng, s.baseKind, s.loneCommit = s.rinval, kindVisible, cool
 	}
-	if _, ok := s.eng.(*remoteEngine); ok {
-		s.loneCommit = cool
-	} else {
-		s.loneCommit = cfg.Algo == InvalSTM
-	}
-	switch cfg.Algo {
-	case NOrec, TL2:
-		s.logReads = true // revalidation replays the log
-	default:
-		// Attribution forces the log on: the sampled exact-set check that
-		// classifies bloom false positives replays it on the victim's abort
-		// path.
-		s.logReads = cfg.Stats || cfg.Attribution
-	}
+	// A validated attempt revalidates from the log; the invalidation engines
+	// keep it under Stats, and Attribution forces it on: the sampled exact-set
+	// check that classifies bloom false positives replays it on the victim's
+	// abort path.
+	s.logReads = s.baseKind == kindValidated || cfg.Stats || cfg.Attribution
 	return s, nil
 }
 
@@ -375,7 +357,10 @@ func (s *System) startServers() {
 				func(context.Context) { s.tsLoop() })
 		}()
 	}
-	for _, task := range s.eng.serverTasks() {
+	if s.rinval == nil {
+		return
+	}
+	for _, task := range s.rinval.serverTasks() {
 		s.wg.Add(1)
 		go func(t serverTask) {
 			defer s.wg.Done()
@@ -505,11 +490,13 @@ func (s *System) Stats() Stats {
 	for th := range s.live {
 		agg.Add(th.stats.snapshotAtomic())
 	}
-	// The epoch drivers' Commits are the clients' own commits seen from the
-	// stream side, already counted above.
-	srv := s.eng.serverStats()
-	srv.Commits = 0
-	agg.Add(srv)
+	if s.rinval != nil {
+		// The epoch drivers' Commits are the clients' own commits seen from
+		// the stream side, already counted above.
+		srv := s.rinval.serverStats()
+		srv.Commits = 0
+		agg.Add(srv)
+	}
 	return agg
 }
 
@@ -526,40 +513,15 @@ func (s *System) Shards() int { return len(s.streams) }
 // have shard servers; other engines return nil. Safe to call while
 // transactions run (atomic loads and histogram snapshots).
 func (s *System) ShardServerStats() []Stats {
-	re, ok := s.eng.(*remoteEngine)
-	if !ok {
+	if s.rinval == nil {
 		return nil
 	}
-	out := make([]Stats, len(re.srv))
-	for j, sv := range re.srv {
+	out := make([]Stats, len(s.rinval.srv))
+	for j, sv := range s.rinval.srv {
 		out[j] = sv.stats()
 	}
 	return out
 }
-
-// solo is the one rule for a lone client (DESIGN.md §3): an attempt beginning
-// now runs solo — validated by its streams' timestamps, publishing no read
-// signature and no liveness — where the engine drives a lone client's commit
-// itself and at most one Thread is registered. No committer but the client
-// itself can then doom it, so invalidation would only be overhead; a Thread
-// that registers mid-attempt commits through the timestamps the attempt
-// re-checks, and a solo commit still scans the other slots for it.
-//
-// An attempt that is not solo is shared, with one exception
-// (engine.readsInvisibly): an InvalSTM attempt reads invisibly — NOrec's
-// validated read over a read log, committed by a CAS from its snapshot —
-// unless it retries a validation abort. The retry is visible: it publishes
-// its read signature and liveness and can be doomed, as in the paper's
-// protocol. On a two-client pair-transfer map (container/ds's
-// BenchmarkMapContendedPairs) about 90 % of attempts committed undoomed when
-// every attempt was visible, and with this rule about 9.5 % run visible.
-// Making the retries invisible too ran about 12 % faster there; the visible
-// retry stays as the one place InvalSTM runs the paper's invalidation with
-// several Threads (EXPERIMENTS.md, "invisible first"). RInval's shared
-// attempts are always visible. Tx.begin applies the rule once per attempt.
-//
-//stm:hotpath
-func (s *System) solo() bool { return s.loneCommit && s.nLive.Load() < 2 }
 
 // shardOf returns the index of the commit stream that owns v.
 //

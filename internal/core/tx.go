@@ -183,10 +183,10 @@ func (tx *Tx) runSnapshot(fn func(*Tx) error) (err error, ok bool) {
 	}
 	sys.roEpoch[tx.th.idx].Store(minSnap)
 
-	tx.ro = true
+	tx.kind = kindSnapshot
 	// The deferred fold covers every exit of the attempt: commit, user
 	// abort, fallback, and a panic passing through runRO.
-	defer func() { tx.ro = false; tx.foldOps() }()
+	defer tx.foldOps()
 	tx.traceT0 = tx.ring.Now()
 	tx.ring.InstantAt(obs.KBegin, tx.traceT0, uint64(tx.attempts))
 	err, fellBack := tx.runRO(fn)
@@ -239,6 +239,60 @@ func (tx *Tx) runRO(fn func(*Tx) error) (err error, fellBack bool) {
 	return fn(tx), false
 }
 
+// attemptKind is how one attempt reads, validates and commits (DESIGN.md §3).
+// Only System.attemptKind (in Tx.begin) and runSnapshot set Tx.kind.
+type attemptKind uint8
+
+const (
+	kindValidated attemptKind = iota // NOrec, TL2: validated from the read log
+	kindDirect                       // Mutex: Vars loaded and stored under the lock
+	// kindSolo: an invalidation engine's lone client. Every read re-checks its
+	// stream's timestamp against snap (soloRead) and the slot publishes
+	// nothing — no read signature, no active bit, no ALIVE word — so no
+	// committer can doom it.
+	kindSolo
+	// kindInvisible: a shared InvalSTM attempt that publishes nothing either
+	// and validates as NOrec does, against start and the read log.
+	kindInvisible
+	// kindVisible: the paper's protocol. The slot publishes all three, and a
+	// committer can doom the attempt.
+	kindVisible
+	kindSnapshot // AtomicallyRO with Versions: Load resolves against snap
+)
+
+// attemptKind is the one rule for an attempt's kind; Tx.begin applies it once
+// per attempt, and retry reports that the previous attempt failed validation.
+// NOrec, TL2 and Mutex have one kind each. An invalidation-engine attempt is
+// solo where the engine drives a lone client's commit itself and at most one
+// Thread is registered (its snapshot is captured into tx.snap here). No
+// committer but the client itself can then doom it, so invalidation would
+// only be overhead; a Thread that registers mid-attempt commits through the
+// timestamps the attempt re-checks, and a solo commit still scans the other
+// slots for it. Streams that never stay still long enough for a consistent
+// cut make the attempt shared instead.
+//
+// A shared InvalSTM attempt is invisible unless it retries a validation
+// abort; the retry is visible, as in the paper's protocol. On a two-client
+// pair-transfer map (container/ds's BenchmarkMapContendedPairs) about 90 % of
+// attempts committed undoomed when every attempt was visible, and with this
+// rule about 9.5 % run visible. Making the retries invisible too ran about
+// 12 % faster there; the visible retry stays as the one place InvalSTM runs
+// the paper's invalidation with several Threads (EXPERIMENTS.md, "invisible
+// first"). RInval's shared attempts are always visible.
+//
+//stm:hotpath
+func (s *System) attemptKind(tx *Tx, retry bool) attemptKind {
+	switch {
+	case s.baseKind != kindVisible:
+		return s.baseKind
+	case s.loneCommit && s.nLive.Load() < 2 && s.captureSnapshot(tx.snap):
+		return kindSolo
+	case s.invisibleFirst && !retry:
+		return kindInvisible
+	}
+	return kindVisible
+}
+
 // Tx is one transaction attempt's view of the world. It is only valid inside
 // the Atomically callback that received it.
 type Tx struct {
@@ -252,7 +306,10 @@ type Tx struct {
 
 	attempts int
 	stats    *Stats
-	direct   bool // Mutex engine: operate on Vars directly under the lock
+	kind     attemptKind
+	// logs makes Tx.LoadBox append every read to rs: System.logReads, or an
+	// invisible attempt, which revalidates from the log.
+	logs bool
 
 	// reads and writes count the current attempt's Load and Store calls.
 	// They are plain fields — a counted read pays no locked instruction —
@@ -260,23 +317,11 @@ type Tx struct {
 	reads, writes uint64
 
 	// roUser marks the whole AtomicallyRO call (snapshot path and fallback
-	// alike): Store panics while it is set. ro marks the snapshot attempt
-	// specifically: Load resolves against snap, the per-shard epoch vector
-	// captured at begin (allocated once at Register when Versions > 0 or the
-	// engine can run solo attempts). solo marks an invalidation-engine attempt
-	// begun under System.solo: snap holds its streams' timestamps at begin,
-	// every read re-checks its stream's against it, and the slot publishes
-	// nothing — no read signature, no active bit, no ALIVE word — so no
-	// committer can doom it. invisible marks an InvalSTM attempt that is not
-	// solo and does not retry a validation abort (System.solo): it publishes
-	// nothing either, and validates as NOrec does, against start and the
-	// read log rs. An attempt of an invalidation engine that is neither is
-	// visible: its slot publishes all three, and a committer can doom it.
-	roUser    bool
-	ro        bool
-	solo      bool
-	invisible bool
-	snap      []uint64
+	// alike): Store panics while it is set. snap is a snapshot or solo
+	// attempt's per-shard epoch vector, allocated once at Register when
+	// Versions > 0 or the engine can run solo attempts.
+	roUser bool
+	snap   []uint64
 
 	// readShards accumulates the shard bits of every Var this attempt read
 	// (invalidation engines only; always bit 0 when Config.Shards == 1). The
@@ -327,12 +372,13 @@ func (tx *Tx) Attempt() int { return tx.attempts }
 // System returns the owning System.
 func (tx *Tx) System() *System { return tx.sys }
 
-// begin resets per-attempt state and runs the engine's begin hook.
+// begin resets per-attempt state, chooses the attempt's kind and runs the
+// engine's begin hook.
 func (tx *Tx) begin() {
 	tx.attempts++
 	// Read before the reset below: the previous attempt of this transaction
 	// failed validation.
-	failedValidation := tx.attempts > 1 && tx.reason == AbortValidation
+	retry := tx.attempts > 1 && tx.reason == AbortValidation
 	tx.rs.reset()
 	tx.ws.reset()
 	tx.readShards = 0
@@ -344,16 +390,10 @@ func (tx *Tx) begin() {
 		tx.conflictVar = 0
 		tx.attrT0 = obs.Now()
 	}
-	if tx.sys.eng.usesSlots() {
-		// A solo attempt publishes nothing: its snapshot is its whole begin.
-		// Streams that never stay still long enough for a consistent cut make
-		// the attempt shared instead. An invisible one publishes nothing
-		// either; the engine's begin takes its snapshot.
-		tx.solo = tx.sys.solo() && tx.sys.captureSnapshot(tx.snap)
-		tx.invisible = !tx.solo && !failedValidation && tx.sys.eng.readsInvisibly()
-		if !tx.solo && !tx.invisible {
-			tx.activateSlot()
-		}
+	tx.kind = tx.sys.attemptKind(tx, retry)
+	tx.logs = tx.sys.logReads || tx.kind == kindInvisible
+	if tx.kind == kindVisible {
+		tx.activateSlot()
 	}
 	tx.sys.eng.begin(tx)
 }
@@ -412,29 +452,26 @@ func (tx *Tx) Load(v *Var) any { return anyOf(tx.LoadBox(v)).v }
 //stm:hotpath
 func (tx *Tx) LoadBox(v *Var) *Box {
 	tx.reads++
-	if tx.ro {
+	if tx.kind == kindSnapshot {
 		return tx.loadSnapshot(v)
 	}
 	if b, ok := tx.ws.lookup(v); ok {
 		return b
 	}
-	if tx.direct {
-		return v.loadBox()
-	}
 	var b *Box
 	var ok bool
-	if tx.solo {
+	switch tx.kind {
+	case kindDirect:
+		return v.loadBox()
+	case kindSolo:
 		b, ok = soloRead(tx, v) // the invalidation engines' solo read, undispatched
-	} else {
+	default:
 		b, ok = tx.sys.eng.read(tx, v)
 	}
 	if !ok {
 		panic(conflictSignal{})
 	}
-	if tx.sys.logReads {
-		// NOrec/TL2 revalidate from this log; the invalidation engines keep
-		// it here only under Config.Stats or Config.Attribution (an invisible
-		// InvalSTM attempt otherwise logs in invalEngine.read).
+	if tx.logs {
 		tx.rs.add(v, b)
 	}
 	return b
@@ -558,10 +595,10 @@ func (tx *Tx) onUserAbort() {
 // it, invalidating any doom a server is still trying to apply. The active
 // bit is cleared only after the INACTIVE store (mirror image of begin): a
 // scanner that still sees the bit merely re-checks the status word, while
-// one that misses it can rely on the transaction having retired. A solo or
-// invisible attempt published nothing, so it has nothing to undo.
+// one that misses it can rely on the transaction having retired. Only a
+// visible attempt published anything to undo.
 func (tx *Tx) deactivateSlot() {
-	if !tx.sys.eng.usesSlots() || tx.solo || tx.invisible {
+	if tx.kind != kindVisible {
 		return
 	}
 	w := tx.slot.status.Load()

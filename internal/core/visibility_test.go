@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// Tests for invisible attempts (System.solo, DESIGN.md §3): with another
-// Thread registered, an InvalSTM attempt first runs NOrec's attempt — no read
-// signature, no active bit, no ALIVE word; each read re-checks the timestamp
-// and a moved one revalidates the read log by cell identity; the commit
-// locks with a CAS from the snapshot, extending it on failure, and still
-// scans the other slots. Only the retry of a validation abort runs the
+// Tests for invisible attempts (System.attemptKind, DESIGN.md §3): with
+// another Thread registered, an InvalSTM attempt first runs NOrec's attempt —
+// no read signature, no active bit, no ALIVE word; each read re-checks the
+// timestamp and a moved one revalidates the read log by cell identity; the
+// commit locks with a CAS from the snapshot, extending it on failure, and
+// still scans the other slots. Only the retry of a validation abort runs the
 // paper's visible protocol and can be doomed.
 
 // failFirstAttempt, called first in a transaction body, makes the first
@@ -71,8 +71,8 @@ func TestInvisibleExtendsPastUnrelatedCommit(t *testing.T) {
 	a, b := NewVar(1), NewVar(2)
 	if err := th.Atomically(func(tx *Tx) error {
 		x := tx.Load(a).(int)
-		if !tx.invisible || tx.solo {
-			t.Fatalf("attempt %d: invisible=%v solo=%v, want an invisible attempt", tx.Attempt(), tx.invisible, tx.solo)
+		if tx.kind != kindInvisible {
+			t.Fatalf("attempt %d: kind %v, want an invisible attempt", tx.Attempt(), tx.kind)
 		}
 		if got := publishes(th, a); got != "active=false alive=false read bit=false" {
 			t.Errorf("invisible attempt publishes %s", got)
@@ -111,7 +111,7 @@ func TestInvisibleAbortRetriesVisible(t *testing.T) {
 	write := func(val int) {
 		t.Helper()
 		if err := other.Atomically(func(tx *Tx) error {
-			if !tx.invisible {
+			if tx.kind != kindInvisible {
 				t.Error("the committer's attempt is not invisible")
 			}
 			tx.Store(v, val)
@@ -126,14 +126,14 @@ func TestInvisibleAbortRetriesVisible(t *testing.T) {
 		seen = append(seen, x)
 		switch tx.Attempt() {
 		case 1:
-			if !tx.invisible {
+			if tx.kind != kindInvisible {
 				t.Fatal("first attempt is not invisible")
 			}
 			write(7)
 			y := tx.Load(v).(int)
 			t.Errorf("read after an overwrite returned %d", y)
 		case 2:
-			if tx.invisible || tx.solo {
+			if tx.kind != kindVisible {
 				t.Fatal("retry of a validation abort is not visible")
 			}
 			if got := publishes(th, v); got != "active=true alive=true read bit=true" {
@@ -143,7 +143,7 @@ func TestInvisibleAbortRetriesVisible(t *testing.T) {
 			tx.Load(v)
 			t.Error("read after a doom returned")
 		case 3:
-			if !tx.invisible {
+			if tx.kind != kindInvisible {
 				t.Error("retry of an invalidation abort is not invisible")
 			}
 		}
@@ -226,7 +226,7 @@ func TestInvisibleCommitDoomsVisibleReader(t *testing.T) {
 			seen = append(seen, tx.Load(v).(int))
 			if first {
 				first = false
-				if tx.invisible {
+				if tx.kind == kindInvisible {
 					t.Error("retry of a validation abort is not visible")
 				}
 				close(read)
@@ -241,7 +241,7 @@ func TestInvisibleCommitDoomsVisibleReader(t *testing.T) {
 	}()
 	<-read
 	if err := writer.Atomically(func(tx *Tx) error {
-		if !tx.invisible {
+		if tx.kind != kindInvisible {
 			t.Error("the writer's attempt is not invisible")
 		}
 		tx.Store(v, 1)
