@@ -50,15 +50,18 @@ test:
 ## variant runs V1's inline scan (no partitions). Tests that need partitions
 ## build their System at four Ps (atFourPs), so they also run at
 ## GOMAXPROCS=2 with that layout. internal/verify's churn check
-## flips a client between solo and shared attempts, and its conservation
-## check on InvalSTM (TestInvisibleThenVisibleRegimes) runs invisible
-## attempts and their visible retries side by side.
-RACE_LAYOUT_RUN = 'Help|CrossShard|Partition|Liveness|Mailbox|Opacity|Differential|Epoch|Solo|Kind|Churn|Invisible|GroupCommit|FlightPartition|TraceLifecycle|ServerPhase'
+## flips a client between solo, invisible and visible attempts, and its
+## conservation check on InvalSTM and RInval-V1/V2 at GOMAXPROCS 2
+## (TestInvisibleThenVisibleRegimes) runs invisible attempts and their visible
+## retries side by side. The spare-cell tests (TestRetryReusesAbortedCells,
+## internal/core and stm) race a retry's reuse of its aborted attempt's cells
+## against the servers that answered that attempt.
+RACE_LAYOUT_RUN = 'Help|CrossShard|Partition|Liveness|Mailbox|Opacity|Differential|Epoch|Solo|Kind|Churn|Invisible|RetryReuses|GroupCommit|FlightPartition|TraceLifecycle|ServerPhase'
 race:
 	$(GO) test -race -count=1 ./internal/core/ ./stm/ ./internal/obs/ ./internal/bloom/ ./internal/padded/ ./internal/analysis/
-	$(GO) test -race -count=10 -run 'Help|CrossShard|Partition|LivenessOneP|Mailbox|Solo|Kind|Churn|Invisible' ./internal/core/ ./internal/verify/
-	GOMAXPROCS=4 $(GO) test -race -count=3 -run $(RACE_LAYOUT_RUN) ./internal/core/ ./internal/verify/
-	GOMAXPROCS=2 $(GO) test -race -count=3 -run $(RACE_LAYOUT_RUN) ./internal/core/ ./internal/verify/
+	$(GO) test -race -count=10 -run 'Help|CrossShard|Partition|LivenessOneP|Mailbox|Solo|Kind|Churn|Invisible|RetryReuses' ./internal/core/ ./internal/verify/ ./stm/
+	GOMAXPROCS=4 $(GO) test -race -count=3 -run $(RACE_LAYOUT_RUN) ./internal/core/ ./internal/verify/ ./stm/
+	GOMAXPROCS=2 $(GO) test -race -count=3 -run $(RACE_LAYOUT_RUN) ./internal/core/ ./internal/verify/ ./stm/
 
 ## deflaked: the snapshot-reader property test (a reader that never fell back
 ## takes no abort and is no one's victim), which used to fail a few runs in a

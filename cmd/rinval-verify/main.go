@@ -3,8 +3,9 @@
 // snapshot), atomicity (conserved quantities stay conserved), structural
 // integrity of the transactional red-black tree under a mixed workload, and
 // the first two again while short-lived Threads register and close around a
-// long-lived client. For InvalSTM, whose attempts read invisibly first and
-// visibly on a retry, the conservation run must see both abort reasons. It is
+// long-lived client. For InvalSTM, and for RInval below four Ps, whose
+// attempts read invisibly first and visibly on a retry, the conservation run
+// must see both abort reasons. It is
 // the tool to run when porting the library to a new platform or after
 // modifying an engine.
 //

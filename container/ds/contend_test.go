@@ -15,9 +15,10 @@ import (
 //
 //   - aborts/commit, and its validation and invalidation parts;
 //   - val-aborts/attempt: the share of attempts that retry a validation
-//     abort. Every client retries until it commits, so for InvalSTM with two
-//     Threads registered, whose attempts read invisibly unless they retry a
-//     validation abort, this is the share of attempts that ran visible;
+//     abort. Every client retries until it commits, so with two Threads
+//     registered, where an attempt reads invisibly unless it retries a
+//     validation abort (InvalSTM; RInval below four Ps), this is the share of
+//     attempts that ran visible;
 //   - under /attr (Config.Attribution), fp-dooms/sampled: the share of
 //     sampled invalidation dooms whose exact read and write sets were
 //     disjoint, that is, dooms caused by a bloom-signature collision alone.

@@ -15,31 +15,21 @@ import (
 // imbalance RInval removes (§III).
 //
 // With another Thread registered, an attempt first runs invisible (Tx.begin,
-// DESIGN.md §3): it is NOrec's attempt — norec's read, revalidation and
-// locking CAS over tx.start and the read log — plus the commit's invalidation
-// scan, so the other Thread's visible attempts are still doomed. Only the
-// retry of a validation abort publishes its reads and can be doomed.
+// DESIGN.md §3): NOrec's read, which RInval's invisible attempts share
+// (invisibleRead), NOrec's lock, a CAS from the snapshot that extends it on
+// failure (Tx.lockFromSnapshot), and the commit's invalidation scan, so the
+// other Thread's visible attempts are still doomed. Only the retry of a
+// validation abort publishes its reads and can be doomed.
 type invalEngine struct {
-	sys   *System
-	norec norecEngine
+	sys *System
 }
 
-func (e *invalEngine) begin(tx *Tx) {
-	if tx.kind == kindInvisible {
-		e.norec.begin(tx)
-	}
-}
+func (e *invalEngine) begin(tx *Tx) {}
 
-// read implements Algorithm 1's READ for a visible attempt (invalRead). An
-// invisible attempt reads as NOrec does; Tx.LoadBox logs the cell.
+// read implements Algorithm 1's READ for a visible attempt (invalRead).
 //
 //stm:hotpath
-func (e *invalEngine) read(tx *Tx, v *Var) (*Box, bool) {
-	if tx.kind == kindInvisible {
-		return e.norec.read(tx, v)
-	}
-	return invalRead(tx, v)
-}
+func (e *invalEngine) read(tx *Tx, v *Var) (*Box, bool) { return invalRead(tx, v) }
 
 // invalRead is a visible attempt's read for InvalSTM and the RInval engines,
 // applied against the stream that owns v's shard (with Shards == 1 that is
@@ -127,11 +117,12 @@ func soloRead(tx *Tx, v *Var) (*Box, bool) {
 // the request and the acquisition), invalidate every conflicting in-flight
 // transaction, publish the write set, and release. A solo attempt acquires
 // the lock with one CAS from its snapshot, which succeeds only if no commit
-// ran since its begin. An invisible attempt acquires it as NOrec does,
-// extending its snapshot on a failed CAS. Every writer scans the other slots;
-// a solo one finds no visible attempt there (a Thread registered mid-attempt
-// turns visible only after a validation abort, which takes a commit that fails
-// the solo CAS), but the scan keeps one rule for every commit.
+// ran since its begin. An invisible attempt acquires it with the same CAS,
+// extending its snapshot and retrying on a failed one. Every writer scans the
+// other slots; a solo one finds no visible attempt there (a Thread registered
+// mid-attempt turns visible only after a validation abort, which takes a
+// commit that fails the solo CAS), but the scan keeps one rule for every
+// commit.
 //
 //stm:hotpath
 func (e *invalEngine) commit(tx *Tx) bool {
@@ -150,10 +141,10 @@ func (e *invalEngine) commit(tx *Tx) bool {
 			return false
 		}
 	case kindInvisible:
-		if !e.norec.lock(tx) {
+		var ok bool
+		if t, ok = tx.lockFromSnapshot(); !ok {
 			return false
 		}
-		t = tx.start
 	default:
 		if tx.invalidated() {
 			tx.reason = AbortInvalidated

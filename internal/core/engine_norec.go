@@ -17,105 +17,148 @@ import (
 // write contention. Commit is cheap — one CAS, write-back, one store — but
 // all committers spin on the same timestamp word, which on real hardware
 // turns into cache-line ping-pong (modeled in internal/sim).
+//
+// Every NOrec attempt is invisible (System.attemptKind): its read is
+// invisibleRead, its revalidation Tx.extend and its lock Tx.lockFromSnapshot,
+// the same code an invisible InvalSTM or RInval attempt runs.
 type norecEngine struct {
 	sys *System
 }
 
 // begin snapshots an even timestamp — the transaction's linearization basis.
 func (e *norecEngine) begin(tx *Tx) {
-	tx.start = e.sys.waitEven()
+	tx.snap[0] = e.sys.waitEven()
 }
 
-// read returns a value consistent with tx.start, extending the snapshot via
-// revalidation whenever the global timestamp moved. It is also an invisible
-// InvalSTM attempt's read (invalEngine.read).
-//
-//stm:hotpath
-func (e *norecEngine) read(tx *Tx, v *Var) (*Box, bool) {
-	for {
-		b := v.loadBox()
-		if e.sys.streams[0].ts.Load() == tx.start {
-			return b, true
-		}
-		// Timestamp moved: some transaction committed since our snapshot.
-		// Re-establish a consistent snapshot by value-validating the whole
-		// read set (this is the incremental-validation quadratic term).
-		t, ok := e.revalidate(tx)
-		if !ok {
-			return nil, false
-		}
-		tx.start = t
-	}
-}
-
-// revalidate re-checks every read against the current memory state and
-// returns a new even timestamp at which the read set was observed intact.
-// A value mismatch is a validation abort (tx.reason).
-//
-//stm:hotpath
-func (e *norecEngine) revalidate(tx *Tx) (uint64, bool) {
-	var w spin.Waiter
-	tv := tx.ring.Now()
-	for {
-		t := e.sys.waitEven()
-		atomic.AddUint64(&tx.stats.Validations, 1)
-		var ops uint64
-		ok := true
-		for i := range tx.rs.entries {
-			re := &tx.rs.entries[i]
-			ops++
-			if re.v.loadBox() != re.snap {
-				tx.conflictVar = re.v.id // attribution: the mismatched read
-				ok = false
-				break
-			}
-		}
-		atomic.AddUint64(&tx.stats.ValidationOps, ops)
-		if !ok {
-			tx.reason = AbortValidation
-			tx.ring.Span(obs.KValidate, tv, ops)
-			return 0, false
-		}
-		if e.sys.streams[0].ts.Load() == t {
-			tx.ring.Span(obs.KValidate, tv, ops)
-			return t, true
-		}
-		w.Wait()
-	}
-}
-
-// lock acquires the sequence lock with a CAS from the transaction's
-// snapshot; success proves no commit intervened, so no commit-time validation
-// is needed. On CAS failure the snapshot is extended and the acquisition
-// retried; false is a validation abort. The caller writes back and releases
-// with tx.start+2. NOrec's commit and an invisible InvalSTM attempt's share it.
-//
-//stm:hotpath
-func (e *norecEngine) lock(tx *Tx) bool {
-	for !e.sys.streams[0].ts.CompareAndSwap(tx.start, tx.start+1) {
-		t, ok := e.revalidate(tx)
-		if !ok {
-			return false
-		}
-		tx.start = t
-	}
-	return true
-}
+// read is unreachable: Tx.LoadBox reads an invisible attempt through
+// invisibleRead without the engine dispatch. Kept total so the engine
+// satisfies the interface.
+func (e *norecEngine) read(tx *Tx, v *Var) (*Box, bool) { return invisibleRead(tx, v) }
 
 // commit locks from the snapshot, writes back and releases.
 //
 //stm:hotpath
 func (e *norecEngine) commit(tx *Tx) bool {
 	if tx.ws.len() == 0 {
-		// Read-only: the read set is valid at tx.start by construction.
+		// Read-only: the read set is valid at the snapshot by construction.
 		return true
 	}
-	if !e.lock(tx) {
+	t, ok := tx.lockFromSnapshot()
+	if !ok {
 		return false
 	}
 	e.sys.writeBack(tx.ws)
-	e.sys.streams[0].ts.Store(tx.start + 2)
+	e.sys.streams[0].ts.Store(t + 2)
 	return true
 }
 
 func (e *norecEngine) abort(tx *Tx) {}
+
+// invisibleRead is NOrec's read, and an invisible attempt's for every
+// invalidation engine, called by Tx.LoadBox without the engine dispatch, which
+// logs the cell: load the cell, then re-load its stream's timestamp. Still the
+// snapshot's, no write-back ran on the stream since the snapshot — every
+// write-back runs while the timestamp is odd — so the cell is the snapshot's.
+// Moved, the attempt re-validates its log at a fresh cut (extend) and loads
+// again.
+//
+//stm:hotpath
+func invisibleRead(tx *Tx, v *Var) (*Box, bool) {
+	shard := tx.sys.shardOf(v)
+	for {
+		b := v.loadBox()
+		if tx.sys.streams[shard].ts.Load() == tx.snap[shard] {
+			tx.readShards |= 1 << uint(shard)
+			return b, true
+		}
+		if !tx.extend() {
+			return nil, false
+		}
+	}
+}
+
+// extend moves an invisible attempt's snapshot to a fresh consistent cut: read
+// every stream's timestamp, all even, re-validate the read log by cell identity
+// against memory, and re-read the timestamps. Unchanged, no write-back ran on
+// any stream while the log was checked, so every logged cell was current at
+// one instant of that window, which the cut names; each later read that finds
+// its stream still at the cut returns a cell of the same instant. A logged Var
+// whose cell changed is a validation abort. This is NOrec's incremental
+// validation, the quadratic term of its cost.
+//
+//stm:hotpath
+func (tx *Tx) extend() bool {
+	streams := tx.sys.streams
+	var w spin.Waiter
+	tv := tx.ring.Now()
+	for {
+		even := true
+		for j := range streams {
+			t := streams[j].ts.Load()
+			if t&1 != 0 {
+				even = false
+				break
+			}
+			tx.snap[j] = t
+		}
+		if even {
+			if !tx.logValid() {
+				tx.reason = AbortValidation
+				tx.ring.Span(obs.KValidate, tv, uint64(len(tx.rs.entries)))
+				return false
+			}
+			held := true
+			for j := range streams {
+				if streams[j].ts.Load() != tx.snap[j] {
+					held = false
+					break
+				}
+			}
+			if held {
+				tx.ring.Span(obs.KValidate, tv, uint64(len(tx.rs.entries)))
+				return true
+			}
+		}
+		w.Wait()
+	}
+}
+
+// logValid reports whether every Var in the read log still holds the cell
+// the attempt read, counting one validation and its comparisons. A mismatch
+// names its Var for attribution.
+//
+//stm:hotpath
+func (tx *Tx) logValid() bool {
+	atomic.AddUint64(&tx.stats.Validations, 1)
+	var ops uint64
+	ok := true
+	for i := range tx.rs.entries {
+		re := &tx.rs.entries[i]
+		ops++
+		if re.v.loadBox() != re.snap {
+			tx.conflictVar = re.v.id
+			ok = false
+			break
+		}
+	}
+	atomic.AddUint64(&tx.stats.ValidationOps, ops)
+	return ok
+}
+
+// lockFromSnapshot acquires the global sequence lock for an invisible attempt
+// of NOrec or InvalSTM with a CAS from its snapshot: success proves no commit
+// intervened, so no commit-time validation is needed. On CAS failure the
+// snapshot is extended and the acquisition retried; false is a validation
+// abort. It returns the even timestamp the lock was taken from; the caller
+// writes back and releases with that plus two.
+//
+//stm:hotpath
+func (tx *Tx) lockFromSnapshot() (uint64, bool) {
+	ts := &tx.sys.streams[0].ts
+	for !ts.CompareAndSwap(tx.snap[0], tx.snap[0]+1) {
+		if !tx.extend() {
+			return 0, false
+		}
+	}
+	return tx.snap[0], true
+}

@@ -45,7 +45,7 @@ import (
 // An epoch is driven by whoever holds its streams' locks. Normally that is the
 // leading commit-server; a waiting client may take its single stream's free
 // lock once its busy-wait budget ran out without a reply and run the epoch for
-// its own request itself (help, DESIGN.md §16). A solo attempt
+// its own request itself (help, DESIGN.md §16). A solo or invisible attempt
 // (System.attemptKind) publishes none: it takes its streams' locks, validates
 // its snapshot and runs the epoch's stages after admission over its own slot
 // (commitOwn). Both keep commit latency at the cost of the work rather than of
@@ -230,12 +230,12 @@ func (e *remoteEngine) read(tx *Tx, v *Var) (*Box, bool) { return invalRead(tx, 
 // reply word until an epoch driver answers. The request is the transaction's
 // stream masks, computed here from the write set and the shards its reads
 // visited (both bit 0 when Shards == 1); the server of the lowest touched
-// stream owns it. A solo attempt publishes no request: nobody else would
-// answer it soon, so it commits its own write set under its streams' locks
-// (commitOwn). Elsewhere every wait iteration after the busy phase has run
-// out, by when a server with a core of its own would have replied, first
-// offers to drive the epoch itself (help); an iteration that could not help
-// waits.
+// stream owns it. A solo or invisible attempt publishes no request: it runs
+// only where the servers share the clients' Ps and would not answer it soon,
+// so it commits its own write set under its streams' locks (commitOwn). For a
+// visible attempt every wait iteration after the busy phase has run out, by
+// when a server with a core of its own would have replied, first offers to
+// drive the epoch itself (help); an iteration that could not help waits.
 //
 //stm:hotpath
 func (e *remoteEngine) commit(tx *Tx) bool {
@@ -249,7 +249,7 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 	touched := writes | tx.readShards
 	sv := e.srv[bits.TrailingZeros64(touched)]
 	tx.ring.Instant(obs.KCommitReq, 0)
-	if tx.kind == kindSolo {
+	if tx.kind != kindVisible {
 		return commitOwn(tx, sv, writes, touched)
 	}
 	if tx.invalidated() {
@@ -275,15 +275,19 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 	}
 }
 
-// commitOwn commits a solo attempt's write set without a mailbox request: take
-// every touched stream's lock in ascending order (lockStreams, as the
-// commit-server does; sv is the lowest stream's server), check each
+// commitOwn commits a solo or invisible attempt's write set without a mailbox
+// request: take every touched stream's lock in ascending order (lockStreams,
+// as the commit-server does; sv is the lowest stream's server) and check each
 // timestamp against the attempt's snapshot — unmoved, no commit ran on the
-// streams it read or writes since its begin — then admit the client's own slot
-// as a batch of one and run the epoch's remaining stages over it (retire). No
-// request word is published, answered or consumed, and no ALIVE check is made:
-// the snapshot check is the solo attempt's whole validation. Solo needs fewer
-// than four Ps, so there are no partitions: the epoch dooms inline. The epoch
+// streams it read or writes since the snapshot. A moved one refuses a solo
+// attempt, which keeps no log; an invisible attempt re-validates its read log
+// instead, and conclusively: every logged Var lies on a touched stream, which
+// nobody else can write while the locks are held. Then admit the client's own
+// slot as a batch of one and run the epoch's remaining stages over it
+// (retire). No request word is published, answered or consumed, and no ALIVE
+// check is made: the snapshot check is the attempt's whole validation. Clients
+// commit themselves only below four Ps, so there are no partitions: the epoch
+// dooms inline, and reaches the other Threads' visible attempts. The epoch
 // counts as helped: the client drove it.
 //
 //stm:hotpath
@@ -293,14 +297,16 @@ func commitOwn(tx *Tx, sv *shardServer, writes, touched uint64) bool {
 	clk := startClock(sv.latC, sv.commitRing)
 	for m := touched; m != 0; m &= m - 1 {
 		if j := bits.TrailingZeros64(m); sys.streams[j].ts.Load() != tx.snap[j] {
-			sys.unlockStreams(touched)
-			tx.reason = AbortValidation
-			return false
+			if tx.kind == kindSolo || !tx.logValid() {
+				sys.unlockStreams(touched)
+				tx.reason = AbortValidation
+				return false
+			}
+			break
 		}
 	}
 	if touched&(touched-1) != 0 {
 		tx.slot.req.writes.Store(writes) // publish reads it across streams
-
 	}
 	sv.batchIdx = append(sv.batchIdx[:0], tx.th.idx)
 	sv.retire(touched, 0, 1, tx.th.idx, &clk)
@@ -482,7 +488,7 @@ func (sv *shardServer) serveEpoch(mask uint64, first int) bool {
 //	scan       with partitions: apply the new descriptor to every partition of
 //	           the written streams that no one else is scanning (scanPartition)
 //
-// Everything after collect is retire, which a solo client committing without a
+// Everything after collect is retire, which a client committing without a
 // request (commitOwn) runs after its own admission. A multi-stream epoch admits
 // one request: cross-shard requests are led solo. committed is the number of
 // members the epoch committed (0: no timestamp transition); replied is false
@@ -506,9 +512,9 @@ func (sv *shardServer) epoch(mask uint64, first int, clk *phaseClock) (committed
 // retire runs the epoch's stages after admission — catch-up within lagBudget,
 // check, publish, record, reply and scan — over the members in sv.batchIdx;
 // pending is the queue depth admission saw. Member self, if not -1, is a solo
-// driver's own slot (commitOwn): it published no request, validated its
-// snapshot under the locks, and gets neither an ALIVE check nor a reply. It
-// returns the members committed.
+// or invisible driver's own slot (commitOwn): it published no request,
+// validated its snapshot under the locks, and gets neither an ALIVE check nor
+// a reply. It returns the members committed.
 //
 //stm:hotpath
 func (sv *shardServer) retire(mask, lagBudget, pending uint64, self int, clk *phaseClock) (committed int) {

@@ -17,7 +17,7 @@ var rinvalAlgos = []Algo{RInvalV1, RInvalV2, RInvalV3}
 // control which requests are pending before the server runs.
 func postPending(s *System, th *Thread, v *Var, val any) *slot {
 	sl := th.slot
-	sl.req.ws.reset()
+	sl.req.ws.reset(false)
 	sl.req.ws.put(v, newAnyCell(val))
 	beginSlot(s, th)
 	sl.publish(1, 1) // single stream: shard 0
@@ -476,7 +476,7 @@ func TestSetResetReleasesPointers(t *testing.T) {
 	ws := newWriteSet(bloom.DefaultParams)
 	ws.put(NewVar(3), newAnyCell(3))
 	ws.put(NewVar(4), newAnyCell(4))
-	ws.reset()
+	ws.reset(false)
 	for i, e := range ws.entries[:cap(ws.entries)] {
 		if e.v != nil || e.b != nil {
 			t.Errorf("writeSet entry %d retained pointers after reset", i)

@@ -105,9 +105,9 @@ func TestHelpAtOnceWhenServerCools(t *testing.T) {
 // TestHelpOwnCommitSkipsMailbox: a lone Thread whose commit-server shares the
 // Ps (GOMAXPROCS 2) commits its own write set under the stream lock and never
 // publishes a request — its slot's mailbox word is the same after 200 commits
-// — and every one of those commits is one helped epoch of the stream. A second
-// registered Thread keeps the server hot, and the first one's commits go
-// through the mailbox again.
+// — and every one of those commits is one helped epoch of the stream. With a
+// second Thread registered the first attempt is invisible and commits itself
+// too; the visible retry of a validation abort goes through the mailbox.
 func TestHelpOwnCommitSkipsMailbox(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, algo := range rinvalAlgos {
@@ -142,11 +142,27 @@ func TestHelpOwnCommitSkipsMailbox(t *testing.T) {
 			}
 			other := s.MustRegister()
 			incr()
-			if after := th.slot.state.Load(); after == before {
-				t.Fatal("with two Threads the commit published no request")
+			if after := th.slot.state.Load(); after != before {
+				t.Fatalf("mailbox word %#x -> %#x: an invisible attempt published a request", before, after)
 			}
-			if got := v.Peek().(int); got != n+1 {
-				t.Fatalf("counter = %d, want %d", got, n+1)
+			if st := th.Stats(); st.HelpedEpochs != n+1 {
+				t.Fatalf("HelpedEpochs=%d after an invisible commit, want %d", st.HelpedEpochs, n+1)
+			}
+			if err := th.Atomically(func(tx *Tx) error {
+				failFirstAttempt(t, tx, other)
+				if tx.kind != kindVisible {
+					t.Fatalf("retry of a validation abort is %v, want a visible attempt", tx.kind)
+				}
+				tx.Store(v, tx.Load(v).(int)+1)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if after := th.slot.state.Load(); after == before {
+				t.Fatal("the visible attempt's commit published no request")
+			}
+			if got := v.Peek().(int); got != n+2 {
+				t.Fatalf("counter = %d, want %d", got, n+2)
 			}
 			other.Close()
 			th.Close()
@@ -263,15 +279,13 @@ func TestHelpOwnEpochDoomedSelf(t *testing.T) {
 
 // TestHelpBatchesFollowers: two requests pending, the lower slot's client
 // helps, and one epoch answers both — the helper runs the server's own
-// collection pass, so group commit is unchanged.
+// collection pass, so group commit is unchanged. Built at four Ps, where the
+// helper's attempt is visible and its commit a request.
 func TestHelpBatchesFollowers(t *testing.T) {
 	// A wide signature keeps the two write sets disjoint whatever Var ids
 	// earlier tests consumed (see TestGroupCommitDisjointBatchOneEpoch).
-	s, err := newSystem(Config{Algo: RInvalV1, MaxThreads: 4, MaxBatch: 8,
+	s := atFourPs(t, newSystem, Config{Algo: RInvalV1, MaxThreads: 4, MaxBatch: 8,
 		Bloom: bloom.Params{Bits: 1 << 16, Hashes: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	helper, follower := s.MustRegister(), s.MustRegister()
 	if helper.idx > follower.idx {
 		t.Fatalf("helper slot %d above follower slot %d: collection runs upward", helper.idx, follower.idx)

@@ -1,6 +1,9 @@
 package core
 
-import "github.com/ssrg-vt/rinval/internal/bloom"
+import (
+	"github.com/ssrg-vt/rinval/internal/bloom"
+	"github.com/ssrg-vt/rinval/internal/padded"
+)
 
 // readEntry records one transactional read: the Var and the version observed.
 // NOrec revalidates by comparing the Var's current version pointer against
@@ -45,10 +48,20 @@ const wsetMapThreshold = 12
 // writeSet buffers a transaction's writes (lazy versioning) together with
 // their bloom signature. The slice preserves program order so write-back is
 // deterministic; idx accelerates read-after-write lookups for large sets.
+//
+// spares are the entries of this transaction's last conflict-aborted attempt
+// that wrote anything (reset): cells never published, which spare hands back
+// to the retry's stores, each once.
+//
+// Every Thread's write set is allocated at Register, so two clients' headers
+// tend to sit side by side on the heap, and each Store writes its own; the
+// trailing line of padding keeps one header off the other's cache line.
 type writeSet struct {
 	entries []writeEntry
 	idx     map[*Var]int
 	bf      *bloom.Filter
+	spares  []writeEntry
+	_       [padded.CacheLineSize]byte
 }
 
 func newWriteSet(p bloom.Params) *writeSet {
@@ -97,7 +110,18 @@ func (ws *writeSet) put(v *Var, b *Box) {
 	}
 }
 
-func (ws *writeSet) reset() {
+// reset empties the write set for a new attempt. keep says the previous
+// attempt was this transaction's and conflict-aborted: every engine refuses a
+// commit before its write-back, and a mailbox reply is final, so none of its
+// cells was published or is still read by a server, and its entries become the
+// spares (an attempt that wrote nothing leaves the older spares in place).
+// Without keep — a new transaction, whose write set may hold published cells —
+// the spares go too; that costs one length test.
+func (ws *writeSet) reset(keep bool) {
+	if !keep && len(ws.spares) != 0 {
+		clear(ws.spares)
+		ws.spares = ws.spares[:0]
+	}
 	if len(ws.entries) == 0 {
 		// Nothing written since the last reset, so no index and (put alone
 		// sets its bits) an empty filter: a read-only begin clears nothing.
@@ -105,10 +129,37 @@ func (ws *writeSet) reset() {
 	}
 	// As in readSet.reset: drop the pointers, not just the length, so
 	// committed cells and dead Vars can be collected between transactions.
-	clear(ws.entries)
-	ws.entries = ws.entries[:0]
+	if keep {
+		clear(ws.spares)
+		ws.entries, ws.spares = ws.spares[:0], ws.entries
+	} else {
+		clear(ws.entries)
+		ws.entries = ws.entries[:0]
+	}
 	ws.idx = nil
 	ws.bf.Clear()
+}
+
+// spare hands out v's spare cell, once, or nil; Tx.SpareBox calls it only
+// when there are spares. It scans them, as lookup scans a small write set, and
+// above wsetMapThreshold spares it does not look: the retry allocates, as its
+// first attempt did. It stays out of line, so that SpareBox's length test
+// inlines into every Store.
+//
+//stm:hotpath
+//go:noinline
+func (ws *writeSet) spare(v *Var) *Box {
+	if len(ws.spares) > wsetMapThreshold {
+		return nil
+	}
+	for i := range ws.spares {
+		if ws.spares[i].v == v {
+			b := ws.spares[i].b
+			ws.spares[i] = writeEntry{}
+			return b
+		}
+	}
+	return nil
 }
 
 func (ws *writeSet) len() int { return len(ws.entries) }

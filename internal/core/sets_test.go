@@ -41,7 +41,7 @@ func TestWriteSetLinearThenMapPath(t *testing.T) {
 		t.Fatal("lookup found absent var")
 	}
 	// Reset clears everything including the map and the filter.
-	ws.reset()
+	ws.reset(false)
 	if ws.len() != 0 || ws.idx != nil || !ws.bf.Empty() {
 		t.Fatal("reset incomplete")
 	}

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// Tests for solo attempts (System.attemptKind, DESIGN.md §3): where the engine drives
-// a lone client's commit itself and at most one Thread is registered, an
+// Tests for solo attempts (System.attemptKind, DESIGN.md §3): where the
+// engine's clients commit themselves and at most one Thread is registered, an
 // attempt publishes no read signature and no liveness; every read re-checks
 // its stream's timestamp against the begin snapshot, and the commit validates
 // the snapshot under its streams' locks (InvalSTM: one CAS from it). A Thread
@@ -48,14 +48,15 @@ func (k attemptKind) String() string {
 }
 
 // TestAttemptKindRule: the one rule for an attempt's kind, over all seven
-// engines. Mutex's attempts are direct, NOrec's and TL2's validated. An
-// invalidation-engine attempt is solo exactly where the engine drives a lone
-// client's commit itself — InvalSTM always, RInval below four Ps — and at most
+// engines. Mutex's attempts are direct, NOrec's invisible, TL2's validated. An
+// invalidation-engine attempt is solo exactly where the engine's clients
+// commit themselves — InvalSTM always, RInval below four Ps — and at most
 // one Thread is registered, whatever the previous attempt; the rule follows
-// registrations both ways, and a begun attempt carries it. A shared InvalSTM
+// registrations both ways, and a begun attempt carries it. There a shared
 // attempt is invisible, unless it retries a validation abort: then it is
-// visible. A shared RInval attempt is always visible. An AtomicallyRO attempt
-// with Versions is a snapshot one on every engine that has versions.
+// visible. A shared RInval attempt at four Ps is always visible. An
+// AtomicallyRO attempt with Versions is a snapshot one on every engine that
+// has versions.
 func TestAttemptKindRule(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
@@ -73,21 +74,20 @@ func TestAttemptKindRule(t *testing.T) {
 				switch algo {
 				case Mutex:
 					return kindDirect
-				case NOrec, TL2:
-					return kindValidated
-				case InvalSTM:
-					if threads < 2 {
-						return kindSolo
-					}
-					if retry {
-						return kindVisible
-					}
+				case NOrec:
 					return kindInvisible
+				case TL2:
+					return kindValidated
 				}
-				if procs < 4 && threads < 2 {
+				switch {
+				case algo != InvalSTM && procs >= 4:
+					return kindVisible
+				case threads < 2:
 					return kindSolo
+				case retry:
+					return kindVisible
 				}
-				return kindVisible
+				return kindInvisible
 			}
 			check := func(threads int, th *Thread) {
 				t.Helper()
@@ -117,11 +117,11 @@ func TestAttemptKindRule(t *testing.T) {
 			th2 := s.MustRegister()
 			check(2, th1)
 			check(2, th2)
-			if algo == InvalSTM {
+			if algo != NOrec && want(2, false) == kindInvisible {
 				if err := th1.AtomicallyRO(func(tx *Tx) error {
 					failFirstAttempt(t, tx, th2)
 					if tx.kind != kindVisible {
-						t.Errorf("GOMAXPROCS %d: retry of a validation abort is %v, want a visible attempt", procs, tx.kind)
+						t.Errorf("%s at GOMAXPROCS %d: retry of a validation abort is %v, want a visible attempt", algo, procs, tx.kind)
 					}
 					return nil
 				}); err != nil {
@@ -256,20 +256,24 @@ func TestSoloAbortsOnMidAttemptCommit(t *testing.T) {
 }
 
 // TestSoloCommitDoomsMidAttemptReader: a Thread that registers inside a solo
-// attempt runs shared and reads a Var the solo attempt then writes. Under
-// RInval the reader is visible — eager, doomable — and the solo commit's scan
-// over the other slots dooms it: its next operation aborts with
-// AbortInvalidated. Under InvalSTM it is invisible, and the same operation
-// fails validation instead; it cannot be made visible, since that takes a
-// validation abort, and so a commit the solo attempt would see. Either way the
-// retry reads the new value.
+// attempt runs shared and reads a Var the solo attempt then writes. The reader
+// is invisible, so the solo commit cannot doom it: its next read on the
+// written stream fails validation instead. It cannot be made visible, since
+// that takes a validation abort, and so a commit the solo attempt would see.
+// The retry reads the new value. (An invisible commit's doom of a visible
+// reader: TestInvisibleCommitDoomsVisibleReader.)
 func TestSoloCommitDoomsMidAttemptReader(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, c := range soloConfigs() {
 		t.Run(c.String(), func(t *testing.T) {
 			s := c.new(t)
 			th := s.MustRegister()
+			// u shares v's stream: a read on a stream the commit left alone
+			// would still find the reader's snapshot current.
 			v, u := NewVar(0), NewVar(0)
+			for s.VarShard(u) != s.VarShard(v) {
+				u = NewVar(0)
+			}
 			read, committed, done := make(chan struct{}), make(chan struct{}), make(chan []int)
 			var other *Thread
 			if err := th.Atomically(func(tx *Tx) error {
@@ -283,8 +287,8 @@ func TestSoloCommitDoomsMidAttemptReader(t *testing.T) {
 					if err := other.AtomicallyRO(func(tx *Tx) error {
 						seen = append(seen, tx.Load(v).(int))
 						if tx.Attempt() == 1 {
-							if tx.kind == kindSolo {
-								t.Error("an attempt begun with two Threads registered is solo")
+							if tx.kind != kindInvisible {
+								t.Errorf("an attempt begun with two Threads registered is %v, want invisible", tx.kind)
 							}
 							close(read)
 							<-committed
@@ -305,12 +309,8 @@ func TestSoloCommitDoomsMidAttemptReader(t *testing.T) {
 			if seen := <-done; fmt.Sprint(seen) != "[0 1]" {
 				t.Fatalf("shared reader saw %v, want [0 1]", seen)
 			}
-			reason := AbortInvalidated
-			if c.algo == InvalSTM {
-				reason = AbortValidation
-			}
-			if st := other.Stats(); st.Aborts != 1 || st.AbortReasons[reason] != 1 {
-				t.Fatalf("shared reader Aborts = %d, %v = %d, want 1 and 1", st.Aborts, reason, st.AbortReasons[reason])
+			if st := other.Stats(); st.Aborts != 1 || st.AbortReasons[AbortValidation] != 1 {
+				t.Fatalf("shared reader Aborts = %d, validation aborts = %d, want 1 and 1", st.Aborts, st.AbortReasons[AbortValidation])
 			}
 			if st := th.Stats(); st.Aborts != 0 {
 				t.Fatalf("solo writer aborted %d times", st.Aborts)

@@ -70,9 +70,10 @@ type Stats struct {
 	// HelpedEpochs counts the epochs a client drove itself and that
 	// committed at least one request (DESIGN.md §16): either its busy-wait
 	// budget ran out with no reply and the home stream's lock was free, or
-	// the engine gave it the commit (a lone client on shared Ps) and it
-	// committed its own write set under the stream lock without publishing a
-	// request.
+	// the engine gave it the commit — a solo or invisible attempt on shared
+	// Ps, that is every attempt there but the visible retry of a validation
+	// abort — and it committed its own write set under its streams' locks
+	// without publishing a request.
 	// Recorded on the client's own Stats; those epochs are also in the
 	// stream's Epochs, so HelpedEpochs <= Epochs and the ratio is the share
 	// of epochs the commit-server did not get to first.

@@ -24,8 +24,8 @@ type engine interface {
 	// Mutex's lock acquisition), after the attempt's kind is chosen.
 	begin(tx *Tx)
 	// read returns the current consistent version of v, or ok=false if the
-	// transaction must abort. Tx.LoadBox never calls it for a direct or solo
-	// attempt.
+	// transaction must abort. Tx.LoadBox never calls it for a direct, solo or
+	// invisible attempt.
 	read(tx *Tx, v *Var) (b *Box, ok bool)
 	// commit attempts to commit tx; false means a conflict abort (the
 	// engine sets tx.reason before failing). Read-only fast paths are the
@@ -182,14 +182,13 @@ type System struct {
 	rinval *remoteEngine
 
 	// The inputs of attemptKind, fixed at construction. baseKind is the
-	// engine's kind: validated (NOrec, TL2), direct (Mutex) or visible (the
-	// invalidation engines). loneCommit is true where the engine drives a
-	// lone client's commit itself: always for InvalSTM, and for RInval where
-	// its servers share the clients' Ps (coolServers). invisibleFirst is true
-	// for InvalSTM alone.
-	baseKind       attemptKind
-	loneCommit     bool
-	invisibleFirst bool
+	// engine's kind: validated (TL2), invisible (NOrec), direct (Mutex) or
+	// visible (the invalidation engines). clientsCommit is true where an invalidation
+	// engine's clients commit their solo and invisible attempts themselves:
+	// always for InvalSTM, and for RInval where its servers share the
+	// clients' Ps (coolServers).
+	baseKind      attemptKind
+	clientsCommit bool
 
 	// logReads makes every attempt keep its read log (Tx.logs; an invisible
 	// attempt keeps it regardless). Set in newSystem.
@@ -322,20 +321,19 @@ func newSystem(cfg Config) (*System, error) {
 	case Mutex:
 		s.eng, s.baseKind = &mutexEngine{sys: s}, kindDirect
 	case NOrec:
-		s.eng = &norecEngine{sys: s}
+		s.eng, s.baseKind = &norecEngine{sys: s}, kindInvisible
 	case TL2:
 		s.eng = &tl2Engine{sys: s}
 	case InvalSTM:
-		s.eng, s.baseKind = &invalEngine{sys: s, norec: norecEngine{sys: s}}, kindVisible
-		s.loneCommit, s.invisibleFirst = true, true
+		s.eng, s.baseKind, s.clientsCommit = &invalEngine{sys: s}, kindVisible, true
 	case RInvalV1, RInvalV2, RInvalV3:
 		s.rinval = newRemoteEngine(s)
-		s.eng, s.baseKind, s.loneCommit = s.rinval, kindVisible, cool
+		s.eng, s.baseKind, s.clientsCommit = s.rinval, kindVisible, cool
 	}
-	// A validated attempt revalidates from the log; the invalidation engines
-	// keep it under Stats, and Attribution forces it on: the sampled exact-set
-	// check that classifies bloom false positives replays it on the victim's
-	// abort path.
+	// A validated attempt revalidates from the log (an invisible one keeps it
+	// regardless, Tx.logs); the invalidation engines keep it under Stats, and
+	// Attribution forces it on: the sampled exact-set check that classifies
+	// bloom false positives replays it on the victim's abort path.
 	s.logReads = s.baseKind == kindValidated || cfg.Stats || cfg.Attribution
 	return s, nil
 }
@@ -440,8 +438,12 @@ func (s *System) Register() (*Thread, error) {
 	if s.tracer != nil {
 		th.tx.ring = s.tracer.Ring(idx)
 	}
-	if s.nVers > 0 || s.loneCommit {
-		th.tx.snap = make([]uint64, s.cfg.Shards)
+	if s.nVers > 0 || s.clientsCommit || s.baseKind == kindInvisible {
+		// Whole cache lines: an invisible attempt writes its snapshot at
+		// begin and on every extension, while another Thread's, allocated
+		// next to it, is read on each of that Thread's loads.
+		const perLine = padded.CacheLineSize / 8
+		th.tx.snap = make([]uint64, s.cfg.Shards, (s.cfg.Shards+perLine-1)/perLine*perLine)
 	}
 	th.tx.lat = s.lat.Client(idx) // nil cell when Latency is off
 	if s.attr != nil {

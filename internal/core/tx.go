@@ -80,6 +80,9 @@ func (th *Thread) AtomicallyRO(fn func(*Tx) error) error {
 			return err
 		}
 		// Lapped (or capture never stabilized): one shot on the regular path.
+		// Its begin counts a retry, but the write set still holds the previous
+		// transaction's published cells, which must not become spares.
+		tx.ws.reset(false)
 	}
 	return tx.retryLoop(fn)
 }
@@ -244,15 +247,17 @@ func (tx *Tx) runRO(fn func(*Tx) error) (err error, fellBack bool) {
 type attemptKind uint8
 
 const (
-	kindValidated attemptKind = iota // NOrec, TL2: validated from the read log
+	kindValidated attemptKind = iota // TL2: validated from the read log
 	kindDirect                       // Mutex: Vars loaded and stored under the lock
 	// kindSolo: an invalidation engine's lone client. Every read re-checks its
 	// stream's timestamp against snap (soloRead) and the slot publishes
 	// nothing — no read signature, no active bit, no ALIVE word — so no
 	// committer can doom it.
 	kindSolo
-	// kindInvisible: a shared InvalSTM attempt that publishes nothing either
-	// and validates as NOrec does, against start and the read log.
+	// kindInvisible: NOrec's attempt, and an invalidation engine's shared one,
+	// which publishes nothing either. Each read re-checks its stream's
+	// timestamp against snap, and a moved one re-validates the read log at a
+	// fresh cut (invisibleRead, Tx.extend).
 	kindInvisible
 	// kindVisible: the paper's protocol. The slot publishes all three, and a
 	// committer can doom the attempt.
@@ -262,32 +267,35 @@ const (
 
 // attemptKind is the one rule for an attempt's kind; Tx.begin applies it once
 // per attempt, and retry reports that the previous attempt failed validation.
-// NOrec, TL2 and Mutex have one kind each. An invalidation-engine attempt is
-// solo where the engine drives a lone client's commit itself and at most one
-// Thread is registered (its snapshot is captured into tx.snap here). No
-// committer but the client itself can then doom it, so invalidation would
-// only be overhead; a Thread that registers mid-attempt commits through the
+// NOrec, TL2 and Mutex have one kind each (NOrec's is invisible, its snapshot
+// taken by the engine's begin). Where an invalidation engine's clients commit
+// themselves — InvalSTM always, RInval where its servers share the clients' Ps
+// (coolServers) — an attempt captures its snapshot into tx.snap here and is
+// solo while at most one Thread is registered: no
+// committer but the client itself can then doom it, so invalidation would only
+// be overhead; a Thread that registers mid-attempt commits through the
 // timestamps the attempt re-checks, and a solo commit still scans the other
-// slots for it. Streams that never stay still long enough for a consistent
-// cut make the attempt shared instead.
+// slots for it. With two or more Threads the attempt is invisible unless it
+// retries a validation abort; the retry is visible, as in the paper's
+// protocol. Streams that never stay still long enough for a consistent cut
+// make the attempt visible instead. RInval with servers of their own runs the
+// paper's protocol on every attempt.
 //
-// A shared InvalSTM attempt is invisible unless it retries a validation
-// abort; the retry is visible, as in the paper's protocol. On a two-client
-// pair-transfer map (container/ds's BenchmarkMapContendedPairs) about 90 % of
-// attempts committed undoomed when every attempt was visible, and with this
-// rule about 9.5 % run visible. Making the retries invisible too ran about
-// 12 % faster there; the visible retry stays as the one place InvalSTM runs
-// the paper's invalidation with several Threads (EXPERIMENTS.md, "invisible
-// first"). RInval's shared attempts are always visible.
+// On a two-client pair-transfer map (container/ds's
+// BenchmarkMapContendedPairs) about 90 % of attempts committed undoomed when
+// every attempt was visible, and with this rule about a tenth run visible.
+// Making the retries invisible too ran about 12 % faster for InvalSTM there;
+// the visible retry stays as the one place these engines run the paper's
+// invalidation with several Threads (EXPERIMENTS.md, "invisible first").
 //
 //stm:hotpath
 func (s *System) attemptKind(tx *Tx, retry bool) attemptKind {
 	switch {
-	case s.baseKind != kindVisible:
+	case s.baseKind != kindVisible || !s.clientsCommit:
 		return s.baseKind
-	case s.loneCommit && s.nLive.Load() < 2 && s.captureSnapshot(tx.snap):
+	case s.nLive.Load() < 2 && s.captureSnapshot(tx.snap):
 		return kindSolo
-	case s.invisibleFirst && !retry:
+	case !retry && s.captureSnapshot(tx.snap):
 		return kindInvisible
 	}
 	return kindVisible
@@ -302,13 +310,13 @@ type Tx struct {
 
 	rs    readSet
 	ws    *writeSet
-	start uint64 // NOrec and an invisible InvalSTM attempt: timestamp snapshot
+	start uint64 // TL2: timestamp snapshot
 
 	attempts int
 	stats    *Stats
 	kind     attemptKind
 	// logs makes Tx.LoadBox append every read to rs: System.logReads, or an
-	// invisible attempt, which revalidates from the log.
+	// invisible attempt, which re-validates from the log.
 	logs bool
 
 	// reads and writes count the current attempt's Load and Store calls.
@@ -317,9 +325,10 @@ type Tx struct {
 	reads, writes uint64
 
 	// roUser marks the whole AtomicallyRO call (snapshot path and fallback
-	// alike): Store panics while it is set. snap is a snapshot or solo
-	// attempt's per-shard epoch vector, allocated once at Register when
-	// Versions > 0 or the engine can run solo attempts.
+	// alike): Store panics while it is set. snap is a snapshot, solo or
+	// invisible attempt's per-shard epoch vector, allocated once at Register
+	// when Versions > 0, for NOrec, or where the engine's clients commit
+	// themselves.
 	roUser bool
 	snap   []uint64
 
@@ -376,11 +385,14 @@ func (tx *Tx) System() *System { return tx.sys }
 // engine's begin hook.
 func (tx *Tx) begin() {
 	tx.attempts++
-	// Read before the reset below: the previous attempt of this transaction
-	// failed validation.
-	retry := tx.attempts > 1 && tx.reason == AbortValidation
+	// A second or later attempt follows a conflict abort of this transaction
+	// (AtomicallyRO's fallback empties the write set first): its write set's
+	// cells were never published and become the spares Store reuses. Read
+	// before the reset below: that attempt failed validation.
+	retry := tx.attempts > 1
+	validation := retry && tx.reason == AbortValidation
 	tx.rs.reset()
-	tx.ws.reset()
+	tx.ws.reset(retry)
 	tx.readShards = 0
 	tx.reason = AbortInvalidated // engines overwrite at their abort sites
 	tx.traceT0 = tx.ring.Now()
@@ -390,7 +402,7 @@ func (tx *Tx) begin() {
 		tx.conflictVar = 0
 		tx.attrT0 = obs.Now()
 	}
-	tx.kind = tx.sys.attemptKind(tx, retry)
+	tx.kind = tx.sys.attemptKind(tx, validation)
 	tx.logs = tx.sys.logReads || tx.kind == kindInvisible
 	if tx.kind == kindVisible {
 		tx.activateSlot()
@@ -465,6 +477,8 @@ func (tx *Tx) LoadBox(v *Var) *Box {
 		return v.loadBox()
 	case kindSolo:
 		b, ok = soloRead(tx, v) // the invalidation engines' solo read, undispatched
+	case kindInvisible:
+		b, ok = invisibleRead(tx, v) // and their invisible one
 	default:
 		b, ok = tx.sys.eng.read(tx, v)
 	}
@@ -492,11 +506,33 @@ func (tx *Tx) loadSnapshot(v *Var) *Box {
 	return b
 }
 
-// Store is StoreBox through the any API.
-func (tx *Tx) Store(v *Var, val any) { tx.StoreBox(v, newAnyCell(val)) }
+// Store is StoreBox through the any API, in a spare cell when there is one.
+func (tx *Tx) Store(v *Var, val any) {
+	b := tx.SpareBox(v)
+	if b == nil {
+		b = newAnyCell(val)
+	} else {
+		anyOf(b).v = val
+	}
+	tx.StoreBox(v, b)
+}
+
+// SpareBox returns a cell that an aborted attempt of this transaction buffered
+// for v and never published, or nil. The caller overwrites its value and
+// passes it to StoreBox; each spare is handed out once. The first attempt of a
+// transaction has none and pays one length test, inlined into the caller.
+//
+//stm:hotpath
+func (tx *Tx) SpareBox(v *Var) *Box {
+	if len(tx.ws.spares) == 0 {
+		return nil
+	}
+	return tx.ws.spare(v)
+}
 
 // StoreBox buffers b as v's next version; it becomes visible atomically at
-// commit. b must be a fresh cell of v's cell type that the caller gives up.
+// commit. b must be a cell of v's cell type that the caller gives up: a fresh
+// one, or a spare from SpareBox.
 //
 //stm:hotpath
 func (tx *Tx) StoreBox(v *Var, b *Box) {

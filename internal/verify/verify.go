@@ -52,7 +52,7 @@ func Engine(algo stm.Algo, o Options) (Report, error) {
 	if err := checkOpacity(algo, o, &rep); err != nil {
 		return rep, fmt.Errorf("opacity: %w", err)
 	}
-	if err := checkConservation(algo, o, &rep); err != nil {
+	if err := checkConservation(algo, 1, o, &rep); err != nil {
 		return rep, fmt.Errorf("conservation: %w", err)
 	}
 	if err := checkTree(algo, o, &rep); err != nil {
@@ -64,20 +64,35 @@ func Engine(algo stm.Algo, o Options) (Report, error) {
 	return rep, nil
 }
 
-func newSystem(algo stm.Algo, o Options) (*stm.System, error) {
+func newSystem(algo stm.Algo, shards int, o Options) (*stm.System, error) {
 	return stm.New(stm.Config{
 		Algo:         algo,
 		MaxThreads:   o.Threads + 1,
-		InvalServers: min(4, o.Threads+1),
+		Shards:       shards,
+		InvalServers: shards * max(1, min(4, o.Threads+1)/shards), // a multiple of Shards
 		Seed:         o.Seed,
 	})
+}
+
+// invisibleFirst reports whether a System of algo built now runs a shared
+// attempt invisible first and visible on the retry of a validation abort:
+// InvalSTM always, RInval where its servers share the clients' Ps (fewer than
+// four).
+func invisibleFirst(algo stm.Algo) bool {
+	switch algo {
+	case stm.InvalSTM:
+		return true
+	case stm.RInvalV1, stm.RInvalV2, stm.RInvalV3:
+		return runtime.GOMAXPROCS(0) < 4
+	}
+	return false
 }
 
 // checkOpacity: writers keep an array of vars all-equal; readers assert
 // equality inside the body. Any observed mix of old and new values is an
 // opacity violation.
 func checkOpacity(algo stm.Algo, o Options, rep *Report) error {
-	sys, err := newSystem(algo, o)
+	sys, err := newSystem(algo, 1, o)
 	if err != nil {
 		return err
 	}
@@ -146,18 +161,21 @@ func checkOpacity(algo stm.Algo, o Options, rep *Report) error {
 	return nil
 }
 
-// bothAbortsCap bounds checkConservation's InvalSTM run, in Durations: it goes
-// on past Duration until both abort kinds occurred, and fails past the cap.
+// bothAbortsCap bounds checkConservation's run of an engine whose attempts
+// run invisible first, in Durations: it goes on past Duration until both abort
+// kinds occurred, and fails past the cap.
 const bothAbortsCap = 40
 
-// checkConservation: random transfers between accounts; auditors sum all
-// accounts transactionally and at the end quiescently. Both bodies yield
-// mid-attempt, so attempts overlap even on one P. For InvalSTM, whose
-// attempts read invisibly first and visibly on the retry of a validation
-// abort, both validation and invalidation aborts must occur within
-// bothAbortsCap Durations: the proof that both kinds of attempt ran.
-func checkConservation(algo stm.Algo, o Options, rep *Report) error {
-	sys, err := newSystem(algo, o)
+// checkConservation: random transfers between accounts, over shards commit
+// streams; auditors sum all accounts transactionally and at the end
+// quiescently. Both bodies yield mid-attempt, so attempts overlap even on one
+// P. Where attempts read invisibly first and visibly on the retry of a
+// validation abort (invisibleFirst), both validation and invalidation aborts
+// must occur within bothAbortsCap Durations: the proof that both kinds of
+// attempt ran.
+func checkConservation(algo stm.Algo, shards int, o Options, rep *Report) error {
+	both := invisibleFirst(algo)
+	sys, err := newSystem(algo, shards, o)
 	if err != nil {
 		return err
 	}
@@ -216,9 +234,10 @@ func checkConservation(algo stm.Algo, o Options, rep *Report) error {
 	}()
 	deadline := time.Now().Add(bothAbortsCap * o.Duration)
 	time.Sleep(o.Duration)
-	// Under a loaded host one Duration may hold only one abort kind: InvalSTM
-	// runs on until both occurred, up to the cap, and is then checked as always.
-	for algo == stm.InvalSTM && time.Now().Before(deadline) {
+	// Under a loaded host one Duration may hold only one abort kind: such an
+	// engine runs on until both occurred, up to the cap, and is then checked
+	// as always.
+	for both && time.Now().Before(deadline) {
 		if st := sys.Stats(); st.AbortReasons[stm.AbortValidation] != 0 && st.AbortReasons[stm.AbortInvalidated] != 0 {
 			break
 		}
@@ -240,7 +259,7 @@ func checkConservation(algo stm.Algo, o Options, rep *Report) error {
 	if total != accounts*initial {
 		return fmt.Errorf("final total %d != %d", total, accounts*initial)
 	}
-	if algo == stm.InvalSTM {
+	if both {
 		if v, i := st.AbortReasons[stm.AbortValidation], st.AbortReasons[stm.AbortInvalidated]; v == 0 || i == 0 {
 			return fmt.Errorf("validation aborts %d, invalidation aborts %d: want both, one per attempt kind", v, i)
 		}
@@ -250,7 +269,7 @@ func checkConservation(algo stm.Algo, o Options, rep *Report) error {
 
 // checkTree: mixed insert/delete/lookup traffic, then full invariant check.
 func checkTree(algo stm.Algo, o Options, rep *Report) error {
-	sys, err := newSystem(algo, o)
+	sys, err := newSystem(algo, 1, o)
 	if err != nil {
 		return err
 	}
@@ -296,7 +315,8 @@ func checkTree(algo stm.Algo, o Options, rep *Report) error {
 // short-lived Threads register, run a few conflicting transfers and close, so
 // Threads come and go in the middle of the long-lived client's attempts and
 // those attempts flip between solo (at most one Thread registered, where the
-// engine drives a lone client's commit itself) and shared. Every audit body
+// engine's clients commit themselves) and shared — invisible, or visible on
+// the retry of a validation abort. Every audit body
 // checks the total it read — a torn read shows as a wrong sum even in an
 // attempt that later aborts — and the final total is checked quiescently. It
 // runs at every shard count the engine supports: 1, and 2 for RInval.

@@ -61,16 +61,25 @@ func TestChurnSoloShared(t *testing.T) {
 	}
 }
 
-// TestInvisibleThenVisibleRegimes runs the conservation check on InvalSTM
-// with one transfer client and one auditor: the total is conserved, and both
-// validation aborts (invisible attempts) and invalidation aborts (their
-// visible retries) occur.
+// TestInvisibleThenVisibleRegimes runs the conservation check with one
+// transfer client and one auditor at GOMAXPROCS 2, on InvalSTM and on
+// RInval-V1/V2 at Shards 1 and 2, whose clients commit themselves there: the
+// total is conserved, and both validation aborts (invisible attempts) and
+// invalidation aborts (their visible retries) occur.
 func TestInvisibleThenVisibleRegimes(t *testing.T) {
-	var rep Report
-	if err := checkConservation(stm.InvalSTM, Options{Threads: 2, Duration: 50 * time.Millisecond, Seed: 1}, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Commits == 0 || rep.Aborts == 0 {
-		t.Fatalf("no evidence gathered: %+v", rep)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, c := range []struct {
+		algo   stm.Algo
+		shards int
+	}{{stm.InvalSTM, 1}, {stm.RInvalV1, 1}, {stm.RInvalV1, 2}, {stm.RInvalV2, 1}, {stm.RInvalV2, 2}} {
+		t.Run(fmt.Sprintf("%s/shards=%d", c.algo, c.shards), func(t *testing.T) {
+			var rep Report
+			if err := checkConservation(c.algo, c.shards, Options{Threads: 2, Duration: 50 * time.Millisecond, Seed: 1}, &rep); err != nil {
+				t.Fatal(err)
+			}
+			if rep.Commits == 0 || rep.Aborts == 0 {
+				t.Fatalf("no evidence gathered: %+v", rep)
+			}
+		})
 	}
 }

@@ -137,8 +137,11 @@ func TestSnapshotReadsTheCellOfItsEpoch(t *testing.T) {
 
 // TestTxAllocations pins what a transaction allocates through the public API,
 // per engine: the Tx wrapper, and one cell per Store — also when the Store
-// overwrites a Var the transaction already wrote. TL2's commit additionally
-// sorts its write set into lock order (a slice, and sort.Slice's two).
+// overwrites a Var the transaction already wrote — except that a retry stores
+// into the cells of the attempt a conflict aborted: a transfer aborted once
+// costs what one that commits at once does, on every engine that can conflict.
+// TL2's commit additionally sorts its write set into lock order (a slice, and
+// sort.Slice's two).
 func TestTxAllocations(t *testing.T) {
 	for _, algo := range Algos {
 		t.Run(algo.String(), func(t *testing.T) {
@@ -182,6 +185,94 @@ func TestTxAllocations(t *testing.T) {
 			}
 			if got := perTx(overwrite); got != 4+commit {
 				t.Errorf("2-load 2-store tx with one overwrite allocates %v, want %v", got, 4+commit)
+			}
+			if algo == Mutex {
+				return // its attempts never conflict
+			}
+			other := s.MustRegister()
+			defer other.Close()
+			c := NewVar(0)
+			bump := func() {
+				if err := other.Atomically(func(tx *Tx) error {
+					c.Store(tx, c.Load(tx)+1)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			abortedOnce := func(tx *Tx) error {
+				if err := transfer(tx); err != nil {
+					return err
+				}
+				if tx.Attempt() == 1 {
+					c.Load(tx)
+					bump()
+					c.Load(tx) // a conflict: the attempt aborts here
+					t.Error("a read of a Var overwritten since the attempt read it returned")
+				}
+				return nil
+			}
+			bumps := testing.AllocsPerRun(200, bump)
+			if got := perTx(abortedOnce) - bumps; got != 3+commit {
+				t.Errorf("2-load 2-store tx aborted once allocates %v besides the conflicting commit's %v, want %v",
+					got, bumps, 3+commit)
+			}
+		})
+	}
+}
+
+// TestRetryReusesAbortedCells: a typed retry stores into the cells its
+// conflict-aborted attempt buffered (see TestTxAllocations for the count), and
+// the values it publishes are the retry's. A committed cell is never handed
+// out again: after a later call that aborts once and then aborts itself, the
+// committed Vars keep their cells and values.
+func TestRetryReusesAbortedCells(t *testing.T) {
+	for _, algo := range Algos {
+		if algo == Mutex {
+			continue // its attempts never conflict
+		}
+		t.Run(algo.String(), func(t *testing.T) {
+			s := MustNew(Config{Algo: algo, MaxThreads: 2, InvalServers: 1})
+			defer s.Close()
+			th, other := s.MustRegister(), s.MustRegister()
+			defer th.Close()
+			defer other.Close()
+			a, b, c := NewVar("a0"), NewVar(cellTriple{}), NewVar(0)
+			abortedOnce := func(end error) error {
+				return th.Atomically(func(tx *Tx) error {
+					n := uint64(tx.Attempt())
+					a.Store(tx, fmt.Sprintf("a%d", n))
+					b.Store(tx, cellTriple{n, n, n})
+					if n == 1 {
+						c.Load(tx)
+						if err := other.Atomically(func(tx *Tx) error {
+							c.Store(tx, c.Load(tx)+1)
+							return nil
+						}); err != nil {
+							t.Fatal(err)
+						}
+						c.Load(tx)
+						t.Error("a read of a Var overwritten since the attempt read it returned")
+					}
+					if a.Load(tx) != fmt.Sprintf("a%d", n) || b.Load(tx) != (cellTriple{n, n, n}) {
+						t.Errorf("attempt %d reads back %q %v", n, a.Load(tx), b.Load(tx))
+					}
+					return end
+				})
+			}
+			if err := abortedOnce(nil); err != nil {
+				t.Fatal(err)
+			}
+			if a.Peek() != "a2" || b.Peek() != (cellTriple{2, 2, 2}) {
+				t.Fatalf("published %q %v, want the retry's a2 {2 2 2}", a.Peek(), b.Peek())
+			}
+			ca, cb := a.v.PeekBox(), b.v.PeekBox()
+			userAbort := errors.New("user abort")
+			if err := abortedOnce(userAbort); err != userAbort {
+				t.Fatalf("err = %v, want the user abort", err)
+			}
+			if a.v.PeekBox() != ca || b.v.PeekBox() != cb || a.Peek() != "a2" || b.Peek() != (cellTriple{2, 2, 2}) {
+				t.Fatalf("after a later call's aborted retry: %q %v, want the committed cells with a2 {2 2 2}", a.Peek(), b.Peek())
 			}
 		})
 	}

@@ -357,9 +357,15 @@ func (v *Var[T]) Load(tx *Tx) T {
 	return cellOf[T](tx.inner.LoadBox(v.v)).val
 }
 
-// Store buffers a write (one allocation, the cell); it becomes visible
-// atomically when tx commits.
+// Store buffers a write; it becomes visible atomically when tx commits. It
+// costs one allocation, the cell, unless an aborted attempt of the same
+// transaction stored to v: its cell was never published and is reused.
 func (v *Var[T]) Store(tx *Tx, val T) {
+	if b := tx.inner.SpareBox(v.v); b != nil {
+		cellOf[T](b).val = val
+		tx.inner.StoreBox(v.v, b)
+		return
+	}
 	tx.inner.StoreBox(v.v, newCell(val))
 }
 
