@@ -44,22 +44,25 @@ test:
 ## whatever the runner's core count: GOMAXPROCS=4, the leg that covers
 ## partitions (V2/V3 keep InvalServers/Shards per stream and start their
 ## invalidation-servers; the -run set adds the group-commit, flight-stall,
-## trace and server-phase tests that drive them), and GOMAXPROCS=2, where the
-## servers share the Ps (coolServers), a lone client's attempts are solo kind
-## (validated by timestamps, committed without a request) and every RInval
-## variant runs V1's inline scan (no partitions). Tests that need partitions
-## build their System at four Ps (atFourPs), so they also run at
-## GOMAXPROCS=2 with that layout. internal/verify's churn check
+## trace and server-phase tests that drive them), and GOMAXPROCS=2, where no
+## server goroutine runs (coolServers): every RInval commit is InvalSTM's
+## inline commit, each touched stream's timestamp its lock, and a lone
+## client's attempts are solo kind (validated by timestamps). The inline-commit
+## tests (Inline: no goroutine started, a visible retry that never touches its
+## mailbox, a cross-shard write skew over every attempt kind) run in both
+## sets. Tests that need servers or partitions build their System at four Ps
+## (atFourPs), so they also run at GOMAXPROCS=2 with that layout.
+## internal/verify's churn check
 ## flips a client between solo, invisible and visible attempts, and its
 ## conservation check on InvalSTM and RInval-V1/V2 at GOMAXPROCS 2
 ## (TestInvisibleThenVisibleRegimes) runs invisible attempts and their visible
 ## retries side by side. The spare-cell tests (TestRetryReusesAbortedCells,
 ## internal/core and stm) race a retry's reuse of its aborted attempt's cells
 ## against the servers that answered that attempt.
-RACE_LAYOUT_RUN = 'Help|CrossShard|Partition|Liveness|Mailbox|Opacity|Differential|Epoch|Solo|Kind|Churn|Invisible|RetryReuses|GroupCommit|FlightPartition|TraceLifecycle|ServerPhase'
+RACE_LAYOUT_RUN = 'Help|CrossShard|Partition|Liveness|Mailbox|Opacity|Differential|Epoch|Solo|Kind|Churn|Invisible|RetryReuses|Inline|GroupCommit|FlightPartition|TraceLifecycle|ServerPhase'
 race:
 	$(GO) test -race -count=1 ./internal/core/ ./stm/ ./internal/obs/ ./internal/bloom/ ./internal/padded/ ./internal/analysis/
-	$(GO) test -race -count=10 -run 'Help|CrossShard|Partition|LivenessOneP|Mailbox|Solo|Kind|Churn|Invisible|RetryReuses' ./internal/core/ ./internal/verify/ ./stm/
+	$(GO) test -race -count=10 -run 'Help|CrossShard|Partition|LivenessOneP|Mailbox|Solo|Kind|Churn|Invisible|RetryReuses|Inline' ./internal/core/ ./internal/verify/ ./stm/
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run $(RACE_LAYOUT_RUN) ./internal/core/ ./internal/verify/ ./stm/
 	GOMAXPROCS=2 $(GO) test -race -count=3 -run $(RACE_LAYOUT_RUN) ./internal/core/ ./internal/verify/ ./stm/
 

@@ -6,6 +6,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -27,16 +28,23 @@ import (
 // off the end) replays the deferred releases and demands an empty held set.
 //
 // What is a lock? Any call to a function or method named lockStream /
-// unlockStream (the repo has exactly one pair; fixtures define their own).
+// unlockStream, or lockTimestamp / unlockTimestamp — a stream's timestamp
+// raised odd, its lock where clients commit themselves (the repo has exactly
+// one pair of each; fixtures define their own). Both pairs lock the stream
+// their index names and share one token space and every rule below.
 // Tokens are symbolic:
 //
 //   - a constant argument yields a ranked token, so ascending/descending
 //     order is checked exactly between constants;
 //   - the sanctioned mask-iteration idiom
 //     `for m := mask; m != 0; m &= m - 1 { ..lockStream(bits.TrailingZeros64(m)).. }`
-//     is recognized structurally as an ascending batch acquisition (clearing
+//     (the index may be a variable the loop body defines that way) is
+//     recognized structurally as an ascending batch acquisition (clearing
 //     the lowest set bit strictly ascends); any other loop around lockStream
-//     is reported, because its order cannot be proved;
+//     is reported, because its order cannot be proved. A release in a loop
+//     must likewise be the highest-set-bit walk (its index taken from
+//     bits.Len64 or bits.LeadingZeros64 of the mask), which strictly
+//     descends; any other release loop is reported;
 //   - any other argument yields an opaque token keyed by its expression
 //     text; opaque tokens are exempt from order comparison (soundness
 //     boundary: the checker never guesses an order it cannot prove).
@@ -64,14 +72,17 @@ import (
 // partition's holder under its stream lock without closing a cycle.
 //
 // The mask helpers are how the engine takes several streams (lockStreams /
-// unlockStreams in core). A module function whose only lock effect is the
-// ascending-mask idiom is summarized as a bulk-acquire helper: calling it
-// holds one batch token for its mask, and because nothing orders a batch
-// against another lock, any waiting acquisition before or after it on the
-// same path is reported. A module function whose body releases locks in a
-// loop and acquires none (the descending bits.Len64 walk) is summarized as a
-// bulk-release helper: calling it clears the held set. Neither helper is
-// analyzed as a client. All other calls are assumed lock-neutral — the check
+// unlockStreams, Tx.lockTouched / System.releaseTouched in core). A module
+// function whose only lock effect is the ascending-mask idiom is summarized
+// as a bulk-acquire helper: calling it holds one batch token for its mask,
+// and because nothing orders a batch against another lock, any waiting
+// acquisition before or after it on the same path is reported. If it returns
+// a bool it is a bulk try-acquire helper (lockTouched: false is an abort with
+// nothing held): its result must be tested by an if like tryLockStream's, and
+// the batch is held on the side where it succeeded — but it may wait, so the
+// batch rule still applies there. A module function whose body releases locks
+// in the descending walk and acquires none is summarized as a bulk-release
+// helper: calling it clears the held set. No helper is analyzed as a client. All other calls are assumed lock-neutral — the check
 // verifies each caller of a primitive or helper is self-balanced rather than
 // tracking lock ownership across call boundaries (DESIGN.md §13 spells out
 // the boundary).
@@ -92,8 +103,10 @@ func init() {
 
 const (
 	lockFnName        = "lockStream"
+	lockTSFnName      = "lockTimestamp"
 	tryLockFnName     = "tryLockStream"
 	unlockFnName      = "unlockStream"
+	unlockTSFnName    = "unlockTimestamp"
 	tryLockPartFnName = "tryLockPartition"
 	unlockPartFnName  = "unlockPartition"
 	releaseAllKey     = "*"
@@ -104,9 +117,11 @@ const (
 // partition lock share the try-lock and release rules. isLockFnName is any
 // lock primitive of either tier.
 func isTryLockName(name string) bool { return name == tryLockFnName || name == tryLockPartFnName }
-func isUnlockName(name string) bool  { return name == unlockFnName || name == unlockPartFnName }
+func isUnlockName(name string) bool {
+	return name == unlockFnName || name == unlockTSFnName || name == unlockPartFnName
+}
 func isLockFnName(name string) bool {
-	return name == lockFnName || isTryLockName(name) || isUnlockName(name)
+	return name == lockFnName || name == lockTSFnName || isTryLockName(name) || isUnlockName(name)
 }
 
 // lockFact is the dataflow state: held lock tokens in acquisition order and
@@ -156,9 +171,11 @@ type lockOrderChecker struct {
 	report ReportFunc
 	// bulkAcquire marks module functions summarized as "acquires its mask
 	// argument's streams ascending" (lockStream only inside the sanctioned
-	// mask loop, no releases); bulkRelease those summarized as "releases every
-	// held lock" (unlockStream inside a loop, no acquisitions).
+	// mask loop, no releases), bulkTry those of them that return a bool (held
+	// only where it is true); bulkRelease those summarized as "releases every
+	// held lock" (unlockStream inside the descending walk, no acquisitions).
 	bulkAcquire map[*types.Func]bool
+	bulkTry     map[*types.Func]bool
 	bulkRelease map[*types.Func]bool
 	// reported dedupes diagnostics across block replays.
 	reported map[string]bool
@@ -168,6 +185,7 @@ type lockOrderChecker struct {
 // a bulk-release helper?
 func (lo *lockOrderChecker) summarize() {
 	lo.bulkAcquire = make(map[*types.Func]bool)
+	lo.bulkTry = make(map[*types.Func]bool)
 	lo.bulkRelease = make(map[*types.Func]bool)
 	for _, p := range lo.m.Pkgs {
 		for _, f := range p.Files {
@@ -183,24 +201,31 @@ func (lo *lockOrderChecker) summarize() {
 				locks, unordered, unlocks, unlocksInLoop := false, false, false, false
 				inspectLoops(fd.Body, func(call *ast.CallExpr, loop ast.Stmt) {
 					switch calleeName(p.Info, call) {
-					case lockFnName:
+					case lockFnName, lockTSFnName:
 						locks = true
 						if l, ok := loop.(*ast.ForStmt); !ok || !isAscendingMaskLoop(p.Info, l, call) {
 							unordered = true
 						}
 					case tryLockFnName, tryLockPartFnName:
 						locks, unordered = true, true
-					case unlockFnName, unlockPartFnName:
+					case unlockFnName, unlockTSFnName, unlockPartFnName:
 						unlocks = true
 						if loop != nil {
 							unlocksInLoop = true
+							if !isDescendingMaskWalk(p.Info, loop, call) {
+								unordered = true
+							}
 						}
 					}
 				})
 				if locks && !unordered && !unlocks {
 					lo.bulkAcquire[fn] = true
+					if res := fn.Type().(*types.Signature).Results(); res.Len() == 1 &&
+						types.Identical(res.At(0).Type(), types.Typ[types.Bool]) {
+						lo.bulkTry[fn] = true
+					}
 				}
-				if unlocksInLoop && !locks {
+				if unlocksInLoop && !locks && !unordered {
 					lo.bulkRelease[fn] = true
 				}
 			}
@@ -243,7 +268,7 @@ func (lo *lockOrderChecker) checkFunc(p *Package, fd *ast.FuncDecl) {
 				}
 			}
 		case *ast.IfStmt:
-			if call, _ := tryLockCond(p.Info, n.Cond); call != nil {
+			if call, _ := lo.tryLockCond(p.Info, n.Cond); call != nil {
 				branchTries[call] = true
 			}
 		}
@@ -354,15 +379,17 @@ func (fc *funcLockChecker) transfer(f lockFact, n ast.Node, report ReportFunc) F
 		if !ok {
 			return true
 		}
-		switch name := calleeName(fc.p.Info, call); name {
-		case lockFnName:
-			held = fc.acquire(held, call, false, report)
-		case tryLockFnName, tryLockPartFnName:
+		if fc.lo.isTry(fc.p.Info, call) {
 			if !fc.branchTries[call] {
 				fc.reportOnce(report, call.Pos(),
-					"%[1]s result must be tested directly by an if condition (if %[1]s(..) { ... } or if !%[1]s(..) { return }); otherwise the checker cannot tell which paths hold the lock", name)
+					"%[1]s result must be tested directly by an if condition (if %[1]s(..) { ... } or if !%[1]s(..) { return }); otherwise the checker cannot tell which paths hold the lock", calleeName(fc.p.Info, call))
 			}
-		case unlockFnName, unlockPartFnName:
+			return true
+		}
+		switch calleeName(fc.p.Info, call) {
+		case lockFnName, lockTSFnName:
+			held = fc.acquire(held, call, false, report)
+		case unlockFnName, unlockTSFnName, unlockPartFnName:
 			held = fc.release(held, call, report)
 		default:
 			switch fn := calleeFunc(fc.p.Info, call); {
@@ -405,31 +432,43 @@ func (fc *funcLockChecker) edge(f lockFact, from, to *Block, report ReportFunc) 
 	if from.Cond == nil {
 		return f
 	}
-	call, negated := tryLockCond(fc.p.Info, from.Cond)
+	call, negated := fc.lo.tryLockCond(fc.p.Info, from.Cond)
 	if call == nil || (to == from.Then) == negated {
 		return f
 	}
-	f.held = joinKeys(fc.acquire(splitKeys(f.held), call, true, report))
+	// A bulk try-acquire helper may wait: its batch keeps the batch rule.
+	try := isTryLockName(calleeName(fc.p.Info, call))
+	f.held = joinKeys(fc.acquire(splitKeys(f.held), call, try, report))
 	return f
 }
 
-// tryLockCond recognizes an if condition that tests a try-lock call (either
-// tier) directly: the call itself or a conjunct of an && chain (held when the
+// isTry reports whether call is a try-lock of either tier or a call to a
+// bulk try-acquire helper: its result says whether it acquired.
+func (lo *lockOrderChecker) isTry(info *types.Info, call *ast.CallExpr) bool {
+	if isTryLockName(calleeName(info, call)) {
+		return true
+	}
+	fn := calleeFunc(info, call)
+	return fn != nil && lo.bulkTry[fn]
+}
+
+// tryLockCond recognizes an if condition that tests a try-lock call (isTry)
+// directly: the call itself or a conjunct of an && chain (held when the
 // condition is true), or its plain negation (held when it is false).
-func tryLockCond(info *types.Info, cond ast.Expr) (call *ast.CallExpr, negated bool) {
+func (lo *lockOrderChecker) tryLockCond(info *types.Info, cond ast.Expr) (call *ast.CallExpr, negated bool) {
 	switch e := unwrap(cond).(type) {
 	case *ast.CallExpr:
-		if isTryLockName(calleeName(info, e)) {
+		if lo.isTry(info, e) {
 			return e, false
 		}
 	case *ast.UnaryExpr:
-		if c, ok := unwrap(e.X).(*ast.CallExpr); ok && e.Op == token.NOT && isTryLockName(calleeName(info, c)) {
+		if c, ok := unwrap(e.X).(*ast.CallExpr); ok && e.Op == token.NOT && lo.isTry(info, c) {
 			return c, true
 		}
 	case *ast.BinaryExpr:
 		if e.Op == token.LAND {
 			for _, side := range []ast.Expr{e.X, e.Y} {
-				if c, neg := tryLockCond(info, side); c != nil && !neg {
+				if c, neg := lo.tryLockCond(info, side); c != nil && !neg {
 					return c, false
 				}
 			}
@@ -490,9 +529,15 @@ func (fc *funcLockChecker) acquire(held []string, call *ast.CallExpr, try bool, 
 	return append(append([]string(nil), held...), key)
 }
 
-// release applies one unlockStream or unlockPartition call.
+// release applies one unlockStream, unlockTimestamp or unlockPartition call.
 func (fc *funcLockChecker) release(held []string, call *ast.CallExpr, report ReportFunc) []string {
 	key, _ := fc.tokenOf(call)
+	if loop := fc.loopOf[call]; loop != nil && !isPartToken(key) && !slices.Contains(held, key) &&
+		!isDescendingMaskWalk(fc.p.Info, loop, call) {
+		fc.reportOnce(report, call.Pos(),
+			"stream locks released in a loop the checker cannot order; use the descending walk (j := bits.Len64(m) - 1; m &^= 1 << uint(j); unlockStream(j))")
+		return partTokens(held)
+	}
 	if len(held) == 0 {
 		fc.reportOnce(report, call.Pos(), "%s released but no lock is held on this path", describeToken(key))
 		return held
@@ -790,11 +835,12 @@ func isAscendingMaskLoop(info *types.Info, l *ast.ForStmt, lockCall *ast.CallExp
 	if !ok || sub.Op != token.SUB || !isIdentFor(info, sub.X, mObj) || !isOneLit(sub.Y) {
 		return false
 	}
-	// Lock argument: bits.TrailingZeros64(m) (possibly through a conversion).
+	// Lock argument: bits.TrailingZeros64(m) (possibly through a conversion),
+	// or a variable the loop body defines so.
 	if len(lockCall.Args) == 0 {
 		return false
 	}
-	arg := unwrap(lockCall.Args[len(lockCall.Args)-1])
+	arg := loopDefinition(info, l, unwrap(lockCall.Args[len(lockCall.Args)-1]))
 	for {
 		inner, ok := arg.(*ast.CallExpr)
 		if !ok {
@@ -811,6 +857,53 @@ func isAscendingMaskLoop(info *types.Info, l *ast.ForStmt, lockCall *ast.CallExp
 		}
 		arg = unwrap(inner.Args[0])
 	}
+}
+
+// isDescendingMaskWalk recognizes the sanctioned release loop: the released
+// index (the call's last argument, or the variable the loop body defines for
+// it) is computed by math/bits' Len or LeadingZeros — the mask's highest set
+// bit, which the loop then clears, so indices strictly descend:
+//
+//	for m := mask; m != 0; {
+//		j := bits.Len64(m) - 1
+//		m &^= 1 << uint(j)
+//		unlockStream(j)
+//	}
+func isDescendingMaskWalk(info *types.Info, loop ast.Stmt, unlockCall *ast.CallExpr) bool {
+	if len(unlockCall.Args) == 0 {
+		return false
+	}
+	arg := loopDefinition(info, loop, unwrap(unlockCall.Args[len(unlockCall.Args)-1]))
+	found := false
+	ast.Inspect(arg, func(x ast.Node) bool {
+		if c, ok := x.(*ast.CallExpr); ok {
+			if fn := calleeFunc(info, c); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "math/bits" &&
+				(strings.HasPrefix(fn.Name(), "Len") || strings.HasPrefix(fn.Name(), "LeadingZeros")) {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// loopDefinition resolves e, if it is a variable defined by a single := in
+// loop's body, to the defining expression; otherwise it returns e.
+func loopDefinition(info *types.Info, loop ast.Stmt, e ast.Expr) ast.Expr {
+	id, ok := e.(*ast.Ident)
+	if !ok {
+		return e
+	}
+	obj := info.ObjectOf(id)
+	def := e
+	ast.Inspect(loop, func(x ast.Node) bool {
+		if as, ok := x.(*ast.AssignStmt); ok && as.Tok == token.DEFINE && len(as.Lhs) == 1 && len(as.Rhs) == 1 &&
+			isIdentFor(info, as.Lhs[0], obj) {
+			def = unwrap(as.Rhs[0])
+		}
+		return true
+	})
+	return def
 }
 
 func isIdentFor(info *types.Info, e ast.Expr, obj types.Object) bool {

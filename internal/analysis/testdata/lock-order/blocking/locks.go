@@ -1,7 +1,7 @@
-// Blocking inside the critical section, and a batch acquisition whose order
-// the checker cannot prove: parking while holding a stream lock stalls every
-// committer behind this shard, and an arbitrary loop over lockStream gives
-// no ascending-order guarantee.
+// Blocking inside the critical section, and a batch acquisition and release
+// whose order the checker cannot prove: parking while holding a stream lock
+// stalls every committer behind this shard, and an arbitrary loop over
+// lockStream or unlockStream gives no ascending or descending guarantee.
 package locks
 
 import "time"
@@ -26,7 +26,7 @@ func unprovableLoopOrder(ids []int) {
 		lockStream(i) // want lock-order
 	}
 	for _, i := range ids {
-		unlockStream(i)
+		unlockStream(i) // want lock-order
 	}
 	// The release loop does not provably discharge the batch either: on the
 	// path where ids is empty the acquired set (whatever it was) survives to

@@ -80,18 +80,21 @@ type Config struct {
 	// sizes the request-slot array. Default 64, matching the paper's testbed.
 	MaxThreads int
 	// InvalServers is the number of invalidation partitions for RInvalV2/V3,
-	// each scanned by its own invalidation-server goroutine when GOMAXPROCS
-	// is at least 4 and by the epoch drivers otherwise. The paper found 4-8
-	// sufficient on 64 cores. Default 4.
+	// each scanned by its own invalidation-server goroutine, where RInval's
+	// servers run (GOMAXPROCS at least 4, fixed at New). Below four Ps no
+	// server runs and every commit dooms inline: it has no effect there. The
+	// paper found 4-8 sufficient on 64 cores. Default 4.
 	InvalServers int
 	// StepsAhead bounds how far the RInvalV3 commit-server may run ahead of
-	// the slowest invalidation-server, in commits. Default 2.
+	// the slowest invalidation-server, in commits; no effect below four Ps.
+	// Default 2.
 	StepsAhead int
 	// MaxBatch caps how many mutually compatible commit requests the RInval
 	// commit-server may fold into one group-commit epoch (one odd/even
 	// timestamp transition, one merged invalidation signature). 1 disables
 	// batching and reproduces the paper's one-request-per-epoch protocol
-	// exactly. Default 8.
+	// exactly. No effect below four Ps, where every client commits itself in
+	// an epoch of its own. Default 8.
 	MaxBatch int
 	// Shards partitions Vars across independent commit streams, each with its
 	// own commit-server, timestamp, and invalidation partition (DESIGN.md

@@ -60,6 +60,18 @@ func newSys(t *testing.T, algo Algo, mutate func(*Config)) *System {
 	return s
 }
 
+// newServerSys is newSys with an RInval System built at four Ps, for tests of
+// what only RInval's servers do: below four Ps none runs.
+func newServerSys(t *testing.T, algo Algo, mutate func(*Config)) *System {
+	t.Helper()
+	if algo == RInvalV1 || algo == RInvalV2 || algo == RInvalV3 {
+		prev := sysAtFourPs
+		sysAtFourPs = true
+		defer func() { sysAtFourPs = prev }()
+	}
+	return newSys(t, algo, mutate)
+}
+
 // atFourPs builds a System with build (New, or newSystem to start no server)
 // at GOMAXPROCS 4 and restores the old value right after: the paper's server
 // layout on any host. RInval-V2/V3 get InvalServers/Shards partitions per

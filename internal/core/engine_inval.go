@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"github.com/ssrg-vt/rinval/internal/obs"
@@ -12,14 +13,12 @@ import (
 // linear-time — each read checks only the global timestamp and the
 // transaction's own status flag — but the entire invalidation scan runs
 // inside the commit critical section, inflating lock hold time. This is the
-// imbalance RInval removes (§III).
+// imbalance RInval removes (§III). Below four Ps it is RInval's engine too.
 //
 // With another Thread registered, an attempt first runs invisible (Tx.begin,
-// DESIGN.md §3): NOrec's read, which RInval's invisible attempts share
-// (invisibleRead), NOrec's lock, a CAS from the snapshot that extends it on
-// failure (Tx.lockFromSnapshot), and the commit's invalidation scan, so the
-// other Thread's visible attempts are still doomed. Only the retry of a
-// validation abort publishes its reads and can be doomed.
+// DESIGN.md §3): NOrec's read (invisibleRead), lock (Tx.lockFromSnapshot) and
+// the commit's invalidation scan, so the other Thread's visible attempts are
+// still doomed. Only the retry of a validation abort can be doomed.
 type invalEngine struct {
 	sys *System
 }
@@ -112,17 +111,16 @@ func soloRead(tx *Tx, v *Var) (*Box, bool) {
 	return b, true
 }
 
-// commit implements Algorithm 1's COMMIT: acquire the global sequence lock
-// with a CAS, re-check the status flag (a commit may have doomed us between
-// the request and the acquisition), invalidate every conflicting in-flight
-// transaction, publish the write set, and release. A solo attempt acquires
-// the lock with one CAS from its snapshot, which succeeds only if no commit
-// ran since its begin. An invisible attempt acquires it with the same CAS,
-// extending its snapshot and retrying on a failed one. Every writer scans the
-// other slots; a solo one finds no visible attempt there (a Thread registered
-// mid-attempt turns visible only after a validation abort, which takes a
-// commit that fails the solo CAS), but the scan keeps one rule for every
-// commit.
+// commit implements Algorithm 1's COMMIT over the streams the attempt
+// touched (stream 0 alone for InvalSTM); it is every commit where clients
+// commit themselves (System.clientsCommit), RInval's below four Ps too. Lock
+// and validate (lockTouched), invalidate every conflicting visible attempt
+// but its own, write back, release (releaseTouched). A solo writer finds no
+// visible attempt to doom (a Thread registered mid-attempt turns visible only
+// after a validation abort, which moves a timestamp the solo attempt checks),
+// but the scan keeps one rule for every commit. An RInval commit is an epoch
+// of its lowest touched stream, counted on that stream's timestamp line while
+// it holds it, and a helped one: the client drove it.
 //
 //stm:hotpath
 func (e *invalEngine) commit(tx *Tx) bool {
@@ -132,40 +130,10 @@ func (e *invalEngine) commit(tx *Tx) bool {
 		// nothing remains to serialize.
 		return true
 	}
-	var t uint64
-	switch tx.kind {
-	case kindSolo:
-		t = tx.snap[0]
-		if !sys.streams[0].ts.CompareAndSwap(t, t+1) {
-			tx.reason = AbortValidation
-			return false
-		}
-	case kindInvisible:
-		var ok bool
-		if t, ok = tx.lockFromSnapshot(); !ok {
-			return false
-		}
-	default:
-		if tx.invalidated() {
-			tx.reason = AbortInvalidated
-			return false
-		}
-		var w spin.Waiter
-		for {
-			t = sys.streams[0].ts.Load()
-			if t&1 == 0 && sys.streams[0].ts.CompareAndSwap(t, t+1) {
-				break
-			}
-			w.Wait()
-		}
-		// Re-check after acquisition (Algorithm 1 checks the flag under the
-		// lock): a commit serialized between our last read and the CAS may
-		// have invalidated us.
-		if tx.invalidated() {
-			tx.reason = AbortInvalidated
-			sys.streams[0].ts.Store(t) // release without publishing anything
-			return false
-		}
+	writes := tx.ws.shards(sys.shardMask)
+	touched := writes | tx.readShards
+	if !tx.lockTouched(touched) {
+		return false
 	}
 	var kd *killDesc
 	if sys.attr != nil {
@@ -173,8 +141,64 @@ func (e *invalEngine) commit(tx *Tx) bool {
 	}
 	atomic.AddUint64(&tx.stats.Invalidations, sys.invalidate(sys.allSlots, tx.slot.selfMask, tx.ws.bf, tx.ring, kd))
 	sys.writeBack(tx.ws)
-	sys.streams[0].ts.Store(t + 2)
+	if sys.rinval != nil {
+		lead := &sys.streams[bits.TrailingZeros64(touched)]
+		lead.epochs.Add(1)
+		if touched&(touched-1) != 0 {
+			lead.crossShard.Add(1)
+		}
+		atomic.AddUint64(&tx.stats.HelpedEpochs, 1)
+	}
+	sys.releaseTouched(touched, writes)
 	return true
+}
+
+// lockTouched raises the timestamp of every stream in touched odd, in
+// ascending order, and validates the attempt under them; false is an abort
+// with tx.reason set and no stream held. On one stream a solo attempt takes it
+// by a CAS from its snapshot (no commit ran since begin), an invisible one by
+// the same CAS, extending on failure (lockFromSnapshot). Otherwise each
+// timestamp is taken once even; then a moved one refuses a solo attempt (no
+// log) and makes an invisible one re-validate its log — conclusively, as every
+// logged Var lies on a held stream — and a visible one re-checks its ALIVE
+// word (Algorithm 1's check under the lock: a commit between its last read
+// and the lock may have doomed it).
+//
+//stm:hotpath
+func (tx *Tx) lockTouched(touched uint64) bool {
+	sys := tx.sys
+	if touched&(touched-1) == 0 && tx.kind != kindVisible {
+		j := bits.TrailingZeros64(touched)
+		if tx.kind == kindInvisible {
+			return tx.lockFromSnapshot(j)
+		}
+		tx.reason = AbortValidation
+		return sys.streams[j].ts.CompareAndSwap(tx.snap[j], tx.snap[j]+1)
+	}
+	if tx.kind == kindVisible && tx.invalidated() {
+		tx.reason = AbortInvalidated
+		return false
+	}
+	moved := false
+	for m := touched; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		if sys.lockTimestamp(j) != tx.snap[j] {
+			moved = true
+		}
+	}
+	var ok bool
+	switch tx.kind {
+	case kindVisible:
+		ok, tx.reason = !tx.invalidated(), AbortInvalidated
+	case kindSolo:
+		ok, tx.reason = !moved, AbortValidation
+	default:
+		ok, tx.reason = !moved || tx.logValid(), AbortValidation
+	}
+	if !ok {
+		sys.releaseTouched(touched, 0)
+	}
+	return ok
 }
 
 func (e *invalEngine) abort(tx *Tx) {}

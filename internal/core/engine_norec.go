@@ -43,12 +43,11 @@ func (e *norecEngine) commit(tx *Tx) bool {
 		// Read-only: the read set is valid at the snapshot by construction.
 		return true
 	}
-	t, ok := tx.lockFromSnapshot()
-	if !ok {
+	if !tx.lockFromSnapshot(0) {
 		return false
 	}
 	e.sys.writeBack(tx.ws)
-	e.sys.streams[0].ts.Store(t + 2)
+	e.sys.streams[0].ts.Add(1)
 	return true
 }
 
@@ -145,20 +144,20 @@ func (tx *Tx) logValid() bool {
 	return ok
 }
 
-// lockFromSnapshot acquires the global sequence lock for an invisible attempt
-// of NOrec or InvalSTM with a CAS from its snapshot: success proves no commit
-// intervened, so no commit-time validation is needed. On CAS failure the
-// snapshot is extended and the acquisition retried; false is a validation
-// abort. It returns the even timestamp the lock was taken from; the caller
-// writes back and releases with that plus two.
+// lockFromSnapshot raises stream j's timestamp odd for an invisible attempt
+// with a CAS from its snapshot: success proves no commit intervened on the
+// stream, so no commit-time validation is needed. On CAS failure the snapshot
+// is extended and the acquisition retried; false is a validation abort. The
+// caller writes back and lowers the timestamp to the next even value. NOrec
+// and InvalSTM lock stream 0, the global timestamp.
 //
 //stm:hotpath
-func (tx *Tx) lockFromSnapshot() (uint64, bool) {
-	ts := &tx.sys.streams[0].ts
-	for !ts.CompareAndSwap(tx.snap[0], tx.snap[0]+1) {
+func (tx *Tx) lockFromSnapshot(j int) bool {
+	ts := &tx.sys.streams[j].ts
+	for !ts.CompareAndSwap(tx.snap[j], tx.snap[j]+1) {
 		if !tx.extend() {
-			return 0, false
+			return false
 		}
 	}
-	return tx.snap[0], true
+	return true
 }

@@ -14,14 +14,14 @@ import (
 )
 
 // remoteEngine implements the three Remote Invalidation variants (the
-// paper's Algorithms 2-4) behind one parameterization, sys.nInvalPerShard:
+// paper's Algorithms 2-4) where their servers get a P (below four Ps the
+// System commits through invalEngine), behind one value, sys.nInvalPerShard:
 //
-//   - nInvalPerShard == 0: RInval-V1, and V2/V3 below four Ps. The epoch
-//     driver executes both the invalidation scan and the write-back itself. A
-//     client answered within its busy phase never touches the global
-//     timestamp: it publishes a request in its padded slot and spins on its
-//     own cache line, so commit has zero CAS operations and no shared-lock
-//     spinning.
+//   - nInvalPerShard == 0: RInval-V1. The epoch driver executes both the
+//     invalidation scan and the write-back itself. A client answered within
+//     its busy phase never touches the global timestamp: it publishes a
+//     request in its padded slot and spins on its own cache line, so commit
+//     has zero CAS operations and no shared-lock spinning.
 //   - nInvalPerShard > 0, stepsAhead == 0: RInval-V2. Invalidation is
 //     partitioned across nInvalPerShard invalidation-server goroutines that
 //     run in parallel with the commit-server's write-back. The commit-server
@@ -45,19 +45,16 @@ import (
 // An epoch is driven by whoever holds its streams' locks. Normally that is the
 // leading commit-server; a waiting client may take its single stream's free
 // lock once its busy-wait budget ran out without a reply and run the epoch for
-// its own request itself (help, DESIGN.md §16). A solo or invisible attempt
-// (System.attemptKind) publishes none: it takes its streams' locks, validates
-// its snapshot and runs the epoch's stages after admission over its own slot
-// (commitOwn). Both keep commit latency at the cost of the work rather than of
-// the hand-off when the server has no core of its own, the second without a
-// mailbox round trip with itself. The same rule holds one tier down: partition
-// k of a stream is scanned by whoever holds its try-lock — invalidation-server
-// k, or an epoch driver that found it lagging and free (scanPartition) — so a
-// partition lags only while somebody is scanning it.
+// its own request itself (help, DESIGN.md §16), which keeps commit latency at
+// the cost of the work rather than of the hand-off when the server is
+// descheduled. The same rule holds one tier down: partition k of a stream is
+// scanned by whoever holds its try-lock — invalidation-server k, or an epoch
+// driver that found it lagging and free (scanPartition) — so a partition lags
+// only while somebody is scanning it.
 type remoteEngine struct {
-	sys        *System
-	stepsAhead int // 0 unless V3 with partitions
-	maxBatch   int
+	invalEngine     // begin, read (a visible attempt's, invalRead) and abort
+	stepsAhead  int // 0 unless V3 with partitions
+	maxBatch    int
 
 	// srv[j] is shard j's server set. Exactly one entry when Shards == 1.
 	srv []*shardServer
@@ -134,7 +131,7 @@ type shardServer struct {
 
 // coolServers reports whether RInval's servers would share the clients' Ps: a
 // client, the commit-server and two invalidation-servers need four. New reads
-// it once, for partitionsPerStream and System.attemptKind (DESIGN.md §3).
+// it once, for partitionsPerStream and System.clientsCommit (DESIGN.md §3).
 func coolServers() bool { return runtime.GOMAXPROCS(0) < 4 }
 
 // partitionsPerStream is the RInval layout's one value: the partitions per
@@ -162,9 +159,9 @@ func newRemoteEngine(sys *System) *remoteEngine {
 		ring = stepsAhead + 1
 	}
 	e := &remoteEngine{
-		sys:        sys,
-		stepsAhead: stepsAhead,
-		maxBatch:   sys.cfg.MaxBatch,
+		invalEngine: invalEngine{sys: sys},
+		stepsAhead:  stepsAhead,
+		maxBatch:    sys.cfg.MaxBatch,
 	}
 	for j := range sys.streams {
 		sys.streams[j].ring = make([]padded.Pointer[commitDesc], ring)
@@ -218,22 +215,12 @@ func (s *System) serverName(base string, shard int) string {
 	return fmt.Sprintf("shard%d-%s", shard, base)
 }
 
-func (e *remoteEngine) begin(tx *Tx) {}
-
-// read is a visible attempt's read, the same as InvalSTM's (invalRead).
-//
-//stm:hotpath
-func (e *remoteEngine) read(tx *Tx, v *Var) (*Box, bool) { return invalRead(tx, v) }
-
 // commit is the client side of Algorithm 2's CLIENT COMMIT, identical for all
 // three variants: publish the request on the slot, then spin on the private
 // reply word until an epoch driver answers. The request is the transaction's
 // stream masks, computed here from the write set and the shards its reads
 // visited (both bit 0 when Shards == 1); the server of the lowest touched
-// stream owns it. A solo or invisible attempt publishes no request: it runs
-// only where the servers share the clients' Ps and would not answer it soon,
-// so it commits its own write set under its streams' locks (commitOwn). For a
-// visible attempt every wait iteration after the busy phase has run out, by
+// stream owns it. Every wait iteration after the busy phase has run out, by
 // when a server with a core of its own would have replied, first offers to
 // drive the epoch itself (help); an iteration that could not help waits.
 //
@@ -242,16 +229,9 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 	if tx.ws.len() == 0 {
 		return true
 	}
-	var writes uint64
-	for i := range tx.ws.entries {
-		writes |= 1 << uint(e.sys.shardOf(tx.ws.entries[i].v))
-	}
+	writes := tx.ws.shards(e.sys.shardMask)
 	touched := writes | tx.readShards
-	sv := e.srv[bits.TrailingZeros64(touched)]
 	tx.ring.Instant(obs.KCommitReq, 0)
-	if tx.kind != kindVisible {
-		return commitOwn(tx, sv, writes, touched)
-	}
 	if tx.invalidated() {
 		tx.reason = AbortInvalidated
 		return false
@@ -273,46 +253,6 @@ func (e *remoteEngine) commit(tx *Tx) bool {
 		}
 		w.Wait()
 	}
-}
-
-// commitOwn commits a solo or invisible attempt's write set without a mailbox
-// request: take every touched stream's lock in ascending order (lockStreams,
-// as the commit-server does; sv is the lowest stream's server) and check each
-// timestamp against the attempt's snapshot — unmoved, no commit ran on the
-// streams it read or writes since the snapshot. A moved one refuses a solo
-// attempt, which keeps no log; an invisible attempt re-validates its read log
-// instead, and conclusively: every logged Var lies on a touched stream, which
-// nobody else can write while the locks are held. Then admit the client's own
-// slot as a batch of one and run the epoch's remaining stages over it
-// (retire). No request word is published, answered or consumed, and no ALIVE
-// check is made: the snapshot check is the attempt's whole validation. Clients
-// commit themselves only below four Ps, so there are no partitions: the epoch
-// dooms inline, and reaches the other Threads' visible attempts. The epoch
-// counts as helped: the client drove it.
-//
-//stm:hotpath
-func commitOwn(tx *Tx, sv *shardServer, writes, touched uint64) bool {
-	sys := sv.sys
-	sys.lockStreams(touched)
-	clk := startClock(sv.latC, sv.commitRing)
-	for m := touched; m != 0; m &= m - 1 {
-		if j := bits.TrailingZeros64(m); sys.streams[j].ts.Load() != tx.snap[j] {
-			if tx.kind == kindSolo || !tx.logValid() {
-				sys.unlockStreams(touched)
-				tx.reason = AbortValidation
-				return false
-			}
-			break
-		}
-	}
-	if touched&(touched-1) != 0 {
-		tx.slot.req.writes.Store(writes) // publish reads it across streams
-	}
-	sv.batchIdx = append(sv.batchIdx[:0], tx.th.idx)
-	sv.retire(touched, 0, 1, tx.th.idx, &clk)
-	sys.unlockStreams(touched)
-	atomic.AddUint64(&tx.stats.HelpedEpochs, 1)
-	return true
 }
 
 // help lets a client waiting on a published request, its busy phase spent
@@ -347,15 +287,13 @@ func (e *remoteEngine) help(tx *Tx, touched uint64) bool {
 	return replied
 }
 
-func (e *remoteEngine) abort(tx *Tx) {}
-
-// serverTasks is the goroutine bodies System.startServers runs: one
-// commit-server per stream, plus one invalidation-server per partition of the
-// stream (none below four Ps, where there are none). Each body polls its stop
-// predicate; the name labels the goroutine in pprof profiles and traces.
+// serverTasks is the goroutine bodies System.startServers runs, none below
+// four Ps: one commit-server per stream, plus one invalidation-server per
+// partition of the stream. Each body polls its stop predicate; the name labels
+// the goroutine in pprof profiles and traces.
 func (e *remoteEngine) serverTasks() []serverTask {
 	var tasks []serverTask
-	for j := range e.srv {
+	for j := 0; !e.sys.clientsCommit && j < len(e.srv); j++ {
 		sv := e.srv[j]
 		tasks = append(tasks, serverTask{
 			name: e.sys.serverName("commit-server", j),
@@ -392,8 +330,12 @@ func (sv *shardServer) stats() Stats {
 		st.Add(sv.invalSrv[k].snapshotAtomic())
 	}
 	st.BatchSizes = sv.batchSizes.Snapshot()
-	st.Epochs, st.Commits = st.BatchSizes.Count(), st.BatchSizes.Sum()
 	st.Server.QueueDepth = sv.queueDepth.Snapshot()
+	inline := sv.st.epochs.Load()
+	st.BatchSizes.RecordN(1, inline)
+	st.Server.QueueDepth.RecordN(1, inline)
+	st.CrossShardCommits += sv.st.crossShard.Load()
+	st.Epochs, st.Commits = st.BatchSizes.Count(), st.BatchSizes.Sum()
 	st.Server.StepAhead = sv.stepAhead.Snapshot()
 	return st
 }
@@ -479,7 +421,7 @@ func (sv *shardServer) serveEpoch(mask uint64, first int) bool {
 //	           budget — 2·stepsAhead on one stream, 0 across streams (V2's lag
 //	           wait and the cross-shard drain) — wait for its scanner, or, once
 //	           the busy phase is spent, scan it if it is free; skipped without
-//	           partitions (V1, and V2/V3 below four Ps)
+//	           partitions (V1)
 //	check      answer doomed members ABORTED without a timestamp transition
 //	publish    raise the written streams odd, invalidate (inline without
 //	           partitions, else by descriptor), write back, lower them even
@@ -488,38 +430,24 @@ func (sv *shardServer) serveEpoch(mask uint64, first int) bool {
 //	scan       with partitions: apply the new descriptor to every partition of
 //	           the written streams that no one else is scanning (scanPartition)
 //
-// Everything after collect is retire, which a client committing without a
-// request (commitOwn) runs after its own admission. A multi-stream epoch admits
-// one request: cross-shard requests are led solo. committed is the number of
-// members the epoch committed (0: no timestamp transition); replied is false
-// when no reply at all was sent (nothing admissible from first upward) so the
-// caller can back off. Incompatible or deferred requests stay PENDING for a
-// later epoch.
+// A multi-stream epoch admits one request: cross-shard requests are led solo.
+// committed is the number of members the epoch committed (0: no timestamp
+// transition); replied is false when no reply at all was sent (nothing
+// admissible from first upward) so the caller can back off. Incompatible or
+// deferred requests stay PENDING for a later epoch.
 //
 //stm:hotpath
 func (sv *shardServer) epoch(mask uint64, first int, clk *phaseClock) (committed int, replied bool) {
-	maxBatch, lagBudget := sv.eng.maxBatch, 2*uint64(sv.eng.stepsAhead)
-	if mask&(mask-1) != 0 {
+	sys, e := sv.sys, sv.eng
+	multi := mask&(mask-1) != 0
+	maxBatch, lagBudget := e.maxBatch, 2*uint64(e.stepsAhead)
+	if multi {
 		maxBatch, lagBudget = 1, 0
 	}
 	pending := sv.collect(mask, first, maxBatch, lagBudget)
 	if len(sv.batchIdx) == 0 {
 		return 0, false
 	}
-	return sv.retire(mask, lagBudget, pending, -1, clk), true
-}
-
-// retire runs the epoch's stages after admission — catch-up within lagBudget,
-// check, publish, record, reply and scan — over the members in sv.batchIdx;
-// pending is the queue depth admission saw. Member self, if not -1, is a solo
-// or invisible driver's own slot (commitOwn): it published no request,
-// validated its snapshot under the locks, and gets neither an ALIVE check nor
-// a reply. It returns the members committed.
-//
-//stm:hotpath
-func (sv *shardServer) retire(mask, lagBudget, pending uint64, self int, clk *phaseClock) (committed int) {
-	sys, e := sv.sys, sv.eng
-	multi := mask&(mask-1) != 0
 	sv.queueDepth.Record(pending)
 	sv.commitRing.Counter(obs.KQueueDepth, pending)
 	clk.lap(obs.LatCollect, obs.KScan, pending)
@@ -560,17 +488,15 @@ func (sv *shardServer) retire(mask, lagBudget, pending uint64, self int, clk *ph
 	n := 0
 	for _, j := range sv.batchIdx {
 		s := &sys.slots[j]
-		if j != self {
-			if _, alive := s.aliveWord(); !alive {
-				s.reply(reqAborted)
-				continue
-			}
+		if _, alive := s.aliveWord(); !alive {
+			s.reply(reqAborted)
+			continue
 		}
 		sv.batchIdx[n] = j
 		n++
 	}
 	if n == 0 {
-		return 0 // progress: abort replies were sent
+		return 0, true // progress: abort replies were sent
 	}
 	if n < len(sv.batchIdx) {
 		// Rebuild the epoch signature from the survivors so a doomed
@@ -595,9 +521,7 @@ func (sv *shardServer) retire(mask, lagBudget, pending uint64, self int, clk *ph
 	sv.batchSizes.Record(uint64(n))
 
 	for _, j := range sv.batchIdx {
-		if j != self {
-			sys.slots[j].reply(reqCommitted)
-		}
+		sys.slots[j].reply(reqCommitted)
 	}
 	clk.lap(obs.LatReply, obs.KReply, uint64(n))
 
@@ -613,7 +537,7 @@ func (sv *shardServer) retire(mask, lagBudget, pending uint64, self int, clk *ph
 		}
 	}
 	clk.ring.SpanAt(obs.KEpoch, clk.t0, clk.prev, uint64(n))
-	return n
+	return n, true
 }
 
 // collect is the epoch's admit stage: it fills batchIdx (and the batch's
@@ -690,9 +614,9 @@ func (sv *shardServer) collect(mask uint64, first, maxBatch int, lagBudget uint6
 // the conflicting readers, write back, lower the streams even in descending
 // order — so the lowest written stream's odd window encloses the others,
 // which is what captureSnapshot's double collect relies on. Streams the batch
-// only read stay even. Without partitions (V1, and V2/V3 below four Ps) the
-// driver dooms inline, between the raise and the write-back (latency phase
-// "scan": the driver actively scans rather than waits). With them it hands
+// only read stay even. Without partitions (V1) the driver dooms inline,
+// between the raise and the write-back (latency phase "scan": the driver
+// actively scans rather than waits). With them it hands
 // the merged signature and member mask to each written stream's
 // partition scanners and writes back in parallel with their scans; both are
 // copied into that stream's ring-slot descriptor (owned through its lock,

@@ -29,7 +29,7 @@ var goldenFamilies = []string{
 // benchmark harness publishes it.
 func expositionFor(t *testing.T, algo Algo, mutate func(*Config)) string {
 	t.Helper()
-	s := newSys(t, algo, func(c *Config) {
+	s := newServerSys(t, algo, func(c *Config) {
 		c.Attribution = true
 		c.LatencySampleEvery = 1
 		c.TimeSeries = 16

@@ -250,7 +250,7 @@ func TestGroupCommitThirdCandidateMeetsUnions(t *testing.T) {
 func TestGroupCommitMaxBatchOneRegression(t *testing.T) {
 	for _, algo := range rinvalAlgos {
 		t.Run(algo.String(), func(t *testing.T) {
-			s := MustNew(Config{Algo: algo, MaxThreads: 8, InvalServers: 2, MaxBatch: 1})
+			s := atFourPs(t, New, Config{Algo: algo, MaxThreads: 8, InvalServers: 2, MaxBatch: 1})
 			const workers, iters = 4, 100
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
@@ -301,7 +301,7 @@ func TestGroupCommitMaxBatchOneRegression(t *testing.T) {
 func TestGroupCommitBatchingReducesEpochs(t *testing.T) {
 	for _, algo := range rinvalAlgos {
 		t.Run(algo.String(), func(t *testing.T) {
-			s := MustNew(Config{Algo: algo, MaxThreads: 16, InvalServers: 2, MaxBatch: 16})
+			s := atFourPs(t, New, Config{Algo: algo, MaxThreads: 16, InvalServers: 2, MaxBatch: 16})
 			const workers, iters = 8, 100
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
@@ -350,7 +350,7 @@ func TestGroupCommitOpacityStress(t *testing.T) {
 	counters := []int{0, 1} // two contended cells
 	for _, algo := range rinvalAlgos {
 		t.Run(algo.String(), func(t *testing.T) {
-			s := MustNew(Config{Algo: algo, MaxThreads: 8, InvalServers: 2, MaxBatch: 8})
+			s := atFourPs(t, New, Config{Algo: algo, MaxThreads: 8, InvalServers: 2, MaxBatch: 8})
 			shared := []*Var{NewVar(0), NewVar(0)}
 			const workers, iters = 4, 150
 			var wg sync.WaitGroup

@@ -102,12 +102,12 @@ func TestHelpAtOnceWhenServerCools(t *testing.T) {
 	}
 }
 
-// TestHelpOwnCommitSkipsMailbox: a lone Thread whose commit-server shares the
-// Ps (GOMAXPROCS 2) commits its own write set under the stream lock and never
-// publishes a request — its slot's mailbox word is the same after 200 commits
-// — and every one of those commits is one helped epoch of the stream. With a
-// second Thread registered the first attempt is invisible and commits itself
-// too; the visible retry of a validation abort goes through the mailbox.
+// TestHelpOwnCommitSkipsMailbox: a lone Thread at GOMAXPROCS 2, where no
+// server runs, commits its own write set under the stream's timestamp and
+// never publishes a request — its slot's mailbox word is the same after 200
+// commits — and every one of those commits is one helped epoch of the stream.
+// With a second Thread registered the first attempt is invisible and commits
+// itself too, and so does the visible retry of a validation abort.
 func TestHelpOwnCommitSkipsMailbox(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, algo := range rinvalAlgos {
@@ -158,8 +158,8 @@ func TestHelpOwnCommitSkipsMailbox(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if after := th.slot.state.Load(); after == before {
-				t.Fatal("the visible attempt's commit published no request")
+			if after := th.slot.state.Load(); after != before {
+				t.Fatalf("mailbox word %#x -> %#x: a visible attempt published a request", before, after)
 			}
 			if got := v.Peek().(int); got != n+2 {
 				t.Fatalf("counter = %d, want %d", got, n+2)
@@ -234,9 +234,9 @@ func TestHelpCatchUpWaitsForHeldPartition(t *testing.T) {
 
 // TestHelpOwnEpochDoomedSelf: a solo client whose snapshot another commit
 // overtook — the one way a solo attempt is doomed, since nothing can CAS its
-// status word — learns it from commitOwn's snapshot check under the stream
-// lock: refused with AbortValidation, no timestamp transition of its own, no
-// mailbox word, no queue-depth or epoch sample, and the lock released.
+// status word — learns it from the inline commit's CAS from its snapshot:
+// refused with AbortValidation, no timestamp transition of its own, no
+// mailbox word, no queue-depth or epoch sample, and no lock held.
 func TestHelpOwnEpochDoomedSelf(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, algo := range rinvalAlgos {
@@ -255,7 +255,7 @@ func TestHelpOwnEpochDoomedSelf(t *testing.T) {
 			tx.Store(NewVar(0), 1)
 			s.streams[0].ts.Add(2) // a commit the attempt did not see
 			state := th.slot.state.Load()
-			if commitOwn(tx, sv, 1, 1) || tx.reason != AbortValidation {
+			if s.eng.commit(tx) || tx.reason != AbortValidation {
 				t.Fatalf("stale snapshot: commit passed or reason %v, want AbortValidation", tx.reason)
 			}
 			if ts := s.streams[0].ts.Load(); ts != 2 {
@@ -335,7 +335,7 @@ func TestHelpDeclines(t *testing.T) {
 		eng := s.rinval
 		th := s.MustRegister()
 		sl := postPending(s, th, NewVar(0), 1)
-		s.lockStream(0)
+		s.lockStreams(1)
 		if eng.help(&th.tx, sl.req.touched.Load()) {
 			t.Fatal("helped while another driver held the stream")
 		}

@@ -28,7 +28,7 @@ func TestLatencyReconciliation(t *testing.T) {
 			perThr  = 400
 			every   = 4
 		)
-		s := newSys(t, algo, func(c *Config) {
+		s := newServerSys(t, algo, func(c *Config) {
 			c.Latency = true
 			c.LatencySampleEvery = every
 			c.MaxThreads = 8

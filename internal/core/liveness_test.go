@@ -114,10 +114,11 @@ func TestLivenessOneP(t *testing.T) {
 	}
 }
 
-// TestServerTasksRule: an RInval engine starts one commit-server per stream
-// and, only when GOMAXPROCS leaves them a P, InvalServers/Shards
-// invalidation-servers per stream besides (V2/V3); the rule is fixed at New.
-// No other engine starts a server.
+// TestServerTasksRule: only where GOMAXPROCS leaves them a P (four or more)
+// does an RInval engine start servers: one commit-server per stream and
+// InvalServers/Shards invalidation-servers per stream besides (V2/V3). Below
+// four Ps its clients commit themselves and it starts none; the rule is fixed
+// at New. No other engine starts a server.
 func TestServerTasksRule(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const inval = 4
@@ -140,7 +141,7 @@ func TestServerTasksRule(t *testing.T) {
 					return fmt.Sprintf("shard%d-%s", j, base)
 				}
 				var want, got []string
-				for j := 0; remote && j < shards; j++ {
+				for j := 0; remote && procs >= 4 && j < shards; j++ {
 					want = append(want, name("commit-server", j))
 					for k := 0; procs >= 4 && algo != RInvalV1 && k < inval/shards; k++ {
 						want = append(want, name(fmt.Sprintf("inval-server-%d", k), j))
@@ -163,12 +164,13 @@ func TestServerTasksRule(t *testing.T) {
 // value, fixed at New. Below four Ps V2/V3 have no partition, as V1 never
 // does: no per-partition state, no step-ahead window, no invalidation-server
 // cell or track. A visible reader there never waits on a partition (it has no
-// invalTS to load: the slices are empty, so a load would panic), and a commit
-// dooms it inline: the doom is counted by the epoch driver
-// (commitSrv.Invalidations) in one "scan" phase, with no "inval-wait". At
-// four Ps the paper's layout is unchanged: InvalServers/Shards partitions per
-// stream, V3's window, a catch-up stage, and the doom counted by the
-// reader's partition. Only partitions read descriptors, so each stream's
+// invalTS to load: the slices are empty, so a load would panic), and the
+// writer's own inline commit dooms it: the doom is counted on the writer's
+// Stats, and no server phase is recorded. At four Ps the paper's layout is
+// unchanged: V1's epoch driver dooms inline (commitSrv.Invalidations) in one
+// "scan" phase, with no "inval-wait"; V2/V3 have InvalServers/Shards
+// partitions per stream, V3's window, a catch-up stage, and the doom counted
+// by the reader's partition. Only partitions read descriptors, so each stream's
 // ring (and its server's descriptor buffers) has stepsAhead+1 entries with
 // partitions and none without.
 func TestPartitionLayoutRule(t *testing.T) {
@@ -237,18 +239,23 @@ func TestPartitionLayoutRule(t *testing.T) {
 				for k := range sv.invalSrv {
 					byPartition += sv.invalSrv[k].Invalidations
 				}
-				inline := uint64(1)
-				if parts > 0 {
-					inline = 0
+				var inline, byWriter uint64 // dooms by V1's epoch driver, by the writer's own commit
+				switch {
+				case procs < 4:
+					byWriter = 1
+				case parts == 0:
+					inline = 1
 				}
-				if sv.commitSrv.Invalidations != inline || byPartition != 1-inline {
-					t.Errorf("%s: dooms by the epoch driver %d, by partitions %d; want %d and %d",
-						name, sv.commitSrv.Invalidations, byPartition, inline, 1-inline)
+				if got := writer.Stats().Invalidations; sv.commitSrv.Invalidations != inline ||
+					byPartition != 1-inline-byWriter || got != byWriter {
+					t.Errorf("%s: dooms by the epoch driver %d, by partitions %d, by the writer %d; want %d, %d and %d",
+						name, sv.commitSrv.Invalidations, byPartition, got, inline, 1-inline-byWriter, byWriter)
 				}
 				phases := serverPhaseCounts(s)
-				if parts == 0 && (phases["scan"] != 1 || phases["inval-wait"] != 0) ||
+				if procs < 4 && len(phases) != 0 ||
+					procs >= 4 && parts == 0 && (phases["scan"] != 1 || phases["inval-wait"] != 0) ||
 					parts > 0 && (phases["scan"] != uint64(parts) || phases["inval-wait"] != 1) {
-					t.Errorf("%s: server phases %v, want one inline scan and no inval-wait without partitions", name, phases)
+					t.Errorf("%s: server phases %v, want none below four Ps, one inline scan and no inval-wait without partitions", name, phases)
 				}
 				reader.Close()
 				writer.Close()

@@ -164,6 +164,20 @@ func (ws *writeSet) spare(v *Var) *Box {
 
 func (ws *writeSet) len() int { return len(ws.entries) }
 
+// shards returns the mask of the commit streams a non-empty ws writes (bit j =
+// stream j), given System.shardMask: bit 0 alone when Shards == 1.
+//
+//stm:hotpath
+func (ws *writeSet) shards(shardMask uint64) (mask uint64) {
+	if shardMask == 0 {
+		return 1
+	}
+	for i := range ws.entries {
+		mask |= 1 << (ws.entries[i].v.key.H1 & shardMask)
+	}
+	return mask
+}
+
 // writeBack publishes every buffered version. The caller must hold the
 // write-back right (global timestamp odd, or the global mutex).
 func (ws *writeSet) writeBack() {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"github.com/ssrg-vt/rinval/internal/bloom"
@@ -420,11 +419,11 @@ func TestCrossShardMaskClassification(t *testing.T) {
 		t.Fatalf("Commits = %d, want 2", got.Commits)
 	}
 	eng := s.rinval
-	if got := atomic.LoadUint64(&eng.srv[0].commitSrv.CrossShardCommits); got != 1 {
+	if got := eng.srv[0].stats().CrossShardCommits; got != 1 {
 		t.Errorf("shard-0 server CrossShardCommits = %d, want 1 (read-only foreign shard must route through the handshake)", got)
 	}
 	for j := 1; j < 4; j++ {
-		if got := atomic.LoadUint64(&eng.srv[j].commitSrv.CrossShardCommits); got != 0 {
+		if got := eng.srv[j].stats().CrossShardCommits; got != 0 {
 			t.Errorf("shard-%d server led %d handshakes, want 0", j, got)
 		}
 	}

@@ -68,12 +68,11 @@ type Stats struct {
 	// more than one commit stream.
 	CrossShardCommits uint64
 	// HelpedEpochs counts the epochs a client drove itself and that
-	// committed at least one request (DESIGN.md §16): either its busy-wait
-	// budget ran out with no reply and the home stream's lock was free, or
-	// the engine gave it the commit — a solo or invisible attempt on shared
-	// Ps, that is every attempt there but the visible retry of a validation
-	// abort — and it committed its own write set under its streams' locks
-	// without publishing a request.
+	// committed at least one request (DESIGN.md §16): below four Ps, where
+	// no server runs, every RInval writer commit (the inline commit under
+	// its streams' timestamps); at four or more, the epochs a client ran
+	// because its busy-wait budget ran out with no reply and the home
+	// stream's lock was free.
 	// Recorded on the client's own Stats; those epochs are also in the
 	// stream's Epochs, so HelpedEpochs <= Epochs and the ratio is the share
 	// of epochs the commit-server did not get to first.

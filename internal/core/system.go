@@ -80,17 +80,25 @@ type commitDesc struct {
 // single stream and the layout reproduces the paper exactly; with more, each
 // stream orders only the commits that write its shard's Vars (DESIGN.md §11).
 type commitStream struct {
+	_ [padded.CacheLineSize - 24]byte
 	// ts is the stream's even/odd timestamp (sequence lock). Even: no commit
-	// write-back in progress. Odd: a committer is publishing its write set.
-	ts padded.Uint64
+	// write-back in progress. Odd: a committer is publishing its write set, or
+	// an inline commit (invalEngine.commit) holds a stream it read.
+	ts atomic.Uint64
+	// epochs and crossShard count the inline RInval commits this stream led
+	// and those of them that spanned streams, added by ts's holder on the line
+	// its CAS owns; shardServer.stats folds them in as batches of one.
+	epochs, crossShard atomic.Uint64
+	_                  [padded.CacheLineSize]byte
 
-	// owner is the stream lock: held (1) by whoever drives an epoch here —
-	// the shard's own commit-server, the leader of a multi-stream epoch that
-	// touches this stream, or a waiting client that took it to run the epoch
-	// itself (DESIGN.md §16). Every RInval ts transition happens under it,
-	// for every Shards value, so a holder that observes ts even knows no
-	// epoch is in flight. Waiting acquisitions go through lockStreams, in
-	// ascending shard order, which makes multi-stream epochs deadlock-free.
+	// owner is the stream lock where RInval's servers run: held (1) by
+	// whoever drives an epoch here — the shard's own commit-server, the leader
+	// of a multi-stream epoch that touches this stream, or a waiting client
+	// that took it to run the epoch itself (DESIGN.md §16). Every ts
+	// transition there happens under it, for every Shards value, so a holder
+	// that observes ts even knows no epoch is in flight. Waiting acquisitions
+	// go through lockStreams, in ascending shard order, which makes
+	// multi-stream epochs deadlock-free.
 	owner padded.Uint32
 
 	// invalTS[k] is local invalidation-server k's timestamp for this stream
@@ -177,8 +185,9 @@ type System struct {
 	mu sync.Mutex
 
 	eng engine
-	// rinval is eng for the RInval engines, nil otherwise: the System starts
-	// its servers and folds their stats.
+	// rinval is the RInval engines' server side, nil otherwise: the System
+	// starts its servers and folds their stats. It is eng unless clients
+	// commit themselves; then eng is InvalSTM's.
 	rinval *remoteEngine
 
 	// The inputs of attemptKind, fixed at construction. baseKind is the
@@ -329,6 +338,9 @@ func newSystem(cfg Config) (*System, error) {
 	case RInvalV1, RInvalV2, RInvalV3:
 		s.rinval = newRemoteEngine(s)
 		s.eng, s.baseKind, s.clientsCommit = s.rinval, kindVisible, cool
+		if cool {
+			s.eng = &invalEngine{sys: s}
+		}
 	}
 	// A validated attempt revalidates from the log (an invisible one keeps it
 	// regardless, Tx.logs); the invalidation engines keep it under Stats, and
@@ -605,6 +617,45 @@ func (s *System) unlockStreams(mask uint64) {
 		m &^= 1 << uint(j)
 		s.unlockStream(j)
 	}
+}
+
+// lockTimestamp waits until shard j's timestamp is even, raises it odd and
+// returns the even value: an inline commit's lock (Tx.lockTouched).
+//
+//stm:hotpath
+func (s *System) lockTimestamp(j int) uint64 {
+	ts := &s.streams[j].ts
+	var w spin.Waiter
+	for {
+		if t := ts.Load(); t&1 == 0 && ts.CompareAndSwap(t, t+1) {
+			return t
+		}
+		w.Wait()
+	}
+}
+
+// releaseTouched lowers the timestamps of the streams in touched, which the
+// caller raised odd, in descending shard order, the reverse of lockTouched's.
+//
+//stm:hotpath
+func (s *System) releaseTouched(touched, writes uint64) {
+	for m := touched; m != 0; {
+		j := bits.Len64(m) - 1
+		m &^= 1 << uint(j)
+		s.unlockTimestamp(writes&(1<<uint(j)) != 0, j)
+	}
+}
+
+// unlockTimestamp lowers shard j's odd timestamp to the next even value if
+// the holder wrote the stream, else back to the value it was taken from.
+//
+//stm:hotpath
+func (s *System) unlockTimestamp(wrote bool, j int) {
+	d := ^uint64(0)
+	if wrote {
+		d = 1
+	}
+	s.streams[j].ts.Add(d)
 }
 
 // Tracer returns the lifecycle event tracer, or nil when Config.Trace is

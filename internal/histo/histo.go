@@ -44,6 +44,22 @@ func (h *Histogram) Record(v uint64) {
 	}
 }
 
+// RecordN adds n samples of value v.
+func (h *Histogram) RecordN(v, n uint64) {
+	if n == 0 {
+		return
+	}
+	h.buckets[bits.Len64(v)] += n
+	if h.count == 0 || v < h.min {
+		h.min = v
+	}
+	if v > h.max {
+		h.max = v
+	}
+	h.count += n
+	h.sum += v * n
+}
+
 // Count returns the number of recorded samples.
 func (h *Histogram) Count() uint64 { return h.count }
 

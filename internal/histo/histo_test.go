@@ -144,6 +144,26 @@ func TestMergeMatchesCombinedRecording(t *testing.T) {
 	}
 }
 
+// TestRecordNMatchesRepeatedRecord: RecordN(v, n) leaves the histogram
+// exactly as n calls of Record(v) do, on top of any earlier samples.
+func TestRecordNMatchesRepeatedRecord(t *testing.T) {
+	f := func(xs []uint16, v uint16, n uint8) bool {
+		var a, b Histogram
+		for _, x := range xs {
+			a.Record(uint64(x))
+			b.Record(uint64(x))
+		}
+		a.RecordN(uint64(v), uint64(n))
+		for i := 0; i < int(n); i++ {
+			b.Record(uint64(v))
+		}
+		return a == b
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestReset(t *testing.T) {
 	var h Histogram
 	h.Record(7)
