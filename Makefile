@@ -47,12 +47,13 @@ test:
 ## trace and server-phase tests that drive them), and GOMAXPROCS=2, where no
 ## server goroutine runs (coolServers): every RInval commit is InvalSTM's
 ## inline commit, each touched stream's timestamp its lock, and a lone
-## client's attempts are solo kind (validated by timestamps). The inline-commit
+## client's attempts are solo kind (validated by timestamps), as a lone NOrec
+## or InvalSTM client's are at any GOMAXPROCS. The inline-commit
 ## tests (Inline: no goroutine started, a visible retry that never touches its
 ## mailbox, a cross-shard write skew over every attempt kind) run in both
 ## sets. Tests that need servers or partitions build their System at four Ps
 ## (atFourPs), so they also run at GOMAXPROCS=2 with that layout.
-## internal/verify's churn check
+## internal/verify's churn check (NOrec, InvalSTM and RInval)
 ## flips a client between solo, invisible and visible attempts, and its
 ## conservation check on InvalSTM and RInval-V1/V2 at GOMAXPROCS 2
 ## (TestInvisibleThenVisibleRegimes) runs invisible attempts and their visible

@@ -189,26 +189,33 @@ func TestStoreOverwriteReplacesCell(t *testing.T) {
 	}
 }
 
-// TestReadLogSkippedWhenStatsOff: the invalidation engines only keep the
-// read log for stats accounting; NOrec (and TL2) always keep it because
-// revalidation replays it.
+// TestReadLogSkippedWhenStatsOff: the invalidation engines only keep a lone
+// Thread's read log for stats accounting, and so does NOrec, whose lone
+// Thread runs solo; NOrec with a second Thread registered (and TL2) keeps it
+// because revalidation replays it.
 func TestReadLogSkippedWhenStatsOff(t *testing.T) {
 	cases := []struct {
 		algo    Algo
 		stats   bool
 		wantLog bool
+		shared  bool
 	}{
-		{InvalSTM, false, false},
-		{InvalSTM, true, true},
-		{RInvalV2, false, false},
-		{RInvalV2, true, true},
-		{NOrec, false, true},
-		{NOrec, true, true},
-		{TL2, false, true},
+		{InvalSTM, false, false, false},
+		{InvalSTM, true, true, false},
+		{RInvalV2, false, false, false},
+		{RInvalV2, true, true, false},
+		{NOrec, false, false, false},
+		{NOrec, true, true, false},
+		{NOrec, false, true, true},
+		{TL2, false, true, false},
 	}
 	for _, c := range cases {
 		s := MustNew(Config{Algo: c.algo, MaxThreads: 4, InvalServers: 2, Stats: c.stats})
 		th := s.MustRegister()
+		var other *Thread
+		if c.shared {
+			other = s.MustRegister()
+		}
 		v := NewVar(7)
 		var logged int
 		if err := th.Atomically(func(tx *Tx) error {
@@ -223,7 +230,10 @@ func TestReadLogSkippedWhenStatsOff(t *testing.T) {
 			want = 1
 		}
 		if logged != want {
-			t.Errorf("%s stats=%v: read log has %d entries, want %d", c.algo, c.stats, logged, want)
+			t.Errorf("%s stats=%v shared=%v: read log has %d entries, want %d", c.algo, c.stats, c.shared, logged, want)
+		}
+		if other != nil {
+			other.Close()
 		}
 		th.Close()
 		if err := s.Close(); err != nil {

@@ -45,10 +45,10 @@ func BenchmarkReadOnlyTx(b *testing.B) {
 // Thread's attempts may be solo (System.attemptKind: no read signature, no
 // liveness, timestamp validation). The shared ones of RInval (rinval-v1/shared,
 // rinval-v2/shared) publish every read and their liveness as the paper's
-// protocol does (invalRead); invalstm/shared measures the invisible attempt —
-// NOrec's validated read, logged, and its CAS commit — which is all an
-// uncontended InvalSTM attempt runs with two Threads registered. Every read
-// path an uncontended client takes stays measured.
+// protocol does (invalRead); norec/shared and invalstm/shared measure the
+// invisible attempt — the validated read, logged, and the CAS commit — which
+// is all an uncontended NOrec or InvalSTM attempt runs with two Threads
+// registered. Every read path an uncontended client takes stays measured.
 func benchShared(b *testing.B, algos []Algo, body func(b *testing.B, th *Thread)) {
 	for _, a := range algos {
 		for _, name := range []string{a.String(), a.String() + "/shared"} {

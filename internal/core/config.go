@@ -113,11 +113,11 @@ type Config struct {
 	// Bloom is the read/write signature geometry: Bits a power of two >= 64,
 	// Hashes in [1,8]. Default bloom.DefaultParams.
 	Bloom bloom.Params
-	// Stats makes the invalidation engines keep the per-transaction read log
-	// in every attempt. TL2 always keeps it, and so does an invisible attempt
-	// (NOrec's, InvalSTM's, and RInval's below four Ps: one that is neither
-	// solo nor the retry of a validation abort), which validates from it;
-	// Stats forces it on for the solo and visible attempts. Off by default.
+	// Stats makes NOrec and the invalidation engines keep the per-transaction
+	// read log in every attempt. TL2 always keeps it, and so does an invisible
+	// attempt (a shared one of NOrec, InvalSTM, and RInval below four Ps),
+	// which validates from it; Stats forces it on for the solo and visible
+	// attempts. Off by default.
 	Stats bool
 	// Attribution enables conflict attribution: the who-aborted-whom matrix,
 	// wasted-work accounting per abort reason, bloom false-positive sampling,

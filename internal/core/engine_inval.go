@@ -91,13 +91,14 @@ func invalRead(tx *Tx, v *Var) (*Box, bool) {
 	}
 }
 
-// soloRead is a solo attempt's read for every invalidation engine, called by
-// Tx.LoadBox without the engine dispatch. It validates as NOrec does: load the
-// cell, then re-load its stream's timestamp. Still the snapshot's, it proves
-// no commit wrote the stream since begin — every write-back runs while the
-// timestamp is odd — so the cell is the snapshot's; moved, the attempt aborts
-// without returning it. The shard joins readShards, which the solo commit
-// validates under the locks.
+// soloRead is a solo attempt's read, NOrec's and every invalidation
+// engine's, called by Tx.LoadBox without the engine dispatch. It validates as
+// invisibleRead does, with no log to extend over: load the cell, then re-load
+// its stream's timestamp. Still the snapshot's, it proves no commit wrote the
+// stream since begin — every write-back runs while the timestamp is odd — so
+// the cell is the snapshot's; moved, the attempt aborts without returning it.
+// The shard joins readShards, which the solo commit validates under the
+// locks.
 //
 //stm:hotpath
 func soloRead(tx *Tx, v *Var) (*Box, bool) {

@@ -18,24 +18,25 @@ import (
 // all committers spin on the same timestamp word, which on real hardware
 // turns into cache-line ping-pong (modeled in internal/sim).
 //
-// Every NOrec attempt is invisible (System.attemptKind): its read is
-// invisibleRead, its revalidation Tx.extend and its lock Tx.lockFromSnapshot,
-// the same code an invisible InvalSTM or RInval attempt runs.
+// NOrec's clients commit themselves, so its attempts follow InvalSTM's rule
+// (System.attemptKind) without the visible retry: a lone Thread's attempt is
+// solo — soloRead, no read log, a moved timestamp a validation abort — and a
+// shared one invisible — invisibleRead, revalidation by Tx.extend. Either
+// locks the global timestamp by one CAS from the snapshot (Tx.lockTouched),
+// the same code InvalSTM runs. The snapshot is taken by System.attemptKind.
 type norecEngine struct {
 	sys *System
 }
 
-// begin snapshots an even timestamp — the transaction's linearization basis.
-func (e *norecEngine) begin(tx *Tx) {
-	tx.snap[0] = e.sys.waitEven()
-}
+func (e *norecEngine) begin(tx *Tx) {}
 
-// read is unreachable: Tx.LoadBox reads an invisible attempt through
-// invisibleRead without the engine dispatch. Kept total so the engine
-// satisfies the interface.
+// read is unreachable: Tx.LoadBox reads a solo or invisible attempt through
+// soloRead or invisibleRead without the engine dispatch. Kept total so the
+// engine satisfies the interface.
 func (e *norecEngine) read(tx *Tx, v *Var) (*Box, bool) { return invisibleRead(tx, v) }
 
-// commit locks from the snapshot, writes back and releases.
+// commit locks the global timestamp from the snapshot, writes back and
+// releases, through InvalSTM's lockTouched and releaseTouched.
 //
 //stm:hotpath
 func (e *norecEngine) commit(tx *Tx) bool {
@@ -43,23 +44,23 @@ func (e *norecEngine) commit(tx *Tx) bool {
 		// Read-only: the read set is valid at the snapshot by construction.
 		return true
 	}
-	if !tx.lockFromSnapshot(0) {
+	if !tx.lockTouched(1) {
 		return false
 	}
 	e.sys.writeBack(tx.ws)
-	e.sys.streams[0].ts.Add(1)
+	e.sys.releaseTouched(1, 1)
 	return true
 }
 
 func (e *norecEngine) abort(tx *Tx) {}
 
-// invisibleRead is NOrec's read, and an invisible attempt's for every
-// invalidation engine, called by Tx.LoadBox without the engine dispatch, which
-// logs the cell: load the cell, then re-load its stream's timestamp. Still the
-// snapshot's, no write-back ran on the stream since the snapshot — every
-// write-back runs while the timestamp is odd — so the cell is the snapshot's.
-// Moved, the attempt re-validates its log at a fresh cut (extend) and loads
-// again.
+// invisibleRead is an invisible attempt's read, NOrec's with two or more
+// Threads and a shared invalidation-engine attempt's, called by Tx.LoadBox
+// without the engine dispatch, which logs the cell: load the cell, then
+// re-load its stream's timestamp. Still the snapshot's, no write-back ran on
+// the stream since the snapshot — every write-back runs while the timestamp
+// is odd — so the cell is the snapshot's. Moved, the attempt re-validates its
+// log at a fresh cut (extend) and loads again.
 //
 //stm:hotpath
 func invisibleRead(tx *Tx, v *Var) (*Box, bool) {
@@ -147,9 +148,9 @@ func (tx *Tx) logValid() bool {
 // lockFromSnapshot raises stream j's timestamp odd for an invisible attempt
 // with a CAS from its snapshot: success proves no commit intervened on the
 // stream, so no commit-time validation is needed. On CAS failure the snapshot
-// is extended and the acquisition retried; false is a validation abort. The
-// caller writes back and lowers the timestamp to the next even value. NOrec
-// and InvalSTM lock stream 0, the global timestamp.
+// is extended and the acquisition retried; false is a validation abort.
+// Tx.lockTouched's caller writes back and lowers the timestamp to the next
+// even value. NOrec and InvalSTM lock stream 0, the global timestamp.
 //
 //stm:hotpath
 func (tx *Tx) lockFromSnapshot(j int) bool {

@@ -10,7 +10,7 @@ import (
 // engine's clients commit themselves and at most one Thread is registered, an
 // attempt publishes no read signature and no liveness; every read re-checks
 // its stream's timestamp against the begin snapshot, and the commit validates
-// the snapshot under its streams' locks (InvalSTM: one CAS from it). A Thread
+// the snapshot under its streams' locks (NOrec, InvalSTM: one CAS). A Thread
 // that registers mid-attempt makes the next attempts shared but does not
 // change the running one. Every test runs at GOMAXPROCS 2, where RInval's
 // servers share the clients' Ps (coolServers) and no stream has partitions.
@@ -23,10 +23,10 @@ type soloConfig struct {
 
 func (c soloConfig) String() string { return fmt.Sprintf("%s/shards=%d", c.algo, c.shards) }
 
-// soloConfigs is every invalidation engine at Shards 1 and, where the engine
-// shards (RInval), 2.
+// soloConfigs is NOrec and every invalidation engine at Shards 1 and, where
+// the engine shards (RInval), 2.
 func soloConfigs() []soloConfig {
-	cs := []soloConfig{{InvalSTM, 1}}
+	cs := []soloConfig{{NOrec, 1}, {InvalSTM, 1}}
 	for _, algo := range rinvalAlgos {
 		cs = append(cs, soloConfig{algo, 1}, soloConfig{algo, 2})
 	}
@@ -48,15 +48,15 @@ func (k attemptKind) String() string {
 }
 
 // TestAttemptKindRule: the one rule for an attempt's kind, over all seven
-// engines. Mutex's attempts are direct, NOrec's invisible, TL2's validated. An
-// invalidation-engine attempt is solo exactly where the engine's clients
-// commit themselves — InvalSTM always, RInval below four Ps — and at most
-// one Thread is registered, whatever the previous attempt; the rule follows
-// registrations both ways, and a begun attempt carries it. There a shared
-// attempt is invisible, unless it retries a validation abort: then it is
-// visible. A shared RInval attempt at four Ps is always visible. An
-// AtomicallyRO attempt with Versions is a snapshot one on every engine that
-// has versions.
+// engines. Mutex's attempts are direct, TL2's validated. An attempt is solo
+// exactly where the engine's clients commit themselves — NOrec and InvalSTM
+// always, RInval below four Ps — and at most one Thread is registered,
+// whatever the previous attempt; the rule follows registrations both ways,
+// and a begun attempt carries it. There a shared attempt is invisible, unless
+// it retries a validation abort on an invalidation engine: then it is
+// visible. NOrec, which has no visible read, is invisible on that retry too.
+// A shared RInval attempt at four Ps is always visible. An AtomicallyRO
+// attempt with Versions is a snapshot one on every engine that has versions.
 func TestAttemptKindRule(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
@@ -74,17 +74,15 @@ func TestAttemptKindRule(t *testing.T) {
 				switch algo {
 				case Mutex:
 					return kindDirect
-				case NOrec:
-					return kindInvisible
 				case TL2:
 					return kindValidated
 				}
 				switch {
-				case algo != InvalSTM && procs >= 4:
+				case algo != InvalSTM && algo != NOrec && procs >= 4:
 					return kindVisible
 				case threads < 2:
 					return kindSolo
-				case retry:
+				case retry && algo != NOrec:
 					return kindVisible
 				}
 				return kindInvisible
@@ -117,11 +115,11 @@ func TestAttemptKindRule(t *testing.T) {
 			th2 := s.MustRegister()
 			check(2, th1)
 			check(2, th2)
-			if algo != NOrec && want(2, false) == kindInvisible {
+			if want(2, false) == kindInvisible {
 				if err := th1.AtomicallyRO(func(tx *Tx) error {
 					failFirstAttempt(t, tx, th2)
-					if tx.kind != kindVisible {
-						t.Errorf("%s at GOMAXPROCS %d: retry of a validation abort is %v, want a visible attempt", algo, procs, tx.kind)
+					if tx.kind != want(2, true) {
+						t.Errorf("%s at GOMAXPROCS %d: retry of a validation abort is %v, want %v", algo, procs, tx.kind, want(2, true))
 					}
 					return nil
 				}); err != nil {
@@ -156,7 +154,8 @@ func TestAttemptKindRule(t *testing.T) {
 // and no read-signature bit, reads or writes; the same attempt with a second
 // Thread registered, retrying a first attempt the second Thread failed, is
 // visible and sets all three (an InvalSTM first attempt is invisible and
-// sets none: TestInvisibleExtendsPastUnrelatedCommit).
+// sets none: TestInvisibleExtendsPastUnrelatedCommit), except on NOrec, whose
+// retry is invisible too.
 func TestSoloPublishesNothing(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, c := range soloConfigs() {
@@ -166,17 +165,17 @@ func TestSoloPublishesNothing(t *testing.T) {
 			v, w := NewVar(0), NewVar(0)
 			attempt := func(other *Thread) {
 				t.Helper()
-				wantSolo := other == nil
+				wantSolo, visible := other == nil, other != nil && c.algo != NOrec
 				if err := th.Atomically(func(tx *Tx) error {
 					if other != nil {
 						failFirstAttempt(t, tx, other)
 					}
 					tx.Store(w, tx.Load(v).(int)+1)
 					_, alive := th.slot.aliveWord()
-					if (tx.kind == kindSolo) != wantSolo || s.active.has(th.idx) == wantSolo || alive == wantSolo ||
-						th.slot.readBF.MayContain(v.id) == wantSolo {
+					if (tx.kind == kindSolo) != wantSolo || s.active.has(th.idx) != visible || alive != visible ||
+						th.slot.readBF.MayContain(v.id) != visible {
 						t.Errorf("kind=%v active=%v alive=%v read bit=%v, want solo %v and the rest %v",
-							tx.kind, s.active.has(th.idx), alive, th.slot.readBF.MayContain(v.id), wantSolo, !wantSolo)
+							tx.kind, s.active.has(th.idx), alive, th.slot.readBF.MayContain(v.id), wantSolo, visible)
 					}
 					return nil
 				}); err != nil {
@@ -255,14 +254,15 @@ func TestSoloAbortsOnMidAttemptCommit(t *testing.T) {
 	}
 }
 
-// TestSoloCommitDoomsMidAttemptReader: a Thread that registers inside a solo
+// TestSoloCommitFailsMidAttemptReader: a Thread that registers inside a solo
 // attempt runs shared and reads a Var the solo attempt then writes. The reader
 // is invisible, so the solo commit cannot doom it: its next read on the
-// written stream fails validation instead. It cannot be made visible, since
-// that takes a validation abort, and so a commit the solo attempt would see.
-// The retry reads the new value. (An invisible commit's doom of a visible
-// reader: TestInvisibleCommitDoomsVisibleReader.)
-func TestSoloCommitDoomsMidAttemptReader(t *testing.T) {
+// written stream fails validation instead. It cannot be made visible: NOrec
+// has no visible attempt, and elsewhere that takes a validation abort, and so
+// a commit the solo attempt would see. The retry reads the new value. (An
+// invisible commit's doom of a visible reader:
+// TestInvisibleCommitDoomsVisibleReader.)
+func TestSoloCommitFailsMidAttemptReader(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, c := range soloConfigs() {
 		t.Run(c.String(), func(t *testing.T) {

@@ -20,7 +20,7 @@ import (
 // attempt reads, validates and commits within it is the attempt's kind
 // (System.attemptKind).
 type engine interface {
-	// begin runs engine-specific transaction setup (e.g. NOrec's snapshot,
+	// begin runs engine-specific transaction setup (e.g. TL2's snapshot,
 	// Mutex's lock acquisition), after the attempt's kind is chosen.
 	begin(tx *Tx)
 	// read returns the current consistent version of v, or ok=false if the
@@ -191,11 +191,11 @@ type System struct {
 	rinval *remoteEngine
 
 	// The inputs of attemptKind, fixed at construction. baseKind is the
-	// engine's kind: validated (TL2), invisible (NOrec), direct (Mutex) or
-	// visible (the invalidation engines). clientsCommit is true where an invalidation
-	// engine's clients commit their solo and invisible attempts themselves:
-	// always for InvalSTM, and for RInval where its servers share the
-	// clients' Ps (coolServers).
+	// engine's kind: validated (TL2), invisible (NOrec, which has no visible
+	// read), direct (Mutex) or visible (the invalidation engines).
+	// clientsCommit is true where the clients commit their solo and invisible
+	// attempts themselves: always for NOrec and InvalSTM, and for RInval where
+	// its servers share the clients' Ps (coolServers).
 	baseKind      attemptKind
 	clientsCommit bool
 
@@ -330,7 +330,7 @@ func newSystem(cfg Config) (*System, error) {
 	case Mutex:
 		s.eng, s.baseKind = &mutexEngine{sys: s}, kindDirect
 	case NOrec:
-		s.eng, s.baseKind = &norecEngine{sys: s}, kindInvisible
+		s.eng, s.baseKind, s.clientsCommit = &norecEngine{sys: s}, kindInvisible, true
 	case TL2:
 		s.eng = &tl2Engine{sys: s}
 	case InvalSTM:
@@ -343,9 +343,9 @@ func newSystem(cfg Config) (*System, error) {
 		}
 	}
 	// A validated attempt revalidates from the log (an invisible one keeps it
-	// regardless, Tx.logs); the invalidation engines keep it under Stats, and
-	// Attribution forces it on: the sampled exact-set check that classifies
-	// bloom false positives replays it on the victim's abort path.
+	// regardless, Tx.logs); NOrec and the invalidation engines keep it under
+	// Stats, and Attribution forces it on: the sampled exact-set check that
+	// classifies bloom false positives replays it on the victim's abort path.
 	s.logReads = s.baseKind == kindValidated || cfg.Stats || cfg.Attribution
 	return s, nil
 }
@@ -450,7 +450,7 @@ func (s *System) Register() (*Thread, error) {
 	if s.tracer != nil {
 		th.tx.ring = s.tracer.Ring(idx)
 	}
-	if s.nVers > 0 || s.clientsCommit || s.baseKind == kindInvisible {
+	if s.nVers > 0 || s.clientsCommit {
 		// Whole cache lines: an invisible attempt writes its snapshot at
 		// begin and on every extension, while another Thread's, allocated
 		// next to it, is read on each of that Thread's loads.
@@ -663,20 +663,6 @@ func (s *System) unlockTimestamp(wrote bool, j int) {
 // the recording goroutines have quiesced — after Close, or with all threads
 // idle.
 func (s *System) Tracer() *obs.Tracer { return s.tracer }
-
-// waitEven spins until the global timestamp (shard 0's stream; the
-// single-stream engines that call this require Shards == 1) is even and
-// returns it.
-func (s *System) waitEven() uint64 {
-	var w spin.Waiter
-	for {
-		t := s.streams[0].ts.Load()
-		if t&1 == 0 {
-			return t
-		}
-		w.Wait()
-	}
-}
 
 // writeBack publishes every buffered version of ws. With Versions off this is
 // exactly the seed's bare loop (one storeBox per entry, nothing else touches

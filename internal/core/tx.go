@@ -249,15 +249,15 @@ type attemptKind uint8
 const (
 	kindValidated attemptKind = iota // TL2: validated from the read log
 	kindDirect                       // Mutex: Vars loaded and stored under the lock
-	// kindSolo: an invalidation engine's lone client. Every read re-checks its
-	// stream's timestamp against snap (soloRead) and the slot publishes
-	// nothing — no read signature, no active bit, no ALIVE word — so no
-	// committer can doom it.
+	// kindSolo: a lone client of NOrec or of an invalidation engine. Every
+	// read re-checks its stream's timestamp against snap (soloRead), keeps no
+	// log, and the slot publishes nothing — no read signature, no active bit,
+	// no ALIVE word — so no committer can doom it.
 	kindSolo
-	// kindInvisible: NOrec's attempt, and an invalidation engine's shared one,
-	// which publishes nothing either. Each read re-checks its stream's
-	// timestamp against snap, and a moved one re-validates the read log at a
-	// fresh cut (invisibleRead, Tx.extend).
+	// kindInvisible: a shared attempt of the same engines, which publishes
+	// nothing either. Each read re-checks its stream's timestamp against snap,
+	// and a moved one re-validates the read log at a fresh cut
+	// (invisibleRead, Tx.extend).
 	kindInvisible
 	// kindVisible: the paper's protocol. The slot publishes all three, and a
 	// committer can doom the attempt.
@@ -267,19 +267,20 @@ const (
 
 // attemptKind is the one rule for an attempt's kind; Tx.begin applies it once
 // per attempt, and retry reports that the previous attempt failed validation.
-// NOrec, TL2 and Mutex have one kind each (NOrec's is invisible, its snapshot
-// taken by the engine's begin). Where an invalidation engine's clients commit
-// themselves — InvalSTM always, RInval where its servers share the clients' Ps
+// TL2 and Mutex have one kind each, as has RInval with servers of its own: the
+// paper's protocol, visible on every attempt. Where clients commit themselves
+// — NOrec, InvalSTM, and RInval where its servers share the clients' Ps
 // (coolServers) — an attempt captures its snapshot into tx.snap here and is
-// solo while at most one Thread is registered: no
-// committer but the client itself can then doom it, so invalidation would only
+// solo while at most one Thread is registered: no committer but the client
+// itself can then invalidate it, so a read log or a read signature would only
 // be overhead; a Thread that registers mid-attempt commits through the
-// timestamps the attempt re-checks, and a solo commit still scans the other
-// slots for it. With two or more Threads the attempt is invisible unless it
-// retries a validation abort; the retry is visible, as in the paper's
-// protocol. Streams that never stay still long enough for a consistent cut
-// make the attempt visible instead. RInval with servers of their own runs the
-// paper's protocol on every attempt.
+// timestamps the attempt re-checks, and a solo commit of an invalidation
+// engine still scans the other slots for it. With two or more Threads the
+// attempt is invisible, unless the engine has a visible read (baseKind) and
+// the attempt retries a validation abort; that retry is visible, as in the
+// paper's protocol. NOrec has no visible read, so all its shared attempts are
+// invisible. Streams that never stay still long enough for a consistent cut
+// make the attempt visible instead.
 //
 // On a two-client pair-transfer map (container/ds's
 // BenchmarkMapContendedPairs) about 90 % of attempts committed undoomed when
@@ -291,11 +292,11 @@ const (
 //stm:hotpath
 func (s *System) attemptKind(tx *Tx, retry bool) attemptKind {
 	switch {
-	case s.baseKind != kindVisible || !s.clientsCommit:
+	case !s.clientsCommit:
 		return s.baseKind
 	case s.nLive.Load() < 2 && s.captureSnapshot(tx.snap):
 		return kindSolo
-	case !retry && s.captureSnapshot(tx.snap):
+	case !(retry && s.baseKind == kindVisible) && s.captureSnapshot(tx.snap):
 		return kindInvisible
 	}
 	return kindVisible
@@ -327,8 +328,7 @@ type Tx struct {
 	// roUser marks the whole AtomicallyRO call (snapshot path and fallback
 	// alike): Store panics while it is set. snap is a snapshot, solo or
 	// invisible attempt's per-shard epoch vector, allocated once at Register
-	// when Versions > 0, for NOrec, or where the engine's clients commit
-	// themselves.
+	// when Versions > 0 or where the engine's clients commit themselves.
 	roUser bool
 	snap   []uint64
 

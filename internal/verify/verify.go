@@ -316,7 +316,7 @@ func checkTree(algo stm.Algo, o Options, rep *Report) error {
 // Threads come and go in the middle of the long-lived client's attempts and
 // those attempts flip between solo (at most one Thread registered, where the
 // engine's clients commit themselves) and shared — invisible, or visible on
-// the retry of a validation abort. Every audit body
+// the retry of an invalidation engine's validation abort. Every audit body
 // checks the total it read — a torn read shows as a wrong sum even in an
 // attempt that later aborts — and the final total is checked quiescently. It
 // runs at every shard count the engine supports: 1, and 2 for RInval.

@@ -39,15 +39,16 @@ func TestOptionsDefaults(t *testing.T) {
 }
 
 // TestChurnSoloShared runs the churn check at both server layouts, whatever
-// the runner's core count: GOMAXPROCS 2, where every invalidation engine runs
-// a lone client's attempts solo, so Threads that register and close flip the
-// long-lived client between solo and shared attempts; and GOMAXPROCS 4, where
-// only InvalSTM does and RInval starts every server.
+// the runner's core count: GOMAXPROCS 2, where NOrec and every invalidation
+// engine run a lone client's attempts solo, so Threads that register and
+// close flip the long-lived client between solo and shared attempts; and
+// GOMAXPROCS 4, where only NOrec and InvalSTM do and RInval starts every
+// server.
 func TestChurnSoloShared(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{2, 4} {
 		runtime.GOMAXPROCS(procs)
-		for _, a := range []stm.Algo{stm.InvalSTM, stm.RInvalV1, stm.RInvalV2, stm.RInvalV3} {
+		for _, a := range []stm.Algo{stm.NOrec, stm.InvalSTM, stm.RInvalV1, stm.RInvalV2, stm.RInvalV3} {
 			t.Run(fmt.Sprintf("%s/procs=%d", a, procs), func(t *testing.T) {
 				var rep Report
 				if err := checkChurn(a, Options{Threads: 3, Duration: 100 * time.Millisecond, Seed: 1}, &rep); err != nil {
