@@ -59,11 +59,14 @@ test:
 ## (TestInvisibleThenVisibleRegimes) runs invisible attempts and their visible
 ## retries side by side. The spare-cell tests (TestRetryReusesAbortedCells,
 ## internal/core and stm) race a retry's reuse of its aborted attempt's cells
-## against the servers that answered that attempt.
-RACE_LAYOUT_RUN = 'Help|CrossShard|Partition|Liveness|Mailbox|Opacity|Differential|Epoch|Solo|Kind|Churn|Invisible|RetryReuses|Inline|GroupCommit|FlightPartition|TraceLifecycle|ServerPhase'
+## against the servers that answered that attempt. The snapshot-reader tests
+## (TestRO: the snapshot attempt's kind and lifecycle, torn pairs, lapped and
+## cross-shard readers) run in both sets, since a snapshot attempt is a kind of
+## the shared attempt loop and its fallback's retry takes the layout's rule.
+RACE_LAYOUT_RUN = 'Help|CrossShard|Partition|Liveness|Mailbox|Opacity|Differential|Epoch|Solo|Kind|Churn|Invisible|RetryReuses|Inline|TestRO|GroupCommit|FlightPartition|TraceLifecycle|ServerPhase'
 race:
 	$(GO) test -race -count=1 ./internal/core/ ./stm/ ./internal/obs/ ./internal/bloom/ ./internal/padded/ ./internal/analysis/
-	$(GO) test -race -count=10 -run 'Help|CrossShard|Partition|LivenessOneP|Mailbox|Solo|Kind|Churn|Invisible|RetryReuses|Inline' ./internal/core/ ./internal/verify/ ./stm/
+	$(GO) test -race -count=10 -run 'Help|CrossShard|Partition|LivenessOneP|Mailbox|Solo|Kind|Churn|Invisible|RetryReuses|Inline|TestRO' ./internal/core/ ./internal/verify/ ./stm/
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run $(RACE_LAYOUT_RUN) ./internal/core/ ./internal/verify/ ./stm/
 	GOMAXPROCS=2 $(GO) test -race -count=3 -run $(RACE_LAYOUT_RUN) ./internal/core/ ./internal/verify/ ./stm/
 

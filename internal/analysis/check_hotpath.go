@@ -18,8 +18,8 @@ import (
 // The check is lexical (the annotated function's own body, including its
 // function literals): it does not chase calls, so helpers like writeSet.put
 // — whose amortized map build is a deliberate design decision — stay
-// un-annotated, while the annotated frontier (engine read/commit, the
-// invalidation scans, the commit-server epoch loop) is kept clean. Clock
+// un-annotated, while the annotated frontier (the reads and engine commits,
+// the invalidation scans, the commit-server epoch loop) is kept clean. Clock
 // reads behind a config gate go through a helper or a clock variable (core
 // calls obs.Now), which the check deliberately does not resolve: an
 // indirect, gated clock is the sanctioned pattern.

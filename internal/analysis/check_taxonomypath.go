@@ -14,16 +14,19 @@ import (
 // silently misattributes the abort to whatever reason the previous attempt
 // left behind — a bug no test catches unless it asserts the exact taxonomy.
 //
-// Scope: packages that declare an (unexported) `engine` interface with
-// `read` and `commit` methods. Conflict exits are the constant-false returns
-// of its implementers' read/commit methods and any panic(conflictSignal{})
-// in the package. The check runs the function's CFG with the fact "an abort
+// Scope: packages that declare an (unexported) `engine` interface with a
+// `commit` method. Conflict exits are the constant-false returns of its
+// implementers' methods whose last result is bool (commit; read too, where
+// the interface has one), the constant-false returns of every plain read
+// function of the shape `func(tx *Tx, v *Var) (*Box, bool)` — the reads the
+// attempt's kind picks, which Tx.LoadBox calls without the interface — and any
+// panic(conflictSignal{}) in the package. The check runs the function's CFG with the fact "an abort
 // reason has been recorded on every path reaching this point" (merge = AND):
 // a conflict exit is clean only when reason recording dominates it, so an
 // assignment in one branch does not excuse a bare `return false` in a
 // sibling branch. Recording is an assignment to a `.reason` field or a call
 // whose callee — transitively, within the module — performs one; calls
-// through the engine interface itself are trusted, each implementation being
+// through the engine interface's bool-returning methods are trusted, each implementation being
 // checked on its own. The callee summary is a may-analysis, so a delegating
 // call marks all its successor paths recorded even when the callee records
 // only on its failure branch; that over-approximation is deliberate
@@ -44,7 +47,7 @@ func runTaxonomyPath(m *Module, report ReportFunc) {
 			continue
 		}
 		tc := &taxonomyChecker{m: m, p: p, iface: iface, report: report,
-			setsReason: make(map[*types.Func]bool)}
+			exits: conflictMethods(iface), setsReason: make(map[*types.Func]bool)}
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -58,7 +61,7 @@ func runTaxonomyPath(m *Module, report ReportFunc) {
 }
 
 func checkTaxonomyPaths(tc *taxonomyChecker, fd *ast.FuncDecl) {
-	isEngine := tc.isEngineConflictMethod(fd)
+	isEngine := tc.isEngineConflictMethod(fd) || tc.isReadFunc(fd)
 
 	// Only analyze functions that contain a conflict exit at all.
 	hasExit := false
@@ -132,9 +135,13 @@ func checkTaxonomyPaths(tc *taxonomyChecker, fd *ast.FuncDecl) {
 			switch n := n.(type) {
 			case *ast.ReturnStmt:
 				if isEngine && tc.isConflictReturn(n) {
+					name := fd.Name.Name
+					if fd.Recv != nil {
+						name = recvName(fd) + "." + name
+					}
 					tc.report(n.Pos(),
-						"conflict exit reachable without tx.reason: a path into this return false in %s.%s records no abort reason",
-						recvName(fd), fd.Name.Name)
+						"conflict exit reachable without tx.reason: a path into this return false in %s records no abort reason",
+						name)
 				}
 			case *ast.ExprStmt:
 				if call, ok := unwrap(n.X).(*ast.CallExpr); ok && tc.isConflictPanic(call) {
@@ -148,7 +155,7 @@ func checkTaxonomyPaths(tc *taxonomyChecker, fd *ast.FuncDecl) {
 }
 
 // engineInterface finds the package's unexported engine contract: an
-// interface type named "engine" with read and commit methods.
+// interface type named "engine" with a commit method.
 func engineInterface(p *Package) *types.Interface {
 	tn, ok := p.Types.Scope().Lookup("engine").(*types.TypeName)
 	if !ok {
@@ -158,19 +165,34 @@ func engineInterface(p *Package) *types.Interface {
 	if !ok {
 		return nil
 	}
-	hasRead, hasCommit := false, false
 	for i := 0; i < iface.NumMethods(); i++ {
-		switch iface.Method(i).Name() {
-		case "read":
-			hasRead = true
-		case "commit":
-			hasCommit = true
+		if iface.Method(i).Name() == "commit" {
+			return iface
 		}
 	}
-	if !hasRead || !hasCommit {
-		return nil
+	return nil
+}
+
+// conflictMethods names the interface's methods whose last result is bool:
+// the ones that can fail an attempt by returning false.
+func conflictMethods(iface *types.Interface) map[string]bool {
+	names := make(map[string]bool)
+	for i := 0; i < iface.NumMethods(); i++ {
+		m := iface.Method(i)
+		if lastResultIsBool(m.Type().(*types.Signature)) {
+			names[m.Name()] = true
+		}
 	}
-	return iface
+	return names
+}
+
+func lastResultIsBool(sig *types.Signature) bool {
+	r := sig.Results()
+	if r.Len() == 0 {
+		return false
+	}
+	b, ok := r.At(r.Len() - 1).Type().Underlying().(*types.Basic)
+	return ok && b.Kind() == types.Bool
 }
 
 type taxonomyChecker struct {
@@ -178,19 +200,21 @@ type taxonomyChecker struct {
 	p      *Package
 	iface  *types.Interface
 	report ReportFunc
+	// exits names the interface methods that are conflict exits.
+	exits map[string]bool
 
 	// setsReason memoizes "does this function (transitively) assign a
 	// .reason field".
 	setsReason map[*types.Func]bool
 }
 
-// isEngineConflictMethod reports whether fd is the read or commit method of
-// a type implementing the engine interface.
+// isEngineConflictMethod reports whether fd is a conflict-exit method
+// (tc.exits) of a type implementing the engine interface.
 func (tc *taxonomyChecker) isEngineConflictMethod(fd *ast.FuncDecl) bool {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return false
 	}
-	if fd.Name.Name != "read" && fd.Name.Name != "commit" {
+	if !tc.exits[fd.Name.Name] {
 		return false
 	}
 	rt := tc.p.Info.TypeOf(fd.Recv.List[0].Type)
@@ -199,6 +223,34 @@ func (tc *taxonomyChecker) isEngineConflictMethod(fd *ast.FuncDecl) bool {
 	}
 	return types.Implements(rt, tc.iface) ||
 		types.Implements(types.NewPointer(rt), tc.iface)
+}
+
+// isReadFunc reports whether fd is a plain function of a read's shape,
+// func(tx *Tx, v *Var) (*Box, bool), matched by the type names.
+func (tc *taxonomyChecker) isReadFunc(fd *ast.FuncDecl) bool {
+	if fd.Recv != nil {
+		return false
+	}
+	fn, ok := tc.p.Info.Defs[fd.Name].(*types.Func)
+	if !ok {
+		return false
+	}
+	sig := fn.Type().(*types.Signature)
+	params, results := sig.Params(), sig.Results()
+	return params.Len() == 2 && results.Len() == 2 &&
+		isPtrToNamed(params.At(0).Type(), "Tx") &&
+		isPtrToNamed(params.At(1).Type(), "Var") &&
+		isPtrToNamed(results.At(0).Type(), "Box") && lastResultIsBool(sig)
+}
+
+// isPtrToNamed reports whether t is *name for a named type called name.
+func isPtrToNamed(t types.Type, name string) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	n := namedOrigin(ptr.Elem())
+	return n != nil && n.Obj().Name() == name
 }
 
 // isConflictReturn reports whether ret's final result is constant false.
@@ -224,10 +276,10 @@ func (tc *taxonomyChecker) isConflictPanic(call *ast.CallExpr) bool {
 	return n != nil && n.Obj().Name() == "conflictSignal"
 }
 
-// isEngineIfaceMethod reports whether fn is the read or commit method of
-// the engine interface itself (a dynamic dispatch site).
+// isEngineIfaceMethod reports whether fn is a conflict-exit method of an
+// interface (a dynamic dispatch site).
 func (tc *taxonomyChecker) isEngineIfaceMethod(fn *types.Func) bool {
-	if fn.Name() != "read" && fn.Name() != "commit" {
+	if !tc.exits[fn.Name()] {
 		return false
 	}
 	sig, ok := fn.Type().(*types.Signature)

@@ -189,10 +189,10 @@ func TestStoreOverwriteReplacesCell(t *testing.T) {
 	}
 }
 
-// TestReadLogSkippedWhenStatsOff: the invalidation engines only keep a lone
-// Thread's read log for stats accounting, and so does NOrec, whose lone
-// Thread runs solo; NOrec with a second Thread registered (and TL2) keeps it
-// because revalidation replays it.
+// TestReadLogSkippedWhenStatsOff: the attempt's kind decides the read log,
+// whatever Stats says. A lone Thread of NOrec or an invalidation engine runs
+// solo and keeps none; NOrec with a second Thread registered (invisible) and
+// TL2 (validated) keep it because revalidation replays it.
 func TestReadLogSkippedWhenStatsOff(t *testing.T) {
 	cases := []struct {
 		algo    Algo
@@ -201,11 +201,11 @@ func TestReadLogSkippedWhenStatsOff(t *testing.T) {
 		shared  bool
 	}{
 		{InvalSTM, false, false, false},
-		{InvalSTM, true, true, false},
+		{InvalSTM, true, false, false},
 		{RInvalV2, false, false, false},
-		{RInvalV2, true, true, false},
+		{RInvalV2, true, false, false},
 		{NOrec, false, false, false},
-		{NOrec, true, true, false},
+		{NOrec, true, false, false},
 		{NOrec, false, true, true},
 		{TL2, false, true, false},
 	}

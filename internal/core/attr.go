@@ -126,9 +126,9 @@ func (tx *Tx) recordAttribution(a *obs.Attribution) {
 			committer = kd.committer
 			if kd.writeIDs != nil {
 				// Sampled commit: the exact read-set ∩ write-set check. The
-				// read log holds every completed read (logReads is forced on
-				// under attribution); pendingRead covers a read doomed before
-				// Tx.Load could log it.
+				// read log holds every completed read (a visible attempt keeps
+				// it under attribution, Tx.logs); pendingRead covers a read
+				// doomed before Tx.Load could log it.
 				hits := 0
 				for i := range tx.rs.entries {
 					if id := tx.rs.entries[i].v.id; contains(kd.writeIDs, id) {

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // Per-engine micro-benchmarks: the cost of the primitive operations on the
@@ -152,5 +155,73 @@ func BenchmarkContendedCounter(b *testing.B) {
 			}
 			wg.Wait()
 		})
+	}
+}
+
+// BenchmarkScanContend is the case for Config.Versions (ROADMAP item 12): one
+// client runs 64-read AtomicallyRO scans (b.N of them) while another runs
+// 2-load/2-store transfers over the same 1,024 Vars, per engine at Versions
+// 0, 2 and 8. It reports both clients' rates (scan/s, write/s), the scanner's
+// conflict aborts per commit and its snapshot fallbacks per scan. At
+// Versions 0 every scan runs the regular attempt loop; above, its first
+// attempt is a snapshot one.
+func BenchmarkScanContend(b *testing.B) {
+	for _, a := range []Algo{NOrec, InvalSTM, RInvalV1} {
+		for _, versions := range []int{0, 2, 8} {
+			b.Run(fmt.Sprintf("%s/v%d", a, versions), func(b *testing.B) {
+				s, err := New(Config{Algo: a, MaxThreads: 4, InvalServers: 1, Versions: versions})
+				if err != nil {
+					b.Fatal(err)
+				}
+				vars := make([]*Var, 1024)
+				for i := range vars {
+					vars[i] = NewVar(0)
+				}
+				scanner, writer := s.MustRegister(), s.MustRegister()
+				var stop atomic.Bool
+				var writes atomic.Uint64
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					rng := uint64(1)
+					for !stop.Load() {
+						rng = rng*6364136223846793005 + 1442695040888963407
+						i, j := int(rng>>33)%len(vars), int(rng>>13)%len(vars)
+						_ = writer.Atomically(func(tx *Tx) error {
+							x, y := tx.Load(vars[i]).(int), tx.Load(vars[j]).(int)
+							tx.Store(vars[i], x-1)
+							tx.Store(vars[j], y+1)
+							return nil
+						})
+						writes.Add(1)
+					}
+				}()
+				b.ResetTimer()
+				start, w0 := time.Now(), writes.Load()
+				for n := 0; n < b.N; n++ {
+					scan := vars[n*64%len(vars):][:64]
+					_ = scanner.AtomicallyRO(func(tx *Tx) error {
+						for _, v := range scan {
+							_ = tx.Load(v)
+						}
+						return nil
+					})
+				}
+				elapsed, w := time.Since(start).Seconds(), writes.Load()-w0
+				b.StopTimer()
+				stop.Store(true)
+				<-done
+				st := scanner.Stats()
+				b.ReportMetric(float64(b.N)/elapsed, "scan/s")
+				b.ReportMetric(float64(w)/elapsed, "write/s")
+				b.ReportMetric(float64(st.Aborts)/float64(st.Commits), "scan-aborts/commit")
+				b.ReportMetric(float64(st.ROFallbacks)/float64(b.N), "fallbacks/scan")
+				scanner.Close()
+				writer.Close()
+				if err := s.Close(); err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
 	}
 }

@@ -113,19 +113,17 @@ type Config struct {
 	// Bloom is the read/write signature geometry: Bits a power of two >= 64,
 	// Hashes in [1,8]. Default bloom.DefaultParams.
 	Bloom bloom.Params
-	// Stats makes NOrec and the invalidation engines keep the per-transaction
-	// read log in every attempt. TL2 always keeps it, and so does an invisible
-	// attempt (a shared one of NOrec, InvalSTM, and RInval below four Ps),
-	// which validates from it; Stats forces it on for the solo and visible
-	// attempts. Off by default.
+	// Stats has no effect: an attempt's kind decides whether it keeps a read
+	// log (DESIGN.md §3). The field stays so callers that set it (the
+	// repository benchmark's per-layer stats row) still build.
 	Stats bool
 	// Attribution enables conflict attribution: the who-aborted-whom matrix,
 	// wasted-work accounting per abort reason, bloom false-positive sampling,
 	// and hot-var reservoir sampling (see System.ConflictReport and DESIGN.md
 	// §10). Committers publish a killer descriptor before each doom CAS and
-	// victims record on their abort path; read logging is forced on for the
-	// invalidation engines so the sampled exact-set check has data. Off by
-	// default; when off, every record site is a nil-receiver no-op.
+	// victims record on their abort path; a visible attempt keeps its read
+	// log so the sampled exact-set check has data. Off by default; when off,
+	// every record site is a nil-receiver no-op.
 	Attribution bool
 	// AttrSampleEvery is the deterministic sampling period of the exact
 	// read-set ∩ write-set false-positive check: every Nth writer commit

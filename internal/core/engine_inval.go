@@ -25,17 +25,12 @@ type invalEngine struct {
 
 func (e *invalEngine) begin(tx *Tx) {}
 
-// read implements Algorithm 1's READ for a visible attempt (invalRead).
-//
-//stm:hotpath
-func (e *invalEngine) read(tx *Tx, v *Var) (*Box, bool) { return invalRead(tx, v) }
-
-// invalRead is a visible attempt's read for InvalSTM and the RInval engines,
-// applied against the stream that owns v's shard (with Shards == 1 that is
-// the global timestamp, exactly the paper's protocol): load the value inside
-// a stable even window of the timestamp, publish the read-filter bit before
-// the stability re-check, then verify this transaction has not been
-// invalidated. Where the stream has partitions (RInvalV2/V3 at four Ps or
+// invalRead is Algorithm 1's READ, a visible attempt's read for InvalSTM and
+// the RInval engines, called by Tx.LoadBox and applied against the stream
+// that owns v's shard (with Shards == 1 that is the global timestamp, exactly
+// the paper's protocol): load the value inside a stable even window of the
+// timestamp, publish the read-filter bit before the stability re-check, then
+// verify this transaction has not been invalidated. Where the stream has partitions (RInvalV2/V3 at four Ps or
 // more) the reader's own partition must also have processed every prior
 // commit (Algorithm 3, line 28): only then is "my status flag is still ALIVE"
 // proof that no prior commit conflicted. Without them every commit dooms
@@ -91,14 +86,13 @@ func invalRead(tx *Tx, v *Var) (*Box, bool) {
 	}
 }
 
-// soloRead is a solo attempt's read, NOrec's and every invalidation
-// engine's, called by Tx.LoadBox without the engine dispatch. It validates as
-// invisibleRead does, with no log to extend over: load the cell, then re-load
-// its stream's timestamp. Still the snapshot's, it proves no commit wrote the
-// stream since begin — every write-back runs while the timestamp is odd — so
-// the cell is the snapshot's; moved, the attempt aborts without returning it.
-// The shard joins readShards, which the solo commit validates under the
-// locks.
+// soloRead is a solo attempt's read, NOrec's and every invalidation engine's,
+// called by Tx.LoadBox. It validates as invisibleRead does, with no log to
+// extend over: load the cell, then re-load its stream's timestamp. Still the
+// snapshot's, it proves no commit wrote the stream since begin — every
+// write-back runs while the timestamp is odd — so the cell is the snapshot's;
+// moved, the attempt aborts without returning it. The shard joins readShards,
+// which the solo commit validates under the locks.
 //
 //stm:hotpath
 func soloRead(tx *Tx, v *Var) (*Box, bool) {

@@ -5,20 +5,22 @@ package core
 // critical path is exactly: acquire lock, run body, publish writes, release.
 // There are no conflicts and no aborts; writes are still buffered so that a
 // user abort (fn returning an error) rolls back, keeping the API semantics
-// identical across engines.
+// identical across engines. The three methods act only for a direct attempt:
+// a snapshot attempt (AtomicallyRO with Versions) takes no lock.
 type mutexEngine struct {
 	sys *System
 }
 
-func (e *mutexEngine) begin(tx *Tx) { e.sys.mu.Lock() }
-
-func (e *mutexEngine) read(tx *Tx, v *Var) (*Box, bool) {
-	// Unreachable: a direct attempt's loads bypass the engine. Kept total so
-	// the engine satisfies the interface even if a future caller routes here.
-	return v.loadBox(), true
+func (e *mutexEngine) begin(tx *Tx) {
+	if tx.kind == kindDirect {
+		e.sys.mu.Lock()
+	}
 }
 
 func (e *mutexEngine) commit(tx *Tx) bool {
+	if tx.kind != kindDirect {
+		return true
+	}
 	if e.sys.nVers > 0 && tx.ws.len() > 0 {
 		// Versioned write-back needs an odd epoch to stamp. The mutex engine
 		// never touches the timestamp otherwise, so bracket the write-back
@@ -34,4 +36,8 @@ func (e *mutexEngine) commit(tx *Tx) bool {
 	return true
 }
 
-func (e *mutexEngine) abort(tx *Tx) { e.sys.mu.Unlock() }
+func (e *mutexEngine) abort(tx *Tx) {
+	if tx.kind == kindDirect {
+		e.sys.mu.Unlock()
+	}
+}

@@ -30,11 +30,6 @@ type norecEngine struct {
 
 func (e *norecEngine) begin(tx *Tx) {}
 
-// read is unreachable: Tx.LoadBox reads a solo or invisible attempt through
-// soloRead or invisibleRead without the engine dispatch. Kept total so the
-// engine satisfies the interface.
-func (e *norecEngine) read(tx *Tx, v *Var) (*Box, bool) { return invisibleRead(tx, v) }
-
 // commit locks the global timestamp from the snapshot, writes back and
 // releases, through InvalSTM's lockTouched and releaseTouched.
 //
@@ -55,12 +50,12 @@ func (e *norecEngine) commit(tx *Tx) bool {
 func (e *norecEngine) abort(tx *Tx) {}
 
 // invisibleRead is an invisible attempt's read, NOrec's with two or more
-// Threads and a shared invalidation-engine attempt's, called by Tx.LoadBox
-// without the engine dispatch, which logs the cell: load the cell, then
-// re-load its stream's timestamp. Still the snapshot's, no write-back ran on
-// the stream since the snapshot — every write-back runs while the timestamp
-// is odd — so the cell is the snapshot's. Moved, the attempt re-validates its
-// log at a fresh cut (extend) and loads again.
+// Threads and a shared invalidation-engine attempt's, called by Tx.LoadBox,
+// which logs the cell: load the cell, then re-load its stream's timestamp.
+// Still the snapshot's, no write-back ran on the stream since the snapshot —
+// every write-back runs while the timestamp is odd — so the cell is the
+// snapshot's. Moved, the attempt re-validates its log at a fresh cut
+// (extend) and loads again.
 //
 //stm:hotpath
 func invisibleRead(tx *Tx, v *Var) (*Box, bool) {

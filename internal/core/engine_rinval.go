@@ -52,7 +52,7 @@ import (
 // driver that found it lagging and free (scanPartition) — so a partition lags
 // only while somebody is scanning it.
 type remoteEngine struct {
-	invalEngine     // begin, read (a visible attempt's, invalRead) and abort
+	invalEngine     // begin and abort
 	stepsAhead  int // 0 unless V3 with partitions
 	maxBatch    int
 

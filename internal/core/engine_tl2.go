@@ -44,11 +44,12 @@ func (e *tl2Engine) begin(tx *Tx) {
 	tx.start = e.sys.streams[0].ts.Load()
 }
 
-// read returns v's value if it is committed no later than the transaction's
-// read version. TL2 does not extend snapshots: a newer version aborts.
+// tl2Read is a validated attempt's read, called by Tx.LoadBox: v's value if
+// it is committed no later than the transaction's read version. TL2 does not
+// extend snapshots: a newer version aborts.
 //
 //stm:hotpath
-func (e *tl2Engine) read(tx *Tx, v *Var) (*Box, bool) {
+func tl2Read(tx *Tx, v *Var) (*Box, bool) {
 	var w spin.Waiter
 	var tw int64 // trace timestamp of the first blocked sample, if any
 	for i := 0; ; i++ {
@@ -113,12 +114,6 @@ func (e *tl2Engine) commit(tx *Tx) bool {
 		for i := 0; i < tl2LockSpins; i++ {
 			cur := we.v.verlock.Load()
 			if !tl2Locked(cur) {
-				if tl2Version(cur) > tx.start {
-					// Written since our snapshot: even if we locked it, the
-					// read of this location (if any) is stale; a pure blind
-					// write could proceed, but classic TL2 validates via
-					// the read set below, so locking is still fine.
-				}
 				if we.v.verlock.CompareAndSwap(cur, cur|1) {
 					acquired = true
 					break

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -133,6 +134,134 @@ func TestROSnapshotBasicAndStorePanics(t *testing.T) {
 				return nil
 			})
 		})
+	}
+}
+
+// TestROSnapshotKindLifecycle: the first attempt of an AtomicallyRO call with
+// Versions is a snapshot one on every engine that has versions; a Mutex
+// System's takes no lock. Every exit — commit, user abort, fallback, and a
+// panicking fn — clears the slot's roActive bit. A fallback is no conflict:
+// it counts in ROFallbacks only, and its retry has the kind of a retry that
+// did not fail validation.
+func TestROSnapshotKindLifecycle(t *testing.T) {
+	for _, algo := range mvAlgos {
+		t.Run(algo.String(), func(t *testing.T) {
+			s := newSys(t, algo, func(c *Config) { c.Versions = 2 })
+			th, other := s.MustRegister(), s.MustRegister()
+			defer other.Close()
+			defer th.Close()
+			x := NewVar(0)
+			var want Stats
+			exit := func(what string, fn func(tx *Tx) error) error {
+				t.Helper()
+				defer func() {
+					if s.roActive.has(th.idx) {
+						t.Errorf("%s: roActive bit still set", what)
+					}
+					st := th.Stats()
+					if st.ROCommits != want.ROCommits || st.ROFallbacks != want.ROFallbacks || st.Aborts != 0 ||
+						st.AbortReasons[AbortExplicit] != want.AbortReasons[AbortExplicit] {
+						t.Errorf("%s: ROCommits %d ROFallbacks %d Aborts %d explicit %d, want %d %d 0 %d", what,
+							st.ROCommits, st.ROFallbacks, st.Aborts, st.AbortReasons[AbortExplicit],
+							want.ROCommits, want.ROFallbacks, want.AbortReasons[AbortExplicit])
+					}
+				}()
+				return th.AtomicallyRO(func(tx *Tx) error {
+					if tx.Attempt() == 1 {
+						if tx.kind != kindSnapshot || !s.roActive.has(th.idx) {
+							t.Errorf("%s: first attempt kind %v, roActive %v; want a snapshot attempt with the bit set",
+								what, tx.kind, s.roActive.has(th.idx))
+						}
+						if algo == Mutex {
+							if !s.mu.TryLock() {
+								t.Errorf("%s: the snapshot attempt holds the Mutex System's lock", what)
+							} else {
+								s.mu.Unlock()
+							}
+						}
+					}
+					return fn(tx)
+				})
+			}
+
+			want.ROCommits++
+			if err := exit("commit", func(tx *Tx) error { tx.Load(x); return nil }); err != nil {
+				t.Fatal(err)
+			}
+
+			userAbort := errors.New("user abort")
+			want.AbortReasons[AbortExplicit]++
+			if err := exit("user abort", func(tx *Tx) error { return userAbort }); err != userAbort {
+				t.Fatalf("user abort returned %v", err)
+			}
+
+			func() {
+				defer func() {
+					if r := recover(); r != "boom" {
+						t.Fatalf("recovered %v, want the body's panic", r)
+					}
+				}()
+				_ = exit("panic", func(tx *Tx) error { panic("boom") })
+			}()
+
+			// A non-validation retry's kind, asked of the rule with both
+			// Threads registered.
+			retryKind := s.attemptKind(&Tx{snap: make([]uint64, s.cfg.Shards)}, false)
+			want.ROFallbacks++ // and no ROCommits: the retry commits on the regular path
+			if err := exit("fallback", func(tx *Tx) error {
+				if tx.kind == kindSnapshot {
+					for i := 0; i < 3; i++ { // lap x's two-version history
+						if err := other.Atomically(func(tx *Tx) error {
+							tx.Store(x, i+1)
+							return nil
+						}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					tx.Load(x)
+					t.Fatal("a lapped snapshot read returned")
+				}
+				if tx.kind != retryKind || s.roActive.has(th.idx) {
+					t.Errorf("fallback attempt kind %v, roActive %v; want %v and the bit clear",
+						tx.kind, s.roActive.has(th.idx), retryKind)
+				}
+				if got := tx.Load(x).(int); got != 3 {
+					t.Errorf("fallback attempt read %d, want 3", got)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestROUnstableCutTakesRegularRule: a snapshot attempt whose cut does not
+// stabilize (a stream held odd past the capture's budget) counts one fallback,
+// clears its roActive bit and runs as a regular attempt of the same number.
+func TestROUnstableCutTakesRegularRule(t *testing.T) {
+	s := newSys(t, RInvalV1, func(c *Config) { c.Versions = 2; c.Shards = 2 })
+	th := s.MustRegister()
+	defer th.Close()
+	x := NewVar(0)
+	for s.VarShard(x) != 0 {
+		x = NewVar(0)
+	}
+	s.streams[1].ts.Add(1) // a commit holding stream 1 throughout
+	err := th.AtomicallyRO(func(tx *Tx) error {
+		if tx.kind == kindSnapshot || tx.Attempt() != 1 || s.roActive.has(th.idx) {
+			t.Errorf("attempt %d kind %v, roActive %v; want attempt 1 on the regular rule, bit clear",
+				tx.Attempt(), tx.kind, s.roActive.has(th.idx))
+		}
+		tx.Load(x)
+		return nil
+	})
+	s.streams[1].ts.Add(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := th.Stats(); st.ROFallbacks != 1 || st.ROCommits != 0 || st.Aborts != 0 || st.Commits != 1 {
+		t.Errorf("stats %+v: want ROFallbacks 1, ROCommits 0, Aborts 0, Commits 1", st)
 	}
 }
 

@@ -44,7 +44,7 @@ func (c soloConfig) new(t *testing.T) *System {
 
 // String names the kind in test failures.
 func (k attemptKind) String() string {
-	return [...]string{"validated", "direct", "solo", "invisible", "visible", "snapshot"}[k]
+	return [...]string{"validated", "snapshot", "direct", "solo", "invisible", "visible"}[k]
 }
 
 // TestAttemptKindRule: the one rule for an attempt's kind, over all seven
@@ -55,8 +55,9 @@ func (k attemptKind) String() string {
 // and a begun attempt carries it. There a shared attempt is invisible, unless
 // it retries a validation abort on an invalidation engine: then it is
 // visible. NOrec, which has no visible read, is invisible on that retry too.
-// A shared RInval attempt at four Ps is always visible. An AtomicallyRO
-// attempt with Versions is a snapshot one on every engine that has versions.
+// A shared RInval attempt at four Ps is always visible. The first attempt of
+// an AtomicallyRO call with Versions is a snapshot one on every engine that
+// has versions, with its roActive bit set; a later one takes the rule above.
 func TestAttemptKindRule(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
@@ -135,6 +136,19 @@ func TestAttemptKindRule(t *testing.T) {
 	for _, algo := range mvAlgos {
 		s := MustNew(Config{Algo: algo, Versions: 2})
 		th := s.MustRegister()
+		regular := s.attemptKind(&Tx{snap: make([]uint64, 1)}, false)
+		for attempt := 1; attempt <= 2; attempt++ {
+			probe := &Tx{th: th, stats: &th.stats, snap: make([]uint64, 1), roUser: true, attempts: attempt}
+			want := regular
+			if attempt == 1 {
+				want = kindSnapshot
+			}
+			if got := s.attemptKind(probe, false); got != want || s.roActive.has(th.idx) != (want == kindSnapshot) {
+				t.Errorf("%s: AtomicallyRO attempt %d with Versions is %v (roActive %v), want %v",
+					algo, attempt, got, s.roActive.has(th.idx), want)
+			}
+			s.roActive.clear(th.idx)
+		}
 		if err := th.AtomicallyRO(func(tx *Tx) error {
 			if tx.kind != kindSnapshot {
 				t.Errorf("%s: AtomicallyRO attempt with Versions is %v, want snapshot", algo, tx.kind)

@@ -15,18 +15,14 @@ import (
 	"github.com/ssrg-vt/rinval/internal/spin"
 )
 
-// engine is the concurrency-control strategy plugged into a System. A Tx
-// funnels every transactional access through its System's engine; how an
-// attempt reads, validates and commits within it is the attempt's kind
-// (System.attemptKind).
+// engine is the concurrency-control strategy plugged into a System: how an
+// attempt begins, commits and aborts. How it reads, and whether it keeps a
+// read log, is the attempt's kind (System.attemptKind), which Tx.LoadBox
+// switches on without asking the engine.
 type engine interface {
 	// begin runs engine-specific transaction setup (e.g. TL2's snapshot,
 	// Mutex's lock acquisition), after the attempt's kind is chosen.
 	begin(tx *Tx)
-	// read returns the current consistent version of v, or ok=false if the
-	// transaction must abort. Tx.LoadBox never calls it for a direct, solo or
-	// invisible attempt.
-	read(tx *Tx, v *Var) (b *Box, ok bool)
 	// commit attempts to commit tx; false means a conflict abort (the
 	// engine sets tx.reason before failing). Read-only fast paths are the
 	// engine's responsibility.
@@ -168,7 +164,7 @@ type System struct {
 	roActive activeSet
 
 	// roEpoch[i] is slot i's published snapshot lower bound while its roActive
-	// bit is set: a provisional epoch stored before the bit (see runSnapshot
+	// bit is set: a provisional epoch stored before the bit (see beginSnapshot
 	// for the ordering argument), never above the snapshot the reader actually
 	// captures. Kept out of slot so the request array's hand-tuned layout is
 	// untouched.
@@ -198,10 +194,6 @@ type System struct {
 	// its servers share the clients' Ps (coolServers).
 	baseKind      attemptKind
 	clientsCommit bool
-
-	// logReads makes every attempt keep its read log (Tx.logs; an invisible
-	// attempt keeps it regardless). Set in newSystem.
-	logReads bool
 
 	// tracer records lifecycle events when cfg.Trace is set; nil otherwise.
 	// Actors 0..MaxThreads-1 are the client slots; engines append their
@@ -342,11 +334,6 @@ func newSystem(cfg Config) (*System, error) {
 			s.eng = &invalEngine{sys: s}
 		}
 	}
-	// A validated attempt revalidates from the log (an invisible one keeps it
-	// regardless, Tx.logs); NOrec and the invalidation engines keep it under
-	// Stats, and Attribution forces it on: the sampled exact-set check that
-	// classifies bloom false positives replays it on the victim's abort path.
-	s.logReads = s.baseKind == kindValidated || cfg.Stats || cfg.Attribution
 	return s, nil
 }
 

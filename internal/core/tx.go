@@ -13,12 +13,11 @@ import (
 // which retries the transaction; it never escapes the package.
 type conflictSignal struct{}
 
-// roFallbackSignal unwinds a snapshot read-only attempt whose snapshot fell
-// off a Var's bounded history ring (the writers lapped it, or the commit
-// pipeline never went quiet long enough to capture a cut). It is deliberately
-// not a conflictSignal: nothing doomed the reader and there is no engine
-// state to roll back or abort reason to record — AtomicallyRO catches it,
-// counts Stats.ROFallbacks, and re-runs the body once on the regular path.
+// roFallbackSignal unwinds a snapshot attempt whose snapshot fell off a Var's
+// bounded history ring (the writers lapped it). It is deliberately not a
+// conflictSignal: nothing doomed the reader and no abort reason applies. Tx.run
+// recovers it as a failed attempt, onConflictAbort counts it in
+// Stats.ROFallbacks only, and the retry takes the regular rule.
 type roFallbackSignal struct{}
 
 // Thread binds a goroutine to one entry of the cache-aligned requests array.
@@ -64,26 +63,18 @@ func (th *Thread) Atomically(fn func(*Tx) error) error {
 }
 
 // AtomicallyRO runs fn as a read-only transaction. With Config.Versions > 0
-// it takes the snapshot path: capture a per-shard epoch vector, resolve every
-// Load to the newest version at or below it, and finish without a read
-// filter, doom CAS, or revalidation — the transaction can never conflict and
-// never appears in an invalidation scan. A reader the writers lap falls back
-// once to the regular retry loop (counted in Stats.ROFallbacks). With
-// Versions == 0 the regular path runs directly, so the paper-exact baseline
-// is behaviourally unchanged. Either way fn must not call Tx.Store (it
-// panics); returning a non-nil error aborts as in Atomically.
+// its first attempt is a snapshot one (kindSnapshot, chosen in Tx.begin):
+// every Load resolves to the newest version at or below a captured per-shard
+// epoch vector, with no read filter, doom CAS, or revalidation — the attempt
+// can never conflict and never appears in an invalidation scan. A reader the
+// writers lap falls back to the regular retry loop (counted in
+// Stats.ROFallbacks). With Versions == 0 every attempt is a regular one, so
+// the paper-exact baseline is behaviourally unchanged. Either way fn must not
+// call Tx.Store (it panics); returning a non-nil error aborts as in
+// Atomically.
 func (th *Thread) AtomicallyRO(fn func(*Tx) error) error {
 	tx := th.startTx("AtomicallyRO", true)
 	defer th.endTx()
-	if th.sys.nVers > 0 {
-		if err, ok := tx.runSnapshot(fn); ok {
-			return err
-		}
-		// Lapped (or capture never stabilized): one shot on the regular path.
-		// Its begin counts a retry, but the write set still holds the previous
-		// transaction's published cells, which must not become spares.
-		tx.ws.reset(false)
-	}
 	return tx.retryLoop(fn)
 }
 
@@ -128,7 +119,7 @@ func (tx *Tx) sampleLatency() {
 }
 
 // retryLoop drives attempts of fn through the engine until one commits or fn
-// asks for a user abort. Shared by Atomically and AtomicallyRO's fallback.
+// asks for a user abort. Shared by Atomically and AtomicallyRO.
 func (tx *Tx) retryLoop(fn func(*Tx) error) error {
 	for {
 		tx.begin()
@@ -148,107 +139,19 @@ func (tx *Tx) retryLoop(fn func(*Tx) error) error {
 	}
 }
 
-// runSnapshot is AtomicallyRO's abort-free path: one attempt against a
-// consistent epoch snapshot. ok=false means the attempt fell back (counted in
-// ROFallbacks) and the caller must re-run fn on the regular path; the user
-// function's effects are discarded either way (it has no writes).
-func (tx *Tx) runSnapshot(fn func(*Tx) error) (err error, ok bool) {
-	sys := tx.sys
-	tx.attempts++
-	// Publish the provisional epoch bound, then the liveness bit, then
-	// capture. roFloorNow reads the timestamps before the bitmap, so a floor
-	// computation that misses our bit used timestamp values from before this
-	// point — at or below the provisional bound, and therefore at or below
-	// every component of the snapshot we are about to capture (timestamps
-	// only grow). One that sees our bit honours the published bound directly.
-	prov := ^uint64(0)
-	for j := range sys.streams {
-		if t := sys.streams[j].ts.Load() &^ 1; t < prov {
-			prov = t
-		}
-	}
-	sys.roEpoch[tx.th.idx].Store(prov)
-	sys.roActive.set(tx.th.idx)
-	defer sys.roActive.clear(tx.th.idx)
-	if !sys.captureSnapshot(tx.snap) {
-		atomic.AddUint64(&tx.stats.ROFallbacks, 1)
-		return nil, false
-	}
-	// Tighten the published bound to the snapshot's actual minimum so GC
-	// reclaims up to what this reader really needs. Raising it is safe: the
-	// floor takes the minimum over all live readers and the resolve rule
-	// never reaches below the snapshot component of the Var's own shard.
-	minSnap := tx.snap[0]
-	for _, e := range tx.snap[1:] {
-		if e < minSnap {
-			minSnap = e
-		}
-	}
-	sys.roEpoch[tx.th.idx].Store(minSnap)
-
-	tx.kind = kindSnapshot
-	// The deferred fold covers every exit of the attempt: commit, user
-	// abort, fallback, and a panic passing through runRO.
-	defer tx.foldOps()
-	tx.traceT0 = tx.ring.Now()
-	tx.ring.InstantAt(obs.KBegin, tx.traceT0, uint64(tx.attempts))
-	err, fellBack := tx.runRO(fn)
-	if fellBack {
-		atomic.AddUint64(&tx.stats.ROFallbacks, 1)
-		tx.ring.Span(obs.KTx, tx.traceT0, obs.OutcomeAbort)
-		if tx.latOn {
-			// Fold the burned attempt into the retry phase; the fallback
-			// attempt's finishCommit records the sample, as in onConflictAbort.
-			now := obs.Now()
-			tx.latRetryNs += now - tx.latAttemptT0
-			tx.latAttemptT0 = now
-		}
-		return nil, false
-	}
-	if err != nil {
-		// User abort on the snapshot path: no engine state, no slot to
-		// retire — just the taxonomy counter and the trace events.
-		atomic.AddUint64(&tx.stats.AbortReasons[AbortExplicit], 1)
-		tx.ring.Span(obs.KTx, tx.traceT0, obs.OutcomeUserAbort)
-		tx.ring.Instant(obs.KAbort, uint64(AbortExplicit))
-		return err, true
-	}
-	atomic.AddUint64(&tx.stats.Commits, 1)
-	atomic.AddUint64(&tx.stats.ReadOnly, 1)
-	atomic.AddUint64(&tx.stats.ROCommits, 1)
-	tx.ring.Span(obs.KTx, tx.traceT0, obs.OutcomeCommit)
-	if tx.latOn {
-		// No commit-wait by construction: the snapshot path never queues
-		// behind a server or a timestamp CAS.
-		end := obs.Now()
-		tx.lat.CommitSample(end-tx.latAttemptT0, 0, tx.latRetryNs, end-tx.latT0)
-	}
-	return nil, true
-}
-
-// runRO executes the user function on the snapshot path, translating a
-// roFallbackSignal panic into fellBack=true. Other panics propagate directly:
-// the snapshot path holds no engine resources or slot state to release.
-func (tx *Tx) runRO(fn func(*Tx) error) (err error, fellBack bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(roFallbackSignal); ok {
-				fellBack = true
-				return
-			}
-			panic(r)
-		}
-	}()
-	return fn(tx), false
-}
-
-// attemptKind is how one attempt reads, validates and commits (DESIGN.md §3).
-// Only System.attemptKind (in Tx.begin) and runSnapshot set Tx.kind.
+// attemptKind is how one attempt reads, validates and commits (DESIGN.md §3),
+// and whether it keeps a read log. Only Tx.begin sets Tx.kind, from
+// System.attemptKind.
 type attemptKind uint8
 
 const (
-	kindValidated attemptKind = iota // TL2: validated from the read log
-	kindDirect                       // Mutex: Vars loaded and stored under the lock
+	kindValidated attemptKind = iota // TL2: validated from the read log (tl2Read)
+	// kindSnapshot: the first attempt of an AtomicallyRO call with Versions.
+	// Load resolves against snap (loadSnapshot); the slot's roActive bit and
+	// roEpoch hold the history it needs (System.beginSnapshot). Listed here,
+	// LoadBox's switch finds it, and kindSolo, in two compares.
+	kindSnapshot
+	kindDirect // Mutex: Vars loaded and stored under the lock
 	// kindSolo: a lone client of NOrec or of an invalidation engine. Every
 	// read re-checks its stream's timestamp against snap (soloRead), keeps no
 	// log, and the slot publishes nothing — no read signature, no active bit,
@@ -259,15 +162,17 @@ const (
 	// and a moved one re-validates the read log at a fresh cut
 	// (invisibleRead, Tx.extend).
 	kindInvisible
-	// kindVisible: the paper's protocol. The slot publishes all three, and a
-	// committer can doom the attempt.
+	// kindVisible: the paper's protocol (invalRead). The slot publishes all
+	// three, and a committer can doom the attempt.
 	kindVisible
-	kindSnapshot // AtomicallyRO with Versions: Load resolves against snap
 )
 
 // attemptKind is the one rule for an attempt's kind; Tx.begin applies it once
 // per attempt, and retry reports that the previous attempt failed validation.
-// TL2 and Mutex have one kind each, as has RInval with servers of its own: the
+// The first attempt of an AtomicallyRO call with Versions is a snapshot one on
+// every engine that has versions, unless its cut does not stabilize
+// (beginSnapshot); then the rule below applies to it. Otherwise TL2 and Mutex
+// have one kind each, as has RInval with servers of its own: the
 // paper's protocol, visible on every attempt. Where clients commit themselves
 // — NOrec, InvalSTM, and RInval where its servers share the clients' Ps
 // (coolServers) — an attempt captures its snapshot into tx.snap here and is
@@ -292,6 +197,8 @@ const (
 //stm:hotpath
 func (s *System) attemptKind(tx *Tx, retry bool) attemptKind {
 	switch {
+	case s.nVers > 0 && tx.roUser && tx.attempts == 1 && s.beginSnapshot(tx):
+		return kindSnapshot
 	case !s.clientsCommit:
 		return s.baseKind
 	case s.nLive.Load() < 2 && s.captureSnapshot(tx.snap):
@@ -300,6 +207,45 @@ func (s *System) attemptKind(tx *Tx, retry bool) attemptKind {
 		return kindInvisible
 	}
 	return kindVisible
+}
+
+// beginSnapshot publishes a snapshot attempt's history floor and captures its
+// cut into tx.snap. Publish the provisional epoch bound, then the roActive
+// bit, then capture: roFloorNow reads the timestamps before the bitmap, so a
+// floor computation that misses the bit used timestamp values from before
+// this point — at or below the provisional bound, and therefore at or below
+// every component of the cut (timestamps only grow). One that sees the bit
+// honours the published bound directly. A cut that does not stabilize
+// (Shards > 1 under a saturated commit pipeline) clears the bit and counts a
+// fallback; the attempt then takes the regular rule. Every exit of a snapshot
+// attempt clears the bit (deactivateSlot).
+func (s *System) beginSnapshot(tx *Tx) bool {
+	idx := tx.th.idx
+	prov := ^uint64(0)
+	for j := range s.streams {
+		if t := s.streams[j].ts.Load() &^ 1; t < prov {
+			prov = t
+		}
+	}
+	s.roEpoch[idx].Store(prov)
+	s.roActive.set(idx)
+	if !s.captureSnapshot(tx.snap) {
+		s.roActive.clear(idx)
+		atomic.AddUint64(&tx.stats.ROFallbacks, 1)
+		return false
+	}
+	// Tighten the published bound to the cut's minimum so GC reclaims up to
+	// what this reader really needs. Raising it is safe: the floor takes the
+	// minimum over all live readers and the resolve rule never reaches below
+	// the cut's component of the Var's own shard.
+	minSnap := tx.snap[0]
+	for _, e := range tx.snap[1:] {
+		if e < minSnap {
+			minSnap = e
+		}
+	}
+	s.roEpoch[idx].Store(minSnap)
+	return true
 }
 
 // Tx is one transaction attempt's view of the world. It is only valid inside
@@ -316,16 +262,21 @@ type Tx struct {
 	attempts int
 	stats    *Stats
 	kind     attemptKind
-	// logs makes Tx.LoadBox append every read to rs: System.logReads, or an
-	// invisible attempt, which re-validates from the log.
+	// logs makes Tx.LoadBox append every read to rs. The kind decides: an
+	// invisible attempt re-validates from the log (Tx.extend), a validated one
+	// at commit, and a visible one keeps it under Attribution for the exact-set
+	// check on its doom (recordAttribution).
 	logs bool
 
 	// reads and writes count the current attempt's Load and Store calls.
 	// They are plain fields — a counted read pays no locked instruction —
-	// that every attempt exit folds into Stats.Reads/Writes (foldOps).
+	// that every attempt exit folds into Stats.Reads/Writes (foldOps). Begin
+	// empties the write set, so writes == 0 also tells LoadBox there is no
+	// buffered write to look up: a read-only prefix, and every snapshot
+	// attempt, skips the write-set lookup.
 	reads, writes uint64
 
-	// roUser marks the whole AtomicallyRO call (snapshot path and fallback
+	// roUser marks the whole AtomicallyRO call (snapshot attempt and fallback
 	// alike): Store panics while it is set. snap is a snapshot, solo or
 	// invisible attempt's per-shard epoch vector, allocated once at Register
 	// when Versions > 0 or where the engine's clients commit themselves.
@@ -385,10 +336,10 @@ func (tx *Tx) System() *System { return tx.sys }
 // engine's begin hook.
 func (tx *Tx) begin() {
 	tx.attempts++
-	// A second or later attempt follows a conflict abort of this transaction
-	// (AtomicallyRO's fallback empties the write set first): its write set's
-	// cells were never published and become the spares Store reuses. Read
-	// before the reset below: that attempt failed validation.
+	// A second or later attempt follows a failed attempt of this transaction
+	// (a snapshot attempt's fallback leaves an empty write set): its write
+	// set's cells were never published and become the spares Store reuses.
+	// Read before the reset below: that attempt failed validation.
 	retry := tx.attempts > 1
 	validation := retry && tx.reason == AbortValidation
 	tx.rs.reset()
@@ -403,7 +354,8 @@ func (tx *Tx) begin() {
 		tx.attrT0 = obs.Now()
 	}
 	tx.kind = tx.sys.attemptKind(tx, validation)
-	tx.logs = tx.sys.logReads || tx.kind == kindInvisible
+	tx.logs = tx.kind == kindInvisible || tx.kind == kindValidated ||
+		tx.kind == kindVisible && tx.sys.attr != nil
 	if tx.kind == kindVisible {
 		tx.activateSlot()
 	}
@@ -432,13 +384,15 @@ func (tx *Tx) activateSlot() {
 	tx.slot.status.Store(statusWord(epoch, txAlive))
 }
 
-// run executes the user function, translating a conflictSignal panic into
-// conflicted=true. Other panics propagate after the engine's resources are
-// released (so e.g. the Mutex engine's global lock is not leaked).
+// run executes the user function, translating a conflictSignal or
+// roFallbackSignal panic into conflicted=true. Other panics propagate after
+// the engine's resources are released (so e.g. the Mutex engine's global lock
+// is not leaked).
 func (tx *Tx) run(fn func(*Tx) error) (err error, conflicted bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(conflictSignal); ok {
+			switch r.(type) {
+			case conflictSignal, roFallbackSignal:
 				conflicted = true
 				return
 			}
@@ -455,8 +409,8 @@ func (tx *Tx) run(fn func(*Tx) error) (err error, conflicted bool) {
 func (tx *Tx) Load(v *Var) any { return anyOf(tx.LoadBox(v)).v }
 
 // LoadBox returns the cell the transaction sees in v — its own buffered write,
-// else a published version — aborting (via conflictSignal) if the engine
-// detects a conflict.
+// else a published version — aborting (via conflictSignal) on a conflict. The
+// attempt's kind picks the read; no engine is asked.
 //
 // Updates of tx.stats below are atomic adds so System.Stats can read a live
 // thread's counters without a data race; the thread is the only writer.
@@ -464,23 +418,26 @@ func (tx *Tx) Load(v *Var) any { return anyOf(tx.LoadBox(v)).v }
 //stm:hotpath
 func (tx *Tx) LoadBox(v *Var) *Box {
 	tx.reads++
-	if tx.kind == kindSnapshot {
-		return tx.loadSnapshot(v)
-	}
-	if b, ok := tx.ws.lookup(v); ok {
-		return b
+	if tx.writes != 0 {
+		if b, ok := tx.ws.lookup(v); ok {
+			return b
+		}
 	}
 	var b *Box
 	var ok bool
 	switch tx.kind {
 	case kindDirect:
 		return v.loadBox()
+	case kindSnapshot:
+		return tx.loadSnapshot(v)
 	case kindSolo:
-		b, ok = soloRead(tx, v) // the invalidation engines' solo read, undispatched
+		b, ok = soloRead(tx, v)
 	case kindInvisible:
-		b, ok = invisibleRead(tx, v) // and their invisible one
+		b, ok = invisibleRead(tx, v)
+	case kindVisible:
+		b, ok = invalRead(tx, v)
 	default:
-		b, ok = tx.sys.eng.read(tx, v)
+		b, ok = tl2Read(tx, v)
 	}
 	if !ok {
 		panic(conflictSignal{})
@@ -494,12 +451,16 @@ func (tx *Tx) LoadBox(v *Var) *Box {
 // loadSnapshot resolves v against the attempt's epoch snapshot: the newest
 // committed version at or below the snapshot component of v's shard. No read
 // filter, no read log, no slot state — nothing a committer could scan or
-// doom. A miss (history trimmed or lapped under the reader) unwinds to the
-// one-shot fallback in AtomicallyRO.
+// doom. A miss (history trimmed or lapped under the reader) fails the attempt
+// with roFallbackSignal; its retry takes the regular rule.
 //
 //stm:hotpath
 func (tx *Tx) loadSnapshot(v *Var) *Box {
-	b, ok := v.versionAt(tx.snap[tx.sys.shardOf(v)])
+	e := tx.snap[tx.sys.shardOf(v)]
+	if h := v.loadBox(); h.epoch <= e {
+		return h // versionAt's head fast path, without the call
+	}
+	b, ok := v.versionAt(e)
 	if !ok {
 		panic(roFallbackSignal{})
 	}
@@ -575,6 +536,9 @@ func (tx *Tx) finishCommit() bool {
 		atomic.AddUint64(&tx.stats.Commits, 1)
 		if tx.ws.len() == 0 {
 			atomic.AddUint64(&tx.stats.ReadOnly, 1)
+			if tx.kind == kindSnapshot {
+				atomic.AddUint64(&tx.stats.ROCommits, 1)
+			}
 		}
 		tx.ring.Span(obs.KCommit, tc, 0)
 		tx.ring.Span(obs.KTx, tx.traceT0, obs.OutcomeCommit)
@@ -592,16 +556,23 @@ func (tx *Tx) finishCommit() bool {
 
 // onConflictAbort rolls back after a conflict; the caller retries at once
 // (committer wins, no pause). The engine set tx.reason at the conflict site;
-// the per-reason counter keeps the taxonomy in lockstep with Aborts.
+// the per-reason counter keeps the taxonomy in lockstep with Aborts. A
+// snapshot attempt's fallback is no conflict: it counts in ROFallbacks only,
+// and leaves tx.reason at begin's value, so its retry is not a validation
+// abort's.
 func (tx *Tx) onConflictAbort() {
 	tx.sys.eng.abort(tx)
 	tx.deactivateSlot()
-	atomic.AddUint64(&tx.stats.Aborts, 1)
-	atomic.AddUint64(&tx.stats.AbortReasons[tx.reason], 1)
 	tx.ring.Span(obs.KTx, tx.traceT0, obs.OutcomeAbort)
-	tx.ring.Instant(obs.KAbort, uint64(tx.reason))
-	if a := tx.sys.attr; a != nil {
-		tx.recordAttribution(a)
+	if tx.kind == kindSnapshot {
+		atomic.AddUint64(&tx.stats.ROFallbacks, 1)
+	} else {
+		atomic.AddUint64(&tx.stats.Aborts, 1)
+		atomic.AddUint64(&tx.stats.AbortReasons[tx.reason], 1)
+		tx.ring.Instant(obs.KAbort, uint64(tx.reason))
+		if a := tx.sys.attr; a != nil {
+			tx.recordAttribution(a)
+		}
 	}
 	tx.foldOps()
 	if tx.latOn {
@@ -632,14 +603,17 @@ func (tx *Tx) onUserAbort() {
 // bit is cleared only after the INACTIVE store (mirror image of begin): a
 // scanner that still sees the bit merely re-checks the status word, while
 // one that misses it can rely on the transaction having retired. Only a
-// visible attempt published anything to undo.
+// visible attempt published anything to undo, and a snapshot one its roActive
+// bit.
 func (tx *Tx) deactivateSlot() {
-	if tx.kind != kindVisible {
-		return
+	switch tx.kind {
+	case kindVisible:
+		w := tx.slot.status.Load()
+		tx.slot.status.Store((w &^ statusBits) | txInactive)
+		tx.sys.active.clear(tx.th.idx)
+	case kindSnapshot:
+		tx.sys.roActive.clear(tx.th.idx)
 	}
-	w := tx.slot.status.Load()
-	tx.slot.status.Store((w &^ statusBits) | txInactive)
-	tx.sys.active.clear(tx.th.idx)
 }
 
 // invalidated reports whether this transaction incarnation has been doomed.
