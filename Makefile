@@ -36,7 +36,8 @@ test:
 ## race: the race detector over the packages with real concurrency (including
 ## core's live /metrics scrape, TestServerHistogramsLiveScrape), then the
 ## helper-path, cross-shard, partition-lock tests, the attempt-kind rule
-## (TestAttemptKindRule) and the solo- and invisible-attempt tests ten times
+## (TestAttemptKindRule), a direct attempt's lock release on every exit
+## (TestDirectKindReleasesLock) and the solo- and invisible-attempt tests ten times
 ## over — a driver writing a stream's or a partition's scratch outside its
 ## lock, or an attempt whose kind changed as a Thread came or went or as it
 ## retried, only shows on some schedules —

@@ -14,74 +14,77 @@ import (
 // silently misattributes the abort to whatever reason the previous attempt
 // left behind — a bug no test catches unless it asserts the exact taxonomy.
 //
-// Scope: packages that declare an (unexported) `engine` interface with a
-// `commit` method. Conflict exits are the constant-false returns of its
-// implementers' methods whose last result is bool (commit; read too, where
-// the interface has one), the constant-false returns of every plain read
-// function of the shape `func(tx *Tx, v *Var) (*Box, bool)` — the reads the
-// attempt's kind picks, which Tx.LoadBox calls without the interface — and any
-// panic(conflictSignal{}) in the package. The check runs the function's CFG with the fact "an abort
-// reason has been recorded on every path reaching this point" (merge = AND):
-// a conflict exit is clean only when reason recording dominates it, so an
-// assignment in one branch does not excuse a bare `return false` in a
-// sibling branch. Recording is an assignment to a `.reason` field or a call
-// whose callee — transitively, within the module — performs one; calls
-// through the engine interface's bool-returning methods are trusted, each implementation being
-// checked on its own. The callee summary is a may-analysis, so a delegating
-// call marks all its successor paths recorded even when the callee records
-// only on its failure branch; that over-approximation is deliberate
-// (DESIGN.md §13) and keeps the delegation idiom
-// (`if !e.revalidate(tx) { return false }`) clean.
+// Scope: packages that declare a `conflictSignal` type, the attempt's
+// long-jump abort. Conflict exits are the constant-false returns of the two
+// shapes the attempt's kind picks without an interface — reads,
+// `func(tx *Tx, v *Var) (*Box, bool)`, which Tx.LoadBox calls, and commits,
+// functions and methods whose sole parameter is *Tx and sole result is bool,
+// which Tx.finishCommit calls — and any panic(conflictSignal{}) in the
+// package. The check runs the function's CFG with the fact "an abort reason
+// has been recorded on every path reaching this point" (merge = AND): a
+// conflict exit is clean only when reason recording dominates it, so an
+// assignment in one branch does not excuse a bare `return false` in a sibling
+// branch. Recording is an assignment to a `.reason` field or a call whose
+// callee — transitively, within the module — performs one. The callee summary
+// is a may-analysis, so a delegating call marks all its successor paths
+// recorded even when the callee records only on its failure branch; that
+// over-approximation is deliberate (DESIGN.md §13) and keeps the delegation
+// idiom (`if !tx.lockTouched(touched) { return false }`) clean.
 func init() {
 	RegisterCheck(&Check{
 		Name: "taxonomy-path",
-		Doc:  "every CFG path into an engine conflict exit must record tx.reason first",
-		Run:  runTaxonomyPath,
+		Doc:  "every CFG path into a conflict exit must record tx.reason first",
+		Run:  func(m *Module, report ReportFunc) { taxonomyPath(m, report) },
 	})
 }
 
-func runTaxonomyPath(m *Module, report ReportFunc) {
+// taxonomyPath runs the check over every package in scope and returns, per
+// package path, the read- and commit-shaped functions that hold a conflict
+// exit — the set TestTaxonomyPathCoverage pins, so a scope or shape rule that
+// silently stops matching fails a test instead of passing vacuously.
+func taxonomyPath(m *Module, report ReportFunc) map[string][]string {
+	exits := make(map[string][]string)
 	for _, p := range m.Pkgs {
-		iface := engineInterface(p)
-		if iface == nil {
+		if _, ok := p.Types.Scope().Lookup("conflictSignal").(*types.TypeName); !ok {
 			continue
 		}
-		tc := &taxonomyChecker{m: m, p: p, iface: iface, report: report,
-			exits: conflictMethods(iface), setsReason: make(map[*types.Func]bool)}
+		tc := &taxonomyChecker{m: m, p: p, report: report, setsReason: make(map[*types.Func]bool)}
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
 					continue
 				}
-				checkTaxonomyPaths(tc, fd)
+				if checkTaxonomyPaths(tc, fd) {
+					exits[p.Path] = append(exits[p.Path], funcName(fd))
+				}
 			}
 		}
 	}
+	return exits
 }
 
-func checkTaxonomyPaths(tc *taxonomyChecker, fd *ast.FuncDecl) {
-	isEngine := tc.isEngineConflictMethod(fd) || tc.isReadFunc(fd)
+// checkTaxonomyPaths reports every conflict exit of fd that a path reaches
+// without recording a reason, and whether fd is a read or a commit with a
+// conflict-exit return.
+func checkTaxonomyPaths(tc *taxonomyChecker, fd *ast.FuncDecl) bool {
+	shaped := tc.isReadFunc(fd) || tc.isCommitFunc(fd)
 
 	// Only analyze functions that contain a conflict exit at all.
-	hasExit := false
+	returns, panics := false, false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.ReturnStmt:
-			if isEngine && tc.isConflictReturn(n) {
-				hasExit = true
-			}
+			returns = returns || shaped && tc.isConflictReturn(n)
 		case *ast.CallExpr:
-			if tc.isConflictPanic(n) {
-				hasExit = true
-			}
+			panics = panics || tc.isConflictPanic(n)
 		}
-		return !hasExit
+		return true
 	})
-	if !hasExit {
-		return
+	if !returns && !panics {
+		return false
 	}
 
 	// transfer: once a node records a reason (directly or by delegation),
@@ -100,8 +103,7 @@ func checkTaxonomyPaths(tc *taxonomyChecker, fd *ast.FuncDecl) {
 					}
 				}
 			case *ast.CallExpr:
-				if fn := calleeFunc(tc.p.Info, x); fn != nil &&
-					(tc.isEngineIfaceMethod(fn) || tc.fnSetsReason(fn, 0)) {
+				if fn := calleeFunc(tc.p.Info, x); fn != nil && tc.fnSetsReason(fn, 0) {
 					recorded = true
 				}
 			}
@@ -134,56 +136,21 @@ func checkTaxonomyPaths(tc *taxonomyChecker, fd *ast.FuncDecl) {
 			}
 			switch n := n.(type) {
 			case *ast.ReturnStmt:
-				if isEngine && tc.isConflictReturn(n) {
-					name := fd.Name.Name
-					if fd.Recv != nil {
-						name = recvName(fd) + "." + name
-					}
+				if shaped && tc.isConflictReturn(n) {
 					tc.report(n.Pos(),
 						"conflict exit reachable without tx.reason: a path into this return false in %s records no abort reason",
-						name)
+						funcName(fd))
 				}
 			case *ast.ExprStmt:
 				if call, ok := unwrap(n.X).(*ast.CallExpr); ok && tc.isConflictPanic(call) {
 					tc.report(n.Pos(),
 						"conflictSignal reachable without tx.reason: a path into this panic in %s records no abort reason",
-						fd.Name.Name)
+						funcName(fd))
 				}
 			}
 		}
 	}
-}
-
-// engineInterface finds the package's unexported engine contract: an
-// interface type named "engine" with a commit method.
-func engineInterface(p *Package) *types.Interface {
-	tn, ok := p.Types.Scope().Lookup("engine").(*types.TypeName)
-	if !ok {
-		return nil
-	}
-	iface, ok := tn.Type().Underlying().(*types.Interface)
-	if !ok {
-		return nil
-	}
-	for i := 0; i < iface.NumMethods(); i++ {
-		if iface.Method(i).Name() == "commit" {
-			return iface
-		}
-	}
-	return nil
-}
-
-// conflictMethods names the interface's methods whose last result is bool:
-// the ones that can fail an attempt by returning false.
-func conflictMethods(iface *types.Interface) map[string]bool {
-	names := make(map[string]bool)
-	for i := 0; i < iface.NumMethods(); i++ {
-		m := iface.Method(i)
-		if lastResultIsBool(m.Type().(*types.Signature)) {
-			names[m.Name()] = true
-		}
-	}
-	return names
+	return returns
 }
 
 func lastResultIsBool(sig *types.Signature) bool {
@@ -198,31 +165,11 @@ func lastResultIsBool(sig *types.Signature) bool {
 type taxonomyChecker struct {
 	m      *Module
 	p      *Package
-	iface  *types.Interface
 	report ReportFunc
-	// exits names the interface methods that are conflict exits.
-	exits map[string]bool
 
 	// setsReason memoizes "does this function (transitively) assign a
 	// .reason field".
 	setsReason map[*types.Func]bool
-}
-
-// isEngineConflictMethod reports whether fd is a conflict-exit method
-// (tc.exits) of a type implementing the engine interface.
-func (tc *taxonomyChecker) isEngineConflictMethod(fd *ast.FuncDecl) bool {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return false
-	}
-	if !tc.exits[fd.Name.Name] {
-		return false
-	}
-	rt := tc.p.Info.TypeOf(fd.Recv.List[0].Type)
-	if rt == nil {
-		return false
-	}
-	return types.Implements(rt, tc.iface) ||
-		types.Implements(types.NewPointer(rt), tc.iface)
 }
 
 // isReadFunc reports whether fd is a plain function of a read's shape,
@@ -241,6 +188,18 @@ func (tc *taxonomyChecker) isReadFunc(fd *ast.FuncDecl) bool {
 		isPtrToNamed(params.At(0).Type(), "Tx") &&
 		isPtrToNamed(params.At(1).Type(), "Var") &&
 		isPtrToNamed(results.At(0).Type(), "Box") && lastResultIsBool(sig)
+}
+
+// isCommitFunc reports whether fd is a function or method of a commit's
+// shape: its sole parameter is *Tx and its sole result is bool.
+func (tc *taxonomyChecker) isCommitFunc(fd *ast.FuncDecl) bool {
+	fn, ok := tc.p.Info.Defs[fd.Name].(*types.Func)
+	if !ok {
+		return false
+	}
+	sig := fn.Type().(*types.Signature)
+	return sig.Params().Len() == 1 && sig.Results().Len() == 1 &&
+		isPtrToNamed(sig.Params().At(0).Type(), "Tx") && lastResultIsBool(sig)
 }
 
 // isPtrToNamed reports whether t is *name for a named type called name.
@@ -274,20 +233,6 @@ func (tc *taxonomyChecker) isConflictPanic(call *ast.CallExpr) bool {
 	}
 	n := namedOrigin(tc.p.Info.TypeOf(call.Args[0]))
 	return n != nil && n.Obj().Name() == "conflictSignal"
-}
-
-// isEngineIfaceMethod reports whether fn is a conflict-exit method of an
-// interface (a dynamic dispatch site).
-func (tc *taxonomyChecker) isEngineIfaceMethod(fn *types.Func) bool {
-	if !tc.exits[fn.Name()] {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	_, isIface := sig.Recv().Type().Underlying().(*types.Interface)
-	return isIface
 }
 
 // fnSetsReason reports (memoized, depth-capped) whether fn's body assigns a

@@ -6,23 +6,20 @@ type Tx struct {
 	reason int
 }
 
+type Var struct{}
+
+type Box struct{}
+
 type conflictSignal struct{}
 
-type engine interface {
-	read(tx *Tx) (int, bool)
-	commit(tx *Tx) bool
-}
-
-type impl struct{}
-
-func (e *impl) read(tx *Tx) (int, bool) {
+func read(tx *Tx, v *Var) (*Box, bool) {
 	if conflicted() {
 		panic(conflictSignal{}) // want taxonomy-path
 	}
-	return 1, true
+	return &Box{}, true
 }
 
-func (e *impl) commit(tx *Tx) bool {
+func commit(tx *Tx) bool {
 	tx.reason = 1
 	return false
 }

@@ -7,27 +7,27 @@ type Tx struct {
 	reason int
 }
 
+type Var struct{}
+
+type Box struct{}
+
 type conflictSignal struct{}
 
-type engine interface {
-	read(tx *Tx) (int, bool)
-	commit(tx *Tx) bool
-}
+// server commits for its clients, as a method of the commit's shape.
+type server struct{}
 
-type impl struct{}
-
-func (e *impl) read(tx *Tx) (int, bool) {
+func read(tx *Tx, v *Var) (*Box, bool) {
 	if staleEpoch() {
 		tx.reason = 1
-		return 0, false
+		return nil, false
 	}
-	if !e.revalidate(tx) {
-		return 0, false // revalidate recorded the reason
+	if !revalidate(tx) {
+		return nil, false // revalidate recorded the reason
 	}
-	return 1, true
+	return &Box{}, true
 }
 
-func (e *impl) commit(tx *Tx) bool {
+func (e *server) commit(tx *Tx) bool {
 	if doomed() {
 		tx.reason = 2
 		return false
@@ -35,7 +35,7 @@ func (e *impl) commit(tx *Tx) bool {
 	return true
 }
 
-func (e *impl) revalidate(tx *Tx) bool {
+func revalidate(tx *Tx) bool {
 	if doomed() {
 		tx.reason = 3
 		return false

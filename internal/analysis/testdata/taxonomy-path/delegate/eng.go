@@ -1,5 +1,5 @@
 // Conflict exits that record a reason directly, or delegate to a helper
-// that does through a result variable tested later (`ok := e.validate(tx)`,
+// that does through a result variable tested later (`ok := validate(tx)`,
 // then `if !ok`): the call itself marks the path recorded.
 package eng
 
@@ -7,30 +7,29 @@ type Tx struct {
 	reason int
 }
 
-type engine interface {
-	read(tx *Tx) (int, bool)
-	commit(tx *Tx) bool
-}
+type Var struct{}
 
-type impl struct{}
+type Box struct{}
 
-func (e *impl) read(tx *Tx) (int, bool) {
+type conflictSignal struct{}
+
+func read(tx *Tx, v *Var) (*Box, bool) {
 	if conflicted() {
 		tx.reason = 1
-		return 0, false
+		return nil, false
 	}
-	return 1, true
+	return &Box{}, true
 }
 
-func (e *impl) commit(tx *Tx) bool {
-	ok := e.validate(tx)
+func commit(tx *Tx) bool {
+	ok := validate(tx)
 	if !ok {
 		return false
 	}
 	return true
 }
 
-func (e *impl) validate(tx *Tx) bool {
+func validate(tx *Tx) bool {
 	if conflicted() {
 		tx.reason = 2
 		return false

@@ -6,21 +6,20 @@ type Tx struct {
 	reason int
 }
 
-type engine interface {
-	read(tx *Tx) (int, bool)
-	commit(tx *Tx) bool
-}
+type Var struct{}
 
-type impl struct{}
+type Box struct{}
 
-func (e *impl) read(tx *Tx) (int, bool) {
+type conflictSignal struct{}
+
+func read(tx *Tx, v *Var) (*Box, bool) {
 	if conflicted() {
-		return 0, false // want taxonomy-path
+		return nil, false // want taxonomy-path
 	}
-	return 1, true
+	return &Box{}, true
 }
 
-func (e *impl) commit(tx *Tx) bool {
+func commit(tx *Tx) bool {
 	tx.reason = 1
 	return conflictedCommit()
 }

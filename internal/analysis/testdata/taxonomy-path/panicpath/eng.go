@@ -7,24 +7,21 @@ type Tx struct {
 	reason int
 }
 
+type Var struct{}
+
+type Box struct{}
+
 type conflictSignal struct{}
 
-type engine interface {
-	read(tx *Tx) (int, bool)
-	commit(tx *Tx) bool
-}
-
-type impl struct{}
-
-func (e *impl) read(tx *Tx) (int, bool) {
+func read(tx *Tx, v *Var) (*Box, bool) {
 	if doomed() {
 		tx.reason = 1
-		return 0, false
+		return nil, false
 	}
-	return 1, true
+	return &Box{}, true
 }
 
-func (e *impl) commit(tx *Tx) bool {
+func commit(tx *Tx) bool {
 	if doomed() {
 		tx.reason = 2
 		return false

@@ -1,8 +1,8 @@
-// The engine contract has no read method: the attempt's kind picks a plain
-// read function, which the load path calls without the interface. Such a
-// function is matched by its shape, func(tx *Tx, v *Var) (*Box, bool), and its
-// false returns are conflict exits like a commit's: the one that skips the
-// reason aborts with whatever the previous attempt left behind.
+// The attempt's kind picks a plain read function, which the load path calls
+// without an interface. Such a function is matched by its shape,
+// func(tx *Tx, v *Var) (*Box, bool), and its false returns are conflict exits
+// like a commit's: the one that skips the reason aborts with whatever the
+// previous attempt left behind.
 package eng
 
 type Tx struct {
@@ -16,22 +16,12 @@ type Var struct {
 
 type Box struct{}
 
-type engine interface {
-	begin(tx *Tx)
-	commit(tx *Tx) bool
-	abort(tx *Tx)
-}
+type conflictSignal struct{}
 
-type impl struct{}
-
-func (e *impl) begin(tx *Tx) {}
-
-func (e *impl) commit(tx *Tx) bool {
+func commit(tx *Tx) bool {
 	tx.reason = 1
 	return false
 }
-
-func (e *impl) abort(tx *Tx) {}
 
 func snapshotRead(tx *Tx, v *Var) (*Box, bool) {
 	if v.ts != tx.snap {

@@ -126,7 +126,7 @@ func BenchmarkScanTx(b *testing.B) {
 }
 
 func BenchmarkContendedCounter(b *testing.B) {
-	for _, a := range append(yardstickAlgos, TL2) {
+	for _, a := range append(yardstickAlgos, TL2, Mutex) {
 		a := a
 		b.Run(a.String(), func(b *testing.B) {
 			s, err := New(Config{Algo: a, MaxThreads: 8, InvalServers: 2})

@@ -662,3 +662,78 @@ func TestAttemptCounter(t *testing.T) {
 		t.Fatal("System accessor broken")
 	}
 }
+
+// TestDirectKindReleasesLock: a direct attempt takes the Mutex System's lock
+// in Tx.begin, and Thread.endTx releases it on every way out of the call — a
+// commit, a user abort, a panic in fn, and, with Versions, an AtomicallyRO
+// call whose snapshot attempt fell back to a direct one.
+func TestDirectKindReleasesLock(t *testing.T) {
+	s := newSys(t, Mutex, func(c *Config) { c.Versions = 2 })
+	th, other := s.MustRegister(), s.MustRegister()
+	defer other.Close()
+	defer th.Close()
+	x := NewVar(0)
+	released := func(what string) {
+		t.Helper()
+		if !s.mu.TryLock() {
+			t.Fatalf("%s: the lock is still held", what)
+		}
+		s.mu.Unlock()
+	}
+
+	if err := th.Atomically(func(tx *Tx) error {
+		if tx.kind != kindDirect {
+			t.Errorf("a Mutex attempt is %v, want direct", tx.kind)
+		}
+		tx.Store(x, tx.Load(x).(int)+1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	released("commit")
+
+	userAbort := errors.New("user abort")
+	if err := th.Atomically(func(tx *Tx) error {
+		tx.Store(x, 10)
+		return userAbort
+	}); err != userAbort {
+		t.Fatalf("user abort returned %v", err)
+	}
+	released("user abort")
+
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want the body's panic", r)
+			}
+		}()
+		_ = th.Atomically(func(tx *Tx) error { panic("boom") })
+	}()
+	released("panic")
+
+	if err := th.AtomicallyRO(func(tx *Tx) error {
+		if tx.kind == kindSnapshot {
+			for i := 0; i < 3; i++ { // lap x's two-version history
+				if err := other.Atomically(func(tx *Tx) error {
+					tx.Store(x, i+2)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tx.Load(x)
+			t.Fatal("a lapped snapshot read returned")
+		}
+		if tx.kind != kindDirect {
+			t.Errorf("the fallback attempt is %v, want direct", tx.kind)
+		}
+		tx.Load(x)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if st := th.Stats(); st.ROFallbacks != 1 {
+		t.Errorf("ROFallbacks %d, want 1", st.ROFallbacks)
+	}
+	released("snapshot fallback")
+}

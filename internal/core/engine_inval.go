@@ -8,22 +8,17 @@ import (
 	"github.com/ssrg-vt/rinval/internal/spin"
 )
 
-// invalEngine implements InvalSTM-style commit-time invalidation (the
-// paper's Algorithm 1, after Gottschlich et al., CGO 2010). Reads are
-// linear-time — each read checks only the global timestamp and the
-// transaction's own status flag — but the entire invalidation scan runs
-// inside the commit critical section, inflating lock hold time. This is the
-// imbalance RInval removes (§III). Below four Ps it is RInval's engine too.
+// InvalSTM-style commit-time invalidation (the paper's Algorithm 1, after
+// Gottschlich et al., CGO 2010). Reads are linear-time — each read checks only
+// the global timestamp and the transaction's own status flag — but the entire
+// invalidation scan runs inside the commit critical section, inflating lock
+// hold time. This is the imbalance RInval removes (§III). Below four Ps it is
+// how RInval commits too.
 //
 // With another Thread registered, an attempt first runs invisible (Tx.begin,
 // DESIGN.md §3): NOrec's read (invisibleRead), lock (Tx.lockFromSnapshot) and
 // the commit's invalidation scan, so the other Thread's visible attempts are
 // still doomed. Only the retry of a validation abort can be doomed.
-type invalEngine struct {
-	sys *System
-}
-
-func (e *invalEngine) begin(tx *Tx) {}
 
 // invalRead is Algorithm 1's READ, a visible attempt's read for InvalSTM and
 // the RInval engines, called by Tx.LoadBox and applied against the stream
@@ -106,35 +101,37 @@ func soloRead(tx *Tx, v *Var) (*Box, bool) {
 	return b, true
 }
 
-// commit implements Algorithm 1's COMMIT over the streams the attempt
-// touched (stream 0 alone for InvalSTM); it is every commit where clients
-// commit themselves (System.clientsCommit), RInval's below four Ps too. Lock
-// and validate (lockTouched), invalidate every conflicting visible attempt
-// but its own, write back, release (releaseTouched). A solo writer finds no
-// visible attempt to doom (a Thread registered mid-attempt turns visible only
-// after a validation abort, which moves a timestamp the solo attempt checks),
-// but the scan keeps one rule for every commit. An RInval commit is an epoch
-// of its lowest touched stream, counted on that stream's timestamp line while
-// it holds it, and a helped one: the client drove it.
+// inlineCommit implements Algorithm 1's COMMIT over the streams a writer
+// touched (stream 0 alone for NOrec and InvalSTM), called by Tx.finishCommit;
+// it is every writer commit where clients commit themselves
+// (System.clientsCommit), RInval's below four Ps too. Lock and validate
+// (lockTouched), invalidate every conflicting visible attempt but its own —
+// only where the engine has a visible read, so not NOrec's — write back,
+// release (releaseTouched). A solo writer finds no visible attempt to doom (a
+// Thread registered mid-attempt turns visible only after a validation abort,
+// which moves a timestamp the solo attempt checks), but the scan keeps one
+// rule for every commit. An RInval commit is an epoch of its lowest touched
+// stream, counted on that stream's timestamp line while it holds it, and a
+// helped one: the client drove it.
 //
 //stm:hotpath
-func (e *invalEngine) commit(tx *Tx) bool {
-	sys := e.sys
-	if tx.ws.len() == 0 {
-		// Read-only: every returned value was consistent when read, and
-		// nothing remains to serialize.
-		return true
-	}
+func inlineCommit(tx *Tx) bool {
+	sys := tx.sys
 	writes := tx.ws.shards(sys.shardMask)
 	touched := writes | tx.readShards
 	if !tx.lockTouched(touched) {
 		return false
 	}
-	var kd *killDesc
-	if sys.attr != nil {
-		kd = tx.attrKillDesc()
+	if sys.baseKind == kindVisible {
+		var kd *killDesc
+		if sys.attr != nil {
+			kd = tx.attrKillDesc()
+		}
+		// Most scans doom nobody (every lone client's): add only a count.
+		if n := sys.invalidate(sys.allSlots, tx.slot.selfMask, tx.ws.bf, tx.ring, kd); n > 0 {
+			atomic.AddUint64(&tx.stats.Invalidations, n)
+		}
 	}
-	atomic.AddUint64(&tx.stats.Invalidations, sys.invalidate(sys.allSlots, tx.slot.selfMask, tx.ws.bf, tx.ring, kd))
 	sys.writeBack(tx.ws)
 	if sys.rinval != nil {
 		lead := &sys.streams[bits.TrailingZeros64(touched)]
@@ -195,5 +192,3 @@ func (tx *Tx) lockTouched(touched uint64) bool {
 	}
 	return ok
 }
-
-func (e *invalEngine) abort(tx *Tx) {}

@@ -7,9 +7,9 @@ import (
 	"github.com/ssrg-vt/rinval/internal/spin"
 )
 
-// norecEngine implements NOrec (Dalessandro, Spear, Scott — PPoPP 2010): a
-// single global sequence lock, lazy write buffering, and value-based
-// incremental validation. It is the paper's validation-based competitor.
+// NOrec (Dalessandro, Spear, Scott — PPoPP 2010): a single global sequence
+// lock, lazy write buffering, and value-based incremental validation. It is
+// the paper's validation-based competitor.
 //
 // The cost structure the paper analyzes (§III): every read that observes a
 // timestamp change triggers a full read-set revalidation, so the total
@@ -22,32 +22,10 @@ import (
 // (System.attemptKind) without the visible retry: a lone Thread's attempt is
 // solo — soloRead, no read log, a moved timestamp a validation abort — and a
 // shared one invisible — invisibleRead, revalidation by Tx.extend. Either
-// locks the global timestamp by one CAS from the snapshot (Tx.lockTouched),
-// the same code InvalSTM runs. The snapshot is taken by System.attemptKind.
-type norecEngine struct {
-	sys *System
-}
-
-func (e *norecEngine) begin(tx *Tx) {}
-
-// commit locks the global timestamp from the snapshot, writes back and
-// releases, through InvalSTM's lockTouched and releaseTouched.
-//
-//stm:hotpath
-func (e *norecEngine) commit(tx *Tx) bool {
-	if tx.ws.len() == 0 {
-		// Read-only: the read set is valid at the snapshot by construction.
-		return true
-	}
-	if !tx.lockTouched(1) {
-		return false
-	}
-	e.sys.writeBack(tx.ws)
-	e.sys.releaseTouched(1, 1)
-	return true
-}
-
-func (e *norecEngine) abort(tx *Tx) {}
+// commits through InvalSTM's inline commit (inlineCommit), which locks the
+// global timestamp by one CAS from the snapshot (Tx.lockTouched) and, NOrec
+// having no visible read, skips the doom scan. The snapshot is taken by
+// System.attemptKind.
 
 // invisibleRead is an invisible attempt's read, NOrec's with two or more
 // Threads and a shared invalidation-engine attempt's, called by Tx.LoadBox,

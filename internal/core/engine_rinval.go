@@ -14,8 +14,9 @@ import (
 )
 
 // remoteEngine implements the three Remote Invalidation variants (the
-// paper's Algorithms 2-4) where their servers get a P (below four Ps the
-// System commits through invalEngine), behind one value, sys.nInvalPerShard:
+// paper's Algorithms 2-4) where their servers get a P (below four Ps every
+// RInval commit is the inline one, inlineCommit), behind one value,
+// sys.nInvalPerShard:
 //
 //   - nInvalPerShard == 0: RInval-V1. The epoch driver executes both the
 //     invalidation scan and the write-back itself. A client answered within
@@ -52,9 +53,9 @@ import (
 // driver that found it lagging and free (scanPartition) — so a partition lags
 // only while somebody is scanning it.
 type remoteEngine struct {
-	invalEngine     // begin and abort
-	stepsAhead  int // 0 unless V3 with partitions
-	maxBatch    int
+	sys        *System
+	stepsAhead int // 0 unless V3 with partitions
+	maxBatch   int
 
 	// srv[j] is shard j's server set. Exactly one entry when Shards == 1.
 	srv []*shardServer
@@ -159,9 +160,9 @@ func newRemoteEngine(sys *System) *remoteEngine {
 		ring = stepsAhead + 1
 	}
 	e := &remoteEngine{
-		invalEngine: invalEngine{sys: sys},
-		stepsAhead:  stepsAhead,
-		maxBatch:    sys.cfg.MaxBatch,
+		sys:        sys,
+		stepsAhead: stepsAhead,
+		maxBatch:   sys.cfg.MaxBatch,
 	}
 	for j := range sys.streams {
 		sys.streams[j].ring = make([]padded.Pointer[commitDesc], ring)
@@ -216,7 +217,8 @@ func (s *System) serverName(base string, shard int) string {
 }
 
 // commit is the client side of Algorithm 2's CLIENT COMMIT, identical for all
-// three variants: publish the request on the slot, then spin on the private
+// three variants, called by Tx.finishCommit for a writer where RInval's
+// servers run: publish the request on the slot, then spin on the private
 // reply word until an epoch driver answers. The request is the transaction's
 // stream masks, computed here from the write set and the shards its reads
 // visited (both bit 0 when Shards == 1); the server of the lowest touched
@@ -226,9 +228,6 @@ func (s *System) serverName(base string, shard int) string {
 //
 //stm:hotpath
 func (e *remoteEngine) commit(tx *Tx) bool {
-	if tx.ws.len() == 0 {
-		return true
-	}
 	writes := tx.ws.shards(e.sys.shardMask)
 	touched := writes | tx.readShards
 	tx.ring.Instant(obs.KCommitReq, 0)

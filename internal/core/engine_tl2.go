@@ -7,9 +7,8 @@ import (
 	"github.com/ssrg-vt/rinval/internal/spin"
 )
 
-// tl2Engine implements TL2 (Dice, Shalev, Shavit — DISC 2006): fine-grained
-// concurrency control with one versioned write-lock per Var and a global
-// version clock.
+// TL2 (Dice, Shalev, Shavit — DISC 2006): fine-grained concurrency control
+// with one versioned write-lock per Var and a global version clock.
 //
 // The paper positions this design point against its coarse-grained family
 // (§I, §III): per-location locks reduce false conflicts and let disjoint
@@ -18,15 +17,13 @@ import (
 // coarse family gets for free (trivial privatization safety, single-point
 // HTM integration). It is included as a baseline for the ablations.
 //
-// Protocol: a transaction snapshots the clock at begin (rv). A read is valid
-// when the location is unlocked and its version is at most rv, sampled
-// stably around the value load. Commit locks the write set in id order
-// (bounded spinning, then abort — no deadlock possible given the total
-// order), increments the clock to obtain wv, revalidates the read set,
-// publishes the writes, and releases each lock with version wv.
-type tl2Engine struct {
-	sys *System
-}
+// Protocol: a transaction snapshots the clock at begin (rv, kept in
+// tx.snap[0] by Tx.begin). A read is valid when the location is unlocked and
+// its version is at most rv, sampled stably around the value load. Commit
+// locks the write set in id order (bounded spinning, then abort — no deadlock
+// possible given the total order), increments the clock to obtain wv,
+// revalidates the read set, publishes the writes, and releases each lock with
+// version wv. Every attempt is validated (kindValidated).
 
 // tl2Locked reports whether a verlock word is held.
 func tl2Locked(w uint64) bool { return w&1 == 1 }
@@ -38,11 +35,6 @@ func tl2Version(w uint64) uint64 { return w >> 1 }
 // lock before aborting; lock holders finish quickly, but a bounded wait
 // keeps the engine abort-based rather than blocking.
 const tl2LockSpins = 128
-
-// begin samples the read version.
-func (e *tl2Engine) begin(tx *Tx) {
-	tx.start = e.sys.streams[0].ts.Load()
-}
 
 // tl2Read is a validated attempt's read, called by Tx.LoadBox: v's value if
 // it is committed no later than the transaction's read version. TL2 does not
@@ -75,7 +67,7 @@ func tl2Read(tx *Tx, v *Var) (*Box, bool) {
 		if v.verlock.Load() != w1 {
 			continue // writer intervened; resample
 		}
-		if tl2Version(w1) > tx.start {
+		if tl2Version(w1) > tx.snap[0] {
 			tx.reason = AbortValidation
 			tx.conflictVar = v.id
 			return nil, false // too new for our snapshot
@@ -84,14 +76,12 @@ func tl2Read(tx *Tx, v *Var) (*Box, bool) {
 	}
 }
 
-// commit locks the write set in id order, validates the read set against
-// the snapshot, publishes, and releases at the new version.
+// tl2Commit is a validated writer's commit, called by Tx.finishCommit: lock
+// the write set in id order, validate the read set against the snapshot,
+// publish, and release at the new version.
 //
 //stm:hotpath
-func (e *tl2Engine) commit(tx *Tx) bool {
-	if tx.ws.len() == 0 {
-		return true
-	}
+func tl2Commit(tx *Tx) bool {
 	// Deterministic global acquisition order prevents deadlock between
 	// committers with overlapping write sets.
 	order := make([]*writeEntry, len(tx.ws.entries))
@@ -131,14 +121,14 @@ func (e *tl2Engine) commit(tx *Tx) bool {
 		locked++
 	}
 
-	wv := e.sys.streams[0].ts.Add(1)
+	wv := tx.sys.streams[0].ts.Add(1)
 
 	// Validate the read set: every location must be unlocked (or locked by
 	// us, i.e. in our write set) and unchanged since the snapshot.
 	for i := range tx.rs.entries {
 		re := &tx.rs.entries[i]
 		w := re.v.verlock.Load()
-		if tl2Version(w) > tx.start {
+		if tl2Version(w) > tx.snap[0] {
 			tx.reason = AbortValidation
 			tx.conflictVar = re.v.id
 			release()
@@ -161,5 +151,3 @@ func (e *tl2Engine) commit(tx *Tx) bool {
 	}
 	return true
 }
-
-func (e *tl2Engine) abort(tx *Tx) {}

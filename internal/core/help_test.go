@@ -255,7 +255,7 @@ func TestHelpOwnEpochDoomedSelf(t *testing.T) {
 			tx.Store(NewVar(0), 1)
 			s.streams[0].ts.Add(2) // a commit the attempt did not see
 			state := th.slot.state.Load()
-			if s.eng.commit(tx) || tx.reason != AbortValidation {
+			if inlineCommit(tx) || tx.reason != AbortValidation {
 				t.Fatalf("stale snapshot: commit passed or reason %v, want AbortValidation", tx.reason)
 			}
 			if ts := s.streams[0].ts.Load(); ts != 2 {

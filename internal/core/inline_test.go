@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// Tests for the inline commit (invalEngine.commit), which is every RInval
+// Tests for the inline commit (inlineCommit), which is every RInval writer
 // commit below four Ps: no server goroutine runs, and each touched stream's
 // timestamp is the commit's lock.
 

@@ -15,22 +15,6 @@ import (
 	"github.com/ssrg-vt/rinval/internal/spin"
 )
 
-// engine is the concurrency-control strategy plugged into a System: how an
-// attempt begins, commits and aborts. How it reads, and whether it keeps a
-// read log, is the attempt's kind (System.attemptKind), which Tx.LoadBox
-// switches on without asking the engine.
-type engine interface {
-	// begin runs engine-specific transaction setup (e.g. TL2's snapshot,
-	// Mutex's lock acquisition), after the attempt's kind is chosen.
-	begin(tx *Tx)
-	// commit attempts to commit tx; false means a conflict abort (the
-	// engine sets tx.reason before failing). Read-only fast paths are the
-	// engine's responsibility.
-	commit(tx *Tx) bool
-	// abort releases engine resources on any abort path (conflict or user).
-	abort(tx *Tx)
-}
-
 // serverTask is one RInval server goroutine: its run loop plus the stable
 // name used for pprof goroutine labels and tracer tracks.
 type serverTask struct {
@@ -79,7 +63,7 @@ type commitStream struct {
 	_ [padded.CacheLineSize - 24]byte
 	// ts is the stream's even/odd timestamp (sequence lock). Even: no commit
 	// write-back in progress. Odd: a committer is publishing its write set, or
-	// an inline commit (invalEngine.commit) holds a stream it read.
+	// an inline commit (inlineCommit) holds a stream it read.
 	ts atomic.Uint64
 	// epochs and crossShard count the inline RInval commits this stream led
 	// and those of them that spanned streams, added by ts's holder on the line
@@ -177,18 +161,22 @@ type System struct {
 	partMask []slotMask
 	allSlots slotMask
 
-	// mu is the Mutex engine's global lock.
+	// mu is the Mutex engine's global lock, the paper's coarse-grained
+	// strawman (Figure 1(b)): Tx.begin takes it for a direct attempt and
+	// Thread.endTx releases it, so a whole atomic block runs under it, with
+	// no conflicts and no aborts. Writes are still buffered, so a user abort
+	// rolls back as on every engine.
 	mu sync.Mutex
 
-	eng engine
 	// rinval is the RInval engines' server side, nil otherwise: the System
-	// starts its servers and folds their stats. It is eng unless clients
-	// commit themselves; then eng is InvalSTM's.
+	// starts its servers and folds their stats, and Tx.finishCommit hands it
+	// every writer unless clients commit themselves.
 	rinval *remoteEngine
 
-	// The inputs of attemptKind, fixed at construction. baseKind is the
-	// engine's kind: validated (TL2), invisible (NOrec, which has no visible
-	// read), direct (Mutex) or visible (the invalidation engines).
+	// The inputs of attemptKind, fixed at construction; with the attempt's
+	// kind they pick every read and commit. baseKind is the engine's kind:
+	// validated (TL2), invisible (NOrec, which has no visible read), direct
+	// (Mutex) or visible (the invalidation engines).
 	// clientsCommit is true where the clients commit their solo and invisible
 	// attempts themselves: always for NOrec and InvalSTM, and for RInval where
 	// its servers share the clients' Ps (coolServers).
@@ -318,21 +306,18 @@ func newSystem(cfg Config) (*System, error) {
 		}
 	}
 
+	// TL2 keeps the zero values: every attempt validated, committed by the
+	// client itself (tl2Commit).
 	switch cfg.Algo {
 	case Mutex:
-		s.eng, s.baseKind = &mutexEngine{sys: s}, kindDirect
+		s.baseKind = kindDirect
 	case NOrec:
-		s.eng, s.baseKind, s.clientsCommit = &norecEngine{sys: s}, kindInvisible, true
-	case TL2:
-		s.eng = &tl2Engine{sys: s}
+		s.baseKind, s.clientsCommit = kindInvisible, true
 	case InvalSTM:
-		s.eng, s.baseKind, s.clientsCommit = &invalEngine{sys: s}, kindVisible, true
+		s.baseKind, s.clientsCommit = kindVisible, true
 	case RInvalV1, RInvalV2, RInvalV3:
 		s.rinval = newRemoteEngine(s)
-		s.eng, s.baseKind, s.clientsCommit = s.rinval, kindVisible, cool
-		if cool {
-			s.eng = &invalEngine{sys: s}
-		}
+		s.baseKind, s.clientsCommit = kindVisible, cool
 	}
 	return s, nil
 }
@@ -437,13 +422,11 @@ func (s *System) Register() (*Thread, error) {
 	if s.tracer != nil {
 		th.tx.ring = s.tracer.Ring(idx)
 	}
-	if s.nVers > 0 || s.clientsCommit {
-		// Whole cache lines: an invisible attempt writes its snapshot at
-		// begin and on every extension, while another Thread's, allocated
-		// next to it, is read on each of that Thread's loads.
-		const perLine = padded.CacheLineSize / 8
-		th.tx.snap = make([]uint64, s.cfg.Shards, (s.cfg.Shards+perLine-1)/perLine*perLine)
-	}
+	// Whole cache lines: an invisible attempt writes its snapshot at begin
+	// and on every extension, while another Thread's, allocated next to it,
+	// is read on each of that Thread's loads.
+	const perLine = padded.CacheLineSize / 8
+	th.tx.snap = make([]uint64, s.cfg.Shards, (s.cfg.Shards+perLine-1)/perLine*perLine)
 	th.tx.lat = s.lat.Client(idx) // nil cell when Latency is off
 	if s.attr != nil {
 		// The thread's reusable unsampled killer descriptor: immutable, so

@@ -95,8 +95,14 @@ func (th *Thread) startTx(what string, ro bool) *Tx {
 	return tx
 }
 
-// endTx closes the call, on return and on a panic passing through.
+// endTx closes the call, on return and on a panic passing through. A direct
+// attempt — every Mutex attempt but a snapshot one, and the only kind that
+// never fails — ends the call, so this is where its lock, taken in Tx.begin,
+// is released: after its commit, its user abort or a panic in fn.
 func (th *Thread) endTx() {
+	if th.tx.kind == kindDirect {
+		th.sys.mu.Unlock()
+	}
 	th.tx.roUser = false
 	th.inTx = false
 }
@@ -118,8 +124,8 @@ func (tx *Tx) sampleLatency() {
 	}
 }
 
-// retryLoop drives attempts of fn through the engine until one commits or fn
-// asks for a user abort. Shared by Atomically and AtomicallyRO.
+// retryLoop drives attempts of fn until one commits or fn asks for a user
+// abort. Shared by Atomically and AtomicallyRO.
 func (tx *Tx) retryLoop(fn func(*Tx) error) error {
 	for {
 		tx.begin()
@@ -139,19 +145,20 @@ func (tx *Tx) retryLoop(fn func(*Tx) error) error {
 	}
 }
 
-// attemptKind is how one attempt reads, validates and commits (DESIGN.md §3),
-// and whether it keeps a read log. Only Tx.begin sets Tx.kind, from
+// attemptKind is how one attempt begins, reads, validates and commits
+// (DESIGN.md §3), and whether it keeps a read log: Tx.begin, Tx.LoadBox and
+// Tx.finishCommit switch on it. Only Tx.begin sets Tx.kind, from
 // System.attemptKind.
 type attemptKind uint8
 
 const (
-	kindValidated attemptKind = iota // TL2: validated from the read log (tl2Read)
+	kindValidated attemptKind = iota // TL2: validated from the read log (tl2Read, tl2Commit)
 	// kindSnapshot: the first attempt of an AtomicallyRO call with Versions.
 	// Load resolves against snap (loadSnapshot); the slot's roActive bit and
-	// roEpoch hold the history it needs (System.beginSnapshot). Listed here,
+	// roEpoch hold the history it needs (Thread.beginSnapshot). Listed here,
 	// LoadBox's switch finds it, and kindSolo, in two compares.
 	kindSnapshot
-	kindDirect // Mutex: Vars loaded and stored under the lock
+	kindDirect // Mutex: Vars loaded and stored under System.mu
 	// kindSolo: a lone client of NOrec or of an invalidation engine. Every
 	// read re-checks its stream's timestamp against snap (soloRead), keeps no
 	// log, and the slot publishes nothing — no read signature, no active bit,
@@ -197,7 +204,7 @@ const (
 //stm:hotpath
 func (s *System) attemptKind(tx *Tx, retry bool) attemptKind {
 	switch {
-	case s.nVers > 0 && tx.roUser && tx.attempts == 1 && s.beginSnapshot(tx):
+	case s.nVers > 0 && tx.roUser && tx.attempts == 1 && tx.th.beginSnapshot(tx.snap):
 		return kindSnapshot
 	case !s.clientsCommit:
 		return s.baseKind
@@ -210,7 +217,7 @@ func (s *System) attemptKind(tx *Tx, retry bool) attemptKind {
 }
 
 // beginSnapshot publishes a snapshot attempt's history floor and captures its
-// cut into tx.snap. Publish the provisional epoch bound, then the roActive
+// cut into snap. Publish the provisional epoch bound, then the roActive
 // bit, then capture: roFloorNow reads the timestamps before the bitmap, so a
 // floor computation that misses the bit used timestamp values from before
 // this point — at or below the provisional bound, and therefore at or below
@@ -219,8 +226,8 @@ func (s *System) attemptKind(tx *Tx, retry bool) attemptKind {
 // (Shards > 1 under a saturated commit pipeline) clears the bit and counts a
 // fallback; the attempt then takes the regular rule. Every exit of a snapshot
 // attempt clears the bit (deactivateSlot).
-func (s *System) beginSnapshot(tx *Tx) bool {
-	idx := tx.th.idx
+func (th *Thread) beginSnapshot(snap []uint64) bool {
+	s, idx := th.sys, th.idx
 	prov := ^uint64(0)
 	for j := range s.streams {
 		if t := s.streams[j].ts.Load() &^ 1; t < prov {
@@ -229,17 +236,17 @@ func (s *System) beginSnapshot(tx *Tx) bool {
 	}
 	s.roEpoch[idx].Store(prov)
 	s.roActive.set(idx)
-	if !s.captureSnapshot(tx.snap) {
+	if !s.captureSnapshot(snap) {
 		s.roActive.clear(idx)
-		atomic.AddUint64(&tx.stats.ROFallbacks, 1)
+		atomic.AddUint64(&th.stats.ROFallbacks, 1)
 		return false
 	}
 	// Tighten the published bound to the cut's minimum so GC reclaims up to
 	// what this reader really needs. Raising it is safe: the floor takes the
 	// minimum over all live readers and the resolve rule never reaches below
 	// the cut's component of the Var's own shard.
-	minSnap := tx.snap[0]
-	for _, e := range tx.snap[1:] {
+	minSnap := snap[0]
+	for _, e := range snap[1:] {
 		if e < minSnap {
 			minSnap = e
 		}
@@ -255,9 +262,8 @@ type Tx struct {
 	th   *Thread
 	slot *slot
 
-	rs    readSet
-	ws    *writeSet
-	start uint64 // TL2: timestamp snapshot
+	rs readSet
+	ws *writeSet
 
 	attempts int
 	stats    *Stats
@@ -278,8 +284,8 @@ type Tx struct {
 
 	// roUser marks the whole AtomicallyRO call (snapshot attempt and fallback
 	// alike): Store panics while it is set. snap is a snapshot, solo or
-	// invisible attempt's per-shard epoch vector, allocated once at Register
-	// when Versions > 0 or where the engine's clients commit themselves.
+	// invisible attempt's per-shard epoch vector, and a validated one's read
+	// version in snap[0]; allocated once at Register.
 	roUser bool
 	snap   []uint64
 
@@ -332,8 +338,9 @@ func (tx *Tx) Attempt() int { return tx.attempts }
 // System returns the owning System.
 func (tx *Tx) System() *System { return tx.sys }
 
-// begin resets per-attempt state, chooses the attempt's kind and runs the
-// engine's begin hook.
+// begin resets per-attempt state, chooses the attempt's kind and prepares
+// what the kind needs: a visible attempt's slot state, a direct attempt's
+// lock (released by Thread.endTx), a validated attempt's read version.
 func (tx *Tx) begin() {
 	tx.attempts++
 	// A second or later attempt follows a failed attempt of this transaction
@@ -356,10 +363,14 @@ func (tx *Tx) begin() {
 	tx.kind = tx.sys.attemptKind(tx, validation)
 	tx.logs = tx.kind == kindInvisible || tx.kind == kindValidated ||
 		tx.kind == kindVisible && tx.sys.attr != nil
-	if tx.kind == kindVisible {
+	switch tx.kind {
+	case kindVisible:
 		tx.activateSlot()
+	case kindDirect:
+		tx.sys.mu.Lock()
+	case kindValidated:
+		tx.snap[0] = tx.sys.streams[0].ts.Load()
 	}
-	tx.sys.eng.begin(tx)
 }
 
 // activateSlot makes the slot a visible attempt's: doomable through its read
@@ -386,8 +397,8 @@ func (tx *Tx) activateSlot() {
 
 // run executes the user function, translating a conflictSignal or
 // roFallbackSignal panic into conflicted=true. Other panics propagate after
-// the engine's resources are released (so e.g. the Mutex engine's global lock
-// is not leaked).
+// the slot is retired; Thread.endTx, deferred by the caller, releases a direct
+// attempt's lock.
 func (tx *Tx) run(fn func(*Tx) error) (err error, conflicted bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -396,7 +407,6 @@ func (tx *Tx) run(fn func(*Tx) error) (err error, conflicted bool) {
 				conflicted = true
 				return
 			}
-			tx.sys.eng.abort(tx)
 			tx.deactivateSlot()
 			tx.foldOps()
 			panic(r)
@@ -518,7 +528,13 @@ func (tx *Tx) foldOps() {
 	}
 }
 
-// finishCommit drives the engine commit and updates stats/slot state.
+// finishCommit commits the attempt as its kind picks, then updates stats and
+// slot state. A read-only attempt commits on every kind: each value it
+// returned was consistent when read, and nothing remains to serialize. A
+// direct one writes back under System.mu — bracketed odd/even on the global
+// timestamp with Versions, so snapshot readers see it as a seqlock commit —
+// and a validated one is TL2's. Otherwise RInval's servers commit it, or,
+// where clients commit themselves, the client does (inlineCommit).
 //
 //stm:hotpath
 func (tx *Tx) finishCommit() bool {
@@ -527,7 +543,23 @@ func (tx *Tx) finishCommit() bool {
 		latC0 = obs.Now()
 	}
 	tc := tx.ring.Now()
-	ok := tx.sys.eng.commit(tx)
+	sys := tx.sys
+	ok := true
+	switch {
+	case tx.ws.len() == 0:
+	case tx.kind == kindDirect && sys.nVers > 0:
+		sys.streams[0].ts.Add(1)
+		sys.writeBack(tx.ws)
+		sys.streams[0].ts.Add(1)
+	case tx.kind == kindDirect:
+		tx.ws.writeBack()
+	case tx.kind == kindValidated:
+		ok = tl2Commit(tx)
+	case !sys.clientsCommit:
+		ok = sys.rinval.commit(tx)
+	default:
+		ok = inlineCommit(tx)
+	}
 	tx.deactivateSlot()
 	if ok {
 		// A refused commit goes on to onConflictAbort, which folds after
@@ -561,7 +593,6 @@ func (tx *Tx) finishCommit() bool {
 // and leaves tx.reason at begin's value, so its retry is not a validation
 // abort's.
 func (tx *Tx) onConflictAbort() {
-	tx.sys.eng.abort(tx)
 	tx.deactivateSlot()
 	tx.ring.Span(obs.KTx, tx.traceT0, obs.OutcomeAbort)
 	if tx.kind == kindSnapshot {
@@ -589,7 +620,6 @@ func (tx *Tx) onConflictAbort() {
 // onUserAbort rolls back after the user function returned an error. User
 // aborts are not conflicts: they skip Aborts and count under AbortExplicit.
 func (tx *Tx) onUserAbort() {
-	tx.sys.eng.abort(tx)
 	tx.deactivateSlot()
 	tx.foldOps()
 	atomic.AddUint64(&tx.stats.AbortReasons[AbortExplicit], 1)
