@@ -34,7 +34,9 @@ test:
 	$(GO) test -shuffle=on ./...
 
 ## race: the race detector over the packages with real concurrency (including
-## core's live /metrics scrape, TestServerHistogramsLiveScrape), then the
+## core's live /metrics scrape, TestServerHistogramsLiveScrape, and the
+## concurrent rbtree and container/ds tests, whose nodes' Vars are initialized
+## in place and published through a cell store), then the
 ## helper-path, cross-shard, partition-lock tests, the attempt-kind rule
 ## (TestAttemptKindRule), a direct attempt's lock release on every exit
 ## (TestDirectKindReleasesLock) and the solo- and invisible-attempt tests ten times
@@ -66,7 +68,7 @@ test:
 ## the shared attempt loop and its fallback's retry takes the layout's rule.
 RACE_LAYOUT_RUN = 'Help|CrossShard|Partition|Liveness|Mailbox|Opacity|Differential|Epoch|Solo|Kind|Churn|Invisible|RetryReuses|Inline|TestRO|GroupCommit|FlightPartition|TraceLifecycle|ServerPhase'
 race:
-	$(GO) test -race -count=1 ./internal/core/ ./stm/ ./internal/obs/ ./internal/bloom/ ./internal/padded/ ./internal/analysis/
+	$(GO) test -race -count=1 ./internal/core/ ./stm/ ./internal/obs/ ./internal/bloom/ ./internal/padded/ ./internal/analysis/ ./container/rbtree/ ./container/ds/
 	$(GO) test -race -count=10 -run 'Help|CrossShard|Partition|LivenessOneP|Mailbox|Solo|Kind|Churn|Invisible|RetryReuses|Inline|TestRO' ./internal/core/ ./internal/verify/ ./stm/
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run $(RACE_LAYOUT_RUN) ./internal/core/ ./internal/verify/ ./stm/
 	GOMAXPROCS=2 $(GO) test -race -count=3 -run $(RACE_LAYOUT_RUN) ./internal/core/ ./internal/verify/ ./stm/
@@ -112,10 +114,12 @@ bench-layers:
 	$(GO) run ./benchmark -seed 1 -layers
 
 ## bench-core: every testing.B benchmark of the root package (the paper's
-## figures and ablations on the simulator) and of internal/core once, as a
-## smoke test that they still build and run; for numbers use -benchtime 200ms.
+## figures and ablations on the simulator), of internal/core, of stm
+## (BenchmarkTypedLoadChain) and of the containers (BenchmarkLookupHit,
+## BenchmarkInsertDelete, BenchmarkMapContendedPairs, ...) once, as a smoke
+## test that they still build and run; for numbers use -benchtime 200ms.
 bench-core:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core/
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core/ ./stm/ ./container/...
 
 ## pairs: the ten-pair protocol behind every performance claim in
 ## EXPERIMENTS.md. Usage: make pairs PARENT=<rev> W=<workload> [N=10]

@@ -12,11 +12,12 @@ package ds
 import "github.com/ssrg-vt/rinval/stm"
 
 // listNode is one cell of the sorted list. next is transactional; key is
-// immutable after insertion.
+// immutable after insertion. The Vars are held by value (stm.InitVar), so a
+// node is one allocation besides its two cells.
 type listNode struct {
 	key  int
-	val  *stm.Var[int]
-	next *stm.Var[*listNode]
+	val  stm.Var[int]
+	next stm.Var[*listNode]
 }
 
 // List is a transactional sorted set/map with int keys. Operations are
@@ -54,7 +55,9 @@ func (l *List) Insert(tx *stm.Tx, k, v int) bool {
 		cur.val.Store(tx, v)
 		return false
 	}
-	n := &listNode{key: k, val: stm.NewVar(v), next: stm.NewVar(cur)}
+	n := &listNode{key: k}
+	stm.InitVar(&n.val, v)
+	stm.InitVar(&n.next, cur)
 	if prev == nil {
 		l.head.Store(tx, n)
 	} else {

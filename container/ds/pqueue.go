@@ -3,12 +3,13 @@ package ds
 import "github.com/ssrg-vt/rinval/stm"
 
 // pqNode is one node of the skew heap. key is immutable; children are
-// transactional.
+// transactional Vars held by value (stm.InitVar), so a node is one allocation
+// besides its two cells.
 type pqNode struct {
 	key   int
 	val   int
-	left  *stm.Var[*pqNode]
-	right *stm.Var[*pqNode]
+	left  stm.Var[*pqNode]
+	right stm.Var[*pqNode]
 }
 
 // PQueue is a transactional min-priority queue implemented as a skew heap:
@@ -51,12 +52,9 @@ func merge(tx *stm.Tx, a, b *pqNode) *pqNode {
 
 // Insert adds key with an associated value.
 func (q *PQueue) Insert(tx *stm.Tx, key, val int) {
-	n := &pqNode{
-		key:   key,
-		val:   val,
-		left:  stm.NewVar[*pqNode](nil),
-		right: stm.NewVar[*pqNode](nil),
-	}
+	n := &pqNode{key: key, val: val}
+	stm.InitVar(&n.left, nil)
+	stm.InitVar(&n.right, nil)
 	q.root.Store(tx, merge(tx, q.root.Load(tx), n))
 	q.size.Store(tx, q.size.Load(tx)+1)
 }

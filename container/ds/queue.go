@@ -11,9 +11,11 @@ type Queue[T any] struct {
 	size *stm.Var[int]
 }
 
+// qnode holds its next Var by value (stm.InitVar): one allocation besides
+// its cell.
 type qnode[T any] struct {
 	val  T
-	next *stm.Var[*qnode[T]]
+	next stm.Var[*qnode[T]]
 }
 
 // NewQueue returns an empty queue.
@@ -27,7 +29,8 @@ func NewQueue[T any]() *Queue[T] {
 
 // Enqueue appends v.
 func (q *Queue[T]) Enqueue(tx *stm.Tx, v T) {
-	n := &qnode[T]{val: v, next: stm.NewVar[*qnode[T]](nil)}
+	n := &qnode[T]{val: v}
+	stm.InitVar(&n.next, nil)
 	t := q.tail.Load(tx)
 	if t == nil {
 		q.head.Store(tx, n)

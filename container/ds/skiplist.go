@@ -11,11 +11,13 @@ import (
 const slMaxLevel = 16
 
 // slNode is one skiplist tower. key is immutable; the forward pointers are
-// transactional.
+// transactional. val and the tower's Vars are held by value (stm.InitVar): a
+// tower is two allocations, the node and its next array, besides one cell per
+// Var.
 type slNode struct {
 	key  int
-	val  *stm.Var[int]
-	next []*stm.Var[*slNode]
+	val  stm.Var[int]
+	next []stm.Var[*slNode]
 }
 
 // SkipList is a transactional sorted map with O(log n) expected searches —
@@ -30,9 +32,9 @@ type SkipList struct {
 
 // NewSkipList returns an empty skiplist.
 func NewSkipList() *SkipList {
-	head := &slNode{key: -1 << 62, next: make([]*stm.Var[*slNode], slMaxLevel)}
+	head := &slNode{key: -1 << 62, next: make([]stm.Var[*slNode], slMaxLevel)}
 	for i := range head.next {
-		head.next[i] = stm.NewVar[*slNode](nil)
+		stm.InitVar(&head.next[i], nil)
 	}
 	return &SkipList{head: head, size: stm.NewVar(0)}
 }
@@ -92,9 +94,10 @@ func (s *SkipList) Insert(tx *stm.Tx, k, v int) bool {
 		return false
 	}
 	lvl := levelFor(k)
-	node := &slNode{key: k, val: stm.NewVar(v), next: make([]*stm.Var[*slNode], lvl)}
+	node := &slNode{key: k, next: make([]stm.Var[*slNode], lvl)}
+	stm.InitVar(&node.val, v)
 	for i := 0; i < lvl; i++ {
-		node.next[i] = stm.NewVar(pred[i].next[i].Load(tx))
+		stm.InitVar(&node.next[i], pred[i].next[i].Load(tx))
 		pred[i].next[i].Store(tx, node)
 	}
 	s.size.Store(tx, s.size.Load(tx)+1)

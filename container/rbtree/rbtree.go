@@ -6,7 +6,8 @@
 // so a lookup's read set is ~2 Vars per level and an insert/delete writes
 // only the rebalancing path — the access pattern that makes the tree a good
 // STM stressor: long read chains (quadratic incremental validation hurts)
-// and small, conflict-prone writes near the root.
+// and small, conflict-prone writes near the root. A node holds those Vars by
+// value, so the node and its Vars are one object.
 //
 // The algorithm is the classic parent-pointer red-black tree with nil-safe
 // helpers (colorOf(nil) = black) rather than a shared sentinel node: a
@@ -21,27 +22,36 @@ import (
 	"github.com/ssrg-vt/rinval/stm"
 )
 
-// node is one tree entry. Key is mutable (a Var) because deletion of a
-// two-child node copies the successor's key/value into it, as in the
-// textbook algorithm.
+// node is one tree entry, and one object: it holds its six Vars by value
+// (stm.InitVar), so a new node is seven allocations — the node and one cell
+// per Var — and a step down the tree goes from the node straight to the
+// child link's cell. Key is mutable (a Var) because deletion of a two-child
+// node copies the successor's key/value into it, as in the textbook
+// algorithm.
 type node struct {
-	key    *stm.Var[int]
-	value  *stm.Var[int]
-	left   *stm.Var[*node]
-	right  *stm.Var[*node]
-	parent *stm.Var[*node]
-	red    *stm.Var[bool]
+	key    stm.Var[int]
+	value  stm.Var[int]
+	lchild stm.Var[*node]
+	rchild stm.Var[*node]
+	parent stm.Var[*node]
+	red    stm.Var[bool]
+	// left is &lchild, and nothing here reads it. The repository benchmark's
+	// self-test (TestChecksCatchCorruption) cuts a tree by reflection: it
+	// takes the field named left and calls its Set method, which a Var held
+	// by value has only through its address.
+	left *stm.Var[*node]
 }
 
 func newNode(key, value int, parent *node) *node {
-	return &node{
-		key:    stm.NewVar(key),
-		value:  stm.NewVar(value),
-		left:   stm.NewVar[*node](nil),
-		right:  stm.NewVar[*node](nil),
-		parent: stm.NewVar(parent),
-		red:    stm.NewVar(false),
-	}
+	n := new(node)
+	stm.InitVar(&n.key, key)
+	stm.InitVar(&n.value, value)
+	stm.InitVar(&n.lchild, nil)
+	stm.InitVar(&n.rchild, nil)
+	stm.InitVar(&n.parent, parent)
+	stm.InitVar(&n.red, false)
+	n.left = &n.lchild
+	return n
 }
 
 // Tree is a transactional ordered map from int keys to int values. All
@@ -67,14 +77,14 @@ func leftOf(tx *stm.Tx, n *node) *node {
 	if n == nil {
 		return nil
 	}
-	return n.left.Load(tx)
+	return n.lchild.Load(tx)
 }
 
 func rightOf(tx *stm.Tx, n *node) *node {
 	if n == nil {
 		return nil
 	}
-	return n.right.Load(tx)
+	return n.rchild.Load(tx)
 }
 
 func parentOf(tx *stm.Tx, n *node) *node {
@@ -101,9 +111,9 @@ func (t *Tree) lookup(tx *stm.Tx, key int) *node {
 		k := n.key.Load(tx)
 		switch {
 		case key < k:
-			n = n.left.Load(tx)
+			n = n.lchild.Load(tx)
 		case key > k:
-			n = n.right.Load(tx)
+			n = n.rchild.Load(tx)
 		default:
 			return n
 		}
@@ -144,10 +154,10 @@ func (t *Tree) Insert(tx *stm.Tx, key, value int) bool {
 		k := cur.key.Load(tx)
 		switch {
 		case key < k:
-			cur = cur.left.Load(tx)
+			cur = cur.lchild.Load(tx)
 			wentLeft = true
 		case key > k:
-			cur = cur.right.Load(tx)
+			cur = cur.rchild.Load(tx)
 			wentLeft = false
 		default:
 			cur.value.Store(tx, value)
@@ -157,9 +167,9 @@ func (t *Tree) Insert(tx *stm.Tx, key, value int) bool {
 	n := newNode(key, value, parent)
 	n.red.Set(true) // freshly allocated, not yet visible: Set is safe
 	if wentLeft {
-		parent.left.Store(tx, n)
+		parent.lchild.Store(tx, n)
 	} else {
-		parent.right.Store(tx, n)
+		parent.rchild.Store(tx, n)
 	}
 	t.fixAfterInsertion(tx, n)
 	t.size.Store(tx, t.size.Load(tx)+1)
@@ -167,9 +177,9 @@ func (t *Tree) Insert(tx *stm.Tx, key, value int) bool {
 }
 
 func (t *Tree) rotateLeft(tx *stm.Tx, p *node) {
-	r := p.right.Load(tx)
-	rl := r.left.Load(tx)
-	p.right.Store(tx, rl)
+	r := p.rchild.Load(tx)
+	rl := r.lchild.Load(tx)
+	p.rchild.Store(tx, rl)
 	if rl != nil {
 		rl.parent.Store(tx, p)
 	}
@@ -177,19 +187,19 @@ func (t *Tree) rotateLeft(tx *stm.Tx, p *node) {
 	r.parent.Store(tx, pp)
 	if pp == nil {
 		t.root.Store(tx, r)
-	} else if pp.left.Load(tx) == p {
-		pp.left.Store(tx, r)
+	} else if pp.lchild.Load(tx) == p {
+		pp.lchild.Store(tx, r)
 	} else {
-		pp.right.Store(tx, r)
+		pp.rchild.Store(tx, r)
 	}
-	r.left.Store(tx, p)
+	r.lchild.Store(tx, p)
 	p.parent.Store(tx, r)
 }
 
 func (t *Tree) rotateRight(tx *stm.Tx, p *node) {
-	l := p.left.Load(tx)
-	lr := l.right.Load(tx)
-	p.left.Store(tx, lr)
+	l := p.lchild.Load(tx)
+	lr := l.rchild.Load(tx)
+	p.lchild.Store(tx, lr)
 	if lr != nil {
 		lr.parent.Store(tx, p)
 	}
@@ -197,12 +207,12 @@ func (t *Tree) rotateRight(tx *stm.Tx, p *node) {
 	l.parent.Store(tx, pp)
 	if pp == nil {
 		t.root.Store(tx, l)
-	} else if pp.right.Load(tx) == p {
-		pp.right.Store(tx, l)
+	} else if pp.rchild.Load(tx) == p {
+		pp.rchild.Store(tx, l)
 	} else {
-		pp.left.Store(tx, l)
+		pp.lchild.Store(tx, l)
 	}
-	l.right.Store(tx, p)
+	l.rchild.Store(tx, p)
 	p.parent.Store(tx, l)
 }
 
@@ -303,12 +313,12 @@ func (t *Tree) deleteNode(tx *stm.Tx, p *node) {
 		if pp == nil {
 			t.root.Store(tx, repl)
 		} else if p == leftOf(tx, pp) {
-			pp.left.Store(tx, repl)
+			pp.lchild.Store(tx, repl)
 		} else {
-			pp.right.Store(tx, repl)
+			pp.rchild.Store(tx, repl)
 		}
-		p.left.Store(tx, nil)
-		p.right.Store(tx, nil)
+		p.lchild.Store(tx, nil)
+		p.rchild.Store(tx, nil)
 		p.parent.Store(tx, nil)
 		if !isRed(tx, p) {
 			t.fixAfterDeletion(tx, repl)
@@ -325,9 +335,9 @@ func (t *Tree) deleteNode(tx *stm.Tx, p *node) {
 		pp2 := parentOf(tx, p)
 		if pp2 != nil {
 			if p == leftOf(tx, pp2) {
-				pp2.left.Store(tx, nil)
+				pp2.lchild.Store(tx, nil)
 			} else {
-				pp2.right.Store(tx, nil)
+				pp2.rchild.Store(tx, nil)
 			}
 			p.parent.Store(tx, nil)
 		}
@@ -404,9 +414,9 @@ func (t *Tree) Keys() []int {
 		if n == nil {
 			return
 		}
-		walk(n.left.Peek())
+		walk(n.lchild.Peek())
 		out = append(out, n.key.Peek())
-		walk(n.right.Peek())
+		walk(n.rchild.Peek())
 	}
 	walk(t.root.Peek())
 	return out
@@ -423,9 +433,9 @@ func (t *Tree) GetQuiescent(key int) (int, bool) {
 		k := n.key.Peek()
 		switch {
 		case key < k:
-			n = n.left.Peek()
+			n = n.lchild.Peek()
 		case key > k:
-			n = n.right.Peek()
+			n = n.rchild.Peek()
 		default:
 			return n.value.Peek(), true
 		}
@@ -464,7 +474,7 @@ func (t *Tree) CheckInvariants() error {
 		if haveMax && k >= max {
 			return 0, fmt.Errorf("BST violation: key %d >= bound %d", k, max)
 		}
-		l, r := n.left.Peek(), n.right.Peek()
+		l, r := n.lchild.Peek(), n.rchild.Peek()
 		if l != nil && l.parent.Peek() != n {
 			return 0, fmt.Errorf("parent link broken at key %d (left child)", k)
 		}

@@ -336,6 +336,20 @@ func TestConcurrentSizeConsistency(t *testing.T) {
 	}
 }
 
+// TestNewNodeAllocations pins a node's cost: the node, which holds its six
+// Vars by value, and one first cell per Var.
+func TestNewNodeAllocations(t *testing.T) {
+	parent := newNode(0, 0, nil)
+	var sink *node
+	if got := testing.AllocsPerRun(100, func() { sink = newNode(1, 10, parent) }); got != 7 {
+		t.Errorf("newNode allocates %v, want 7 (the node and six cells)", got)
+	}
+	if sink.key.Peek() != 1 || sink.value.Peek() != 10 || sink.parent.Peek() != parent ||
+		sink.lchild.Peek() != nil || sink.rchild.Peek() != nil || sink.red.Peek() {
+		t.Error("newNode's Vars do not hold its arguments")
+	}
+}
+
 func BenchmarkLookupHit(b *testing.B) {
 	s := stm.MustNew(stm.Config{Algo: stm.NOrec})
 	defer s.Close()

@@ -73,9 +73,10 @@ func newAnyCell(val any) *Box { return &(&anyCell{v: val}).Box }
 // anyOf recovers the anyCell whose header is b (offset 0).
 func anyOf(b *Box) *anyCell { return (*anyCell)(unsafe.Pointer(b)) }
 
-// Var is one transactional memory location. Create Vars with NewVar; access
-// them only through a transaction (Tx.Load / Tx.Store). The zero value is not
-// usable.
+// Var is one transactional memory location. Create Vars with NewVar, or
+// initialize a zero Var in place with InitBox; access them only through a
+// transaction (Tx.Load / Tx.Store). The zero value is not usable, and a Var
+// must not be copied: its address is its location.
 //
 // Vars are engine-agnostic: the same Var works under every Algo, but a Var
 // must only ever be accessed through a single System at a time — the
@@ -210,12 +211,19 @@ func (v *Var) versionAt(e uint64) (*Box, bool) {
 }
 
 // NewVar returns a Var holding initial.
-func NewVar(initial any) *Var { return NewVarBox(newAnyCell(initial)) }
+func NewVar(initial any) *Var { return new(Var).InitBox(newAnyCell(initial)) }
 
-// NewVarBox returns a Var whose initial version is the cell headed by b.
-func NewVarBox(b *Box) *Var {
+// InitBox makes the zero Var v a Var whose initial version is the cell headed
+// by b, and returns v. v may live inside a larger object (stm.InitVar), so the
+// object and its Vars are one allocation. It panics on a Var that already has
+// an identity: a Var initialized twice would lose the versions already
+// published, or the identity readers and write sets know it by.
+func (v *Var) InitBox(b *Box) *Var {
+	if v.id != 0 {
+		panic("core: InitBox on a Var already initialized")
+	}
 	id := varID.Add(1)
-	v := &Var{id: id, key: bloom.KeyOf(id)}
+	v.id, v.key = id, bloom.KeyOf(id)
 	v.val.Store(b)
 	return v
 }

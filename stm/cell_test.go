@@ -135,6 +135,48 @@ func TestSnapshotReadsTheCellOfItsEpoch(t *testing.T) {
 	}
 }
 
+// TestVarAllocations pins what a Var costs: NewVar allocates the Var and its
+// first cell; InitVar into a caller's struct allocates only the cell. InitVar
+// on a Var already in use panics and leaves it as it was.
+func TestVarAllocations(t *testing.T) {
+	const runs = 100
+	var sink *Var[int]
+	if got := testing.AllocsPerRun(runs, func() { sink = NewVar(1) }); got != 2 {
+		t.Errorf("NewVar allocates %v, want 2 (the Var and its cell)", got)
+	}
+	type pair struct{ a, b Var[int] }
+	pairs := make([]pair, runs+1) // AllocsPerRun calls f once more to warm up
+	i := 0
+	if got := testing.AllocsPerRun(runs, func() { InitVar(&pairs[i].b, i); i++ }); got != 1 {
+		t.Errorf("InitVar into a struct allocates %v, want 1 (the cell)", got)
+	}
+	if pairs[runs].b.Peek() != runs || pairs[runs].a.ID() != 0 {
+		t.Errorf("InitVar wrote %d and id %d beside it", pairs[runs].b.Peek(), pairs[runs].a.ID())
+	}
+
+	s := MustNew(Config{Algo: NOrec})
+	defer s.Close()
+	th := s.MustRegister()
+	defer th.Close()
+	if err := th.Atomically(func(tx *Tx) error { sink.Store(tx, 7); pairs[0].b.Store(tx, 8); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]*Var[int]{"NewVar": sink, "InitVar": &pairs[0].b} {
+		id := v.ID()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("InitVar on a Var made by %s and written since returned", name)
+				}
+			}()
+			InitVar(v, 9)
+		}()
+		if v.ID() != id || v.Peek() == 9 {
+			t.Errorf("%s Var after the refused InitVar: id %d (was %d), value %d", name, v.ID(), id, v.Peek())
+		}
+	}
+}
+
 // TestTxAllocations pins what a transaction allocates through the public API,
 // per engine: the Tx wrapper, and one cell per Store — also when the Store
 // overwrites a Var the transaction already wrote — except that a retry stores

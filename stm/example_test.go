@@ -90,3 +90,34 @@ func ExampleParseAlgo() {
 	fmt.Println(sys.Algo())
 	// Output: rinval-v2
 }
+
+// A struct that holds its Vars by value is one allocation: InitVar
+// initializes each zero Var in place. The struct must not be copied after.
+func ExampleInitVar() {
+	type account struct {
+		owner   string
+		balance stm.Var[int]
+		frozen  stm.Var[bool]
+	}
+	open := func(owner string, balance int) *account {
+		a := &account{owner: owner}
+		stm.InitVar(&a.balance, balance)
+		stm.InitVar(&a.frozen, false)
+		return a
+	}
+
+	sys := stm.MustNew(stm.Config{Algo: stm.NOrec})
+	defer sys.Close()
+	th := sys.MustRegister()
+	defer th.Close()
+
+	a := open("ada", 100)
+	_ = th.Atomically(func(tx *stm.Tx) error {
+		if !a.frozen.Load(tx) {
+			a.balance.Store(tx, a.balance.Load(tx)-30)
+		}
+		return nil
+	})
+	fmt.Println(a.owner, a.balance.Peek())
+	// Output: ada 70
+}

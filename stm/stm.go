@@ -254,7 +254,7 @@ func (s *System) DumpFlightBundle(reason string) (string, error) {
 // which commit-server serializes writes to it (always 0 when Shards == 1).
 // A package-level function rather than a Var method because methods cannot
 // introduce type parameters.
-func ShardOf[T any](s *System, v *Var[T]) int { return s.sys.VarShard(v.v) }
+func ShardOf[T any](s *System, v *Var[T]) int { return s.sys.VarShard(&v.v) }
 
 // Thread is a registered participant: one entry of the cache-aligned
 // requests array. Use from a single goroutine at a time.
@@ -316,8 +316,14 @@ func (tx *Tx) Attempt() int { return tx.inner.Attempt() }
 // Var is a transactional memory cell holding a T. Values stored in a Var
 // should be immutable or treated as such: a transaction that mutates a
 // loaded pointer/slice in place bypasses conflict detection.
+//
+// A Var is one object: core's Var, held by value, so a Load goes from the
+// Var straight to its current cell. Create one with NewVar, or embed it in a
+// struct and initialize it with InitVar. A Var must not be copied once
+// initialized — its address is the location the engines track (go vet's
+// copylocks check reports such a copy).
 type Var[T any] struct {
-	v *core.Var
+	v core.Var
 }
 
 // cell is one version of a Var[T]: the engines' header first, then the value,
@@ -336,17 +342,28 @@ func newCell[T any](val T) *core.Box { return &(&cell[T]{val: val}).Box }
 //stm:hotpath
 func cellOf[T any](b *core.Box) *cell[T] { return (*cell[T])(unsafe.Pointer(b)) }
 
-// NewVar returns a Var initialized to initial.
+// NewVar returns a Var initialized to initial. It costs two allocations: the
+// Var and its first cell.
 func NewVar[T any](initial T) *Var[T] {
-	return &Var[T]{v: core.NewVarBox(newCell(initial))}
+	v := new(Var[T])
+	InitVar(v, initial)
+	return v
 }
+
+// InitVar initializes the zero Var v to initial, in place: a struct that holds
+// its Vars by value is one allocation, plus one cell per Var. v must be a zero
+// Var — InitVar panics on a Var already initialized — and must not be copied
+// afterwards.
+func InitVar[T any](v *Var[T], initial T) { v.v.InitBox(newCell(initial)) }
 
 // NewVarNamed returns a Var labeled for conflict attribution: the name
 // appears in ConflictReport's hot-var table and on the stmtop dashboard in
 // place of the raw Var id. The label costs one registry insert at
 // construction and nothing on any hot path.
 func NewVarNamed[T any](initial T, name string) *Var[T] {
-	return &Var[T]{v: core.NewVarBox(newCell(initial)).SetName(name)}
+	v := NewVar(initial)
+	v.v.SetName(name)
+	return v
 }
 
 // VarName returns the label a Var id was given via NewVarNamed, or "".
@@ -354,19 +371,19 @@ func VarName(id uint64) string { return core.VarName(id) }
 
 // Load returns the transaction's view of the Var.
 func (v *Var[T]) Load(tx *Tx) T {
-	return cellOf[T](tx.inner.LoadBox(v.v)).val
+	return cellOf[T](tx.inner.LoadBox(&v.v)).val
 }
 
 // Store buffers a write; it becomes visible atomically when tx commits. It
 // costs one allocation, the cell, unless an aborted attempt of the same
 // transaction stored to v: its cell was never published and is reused.
 func (v *Var[T]) Store(tx *Tx, val T) {
-	if b := tx.inner.SpareBox(v.v); b != nil {
+	if b := tx.inner.SpareBox(&v.v); b != nil {
 		cellOf[T](b).val = val
-		tx.inner.StoreBox(v.v, b)
+		tx.inner.StoreBox(&v.v, b)
 		return
 	}
-	tx.inner.StoreBox(v.v, newCell(val))
+	tx.inner.StoreBox(&v.v, newCell(val))
 }
 
 // Peek returns the committed value without transactional protection — for
