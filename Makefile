@@ -62,14 +62,18 @@ test:
 ## (TestInvisibleThenVisibleRegimes) runs invisible attempts and their visible
 ## retries side by side. The spare-cell tests (TestRetryReusesAbortedCells,
 ## internal/core and stm) race a retry's reuse of its aborted attempt's cells
-## against the servers that answered that attempt. The snapshot-reader tests
-## (TestRO: the snapshot attempt's kind and lifecycle, torn pairs, lapped and
-## cross-shard readers) run in both sets, since a snapshot attempt is a kind of
-## the shared attempt loop and its fallback's retry takes the layout's rule.
+## against the servers that answered that attempt. container/ds's Map tests run
+## in the ten-fold set too: two of them commit a second Thread's transaction
+## inside an attempt (an update of another key in the same bucket, which must
+## not abort it; a delete and re-insert of the key it read, which must), and
+## how the engines order the two depends on the schedule. The snapshot-reader
+## tests (TestRO: the snapshot attempt's kind and lifecycle, torn pairs, lapped
+## and cross-shard readers) run in both sets, since a snapshot attempt is a kind
+## of the shared attempt loop and its fallback's retry takes the layout's rule.
 RACE_LAYOUT_RUN = 'Help|CrossShard|Partition|Liveness|Mailbox|Opacity|Differential|Epoch|Solo|Kind|Churn|Invisible|RetryReuses|Inline|TestRO|GroupCommit|FlightPartition|TraceLifecycle|ServerPhase'
 race:
 	$(GO) test -race -count=1 ./internal/core/ ./stm/ ./internal/obs/ ./internal/bloom/ ./internal/padded/ ./internal/analysis/ ./container/rbtree/ ./container/ds/
-	$(GO) test -race -count=10 -run 'Help|CrossShard|Partition|LivenessOneP|Mailbox|Solo|Kind|Churn|Invisible|RetryReuses|Inline|TestRO' ./internal/core/ ./internal/verify/ ./stm/
+	$(GO) test -race -count=10 -run 'Help|CrossShard|Partition|LivenessOneP|Mailbox|Solo|Kind|Churn|Invisible|RetryReuses|Inline|TestRO|Map' ./internal/core/ ./internal/verify/ ./stm/ ./container/ds/
 	GOMAXPROCS=4 $(GO) test -race -count=3 -run $(RACE_LAYOUT_RUN) ./internal/core/ ./internal/verify/ ./stm/
 	GOMAXPROCS=2 $(GO) test -race -count=3 -run $(RACE_LAYOUT_RUN) ./internal/core/ ./internal/verify/ ./stm/
 

@@ -23,6 +23,11 @@ import (
 //     sampled invalidation dooms whose exact read and write sets were
 //     disjoint, that is, dooms caused by a bloom-signature collision alone.
 //
+// Each key holds its value in a Var of its own, so a transfer conflicts only
+// with transactions on its own pair: at -benchtime 2s on a 2-vCPU host the
+// four engines read 0.014–0.017 aborts/commit, 36 B/op and 2 allocs/op
+// (EXPERIMENTS.md, "a map key is its own Var").
+//
 // Run it with a fixed -benchtime (e.g. 4s) and -count to compare two commits.
 func BenchmarkMapContendedPairs(b *testing.B) {
 	for _, algo := range []stm.Algo{stm.NOrec, stm.InvalSTM, stm.RInvalV1, stm.RInvalV2} {

@@ -42,14 +42,14 @@ type node struct {
 	left *stm.Var[*node]
 }
 
-func newNode(key, value int, parent *node) *node {
+func newNode(key, value int, parent *node, red bool) *node {
 	n := new(node)
 	stm.InitVar(&n.key, key)
 	stm.InitVar(&n.value, value)
 	stm.InitVar(&n.lchild, nil)
 	stm.InitVar(&n.rchild, nil)
 	stm.InitVar(&n.parent, parent)
-	stm.InitVar(&n.red, false)
+	stm.InitVar(&n.red, red)
 	n.left = &n.lchild
 	return n
 }
@@ -143,7 +143,7 @@ func (t *Tree) Size(tx *stm.Tx) int { return t.size.Load(tx) }
 func (t *Tree) Insert(tx *stm.Tx, key, value int) bool {
 	cur := t.root.Load(tx)
 	if cur == nil {
-		t.root.Store(tx, newNode(key, value, nil))
+		t.root.Store(tx, newNode(key, value, nil, false))
 		t.size.Store(tx, 1)
 		return true
 	}
@@ -164,8 +164,7 @@ func (t *Tree) Insert(tx *stm.Tx, key, value int) bool {
 			return false
 		}
 	}
-	n := newNode(key, value, parent)
-	n.red.Set(true) // freshly allocated, not yet visible: Set is safe
+	n := newNode(key, value, parent, true)
 	if wentLeft {
 		parent.lchild.Store(tx, n)
 	} else {

@@ -337,16 +337,52 @@ func TestConcurrentSizeConsistency(t *testing.T) {
 }
 
 // TestNewNodeAllocations pins a node's cost: the node, which holds its six
-// Vars by value, and one first cell per Var.
+// Vars by value, and one first cell per Var — for a red node too, whose color
+// is its first cell rather than a second one.
 func TestNewNodeAllocations(t *testing.T) {
-	parent := newNode(0, 0, nil)
-	var sink *node
-	if got := testing.AllocsPerRun(100, func() { sink = newNode(1, 10, parent) }); got != 7 {
-		t.Errorf("newNode allocates %v, want 7 (the node and six cells)", got)
+	parent := newNode(0, 0, nil, false)
+	for _, red := range []bool{false, true} {
+		var sink *node
+		if got := testing.AllocsPerRun(100, func() { sink = newNode(1, 10, parent, red) }); got != 7 {
+			t.Errorf("newNode(red=%v) allocates %v, want 7 (the node and six cells)", red, got)
+		}
+		if sink.key.Peek() != 1 || sink.value.Peek() != 10 || sink.parent.Peek() != parent ||
+			sink.lchild.Peek() != nil || sink.rchild.Peek() != nil || sink.red.Peek() != red {
+			t.Errorf("newNode(red=%v)'s Vars do not hold its arguments", red)
+		}
 	}
-	if sink.key.Peek() != 1 || sink.value.Peek() != 10 || sink.parent.Peek() != parent ||
-		sink.lchild.Peek() != nil || sink.rchild.Peek() != nil || sink.red.Peek() {
-		t.Error("newNode's Vars do not hold its arguments")
+}
+
+// TestInsertAllocations pins a non-root Insert's cost under a black root:
+// the red node with its six first cells, and one cell for each of the three
+// stores (the parent's link, the size and the root's color), beyond what the
+// empty transaction allocates. Coloring the node after construction would add
+// a seventh cell.
+func TestInsertAllocations(t *testing.T) {
+	s := stm.MustNew(stm.Config{Algo: stm.NOrec})
+	defer s.Close()
+	th := s.MustRegister()
+	defer th.Close()
+	const runs = 100
+	trees := make([]*Tree, runs+1) // AllocsPerRun calls f once more to warm up
+	for i := range trees {
+		trees[i] = New()
+		if err := th.Atomically(func(tx *stm.Tx) error { trees[i].Insert(tx, 0, 0); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	insert := testing.AllocsPerRun(runs, func() {
+		tree := trees[i]
+		i++
+		_ = th.Atomically(func(tx *stm.Tx) error { tree.Insert(tx, 1, 1); return nil })
+	})
+	empty := testing.AllocsPerRun(runs, func() { _ = th.Atomically(func(*stm.Tx) error { return nil }) })
+	if got := insert - empty; got != 10 {
+		t.Errorf("a non-root Insert allocates %v, want 10 (the node, its six cells and three stored cells)", got)
+	}
+	if err := trees[0].CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }
 
