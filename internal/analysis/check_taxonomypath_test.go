@@ -22,7 +22,7 @@ func TestTaxonomyPathCoverage(t *testing.T) {
 		t.Fatalf("LoadModule: %v", err)
 	}
 	found := taxonomyPath(m, func(token.Pos, string, ...any) {})[m.Path+"/internal/core"]
-	for _, want := range []string{"soloRead", "invisibleRead", "invalRead", "tl2Read",
+	for _, want := range []string{"soloRead", "resolvedRead", "invisibleRead", "invalRead", "tl2Read",
 		"tl2Commit", "inlineCommit", "remoteEngine.commit"} {
 		if !slices.Contains(found, want) {
 			t.Errorf("taxonomy-path did not check %s in internal/core (found %v)", want, found)

@@ -87,7 +87,8 @@ func invalRead(tx *Tx, v *Var) (*Box, bool) {
 // snapshot's, it proves no commit wrote the stream since begin — every
 // write-back runs while the timestamp is odd — so the cell is the snapshot's;
 // moved, the attempt aborts without returning it. The shard joins readShards,
-// which the solo commit validates under the locks.
+// which the solo commit validates under the locks. On a one-stream System a
+// read before the attempt's first Store is resolvedRead instead.
 //
 //stm:hotpath
 func soloRead(tx *Tx, v *Var) (*Box, bool) {
@@ -98,6 +99,22 @@ func soloRead(tx *Tx, v *Var) (*Box, bool) {
 		return nil, false
 	}
 	tx.readShards |= 1 << uint(shard)
+	return b, true
+}
+
+// resolvedRead is soloRead on a one-stream System before the attempt's first
+// Store, called by Tx.LoadBox: begin resolved stream 0's timestamp word and
+// its snapshot value (Tx.soloTS, Tx.soloSnap), so the read is the cell load
+// and one compare. It leaves readShards alone: with one stream every writer
+// touches stream 0, so the bit adds nothing to the commit's touched mask.
+//
+//stm:hotpath
+func resolvedRead(tx *Tx, v *Var) (*Box, bool) {
+	b := v.loadBox()
+	if tx.soloTS.Load() != tx.soloSnap {
+		tx.reason = AbortValidation
+		return nil, false
+	}
 	return b, true
 }
 

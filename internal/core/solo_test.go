@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -380,6 +381,253 @@ func TestSoloCrossShardConservation(t *testing.T) {
 			}
 			if cross := s.Stats().CrossShardCommits; st.Commits != n || st.HelpedEpochs != n || cross != n {
 				t.Fatalf("Commits=%d HelpedEpochs=%d CrossShardCommits=%d, want all %d", st.Commits, st.HelpedEpochs, cross, n)
+			}
+		})
+	}
+}
+
+// resolvedAlgos is every engine whose lone client's attempts are solo at
+// GOMAXPROCS 2, the ones whose reads at Shards 1 go through resolvedRead.
+var resolvedAlgos = []Algo{NOrec, InvalSTM, RInvalV1, RInvalV2}
+
+// TestSoloResolvedWordRule: begin resolves stream 0's timestamp word (soloTS,
+// soloSnap) for a solo attempt on a one-stream System and for no other
+// attempt — not a solo one at Shards 2, not a shared one (invisible or
+// visible), not a snapshot, direct or validated one — on all seven engines.
+func TestSoloResolvedWordRule(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, algo := range Algos {
+		shardCounts := []int{1}
+		if slices.Contains(rinvalAlgos, algo) {
+			shardCounts = append(shardCounts, 2)
+		}
+		for _, shards := range shardCounts {
+			versions := 0
+			if slices.Contains(mvAlgos, algo) {
+				versions = 2
+			}
+			s, err := New(Config{Algo: algo, MaxThreads: 4, Shards: shards, InvalServers: 2, Versions: versions})
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s/shards=%d", algo, shards)
+			// Engines whose clients commit themselves at GOMAXPROCS 2: their
+			// lone client's attempts are solo, and a retry of a validation
+			// abort is visible (NOrec's invisible).
+			solos := algo == NOrec || algo == InvalSTM || slices.Contains(rinvalAlgos, algo)
+			seen := map[attemptKind]bool{}
+			check := func(tx *Tx) {
+				t.Helper()
+				seen[tx.kind] = true
+				resolved := tx.kind == kindSolo && shards == 1
+				if (tx.soloTS != nil) != resolved {
+					t.Errorf("%s: %v attempt has soloTS %v, want resolved %v", name, tx.kind, tx.soloTS, resolved)
+				}
+				if resolved && (tx.soloTS != &s.streams[0].ts || tx.soloSnap != tx.snap[0]) {
+					t.Errorf("%s: soloTS %p, soloSnap %d; want stream 0's word %p and snap[0] %d",
+						name, tx.soloTS, tx.soloSnap, &s.streams[0].ts, tx.snap[0])
+				}
+			}
+			// run checks an Atomically and an AtomicallyRO call (a snapshot
+			// attempt with Versions); with other, the read-write one's first
+			// attempt fails validation, so its retry is visible.
+			run := func(th *Thread, other *Thread) {
+				t.Helper()
+				for _, ro := range []bool{false, true} {
+					atomically := th.Atomically
+					if ro {
+						atomically = th.AtomicallyRO
+					}
+					if err := atomically(func(tx *Tx) error {
+						if other != nil && !ro {
+							failFirstAttempt(t, tx, other)
+						}
+						check(tx)
+						return nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			th := s.MustRegister()
+			run(th, nil)
+			other := s.MustRegister()
+			run(th, nil)
+			if solos {
+				run(th, other)
+			}
+			other.Close()
+			th.Close()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if solos && (!seen[kindSolo] || !seen[kindInvisible] || algo != NOrec && !seen[kindVisible]) {
+				t.Errorf("%s: kinds run %v, want solo, invisible and (but NOrec) visible", name, seen)
+			}
+		}
+	}
+}
+
+// TestSoloResolvedReadAbortsOnMidAttemptCommit: a second Thread commits a Var
+// a resolved solo attempt never read. Only the stream's timestamp can catch
+// it, so the attempt's next read aborts with AbortValidation instead of
+// returning; the retry commits. Stats.Reads counts every Load, the aborting
+// one too.
+func TestSoloResolvedReadAbortsOnMidAttemptCommit(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, algo := range resolvedAlgos {
+		t.Run(algo.String(), func(t *testing.T) {
+			s := soloConfig{algo, 1}.new(t)
+			th := s.MustRegister()
+			v, u, out := NewVar(1), NewVar(0), NewVar(0)
+			if err := th.Atomically(func(tx *Tx) error {
+				if tx.soloTS == nil {
+					t.Fatalf("attempt %d (%v) did not resolve its timestamp word", tx.Attempt(), tx.kind)
+				}
+				x := tx.Load(v).(int)
+				if tx.Attempt() == 1 {
+					other := s.MustRegister()
+					if err := other.Atomically(func(tx *Tx) error {
+						tx.Store(u, 7)
+						return nil
+					}); err != nil {
+						t.Error(err)
+					}
+					other.Close()
+				}
+				if y := tx.Load(v).(int); tx.Attempt() == 1 {
+					t.Errorf("read after a mid-attempt commit returned %d", y)
+				}
+				tx.Store(out, x)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			st := th.Stats()
+			if st.Aborts != 1 || st.AbortReasons[AbortValidation] != 1 || st.Commits != 1 {
+				t.Fatalf("Aborts=%d validation aborts=%d Commits=%d, want 1/1/1",
+					st.Aborts, st.AbortReasons[AbortValidation], st.Commits)
+			}
+			if st.Reads != 4 || st.Writes != 1 {
+				t.Fatalf("Reads=%d Writes=%d, want 4 and 1", st.Reads, st.Writes)
+			}
+			if out.Peek().(int) != 1 || u.Peek().(int) != 7 {
+				t.Fatalf("out=%v u=%v, want 1 and 7", out.Peek(), u.Peek())
+			}
+			th.Close()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestSoloResolvedReadAfterOwnStore: once a resolved solo attempt has stored,
+// a read of that Var returns the buffered write, and a read of another Var
+// is still validated: a second Thread's commit after the Store aborts it.
+// Stats.Reads and Stats.Writes count both attempts' calls.
+func TestSoloResolvedReadAfterOwnStore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, algo := range resolvedAlgos {
+		t.Run(algo.String(), func(t *testing.T) {
+			s := soloConfig{algo, 1}.new(t)
+			th := s.MustRegister()
+			v, w, u := NewVar(0), NewVar(0), NewVar(0)
+			if err := th.Atomically(func(tx *Tx) error {
+				if tx.soloTS == nil {
+					t.Fatalf("attempt %d (%v) did not resolve its timestamp word", tx.Attempt(), tx.kind)
+				}
+				tx.Store(v, tx.Load(v).(int)+5)
+				if got := tx.Load(v).(int); got != 5 {
+					t.Errorf("read after the attempt's own Store returned %d, want 5", got)
+				}
+				tx.Load(w)
+				if tx.Attempt() == 1 {
+					other := s.MustRegister()
+					if err := other.Atomically(func(tx *Tx) error {
+						tx.Store(u, 7)
+						return nil
+					}); err != nil {
+						t.Error(err)
+					}
+					other.Close()
+				}
+				if tx.Load(w); tx.Attempt() == 1 {
+					t.Error("read after the Store and a mid-attempt commit returned")
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			st := th.Stats()
+			if st.Aborts != 1 || st.AbortReasons[AbortValidation] != 1 {
+				t.Fatalf("Aborts=%d validation aborts=%d, want 1/1", st.Aborts, st.AbortReasons[AbortValidation])
+			}
+			if st.Reads != 8 || st.Writes != 2 {
+				t.Fatalf("Reads=%d Writes=%d, want 8 and 2", st.Reads, st.Writes)
+			}
+			if v.Peek().(int) != 5 {
+				t.Fatalf("v = %v, want 5", v.Peek())
+			}
+			th.Close()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestSoloShardedReadKeepsShards: at Shards 4 a solo attempt leaves its
+// timestamp word unresolved and reads through soloRead: each read adds its
+// shard to readShards and re-checks its own stream only, so a second Thread's
+// commit on shard 2 aborts a read on shard 2 but not one on shard 3.
+func TestSoloShardedReadKeepsShards(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, algo := range []Algo{RInvalV1, RInvalV2} {
+		t.Run(algo.String(), func(t *testing.T) {
+			s, err := New(Config{Algo: algo, MaxThreads: 4, Shards: 4, InvalServers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			th := s.MustRegister()
+			r2, r3, w2 := varInShard(t, s, 2, 0), varInShard(t, s, 3, 0), varInShard(t, s, 2, 0)
+			if err := th.AtomicallyRO(func(tx *Tx) error {
+				if tx.kind != kindSolo || tx.soloTS != nil {
+					t.Fatalf("attempt %d: kind %v, soloTS %v; want solo and nil", tx.Attempt(), tx.kind, tx.soloTS)
+				}
+				tx.Load(r2)
+				if tx.readShards != 1<<2 {
+					t.Errorf("readShards = %b after a shard-2 read, want %b", tx.readShards, 1<<2)
+				}
+				if tx.Attempt() == 1 {
+					other := s.MustRegister()
+					if err := other.Atomically(func(tx *Tx) error {
+						tx.Store(w2, 7)
+						return nil
+					}); err != nil {
+						t.Error(err)
+					}
+					other.Close()
+				}
+				tx.Load(r3)
+				if tx.readShards != 1<<2|1<<3 {
+					t.Errorf("readShards = %b after shard-2 and shard-3 reads, want %b", tx.readShards, 1<<2|1<<3)
+				}
+				if tx.Load(r2); tx.Attempt() == 1 {
+					t.Error("shard-2 read after a shard-2 commit returned")
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			st := th.Stats()
+			if st.Aborts != 1 || st.AbortReasons[AbortValidation] != 1 || st.Reads != 6 {
+				t.Fatalf("Aborts=%d validation aborts=%d Reads=%d, want 1/1/6",
+					st.Aborts, st.AbortReasons[AbortValidation], st.Reads)
+			}
+			th.Close()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

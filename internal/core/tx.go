@@ -155,14 +155,15 @@ const (
 	kindValidated attemptKind = iota // TL2: validated from the read log (tl2Read, tl2Commit)
 	// kindSnapshot: the first attempt of an AtomicallyRO call with Versions.
 	// Load resolves against snap (loadSnapshot); the slot's roActive bit and
-	// roEpoch hold the history it needs (Thread.beginSnapshot). Listed here,
-	// LoadBox's switch finds it, and kindSolo, in two compares.
+	// roEpoch hold the history it needs (Thread.beginSnapshot).
 	kindSnapshot
 	kindDirect // Mutex: Vars loaded and stored under System.mu
 	// kindSolo: a lone client of NOrec or of an invalidation engine. Every
-	// read re-checks its stream's timestamp against snap (soloRead), keeps no
-	// log, and the slot publishes nothing — no read signature, no active bit,
-	// no ALIVE word — so no committer can doom it.
+	// read re-checks its stream's timestamp against snap, keeps no log, and
+	// the slot publishes nothing — no read signature, no active bit, no ALIVE
+	// word — so no committer can doom it. With one stream, begin resolves the
+	// timestamp word (Tx.soloTS) and a read before the first Store is
+	// resolvedRead; otherwise soloRead.
 	kindSolo
 	// kindInvisible: a shared attempt of the same engines, which publishes
 	// nothing either. Each read re-checks its stream's timestamp against snap,
@@ -282,6 +283,14 @@ type Tx struct {
 	// attempt, skips the write-set lookup.
 	reads, writes uint64
 
+	// soloTS is stream 0's timestamp word and soloSnap its value at begin, for
+	// a solo attempt on a one-stream System; soloTS is nil for every other
+	// attempt. LoadBox tests it first, so such an attempt's read before its
+	// first Store is one load and one compare (resolvedRead), with no kind
+	// switch, shard lookup or slice index.
+	soloTS   *atomic.Uint64
+	soloSnap uint64
+
 	// roUser marks the whole AtomicallyRO call (snapshot attempt and fallback
 	// alike): Store panics while it is set. snap is a snapshot, solo or
 	// invisible attempt's per-shard epoch vector, and a validated one's read
@@ -363,7 +372,12 @@ func (tx *Tx) begin() {
 	tx.kind = tx.sys.attemptKind(tx, validation)
 	tx.logs = tx.kind == kindInvisible || tx.kind == kindValidated ||
 		tx.kind == kindVisible && tx.sys.attr != nil
+	tx.soloTS = nil
 	switch tx.kind {
+	case kindSolo:
+		if len(tx.sys.streams) == 1 {
+			tx.soloTS, tx.soloSnap = &tx.sys.streams[0].ts, tx.snap[0]
+		}
 	case kindVisible:
 		tx.activateSlot()
 	case kindDirect:
@@ -420,7 +434,9 @@ func (tx *Tx) Load(v *Var) any { return anyOf(tx.LoadBox(v)).v }
 
 // LoadBox returns the cell the transaction sees in v — its own buffered write,
 // else a published version — aborting (via conflictSignal) on a conflict. The
-// attempt's kind picks the read; no engine is asked.
+// attempt's kind picks the read; no engine is asked. A solo attempt whose
+// timestamp word begin resolved (soloTS) reads before the kind switch until
+// its first Store; after it, the write-set lookup comes first.
 //
 // Updates of tx.stats below are atomic adds so System.Stats can read a live
 // thread's counters without a data race; the thread is the only writer.
@@ -428,6 +444,13 @@ func (tx *Tx) Load(v *Var) any { return anyOf(tx.LoadBox(v)).v }
 //stm:hotpath
 func (tx *Tx) LoadBox(v *Var) *Box {
 	tx.reads++
+	if tx.soloTS != nil && tx.writes == 0 {
+		b, ok := resolvedRead(tx, v)
+		if !ok {
+			panic(conflictSignal{})
+		}
+		return b
+	}
 	if tx.writes != 0 {
 		if b, ok := tx.ws.lookup(v); ok {
 			return b
